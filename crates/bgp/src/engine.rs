@@ -237,16 +237,22 @@ impl ForwardingWalker {
 pub struct BgpEngine<'t> {
     topo: &'t Topology,
     policy: PolicyTable,
+    /// CSR offsets into the flat Adj-RIB-In: AS `i`'s per-neighbor slots
+    /// are `rib_offsets[i] .. rib_offsets[i + 1]`, one per entry of
+    /// `topo.neighbors(i)` in the same (sorted) order. Length `n + 1`.
+    rib_offsets: Vec<u32>,
+    /// Mirror-slot table over CSR slots: for slot `rib_offsets[i] + k`
+    /// (AS `i`'s `k`-th neighbor `j`), the slot in `j`'s Adj-RIB-In that
+    /// holds `i`'s offers. An involution (`mirror[mirror[s]] == s`); it
+    /// turns every export's receiver-slot lookup into one sequential load.
+    mirror: Vec<u32>,
 }
 
 impl<'t> BgpEngine<'t> {
     /// Build an engine over `topo` with the given configuration.
     pub fn new(topo: &'t Topology, config: &EngineConfig) -> BgpEngine<'t> {
         let cones = ConeInfo::compute(topo);
-        BgpEngine {
-            topo,
-            policy: PolicyTable::build(topo, &cones, &config.policy),
-        }
+        BgpEngine::with_cones(topo, &cones, config)
     }
 
     /// Build an engine reusing a precomputed [`ConeInfo`].
@@ -255,9 +261,12 @@ impl<'t> BgpEngine<'t> {
         cones: &ConeInfo,
         config: &EngineConfig,
     ) -> BgpEngine<'t> {
+        let (rib_offsets, mirror) = rib_layout(topo);
         BgpEngine {
             topo,
             policy: PolicyTable::build(topo, cones, &config.policy),
+            rib_offsets,
+            mirror,
         }
     }
 
@@ -299,13 +308,10 @@ impl<'t> BgpEngine<'t> {
         Ok(self.propagate_detailed(&inj, max_events_factor, detail))
     }
 
-    /// Position of neighbor `j` within `i`'s (sorted) neighbor list.
+    /// CSR slot range of AS `i`'s Adj-RIB-In.
     #[inline]
-    fn neighbor_pos(&self, i: AsIndex, j: AsIndex) -> Option<usize> {
-        self.topo
-            .neighbors(i)
-            .binary_search_by_key(&j, |(n, _)| *n)
-            .ok()
+    fn rib_slots(&self, i: AsIndex) -> Range<usize> {
+        self.rib_offsets[i.us()] as usize..self.rib_offsets[i.us() + 1] as usize
     }
 
     /// True when `a` is strictly better than `b` at AS `at` under the full
@@ -339,7 +345,7 @@ impl<'t> BgpEngine<'t> {
         &self,
         at: AsIndex,
         direct: &[Route],
-        ribs: &RouteSoa,
+        ribs: &RouteTable,
         slots: Range<usize>,
     ) -> Option<Route> {
         let mut best: Option<Route> = None;
@@ -819,41 +825,110 @@ impl<'e, 't> CampaignSession<'e, 't> {
     }
 }
 
-/// Structure-of-arrays route table: one parallel column per [`Route`]
-/// attribute plus a u64 presence bitset over slot indices.
-///
-/// Both the flat CSR Adj-RIB-In (slot = `rib_offsets[as] + neighbor_pos`)
-/// and the per-AS best table (slot = AS index) use this layout, so
-/// [`BgpEngine::decide`] and the drain loop stream contiguous memory
-/// instead of chasing per-AS heap vectors, absent slots are skipped a
-/// word at a time without loading any route bytes, and an epoch clear is
-/// an O(slots/64) zero of the presence words rather than an O(slots)
-/// `Option` fill.
-struct RouteSoa {
-    path_id: Vec<PathId>,
-    path_len: Vec<u32>,
-    ingress: Vec<LinkId>,
+/// CSR offsets of the flat Adj-RIB-In and its mirror-slot table (see
+/// [`BgpEngine`]'s fields). Built once per engine: the topology is
+/// immutable, so every session shares the layout.
+fn rib_layout(topo: &Topology) -> (Vec<u32>, Vec<u32>) {
+    let mut rib_offsets = Vec::with_capacity(topo.num_ases() + 1);
+    let mut total = 0u32;
+    rib_offsets.push(0);
+    for i in topo.indices() {
+        total += topo.degree(i) as u32;
+        rib_offsets.push(total);
+    }
+    // Position of neighbor `j` within `i`'s (sorted) neighbor list.
+    let neighbor_pos = |i: AsIndex, j: AsIndex| {
+        topo.neighbors(i)
+            .binary_search_by_key(&j, |(n, _)| *n)
+            .expect("adjacency is symmetric")
+    };
+    let mut mirror = Vec::with_capacity(total as usize);
+    for i in topo.indices() {
+        for &(j, _) in topo.neighbors(i) {
+            mirror.push(rib_offsets[j.us()] + neighbor_pos(j, i) as u32);
+        }
+    }
+    (rib_offsets, mirror)
+}
+
+/// One packed RIB entry: a [`Route`] in 20 bytes, so reading or writing a
+/// random slot touches one cache line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    path_id: PathId,
+    path_len: u32,
     /// Announcing neighbor index + 1; 0 = learned directly from the
-    /// origin (the `Option<AsIndex>` niche, flattened into the column).
-    from_neighbor: Vec<u32>,
-    local_pref: Vec<u32>,
-    learned_from: Vec<NeighborKind>,
-    communities: Vec<CommunityBits>,
-    /// Bit `s` set ⟺ slot `s` holds a route; column contents of absent
-    /// slots are stale filler and never read.
+    /// origin (the `Option<AsIndex>` niche, flattened into the field).
+    from_neighbor: u32,
+    local_pref: u32,
+    ingress: LinkId,
+    learned_from: NeighborKind,
+    communities: CommunityBits,
+}
+
+// RIB memory is `slots × size_of::<Slot>()`: a new field must not grow it
+// unnoticed.
+const _: () = assert!(std::mem::size_of::<Slot>() == 20);
+
+impl Slot {
+    /// Filler for absent slots (never read).
+    const FILLER: Slot = Slot {
+        path_id: PathId::EMPTY,
+        path_len: 0,
+        from_neighbor: 0,
+        local_pref: 0,
+        ingress: LinkId(0),
+        learned_from: NeighborKind::Customer,
+        communities: CommunityBits::EMPTY,
+    };
+
+    #[inline]
+    fn pack(r: &Route) -> Slot {
+        Slot {
+            path_id: r.path_id,
+            path_len: r.path_len,
+            from_neighbor: r.from_neighbor.map_or(0, |n| n.0 + 1),
+            local_pref: r.local_pref,
+            ingress: r.ingress,
+            learned_from: r.learned_from,
+            communities: r.communities,
+        }
+    }
+
+    #[inline]
+    fn unpack(self) -> Route {
+        Route {
+            path_id: self.path_id,
+            path_len: self.path_len,
+            ingress: self.ingress,
+            from_neighbor: self.from_neighbor.checked_sub(1).map(AsIndex),
+            local_pref: self.local_pref,
+            learned_from: self.learned_from,
+            communities: self.communities,
+        }
+    }
+}
+
+/// Route table: one packed [`Slot`] per index plus a u64 presence bitset.
+///
+/// Both the flat CSR Adj-RIB-In (AS `i`'s slots are
+/// [`BgpEngine::rib_slots`]; an export lands in the mirror slot) and the
+/// per-AS best table (slot = AS index) use this layout, so
+/// [`BgpEngine::decide`] streams contiguous memory instead of chasing
+/// per-AS heap vectors, absent slots are skipped a word at a time without
+/// loading any route bytes, and an epoch clear is an O(slots/64) zero of
+/// the presence words rather than an O(slots) `Option` fill.
+struct RouteTable {
+    /// Contents of absent slots are stale filler and never read.
+    slots: Vec<Slot>,
+    /// Bit `s` set ⟺ slot `s` holds a route.
     present: Vec<u64>,
 }
 
-impl RouteSoa {
-    fn new(slots: usize) -> RouteSoa {
-        RouteSoa {
-            path_id: vec![PathId::EMPTY; slots],
-            path_len: vec![0; slots],
-            ingress: vec![LinkId(0); slots],
-            from_neighbor: vec![0; slots],
-            local_pref: vec![0; slots],
-            learned_from: vec![NeighborKind::Customer; slots],
-            communities: vec![CommunityBits::EMPTY; slots],
+impl RouteTable {
+    fn new(slots: usize) -> RouteTable {
+        RouteTable {
+            slots: vec![Slot::FILLER; slots],
             present: vec![0; slots.div_ceil(64)],
         }
     }
@@ -863,22 +938,11 @@ impl RouteSoa {
         self.present[s / 64] & (1 << (s % 64)) != 0
     }
 
-    /// Gather slot `s`'s columns into a [`Route`]. Caller must have
-    /// checked presence.
+    /// Unpack slot `s` into a [`Route`]. Caller must have checked
+    /// presence.
     #[inline]
     fn route_at(&self, s: usize) -> Route {
-        Route {
-            path_id: self.path_id[s],
-            path_len: self.path_len[s],
-            ingress: self.ingress[s],
-            from_neighbor: match self.from_neighbor[s] {
-                0 => None,
-                v => Some(AsIndex(v - 1)),
-            },
-            local_pref: self.local_pref[s],
-            learned_from: self.learned_from[s],
-            communities: self.communities[s],
-        }
+        self.slots[s].unpack()
     }
 
     #[inline]
@@ -891,34 +955,19 @@ impl RouteSoa {
         match r {
             Some(r) => {
                 self.present[s / 64] |= 1 << (s % 64);
-                self.path_id[s] = r.path_id;
-                self.path_len[s] = r.path_len;
-                self.ingress[s] = r.ingress;
-                self.from_neighbor[s] = r.from_neighbor.map(|n| n.0 + 1).unwrap_or(0);
-                self.local_pref[s] = r.local_pref;
-                self.learned_from[s] = r.learned_from;
-                self.communities[s] = r.communities;
+                self.slots[s] = Slot::pack(&r);
             }
             None => self.present[s / 64] &= !(1 << (s % 64)),
         }
     }
 
-    /// Column-wise equality of slot `s` against an optional route,
-    /// without gathering a `Route` value.
+    /// Equality of slot `s` against an optional route, compared in
+    /// packed form.
     #[inline]
     fn matches(&self, s: usize, r: &Option<Route>) -> bool {
         match r {
             None => !self.is_present(s),
-            Some(r) => {
-                self.is_present(s)
-                    && self.path_id[s] == r.path_id
-                    && self.path_len[s] == r.path_len
-                    && self.ingress[s] == r.ingress
-                    && self.from_neighbor[s] == r.from_neighbor.map(|n| n.0 + 1).unwrap_or(0)
-                    && self.local_pref[s] == r.local_pref
-                    && self.learned_from[s] == r.learned_from
-                    && self.communities[s] == r.communities
-            }
+            Some(r) => self.is_present(s) && self.slots[s] == Slot::pack(r),
         }
     }
 
@@ -952,8 +1001,8 @@ impl RouteSoa {
             })
     }
 
-    /// Drop every route: zero the presence words, leaving column filler
-    /// in place. O(slots/64).
+    /// Drop every route: zero the presence words, leaving slot filler in
+    /// place. O(slots/64).
     fn clear(&mut self) {
         self.present.fill(0);
     }
@@ -961,7 +1010,7 @@ impl RouteSoa {
     /// Materialize the whole table as the dense `Option` form (snapshot
     /// boundary — [`RoutingOutcome::best`] keeps its public shape).
     fn to_options(&self) -> Vec<Option<Route>> {
-        (0..self.path_id.len()).map(|s| self.get(s)).collect()
+        (0..self.slots.len()).map(|s| self.get(s)).collect()
     }
 }
 
@@ -978,15 +1027,11 @@ struct Simulation<'e, 't> {
     /// converge to a high-water set instead of growing without bound.
     arena: PathArena,
     direct: Vec<Vec<Route>>,
-    /// CSR offsets into the flat Adj-RIB-In: AS `i`'s per-neighbor slots
-    /// are `rib_offsets[i] .. rib_offsets[i + 1]`, in the same sorted
-    /// order [`BgpEngine::neighbor_pos`] indexes. Length `n + 1`,
-    /// precomputed once from the (immutable) topology degrees.
-    rib_offsets: Vec<u32>,
-    /// Flat structure-of-arrays Adj-RIB-In over CSR slots.
-    ribs: RouteSoa,
-    /// Best routes as SoA columns over AS index.
-    best: RouteSoa,
+    /// Flat Adj-RIB-In over the engine's CSR slots
+    /// ([`BgpEngine::rib_slots`]).
+    ribs: RouteTable,
+    /// Best routes over AS index.
+    best: RouteTable,
     queue: VecDeque<AsIndex>,
     in_queue: Vec<bool>,
     /// Rank-ordered activation queue used instead of `queue` while
@@ -1027,22 +1072,13 @@ struct Simulation<'e, 't> {
 
 impl<'e, 't> Simulation<'e, 't> {
     fn new(engine: &'e BgpEngine<'t>) -> Simulation<'e, 't> {
-        let topo = engine.topo;
-        let n = topo.num_ases();
-        let mut rib_offsets = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        rib_offsets.push(0);
-        for i in topo.indices() {
-            total += topo.degree(i) as u32;
-            rib_offsets.push(total);
-        }
+        let n = engine.topo.num_ases();
         Simulation {
             engine,
             arena: PathArena::new(),
             direct: vec![Vec::new(); n],
-            rib_offsets,
-            ribs: RouteSoa::new(total as usize),
-            best: RouteSoa::new(n),
+            ribs: RouteTable::new(engine.mirror.len()),
+            best: RouteTable::new(n),
             queue: VecDeque::new(),
             in_queue: vec![false; n],
             buckets: Vec::new(),
@@ -1089,12 +1125,6 @@ impl<'e, 't> Simulation<'e, 't> {
         self.events = 0;
         self.converged = true;
         self.bump_epoch_stamp();
-    }
-
-    /// CSR slot range of AS `i`'s Adj-RIB-In.
-    #[inline]
-    fn rib_slots(&self, i: AsIndex) -> Range<usize> {
-        self.rib_offsets[i.us()] as usize..self.rib_offsets[i.us() + 1] as usize
     }
 
     /// Open a fresh disturbance-tracking window: the next first change of
@@ -1244,7 +1274,8 @@ impl<'e, 't> Simulation<'e, 't> {
                 self.converged = false;
                 break;
             }
-            let new_best = engine.decide(i, &self.direct[i.us()], &self.ribs, self.rib_slots(i));
+            let slots = engine.rib_slots(i);
+            let new_best = engine.decide(i, &self.direct[i.us()], &self.ribs, slots.clone());
             if self.best.matches(i.us(), &new_best) {
                 continue;
             }
@@ -1262,8 +1293,16 @@ impl<'e, 't> Simulation<'e, 't> {
                 path_len: new_best.map(|r| r.path_len()).unwrap_or(0),
             });
             let own_asn = engine.topo.asn_of(i);
-            // Export (or withdraw) toward every neighbor.
-            for &(j, j_kind_from_i) in engine.topo.neighbors(i) {
+            // The exported path is the same for every neighbor; it is
+            // interned on the first accepted export, exactly where the
+            // per-neighbor interning first pushed its nodes.
+            let mut exported_path: Option<PathId> = None;
+            // Export (or withdraw) toward every neighbor; `slot` is the
+            // mirror slot in `j`'s Adj-RIB-In that holds `i`'s offer.
+            for (&(j, j_kind_from_i), &slot) in
+                engine.topo.neighbors(i).iter().zip(&engine.mirror[slots])
+            {
+                let slot = slot as usize;
                 // `j_kind_from_i`: how j looks from i (is j my customer?).
                 let offer = match new_best {
                     Some(r)
@@ -1308,7 +1347,9 @@ impl<'e, 't> Simulation<'e, 't> {
                                 .chain(self.arena.iter(r.path_id)),
                         );
                         if accepted {
-                            let path_id = self.arena.push_times(r.path_id, own_asn, 1 + extra);
+                            let path_id = *exported_path.get_or_insert_with(|| {
+                                self.arena.push_times(r.path_id, own_asn, 1 + extra)
+                            });
                             let i_kind_from_j = j_kind_from_i.reverse();
                             Some(Route {
                                 path_id,
@@ -1325,8 +1366,6 @@ impl<'e, 't> Simulation<'e, 't> {
                     }
                     _ => None,
                 };
-                let pos = engine.neighbor_pos(j, i).expect("adjacency is symmetric");
-                let slot = self.rib_offsets[j.us()] as usize + pos;
                 if !self.ribs.matches(slot, &offer) {
                     // Delta epochs terminate at ASes whose best route is
                     // provably unchanged: if the rewritten slot is not the
@@ -1363,7 +1402,7 @@ impl<'e, 't> Simulation<'e, 't> {
     fn capture_candidates(&self) -> Vec<Vec<Route>> {
         (0..self.direct.len())
             .map(|i| {
-                let slots = self.rib_slots(AsIndex(i as u32));
+                let slots = self.engine.rib_slots(AsIndex(i as u32));
                 self.direct[i]
                     .iter()
                     .copied()
@@ -1523,6 +1562,80 @@ mod tests {
 
     fn all_plain(o: &OriginAs) -> Vec<LinkAnnouncement> {
         o.link_ids().map(LinkAnnouncement::plain).collect()
+    }
+
+    /// The mirror table is an involution, and each mirror slot lies in the
+    /// receiver's CSR range at the position that names the sender.
+    fn assert_mirror_table(topo: &trackdown_topology::Topology) {
+        let engine = BgpEngine::new(topo, &clean_config());
+        assert_eq!(engine.rib_offsets.len(), topo.num_ases() + 1);
+        assert_eq!(
+            engine.mirror.len(),
+            *engine.rib_offsets.last().unwrap() as usize
+        );
+        for i in topo.indices() {
+            let slots = engine.rib_slots(i);
+            assert_eq!(slots.len(), topo.degree(i));
+            for (k, s) in slots.enumerate() {
+                let j = topo.neighbors(i)[k].0;
+                let m = engine.mirror[s] as usize;
+                assert_eq!(engine.mirror[m] as usize, s, "slot {s} of {i:?}");
+                let receiver = engine.rib_slots(j);
+                assert!(receiver.contains(&m), "slot {s}: mirror {m} outside {j:?}");
+                assert_eq!(topo.neighbors(j)[m - receiver.start].0, i);
+            }
+        }
+    }
+
+    #[test]
+    fn slot_packing_round_trips() {
+        let comms = CommunityBits::from_set(&CommunitySet::from_vec(vec![
+            crate::community::Community::NoExportToPeers,
+            crate::community::Community::PrependAtProvider(8),
+        ]))
+        .with_otc();
+        let mut arena = PathArena::new();
+        let path = arena.push(PathId::EMPTY, Asn(7));
+        for learned_from in [
+            NeighborKind::Customer,
+            NeighborKind::Peer,
+            NeighborKind::Provider,
+        ] {
+            for from_neighbor in [None, Some(AsIndex(0)), Some(AsIndex(u32::MAX - 1))] {
+                for (path_id, communities) in [(PathId::EMPTY, CommunityBits::EMPTY), (path, comms)]
+                {
+                    let r = Route {
+                        path_id,
+                        path_len: 12,
+                        ingress: LinkId(255),
+                        from_neighbor,
+                        local_pref: 300,
+                        learned_from,
+                        communities,
+                    };
+                    assert_eq!(Slot::pack(&r).unpack(), r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mirror_table_is_an_involution() {
+        use trackdown_topology::gen::{generate, TopologyConfig};
+        assert_mirror_table(&fig2_topology());
+        assert_mirror_table(&generate(&TopologyConfig::small(7)).topology);
+        assert_mirror_table(&generate(&TopologyConfig::paper(7)).topology);
+        // Two ASes, one link.
+        assert_mirror_table(&topology_from_links([(Asn(1), Asn(2), LinkKind::PeerPeer)]).unwrap());
+        // A degree-1 stub hanging off a transit with other neighbors.
+        let stub = topology_from_links([
+            (Asn(1), Asn(2), LinkKind::ProviderCustomer),
+            (Asn(1), Asn(3), LinkKind::ProviderCustomer),
+            (Asn(3), Asn(4), LinkKind::ProviderCustomer),
+        ])
+        .unwrap();
+        assert_eq!(stub.degree(stub.index_of(Asn(4)).unwrap()), 1);
+        assert_mirror_table(&stub);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::route::{LinkId, Route};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use trackdown_topology::{
     cone::{ConeInfo, Tier},
     AsIndex, AsPath, Asn, NeighborKind, Topology,
@@ -261,17 +260,23 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Per-AS flag: deviates from Gao-Rexford import preferences.
+const FLAG_VIOLATOR: u8 = 1;
+/// Per-AS flag: does not run loop prevention on its own ASN.
+const FLAG_NO_LOOP_PREVENTION: u8 = 1 << 1;
+/// Per-AS flag: tier-1 (provider-free core).
+const FLAG_TIER1: u8 = 1 << 2;
+
 /// Materialized per-AS policy state for one topology.
 #[derive(Debug, Clone)]
 pub struct PolicyTable {
-    /// ASes that deviate from Gao-Rexford import preferences.
-    violators: HashSet<AsIndex>,
-    /// ASes that do not run loop prevention on their own ASN.
-    no_loop_prevention: HashSet<AsIndex>,
-    /// Tier-1 ASes (provider-free core), as ASN set for path scanning.
-    tier1_asns: HashSet<Asn>,
-    /// Tier-1 ASes as index set.
-    tier1_idx: HashSet<AsIndex>,
+    /// Per-AS `FLAG_*` bits: every import and LocalPref decision reads
+    /// one byte instead of probing hash sets.
+    flags: Vec<u8>,
+    /// Number of ASes with [`FLAG_VIOLATOR`] set.
+    num_violators: usize,
+    /// Tier-1 ASNs, sorted, for path scanning.
+    tier1_asns: Vec<Asn>,
     /// Per-AS tiebreak salt (stands in for IGP cost / router-id diversity).
     salts: Vec<u64>,
     /// Whether tier-1 filtering is active.
@@ -296,18 +301,24 @@ impl PolicyTable {
     /// Build the policy table for a topology.
     pub fn build(topo: &Topology, cones: &ConeInfo, cfg: &PolicyConfig) -> PolicyTable {
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut violators = HashSet::new();
-        let mut no_loop_prevention = HashSet::new();
+        let mut flags = vec![0u8; topo.num_ases()];
+        let mut num_violators = 0;
         for i in topo.indices() {
             if rng.random::<f64>() < cfg.violator_fraction {
-                violators.insert(i);
+                flags[i.us()] |= FLAG_VIOLATOR;
+                num_violators += 1;
             }
             if rng.random::<f64>() < cfg.no_loop_prevention_fraction {
-                no_loop_prevention.insert(i);
+                flags[i.us()] |= FLAG_NO_LOOP_PREVENTION;
             }
         }
-        let tier1_idx: HashSet<AsIndex> = cones.tier1s().collect();
-        let tier1_asns = tier1_idx.iter().map(|&i| topo.asn_of(i)).collect();
+        let mut tier1_asns = Vec::new();
+        for i in cones.tier1s() {
+            flags[i.us()] |= FLAG_TIER1;
+            tier1_asns.push(topo.asn_of(i));
+        }
+        tier1_asns.sort_unstable();
+        tier1_asns.dedup();
         let salts = topo
             .indices()
             .map(|i| mix64(cfg.seed ^ ((i.0 as u64) << 17) ^ 0xA5A5))
@@ -339,10 +350,9 @@ impl PolicyTable {
         let any_ext = ext_bits.iter().any(|&b| b != 0);
         let origin_asn = cfg.extensions.origin_asn;
         PolicyTable {
-            violators,
-            no_loop_prevention,
+            flags,
+            num_violators,
             tier1_asns,
-            tier1_idx,
             salts,
             tier1_filtering: cfg.tier1_poison_filtering,
             ext_bits,
@@ -354,30 +364,40 @@ impl PolicyTable {
     }
 
     /// True if `i` deviates from Gao-Rexford preferences.
+    #[inline]
     pub fn is_violator(&self, i: AsIndex) -> bool {
-        self.violators.contains(&i)
+        self.flags[i.us()] & FLAG_VIOLATOR != 0
     }
 
     /// True if `i` ignores its own ASN in received AS-paths.
+    #[inline]
     pub fn ignores_loop_prevention(&self, i: AsIndex) -> bool {
-        self.no_loop_prevention.contains(&i)
+        self.flags[i.us()] & FLAG_NO_LOOP_PREVENTION != 0
     }
 
     /// True if `i` is a tier-1 AS.
+    #[inline]
     pub fn is_tier1(&self, i: AsIndex) -> bool {
-        self.tier1_idx.contains(&i)
+        self.flags[i.us()] & FLAG_TIER1 != 0
+    }
+
+    /// True if `asn` belongs to a tier-1 AS.
+    #[inline]
+    fn is_tier1_asn(&self, asn: Asn) -> bool {
+        self.tier1_asns.binary_search(&asn).is_ok()
     }
 
     /// Number of policy violators.
     pub fn num_violators(&self) -> usize {
-        self.violators.len()
+        self.num_violators
     }
 
     /// LocalPref that AS `at` assigns to a route learned from a neighbor of
     /// the given kind. Violators hash `(at, neighbor)` into the full
     /// LocalPref range, modeling arbitrary-but-stable policy.
+    #[inline]
     pub fn local_pref(&self, at: AsIndex, neighbor: Option<AsIndex>, kind: NeighborKind) -> u32 {
-        if self.violators.contains(&at) {
+        if self.is_violator(at) {
             let nid = neighbor.map(|n| n.0 as u64 + 1).unwrap_or(0);
             let h = mix64(self.seed ^ ((at.0 as u64) << 32) ^ nid);
             // Spread violator preferences across the Gao-Rexford band so
@@ -505,22 +525,19 @@ impl PolicyTable {
         I: Iterator<Item = Asn> + Clone,
     {
         let own = topo.asn_of(at);
+        let flags = self.flags[at.us()];
         // BGP loop prevention — the mechanism poisoning exploits.
-        if !self.ignores_loop_prevention(at) && path.clone().any(|a| a == own) {
+        if flags & FLAG_NO_LOOP_PREVENTION == 0 && path.clone().any(|a| a == own) {
             return false;
         }
         // Tier-1 route-leak filter: drop customer-learned routes whose path
         // contains another tier-1.
-        if self.tier1_filtering && self.is_tier1(at) {
+        if self.tier1_filtering && flags & FLAG_TIER1 != 0 {
             let from_customer = match from {
                 Some(f) => topo.relationship(at, f) == Some(NeighborKind::Customer),
                 None => true, // origin is a (virtual) customer of its provider
             };
-            if from_customer
-                && path
-                    .clone()
-                    .any(|a| a != own && self.tier1_asns.contains(&a))
-            {
+            if from_customer && path.clone().any(|a| a != own && self.is_tier1_asn(a)) {
                 return false;
             }
         }
@@ -617,7 +634,7 @@ impl PolicyTable {
             if path.clone().any(|a| {
                 a != own
                     && Some(a) != sender
-                    && (self.tier1_asns.contains(&a)
+                    && (self.is_tier1_asn(a)
                         || topo
                             .index_of(a)
                             .is_some_and(|i| match topo.relationship(at, i) {

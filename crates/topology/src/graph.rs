@@ -147,12 +147,13 @@ impl Topology {
     }
 
     /// The relationship between two ASes, if they are linked:
-    /// how `b` looks from `a`.
+    /// how `b` looks from `a`. A binary search over `a`'s sorted neighbor
+    /// list.
     pub fn relationship(&self, a: AsIndex, b: AsIndex) -> Option<NeighborKind> {
-        self.adjacency[a.us()]
-            .iter()
-            .find(|(n, _)| *n == b)
-            .map(|(_, k)| *k)
+        let adj = &self.adjacency[a.us()];
+        adj.binary_search_by_key(&b, |(n, _)| *n)
+            .ok()
+            .map(|pos| adj[pos].1)
     }
 
     /// True if `a` and `b` share a link.
@@ -365,6 +366,33 @@ mod tests {
         // From AS2's perspective AS1 is a provider.
         assert_eq!(t.relationship(i2, i1), Some(NeighborKind::Provider));
         assert_eq!(t.relationship(i2, i3), Some(NeighborKind::Peer));
+    }
+
+    #[test]
+    fn relationship_matches_linear_scan_on_paper_topology() {
+        use crate::gen::{generate, TopologyConfig};
+        let t = generate(&TopologyConfig::paper(7)).topology;
+        let linear = |a: AsIndex, b: AsIndex| {
+            t.neighbors(a)
+                .iter()
+                .find(|(n, _)| *n == b)
+                .map(|(_, k)| *k)
+        };
+        let n = t.num_ases() as u32;
+        let mut edges = 0;
+        for a in t.indices() {
+            for &(b, kind) in t.neighbors(a) {
+                assert_eq!(t.relationship(a, b), Some(kind));
+                assert_eq!(t.relationship(a, b), linear(a, b));
+                edges += 1;
+            }
+            // Non-edges (self, and a few fixed strides) agree too.
+            for stride in [0, 1, 17, n / 2] {
+                let b = AsIndex((a.0 + stride) % n);
+                assert_eq!(t.relationship(a, b), linear(a, b));
+            }
+        }
+        assert_eq!(edges, 2 * t.num_links());
     }
 
     #[test]
