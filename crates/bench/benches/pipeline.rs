@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use trackdown_bgp::{BgpEngine, EngineConfig, OriginAs, PolicyConfig};
 use trackdown_core::generator::{full_schedule, GeneratorParams};
-use trackdown_core::localize::{run_campaign, run_campaign_mode, CampaignMode, CatchmentSource};
+use trackdown_core::localize::{run_campaign, CampaignMode, CampaignOpts};
 use trackdown_core::schedule::{greedy_schedule, mean_size_objective, random_schedule_stats};
 use trackdown_topology::gen::{generate, TopologyConfig};
 use trackdown_topology::AsIndex;
@@ -48,24 +48,24 @@ fn bench_fig34_campaign(c: &mut Criterion) {
                 &engine,
                 &origin,
                 black_box(&schedule),
-                CatchmentSource::ControlPlane,
-                None,
-                200,
-            );
+                &CampaignOpts::default(),
+            )
+            .expect("valid schedule");
             black_box(campaign.clustering.mean_size())
         })
     });
     c.bench_function("fig3_4_campaign_small_cold", |b| {
         b.iter(|| {
-            let campaign = run_campaign_mode(
+            let campaign = run_campaign(
                 &engine,
                 &origin,
                 black_box(&schedule),
-                CatchmentSource::ControlPlane,
-                None,
-                200,
-                CampaignMode::Cold,
-            );
+                &CampaignOpts {
+                    mode: CampaignMode::Cold,
+                    ..CampaignOpts::default()
+                },
+            )
+            .expect("valid schedule");
             black_box(campaign.clustering.mean_size())
         })
     });
@@ -103,24 +103,24 @@ fn bench_full_campaign(c: &mut Criterion) {
                 &engine,
                 &origin,
                 black_box(&schedule),
-                CatchmentSource::ControlPlane,
-                None,
-                200,
-            );
+                &CampaignOpts::default(),
+            )
+            .expect("valid schedule");
             black_box(campaign.clustering.mean_size())
         })
     });
     c.bench_function("campaign_full_schedule_cold", |b| {
         b.iter(|| {
-            let campaign = run_campaign_mode(
+            let campaign = run_campaign(
                 &engine,
                 &origin,
                 black_box(&schedule),
-                CatchmentSource::ControlPlane,
-                None,
-                200,
-                CampaignMode::Cold,
-            );
+                &CampaignOpts {
+                    mode: CampaignMode::Cold,
+                    ..CampaignOpts::default()
+                },
+            )
+            .expect("valid schedule");
             black_box(campaign.clustering.mean_size())
         })
     });
@@ -138,14 +138,8 @@ fn bench_fig8_schedulers(c: &mut Criterion) {
             max_poison_configs: Some(10),
         },
     );
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     c.bench_function("fig8_random_20_sequences", |b| {
         b.iter(|| {
             black_box(random_schedule_stats(
@@ -180,14 +174,8 @@ fn bench_fig10_attribution(c: &mut Criterion) {
             max_poison_configs: Some(10),
         },
     );
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     let clustering = &campaign.clustering;
     let candidates: Vec<AsIndex> = campaign.tracked.clone();
     c.bench_function("fig10_placement_and_attribution", |b| {

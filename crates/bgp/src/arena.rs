@@ -192,122 +192,6 @@ impl PathArena {
             nodes: Arc::from(self.nodes.as_slice()),
         }
     }
-
-    /// Merge another arena's snapshot into this one through the canonical
-    /// interning map, returning the id remap table: `remap[i]` is this
-    /// arena's id for the path that ended at node `i` of `store`.
-    ///
-    /// Nodes are re-interned parent-first in one pass (a store's parent
-    /// ids always precede their children, because the source arena was
-    /// append-only), so the merge is O(nodes) with no path
-    /// materialization. Shared prefixes collapse onto existing nodes —
-    /// this is how per-shard arenas fold into one bounded canonical
-    /// arena: the merged node count is the size of the *union* path tree,
-    /// never the sum of the inputs.
-    pub fn absorb_store(&mut self, store: &PathStore) -> Vec<PathId> {
-        let _span = trackdown_obs::span("arena.absorb").attr("nodes", store.nodes.len() as u64);
-        let mut remap: Vec<PathId> = Vec::with_capacity(store.nodes.len());
-        for node in store.nodes.iter() {
-            let parent = if node.parent.is_empty() {
-                PathId::EMPTY
-            } else {
-                remap[node.parent.0 as usize]
-            };
-            remap.push(self.push(parent, node.asn));
-        }
-        remap
-    }
-
-    /// Rooted merge: re-intern only the nodes on the ancestor chains of
-    /// `roots` (ids valid for `src`), skipping everything `src` interned
-    /// that no root references — candidate offers that never became best,
-    /// transient paths, and so on. Duplicate and [`PathId::EMPTY`] roots
-    /// are fine.
-    ///
-    /// Returns the remap table: `remap[i]` is this arena's id for source
-    /// node `i` when that node was absorbed, [`PathId::EMPTY`] otherwise.
-    ///
-    /// Like [`PathArena::absorb_store`] this is O(source nodes) with no
-    /// materialization: one backward pass closes the ancestor marks
-    /// (parents always precede children in an append-only arena), one
-    /// forward pass re-interns the marked nodes parent-first.
-    pub fn absorb_rooted(&mut self, src: &PathArena, roots: &[PathId]) -> Vec<PathId> {
-        let _span = trackdown_obs::span("arena.absorb")
-            .attr("nodes", src.nodes.len() as u64)
-            .attr("roots", roots.len() as u64);
-        let mut marked = vec![false; src.nodes.len()];
-        for r in roots {
-            if !r.is_empty() {
-                marked[r.0 as usize] = true;
-            }
-        }
-        for i in (0..src.nodes.len()).rev() {
-            if marked[i] && !src.nodes[i].parent.is_empty() {
-                marked[src.nodes[i].parent.0 as usize] = true;
-            }
-        }
-        let mut remap: Vec<PathId> = vec![PathId::EMPTY; src.nodes.len()];
-        for (i, node) in src.nodes.iter().enumerate() {
-            if !marked[i] {
-                continue;
-            }
-            let parent = if node.parent.is_empty() {
-                PathId::EMPTY
-            } else {
-                remap[node.parent.0 as usize]
-            };
-            remap[i] = self.push(parent, node.asn);
-        }
-        remap
-    }
-
-    /// Incremental rooted merge for *repeated* absorption from a source
-    /// arena that only grows between calls. Semantically each call is
-    /// [`PathArena::absorb_rooted`] for the new roots, but the remap
-    /// table persists across calls in `remap` (`remap[i]` is this
-    /// arena's id for source node `i`, [`PathId::EMPTY`] = not yet
-    /// absorbed), so a root whose ancestor chain was already interned
-    /// costs one table lookup instead of a full source scan. Total cost
-    /// over a campaign is O(union tree + Σ roots) rather than
-    /// O(epochs × source nodes).
-    ///
-    /// The cache keys on source node ids, so it is only valid while
-    /// `src` is append-only: after the source arena is cleared or
-    /// truncated (an event-cap cold restart), the caller must
-    /// `remap.clear()` before the next call or stale ids will alias.
-    pub fn absorb_rooted_cached(
-        &mut self,
-        src: &PathArena,
-        roots: &[PathId],
-        remap: &mut Vec<PathId>,
-    ) {
-        let _span = trackdown_obs::span("arena.absorb")
-            .attr("nodes", src.nodes.len() as u64)
-            .attr("roots", roots.len() as u64);
-        remap.resize(src.nodes.len(), PathId::EMPTY);
-        // Scratch for the not-yet-absorbed suffix of one ancestor chain,
-        // reused across roots.
-        let mut chain: Vec<u32> = Vec::new();
-        for &root in roots {
-            let mut cur = root;
-            while !cur.is_empty() && remap[cur.0 as usize].is_empty() {
-                chain.push(cur.0);
-                cur = src.nodes[cur.0 as usize].parent;
-            }
-            // Intern parent-first so each child sees its parent's
-            // canonical id.
-            for &i in chain.iter().rev() {
-                let parent = src.nodes[i as usize].parent;
-                let parent = if parent.is_empty() {
-                    PathId::EMPTY
-                } else {
-                    remap[parent.0 as usize]
-                };
-                remap[i as usize] = self.push(parent, src.nodes[i as usize].asn);
-            }
-            chain.clear();
-        }
-    }
 }
 
 /// An immutable snapshot of a [`PathArena`]'s node table, carried by
@@ -442,131 +326,6 @@ mod tests {
         assert_eq!(store.materialize(id), path);
         let walked: Vec<Asn> = store.iter(id).collect();
         assert_eq!(walked, path.as_slice());
-    }
-
-    #[test]
-    fn absorb_store_preserves_paths_and_dedups_prefixes() {
-        // Two independent arenas with overlapping path trees, as two
-        // shard workers would build during one campaign.
-        let paths_a = [
-            AsPath::from_sequence([Asn(4), Asn(3), Asn(1)]),
-            AsPath::from_sequence([Asn(5), Asn(3), Asn(1)]),
-        ];
-        let paths_b = [
-            AsPath::from_sequence([Asn(4), Asn(3), Asn(1)]), // shared with a
-            AsPath::from_sequence([Asn(9), Asn(1)]),
-        ];
-        let mut a = PathArena::new();
-        let ids_a: Vec<PathId> = paths_a.iter().map(|p| a.intern_path(p)).collect();
-        let mut b = PathArena::new();
-        let ids_b: Vec<PathId> = paths_b.iter().map(|p| b.intern_path(p)).collect();
-        let (na, nb) = (a.num_nodes(), b.num_nodes());
-
-        let mut merged = PathArena::new();
-        let remap_a = merged.absorb_store(&a.store());
-        let remap_b = merged.absorb_store(&b.store());
-        // Every absorbed path materializes identically under its remapped id.
-        for (p, id) in paths_a.iter().zip(&ids_a) {
-            assert_eq!(&merged.materialize(remap_a[id.0 as usize]), p);
-        }
-        for (p, id) in paths_b.iter().zip(&ids_b) {
-            assert_eq!(&merged.materialize(remap_b[id.0 as usize]), p);
-        }
-        // Canonical interning: the shared path lands on one id, and the
-        // merged arena holds the union tree, strictly smaller than the sum.
-        assert_eq!(
-            remap_a[ids_a[0].0 as usize], remap_b[ids_b[0].0 as usize],
-            "shared path must collapse to one canonical id"
-        );
-        assert!(merged.num_nodes() < na + nb);
-        // Union tree: 1, 1-3, 1-3-4, 1-3-5, 1-9.
-        assert_eq!(merged.num_nodes(), 5);
-    }
-
-    #[test]
-    fn absorb_into_nonempty_arena_is_canonical() {
-        let mut live = PathArena::new();
-        let shared = AsPath::from_sequence([Asn(2), Asn(1)]);
-        let live_id = live.intern_path(&shared);
-        let mut other = PathArena::new();
-        let other_id = other.intern_path(&shared);
-        let fresh = other.intern_path(&AsPath::from_sequence([Asn(7), Asn(2), Asn(1)]));
-        let remap = live.absorb_store(&other.store());
-        assert_eq!(remap[other_id.0 as usize], live_id);
-        assert_eq!(
-            live.materialize(remap[fresh.0 as usize]),
-            AsPath::from_sequence([Asn(7), Asn(2), Asn(1)])
-        );
-        assert_eq!(live.num_nodes(), 3);
-    }
-
-    #[test]
-    fn absorb_rooted_skips_unreferenced_subtrees() {
-        let mut src = PathArena::new();
-        let kept_a = src.intern_path(&AsPath::from_sequence([Asn(4), Asn(3), Asn(1)]));
-        let kept_b = src.intern_path(&AsPath::from_sequence([Asn(5), Asn(3), Asn(1)]));
-        // Candidate-only subtree no best route references.
-        let dropped = src.intern_path(&AsPath::from_sequence([Asn(9), Asn(8), Asn(7)]));
-
-        let mut merged = PathArena::new();
-        let remap = merged.absorb_rooted(&src, &[kept_a, kept_b, PathId::EMPTY, kept_a]);
-        assert_eq!(
-            merged.materialize(remap[kept_a.0 as usize]),
-            AsPath::from_sequence([Asn(4), Asn(3), Asn(1)])
-        );
-        assert_eq!(
-            merged.materialize(remap[kept_b.0 as usize]),
-            AsPath::from_sequence([Asn(5), Asn(3), Asn(1)])
-        );
-        // Only the rooted union tree was absorbed: 1, 1-3, 1-3-4, 1-3-5.
-        assert_eq!(merged.num_nodes(), 4);
-        assert_eq!(remap[dropped.0 as usize], PathId::EMPTY);
-        // Rooted absorb composes canonically with a full absorb.
-        let full = merged.absorb_store(&src.store());
-        assert_eq!(full[kept_a.0 as usize], remap[kept_a.0 as usize]);
-        assert_eq!(merged.num_nodes(), src.num_nodes());
-    }
-
-    #[test]
-    fn absorb_rooted_cached_matches_one_shot_and_reuses_the_cache() {
-        let mut src = PathArena::new();
-        let a = src.intern_path(&AsPath::from_sequence([Asn(4), Asn(3), Asn(1)]));
-        let b = src.intern_path(&AsPath::from_sequence([Asn(5), Asn(3), Asn(1)]));
-        let _cand = src.intern_path(&AsPath::from_sequence([Asn(9), Asn(8), Asn(7)]));
-
-        // Epoch 1: absorb `a`'s chain incrementally.
-        let mut merged = PathArena::new();
-        let mut cache = Vec::new();
-        merged.absorb_rooted_cached(&src, &[a, PathId::EMPTY, a], &mut cache);
-        assert_eq!(
-            merged.materialize(cache[a.0 as usize]),
-            AsPath::from_sequence([Asn(4), Asn(3), Asn(1)])
-        );
-        let after_first = merged.num_nodes();
-        assert_eq!(after_first, 3);
-
-        // Re-absorbing a cached root interns nothing new.
-        merged.absorb_rooted_cached(&src, &[a], &mut cache);
-        assert_eq!(merged.num_nodes(), after_first);
-
-        // The source grows append-only; the next epoch only pays for the
-        // suffix of `d`'s chain below the cached 1-3 prefix, plus `b`.
-        let d = src.intern_path(&AsPath::from_sequence([Asn(6), Asn(4), Asn(3), Asn(1)]));
-        merged.absorb_rooted_cached(&src, &[b, d], &mut cache);
-        assert_eq!(
-            merged.materialize(cache[d.0 as usize]),
-            AsPath::from_sequence([Asn(6), Asn(4), Asn(3), Asn(1)])
-        );
-
-        // The incremental result is exactly the one-shot rooted absorb
-        // of the same root set: same union tree, candidate excluded.
-        let mut oneshot = PathArena::new();
-        let remap = oneshot.absorb_rooted(&src, &[a, b, d]);
-        assert_eq!(merged.num_nodes(), oneshot.num_nodes());
-        assert_eq!(
-            oneshot.materialize(remap[b.0 as usize]),
-            merged.materialize(cache[b.0 as usize])
-        );
     }
 
     #[test]

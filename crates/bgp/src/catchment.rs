@@ -15,7 +15,7 @@
 //! `u8::MAX` via [`LinkId`]), so rows are few and long: membership
 //! queries stream words, [`Catchments::sizes`] /
 //! [`Catchments::active_links`] read the maintained counts in O(links),
-//! and [`Catchments::assemble`] merges shard slices word-at-a-time. The
+//! and extraction sets each AS's bit in one pass over the outcome. The
 //! historical dense form (`Vec<Option<LinkId>>`) remains available as a
 //! reference API ([`Catchments::dense`] / [`Catchments::from_dense`]) for
 //! the differential oracles, and is still the serde wire format.
@@ -23,7 +23,6 @@
 use crate::engine::RoutingOutcome;
 use crate::route::LinkId;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use trackdown_topology::AsIndex;
 
 /// Bits per bitset block.
@@ -46,144 +45,6 @@ fn iter_set_bits<I: Iterator<Item = u64>>(words: I) -> impl Iterator<Item = usiz
             Some(w * WORD + t)
         })
     })
-}
-
-/// OR `src` (a bitset whose bit 0 is global bit `start`) into `dst`.
-///
-/// When `start` is word-aligned — which every [`ShardPlan`]-produced
-/// range is, by construction — this is a straight word-by-word OR; the
-/// unaligned fallback splits each source word across two destination
-/// words. `src` must have no stray bits beyond the logical length (the
-/// shard constructors guarantee this).
-///
-/// [`ShardPlan`]: https://docs.rs/trackdown-core
-fn or_shifted(dst: &mut [u64], src: &[u64], start: usize) {
-    let w = start / WORD;
-    let b = start % WORD;
-    if b == 0 {
-        for (d, s) in dst[w..w + src.len()].iter_mut().zip(src) {
-            *d |= s;
-        }
-    } else {
-        for (k, &s) in src.iter().enumerate() {
-            if s == 0 {
-                continue;
-            }
-            dst[w + k] |= s << b;
-            let hi = s >> (WORD - b);
-            if hi != 0 {
-                dst[w + k + 1] |= hi;
-            }
-        }
-    }
-}
-
-/// One shard's slice of a catchment extraction: the assignments for a
-/// contiguous [`AsIndex`] range of one configuration's outcome, stored as
-/// per-link bitset rows relative to `range.start`.
-///
-/// Shard executors extract these independently (possibly on different
-/// threads, in any completion order) and reassemble them with
-/// [`Catchments::assemble`]; the assembled value is bit-identical to the
-/// whole-topology extraction because both control-plane tagging and
-/// data-plane walks are per-source pure functions of the routing outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardCatchments {
-    /// The [`AsIndex`] range this slice covers.
-    pub range: Range<usize>,
-    /// Distinct links assigned within `range`, ascending.
-    links: Vec<LinkId>,
-    /// Bitset row per link; bit `k` is AS `range.start + k`.
-    rows: Vec<Vec<u64>>,
-}
-
-impl ShardCatchments {
-    /// Control-plane extraction for one shard: ingress tags of the best
-    /// routes in `range`.
-    pub fn from_control_plane(outcome: &RoutingOutcome, range: Range<usize>) -> ShardCatchments {
-        ShardCatchments::collect(range.clone(), |i| outcome.catchment(AsIndex(i as u32)))
-    }
-
-    /// Data-plane extraction for one shard: forwarding walks from each AS
-    /// in `range`, with one reusable walker per call.
-    pub fn from_data_plane(outcome: &RoutingOutcome, range: Range<usize>) -> ShardCatchments {
-        let mut walker = crate::engine::ForwardingWalker::new();
-        ShardCatchments::collect(range.clone(), |i| {
-            walker.walk(outcome, AsIndex(i as u32)).map(|w| w.link)
-        })
-    }
-
-    /// Single-pass extraction: probe each AS in `range` once and set its
-    /// bit directly, discovering link rows on first sight. Equivalent to
-    /// collecting the dense slice and calling
-    /// [`ShardCatchments::from_dense`], without materializing it — this
-    /// is the per-shard hot loop the sharded executor times.
-    fn collect(
-        range: Range<usize>,
-        mut catchment_of: impl FnMut(usize) -> Option<LinkId>,
-    ) -> ShardCatchments {
-        let wc = word_count(range.len());
-        let mut links: Vec<LinkId> = Vec::new();
-        let mut rows: Vec<Vec<u64>> = Vec::new();
-        // Neighbouring ASes usually share a link; cache the last row hit.
-        let mut last: Option<(LinkId, usize)> = None;
-        for (k, i) in range.clone().enumerate() {
-            if let Some(l) = catchment_of(i) {
-                let r = match last {
-                    Some((pl, pr)) if pl == l => pr,
-                    _ => match links.binary_search(&l) {
-                        Ok(r) => r,
-                        Err(pos) => {
-                            links.insert(pos, l);
-                            rows.insert(pos, vec![0u64; wc]);
-                            pos
-                        }
-                    },
-                };
-                rows[r][k / WORD] |= 1 << (k % WORD);
-                last = Some((l, r));
-            }
-        }
-        ShardCatchments { range, links, rows }
-    }
-
-    /// Build a slice from its dense per-AS form (reference API; also the
-    /// constructor the differential tests use).
-    ///
-    /// # Panics
-    /// Panics if `dense.len()` disagrees with `range.len()`.
-    pub fn from_dense(range: Range<usize>, dense: Vec<Option<LinkId>>) -> ShardCatchments {
-        assert_eq!(
-            dense.len(),
-            range.len(),
-            "shard slice length disagrees with its range"
-        );
-        // Collect the distinct links by insertion into a (tiny) sorted
-        // vec rather than sorting the whole dense slice: catchment link
-        // sets are origin-PoP-sized, so this is O(n log links) with a
-        // cheap constant — and neighbouring ASes usually share a link,
-        // which the `last` cache turns into O(1).
-        let mut links: Vec<LinkId> = Vec::new();
-        for l in dense.iter().flatten() {
-            if let Err(pos) = links.binary_search(l) {
-                links.insert(pos, *l);
-            }
-        }
-        let wc = word_count(range.len());
-        let mut rows = vec![vec![0u64; wc]; links.len()];
-        let mut last: Option<(LinkId, usize)> = None;
-        for (k, l) in dense.iter().enumerate() {
-            if let Some(l) = l {
-                let r = match last {
-                    Some((pl, pr)) if pl == *l => pr,
-                    _ => links.binary_search(l).expect("link collected above"),
-                };
-                rows[r][k / WORD] |= 1 << (k % WORD);
-                last = Some((*l, r));
-            }
-        }
-        ShardCatchments { range, links, rows }
-    }
 }
 
 /// Per-AS catchment assignment for one announcement configuration.
@@ -220,7 +81,9 @@ impl Catchments {
     /// Control-plane catchments: the ingress tag of each AS's best route.
     pub fn from_control_plane(outcome: &RoutingOutcome) -> Catchments {
         let _span = trackdown_obs::span("catchment.extract_cp");
-        Catchments::from_dense(&outcome.control_catchments())
+        Catchments::collect(outcome.best.len(), |i| {
+            outcome.best[i].as_ref().map(|r| r.ingress)
+        })
     }
 
     /// Data-plane catchments: follow each AS's forwarding chain to the
@@ -229,19 +92,43 @@ impl Catchments {
     pub fn from_data_plane(outcome: &RoutingOutcome) -> Catchments {
         let _span = trackdown_obs::span("catchment.extract_dp");
         let mut walker = crate::engine::ForwardingWalker::new();
-        let dense: Vec<Option<LinkId>> = (0..outcome.best.len())
-            .map(|i| walker.walk(outcome, AsIndex(i as u32)).map(|w| w.link))
-            .collect();
-        Catchments::from_dense(&dense)
+        Catchments::collect(outcome.best.len(), |i| {
+            walker.walk(outcome, AsIndex(i as u32)).map(|w| w.link)
+        })
+    }
+
+    /// Single-pass extraction: probe each of the `n` ASes once and set
+    /// its bit directly, discovering link rows on first sight. Equivalent
+    /// to collecting the dense form and calling [`Catchments::from_dense`],
+    /// without materializing it.
+    fn collect(n: usize, mut catchment_of: impl FnMut(usize) -> Option<LinkId>) -> Catchments {
+        let mut c = Catchments::unassigned(n);
+        // Neighbouring ASes usually share a link; cache the last row hit.
+        let mut last: Option<(LinkId, usize)> = None;
+        for i in 0..n {
+            if let Some(l) = catchment_of(i) {
+                let r = match last {
+                    Some((pl, pr)) if pl == l => pr,
+                    _ => c.row_index_or_insert(l),
+                };
+                c.rows[r][i / WORD] |= 1 << (i % WORD);
+                c.counts[r] += 1;
+                c.assigned[i / WORD] |= 1 << (i % WORD);
+                last = Some((l, r));
+            }
+        }
+        c
     }
 
     /// Build from the dense per-AS form. Reference API kept for the
     /// differential oracles (and the serde wire format).
     pub fn from_dense(dense: &[Option<LinkId>]) -> Catchments {
         let n = dense.len();
-        // Insertion-collect the distinct links (see
-        // [`ShardCatchments::from_dense`] for why this beats sorting the
-        // dense slice).
+        // Collect the distinct links by insertion into a (tiny) sorted vec
+        // rather than sorting the whole dense slice: catchment link sets
+        // are origin-PoP-sized, so this is O(n log links) with a cheap
+        // constant — and neighbouring ASes usually share a link, which
+        // the `last` cache turns into O(1).
         let mut links: Vec<LinkId> = Vec::new();
         for l in dense.iter().flatten() {
             if let Err(pos) = links.binary_search(l) {
@@ -284,32 +171,6 @@ impl Catchments {
             }
         }
         dense
-    }
-
-    /// Reassemble per-shard extraction slices into one whole-topology
-    /// assignment over `n` ASes. Order of `parts` does not matter; ranges
-    /// must be disjoint and within `0..n` (ASes no part covers stay
-    /// unassigned). Word-aligned ranges — which the shard planner
-    /// guarantees — merge as straight `OR`s over u64 blocks.
-    ///
-    /// # Panics
-    /// Panics if a range exceeds `n`.
-    pub fn assemble<'a>(
-        n: usize,
-        parts: impl IntoIterator<Item = &'a ShardCatchments>,
-    ) -> Catchments {
-        let _span = trackdown_obs::span("catchment.assemble");
-        let mut c = Catchments::unassigned(n);
-        for part in parts {
-            assert!(part.range.end <= n, "shard range exceeds topology size");
-            for (l, row) in part.links.iter().zip(&part.rows) {
-                let r = c.row_index_or_insert(*l);
-                or_shifted(&mut c.rows[r], row, part.range.start);
-                or_shifted(&mut c.assigned, row, part.range.start);
-                c.counts[r] += row.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-            }
-        }
-        c
     }
 
     /// Index of `link`'s row, inserting an empty row (keeping `links`
@@ -573,84 +434,95 @@ mod tests {
         assert_eq!(back, c);
     }
 
+    /// The bitset-vs-dense oracle: single-pass extraction must equal the
+    /// dense reference build, control plane and data plane, on every
+    /// configuration of a schedule shaped like the paper's three phases
+    /// (location subsets, prepending, provider-neighbor poisoning) — over
+    /// the small topology and the paper-sized one. The schedule generator
+    /// lives downstream in `trackdown-core`, so the phases are enumerated
+    /// here from the same ingredients.
     #[test]
-    fn assemble_from_shards_matches_whole_extraction() {
-        use crate::engine::{BgpEngine, EngineConfig};
+    fn extraction_matches_the_dense_reference() {
+        use crate::engine::{BgpEngine, EngineConfig, ForwardingWalker};
         use crate::origin::{LinkAnnouncement, OriginAs};
         use trackdown_topology::gen::{generate, TopologyConfig};
 
-        let g = generate(&TopologyConfig::small(13));
-        let origin = OriginAs::peering_style(&g, 4);
-        let engine = BgpEngine::new(&g.topology, &EngineConfig::default());
-        let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-        let out = engine.propagate_config(&origin, &anns, 200).unwrap();
-        let n = g.topology.num_ases();
-        for shards in [1usize, 2, 3, 8] {
-            let chunk = n.div_ceil(shards);
-            let ranges: Vec<_> = (0..shards)
-                .map(|s| (s * chunk).min(n)..((s + 1) * chunk).min(n))
-                .collect();
-            let cp_parts: Vec<ShardCatchments> = ranges
-                .iter()
-                .map(|r| ShardCatchments::from_control_plane(&out, r.clone()))
-                .collect();
-            let dp_parts: Vec<ShardCatchments> = ranges
-                .iter()
-                .map(|r| ShardCatchments::from_data_plane(&out, r.clone()))
-                .collect();
-            assert_eq!(
-                Catchments::assemble(n, &cp_parts),
-                Catchments::from_control_plane(&out),
-                "{shards}-way control-plane assembly diverged"
-            );
-            // Completion order must not matter.
-            let mut reversed: Vec<_> = dp_parts.clone();
-            reversed.reverse();
-            assert_eq!(
-                Catchments::assemble(n, &reversed),
-                Catchments::from_data_plane(&out),
-                "{shards}-way data-plane assembly diverged"
-            );
+        for (cfg, pops, max_removals, poisons_per_pop) in [
+            (TopologyConfig::small(13), 4, 2, 3),
+            (TopologyConfig::paper(13), 7, 1, 1),
+        ] {
+            let g = generate(&cfg);
+            let topo = &g.topology;
+            let origin = OriginAs::peering_style(&g, pops);
+            let engine = BgpEngine::new(topo, &EngineConfig::default());
+            let links: Vec<LinkId> = origin.link_ids().collect();
+            let mut schedule: Vec<Vec<LinkAnnouncement>> = Vec::new();
+            // Locations: every footprint missing at most `max_removals`
+            // links (bit k of `mask` withdraws link k).
+            for mask in 0u32..(1 << links.len()) {
+                if mask.count_ones() as usize <= max_removals {
+                    schedule.push(
+                        links
+                            .iter()
+                            .enumerate()
+                            .filter(|(k, _)| mask & (1 << k) == 0)
+                            .map(|(_, &l)| LinkAnnouncement::plain(l))
+                            .collect(),
+                    );
+                }
+            }
+            // Prepending: one prepended link on the full footprint.
+            for &p in &links {
+                schedule.push(
+                    links
+                        .iter()
+                        .map(|&l| {
+                            if l == p {
+                                LinkAnnouncement::prepended(l)
+                            } else {
+                                LinkAnnouncement::plain(l)
+                            }
+                        })
+                        .collect(),
+                );
+            }
+            // Poisoning: neighbors of each PoP provider, poisoned on
+            // that provider's link.
+            for &p in &links {
+                let provider = topo
+                    .index_of(origin.links[p.us()].provider)
+                    .expect("PoP provider in topology");
+                for &(victim, _) in topo.neighbors(provider).iter().take(poisons_per_pop) {
+                    schedule.push(
+                        links
+                            .iter()
+                            .map(|&l| {
+                                if l == p {
+                                    LinkAnnouncement::poisoned(l, vec![topo.asn_of(victim)])
+                                } else {
+                                    LinkAnnouncement::plain(l)
+                                }
+                            })
+                            .collect(),
+                    );
+                }
+            }
+            let mut walker = ForwardingWalker::new();
+            for (k, anns) in schedule.iter().enumerate() {
+                let out = engine.propagate_config(&origin, anns, 200).unwrap();
+                assert_eq!(
+                    Catchments::from_control_plane(&out),
+                    Catchments::from_dense(&out.control_catchments()),
+                    "control plane, config {k}"
+                );
+                let dense: Vec<Option<LinkId>> = (0..topo.num_ases())
+                    .map(|i| walker.walk(&out, AsIndex(i as u32)).map(|w| w.link))
+                    .collect();
+                let dp = Catchments::from_data_plane(&out);
+                assert_eq!(dp, Catchments::from_dense(&dense), "data plane, config {k}");
+                assert_eq!(dp.dense(), dense, "data plane round trip, config {k}");
+            }
         }
-    }
-
-    #[test]
-    fn assemble_merges_unaligned_ranges() {
-        // Ranges deliberately straddle word boundaries at every offset
-        // class: starts 0, 63, 64, 65, and a tail past bit 128.
-        let n = 200;
-        let mut dense = vec![None; n];
-        for (i, d) in dense.iter_mut().enumerate() {
-            *d = match i % 3 {
-                0 => Some(LinkId((i % 5) as u8)),
-                1 => Some(LinkId(7)),
-                _ => None,
-            };
-        }
-        let bounds = [0usize, 63, 64, 65, 129, 200];
-        let parts: Vec<ShardCatchments> = bounds
-            .windows(2)
-            .map(|w| ShardCatchments::from_dense(w[0]..w[1], dense[w[0]..w[1]].to_vec()))
-            .collect();
-        assert_eq!(
-            Catchments::assemble(n, &parts),
-            Catchments::from_dense(&dense)
-        );
-    }
-
-    #[test]
-    fn assemble_leaves_uncovered_ranges_unassigned() {
-        let part = ShardCatchments::from_dense(2..4, vec![Some(LinkId(1)), None]);
-        let c = Catchments::assemble(6, [&part]);
-        assert_eq!(c.get(AsIndex(2)), Some(LinkId(1)));
-        assert_eq!(c.get(AsIndex(3)), None);
-        assert_eq!(c.assigned_count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "disagrees with its range")]
-    fn assemble_rejects_malformed_slice() {
-        let _ = ShardCatchments::from_dense(0..3, vec![None]);
     }
 
     #[test]

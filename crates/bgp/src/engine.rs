@@ -231,7 +231,7 @@ impl ForwardingWalker {
 
 /// The propagation engine, bound to one topology and one policy table.
 ///
-/// Building the engine is O(V+E); each [`BgpEngine::propagate`] run is
+/// Building the engine is O(V+E); each [`BgpEngine::propagate_config`] run is
 /// independent, so one engine serves an entire multi-configuration
 /// experiment.
 pub struct BgpEngine<'t> {
@@ -368,14 +368,10 @@ impl<'t> BgpEngine<'t> {
         best
     }
 
-    /// Propagate a set of origin injections to fixpoint (cold start:
-    /// empty RIBs everywhere).
-    pub fn propagate(&self, injections: &[Injection], max_events_factor: usize) -> RoutingOutcome {
-        self.propagate_detailed(injections, max_events_factor, SnapshotDetail::Catchments)
-    }
-
-    /// [`BgpEngine::propagate`] with an explicit snapshot detail.
-    pub fn propagate_detailed(
+    /// Propagate a set of origin injections to fixpoint in a fresh
+    /// simulation (cold start: empty RIBs everywhere) — the reference
+    /// every [`CampaignSession`] policy must reproduce.
+    fn propagate_detailed(
         &self,
         injections: &[Injection],
         max_events_factor: usize,
@@ -401,68 +397,45 @@ impl<'t> BgpEngine<'t> {
     /// cold start. This is the event stream the paper's public dataset
     /// records across its 705 deployments ("thousands of route changes",
     /// §VI).
-    pub fn transition(
-        &self,
-        prev: &[Injection],
-        next: &[Injection],
-        max_events_factor: usize,
-    ) -> RoutingOutcome {
-        self.transition_detailed(prev, next, max_events_factor, SnapshotDetail::Catchments)
-    }
-
-    /// [`BgpEngine::transition`] with an explicit snapshot detail.
-    pub fn transition_detailed(
-        &self,
-        prev: &[Injection],
-        next: &[Injection],
-        max_events_factor: usize,
-        detail: SnapshotDetail,
-    ) -> RoutingOutcome {
-        let mut sim = Simulation::new(self);
-        sim.apply_injections(prev);
-        sim.run(max_events_factor);
-        sim.begin_epoch();
-        sim.replace_injections(next);
-        sim.run(max_events_factor);
-        sim.snapshot(detail)
-    }
-
-    /// Convenience: transition between two origin configurations.
     pub fn transition_config(
         &self,
         origin: &OriginAs,
         prev: &[LinkAnnouncement],
         next: &[LinkAnnouncement],
         max_events_factor: usize,
-    ) -> Result<RoutingOutcome, OriginError> {
-        self.transition_config_detailed(
-            origin,
-            prev,
-            next,
-            max_events_factor,
-            SnapshotDetail::Catchments,
-        )
-    }
-
-    /// [`BgpEngine::transition_config`] with an explicit snapshot detail.
-    pub fn transition_config_detailed(
-        &self,
-        origin: &OriginAs,
-        prev: &[LinkAnnouncement],
-        next: &[LinkAnnouncement],
-        max_events_factor: usize,
         detail: SnapshotDetail,
     ) -> Result<RoutingOutcome, OriginError> {
-        let prev_inj = origin.build_injections(self.topo, prev)?;
-        let next_inj = origin.build_injections(self.topo, next)?;
-        Ok(self.transition_detailed(&prev_inj, &next_inj, max_events_factor, detail))
+        let prev = origin.build_injections(self.topo, prev)?;
+        let next = origin.build_injections(self.topo, next)?;
+        let mut sim = Simulation::new(self);
+        sim.apply_injections(&prev);
+        sim.run(max_events_factor);
+        sim.begin_epoch();
+        sim.replace_injections(&next);
+        sim.run(max_events_factor);
+        Ok(sim.snapshot(detail))
     }
 
-    /// Open a persistent [`CampaignSession`]: a warm routing state that
-    /// deploys successive configurations as epoch transitions instead of
-    /// cold-starting each one.
+    /// Open a persistent [`CampaignSession`] under the default
+    /// [`CampaignMode::Warm`] reuse policy.
     pub fn session(&self) -> CampaignSession<'_, 't> {
-        CampaignSession::new(self)
+        self.session_with(CampaignMode::Warm)
+    }
+
+    /// Open a persistent [`CampaignSession`] with empty RIBs (nothing
+    /// deployed yet) under the given reuse policy.
+    pub fn session_with(&self, mode: CampaignMode) -> CampaignSession<'_, 't> {
+        CampaignSession {
+            sim: Simulation::new(self),
+            mode,
+            deployed: false,
+            warm_reuse: mode != CampaignMode::Cold && self.policy.num_violators() == 0,
+            deployments: 0,
+            cold_restarts: 0,
+            last_deploy_warm: false,
+            peak_arena_nodes: 0,
+            last_injections: Vec::new(),
+        }
     }
 }
 
@@ -477,31 +450,54 @@ fn record_outcome_metrics(outcome: &RoutingOutcome) {
     }
 }
 
+/// How a [`CampaignSession`] reuses routing state between deployments.
+/// Fixed when the session is opened; every policy reports outcomes
+/// identical to a fresh cold start of the same configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CampaignMode {
+    /// Warm-start epoch reuse: each deployment is applied as an epoch
+    /// transition on top of the previous converged state, replacing
+    /// every direct route and draining a FIFO activation queue.
+    Warm,
+    /// Cold start: every deployment propagates from empty RIBs — the
+    /// oracle the differential tests compare the other policies against.
+    Cold,
+    /// Delta propagation: like [`CampaignMode::Warm`], but each epoch
+    /// diffs the incoming injections against the previous ones, seeds
+    /// only providers whose injection changed, and propagates with
+    /// rank-ordered scheduling ([`PropagationRanks`]) — epoch cost tracks
+    /// routes actually disturbed instead of topology size.
+    Delta,
+}
+
 /// A persistent deployment session over one engine: the first deployment
 /// cold-starts, every later one is applied as an epoch transition on top
 /// of the previous converged state — what a real origin does when it
-/// reconfigures announcements on a live prefix.
+/// reconfigures announcements on a live prefix. The [`CampaignMode`]
+/// fixed at [`BgpEngine::session_with`] decides how a transition is
+/// seeded (warm or delta) or whether state is reused at all (cold).
 ///
 /// Path-vector fixpoints under Gao-Rexford-compliant policies are unique
 /// (the stable-paths problem is safe), so the warm state converges to
 /// exactly the cold-start state of each configuration: `best` and
 /// `candidates` (and hence catchments) are identical to
-/// [`BgpEngine::propagate`] for the same injections. The per-epoch
-/// `events`/`rounds`/`changes` describe only the transition — usually a
-/// small fraction of a cold start, which is where the campaign speedup
-/// comes from. If an epoch hits the event cap, the session falls back to
-/// a cold restart of that configuration so the reported outcome is the
-/// cold one, bit for bit.
+/// [`BgpEngine::propagate_config`] for the same announcements. The
+/// per-epoch `events`/`rounds`/`changes` describe only the transition —
+/// usually a small fraction of a cold start, which is where the campaign
+/// speedup comes from. If an epoch hits the event cap, the session falls
+/// back to a cold restart of that configuration so the reported outcome
+/// is the cold one, bit for bit.
 ///
 /// With **policy violators** the stable state is *not* unique (BGP
 /// wedgies): a transition can legitimately converge to a different stable
 /// state than a cold start, and no check on the reached state can tell
 /// them apart. To preserve the cold-oracle contract the session detects
 /// this at creation ([`crate::policy::PolicyTable::num_violators`]` > 0`)
-/// and transparently cold-starts every deployment instead of reusing the
-/// epoch — correctness first, speed only where it is sound.
+/// and cold-starts every deployment exactly as a [`CampaignMode::Cold`]
+/// session does — correctness first, speed only where it is sound.
 pub struct CampaignSession<'e, 't> {
     sim: Simulation<'e, 't>,
+    mode: CampaignMode,
     deployed: bool,
     warm_reuse: bool,
     deployments: usize,
@@ -509,217 +505,23 @@ pub struct CampaignSession<'e, 't> {
     last_deploy_warm: bool,
     peak_arena_nodes: usize,
     /// The injections of the most recent deployment, kept so a delta
-    /// deployment can diff against them. Valid only while
-    /// `have_last_injections` (resets invalidate without deallocating).
+    /// deployment can diff against them. Valid only while `deployed`
+    /// (resets invalidate without deallocating).
     last_injections: Vec<Injection>,
-    have_last_injections: bool,
 }
 
 impl<'e, 't> CampaignSession<'e, 't> {
-    /// Open a session with empty RIBs (nothing deployed yet).
-    pub fn new(engine: &'e BgpEngine<'t>) -> CampaignSession<'e, 't> {
-        CampaignSession {
-            sim: Simulation::new(engine),
-            deployed: false,
-            warm_reuse: engine.policy.num_violators() == 0,
-            deployments: 0,
-            cold_restarts: 0,
-            last_deploy_warm: false,
-            peak_arena_nodes: 0,
-            last_injections: Vec::new(),
-            have_last_injections: false,
-        }
-    }
-
     /// Whether deployments actually reuse the previous epoch's state.
-    /// `false` when the engine has policy violators: their non-unique
-    /// stable states make transitions history-dependent, so the session
-    /// cold-starts each deployment to stay bit-identical to the oracle.
+    /// `false` for [`CampaignMode::Cold`] sessions and when the engine
+    /// has policy violators: their non-unique stable states make
+    /// transitions history-dependent, so the session cold-starts each
+    /// deployment to stay bit-identical to the oracle.
     pub fn warm_reuse(&self) -> bool {
         self.warm_reuse
     }
 
-    /// Deploy a set of injections, replacing whatever is currently
-    /// announced, and run to fixpoint.
-    pub fn deploy(&mut self, injections: &[Injection], max_events_factor: usize) -> RoutingOutcome {
-        self.deploy_detailed(injections, max_events_factor, SnapshotDetail::Catchments)
-    }
-
-    /// [`CampaignSession::deploy`] with an explicit snapshot detail.
-    pub fn deploy_detailed(
-        &mut self,
-        injections: &[Injection],
-        max_events_factor: usize,
-        detail: SnapshotDetail,
-    ) -> RoutingOutcome {
-        let mut span = trackdown_obs::span("bgp.deploy");
-        self.deployments += 1;
-        let mut warm = self.deployed && self.warm_reuse;
-        if self.deployed && !self.warm_reuse {
-            self.reset();
-        }
-        if warm {
-            self.sim.converged = true;
-            self.sim.begin_epoch();
-            self.sim.replace_injections(injections);
-        } else {
-            self.sim.apply_injections(injections);
-            self.deployed = true;
-        }
-        {
-            let _drain = trackdown_obs::span("bgp.drain");
-            self.sim.run(max_events_factor);
-        }
-        if warm && !self.sim.converged {
-            // The transition hit the event cap. Redo this configuration
-            // from empty RIBs so its outcome (including the converged
-            // flag) is exactly what a cold start reports.
-            self.cold_restarts += 1;
-            trackdown_obs::counter!("bgp.session_cold_restarts").inc();
-            warm = false;
-            self.reset();
-            self.sim.apply_injections(injections);
-            self.deployed = true;
-            self.sim.run(max_events_factor);
-        }
-        span.set_attr("warm", warm as u64);
-        span.set_attr("events", self.sim.events as u64);
-        self.finish_deploy(injections, warm, detail)
-    }
-
-    /// Common deployment epilogue: remember the deployed injections (the
-    /// delta diff base), record session accounting, and snapshot.
-    fn finish_deploy(
-        &mut self,
-        injections: &[Injection],
-        warm: bool,
-        detail: SnapshotDetail,
-    ) -> RoutingOutcome {
-        self.last_injections.clear();
-        self.last_injections.extend_from_slice(injections);
-        self.have_last_injections = true;
-        self.last_deploy_warm = warm;
-        self.peak_arena_nodes = self.peak_arena_nodes.max(self.sim.arena.num_nodes());
-        trackdown_obs::counter!("bgp.deployments").inc();
-        let outcome = self.sim.snapshot_cloned(detail);
-        record_outcome_metrics(&outcome);
-        outcome
-    }
-
-    /// Deploy a set of injections as a *delta* epoch: diff them against
-    /// the previous deployment, seed only providers whose announcement
-    /// changed, and propagate with rank-ordered scheduling
-    /// ([`PropagationRanks`]). Falls back to exactly the cold path of
-    /// [`CampaignSession::deploy`] on the first deployment, on
-    /// violator-gated sessions, and on event-cap restarts — the reported
-    /// outcome is always fixpoint-identical to a cold start.
-    pub fn deploy_delta(
-        &mut self,
-        injections: &[Injection],
-        max_events_factor: usize,
-    ) -> RoutingOutcome {
-        self.deploy_delta_detailed(injections, max_events_factor, SnapshotDetail::Catchments)
-    }
-
-    /// [`CampaignSession::deploy_delta`] with an explicit snapshot detail.
-    pub fn deploy_delta_detailed(
-        &mut self,
-        injections: &[Injection],
-        max_events_factor: usize,
-        detail: SnapshotDetail,
-    ) -> RoutingOutcome {
-        let mut span = trackdown_obs::span("bgp.deploy");
-        self.deployments += 1;
-        // Delta reuse additionally requires the previous run to have
-        // converged: a capped predecessor leaves stranded FIFO queue
-        // entries whose `in_queue` marks the rank-bucket scheduler would
-        // never clear, silently freezing those ASes for the epoch. (The
-        // plain warm path is immune — it keeps draining the same FIFO.)
-        let mut warm =
-            self.deployed && self.warm_reuse && self.have_last_injections && self.sim.converged;
-        if self.deployed && !warm {
-            self.reset();
-        }
-        let mut seeds = 0;
-        if warm {
-            self.sim.ensure_ranks();
-            self.sim.ranked = true;
-            self.sim.begin_epoch();
-            let prev = std::mem::take(&mut self.last_injections);
-            {
-                let mut seed_span = trackdown_obs::span("bgp.delta_seed");
-                seeds = self.sim.replace_injections_delta(&prev, injections);
-                seed_span.set_attr("seeds", seeds as u64);
-            }
-            self.last_injections = prev;
-            {
-                let _drain = trackdown_obs::span("bgp.drain");
-                self.sim.run(max_events_factor);
-            }
-            self.sim.ranked = false;
-        } else {
-            self.sim.apply_injections(injections);
-            self.deployed = true;
-            let _drain = trackdown_obs::span("bgp.drain");
-            self.sim.run(max_events_factor);
-        }
-        if warm && !self.sim.converged {
-            // The delta transition hit the event cap: redo this
-            // configuration from empty RIBs so its outcome (including
-            // the converged flag) is exactly what a cold start reports.
-            self.cold_restarts += 1;
-            trackdown_obs::counter!("bgp.session_cold_restarts").inc();
-            warm = false;
-            self.reset();
-            self.sim.apply_injections(injections);
-            self.deployed = true;
-            self.sim.run(max_events_factor);
-        }
-        if warm {
-            // Recorded only for delta runs that were kept: a discarded
-            // (cold-restarted) frontier must not skew the soundness
-            // evidence these counters feed.
-            trackdown_obs::counter!("bgp.delta.seeds").add(seeds as u64);
-            trackdown_obs::counter!("bgp.delta.visited").add(self.sim.events as u64);
-            trackdown_obs::counter!("bgp.delta.disturbed").add(self.sim.routes_disturbed() as u64);
-        }
-        span.set_attr("warm", warm as u64);
-        span.set_attr("seeds", seeds as u64);
-        span.set_attr("events", self.sim.events as u64);
-        self.finish_deploy(injections, warm, detail)
-    }
-
     /// Validate a configuration against the origin, build injections, and
-    /// [`CampaignSession::deploy_delta`] them.
-    pub fn deploy_config_delta(
-        &mut self,
-        origin: &OriginAs,
-        announcements: &[LinkAnnouncement],
-        max_events_factor: usize,
-    ) -> Result<RoutingOutcome, OriginError> {
-        self.deploy_config_delta_detailed(
-            origin,
-            announcements,
-            max_events_factor,
-            SnapshotDetail::Catchments,
-        )
-    }
-
-    /// [`CampaignSession::deploy_config_delta`] with an explicit snapshot
-    /// detail.
-    pub fn deploy_config_delta_detailed(
-        &mut self,
-        origin: &OriginAs,
-        announcements: &[LinkAnnouncement],
-        max_events_factor: usize,
-        detail: SnapshotDetail,
-    ) -> Result<RoutingOutcome, OriginError> {
-        let inj = origin.build_injections(self.sim.engine.topo, announcements)?;
-        Ok(self.deploy_delta_detailed(&inj, max_events_factor, detail))
-    }
-
-    /// Validate a configuration against the origin, build injections, and
-    /// [`CampaignSession::deploy`] them.
+    /// deploy them under the session's reuse policy.
     pub fn deploy_config(
         &mut self,
         origin: &OriginAs,
@@ -743,7 +545,87 @@ impl<'e, 't> CampaignSession<'e, 't> {
         detail: SnapshotDetail,
     ) -> Result<RoutingOutcome, OriginError> {
         let inj = origin.build_injections(self.sim.engine.topo, announcements)?;
-        Ok(self.deploy_detailed(&inj, max_events_factor, detail))
+        Ok(self.deploy(&inj, max_events_factor, detail))
+    }
+
+    /// Deploy a set of injections, replacing whatever is currently
+    /// announced, and run to fixpoint. The epoch reuses the previous
+    /// state when the policy allows it; a [`CampaignMode::Delta`] epoch
+    /// additionally requires the previous run to have converged, since a
+    /// capped predecessor leaves stranded FIFO queue entries whose
+    /// `in_queue` marks the rank-bucket scheduler would never clear,
+    /// silently freezing those ASes for the epoch. (The plain warm path
+    /// is immune — it keeps draining the same FIFO.)
+    fn deploy(
+        &mut self,
+        injections: &[Injection],
+        max_events_factor: usize,
+        detail: SnapshotDetail,
+    ) -> RoutingOutcome {
+        let mut span = trackdown_obs::span("bgp.deploy");
+        self.deployments += 1;
+        let delta = self.mode == CampaignMode::Delta;
+        let mut warm = self.deployed && self.warm_reuse && (!delta || self.sim.converged);
+        if self.deployed && !warm {
+            self.reset();
+        }
+        let mut seeds = 0;
+        if warm {
+            self.sim.begin_epoch();
+            if delta {
+                self.sim.ensure_ranks();
+                self.sim.ranked = true;
+                let prev = std::mem::take(&mut self.last_injections);
+                let mut seed_span = trackdown_obs::span("bgp.delta_seed");
+                seeds = self.sim.replace_injections_delta(&prev, injections);
+                seed_span.set_attr("seeds", seeds as u64);
+                self.last_injections = prev;
+            } else {
+                self.sim.converged = true;
+                self.sim.replace_injections(injections);
+            }
+        } else {
+            self.sim.apply_injections(injections);
+            self.deployed = true;
+        }
+        {
+            let _drain = trackdown_obs::span("bgp.drain");
+            self.sim.run(max_events_factor);
+        }
+        self.sim.ranked = false;
+        if warm && !self.sim.converged {
+            // The transition hit the event cap. Redo this configuration
+            // from empty RIBs so its outcome (including the converged
+            // flag) is exactly what a cold start reports.
+            self.cold_restarts += 1;
+            trackdown_obs::counter!("bgp.session_cold_restarts").inc();
+            warm = false;
+            self.reset();
+            self.sim.apply_injections(injections);
+            self.deployed = true;
+            self.sim.run(max_events_factor);
+        }
+        if warm && delta {
+            // Recorded only for delta runs that were kept: a discarded
+            // (cold-restarted) frontier must not skew the soundness
+            // evidence these counters feed.
+            trackdown_obs::counter!("bgp.delta.seeds").add(seeds as u64);
+            trackdown_obs::counter!("bgp.delta.visited").add(self.sim.events as u64);
+            trackdown_obs::counter!("bgp.delta.disturbed").add(self.sim.routes_disturbed() as u64);
+        }
+        span.set_attr("warm", warm as u64);
+        if delta {
+            span.set_attr("seeds", seeds as u64);
+        }
+        span.set_attr("events", self.sim.events as u64);
+        self.last_injections.clear();
+        self.last_injections.extend_from_slice(injections);
+        self.last_deploy_warm = warm;
+        self.peak_arena_nodes = self.peak_arena_nodes.max(self.sim.arena.num_nodes());
+        trackdown_obs::counter!("bgp.deployments").inc();
+        let outcome = self.sim.snapshot_cloned(detail);
+        record_outcome_metrics(&outcome);
+        outcome
     }
 
     /// Drop all routing state: the next deployment cold-starts.
@@ -759,51 +641,11 @@ impl<'e, 't> CampaignSession<'e, 't> {
     pub fn reset(&mut self) {
         self.sim.clear();
         self.deployed = false;
-        self.have_last_injections = false;
     }
 
     /// High-water mark of interned path nodes across all deployments.
     pub fn peak_arena_nodes(&self) -> usize {
         self.peak_arena_nodes
-    }
-
-    /// Snapshot of the session's interned path tree. Shard executors take
-    /// one per worker at campaign end and fold them through
-    /// [`PathArena::absorb_store`] into a single canonical arena, which
-    /// bounds the merged footprint by the union path tree rather than the
-    /// per-worker sum.
-    pub fn path_store(&self) -> PathStore {
-        self.sim.arena.store()
-    }
-
-    /// Absorb the ancestor chains of `roots` — [`crate::PathId`]s valid
-    /// for the *current* session arena, e.g. read off the latest epoch
-    /// outcome's best routes — into `merged` through its canonical
-    /// interning map (see [`PathArena::absorb_rooted`]).
-    ///
-    /// Sharded campaign executors call this right after each deployment,
-    /// **before** any later event-cap cold restart can truncate the
-    /// session arena and dangle the ids. The merged arena then bounds
-    /// memory by the union tree of routes that were ever *selected*
-    /// rather than every candidate the campaign interned.
-    pub fn absorb_paths_rooted(&self, merged: &mut PathArena, roots: &[PathId]) {
-        merged.absorb_rooted(&self.sim.arena, roots);
-    }
-
-    /// Incremental form of [`CampaignSession::absorb_paths_rooted`] for
-    /// per-epoch absorption: `remap` carries the session-arena → merged
-    /// id table across calls so each epoch pays only for chains not yet
-    /// interned. The caller must `remap.clear()` whenever
-    /// [`CampaignSession::cold_restarts`] has advanced since the last
-    /// call — [`CampaignSession::reset`] is the only arena truncation
-    /// point, so that counter is exactly the cache invalidation signal.
-    pub fn absorb_paths_rooted_cached(
-        &self,
-        merged: &mut PathArena,
-        roots: &[PathId],
-        remap: &mut Vec<PathId>,
-    ) {
-        merged.absorb_rooted_cached(&self.sim.arena, roots, remap);
     }
 
     /// Configurations deployed through this session.
@@ -816,10 +658,10 @@ impl<'e, 't> CampaignSession<'e, 't> {
         self.cold_restarts
     }
 
-    /// Whether the most recent [`CampaignSession::deploy`] actually
-    /// reused the previous epoch's state (`false` for the first
-    /// deployment, violator-gated sessions, and event-cap cold
-    /// restarts) — the per-epoch `warm`/`cold` label run manifests use.
+    /// Whether the most recent deployment actually reused the previous
+    /// epoch's state (`false` for the first deployment, cold and
+    /// violator-gated sessions, and event-cap cold restarts) — the
+    /// per-epoch `warm`/`cold` label run manifests use.
     pub fn last_deploy_warm(&self) -> bool {
         self.last_deploy_warm
     }
@@ -1017,7 +859,7 @@ impl RouteTable {
 /// Mutable propagation state: per-AS direct routes, Adj-RIB-Ins, best
 /// routes, and the activation queue. One [`Simulation`] can run several
 /// epochs (configuration deployments) back to back, which is how
-/// [`BgpEngine::transition`] models warm-start configuration changes.
+/// [`BgpEngine::transition_config`] models warm-start configuration changes.
 struct Simulation<'e, 't> {
     engine: &'e BgpEngine<'t>,
     /// Interned AS-paths for every route alive in this state. Append-only
@@ -1805,7 +1647,7 @@ mod tests {
     fn no_announcement_no_routes() {
         let topo = fig2_topology();
         let engine = BgpEngine::new(&topo, &clean_config());
-        let out = engine.propagate(&[], 200);
+        let out = engine.propagate_detailed(&[], 200, SnapshotDetail::Catchments);
         assert_eq!(out.reachable_count(), 0);
         assert!(out.converged);
         assert!(out.forwarding_walk(AsIndex(0)).is_none());
@@ -1952,7 +1794,7 @@ mod tests {
             .propagate_config_detailed(&origin, &subset, 200, SnapshotDetail::Full)
             .unwrap();
         let warm = engine
-            .transition_config_detailed(&origin, &all, &subset, 200, SnapshotDetail::Full)
+            .transition_config(&origin, &all, &subset, 200, SnapshotDetail::Full)
             .unwrap();
         assert!(warm.converged);
         assert_eq!(best_keys(&warm), best_keys(&cold));
@@ -1975,7 +1817,7 @@ mod tests {
             .propagate_config_detailed(&origin, &all, 200, SnapshotDetail::Full)
             .unwrap();
         let warm = engine
-            .transition_config_detailed(&origin, &all, &subset, 200, SnapshotDetail::Full)
+            .transition_config(&origin, &all, &subset, 200, SnapshotDetail::Full)
             .unwrap();
         // Every AS whose final route differs appears in the change log;
         // ASes that kept their route emit nothing.
@@ -2006,7 +1848,9 @@ mod tests {
         let origin = OriginAs::peering_style(&g, 3);
         let engine = BgpEngine::new(&g.topology, &clean_config());
         let all: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-        let warm = engine.transition_config(&origin, &all, &all, 200).unwrap();
+        let warm = engine
+            .transition_config(&origin, &all, &all, 200, SnapshotDetail::Catchments)
+            .unwrap();
         // Re-announcing the identical configuration changes nothing: the
         // direct routes are replaced by equal ones and no AS re-decides.
         assert!(
@@ -2031,7 +1875,7 @@ mod tests {
             .collect();
         let cold_prev = engine.propagate_config(&origin, &all, 200).unwrap();
         let warm = engine
-            .transition_config(&origin, &all, &subset, 200)
+            .transition_config(&origin, &all, &subset, 200, SnapshotDetail::Catchments)
             .unwrap();
         // `events`/`rounds`/`changes` cover only the transition epoch: if
         // they accumulated across epochs they would exceed the first

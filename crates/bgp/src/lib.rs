@@ -42,12 +42,12 @@ pub mod policy;
 pub mod route;
 
 pub use arena::{PathArena, PathId, PathStore};
-pub use catchment::{Catchments, ShardCatchments};
+pub use catchment::Catchments;
 pub use community::{Community, CommunityBits, CommunitySet};
 pub use delta::{diff_injections, PropagationRanks};
 pub use engine::{
-    BgpEngine, CampaignSession, EngineConfig, ForwardingPath, ForwardingWalker, RouteChange,
-    RoutingOutcome, SnapshotDetail,
+    BgpEngine, CampaignMode, CampaignSession, EngineConfig, ForwardingPath, ForwardingWalker,
+    RouteChange, RoutingOutcome, SnapshotDetail,
 };
 pub use origin::{Injection, LinkAnnouncement, OriginAs, OriginError, PeeringLink};
 pub use policy::{

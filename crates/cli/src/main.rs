@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! trackdown topology  [--scale S] [--seed N] [--out FILE]   # export as-rel
-//! trackdown campaign  [--scale S] [--seed N] [--measured] [--cold] [--shards N] --out FILE
+//! trackdown campaign  [--scale S] [--seed N] [--measured] [--cold | --delta] [--threads N] --out FILE
 //!                     [--metrics-out FILE] [--metrics-deterministic]
 //! trackdown info      --dataset FILE
 //! trackdown localize  --dataset FILE --attacker ASN [--attacker ASN ...]
@@ -20,9 +20,11 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use trackdown_core::dataset::Dataset;
 use trackdown_core::hijack::all_impacts;
-use trackdown_core::localize::Campaign;
+use trackdown_core::localize::{run_campaign, Campaign, CampaignMode, CampaignOpts};
 use trackdown_core::report::render_table;
-use trackdown_experiments::{parse_defense, parse_sketch, report_stats, Options, Scale, Scenario};
+use trackdown_experiments::{
+    mode_label, parse_defense, parse_mode, parse_sketch, report_stats, Options, Scale, Scenario,
+};
 use trackdown_topology::serfmt::{to_as_rel, to_dot};
 use trackdown_topology::Asn;
 
@@ -66,8 +68,8 @@ fn usage() -> ExitCode {
 
 USAGE:
   trackdown topology  [--scale small|medium|full|large|internet] [--seed N] [--format as-rel|dot] [--out FILE]
-  trackdown campaign  [--scale small|medium|full|large|internet] [--seed N] [--measured] [--cold]
-                      [--delta] [--shards N|auto] [--threads N] --out FILE [--metrics-out FILE]
+  trackdown campaign  [--scale small|medium|full|large|internet] [--seed N] [--measured]
+                      [--cold | --delta] [--threads N] --out FILE [--metrics-out FILE]
                       [--metrics-deterministic] [--defense NAME=FRACTION[:BIAS]]...
   trackdown info      --dataset FILE
   trackdown localize  --dataset FILE --attacker ASN [--attacker ASN ...] [--volume BYTES]
@@ -75,8 +77,8 @@ USAGE:
   trackdown hijack    --dataset FILE [--config K]
   trackdown bench-snapshot [--out FILE]
   trackdown validate-manifest --manifest FILE
-  trackdown profile   [--scale S] [--seed N] [--measured] [--cold] [--delta] [--shards N|auto]
-                      [--threads N] [--trace-out FILE]
+  trackdown profile   [--scale S] [--seed N] [--measured] [--cold | --delta] [--threads N]
+                      [--trace-out FILE]
   trackdown perf-report [--baseline FILE] [--current FILE] [--tolerance PCT]
                       [--report-only] [--out FILE]
 
@@ -93,8 +95,9 @@ rank-stability verdict alongside the exact estimates.
 
 The internet scale loads the CAIDA as-rel snapshot named by the
 TRACKDOWN_AS_REL environment variable when set, and falls back to a
-deterministic 80k-AS power-law graph otherwise. --shards auto (the
-default) tunes the extraction shard count from threads and topology.
+deterministic 80k-AS power-law graph otherwise. --threads (default:
+all cores) splits the schedule across worker threads; results do not
+depend on it.
 
 profile runs one traced campaign, writes a Chrome trace-event JSON
 (load it at https://ui.perfetto.dev) and prints a self-profile table.
@@ -159,40 +162,40 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    fn options(&self) -> Option<Options> {
+    fn options(&self) -> Result<Options, String> {
         let mut opts = Options::default();
+        let bad = |flag: &str, v: &str| format!("bad {flag} value: {v}");
         if let Some(s) = self.get("--scale") {
-            opts.scale = Scale::parse(s)?;
+            opts.scale = Scale::parse(s).ok_or_else(|| bad("--scale", s))?;
         }
         if let Some(s) = self.get("--seed") {
-            opts.seed = s.parse().ok()?;
+            opts.seed = s.parse().map_err(|_| bad("--seed", s))?;
         }
         opts.measured = self.has("--measured");
-        opts.cold = self.has("--cold");
-        opts.delta = self.has("--delta");
-        if let Some(s) = self.get("--shards") {
-            opts.shards = match s {
-                "auto" => 0,
-                _ => s.parse().ok()?,
-            };
-        }
+        opts.mode = parse_mode(self.has("--cold"), self.has("--delta"))?;
         if let Some(s) = self.get("--threads") {
-            opts.threads = Some(s.parse().ok().filter(|&v| v >= 1)?);
+            opts.threads = Some(
+                s.parse()
+                    .ok()
+                    .filter(|&v| v >= 1)
+                    .ok_or_else(|| bad("--threads", s))?,
+            );
         }
         opts.metrics_out = self.get("--metrics-out").map(str::to_string);
         opts.metrics_deterministic = self.has("--metrics-deterministic");
         for d in self.get_all("--defense") {
-            opts.defenses.push(parse_defense(d)?);
+            opts.defenses
+                .push(parse_defense(d).ok_or_else(|| bad("--defense", d))?);
         }
         if let Some(s) = self.get("--sketch") {
-            opts.sketch = Some(parse_sketch(s)?);
+            opts.sketch = Some(parse_sketch(s).ok_or_else(|| bad("--sketch", s))?);
         }
-        Some(opts)
+        Ok(opts)
     }
 }
 
 fn cmd_topology(args: &Args) -> Result<(), String> {
-    let opts = args.options().ok_or("bad options")?;
+    let opts = args.options()?;
     let scenario = Scenario::build(opts);
     let text = match args.get("--format").unwrap_or("as-rel") {
         "as-rel" => to_as_rel(&scenario.gen.topology),
@@ -218,7 +221,7 @@ fn cmd_topology(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
-    let opts = args.options().ok_or("bad options")?;
+    let opts = args.options()?;
     let out_path = args.get("--out").ok_or("campaign requires --out FILE")?;
     let scenario = Scenario::build(opts);
     scenario.announce();
@@ -350,7 +353,7 @@ fn cmd_localize(args: &Args) -> Result<(), String> {
     }
     // Approximate path: stream the same attack as flows through a
     // count-min sketch and report the ranking with its error bound.
-    if let Some((width, depth)) = args.options().and_then(|o| o.sketch) {
+    if let Some((width, depth)) = args.options().ok().and_then(|o| o.sketch) {
         use trackdown_traffic::{ingest_stream, DEFAULT_FLOW_BATCH};
         let flows: Vec<trackdown_traffic::Flow> = per_as
             .iter()
@@ -523,7 +526,7 @@ struct BenchSnapshot {
     /// on the streaming arm.
     sketch_error_bound: u64,
     /// Logical cores available to the benching machine (schema 4). The
-    /// shard-speedup CI gate scales its floor with this; the value itself
+    /// thread-speedup CI gate scales its floor with this; the value itself
     /// is machine-dependent and excluded from snapshot comparisons.
     cores: u64,
     /// ASes in the schema-4 `large` arm's power-law topology.
@@ -532,46 +535,35 @@ struct BenchSnapshot {
     large_tracked: u64,
     /// Configurations in the large arm's trimmed schedule.
     large_configs: u64,
-    /// Catchment-extraction shards used by the large arm's sharded runs.
-    large_shards: u64,
-    /// Sharded large campaign wall-clock with 1 worker thread (ms).
+    /// Large campaign wall-clock with 1 worker thread (ms).
     large_1t_ms: f64,
-    /// Sharded large campaign wall-clock with 8 worker threads (ms).
+    /// Large campaign wall-clock with 8 worker threads (ms).
     large_8t_ms: f64,
-    /// `large_1t_ms / large_8t_ms` — CI gates this against a
-    /// core-count-adaptive floor (3.0 on ≥ 8-core machines).
-    large_shard_speedup: f64,
+    /// `large_1t_ms / large_8t_ms` (schema 8; `large_shard_speedup`
+    /// before) — CI gates this against a core-count-adaptive floor (3.0
+    /// on ≥ 8-core machines).
+    large_thread_speedup: f64,
     /// ASes in the schema-6 `internet` arm's 80k power-law topology.
     internet_ases: u64,
     /// Tracked sources (baseline anycast coverage) in the internet arm.
     internet_tracked: u64,
     /// Configurations in the internet arm's trimmed schedule.
     internet_configs: u64,
-    /// Effective extraction shards chosen by `ShardPlan::auto` for the
-    /// internet arm's 8-thread run (the 1-thread run auto-tunes to 1).
-    internet_shards: u64,
-    /// Sharded internet campaign wall-clock with 1 worker thread (ms).
+    /// Internet campaign wall-clock with 1 worker thread (ms).
     internet_1t_ms: f64,
-    /// Sharded internet campaign wall-clock with 8 worker threads (ms).
+    /// Internet campaign wall-clock with 8 worker threads (ms).
     internet_8t_ms: f64,
     /// `internet_1t_ms / internet_8t_ms` — CI gates this with the same
     /// core-count-adaptive floor as the large arm (SKIP on 1 core).
-    internet_shard_speedup: f64,
+    internet_thread_speedup: f64,
 }
 
-/// A paper-scale sharded bench arm: the given power-law scenario driven
-/// through the sharded batch-catchment executor on a Gao-Rexford-clean
-/// engine. Correctness first — the sharded run must reproduce the
-/// unsharded parallel path exactly — then the 1-thread vs 8-thread
-/// sharded timing the CI speedup gate reads. `shards == 0` auto-tunes
-/// per run (each thread count gets the plan `ShardPlan::auto` would
-/// give it); the returned shard count is the 8-thread run's effective
-/// plan.
-fn bench_scale_arm(scale: Scale, shards: usize) -> Result<(u64, u64, u64, u64, f64, f64), String> {
-    use trackdown_core::localize::{
-        run_campaign_parallel_mode, run_campaign_sharded_mode, CampaignMode, CatchmentSource,
-    };
-
+/// A paper-scale bench arm: the given power-law scenario on a
+/// Gao-Rexford-clean engine, run through the campaign executor with 8
+/// and with 1 worker thread. Correctness first — the two campaigns must
+/// be identical, or the snapshot aborts before any timing is reported —
+/// then the 1-thread vs 8-thread wall-clock the CI speedup gate reads.
+fn bench_scale_arm(scale: Scale) -> Result<(u64, u64, u64, f64, f64), String> {
     let scenario = Scenario::build(Options {
         scale,
         seed: 7,
@@ -586,48 +578,33 @@ fn bench_scale_arm(scale: Scale, shards: usize) -> Result<(u64, u64, u64, u64, f
     };
     let engine = trackdown_bgp::BgpEngine::new(&scenario.gen.topology, &engine_cfg);
     let schedule = scenario.schedule();
-    let run_sharded = |threads: usize| {
-        let t = std::time::Instant::now();
-        let campaign = run_campaign_sharded_mode(
-            &engine,
-            &scenario.origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            scenario.engine_cfg.max_events_factor,
+    let run = |threads: usize| {
+        let opts = CampaignOpts {
             threads,
-            shards,
-            CampaignMode::Warm,
-        );
-        (campaign, t.elapsed().as_secs_f64() * 1e3)
+            max_events_factor: scenario.engine_cfg.max_events_factor,
+            ..CampaignOpts::default()
+        };
+        let t = std::time::Instant::now();
+        let campaign =
+            run_campaign(&engine, &scenario.origin, &schedule, &opts).map_err(|e| e.to_string())?;
+        Ok::<_, String>((campaign, t.elapsed().as_secs_f64() * 1e3))
     };
-    // Equality against the unsharded path before any timing: the sharded
-    // executor must be a pure performance transform.
-    let unsharded = run_campaign_parallel_mode(
-        &engine,
-        &scenario.origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        scenario.engine_cfg.max_events_factor,
-        8,
-        CampaignMode::Warm,
-    );
-    let (sharded, t8) = run_sharded(8);
-    if sharded.catchments != unsharded.catchments
-        || sharded.tracked != unsharded.tracked
-        || sharded.clustering.clusters() != unsharded.clustering.clusters()
-        || sharded.records != unsharded.records
+    let (eight, t8) = run(8)?;
+    let (one, t1) = run(1)?;
+    if eight.catchments != one.catchments
+        || eight.tracked != one.tracked
+        || eight.clustering.clusters() != one.clustering.clusters()
+        || eight.records != one.records
     {
         return Err(format!(
-            "sharded/unsharded {} campaigns diverged; bench snapshot aborted",
+            "1-thread/8-thread {} campaigns diverged; bench snapshot aborted",
             scale.label()
         ));
     }
-    let (_c1, t1) = run_sharded(1);
     Ok((
         scenario.gen.topology.num_ases() as u64,
-        sharded.tracked.len() as u64,
+        one.tracked.len() as u64,
         schedule.len() as u64,
-        sharded.stats.shards as u64,
         t1,
         t8,
     ))
@@ -869,8 +846,6 @@ fn bench_attribution_arms() -> Result<AttributionArms, String> {
 /// workload is shared by `bench-snapshot` (writes it) and `perf-report`
 /// without `--current` (diffs it against a committed baseline).
 fn bench_snapshot() -> Result<BenchSnapshot, String> {
-    use trackdown_core::localize::{run_campaign_mode, CampaignMode, CatchmentSource};
-
     // Fixed workload so snapshots are comparable across commits: the
     // small scale at seed 7 (the campaign the verify recipe drives), on
     // a Gao-Rexford-clean engine — with policy violators the session
@@ -891,15 +866,13 @@ fn bench_snapshot() -> Result<BenchSnapshot, String> {
     let schedule = scenario.schedule();
     let run = |mode: CampaignMode| {
         let t = std::time::Instant::now();
-        let campaign = run_campaign_mode(
-            &engine,
-            &scenario.origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            scenario.engine_cfg.max_events_factor,
+        let opts = CampaignOpts {
             mode,
-        );
+            max_events_factor: scenario.engine_cfg.max_events_factor,
+            ..CampaignOpts::default()
+        };
+        let campaign = run_campaign(&engine, &scenario.origin, &schedule, &opts)
+            .expect("generated schedules are valid");
         (campaign, t.elapsed().as_secs_f64() * 1e3)
     };
     // Untimed warm-up pass, then best-of-5 per arm, rounds interleaved
@@ -948,15 +921,12 @@ fn bench_snapshot() -> Result<BenchSnapshot, String> {
     // must hit the footprint memo.
     let mut doubled = schedule.clone();
     doubled.extend(schedule.iter().cloned());
-    let memo_run = run_campaign_mode(
-        &engine,
-        &scenario.origin,
-        &doubled,
-        CatchmentSource::ControlPlane,
-        None,
-        scenario.engine_cfg.max_events_factor,
-        CampaignMode::Warm,
-    );
+    let memo_opts = CampaignOpts {
+        max_events_factor: scenario.engine_cfg.max_events_factor,
+        ..CampaignOpts::default()
+    };
+    let memo_run =
+        run_campaign(&engine, &scenario.origin, &doubled, &memo_opts).map_err(|e| e.to_string())?;
     if memo_run.stats.memo_hits != schedule.len() {
         return Err(format!(
             "memo exercise expected {} hits, got {}; bench snapshot aborted",
@@ -967,22 +937,16 @@ fn bench_snapshot() -> Result<BenchSnapshot, String> {
 
     let arms = bench_attribution_arms()?;
 
-    let (large_ases, large_tracked, large_configs, large_shards, large_1t_ms, large_8t_ms) =
-        bench_scale_arm(Scale::Large, 8)?;
-    let (
-        internet_ases,
-        internet_tracked,
-        internet_configs,
-        internet_shards,
-        internet_1t_ms,
-        internet_8t_ms,
-    ) = bench_scale_arm(Scale::Internet, 0)?;
+    let (large_ases, large_tracked, large_configs, large_1t_ms, large_8t_ms) =
+        bench_scale_arm(Scale::Large)?;
+    let (internet_ases, internet_tracked, internet_configs, internet_1t_ms, internet_8t_ms) =
+        bench_scale_arm(Scale::Internet)?;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1) as u64;
 
     let snap = BenchSnapshot {
-        schema: 7,
+        schema: 8,
         bench: "pipeline".into(),
         scale: "small".into(),
         seed: 7,
@@ -1019,17 +983,15 @@ fn bench_snapshot() -> Result<BenchSnapshot, String> {
         large_ases,
         large_tracked,
         large_configs,
-        large_shards,
         large_1t_ms: (large_1t_ms * 1e3).round() / 1e3,
         large_8t_ms: (large_8t_ms * 1e3).round() / 1e3,
-        large_shard_speedup: ((large_1t_ms / large_8t_ms) * 1e3).round() / 1e3,
+        large_thread_speedup: ((large_1t_ms / large_8t_ms) * 1e3).round() / 1e3,
         internet_ases,
         internet_tracked,
         internet_configs,
-        internet_shards,
         internet_1t_ms: (internet_1t_ms * 1e3).round() / 1e3,
         internet_8t_ms: (internet_8t_ms * 1e3).round() / 1e3,
-        internet_shard_speedup: ((internet_1t_ms / internet_8t_ms) * 1e3).round() / 1e3,
+        internet_thread_speedup: ((internet_1t_ms / internet_8t_ms) * 1e3).round() / 1e3,
     };
     Ok(snap)
 }
@@ -1044,8 +1006,8 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
          delta {:.1} ms, {:.2}x fewer events than warm; \
          attribution indexed {:.1} ms vs scan {:.1} ms, {:.1}x; \
          sketch ingest {:.2} ms vs exact {:.2} ms, {:.1}x on {} flows; \
-         large {} ASes/{} tracked sharded 1t {:.0} ms vs 8t {:.0} ms, {:.2}x; \
-         internet {} ASes/{} tracked sharded 1t {:.0} ms vs 8t {:.0} ms, {:.2}x \
+         large {} ASes/{} tracked 1t {:.0} ms vs 8t {:.0} ms, {:.2}x; \
+         internet {} ASes/{} tracked 1t {:.0} ms vs 8t {:.0} ms, {:.2}x \
          on {} cores)",
         snap.warm_ms,
         snap.cold_ms,
@@ -1063,12 +1025,12 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
         snap.large_tracked,
         snap.large_1t_ms,
         snap.large_8t_ms,
-        snap.large_shard_speedup,
+        snap.large_thread_speedup,
         snap.internet_ases,
         snap.internet_tracked,
         snap.internet_1t_ms,
         snap.internet_8t_ms,
-        snap.internet_shard_speedup,
+        snap.internet_thread_speedup,
         snap.cores
     );
     Ok(())
@@ -1079,7 +1041,7 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
 /// trace-event JSON, and print the self-profile summary — per-phase
 /// exclusive/inclusive time and per-worker utilization.
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    let opts = args.options().ok_or("bad options")?;
+    let opts = args.options()?;
     let trace_out = args.get("--trace-out").unwrap_or("trace.json").to_string();
     let scenario = Scenario::build(opts);
     scenario.announce();
@@ -1093,10 +1055,12 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     let summary = trackdown_obs::ProfileSummary::from_trace(&trace);
     print!("{}", summary.render());
     println!(
-        "steal fails {} over {} worker(s); wrote {trace_out} ({} events) — \
+        "mode={} cold_epochs={}/{} over {} worker(s); wrote {trace_out} ({} events) — \
          load it at https://ui.perfetto.dev or chrome://tracing",
-        campaign.stats.shard_steal_fails,
-        campaign.stats.worker_busy_us.len().max(1),
+        mode_label(campaign.stats.mode),
+        campaign.stats.cold_epochs,
+        campaign.stats.propagations,
+        campaign.stats.threads,
         trace.events.len()
     );
     Ok(())
@@ -1241,6 +1205,9 @@ mod tests {
         let opts = a.options().unwrap();
         assert_eq!(opts.seed, 9);
         assert!(opts.measured);
+        assert_eq!(opts.mode, trackdown_core::localize::CampaignMode::Warm);
+        let delta = Args::parse(&argv(&["--delta"])).unwrap().options().unwrap();
+        assert_eq!(delta.mode, trackdown_core::localize::CampaignMode::Delta);
     }
 
     #[test]
@@ -1248,7 +1215,10 @@ mod tests {
         assert!(Args::parse(&argv(&["positional"])).is_none());
         assert!(Args::parse(&argv(&["--out"])).is_none()); // missing value
         let a = Args::parse(&argv(&["--scale", "bogus"])).unwrap();
-        assert!(a.options().is_none());
+        assert!(a.options().is_err());
+        let a = Args::parse(&argv(&["--cold", "--delta"])).unwrap();
+        let err = a.options().unwrap_err();
+        assert!(err.contains("exclusive"), "{err}");
     }
 
     #[test]

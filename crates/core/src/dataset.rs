@@ -163,7 +163,7 @@ impl Dataset {
 mod tests {
     use super::*;
     use crate::generator::{full_schedule, GeneratorParams};
-    use crate::localize::{run_campaign, CatchmentSource};
+    use crate::localize::{run_campaign, CampaignOpts};
     use trackdown_bgp::{BgpEngine, EngineConfig};
     use trackdown_topology::gen::{generate, TopologyConfig};
 
@@ -179,14 +179,8 @@ mod tests {
                 max_poison_configs: Some(8),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         (
             Dataset::from_campaign(&g.topology, &origin, &campaign),
             campaign,

@@ -183,10 +183,9 @@ mod tests {
             &engine,
             &origin,
             &schedule,
-            crate::localize::CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+            &crate::localize::CampaignOpts::default(),
+        )
+        .expect("valid schedule");
         let groups = cluster_size_by_distance(&g.topology, &origin, &campaign.clustering, 4);
         // Note: a PoP provider shares its cluster with its single-homed
         // customers (they follow its choices in every configuration), so

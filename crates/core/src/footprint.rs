@@ -178,10 +178,9 @@ mod tests {
             &engine,
             &origin,
             &schedule,
-            crate::localize::CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+            &crate::localize::CampaignOpts::default(),
+        )
+        .expect("valid schedule");
         let full_keep: BTreeSet<LinkId> = (0..4).map(LinkId).collect();
         let small_keep: BTreeSet<LinkId> = (0..3).map(LinkId).collect();
         let full = footprint_clustering(
@@ -218,10 +217,9 @@ mod tests {
             &engine,
             &origin,
             &schedule,
-            crate::localize::CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+            &crate::localize::CampaignOpts::default(),
+        )
+        .expect("valid schedule");
         let keep: BTreeSet<LinkId> = (0..3).map(LinkId).collect();
         let (kept, means) = footprint_trajectory(
             &campaign.configs,

@@ -12,9 +12,12 @@
 //!    prepending combinations, and provider-neighbor poisoning — exactly
 //!    reproducing the paper's 64 + 294 + (one per neighbor) counts.
 //! 2. [`localize::run_campaign`] deploys each [`config::AnnouncementConfig`]
-//!    on a [`trackdown_bgp::BgpEngine`], obtains catchments (ground truth
-//!    or through the [`trackdown_measure`] observation plane), and refines
-//!    a [`cluster::Clustering`].
+//!    on a [`trackdown_bgp::BgpEngine`] — through one routing session per
+//!    worker thread, reusing state as [`localize::CampaignOpts`] asks —
+//!    obtains catchments (ground truth or through the
+//!    [`trackdown_measure`] observation plane), and refines a
+//!    [`cluster::Clustering`]. Bad input comes back as a
+//!    [`localize::CampaignError`] before any deployment runs.
 //! 3. [`localize::rank_suspects`] correlates honeypot volume reports with
 //!    the clusters to name suspect ASes.
 //!
@@ -29,7 +32,7 @@
 //! use trackdown_topology::gen::{generate, TopologyConfig};
 //! use trackdown_bgp::{BgpEngine, EngineConfig, OriginAs};
 //! use trackdown_core::generator::{full_schedule, GeneratorParams};
-//! use trackdown_core::localize::{run_campaign, CatchmentSource};
+//! use trackdown_core::localize::{run_campaign, CampaignOpts};
 //!
 //! let g = generate(&TopologyConfig::small(1));
 //! let origin = OriginAs::peering_style(&g, 4);
@@ -38,9 +41,9 @@
 //!     max_removals: 1,
 //!     max_poison_configs: Some(5),
 //! });
-//! let campaign = run_campaign(
-//!     &engine, &origin, &schedule, CatchmentSource::ControlPlane, None, 200);
+//! let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())?;
 //! assert!(campaign.clustering.mean_size() < campaign.tracked.len() as f64);
+//! # Ok::<(), trackdown_core::CampaignError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -68,10 +71,8 @@ pub use generator::{full_schedule, GeneratorParams};
 pub use localize::{
     estimate_cluster_volumes, estimate_cluster_volumes_acc, estimate_cluster_volumes_rescan,
     fit_link_volumes, rank_suspects, rank_suspects_acc, rank_suspects_rescan, run_campaign,
-    run_campaign_mode, run_campaign_parallel, run_campaign_parallel_mode, run_campaign_sharded,
-    run_campaign_sharded_mode, run_campaign_sharded_recorded, AttributionIndex, Campaign,
-    CampaignMode, CampaignStats, CatchmentSource, RankedSuspects, ShardPlan, SuspectCluster,
-    VolumeEstimate,
+    AttributionIndex, Campaign, CampaignError, CampaignMode, CampaignOpts, CampaignStats,
+    CatchmentSource, RankedSuspects, SuspectCluster, VolumeEstimate,
 };
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 //! traffic volumes to rank suspect clusters.
 
 use crate::cluster::{ClusterSplit, Clustering, RefineDelta};
-use crate::config::AnnouncementConfig;
+use crate::config::{AnnouncementConfig, ConfigError};
 use crate::schedule::warm_start_order;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use trackdown_bgp::{BgpEngine, Catchments, LinkId, OriginAs, RoutingOutcome, SnapshotDetail};
+use trackdown_bgp::{BgpEngine, Catchments, LinkId, OriginAs, OriginError, SnapshotDetail};
 use trackdown_measure::{
     analysis_set, impute_visibility, ImputationStats, MeasuredCatchments, MeasurementPlane,
 };
@@ -15,52 +15,25 @@ use trackdown_obs::{CampaignRecorder, EpochMode, EpochRecord};
 use trackdown_topology::AsIndex;
 use trackdown_traffic::VolumeAccumulator;
 
+pub use trackdown_bgp::CampaignMode;
+
 /// How catchments are obtained for each configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CatchmentSource {
+#[derive(Debug, Clone, Copy)]
+pub enum CatchmentSource<'p> {
     /// Ground-truth control-plane catchments (oracle; isolates the
     /// algorithms from measurement noise).
     ControlPlane,
     /// Ground-truth data-plane catchments (what traffic actually does).
     DataPlane,
-    /// Measured through the observation plane with §IV-d visibility
+    /// Measured through this observation plane with §IV-d visibility
     /// imputation.
-    Measured,
-}
-
-/// How the campaign executor drives the BGP engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CampaignMode {
-    /// Warm-start epoch reuse: one persistent routing session per worker
-    /// deploys configurations as epoch transitions in footprint-distance
-    /// order, with a memo cache that skips duplicate footprints. Results
-    /// are identical to [`CampaignMode::Cold`]: Gao-Rexford fixpoints are
-    /// unique, and on engines with policy violators (where stable states
-    /// are *not* unique) the session transparently cold-starts each
-    /// deployment instead of reusing the epoch — see
-    /// [`trackdown_bgp::CampaignSession::warm_reuse`]. Only wall-clock
-    /// time may differ from `Cold`, never the campaign.
-    Warm,
-    /// Cold start: every configuration propagates from empty RIBs in
-    /// schedule order — the original executor, kept as the oracle the
-    /// differential tests compare against.
-    Cold,
-    /// Delta propagation: like [`CampaignMode::Warm`] (same deployment
-    /// order, memo cache, and violator gate), but each epoch transition
-    /// diffs the incoming announcement against the previous one, seeds
-    /// only providers whose injection changed, and propagates with
-    /// rank-ordered scheduling — epoch cost tracks routes actually
-    /// disturbed instead of topology size. Control-plane catchments are
-    /// patched incrementally from the epoch's change log. Results are
-    /// identical to `Warm` and `Cold` (the three-way differential suite
-    /// in `tests/delta_differential.rs` is the proof obligation).
-    Delta,
+    Measured(&'p MeasurementPlane),
 }
 
 /// Executor counters reported alongside a [`Campaign`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignStats {
-    /// Which executor produced the campaign.
+    /// The routing sessions' reuse policy.
     pub mode: CampaignMode,
     /// Fixpoint computations actually run (≤ number of configurations
     /// when the memo cache hits).
@@ -70,19 +43,16 @@ pub struct CampaignStats {
     pub memo_hits: usize,
     /// Warm epochs that hit the event cap and were redone cold.
     pub cold_restarts: usize,
+    /// Deployed epochs that reused no routing state, whatever the cause:
+    /// a worker's first deployment, the violator gate, an event-cap
+    /// restart, or [`CampaignMode::Cold`]. Equal to `propagations` when
+    /// no epoch was warm.
+    pub cold_epochs: usize,
     /// Worker threads used.
     pub threads: usize,
     /// High-water node count of the interned path arena (max over
     /// workers): the steady-state memory footprint of warm reuse.
     pub peak_arena_nodes: usize,
-    /// Catchment-extraction shards used (1 = whole-topology extraction).
-    pub shards: usize,
-    /// Node count of the canonical arena obtained by merging every
-    /// worker's path arena after a sharded campaign (0 for the other
-    /// executors). Shared AS-path prefixes intern to the same node, so
-    /// this stays close to `peak_arena_nodes` rather than growing with
-    /// the worker count — the memory bound DESIGN.md §4f relies on.
-    pub merged_arena_nodes: usize,
     /// Sum over deployed epochs of the ASes whose best route differs from
     /// the previous epoch's fixpoint (memo hits contribute 0) — the
     /// workload [`CampaignMode::Delta`] makes epoch cost proportional to.
@@ -92,18 +62,6 @@ pub struct CampaignStats {
     /// so warm/delta event ratios are comparable across machines — the
     /// work-unit metric the bench snapshot's `delta_speedup` reports.
     pub events: usize,
-    /// Steal attempts by the sharded executor that found the queue empty
-    /// (0 for the other executors). A high count relative to
-    /// `campaign.shard_steals` means workers spin on an empty queue —
-    /// the contention signature behind `large_shard_speedup < 1`.
-    pub shard_steal_fails: usize,
-    /// Per-worker busy time (µs inside produce/extract/steal/merge work)
-    /// for the sharded executor; empty for the other executors and in
-    /// deterministic runs (wall-clock must not leak there).
-    pub worker_busy_us: Vec<u64>,
-    /// Per-worker idle time (µs spent waiting on the task queue);
-    /// parallel to `worker_busy_us`.
-    pub worker_idle_us: Vec<u64>,
 }
 
 impl Default for CampaignStats {
@@ -113,15 +71,11 @@ impl Default for CampaignStats {
             propagations: 0,
             memo_hits: 0,
             cold_restarts: 0,
+            cold_epochs: 0,
             threads: 1,
             peak_arena_nodes: 0,
-            shards: 1,
-            merged_arena_nodes: 0,
             routes_disturbed: 0,
             events: 0,
-            shard_steal_fails: 0,
-            worker_busy_us: Vec::new(),
-            worker_idle_us: Vec::new(),
         }
     }
 }
@@ -271,45 +225,332 @@ pub struct Campaign {
     pub stats: CampaignStats,
 }
 
+/// Options of one [`run_campaign`] call. The default is a one-thread
+/// [`CampaignMode::Warm`] campaign over control-plane catchments, with
+/// the engine's default event cap and no recorder.
+#[derive(Debug, Clone, Copy)]
+pub struct CampaignOpts<'a> {
+    /// How catchments are obtained for each configuration.
+    pub source: CatchmentSource<'a>,
+    /// How each worker's routing session reuses state between epochs.
+    pub mode: CampaignMode,
+    /// Worker threads: the schedule splits into this many contiguous
+    /// chunks (fewer when the schedule is shorter; 0 counts as 1).
+    pub threads: usize,
+    /// Collects one [`EpochRecord`] per configuration for the JSONL run
+    /// manifest. It only *reads* each deployment's outcome after the
+    /// fact, so it cannot perturb the campaign.
+    pub recorder: Option<&'a CampaignRecorder>,
+    /// Event cap per deployment, as a multiple of the AS count.
+    pub max_events_factor: usize,
+}
+
+impl Default for CampaignOpts<'_> {
+    fn default() -> Self {
+        CampaignOpts {
+            source: CatchmentSource::ControlPlane,
+            mode: CampaignMode::Warm,
+            threads: 1,
+            recorder: None,
+            max_events_factor: 200,
+        }
+    }
+}
+
+/// Why [`run_campaign`] refused a schedule. Input is checked before any
+/// deployment, so a refused campaign does no routing work.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CampaignError {
+    /// The schedule has no configurations.
+    EmptySchedule,
+    /// Configuration `index` is not a valid ⟨A;P;Q⟩ for the origin.
+    InvalidConfig {
+        /// Schedule index of the configuration.
+        index: usize,
+        /// What is wrong with it.
+        error: ConfigError,
+    },
+    /// Configuration `index` cannot be announced by the origin (e.g. more
+    /// poisons than the platform allows).
+    Unannounceable {
+        /// Schedule index of the configuration.
+        index: usize,
+        /// What the origin rejected.
+        error: OriginError,
+    },
+}
+
+impl std::fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CampaignError::EmptySchedule => write!(f, "empty schedule"),
+            CampaignError::InvalidConfig { index, error } => {
+                write!(f, "configuration {index} is invalid: {error}")
+            }
+            CampaignError::Unannounceable { index, error } => {
+                write!(f, "configuration {index} cannot be announced: {error}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CampaignError {}
+
 /// Deploy every configuration and cluster the catchments.
 ///
 /// The tracked-source rule follows §IV-d: sources covered by the *first*
 /// configuration (the full anycast baseline) are tracked; for measured
 /// campaigns, missing observations in later configurations are imputed
 /// via `smax` before clustering.
+///
+/// The schedule splits into `opts.threads` contiguous chunks — the
+/// simulation analog of the paper's §V-C speed-up of deploying
+/// configurations concurrently on several prefixes. Each worker owns one
+/// routing session in `opts.mode` and a footprint memo, and deploys its
+/// chunk in [`warm_start_order`] (schedule order for
+/// [`CampaignMode::Cold`]); the calling thread works the first chunk
+/// itself, so a one-thread campaign spawns nothing. Results are stored
+/// by schedule index and clustering refines in schedule order, so the
+/// campaign — catchments, tracked set, clusters, records — is identical
+/// for every mode and thread count: each deployment's outcome is its
+/// configuration's cold-start fixpoint (sessions cold-start internally
+/// on violator engines, where fixpoints are history-dependent), the memo
+/// only replays identical footprints, and the observation plane salts
+/// its noise by schedule index. Only `stats` and the per-epoch recorder
+/// counters describe the executor shape: memo hits never cross chunks,
+/// and each worker warm-starts its own chain.
+///
+/// The memo is off for measured campaigns: duplicate footprints still
+/// measure differently under index-salted noise.
+///
+/// # Errors
+/// [`CampaignError`] for an empty schedule or a configuration the origin
+/// cannot announce, before any deployment runs.
 pub fn run_campaign(
     engine: &BgpEngine<'_>,
     origin: &OriginAs,
     configs: &[AnnouncementConfig],
-    source: CatchmentSource,
-    plane: Option<&MeasurementPlane>,
-    max_events_factor: usize,
-) -> Campaign {
-    run_campaign_mode(
-        engine,
-        origin,
-        configs,
-        source,
-        plane,
-        max_events_factor,
-        CampaignMode::Warm,
-    )
+    opts: &CampaignOpts<'_>,
+) -> Result<Campaign, CampaignError> {
+    if configs.is_empty() {
+        return Err(CampaignError::EmptySchedule);
+    }
+    for (index, cfg) in configs.iter().enumerate() {
+        cfg.validate(origin)
+            .map_err(|error| CampaignError::InvalidConfig { index, error })?;
+        origin
+            .build_injections(engine.topology(), &cfg.to_link_announcements())
+            .map_err(|error| CampaignError::Unannounceable { index, error })?;
+    }
+    let _span = trackdown_obs::span("campaign.run");
+    let chunk_size = configs.len().div_ceil(opts.threads.max(1));
+    let mut chunks = configs.chunks(chunk_size).enumerate();
+    let (_, first) = chunks.next().expect("non-empty schedule");
+    let outputs: Vec<ChunkOutput> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .map(|(t, chunk)| {
+                scope.spawn(move || run_chunk(engine, origin, opts, t, t * chunk_size, chunk))
+            })
+            .collect();
+        let mut outputs = vec![run_chunk(engine, origin, opts, 0, 0, first)];
+        outputs.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("campaign worker panicked")),
+        );
+        outputs
+    });
+
+    let mut stats = CampaignStats {
+        mode: opts.mode,
+        threads: outputs.len(),
+        ..CampaignStats::default()
+    };
+    let mut catchments = Vec::with_capacity(configs.len());
+    let mut measured = Vec::new();
+    let mut converged = Vec::with_capacity(configs.len());
+    // Chunks are contiguous and in order, so concatenation restores the
+    // schedule order.
+    for out in outputs {
+        catchments.extend(out.catchments);
+        measured.extend(out.measured);
+        converged.extend(out.converged);
+        stats.propagations += out.stats.propagations;
+        stats.memo_hits += out.stats.memo_hits;
+        stats.cold_restarts += out.stats.cold_restarts;
+        stats.cold_epochs += out.stats.cold_epochs;
+        stats.routes_disturbed += out.stats.routes_disturbed;
+        stats.events += out.stats.events;
+        // Per-worker arenas: the campaign's footprint is the largest
+        // single arena, not the sum.
+        stats.peak_arena_nodes = stats.peak_arena_nodes.max(out.stats.peak_arena_nodes);
+    }
+    let (catchments, tracked, imputation) = match opts.source {
+        CatchmentSource::Measured(_) => {
+            let istats = impute_visibility(&mut measured, 0);
+            let tracked = analysis_set(&measured, 0);
+            let catchments = measured.into_iter().map(|m| m.catchments).collect();
+            (catchments, tracked, Some(istats))
+        }
+        CatchmentSource::ControlPlane | CatchmentSource::DataPlane => {
+            // Track every source the baseline reaches.
+            let tracked: Vec<AsIndex> = engine
+                .topology()
+                .indices()
+                .filter(|&i| catchments[0].is_assigned(i))
+                .collect();
+            (catchments, tracked, None)
+        }
+    };
+    Ok(assemble_campaign(
+        configs, catchments, converged, tracked, imputation, stats,
+    ))
 }
 
-/// Extract the requested ground-truth catchments from a routing outcome.
-fn extract_catchments(source: CatchmentSource, outcome: &RoutingOutcome) -> Catchments {
-    match source {
-        CatchmentSource::ControlPlane => Catchments::from_control_plane(outcome),
-        CatchmentSource::DataPlane => Catchments::from_data_plane(outcome),
-        CatchmentSource::Measured => {
-            unreachable!("measured catchments come from the observation plane")
+/// What one worker produced for its chunk, in chunk order. Exactly one
+/// of `catchments` (ground truth) and `measured` is filled.
+struct ChunkOutput {
+    catchments: Vec<Catchments>,
+    measured: Vec<MeasuredCatchments>,
+    converged: Vec<bool>,
+    stats: CampaignStats,
+}
+
+/// Deploy one contiguous chunk of the schedule, starting at schedule
+/// index `base`, through one routing session on worker `thread`.
+fn run_chunk(
+    engine: &BgpEngine<'_>,
+    origin: &OriginAs,
+    opts: &CampaignOpts<'_>,
+    thread: usize,
+    base: usize,
+    chunk: &[AnnouncementConfig],
+) -> ChunkOutput {
+    let mode = opts.mode;
+    let order: Vec<usize> = match mode {
+        CampaignMode::Warm | CampaignMode::Delta => warm_start_order(chunk),
+        CampaignMode::Cold => (0..chunk.len()).collect(),
+    };
+    // Only measured campaigns read path contents (BGP feed collection);
+    // ground truth gets the cheap Catchments-detail snapshot. Duplicate
+    // footprints have identical fixpoints, so ground truth memoizes them.
+    let (detail, memoize) = match opts.source {
+        CatchmentSource::Measured(_) => (SnapshotDetail::Full, false),
+        _ => (SnapshotDetail::Catchments, mode != CampaignMode::Cold),
+    };
+    let mut session = engine.session_with(mode);
+    let mut memo: HashMap<String, usize> = HashMap::new();
+    let mut truth: Vec<Option<Catchments>> = vec![None; chunk.len()];
+    let mut measured: Vec<Option<MeasuredCatchments>> = (0..chunk.len()).map(|_| None).collect();
+    let mut converged = vec![false; chunk.len()];
+    let mut stats = CampaignStats::default();
+    // Delta mode patches control-plane catchments from the epoch change
+    // log instead of re-extracting: the last *deployed* (not
+    // memo-replayed) epoch is the patch base.
+    let mut last_deployed: Option<usize> = None;
+    for &off in &order {
+        let cfg = &chunk[off];
+        let epoch = base + off;
+        if memoize {
+            let key = cfg.footprint_key();
+            if let Some(&j) = memo.get(&key) {
+                stats.memo_hits += 1;
+                truth[off] = truth[j].clone();
+                converged[off] = converged[j];
+                if let Some(rec) = opts.recorder {
+                    rec.record(EpochRecord {
+                        epoch,
+                        footprint: key,
+                        mode: EpochMode::Memo,
+                        thread,
+                        events: 0,
+                        rounds: 0,
+                        changes: 0,
+                        routes_disturbed: 0,
+                        converged: converged[off],
+                        wall_us: None,
+                    });
+                }
+                continue;
+            }
+            memo.insert(key, off);
         }
+        let _span = trackdown_obs::span("worker.epoch").attr("epoch", epoch as u64);
+        let timer = opts.recorder.and_then(|r| r.start_timer());
+        let outcome = session
+            .deploy_config_detailed(
+                origin,
+                &cfg.to_link_announcements(),
+                opts.max_events_factor,
+                detail,
+            )
+            .expect("configurations are validated before deployment");
+        let warm = session.last_deploy_warm();
+        if let Some(rec) = opts.recorder {
+            rec.record(EpochRecord {
+                epoch,
+                footprint: cfg.footprint_key(),
+                mode: match (warm, mode) {
+                    (false, _) => EpochMode::Cold,
+                    (true, CampaignMode::Delta) => EpochMode::Delta,
+                    (true, _) => EpochMode::Warm,
+                },
+                thread,
+                events: outcome.events,
+                rounds: outcome.rounds,
+                changes: outcome.changes.len(),
+                routes_disturbed: outcome.routes_disturbed,
+                converged: outcome.converged,
+                wall_us: rec.elapsed_us(timer),
+            });
+        }
+        stats.propagations += 1;
+        stats.cold_epochs += usize::from(!warm);
+        stats.routes_disturbed += outcome.routes_disturbed;
+        stats.events += outcome.events;
+        converged[off] = outcome.converged;
+        match opts.source {
+            CatchmentSource::Measured(plane) => {
+                measured[off] =
+                    Some(plane.measure(engine.topology(), &outcome, origin.asn, epoch as u64));
+            }
+            CatchmentSource::ControlPlane => {
+                // A delta epoch's change log lists exactly the ASes whose
+                // best route moved, so the previous catchments patch
+                // forward in O(changes).
+                let base = last_deployed.filter(|_| warm && mode == CampaignMode::Delta);
+                truth[off] = Some(match base {
+                    Some(j) => {
+                        let mut c = truth[j].clone().expect("deployed epoch extracted");
+                        for ch in &outcome.changes {
+                            c.set(ch.at, ch.ingress);
+                        }
+                        c
+                    }
+                    None => Catchments::from_control_plane(&outcome),
+                });
+                last_deployed = Some(off);
+            }
+            // Data-plane catchments always need a full walk: a hop change
+            // can reroute sources whose own best route is untouched.
+            CatchmentSource::DataPlane => {
+                truth[off] = Some(Catchments::from_data_plane(&outcome));
+            }
+        }
+    }
+    stats.cold_restarts = session.cold_restarts();
+    stats.peak_arena_nodes = session.peak_arena_nodes();
+    ChunkOutput {
+        catchments: truth.into_iter().flatten().collect(),
+        measured: measured.into_iter().flatten().collect(),
+        converged,
+        stats,
     }
 }
 
-/// Cluster the catchments and assemble the final [`Campaign`] — the tail
-/// shared by every executor. Refinement runs in schedule (index) order,
-/// so campaigns are identical however the executor ordered deployments.
+/// Cluster the catchments and assemble the final [`Campaign`].
+/// Refinement runs in schedule (index) order, so campaigns are identical
+/// however the executor ordered deployments.
 fn assemble_campaign(
     configs: &[AnnouncementConfig],
     catchments: Vec<Catchments>,
@@ -323,6 +564,7 @@ fn assemble_campaign(
     trackdown_obs::counter!("campaign.propagations").add(stats.propagations as u64);
     trackdown_obs::counter!("campaign.memo_hits").add(stats.memo_hits as u64);
     trackdown_obs::counter!("campaign.cold_restarts").add(stats.cold_restarts as u64);
+    trackdown_obs::counter!("campaign.cold_epochs").add(stats.cold_epochs as u64);
     let mut clustering = Clustering::single(tracked.clone());
     let initial_clusters = clustering.num_clusters() as u32;
     let mut deltas = Vec::with_capacity(configs.len());
@@ -347,1015 +589,6 @@ fn assemble_campaign(
         imputation,
         stats,
     }
-}
-
-/// [`run_campaign`] with an explicit executor mode.
-///
-/// `Warm` deploys through one persistent [`trackdown_bgp::CampaignSession`]
-/// in [`warm_start_order`] (greedy footprint-distance chaining), skipping
-/// duplicate footprints via a memo cache keyed by the canonical ⟨A;P;Q⟩
-/// footprint. `Cold` propagates every configuration from empty RIBs in
-/// schedule order. Both produce byte-identical campaigns: catchments and
-/// convergence flags depend only on each configuration's fixpoint (the
-/// session cold-starts internally on violator engines, where fixpoints
-/// are history-dependent), results are stored by schedule index, and
-/// clustering always refines in schedule order. The memo cache is sound
-/// either way — identical footprints lower to identical injections, and
-/// each deployment's outcome is a pure function of its injections.
-/// The memo cache is disabled for `Measured` campaigns
-/// (the observation plane salts its noise by schedule index, so duplicate
-/// footprints still measure differently), but the warm session still
-/// skips most convergence work.
-pub fn run_campaign_mode(
-    engine: &BgpEngine<'_>,
-    origin: &OriginAs,
-    configs: &[AnnouncementConfig],
-    source: CatchmentSource,
-    plane: Option<&MeasurementPlane>,
-    max_events_factor: usize,
-    mode: CampaignMode,
-) -> Campaign {
-    run_campaign_recorded(
-        engine,
-        origin,
-        configs,
-        source,
-        plane,
-        max_events_factor,
-        mode,
-        None,
-    )
-}
-
-/// [`run_campaign_mode`] with an optional [`CampaignRecorder`] collecting
-/// one [`EpochRecord`] per configuration for the JSONL run manifest. The
-/// recorder only *reads* each deployment's outcome after the fact, so it
-/// cannot perturb the campaign; with `None` it costs nothing.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_recorded(
-    engine: &BgpEngine<'_>,
-    origin: &OriginAs,
-    configs: &[AnnouncementConfig],
-    source: CatchmentSource,
-    plane: Option<&MeasurementPlane>,
-    max_events_factor: usize,
-    mode: CampaignMode,
-    recorder: Option<&CampaignRecorder>,
-) -> Campaign {
-    assert!(!configs.is_empty(), "empty schedule");
-    let _span = trackdown_obs::span("campaign.run");
-    let topo = engine.topology();
-    let n = configs.len();
-    let mut catchments_by_k: Vec<Option<Catchments>> = vec![None; n];
-    let mut converged_by_k: Vec<Option<bool>> = vec![None; n];
-    let mut measured_by_k: Vec<Option<MeasuredCatchments>> = (0..n).map(|_| None).collect();
-    let order = match mode {
-        CampaignMode::Warm | CampaignMode::Delta => warm_start_order(configs),
-        CampaignMode::Cold => (0..n).collect(),
-    };
-    let mut session = engine.session();
-    let mut memo: HashMap<String, usize> = HashMap::new();
-    let mut stats = CampaignStats {
-        mode,
-        ..CampaignStats::default()
-    };
-    // Delta mode patches control-plane catchments from the epoch change
-    // log instead of re-extracting: index of the last *deployed* (not
-    // memo-replayed) epoch whose catchments can serve as the patch base.
-    let mut last_deployed: Option<usize> = None;
-    for &k in &order {
-        let cfg = &configs[k];
-        cfg.validate(origin).expect("invalid configuration");
-        let memo_key = match (mode, source) {
-            (
-                CampaignMode::Warm | CampaignMode::Delta,
-                CatchmentSource::ControlPlane | CatchmentSource::DataPlane,
-            ) => Some(cfg.footprint_key()),
-            _ => None,
-        };
-        if let Some(key) = &memo_key {
-            if let Some(&j) = memo.get(key) {
-                stats.memo_hits += 1;
-                catchments_by_k[k] = catchments_by_k[j].clone();
-                converged_by_k[k] = converged_by_k[j];
-                if let Some(rec) = recorder {
-                    rec.record(EpochRecord {
-                        epoch: k,
-                        footprint: key.clone(),
-                        mode: EpochMode::Memo,
-                        thread: 0,
-                        events: 0,
-                        rounds: 0,
-                        changes: 0,
-                        routes_disturbed: 0,
-                        converged: converged_by_k[k].expect("memo entry deployed"),
-                        wall_us: None,
-                    });
-                }
-                continue;
-            }
-        }
-        let timer = recorder.and_then(|r| r.start_timer());
-        // Only measured campaigns read path contents (BGP feed collection);
-        // everything else gets the cheap Catchments-detail snapshot.
-        let detail = match source {
-            CatchmentSource::Measured => SnapshotDetail::Full,
-            _ => SnapshotDetail::Catchments,
-        };
-        let outcome = match mode {
-            CampaignMode::Warm => session.deploy_config_detailed(
-                origin,
-                &cfg.to_link_announcements(),
-                max_events_factor,
-                detail,
-            ),
-            CampaignMode::Delta => session.deploy_config_delta_detailed(
-                origin,
-                &cfg.to_link_announcements(),
-                max_events_factor,
-                detail,
-            ),
-            CampaignMode::Cold => engine.propagate_config_detailed(
-                origin,
-                &cfg.to_link_announcements(),
-                max_events_factor,
-                detail,
-            ),
-        }
-        .expect("validated configuration");
-        if let Some(rec) = recorder {
-            let epoch_mode = match mode {
-                CampaignMode::Warm if session.last_deploy_warm() => EpochMode::Warm,
-                CampaignMode::Delta if session.last_deploy_warm() => EpochMode::Delta,
-                _ => EpochMode::Cold,
-            };
-            rec.record(EpochRecord {
-                epoch: k,
-                footprint: memo_key.clone().unwrap_or_else(|| cfg.footprint_key()),
-                mode: epoch_mode,
-                thread: 0,
-                events: outcome.events,
-                rounds: outcome.rounds,
-                changes: outcome.changes.len(),
-                routes_disturbed: outcome.routes_disturbed,
-                converged: outcome.converged,
-                wall_us: rec.elapsed_us(timer),
-            });
-        }
-        stats.propagations += 1;
-        stats.routes_disturbed += outcome.routes_disturbed;
-        stats.events += outcome.events;
-        converged_by_k[k] = Some(outcome.converged);
-        match source {
-            CatchmentSource::Measured => {
-                let plane = plane.expect("Measured campaigns need a MeasurementPlane");
-                measured_by_k[k] = Some(plane.measure(topo, &outcome, origin.asn, k as u64));
-            }
-            _ => {
-                // A delta epoch's change log lists exactly the ASes whose
-                // best route moved, so the previous control-plane
-                // catchments patch forward in O(changes). Data-plane
-                // catchments still need a full walk: a hop change can
-                // reroute sources whose own best route is untouched.
-                let patched = if mode == CampaignMode::Delta
-                    && source == CatchmentSource::ControlPlane
-                    && session.last_deploy_warm()
-                {
-                    last_deployed.map(|j| {
-                        let mut c = catchments_by_k[j]
-                            .clone()
-                            .expect("deployed epoch extracted");
-                        for ch in &outcome.changes {
-                            c.set(ch.at, ch.ingress);
-                        }
-                        c
-                    })
-                } else {
-                    None
-                };
-                catchments_by_k[k] =
-                    Some(patched.unwrap_or_else(|| extract_catchments(source, &outcome)));
-                last_deployed = Some(k);
-            }
-        }
-        if let Some(key) = memo_key {
-            memo.insert(key, k);
-        }
-    }
-    stats.cold_restarts = session.cold_restarts();
-    stats.peak_arena_nodes = session.peak_arena_nodes();
-    let converged: Vec<bool> = converged_by_k
-        .into_iter()
-        .map(|c| c.expect("every configuration deployed"))
-        .collect();
-    let (catchments, tracked, imputation) = match source {
-        CatchmentSource::Measured => {
-            let mut measured: Vec<MeasuredCatchments> = measured_by_k
-                .into_iter()
-                .map(|m| m.expect("every configuration measured"))
-                .collect();
-            let istats = impute_visibility(&mut measured, 0);
-            let tracked = analysis_set(&measured, 0);
-            let catchments = measured.into_iter().map(|m| m.catchments).collect();
-            (catchments, tracked, Some(istats))
-        }
-        _ => {
-            let catchments: Vec<Catchments> = catchments_by_k
-                .into_iter()
-                .map(|c| c.expect("every configuration deployed"))
-                .collect();
-            // Track every source the baseline reaches.
-            let tracked: Vec<AsIndex> = topo
-                .indices()
-                .filter(|&i| catchments[0].is_assigned(i))
-                .collect();
-            (catchments, tracked, None)
-        }
-    };
-    assemble_campaign(configs, catchments, converged, tracked, imputation, stats)
-}
-
-/// Parallel variant of [`run_campaign`]: configurations are independent,
-/// so their propagations run on `threads` OS threads (scoped; no
-/// dependencies beyond the shared read-only engine). Results are
-/// identical to the sequential version — order, catchments, clustering —
-/// because outputs are collected by configuration index.
-///
-/// This is also the simulation analog of the paper's §V-C speed-up of
-/// deploying multiple configurations *concurrently on multiple prefixes*:
-/// wall-clock time divides by the number of prefixes (threads) while the
-/// information gathered is unchanged.
-pub fn run_campaign_parallel(
-    engine: &BgpEngine<'_>,
-    origin: &OriginAs,
-    configs: &[AnnouncementConfig],
-    source: CatchmentSource,
-    max_events_factor: usize,
-    threads: usize,
-) -> Campaign {
-    run_campaign_parallel_mode(
-        engine,
-        origin,
-        configs,
-        source,
-        max_events_factor,
-        threads,
-        CampaignMode::Warm,
-    )
-}
-
-/// [`run_campaign_parallel`] with an explicit executor mode.
-///
-/// Each worker owns one persistent warm session (and its own memo cache)
-/// over one contiguous chunk of the schedule, reordering deployments
-/// *within the chunk* by footprint distance. Chunk boundaries, the
-/// stored-by-index results, and the schedule-order clustering make the
-/// campaign independent of the thread count and identical to the
-/// sequential executors — only `stats` (per-worker counters summed) can
-/// differ across thread counts, because memo hits do not cross chunks.
-pub fn run_campaign_parallel_mode(
-    engine: &BgpEngine<'_>,
-    origin: &OriginAs,
-    configs: &[AnnouncementConfig],
-    source: CatchmentSource,
-    max_events_factor: usize,
-    threads: usize,
-    mode: CampaignMode,
-) -> Campaign {
-    run_campaign_parallel_recorded(
-        engine,
-        origin,
-        configs,
-        source,
-        max_events_factor,
-        threads,
-        mode,
-        None,
-    )
-}
-
-/// [`run_campaign_parallel_mode`] with an optional [`CampaignRecorder`].
-///
-/// Workers record epochs in completion order from their own threads;
-/// the recorder re-sorts by schedule index on
-/// [`CampaignRecorder::take_records`], and no instrumentation value
-/// flows back into the campaign, so results stay identical across
-/// thread counts with or without a recorder attached (the 1/2/8-thread
-/// invariance golden runs with one attached). Per-epoch counters
-/// (`events`, `rounds`, `changes`) describe each worker's *own* warm
-/// chain and therefore legitimately vary with the chunking — only the
-/// campaign itself is thread-invariant.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_parallel_recorded(
-    engine: &BgpEngine<'_>,
-    origin: &OriginAs,
-    configs: &[AnnouncementConfig],
-    source: CatchmentSource,
-    max_events_factor: usize,
-    threads: usize,
-    mode: CampaignMode,
-    recorder: Option<&CampaignRecorder>,
-) -> Campaign {
-    assert!(!configs.is_empty(), "empty schedule");
-    assert!(
-        source != CatchmentSource::Measured,
-        "measured campaigns are sequential (the observation plane salts by deployment order)"
-    );
-    let _span = trackdown_obs::span("campaign.run");
-    let topo = engine.topology();
-    let threads = threads.max(1);
-    let chunk_size = configs.len().div_ceil(threads);
-    let mut results: Vec<Option<(Catchments, bool)>> = vec![None; configs.len()];
-    let mut stats = CampaignStats {
-        mode,
-        threads: configs.chunks(chunk_size).len(),
-        ..CampaignStats::default()
-    };
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, chunk) in configs.chunks(chunk_size).enumerate() {
-            let base = t * chunk_size;
-            handles.push(scope.spawn(move || {
-                let order: Vec<usize> = match mode {
-                    CampaignMode::Warm | CampaignMode::Delta => warm_start_order(chunk),
-                    CampaignMode::Cold => (0..chunk.len()).collect(),
-                };
-                let mut session = engine.session();
-                let mut memo: HashMap<String, usize> = HashMap::new();
-                let mut local: Vec<Option<(Catchments, bool)>> = vec![None; chunk.len()];
-                let mut propagations = 0usize;
-                let mut memo_hits = 0usize;
-                let mut disturbed = 0usize;
-                let mut events = 0usize;
-                // Patch base for delta control-plane extraction: the last
-                // epoch this worker actually deployed (memo hits replay).
-                let mut last_deployed: Option<usize> = None;
-                for &off in &order {
-                    let cfg = &chunk[off];
-                    cfg.validate(origin).expect("invalid configuration");
-                    if matches!(mode, CampaignMode::Warm | CampaignMode::Delta) {
-                        let key = cfg.footprint_key();
-                        if let Some(&j) = memo.get(&key) {
-                            memo_hits += 1;
-                            local[off] = local[j].clone();
-                            if let Some(rec) = recorder {
-                                rec.record(EpochRecord {
-                                    epoch: base + off,
-                                    footprint: key,
-                                    mode: EpochMode::Memo,
-                                    thread: t,
-                                    events: 0,
-                                    rounds: 0,
-                                    changes: 0,
-                                    routes_disturbed: 0,
-                                    converged: local[off].as_ref().expect("memo entry deployed").1,
-                                    wall_us: None,
-                                });
-                            }
-                            continue;
-                        }
-                        memo.insert(key, off);
-                    }
-                    let timer = recorder.and_then(|r| r.start_timer());
-                    let outcome = match mode {
-                        CampaignMode::Warm => session.deploy_config(
-                            origin,
-                            &cfg.to_link_announcements(),
-                            max_events_factor,
-                        ),
-                        CampaignMode::Delta => session.deploy_config_delta(
-                            origin,
-                            &cfg.to_link_announcements(),
-                            max_events_factor,
-                        ),
-                        CampaignMode::Cold => engine.propagate_config(
-                            origin,
-                            &cfg.to_link_announcements(),
-                            max_events_factor,
-                        ),
-                    }
-                    .expect("validated configuration");
-                    if let Some(rec) = recorder {
-                        let epoch_mode = match mode {
-                            CampaignMode::Warm if session.last_deploy_warm() => EpochMode::Warm,
-                            CampaignMode::Delta if session.last_deploy_warm() => EpochMode::Delta,
-                            _ => EpochMode::Cold,
-                        };
-                        rec.record(EpochRecord {
-                            epoch: base + off,
-                            footprint: cfg.footprint_key(),
-                            mode: epoch_mode,
-                            thread: t,
-                            events: outcome.events,
-                            rounds: outcome.rounds,
-                            changes: outcome.changes.len(),
-                            routes_disturbed: outcome.routes_disturbed,
-                            converged: outcome.converged,
-                            wall_us: rec.elapsed_us(timer),
-                        });
-                    }
-                    propagations += 1;
-                    disturbed += outcome.routes_disturbed;
-                    events += outcome.events;
-                    // Same incremental patch as the sequential executor:
-                    // the change log is exactly the set of moved routes.
-                    let patched = if mode == CampaignMode::Delta
-                        && source == CatchmentSource::ControlPlane
-                        && session.last_deploy_warm()
-                    {
-                        last_deployed.map(|j| {
-                            let mut c = local[j].clone().expect("deployed epoch extracted").0;
-                            for ch in &outcome.changes {
-                                c.set(ch.at, ch.ingress);
-                            }
-                            c
-                        })
-                    } else {
-                        None
-                    };
-                    local[off] = Some((
-                        patched.unwrap_or_else(|| extract_catchments(source, &outcome)),
-                        outcome.converged,
-                    ));
-                    last_deployed = Some(off);
-                }
-                (
-                    base,
-                    local,
-                    propagations,
-                    memo_hits,
-                    disturbed,
-                    events,
-                    session.cold_restarts(),
-                    session.peak_arena_nodes(),
-                )
-            }));
-        }
-        for h in handles {
-            let (
-                base,
-                local,
-                propagations,
-                memo_hits,
-                disturbed,
-                events,
-                cold_restarts,
-                peak_arena,
-            ) = h.join().expect("worker panicked");
-            for (off, r) in local.into_iter().enumerate() {
-                results[base + off] = r;
-            }
-            stats.propagations += propagations;
-            stats.memo_hits += memo_hits;
-            stats.routes_disturbed += disturbed;
-            stats.events += events;
-            stats.cold_restarts += cold_restarts;
-            // Per-worker arenas: the campaign's footprint is the largest
-            // single arena, not the sum.
-            stats.peak_arena_nodes = stats.peak_arena_nodes.max(peak_arena);
-        }
-    });
-    let mut catchments = Vec::with_capacity(configs.len());
-    let mut converged = Vec::with_capacity(configs.len());
-    for r in results {
-        let (cat, conv) = r.expect("every configuration processed");
-        catchments.push(cat);
-        converged.push(conv);
-    }
-    let tracked: Vec<AsIndex> = topo
-        .indices()
-        .filter(|&i| catchments[0].is_assigned(i))
-        .collect();
-    assemble_campaign(configs, catchments, converged, tracked, None, stats)
-}
-
-/// Partition of the AS index space into contiguous, equal-width shards
-/// for catchment extraction.
-///
-/// The plan is a pure function of `(num_ases, num_shards)`: the chunk
-/// width is `⌈n/k⌉` rounded up to a multiple of 64 so every shard
-/// boundary is u64-word-aligned in the bitset catchment rows (the
-/// [`trackdown_bgp::Catchments::assemble`] merge then ORs whole words
-/// instead of shifting across word boundaries). The effective shard
-/// count is recomputed from the rounded chunk, so no shard is ever
-/// empty. Because shards slice the *extraction* of each configuration's
-/// fixpoint — never the propagation itself — the assembled catchments
-/// are bit-identical for every shard count, which is what lets the
-/// sharded executor promise manifest byte-identity across `--shards`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    num_ases: usize,
-    chunk: usize,
-    num_shards: usize,
-}
-
-impl ShardPlan {
-    /// Smallest AS span worth a dedicated extraction task: below this,
-    /// per-task overhead (queue round-trip, slot bookkeeping) rivals the
-    /// scan itself, so [`ShardPlan::auto`] refuses to split further.
-    const MIN_SPAN: usize = 4096;
-
-    /// Plan `num_shards` shards over `num_ases` ASes. The request is
-    /// clamped to `1..=num_ases` and the chunk is rounded up to a
-    /// 64-AS multiple, so the effective [`Self::num_shards`] may be
-    /// smaller than requested but never yields an empty shard.
-    pub fn new(num_ases: usize, num_shards: usize) -> ShardPlan {
-        let requested = num_shards.clamp(1, num_ases.max(1));
-        let chunk = num_ases.div_ceil(requested).next_multiple_of(64).max(64);
-        ShardPlan {
-            num_ases,
-            chunk,
-            num_shards: num_ases.div_ceil(chunk).max(1),
-        }
-    }
-
-    /// Auto-tune the shard count from the worker-thread count: enough
-    /// shards that every thread can drain roughly two extraction tasks
-    /// per epoch (hiding producer/stealer imbalance), but never so many
-    /// that a shard spans fewer than [`Self::MIN_SPAN`] ASes — per-shard
-    /// extraction work is proportional to its AS span, so tiny shards
-    /// are pure queue overhead. Single-threaded runs get one shard:
-    /// there is nobody to share the extraction with.
-    pub fn auto(num_ases: usize, threads: usize) -> ShardPlan {
-        if threads <= 1 {
-            return ShardPlan::new(num_ases, 1);
-        }
-        let cap = num_ases.div_ceil(Self::MIN_SPAN).max(1);
-        ShardPlan::new(num_ases, (threads * 2).min(cap))
-    }
-
-    /// Number of shards after clamping and 64-alignment.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// The AS-index range shard `s` covers.
-    pub fn range(&self, shard: usize) -> std::ops::Range<usize> {
-        (shard * self.chunk).min(self.num_ases)..((shard + 1) * self.chunk).min(self.num_ases)
-    }
-
-    /// All shard ranges, in order; they tile `0..num_ases` exactly.
-    pub fn ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        (0..self.num_shards).map(|s| self.range(s))
-    }
-}
-
-/// Extract one shard's slice of the requested ground-truth catchments.
-fn extract_shard(
-    source: CatchmentSource,
-    outcome: &RoutingOutcome,
-    range: std::ops::Range<usize>,
-) -> trackdown_bgp::ShardCatchments {
-    match source {
-        CatchmentSource::ControlPlane => {
-            trackdown_bgp::ShardCatchments::from_control_plane(outcome, range)
-        }
-        CatchmentSource::DataPlane => {
-            trackdown_bgp::ShardCatchments::from_data_plane(outcome, range)
-        }
-        CatchmentSource::Measured => {
-            unreachable!("measured catchments come from the observation plane")
-        }
-    }
-}
-
-/// Sharded batch-catchment executor: [`run_campaign_parallel`] with the
-/// per-configuration catchment extraction additionally split into
-/// [`ShardPlan`] AS-ranges that are processed as a work-stealing batch.
-pub fn run_campaign_sharded(
-    engine: &BgpEngine<'_>,
-    origin: &OriginAs,
-    configs: &[AnnouncementConfig],
-    source: CatchmentSource,
-    max_events_factor: usize,
-    threads: usize,
-    shards: usize,
-) -> Campaign {
-    run_campaign_sharded_recorded(
-        engine,
-        origin,
-        configs,
-        source,
-        max_events_factor,
-        threads,
-        shards,
-        CampaignMode::Warm,
-        None,
-    )
-}
-
-/// [`run_campaign_sharded`] with an explicit executor mode.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_sharded_mode(
-    engine: &BgpEngine<'_>,
-    origin: &OriginAs,
-    configs: &[AnnouncementConfig],
-    source: CatchmentSource,
-    max_events_factor: usize,
-    threads: usize,
-    shards: usize,
-    mode: CampaignMode,
-) -> Campaign {
-    run_campaign_sharded_recorded(
-        engine,
-        origin,
-        configs,
-        source,
-        max_events_factor,
-        threads,
-        shards,
-        mode,
-        None,
-    )
-}
-
-/// The sharded batch-catchment executor.
-///
-/// **Propagation** is identical to [`run_campaign_parallel_recorded`]:
-/// contiguous schedule chunks per worker, one persistent warm session and
-/// footprint memo per worker, epochs recorded with the same thread ids.
-/// The shard count therefore cannot perturb propagation, epoch records,
-/// or deterministic manifests — only how extraction work is scheduled.
-///
-/// **Extraction** is the sharded part: after each fixpoint, the producing
-/// worker enqueues one `(epoch, shard)` task per [`ShardPlan`] range onto
-/// a shared work-stealing queue, sharing the outcome behind an [`Arc`].
-/// Any worker may pop any task (workers that finish their propagation
-/// chunk early drain the queue instead of idling; a producer also drains
-/// opportunistically after enqueuing, which bounds the queue — and the
-/// retained outcomes — to the shards of in-flight epochs). Results land
-/// in `(epoch, shard)`-keyed slots, so completion order is irrelevant:
-/// per-epoch slices reassemble with [`Catchments::assemble`] into exactly
-/// the whole-topology extraction, in schedule order.
-///
-/// **Memory** stays bounded per the tentpole contract: right after each
-/// deployment every worker absorbs only the paths its changed routes
-/// actually reference into a private collector arena (incremental rooted
-/// absorption via [`trackdown_bgp::PathArena::absorb_rooted_cached`],
-/// taken before any event-cap cold restart can truncate the session
-/// arena), and at join
-/// the collectors merge through canonical interning —
-/// `stats.merged_arena_nodes` is the size of that union arena, which
-/// root filtering plus shared prefixes keep near the *referenced* path
-/// set instead of `threads ×` the full per-worker arenas.
-///
-/// Passing `shards == 0` auto-tunes the shard count from the thread
-/// count via [`ShardPlan::auto`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_sharded_recorded(
-    engine: &BgpEngine<'_>,
-    origin: &OriginAs,
-    configs: &[AnnouncementConfig],
-    source: CatchmentSource,
-    max_events_factor: usize,
-    threads: usize,
-    shards: usize,
-    mode: CampaignMode,
-    recorder: Option<&CampaignRecorder>,
-) -> Campaign {
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex};
-
-    assert!(!configs.is_empty(), "empty schedule");
-    assert!(
-        source != CatchmentSource::Measured,
-        "measured campaigns are sequential (the observation plane salts by deployment order)"
-    );
-    let _span = trackdown_obs::span("campaign.run");
-    let topo = engine.topology();
-    let threads = threads.max(1);
-    let plan = if shards == 0 {
-        ShardPlan::auto(topo.num_ases(), threads)
-    } else {
-        ShardPlan::new(topo.num_ases(), shards)
-    };
-    let num_shards = plan.num_shards();
-    let chunk_size = configs.len().div_ceil(threads);
-    let num_workers = configs.chunks(chunk_size).len();
-
-    /// One unit of extraction work: slice `shard` of epoch `epoch`'s
-    /// routing outcome.
-    struct ExtractTask {
-        epoch: usize,
-        shard: usize,
-        producer: usize,
-        outcome: Arc<RoutingOutcome>,
-    }
-
-    let queue: Mutex<VecDeque<ExtractTask>> = Mutex::new(VecDeque::new());
-    // Producers still propagating; stealers spin until this hits zero.
-    let producers = AtomicUsize::new(num_workers);
-    let parts: Mutex<Vec<Option<trackdown_bgp::ShardCatchments>>> =
-        Mutex::new(vec![None; configs.len() * num_shards]);
-
-    // Pop-and-extract one task. Returns false when the queue was empty.
-    let steal_one = |t: usize| -> bool {
-        let Some(task) = queue.lock().expect("queue poisoned").pop_front() else {
-            return false;
-        };
-        // Own-epoch pops and cross-worker steals get distinct trace
-        // phases: a steal-heavy timeline means producers can't keep the
-        // queue fed.
-        let stolen = task.producer != t;
-        let mut span = trackdown_obs::span(if stolen {
-            "worker.steal"
-        } else {
-            "worker.extract"
-        });
-        span.set_attr("epoch", task.epoch as u64);
-        span.set_attr("shard", task.shard as u64);
-        trackdown_obs::counter!("campaign.shard_tasks").inc();
-        if stolen {
-            trackdown_obs::counter!("campaign.shard_steals").inc();
-        }
-        let part = extract_shard(source, &task.outcome, plan.range(task.shard));
-        parts.lock().expect("parts poisoned")[task.epoch * num_shards + task.shard] = Some(part);
-        true
-    };
-
-    let mut stats = CampaignStats {
-        mode,
-        threads: num_workers,
-        shards: num_shards,
-        ..CampaignStats::default()
-    };
-    let mut converged_by_k: Vec<Option<bool>> = vec![None; configs.len()];
-    let mut memo_pairs: Vec<(usize, usize)> = Vec::new();
-    let mut merged = trackdown_bgp::PathArena::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, chunk) in configs.chunks(chunk_size).enumerate() {
-            let base = t * chunk_size;
-            let (queue, producers, steal_one) = (&queue, &producers, &steal_one);
-            handles.push(scope.spawn(move || {
-                let order: Vec<usize> = match mode {
-                    CampaignMode::Warm | CampaignMode::Delta => warm_start_order(chunk),
-                    CampaignMode::Cold => (0..chunk.len()).collect(),
-                };
-                let mut session = engine.session();
-                // Per-worker path collector: right after each deployment
-                // the ancestor chains of routes the epoch actually
-                // selected are absorbed here (rooted, so candidate-only
-                // paths never leave the session arena, and a later
-                // event-cap cold restart cannot dangle the ids).
-                // Warm/Delta only — cold epochs propagate in a per-call
-                // simulation whose arena is gone once the outcome returns.
-                let mut collector = trackdown_bgp::PathArena::new();
-                // Session-arena → collector id cache for the incremental
-                // absorb; valid only while the session arena is
-                // append-only, so it resets whenever the session
-                // cold-restarted (the sole truncation point).
-                let mut absorb_remap: Vec<trackdown_bgp::PathId> = Vec::new();
-                let mut absorbed_restarts = 0usize;
-                let mut roots: Vec<trackdown_bgp::PathId> = Vec::new();
-                let mut memo: HashMap<String, usize> = HashMap::new();
-                let mut converged: Vec<Option<bool>> = vec![None; chunk.len()];
-                let mut pairs: Vec<(usize, usize)> = Vec::new();
-                let mut propagations = 0usize;
-                let mut memo_hits = 0usize;
-                let mut disturbed = 0usize;
-                let mut events = 0usize;
-                // Utilization accounting, accumulated worker-locally so
-                // the drain spin loop touches no shared cache lines.
-                let worker_start = std::time::Instant::now();
-                let mut idle_us = 0u64;
-                let mut steal_fails = 0u64;
-                for &off in &order {
-                    let cfg = &chunk[off];
-                    cfg.validate(origin).expect("invalid configuration");
-                    if matches!(mode, CampaignMode::Warm | CampaignMode::Delta) {
-                        let key = cfg.footprint_key();
-                        if let Some(&j) = memo.get(&key) {
-                            memo_hits += 1;
-                            converged[off] = converged[j];
-                            // Reuse epoch j's assembled catchments after the
-                            // batch instead of re-extracting its shards.
-                            pairs.push((base + off, base + j));
-                            if let Some(rec) = recorder {
-                                rec.record(EpochRecord {
-                                    epoch: base + off,
-                                    footprint: key,
-                                    mode: EpochMode::Memo,
-                                    thread: t,
-                                    events: 0,
-                                    rounds: 0,
-                                    changes: 0,
-                                    routes_disturbed: 0,
-                                    converged: converged[off].expect("memo entry deployed"),
-                                    wall_us: None,
-                                });
-                            }
-                            continue;
-                        }
-                        memo.insert(key, off);
-                    }
-                    // Produce segment: deploy + record + enqueue. The
-                    // help-first drain that follows is traced as
-                    // extract/steal time, so the timeline separates the
-                    // two costs per worker.
-                    let mut produce = trackdown_obs::span("worker.produce");
-                    produce.set_attr("epoch", (base + off) as u64);
-                    let timer = recorder.and_then(|r| r.start_timer());
-                    let outcome = match mode {
-                        CampaignMode::Warm => session.deploy_config(
-                            origin,
-                            &cfg.to_link_announcements(),
-                            max_events_factor,
-                        ),
-                        CampaignMode::Delta => session.deploy_config_delta(
-                            origin,
-                            &cfg.to_link_announcements(),
-                            max_events_factor,
-                        ),
-                        CampaignMode::Cold => engine.propagate_config(
-                            origin,
-                            &cfg.to_link_announcements(),
-                            max_events_factor,
-                        ),
-                    }
-                    .expect("validated configuration");
-                    produce.set_attr("events", outcome.events as u64);
-                    if let Some(rec) = recorder {
-                        let epoch_mode = match mode {
-                            CampaignMode::Warm if session.last_deploy_warm() => EpochMode::Warm,
-                            CampaignMode::Delta if session.last_deploy_warm() => EpochMode::Delta,
-                            _ => EpochMode::Cold,
-                        };
-                        rec.record(EpochRecord {
-                            epoch: base + off,
-                            footprint: cfg.footprint_key(),
-                            mode: epoch_mode,
-                            thread: t,
-                            events: outcome.events,
-                            rounds: outcome.rounds,
-                            changes: outcome.changes.len(),
-                            routes_disturbed: outcome.routes_disturbed,
-                            converged: outcome.converged,
-                            wall_us: rec.elapsed_us(timer),
-                        });
-                    }
-                    propagations += 1;
-                    disturbed += outcome.routes_disturbed;
-                    events += outcome.events;
-                    converged[off] = Some(outcome.converged);
-                    if matches!(mode, CampaignMode::Warm | CampaignMode::Delta) {
-                        roots.clear();
-                        roots.extend(
-                            outcome
-                                .changes
-                                .iter()
-                                .filter_map(|ch| outcome.best[ch.at.us()].map(|r| r.path_id)),
-                        );
-                        if session.cold_restarts() != absorbed_restarts {
-                            absorbed_restarts = session.cold_restarts();
-                            absorb_remap.clear();
-                        }
-                        session.absorb_paths_rooted_cached(
-                            &mut collector,
-                            &roots,
-                            &mut absorb_remap,
-                        );
-                    }
-                    let outcome = Arc::new(outcome);
-                    {
-                        let mut q = queue.lock().expect("queue poisoned");
-                        for shard in 0..num_shards {
-                            q.push_back(ExtractTask {
-                                epoch: base + off,
-                                shard,
-                                producer: t,
-                                outcome: Arc::clone(&outcome),
-                            });
-                        }
-                        trackdown_obs::counter_sample("campaign.queue_depth", q.len() as u64);
-                    }
-                    drop(produce);
-                    // Help-first draining: keep the queue (and the routing
-                    // outcomes it retains) bounded by in-flight epochs.
-                    while steal_one(t) {}
-                    steal_fails += 1; // the drain exits on an empty pop
-                }
-                producers.fetch_sub(1, Ordering::AcqRel);
-                // Chunk done: steal until every producer has finished and
-                // the queue is drained. Idle stretches (empty-queue spins
-                // between successful steals) are timed worker-locally and
-                // recorded as `worker.idle` trace spans.
-                let mut idle_since: Option<std::time::Instant> = None;
-                let close_idle = |idle_since: &mut Option<std::time::Instant>,
-                                  idle_us: &mut u64| {
-                    if let Some(since) = idle_since.take() {
-                        let now = std::time::Instant::now();
-                        *idle_us += now
-                            .checked_duration_since(since)
-                            .map(|d| d.as_micros() as u64)
-                            .unwrap_or(0);
-                        trackdown_obs::record_span("worker.idle", since, now);
-                    }
-                };
-                loop {
-                    let mut worked = steal_one(t);
-                    if !worked {
-                        steal_fails += 1;
-                        if producers.load(Ordering::Acquire) == 0 {
-                            // Producers all done: one confirming pop
-                            // guards against tasks enqueued between our
-                            // failed pop and the producer count reaching
-                            // zero.
-                            if steal_one(t) {
-                                worked = true;
-                            } else {
-                                steal_fails += 1;
-                                break;
-                            }
-                        }
-                    }
-                    if worked {
-                        close_idle(&mut idle_since, &mut idle_us);
-                        continue;
-                    }
-                    if idle_since.is_none() {
-                        idle_since = Some(std::time::Instant::now());
-                    }
-                    std::thread::yield_now();
-                }
-                close_idle(&mut idle_since, &mut idle_us);
-                trackdown_obs::counter!("campaign.shard_steal_fails").add(steal_fails);
-                let total_us = worker_start.elapsed().as_micros() as u64;
-                (
-                    base,
-                    converged,
-                    pairs,
-                    propagations,
-                    (memo_hits, disturbed, events),
-                    session.cold_restarts(),
-                    session.peak_arena_nodes(),
-                    collector.store(),
-                    (total_us.saturating_sub(idle_us), idle_us, steal_fails),
-                )
-            }));
-        }
-        for h in handles {
-            let (base, converged, pairs, propagations, counts, cold_restarts, peak, store, util) =
-                h.join().expect("worker panicked");
-            for (off, c) in converged.into_iter().enumerate() {
-                converged_by_k[base + off] = c;
-            }
-            memo_pairs.extend(pairs);
-            stats.propagations += propagations;
-            stats.memo_hits += counts.0;
-            stats.routes_disturbed += counts.1;
-            stats.events += counts.2;
-            stats.cold_restarts += cold_restarts;
-            stats.peak_arena_nodes = stats.peak_arena_nodes.max(peak);
-            stats.worker_busy_us.push(util.0);
-            stats.worker_idle_us.push(util.1);
-            stats.shard_steal_fails += util.2 as usize;
-            // Canonical-interning merge of the rooted collectors: shared
-            // path prefixes across workers collapse to single nodes, and
-            // only paths some epoch actually selected are present at all.
-            if !store.is_empty() {
-                let _span = trackdown_obs::span("worker.merge").attr("nodes", store.len() as u64);
-                merged.absorb_store(&store);
-            }
-        }
-    });
-    stats.merged_arena_nodes = merged.num_nodes();
-
-    let parts = parts.into_inner().expect("parts poisoned");
-    let mut catchments_by_k: Vec<Option<Catchments>> = parts
-        .chunks(num_shards)
-        .map(|epoch_parts| {
-            if epoch_parts.iter().all(|p| p.is_some()) {
-                Some(Catchments::assemble(
-                    topo.num_ases(),
-                    epoch_parts.iter().flatten(),
-                ))
-            } else {
-                None // memo epoch: filled from its source below
-            }
-        })
-        .collect();
-    for &(k, j) in &memo_pairs {
-        catchments_by_k[k] = Some(
-            catchments_by_k[j]
-                .clone()
-                .expect("memo source epoch deployed and assembled"),
-        );
-    }
-    let catchments: Vec<Catchments> = catchments_by_k
-        .into_iter()
-        .map(|c| c.expect("every configuration extracted"))
-        .collect();
-    let converged: Vec<bool> = converged_by_k
-        .into_iter()
-        .map(|c| c.expect("every configuration deployed"))
-        .collect();
-    let tracked: Vec<AsIndex> = topo
-        .indices()
-        .filter(|&i| catchments[0].is_assigned(i))
-        .collect();
-    assemble_campaign(configs, catchments, converged, tracked, None, stats)
 }
 
 /// A cluster ranked by how much spoofed volume it can explain.
@@ -2042,14 +1275,8 @@ mod tests {
                 max_poison_configs: Some(10),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         assert_eq!(campaign.records.len(), schedule.len());
         let first = campaign.records.first().unwrap();
         let last = campaign.records.last().unwrap();
@@ -2080,14 +1307,8 @@ mod tests {
                 max_poison_configs: Some(10),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         // Plant a single attacker in a tracked AS.
         let attacker = campaign.tracked[campaign.tracked.len() / 2];
         let mut volume = vec![0u64; g.topology.num_ases()];
@@ -2119,14 +1340,8 @@ mod tests {
                 max_poison_configs: Some(10),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let a = campaign.tracked[3];
         let b = campaign.tracked[campaign.tracked.len() - 4];
         let mut volume = vec![0u64; g.topology.num_ases()];
@@ -2151,14 +1366,8 @@ mod tests {
                 max_poison_configs: Some(10),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         // Several simultaneous sources.
         let sources = [
             campaign.tracked[2],
@@ -2204,14 +1413,8 @@ mod tests {
                 max_poison_configs: Some(10),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let attacker = campaign.tracked[campaign.tracked.len() / 2];
         let mut volume = vec![0u64; g.topology.num_ases()];
         volume[attacker.us()] = 777_000;
@@ -2236,122 +1439,23 @@ mod tests {
                 max_poison_configs: Some(10),
             },
         );
-        let seq = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let seq = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         for threads in [1usize, 3, 8, 64] {
-            let par = run_campaign_parallel(
+            let par = run_campaign(
                 &engine,
                 &origin,
                 &schedule,
-                CatchmentSource::ControlPlane,
-                200,
-                threads,
-            );
+                &CampaignOpts {
+                    threads,
+                    ..CampaignOpts::default()
+                },
+            )
+            .expect("valid schedule");
             assert_eq!(par.catchments, seq.catchments, "threads={threads}");
             assert_eq!(par.tracked, seq.tracked);
             assert_eq!(par.clustering.num_clusters(), seq.clustering.num_clusters());
             assert_eq!(par.records, seq.records);
-        }
-    }
-
-    #[test]
-    fn sharded_campaign_equals_parallel_for_every_shard_count() {
-        let (g, origin, cfg) = setup();
-        let engine = BgpEngine::new(&g.topology, &cfg);
-        let schedule = full_schedule(
-            &g.topology,
-            &origin,
-            &GeneratorParams {
-                max_removals: 2,
-                max_poison_configs: Some(10),
-            },
-        );
-        for source in [CatchmentSource::ControlPlane, CatchmentSource::DataPlane] {
-            let seq = run_campaign_mode(
-                &engine,
-                &origin,
-                &schedule,
-                source,
-                None,
-                200,
-                CampaignMode::Warm,
-            );
-            for (threads, shards) in [(1, 1), (1, 4), (3, 2), (4, 8), (2, 64)] {
-                let sharded =
-                    run_campaign_sharded(&engine, &origin, &schedule, source, 200, threads, shards);
-                assert_eq!(
-                    sharded.catchments, seq.catchments,
-                    "threads={threads} shards={shards}"
-                );
-                assert_eq!(sharded.tracked, seq.tracked);
-                assert_eq!(sharded.clustering.clusters(), seq.clustering.clusters());
-                assert_eq!(sharded.attribution, seq.attribution);
-                assert_eq!(sharded.records, seq.records);
-                assert_eq!(
-                    sharded.stats.shards,
-                    ShardPlan::new(g.topology.num_ases(), shards).num_shards()
-                );
-                // The canonical merge produced a non-trivial union arena
-                // (final session arenas can sit below the high-water mark
-                // after cold restarts, so `peak` is not a lower bound).
-                assert!(sharded.stats.merged_arena_nodes > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_plan_tiles_the_index_space() {
-        for (n, k) in [
-            (10, 3),
-            (10, 1),
-            (7, 7),
-            (5, 9),
-            (1, 4),
-            (100, 8),
-            (12_000, 8),
-            (80_000, 16),
-        ] {
-            let plan = ShardPlan::new(n, k);
-            assert!(plan.num_shards() >= 1 && plan.num_shards() <= n.max(1));
-            let mut covered = 0usize;
-            let mut next = 0usize;
-            for r in plan.ranges() {
-                assert_eq!(r.start, next, "ranges must tile contiguously");
-                assert!(!r.is_empty(), "no empty shards after clamping");
-                assert_eq!(
-                    r.start % 64,
-                    0,
-                    "shard boundaries are u64-word-aligned for the bitset merge"
-                );
-                covered += r.len();
-                next = r.end;
-            }
-            assert_eq!(covered, n);
-            assert_eq!(next, n);
-        }
-    }
-
-    #[test]
-    fn shard_plan_auto_scales_with_threads_but_respects_min_span() {
-        // Single-threaded: one shard, nothing to share.
-        assert_eq!(ShardPlan::auto(80_000, 1).num_shards(), 1);
-        // Multicore at scale: two tasks per thread.
-        assert_eq!(ShardPlan::auto(80_000, 8).num_shards(), 16);
-        // Small topology: the MIN_SPAN cap wins over thread count.
-        let small = ShardPlan::auto(100, 8);
-        assert_eq!(small.num_shards(), 1);
-        // Mid-size: capped at ⌈n / MIN_SPAN⌉ shards, never below MIN_SPAN
-        // per shard (modulo the final partial shard).
-        let mid = ShardPlan::auto(12_000, 8);
-        assert!(mid.num_shards() <= 3);
-        for r in mid.ranges() {
-            assert_eq!(r.start % 64, 0);
         }
     }
 
@@ -2367,14 +1471,8 @@ mod tests {
                 max_poison_configs: Some(10),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let attacker = campaign.tracked[campaign.tracked.len() / 3];
         let mut volume = vec![0u64; g.topology.num_ases()];
         volume[attacker.us()] = 1_000;
@@ -2411,10 +1509,12 @@ mod tests {
             &engine,
             &origin,
             &schedule,
-            CatchmentSource::Measured,
-            Some(&plane),
-            200,
-        );
+            &CampaignOpts {
+                source: CatchmentSource::Measured(&plane),
+                ..CampaignOpts::default()
+            },
+        )
+        .expect("valid schedule");
         let stats = campaign.imputation.unwrap();
         assert_eq!(stats.analysis_sources, campaign.tracked.len());
         assert!(!campaign.tracked.is_empty());
@@ -2436,14 +1536,8 @@ mod tests {
                 max_poison_configs: Some(10),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let mut volume = vec![0u64; g.topology.num_ases()];
         for (i, s) in campaign.tracked.iter().step_by(7).enumerate() {
             volume[s.us()] = 10_000 * (i as u64 + 1);
@@ -2477,14 +1571,8 @@ mod tests {
                 max_poison_configs: Some(6),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let links = campaign.attribution.final_links();
         assert_eq!(links.len(), campaign.clustering.num_clusters());
         assert_eq!(
@@ -2520,14 +1608,8 @@ mod tests {
                 max_poison_configs: Some(4),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let mut vols = link_volume_matrix(&campaign, &vec![1u64; g.topology.num_ases()]);
         vols[0].truncate(campaign.attribution.num_links().saturating_sub(1));
         let _ = rank_suspects(&campaign, &vols);
@@ -2549,14 +1631,8 @@ mod tests {
                 max_poison_configs: Some(4),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let mut vols = link_volume_matrix(&campaign, &vec![1u64; g.topology.num_ases()]);
         vols[0].push(77); // one entry past the attribution width
         let _ = estimate_cluster_volumes(&campaign, &vols, 10);
@@ -2577,14 +1653,8 @@ mod tests {
                 max_poison_configs: Some(4),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let volume = vec![3u64; g.topology.num_ases()];
         let exact = link_volume_matrix(&campaign, &volume);
         // Honeypot-shaped rows: origin width, possibly wider than the
@@ -2605,17 +1675,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty schedule")]
     fn empty_schedule_rejected() {
+        let (g, _, cfg) = setup();
+        let origin = OriginAs::peering_style(&g, 4);
+        let engine = BgpEngine::new(&g.topology, &cfg);
+        let err = run_campaign(&engine, &origin, &[], &CampaignOpts::default()).unwrap_err();
+        assert_eq!(err, CampaignError::EmptySchedule);
+        assert_eq!(err.to_string(), "empty schedule");
+    }
+
+    /// An invalid configuration is refused up front, named by its
+    /// schedule index, at every thread count.
+    #[test]
+    fn invalid_config_rejected_with_its_index() {
         let (g, origin, cfg) = setup();
         let engine = BgpEngine::new(&g.topology, &cfg);
-        let _ = run_campaign(
-            &engine,
+        let mut schedule = full_schedule(
+            &g.topology,
             &origin,
-            &[],
-            CatchmentSource::ControlPlane,
-            None,
-            200,
+            &GeneratorParams {
+                max_removals: 1,
+                max_poison_configs: Some(4),
+            },
         );
+        schedule[3].announce.clear();
+        for threads in [1, 4] {
+            let opts = CampaignOpts {
+                threads,
+                ..CampaignOpts::default()
+            };
+            let err = run_campaign(&engine, &origin, &schedule, &opts).unwrap_err();
+            assert_eq!(
+                err,
+                CampaignError::InvalidConfig {
+                    index: 3,
+                    error: ConfigError::EmptyAnnouncement
+                }
+            );
+            assert!(err.to_string().contains("configuration 3"), "{err}");
+        }
     }
 }

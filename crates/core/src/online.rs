@@ -354,7 +354,7 @@ pub fn simulate_online_attack(
 mod tests {
     use super::*;
     use crate::generator::{full_schedule, GeneratorParams};
-    use crate::localize::{run_campaign, CatchmentSource};
+    use crate::localize::{run_campaign, CampaignOpts};
     use trackdown_bgp::{EngineConfig, PolicyConfig};
     use trackdown_topology::gen::{generate, TopologyConfig};
 
@@ -391,14 +391,8 @@ mod tests {
     fn online_loop_localizes_single_attacker() {
         let (g, origin, cfg, schedule) = setup();
         let engine = BgpEngine::new(&g.topology, &cfg);
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let attacker = campaign.tracked[campaign.tracked.len() / 4];
         let mut vol = vec![0u64; g.topology.num_ases()];
         vol[attacker.us()] = 1_000;
@@ -429,14 +423,8 @@ mod tests {
     fn greedy_needs_no_more_configs_than_sequential() {
         let (g, origin, cfg, schedule) = setup();
         let engine = BgpEngine::new(&g.topology, &cfg);
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let mut greedy_total = 0usize;
         let mut seq_total = 0usize;
         for k in 0..6 {
@@ -472,14 +460,8 @@ mod tests {
     fn multiple_prefixes_cut_rounds() {
         let (g, origin, cfg, schedule) = setup();
         let engine = BgpEngine::new(&g.topology, &cfg);
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let attacker = campaign.tracked[campaign.tracked.len() / 4];
         let mut vol = vec![0u64; g.topology.num_ases()];
         vol[attacker.us()] = 1_000;
@@ -514,14 +496,8 @@ mod tests {
     fn budget_exhaustion_reports_not_localized() {
         let (g, origin, cfg, schedule) = setup();
         let engine = BgpEngine::new(&g.topology, &cfg);
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let attacker = campaign.tracked[1];
         let mut vol = vec![0u64; g.topology.num_ases()];
         vol[attacker.us()] = 1_000;

@@ -162,7 +162,7 @@ pub fn evaluate_proposals(
 mod tests {
     use super::*;
     use crate::generator::{full_schedule, GeneratorParams};
-    use crate::localize::{run_campaign, CatchmentSource};
+    use crate::localize::{run_campaign, CampaignOpts};
     use trackdown_bgp::{EngineConfig, PolicyConfig};
     use trackdown_topology::gen::{generate, TopologyConfig};
 
@@ -199,14 +199,8 @@ mod tests {
                 max_poison_configs: Some(0),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let proposals = propose_targeted_poisons(&engine, &origin, &campaign, 10, 8, 5);
         assert!(!proposals.is_empty(), "no targeted proposals found");
         let provider_asns: Vec<Asn> = origin.links.iter().map(|l| l.provider).collect();
@@ -230,14 +224,8 @@ mod tests {
                 max_poison_configs: Some(0),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let proposals = propose_targeted_poisons(&engine, &origin, &campaign, 10, 8, 5);
         let (before, after) = evaluate_proposals(&engine, &origin, &campaign, &proposals);
         assert!(
@@ -260,14 +248,8 @@ mod tests {
                 max_poison_configs: Some(40),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let clusters = campaign.clustering.clusters();
         let proposals = propose_targeted_poisons(&engine, &origin, &campaign, 5, 4, 5);
         for p in &proposals {

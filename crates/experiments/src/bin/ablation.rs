@@ -6,7 +6,7 @@
 
 use trackdown_bgp::Catchments;
 use trackdown_core::generator::community_phase;
-use trackdown_core::localize::{run_campaign, CatchmentSource};
+use trackdown_core::localize::{run_campaign, CampaignOpts};
 use trackdown_core::targeting::{evaluate_proposals, propose_targeted_poisons};
 use trackdown_experiments::{report_stats, Options, Scenario};
 
@@ -36,14 +36,8 @@ fn run_base(
     base_label: &str,
     schedule: &[trackdown_core::AnnouncementConfig],
 ) {
-    let campaign = run_campaign(
-        engine,
-        &scenario.origin,
-        schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(engine, &scenario.origin, schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     report_stats(&campaign);
     println!("# Ablation on base: {base_label}\n");
     println!(

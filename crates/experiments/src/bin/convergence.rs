@@ -3,6 +3,7 @@
 //! convergence under 2.5 minutes 99% of the time; each configuration is
 //! kept active 70 minutes to be safe).
 
+use trackdown_bgp::SnapshotDetail;
 use trackdown_experiments::{Options, Scenario};
 
 fn main() {
@@ -29,7 +30,13 @@ fn main() {
         events.push(out.events);
         if k > 0 {
             let warm = engine
-                .transition_config(&scenario.origin, &prev, &anns, 200)
+                .transition_config(
+                    &scenario.origin,
+                    &prev,
+                    &anns,
+                    200,
+                    SnapshotDetail::Catchments,
+                )
                 .unwrap();
             transition_changes += warm.changes.len();
             transition_rounds.push(warm.rounds);

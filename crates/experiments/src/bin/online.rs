@@ -2,7 +2,7 @@
 //! how many configurations does the online loop need to reduce the
 //! suspect set to a handful of ASes, with and without greedy selection?
 
-use trackdown_core::localize::{run_campaign, CatchmentSource};
+use trackdown_core::localize::{run_campaign, CampaignOpts};
 use trackdown_core::online::{simulate_online_attack, OnlineOptions};
 use trackdown_experiments::{report_stats, Options, Scenario};
 
@@ -16,10 +16,9 @@ fn main() {
         &engine,
         &scenario.origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+        &CampaignOpts::default(),
+    )
+    .expect("valid schedule");
     report_stats(&campaign);
 
     let trials = 40usize;

@@ -7,7 +7,7 @@
 
 use trackdown_bgp::{BgpEngine, Catchments, EngineConfig, PolicyConfig};
 use trackdown_core::localize::{
-    fit_link_volumes, match_fraction_scores, rank_suspects, run_campaign, CatchmentSource,
+    fit_link_volumes, match_fraction_scores, rank_suspects, run_campaign, CampaignOpts,
 };
 use trackdown_experiments::{report_stats, Options, Scenario};
 
@@ -23,10 +23,9 @@ fn main() {
         &engine,
         &scenario.origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+        &CampaignOpts::default(),
+    )
+    .expect("valid schedule");
     report_stats(&campaign);
 
     println!("# Staleness study: localization with pre-attack catchments");

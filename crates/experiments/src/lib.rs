@@ -21,10 +21,11 @@
 //! Internet, not PEERING + RouteViews + Atlas); the *shapes* are the
 //! reproduction target. Every binary accepts `--scale
 //! small|medium|full|large|internet` (default `full`), `--seed <u64>`,
-//! and `--shards <n|auto>` (sharded catchment extraction for the larger
-//! scales). The `internet` scale loads a real CAIDA `as-rel` snapshot
-//! from the path in `TRACKDOWN_AS_REL` when that variable is set, and
-//! falls back to a deterministic 80 000-AS power-law graph otherwise.
+//! `--cold` or `--delta` (the routing sessions' reuse policy; warm by
+//! default) and `--threads <n>`. The `internet` scale loads a real
+//! CAIDA `as-rel` snapshot from the path in `TRACKDOWN_AS_REL` when that
+//! variable is set, and falls back to a deterministic 80 000-AS
+//! power-law graph otherwise.
 
 use std::collections::BTreeSet;
 use trackdown_bgp::{
@@ -33,7 +34,7 @@ use trackdown_bgp::{
 };
 use trackdown_core::generator::{full_schedule, phase_boundaries, GeneratorParams};
 use trackdown_core::localize::{
-    run_campaign_recorded, run_campaign_sharded_recorded, Campaign, CampaignMode, CatchmentSource,
+    run_campaign, Campaign, CampaignMode, CampaignOpts, CatchmentSource,
 };
 use trackdown_core::report::{downsample, render_table, Series};
 use trackdown_core::{AnnouncementConfig, Phase};
@@ -55,7 +56,7 @@ pub enum Scale {
     /// ≈2000 ASes, 7 PoPs — the paper-like scale (default).
     Full,
     /// ≈12 000 ASes (power-law generator), 7 PoPs — the paper-scale
-    /// workload the sharded batch-catchment engine targets. The schedule
+    /// workload the multi-threaded campaign executor targets. The schedule
     /// is trimmed (one-removal locations, capped poisons) so runtime is
     /// dominated by propagation + extraction over the large graph.
     Large,
@@ -105,21 +106,12 @@ pub struct Options {
     /// control-plane oracle — closest to the paper's §IV pipeline, where
     /// only feed/probe-visible sources enter the analysis.
     pub measured: bool,
-    /// Cold-start every configuration from scratch instead of the default
-    /// warm-start epoch reuse. Slower; kept as the reference oracle.
-    pub cold: bool,
-    /// Delta-propagate epoch transitions: diff each configuration against
-    /// the previous one, seed only changed providers, and schedule the
-    /// queue in customer-cone rank order. Identical results to warm/cold
-    /// (enforced by `tests/delta_differential.rs`), least work per epoch.
-    pub delta: bool,
-    /// Catchment-extraction shards per configuration (`--shards <n|auto>`,
-    /// default `auto`). Shards split each fixpoint's extraction into
-    /// AS-index ranges processed as a work-stealing batch; results are
-    /// identical for every value — this is purely a load-balancing knob
-    /// for large topologies. `0` (the `auto` spelling) tunes the count
-    /// from the worker-thread count and topology size.
-    pub shards: usize,
+    /// How each routing session reuses state between configurations:
+    /// warm-start epoch reuse by default, `--cold` to cold-start every
+    /// configuration (the slower reference oracle), `--delta` to seed
+    /// only changed providers in customer-cone rank order. Results are
+    /// identical in every mode (enforced by `tests/delta_differential.rs`).
+    pub mode: CampaignMode,
     /// Worker-thread override (`--threads`). Defaults to the machine's
     /// available parallelism. Results are thread-count-invariant; this
     /// pins the executor shape for profiling and benches.
@@ -146,9 +138,7 @@ impl Default for Options {
             scale: Scale::Full,
             seed: 0x5eed_0001,
             measured: false,
-            cold: false,
-            delta: false,
-            shards: 0,
+            mode: CampaignMode::Warm,
             threads: None,
             metrics_out: None,
             metrics_deterministic: false,
@@ -194,8 +184,8 @@ pub fn parse_defense(s: &str) -> Option<ExtensionDeployment> {
 }
 
 impl Options {
-    /// Parse `--scale` and `--seed` from process arguments; exits with a
-    /// usage message on malformed input.
+    /// Parse the shared flags from process arguments; exits with a usage
+    /// message on malformed input.
     pub fn from_args() -> Options {
         Options::from_args_filtered(&[])
     }
@@ -206,95 +196,100 @@ impl Options {
     /// boolean flag; an entry ending in `=` (e.g. `"--fraction="`) skips
     /// the flag *and* its value token.
     pub fn from_args_filtered(ignore: &[&str]) -> Options {
-        let mut opts = Options::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            if ignore.contains(&args[i].as_str()) {
-                i += 1;
-                continue;
-            }
-            if ignore
-                .iter()
-                .any(|ig| ig.strip_suffix('=') == Some(args[i].as_str()))
-            {
-                i += 2; // value flag: skip the flag and its operand
-                continue;
-            }
-            match args[i].as_str() {
-                "--scale" => {
-                    i += 1;
-                    opts.scale = args
-                        .get(i)
-                        .and_then(|v| Scale::parse(v))
-                        .unwrap_or_else(|| usage());
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage());
-                }
-                "--measured" => opts.measured = true,
-                "--cold" => opts.cold = true,
-                "--delta" => opts.delta = true,
-                "--shards" => {
-                    i += 1;
-                    opts.shards = match args.get(i).map(String::as_str) {
-                        Some("auto") => 0,
-                        Some(v) => v.parse().ok().unwrap_or_else(|| usage()),
-                        None => usage(),
-                    };
-                }
-                "--threads" => {
-                    i += 1;
-                    opts.threads = Some(
-                        args.get(i)
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&s| s >= 1)
-                            .unwrap_or_else(|| usage()),
-                    );
-                }
-                "--metrics-out" => {
-                    i += 1;
-                    opts.metrics_out = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-                }
-                "--metrics-deterministic" => opts.metrics_deterministic = true,
-                "--sketch" => {
-                    i += 1;
-                    opts.sketch = Some(
-                        args.get(i)
-                            .and_then(|v| parse_sketch(v))
-                            .unwrap_or_else(|| usage()),
-                    );
-                }
-                "--defense" => {
-                    i += 1;
-                    let d = args
-                        .get(i)
-                        .and_then(|v| parse_defense(v))
-                        .unwrap_or_else(|| usage());
-                    opts.defenses.push(d);
-                }
-                "--help" | "-h" => usage(),
-                other => {
-                    eprintln!("unknown argument: {other}");
-                    usage()
-                }
-            }
-            i += 1;
-        }
+        let opts = Options::parse(&args, ignore).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage()
+        });
         // Span timing is opt-in via TRACKDOWN_SPANS=1 (stderr sink).
         trackdown_obs::init_spans_from_env();
         opts
+    }
+
+    /// Parse the shared flags from `args` (program name excluded),
+    /// skipping the flags named in `ignore` as [`Options::from_args_filtered`]
+    /// does. Errors name the offending argument.
+    pub fn parse(args: &[String], ignore: &[&str]) -> Result<Options, String> {
+        let mut opts = Options::default();
+        let (mut cold, mut delta) = (false, false);
+        let mut i = 0;
+        while i < args.len() {
+            let flag = args[i].as_str();
+            if ignore.contains(&flag) {
+                i += 1;
+                continue;
+            }
+            if ignore.iter().any(|ig| ig.strip_suffix('=') == Some(flag)) {
+                i += 2; // value flag: skip the flag and its operand
+                continue;
+            }
+            let mut value = || {
+                i += 1;
+                args.get(i)
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            let bad = |v: &str| format!("bad {flag} value: {v}");
+            match flag {
+                "--scale" => {
+                    let v = value()?;
+                    opts.scale = Scale::parse(v).ok_or_else(|| bad(v))?;
+                }
+                "--seed" => {
+                    let v = value()?;
+                    opts.seed = v.parse().map_err(|_| bad(v))?;
+                }
+                "--measured" => opts.measured = true,
+                "--cold" => cold = true,
+                "--delta" => delta = true,
+                "--threads" => {
+                    let v = value()?;
+                    opts.threads = Some(v.parse().ok().filter(|&s| s >= 1).ok_or_else(|| bad(v))?);
+                }
+                "--metrics-out" => opts.metrics_out = Some(value()?.to_string()),
+                "--metrics-deterministic" => opts.metrics_deterministic = true,
+                "--sketch" => {
+                    let v = value()?;
+                    opts.sketch = Some(parse_sketch(v).ok_or_else(|| bad(v))?);
+                }
+                "--defense" => {
+                    let v = value()?;
+                    opts.defenses.push(parse_defense(v).ok_or_else(|| bad(v))?);
+                }
+                "--help" | "-h" => return Err("help requested".into()),
+                other => return Err(format!("unknown argument: {other}")),
+            }
+            i += 1;
+        }
+        opts.mode = parse_mode(cold, delta)?;
+        Ok(opts)
+    }
+}
+
+/// The session reuse policy selected by the `--cold` / `--delta` flags.
+/// The two are exclusive: each names a different policy.
+pub fn parse_mode(cold: bool, delta: bool) -> Result<CampaignMode, String> {
+    match (cold, delta) {
+        (true, true) => Err("--cold and --delta are exclusive".into()),
+        (true, false) => Ok(CampaignMode::Cold),
+        (false, true) => Ok(CampaignMode::Delta),
+        (false, false) => Ok(CampaignMode::Warm),
+    }
+}
+
+/// The lowercase mode name used by manifests and `obs` events.
+pub fn mode_label(mode: CampaignMode) -> &'static str {
+    match mode {
+        CampaignMode::Warm => "warm",
+        CampaignMode::Cold => "cold",
+        CampaignMode::Delta => "delta",
     }
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: <experiment> [--scale small|medium|full|large|internet] [--seed <u64>] \
-         [--measured] [--cold] [--delta] [--shards <n|auto>] [--threads <n>] \
+         [--measured] [--cold | --delta] [--threads <n>] \
          [--metrics-out FILE] [--metrics-deterministic] [--sketch WIDTHxDEPTH] \
          [--defense <name>=<fraction>[:<bias>]]...\n\
          defenses: rov, peer-rov, aspa, peerlock-lite, only-to-customers, \
@@ -363,12 +358,8 @@ pub struct Scenario {
     pub seed: u64,
     /// Whether campaigns run through the measurement plane.
     pub measured: bool,
-    /// Whether campaigns cold-start every configuration (reference oracle).
-    pub cold: bool,
-    /// Whether campaigns delta-propagate epoch transitions.
-    pub delta: bool,
-    /// Catchment-extraction shards per configuration.
-    pub shards: usize,
+    /// How campaign sessions reuse routing state between configurations.
+    pub mode: CampaignMode,
     /// Worker-thread override (`None` = available parallelism).
     pub threads: Option<usize>,
     /// Run-manifest output path ([`Scenario::run`] writes it when set).
@@ -448,9 +439,7 @@ impl Scenario {
             scale: opts.scale,
             seed: opts.seed,
             measured: opts.measured,
-            cold: opts.cold,
-            delta: opts.delta,
-            shards: opts.shards,
+            mode: opts.mode,
             threads: opts.threads,
             metrics_out: opts.metrics_out,
             metrics_deterministic: opts.metrics_deterministic,
@@ -476,7 +465,7 @@ impl Scenario {
     /// cold starts (the slower reference oracle).
     pub fn run(&self) -> Campaign {
         // Attach a recorder only when a manifest was requested; with
-        // `None` the executors skip all instrumentation work.
+        // `None` the executor skips all instrumentation work.
         let recorder = self
             .metrics_out
             .as_ref()
@@ -496,53 +485,35 @@ impl Scenario {
 
     /// [`Scenario::run`] with an explicit (optional) epoch recorder and
     /// no manifest writing — the building block `run` wraps.
+    ///
+    /// Independent configurations deploy on parallel workers — the
+    /// simulation analog of deploying on multiple prefixes concurrently
+    /// (§V-C) — measured campaigns included: the observation plane salts
+    /// its noise by schedule index, so results do not depend on the
+    /// worker count.
     pub fn run_recorded(&self, recorder: Option<&CampaignRecorder>) -> Campaign {
         let engine = self.engine();
         let schedule = self.schedule();
-        let mode = if self.cold {
-            CampaignMode::Cold
-        } else if self.delta {
-            CampaignMode::Delta
-        } else {
-            CampaignMode::Warm
-        };
-        if self.measured {
+        let plane = self.measured.then(|| {
             let cones = ConeInfo::compute(&self.gen.topology);
-            let plane =
-                MeasurementPlane::new(&self.gen.topology, &cones, &MeasurementConfig::default());
-            run_campaign_recorded(
-                &engine,
-                &self.origin,
-                &schedule,
-                CatchmentSource::Measured,
-                Some(&plane),
-                self.engine_cfg.max_events_factor,
-                mode,
-                recorder,
-            )
-        } else {
-            // Independent configurations propagate in parallel — the
-            // simulation analog of deploying on multiple prefixes
-            // concurrently (§V-C) — and each fixpoint's catchment
-            // extraction is sharded into a work-stealing batch
-            // (`--shards`; 1 keeps whole-topology extraction).
-            let threads = self.threads.unwrap_or_else(|| {
+            MeasurementPlane::new(&self.gen.topology, &cones, &MeasurementConfig::default())
+        });
+        let opts = CampaignOpts {
+            source: match &plane {
+                Some(plane) => CatchmentSource::Measured(plane),
+                None => CatchmentSource::ControlPlane,
+            },
+            mode: self.mode,
+            threads: self.threads.unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1)
-            });
-            run_campaign_sharded_recorded(
-                &engine,
-                &self.origin,
-                &schedule,
-                CatchmentSource::ControlPlane,
-                self.engine_cfg.max_events_factor,
-                threads,
-                self.shards,
-                mode,
-                recorder,
-            )
-        }
+            }),
+            recorder,
+            max_events_factor: self.engine_cfg.max_events_factor,
+        };
+        run_campaign(&engine, &self.origin, &schedule, &opts)
+            .expect("generated schedules are valid for their origin")
     }
 
     /// The manifest run header for a finished campaign of this scenario.
@@ -552,16 +523,8 @@ impl Scenario {
             seed: self.seed,
             policy_seed: self.engine_cfg.policy.seed,
             scale: self.scale.label().into(),
-            mode: if self.cold {
-                "cold"
-            } else if self.delta {
-                "delta"
-            } else {
-                "warm"
-            }
-            .into(),
+            mode: mode_label(self.mode).into(),
             threads: campaign.stats.threads,
-            shards: campaign.stats.shards,
             trace: trackdown_obs::trace_config_label(),
             schedule_len: campaign.configs.len(),
             deterministic: self.metrics_deterministic,
@@ -596,8 +559,7 @@ impl Scenario {
             origin = self.origin.asn,
             pops = self.origin.num_links(),
             measured = self.measured,
-            cold = self.cold,
-            delta = self.delta
+            mode = mode_label(self.mode)
         );
     }
 
@@ -624,14 +586,17 @@ impl Scenario {
 pub fn report_stats(campaign: &Campaign) {
     trackdown_obs::progress!(
         "campaign.stats",
-        mode = format!("{:?}", campaign.stats.mode).to_lowercase(),
+        mode = mode_label(campaign.stats.mode),
+        cold_epochs = format!(
+            "{}/{}",
+            campaign.stats.cold_epochs, campaign.stats.propagations
+        ),
         configs = campaign.configs.len(),
         tracked = campaign.tracked.len(),
         propagations = campaign.stats.propagations,
         memo_hits = campaign.stats.memo_hits,
         cold_restarts = campaign.stats.cold_restarts,
         threads = campaign.stats.threads,
-        shards = campaign.stats.shards,
         mean_cluster_size = format!("{:.3}", campaign.clustering.mean_size())
     );
 }
@@ -754,36 +719,73 @@ mod tests {
         }
     }
 
+    fn argv(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
-    fn sharded_scenario_matches_unsharded() {
+    fn parse_reads_the_shared_flags() {
+        let opts = Options::parse(
+            &argv(&[
+                "--scale",
+                "small",
+                "--seed",
+                "9",
+                "--delta",
+                "--threads",
+                "3",
+                "--check",
+            ]),
+            &["--check"],
+        )
+        .expect("valid flags");
+        assert_eq!(opts.scale, Scale::Small);
+        assert_eq!(opts.seed, 9);
+        assert_eq!(opts.mode, CampaignMode::Delta);
+        assert_eq!(opts.threads, Some(3));
+        let cold = Options::parse(&argv(&["--cold"]), &[]).expect("valid flags");
+        assert_eq!(cold.mode, CampaignMode::Cold);
+        assert_eq!(Options::parse(&[], &[]).unwrap().mode, CampaignMode::Warm);
+    }
+
+    #[test]
+    fn parse_rejects_malformed() {
+        for bad in [
+            &["--scale", "bogus"][..],
+            &["--seed"],
+            &["--threads", "0"],
+            &["--sketch", "64"],
+            &["--bogus"],
+            &["--cold", "--delta"],
+        ] {
+            assert!(Options::parse(&argv(bad), &[]).is_err(), "{bad:?} accepted");
+        }
+        let err = Options::parse(&argv(&["--delta", "--cold"]), &[]).unwrap_err();
+        assert!(err.contains("exclusive"), "{err}");
+    }
+
+    #[test]
+    fn measured_scenario_is_thread_invariant() {
         let base = Options {
             scale: Scale::Small,
             seed: 3,
+            measured: true,
             ..Options::default()
         };
-        let unsharded = Scenario::build(Options {
-            shards: 1,
+        let one = Scenario::build(Options {
+            threads: Some(1),
             ..base.clone()
         })
         .run();
-        let scenario = Scenario::build(Options {
-            shards: 8,
-            ..base.clone()
-        });
-        let n = scenario.gen.topology.num_ases();
-        let sharded = scenario.run();
-        assert_eq!(sharded.catchments, unsharded.catchments);
-        assert_eq!(sharded.tracked, unsharded.tracked);
-        assert_eq!(sharded.records, unsharded.records);
-        assert_eq!(
-            sharded.stats.shards,
-            trackdown_core::localize::ShardPlan::new(n, 8).num_shards()
-        );
-        // The default (`--shards auto`) resolves to ≥ 1 shard and is
-        // result-identical too.
-        let auto = Scenario::build(base).run();
-        assert!(auto.stats.shards >= 1);
-        assert_eq!(auto.catchments, unsharded.catchments);
-        assert_eq!(auto.records, unsharded.records);
+        let three = Scenario::build(Options {
+            threads: Some(3),
+            ..base
+        })
+        .run();
+        assert_eq!(three.stats.threads, 3);
+        assert_eq!(three.catchments, one.catchments);
+        assert_eq!(three.tracked, one.tracked);
+        assert_eq!(three.records, one.records);
+        assert_eq!(three.imputation, one.imputation);
     }
 }

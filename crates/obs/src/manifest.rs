@@ -16,11 +16,8 @@ use std::time::Instant;
 
 /// Manifest schema version (`schema` field of the `run` line).
 ///
-/// Version 2 added the `shards` run-header field (non-deterministic
-/// manifests only — shard counts schedule *extraction* work without
-/// changing any result, so deterministic manifests omit the field the
-/// same way epoch lines omit `wall_us`, keeping them byte-identical
-/// across `--shards`).
+/// Version 2 added a `shards` run-header field (non-deterministic
+/// manifests only) for the since-removed sharded extraction executor.
 ///
 /// Version 3 added the `delta` epoch mode and the per-epoch
 /// `routes_disturbed` field (net best-route disturbance vs the previous
@@ -31,9 +28,13 @@ use std::time::Instant;
 /// manifests only): the trace/profile configuration label from
 /// [`crate::trace::trace_config_label`] (`"off"` or e.g.
 /// `"chrome:cap=4096"`). Tracing observes execution without changing
-/// any result, so — like `shards` and `wall_us` — the field must never
-/// appear in byte-identity-checked deterministic manifests.
-pub const MANIFEST_SCHEMA_VERSION: u64 = 4;
+/// any result, so — like `wall_us` — the field must never appear in
+/// byte-identity-checked deterministic manifests.
+///
+/// Version 5 dropped the `shards` run-header field along with the
+/// sharded executor: campaigns run on one chunked executor whose shape
+/// the `threads` field already describes.
+pub const MANIFEST_SCHEMA_VERSION: u64 = 5;
 
 /// Run-level header describing the whole campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,19 +47,15 @@ pub struct RunInfo {
     pub policy_seed: u64,
     /// Scale label (`small`/`medium`/`full`).
     pub scale: String,
-    /// Executor mode (`warm`/`cold`).
+    /// Session reuse policy (`warm`/`delta`/`cold`).
     pub mode: String,
     /// Worker threads used.
     pub threads: usize,
-    /// Catchment-extraction shards used (1 for unsharded executors).
-    /// Rendered only in non-deterministic manifests: shards rebalance
-    /// extraction work without changing any campaign result, so the
-    /// deterministic manifest must not vary with them.
-    pub shards: usize,
     /// Trace/profile configuration label (`"off"`, or e.g.
     /// `"chrome:cap=4096"` while a trace is armed — see
     /// [`crate::trace::trace_config_label`]). Rendered only in
-    /// non-deterministic manifests, like `shards`.
+    /// non-deterministic manifests: tracing observes execution without
+    /// changing any result.
     pub trace: String,
     /// Number of configurations in the schedule.
     pub schedule_len: usize,
@@ -207,9 +204,8 @@ pub fn render_manifest(
         ("threads", Value::U64(run.threads as u64)),
     ];
     if !run.deterministic {
-        // Like wall_us on epoch lines: an execution-shape detail that
-        // must not appear in byte-identity-checked manifests.
-        header.push(("shards", Value::U64(run.shards as u64)));
+        // Like wall_us on epoch lines: an execution detail that must not
+        // appear in byte-identity-checked manifests.
         header.push(("trace", Value::Str(run.trace.clone())));
     }
     header.push(("schedule_len", Value::U64(run.schedule_len as u64)));
@@ -284,8 +280,7 @@ pub struct ManifestSummary {
 }
 
 /// Run-header keys of a *deterministic* manifest. Non-deterministic
-/// manifests additionally carry `shards` (schema 2) and `trace`
-/// (schema 4).
+/// manifests additionally carry `trace` (schema 4).
 const RUN_KEYS: &[&str] = &[
     "record",
     "schema",
@@ -378,11 +373,9 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
     if deterministic {
         expect_keys(*first_no, header, RUN_KEYS)?;
     } else {
-        let mut with_shards: Vec<&str> = RUN_KEYS.to_vec();
-        with_shards.push("shards");
-        with_shards.push("trace");
-        expect_keys(*first_no, header, &with_shards)?;
-        get_u64(*first_no, header, "shards")?;
+        let mut with_trace: Vec<&str> = RUN_KEYS.to_vec();
+        with_trace.push("trace");
+        expect_keys(*first_no, header, &with_trace)?;
         get_str(*first_no, header, "trace")?;
     }
     let schema = get_u64(*first_no, header, "schema")?;
@@ -494,7 +487,6 @@ mod tests {
             scale: "small".into(),
             mode: "warm".into(),
             threads: 1,
-            shards: 1,
             trace: "off".into(),
             schedule_len: 2,
             deterministic,
@@ -544,7 +536,6 @@ mod tests {
         assert_eq!(s.cold, 1);
         assert!(text.contains("wall_us"));
         assert!(text.contains("time.deploy"));
-        assert!(text.contains("\"shards\":1"));
         assert!(text.contains("\"trace\":\"off\""));
 
         let det = render_manifest(&run_info(true), &records(Some(33)), Some(&snap));
@@ -552,20 +543,7 @@ mod tests {
         assert!(s.deterministic);
         assert!(!det.contains("wall_us"), "wall-clock field leaked: {det}");
         assert!(!det.contains("time."), "wall-clock histogram leaked");
-        assert!(!det.contains("shards"), "execution-shape field leaked");
         assert!(!det.contains("trace"), "trace config leaked");
-    }
-
-    #[test]
-    fn deterministic_header_is_shard_invariant() {
-        let mut a = run_info(true);
-        let mut b = run_info(true);
-        a.shards = 1;
-        b.shards = 8;
-        assert_eq!(
-            render_manifest(&a, &records(None), None),
-            render_manifest(&b, &records(None), None),
-        );
     }
 
     #[test]
@@ -615,17 +593,17 @@ mod tests {
         let det_header = good.replace("\"deterministic\":false", "\"deterministic\":true");
         let leaked = det_header.replace("\"converged\":true}", "\"converged\":true,\"wall_us\":5}");
         assert!(validate_manifest(&leaked).is_err());
-        // shards in a deterministic header (it leaks execution shape).
+        // trace in a deterministic header (it leaks execution detail).
         assert!(
             validate_manifest(&det_header).is_err(),
-            "deterministic header must not carry shards"
+            "deterministic header must not carry trace"
         );
-        // A non-deterministic header without shards is schema drift too.
-        let shardless = good.replace("\"shards\":1,", "");
-        assert!(validate_manifest(&shardless).is_err());
-        // Same for the trace label (schema 4).
+        // A non-deterministic header without the trace label (schema 4)
+        // is schema drift too, and so is the schema-4 shards field.
         let traceless = good.replace("\"trace\":\"off\",", "");
         assert!(validate_manifest(&traceless).is_err());
+        let sharded = good.replace("\"trace\":", "\"shards\":1,\"trace\":");
+        assert!(validate_manifest(&sharded).is_err());
         assert!(validate_manifest("").is_err());
     }
 }

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 /// Aggregate timing for one span name across a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseStat {
-    /// Span name (e.g. `worker.produce`).
+    /// Span name (e.g. `worker.epoch`).
     pub name: &'static str,
     /// Number of spans recorded under this name.
     pub count: u64,
@@ -478,13 +478,13 @@ mod tests {
         let base = snap(&[
             ("schema", Value::U64(5)),
             ("warm_ms", Value::F64(1.0)),
-            ("large_shard_speedup", Value::F64(0.7)),
+            ("large_thread_speedup", Value::F64(0.7)),
             ("cores", Value::U64(1)),
         ]);
         let cur = snap(&[
             ("schema", Value::U64(6)),
             ("warm_ms", Value::F64(1.5)),
-            ("large_shard_speedup", Value::F64(1.4)),
+            ("large_thread_speedup", Value::F64(1.4)),
             ("cores", Value::U64(8)),
         ]);
         let report = diff_bench_snapshots(&base, &cur, 10.0);
@@ -496,7 +496,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing row {k}"))
         };
         assert_eq!(by_key("warm_ms").status, MetricStatus::Regressed);
-        assert_eq!(by_key("large_shard_speedup").status, MetricStatus::Improved);
+        assert_eq!(
+            by_key("large_thread_speedup").status,
+            MetricStatus::Improved
+        );
         assert_eq!(by_key("schema").status, MetricStatus::Drift);
         assert_eq!(by_key("cores").status, MetricStatus::Info);
         assert_eq!(report.regressions().len(), 1);

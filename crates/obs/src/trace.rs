@@ -299,8 +299,8 @@ pub(crate) fn exit(
 }
 
 /// Record a whole span in one call from explicit start/end instants,
-/// under the current parent. Used for idle stretches in the sharded
-/// executor where opening a `Span` up front would itself be measured.
+/// under the current parent — for stretches such as idle waits, where
+/// opening a `Span` up front would itself be measured.
 pub fn record_span(name: &'static str, start: Instant, end: Instant) {
     if !tracing_enabled() {
         return;

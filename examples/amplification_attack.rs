@@ -70,14 +70,8 @@ fn main() {
             max_poison_configs: Some(40),
         },
     );
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     let mut link_volumes = Vec::with_capacity(campaign.catchments.len());
     for cat in &campaign.catchments {
         // In deployment the data plane is what the honeypot sees; control

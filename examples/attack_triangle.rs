@@ -71,14 +71,8 @@ fn main() {
             max_poison_configs: Some(40),
         },
     );
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     let honeypot = Honeypot::new(HoneypotConfig::default());
     let flows = spoofed_flows(
         &placed,

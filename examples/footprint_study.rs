@@ -30,14 +30,8 @@ fn main() {
                 max_poison_configs: Some(30),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let stats = campaign.clustering.stats();
         println!(
             "{:>4}  {:>8}  {:>10.3}  {:>9.1}%  {:>9}",

@@ -37,14 +37,8 @@ fn main() {
     println!("last:  {}", schedule.last().unwrap());
 
     // 3. Deploy every configuration and cluster the catchments.
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     let stats = campaign.clustering.stats();
     println!(
         "\nclusters: {} over {} sources (mean {:.2}, p90 {}, max {}); {:.1}% singletons",

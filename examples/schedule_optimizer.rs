@@ -45,14 +45,8 @@ fn main() {
         },
     );
     // Catchments measured ahead of the attack (§V-C's premise).
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
 
     // The ongoing attack: a small botnet.
     let attackers = place_sources(

@@ -32,9 +32,15 @@
 //!
 //! // Deploy the paper's announcement schedule and cluster the catchments.
 //! let schedule = full_schedule(&world.topology, &origin, &GeneratorParams::default());
-//! let campaign = run_campaign(
-//!     &engine, &origin, &schedule, CatchmentSource::ControlPlane, None, 200);
+//! let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())?;
 //! assert!(campaign.clustering.mean_size() >= 1.0);
+//!
+//! // The same campaign on four worker threads, each running one routing
+//! // session over a contiguous chunk of the schedule: identical results.
+//! let opts = CampaignOpts { threads: 4, ..CampaignOpts::default() };
+//! let parallel = run_campaign(&engine, &origin, &schedule, &opts)?;
+//! assert_eq!(parallel.catchments, campaign.catchments);
+//! # Ok::<(), CampaignError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -59,9 +65,8 @@ pub mod prelude {
     pub use trackdown_core::localize::{
         estimate_cluster_volumes, estimate_cluster_volumes_acc, estimate_cluster_volumes_rescan,
         fit_link_volumes, link_volume_matrix, rank_suspects, rank_suspects_acc,
-        rank_suspects_rescan, run_campaign, run_campaign_mode, run_campaign_parallel,
-        run_campaign_sharded, suspect_ases, AttributionIndex, Campaign, CampaignMode,
-        CampaignStats, CatchmentSource, RankedSuspects, ShardPlan,
+        rank_suspects_rescan, run_campaign, suspect_ases, AttributionIndex, Campaign,
+        CampaignError, CampaignMode, CampaignOpts, CampaignStats, CatchmentSource, RankedSuspects,
     };
     pub use trackdown_core::{AnnouncementConfig, Clustering, Dataset, Phase};
     pub use trackdown_measure::{MeasurementConfig, MeasurementPlane};

@@ -12,9 +12,7 @@
 //! the executor and `path_arena_differential.rs` for the routing core.
 
 use proptest::prelude::*;
-use trackdown_suite::core::localize::{
-    match_fraction_scores, match_fraction_scores_rescan, run_campaign_parallel_mode,
-};
+use trackdown_suite::core::localize::{match_fraction_scores, match_fraction_scores_rescan};
 use trackdown_suite::prelude::*;
 
 fn engine_config(clean: bool) -> EngineConfig {
@@ -122,9 +120,7 @@ proptest! {
         let (world, origin, schedule) = scenario(seed, pops, 1, max_poison);
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
         for mode in [CampaignMode::Warm, CampaignMode::Cold] {
-            let campaign = run_campaign_mode(
-                &engine, &origin, &schedule, CatchmentSource::ControlPlane,
-                None, 200, mode);
+            let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { mode, ..CampaignOpts::default() }).expect("valid schedule");
             let volume = plant_attackers(&world, &campaign, attackers, seed);
             let vols = link_volume_matrix(&campaign, &volume);
             prop_assert_eq!(vols.len(), campaign.attribution.num_configs());
@@ -147,9 +143,7 @@ proptest! {
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
         let mut suspect_golden = None;
         for threads in [1usize, 2, 8] {
-            let campaign = run_campaign_parallel_mode(
-                &engine, &origin, &schedule, CatchmentSource::ControlPlane,
-                200, threads, CampaignMode::Warm);
+            let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { threads, ..CampaignOpts::default() }).expect("valid schedule");
             let volume = plant_attackers(&world, &campaign, attackers, seed);
             let vols = link_volume_matrix(&campaign, &volume);
             assert_attribution_matches_rescan!(campaign, vols);
@@ -174,9 +168,7 @@ proptest! {
         let engine = BgpEngine::new(&world.topology, &engine_config(false));
         let cones = ConeInfo::compute(&world.topology);
         let plane = MeasurementPlane::new(&world.topology, &cones, &MeasurementConfig::default());
-        let campaign = run_campaign_mode(
-            &engine, &origin, &schedule, CatchmentSource::Measured,
-            Some(&plane), 200, CampaignMode::Warm);
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source: CatchmentSource::Measured(&plane), ..CampaignOpts::default() }).expect("valid schedule");
         let volume = plant_attackers(&world, &campaign, attackers, seed);
         let vols = link_volume_matrix(&campaign, &volume);
         assert_attribution_matches_rescan!(campaign, vols);
@@ -189,14 +181,8 @@ proptest! {
 fn attribution_index_structure_is_consistent() {
     let (world, origin, schedule) = scenario(29, 4, 1, 8);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     let idx = &campaign.attribution;
     assert_eq!(idx.num_configs(), schedule.len());
     assert_eq!(idx.final_num_clusters(), campaign.clustering.num_clusters());

@@ -10,9 +10,7 @@
 //! observed), and the width-contract regression for the volume-vector
 //! bug `rank_suspects` used to paper over with `unwrap_or(0)`.
 
-use trackdown_suite::core::localize::{
-    match_fraction_scores, match_fraction_scores_rescan, run_campaign_recorded,
-};
+use trackdown_suite::core::localize::{match_fraction_scores, match_fraction_scores_rescan};
 use trackdown_suite::obs::{validate_manifest, CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 
@@ -186,16 +184,16 @@ fn single_config_recorded_campaign_manifest_validates() {
     assert_eq!(schedule.len(), 1, "baseline-only schedule");
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let recorder = CampaignRecorder::new(true);
-    let campaign = run_campaign_recorded(
+    let campaign = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-        CampaignMode::Warm,
-        Some(&recorder),
-    );
+        &CampaignOpts {
+            recorder: Some(&recorder),
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     assert_eq!(campaign.attribution.num_configs(), 1);
     assert_eq!(
         campaign.attribution.final_num_clusters(),
@@ -217,7 +215,6 @@ fn single_config_recorded_campaign_manifest_validates() {
             scale: "small".into(),
             mode: "warm".into(),
             threads: campaign.stats.threads,
-            shards: campaign.stats.shards,
             trace: "off".into(),
             schedule_len: campaign.configs.len(),
             deterministic: true,

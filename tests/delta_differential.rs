@@ -15,7 +15,6 @@
 //! withdrawal-heavy transitions where such bugs would surface.
 
 use proptest::prelude::*;
-use trackdown_suite::core::localize::{run_campaign_parallel_mode, run_campaign_sharded_mode};
 use trackdown_suite::core::schedule::footprint_distance;
 use trackdown_suite::prelude::*;
 
@@ -96,8 +95,7 @@ fn assert_outcome_matches_cold(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // The three-way oracle: Delta == Warm == Cold through the sequential
-    // executor, all the way to suspect ranking, over both catchment
+    // The three-way oracle: Delta == Warm == Cold on one worker thread, all the way to suspect ranking, over both catchment
     // sources and both policy regimes.
     #[test]
     fn delta_equals_warm_equals_cold(
@@ -115,12 +113,9 @@ proptest! {
         } else {
             CatchmentSource::ControlPlane
         };
-        let delta = run_campaign_mode(
-            &engine, &origin, &schedule, source, None, 200, CampaignMode::Delta);
-        let warm = run_campaign_mode(
-            &engine, &origin, &schedule, source, None, 200, CampaignMode::Warm);
-        let cold = run_campaign_mode(
-            &engine, &origin, &schedule, source, None, 200, CampaignMode::Cold);
+        let delta = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, mode: CampaignMode::Delta, ..CampaignOpts::default() }).expect("valid schedule");
+        let warm = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, ..CampaignOpts::default() }).expect("valid schedule");
+        let cold = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, mode: CampaignMode::Cold, ..CampaignOpts::default() }).expect("valid schedule");
         assert_campaigns_identical!(delta, warm);
         assert_campaigns_identical!(delta, cold);
         // Suspect rankings must survive the full attribution pipeline.
@@ -137,11 +132,10 @@ proptest! {
         );
     }
 
-    // Delta through the parallel and sharded executors vs the sequential
-    // cold oracle, across the 1/2/8 thread counts the manifests promise
-    // invariance over.
+    // Delta at 1/2/8 worker threads vs the one-thread cold oracle —
+    // the thread counts the manifests promise invariance over.
     #[test]
-    fn delta_is_thread_and_shard_invariant(
+    fn delta_is_thread_invariant(
         seed in 0u64..300,
         max_poison in 4usize..10,
         data_plane in 0u8..2,
@@ -157,20 +151,26 @@ proptest! {
         let volume: Vec<u64> = (0..world.topology.num_ases() as u64)
             .map(|i| 1 + i % 7)
             .collect();
-        let cold = run_campaign_mode(
-            &engine, &origin, &schedule, source, None, 200, CampaignMode::Cold);
+        let cold_opts = CampaignOpts {
+            source,
+            mode: CampaignMode::Cold,
+            ..CampaignOpts::default()
+        };
+        let cold = run_campaign(&engine, &origin, &schedule, &cold_opts).expect("valid schedule");
         let cold_vols = link_volume_matrix(&cold, &volume);
         let cold_rank = rank_suspects(&cold, &cold_vols);
         for threads in [1usize, 2, 8] {
-            let par = run_campaign_parallel_mode(
-                &engine, &origin, &schedule, source, 200, threads, CampaignMode::Delta);
+            let opts = CampaignOpts {
+                source,
+                mode: CampaignMode::Delta,
+                threads,
+                ..CampaignOpts::default()
+            };
+            let par = run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule");
             assert_campaigns_identical!(par, cold);
             let vols = link_volume_matrix(&par, &volume);
             prop_assert_eq!(rank_suspects(&par, &vols), cold_rank.clone());
-            let sharded = run_campaign_sharded_mode(
-                &engine, &origin, &schedule, source, 200, threads, 4, CampaignMode::Delta);
-            assert_campaigns_identical!(sharded, cold);
-            prop_assert_eq!(sharded.stats.mode, CampaignMode::Delta);
+            prop_assert_eq!(par.stats.mode, CampaignMode::Delta);
         }
     }
 
@@ -196,12 +196,12 @@ proptest! {
         if poisoned.is_empty() {
             return; // no poison-phase configs at this seed; vacuous case
         }
-        let mut session = engine.session();
+        let mut session = engine.session_with(CampaignMode::Delta);
         for (i, p) in poisoned.iter().take(flips).enumerate() {
             // poison → unpoison → poison again: A;P unchanged, Q flips.
             for cfg in [*p, baseline, *p] {
                 let out = session
-                    .deploy_config_delta(&origin, &cfg.to_link_announcements(), 200)
+                    .deploy_config(&origin, &cfg.to_link_announcements(), 200)
                     .expect("valid configuration");
                 assert_outcome_matches_cold(&engine, &origin, cfg, &out);
             }
@@ -209,7 +209,7 @@ proptest! {
             // zero-seed epoch on clean engines (diff is empty).
             if clean == 1 {
                 let out = session
-                    .deploy_config_delta(&origin, &poisoned[i].to_link_announcements(), 200)
+                    .deploy_config(&origin, &poisoned[i].to_link_announcements(), 200)
                     .expect("valid configuration");
                 prop_assert_eq!(out.events, 0, "identical redeploy must not propagate");
                 prop_assert_eq!(out.routes_disturbed, 0);
@@ -241,10 +241,10 @@ proptest! {
             current = remaining.remove(pos);
             order.push(current);
         }
-        let mut session = engine.session();
+        let mut session = engine.session_with(CampaignMode::Delta);
         for &k in &order {
             let out = session
-                .deploy_config_delta(&origin, &schedule[k].to_link_announcements(), 200)
+                .deploy_config(&origin, &schedule[k].to_link_announcements(), 200)
                 .expect("valid configuration");
             assert_outcome_matches_cold(&engine, &origin, &schedule[k], &out);
         }
@@ -300,38 +300,34 @@ fn extensions_on_delta_equals_warm_equals_cold_across_threads() {
     );
     for arm in arms {
         let engine = BgpEngine::new(&world.topology, &engine_config_ext(arm.clone()));
-        let cold = run_campaign_mode(
+        let cold = run_campaign(
             &engine,
             &origin,
             &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-            CampaignMode::Cold,
-        );
+            &CampaignOpts {
+                mode: CampaignMode::Cold,
+                ..CampaignOpts::default()
+            },
+        )
+        .expect("valid schedule");
         let cold_vols = link_volume_matrix(&cold, &volume);
         let cold_rank = rank_suspects(&cold, &cold_vols);
-        let warm = run_campaign_mode(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-            CampaignMode::Warm,
-        );
+        let warm = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         assert_eq!(&warm.catchments, &cold.catchments, "warm vs cold: {arm:?}");
         assert_eq!(&warm.records, &cold.records, "warm vs cold: {arm:?}");
         for threads in [1usize, 2, 8] {
-            let delta = run_campaign_parallel_mode(
+            let delta = run_campaign(
                 &engine,
                 &origin,
                 &schedule,
-                CatchmentSource::ControlPlane,
-                200,
-                threads,
-                CampaignMode::Delta,
-            );
+                &CampaignOpts {
+                    mode: CampaignMode::Delta,
+                    threads,
+                    ..CampaignOpts::default()
+                },
+            )
+            .expect("valid schedule");
             assert_eq!(
                 &delta.catchments, &cold.catchments,
                 "delta vs cold at {threads} threads: {arm:?}"
@@ -360,27 +356,27 @@ fn extensions_on_delta_equals_warm_equals_cold_across_threads() {
 fn capped_epoch_then_delta_falls_back_to_cold() {
     let (world, origin, schedule) = scenario(23, 4, 1, 8);
     let engine = BgpEngine::new(&world.topology, &engine_config(true));
-    let mut session = engine.session();
+    let mut session = engine.session_with(CampaignMode::Delta);
     // A zero events budget caps the first deployment immediately,
     // leaving a populated activation queue behind.
     let capped = session
-        .deploy_config_delta(&origin, &schedule[0].to_link_announcements(), 0)
+        .deploy_config(&origin, &schedule[0].to_link_announcements(), 0)
         .expect("valid configuration");
     assert!(!capped.converged, "factor-0 cap must not converge");
     // Every later epoch gets a real budget; each must match a cold
     // propagation of the same configuration in both catchment planes.
     for cfg in schedule.iter().take(6) {
         let out = session
-            .deploy_config_delta(&origin, &cfg.to_link_announcements(), 200)
+            .deploy_config(&origin, &cfg.to_link_announcements(), 200)
             .expect("valid configuration");
         assert!(out.converged);
         assert_outcome_matches_cold(&engine, &origin, cfg, &out);
     }
     // Same hazard mid-session: cap a *delta* epoch, then resume.
-    let _ = session.deploy_config_delta(&origin, &schedule[1].to_link_announcements(), 0);
+    let _ = session.deploy_config(&origin, &schedule[1].to_link_announcements(), 0);
     for cfg in schedule.iter().rev().take(4) {
         let out = session
-            .deploy_config_delta(&origin, &cfg.to_link_announcements(), 200)
+            .deploy_config(&origin, &cfg.to_link_announcements(), 200)
             .expect("valid configuration");
         assert_outcome_matches_cold(&engine, &origin, cfg, &out);
     }
@@ -392,24 +388,26 @@ fn capped_epoch_then_delta_falls_back_to_cold() {
 fn delta_stats_report_disturbance() {
     let (world, origin, schedule) = scenario(17, 4, 1, 8);
     let engine = BgpEngine::new(&world.topology, &engine_config(true));
-    let delta = run_campaign_mode(
+    let delta = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-        CampaignMode::Delta,
-    );
-    let cold = run_campaign_mode(
+        &CampaignOpts {
+            mode: CampaignMode::Delta,
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
+    let cold = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-        CampaignMode::Cold,
-    );
+        &CampaignOpts {
+            mode: CampaignMode::Cold,
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     assert_eq!(delta.catchments, cold.catchments);
     assert_eq!(delta.stats.mode, CampaignMode::Delta);
     // The first (cold) epoch alone disturbs every reachable AS; later

@@ -20,14 +20,8 @@ fn campaign() -> (GeneratedTopology, OriginAs, Campaign) {
             max_poison_configs: Some(10),
         },
     );
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     (world, origin, campaign)
 }
 
@@ -80,14 +74,16 @@ fn parallel_campaign_is_thread_count_invariant() {
     );
     let (_, _, sequential) = campaign();
     for threads in [1, 2, 8] {
-        let par = run_campaign_parallel(
+        let par = run_campaign(
             &engine,
             &origin,
             &schedule,
-            CatchmentSource::ControlPlane,
-            200,
-            threads,
-        );
+            &CampaignOpts {
+                threads,
+                ..CampaignOpts::default()
+            },
+        )
+        .expect("valid schedule");
         assert_eq!(par.catchments, sequential.catchments, "{threads} threads");
         assert_eq!(par.tracked, sequential.tracked, "{threads} threads");
         assert_eq!(

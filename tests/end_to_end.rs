@@ -34,10 +34,12 @@ fn full_pipeline_with_measured_catchments_localizes_a_source() {
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::Measured,
-        Some(&plane),
-        200,
-    );
+        &CampaignOpts {
+            source: CatchmentSource::Measured(&plane),
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     assert!(campaign.imputation.is_some());
     assert!(!campaign.tracked.is_empty());
 
@@ -116,14 +118,8 @@ fn whole_stack_is_deterministic() {
                 max_poison_configs: Some(5),
             },
         );
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         (
             campaign.clustering.num_clusters(),
             campaign.clustering.mean_size(),
@@ -181,22 +177,18 @@ fn measured_campaign_close_to_oracle_campaign() {
             max_poison_configs: Some(5),
         },
     );
-    let oracle = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let oracle = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     let measured = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::Measured,
-        Some(&plane),
-        200,
-    );
+        &CampaignOpts {
+            source: CatchmentSource::Measured(&plane),
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     // Where a source is tracked by both, the final measured catchment
     // agrees with the oracle most of the time.
     let mut common = 0usize;

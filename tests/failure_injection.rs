@@ -119,14 +119,8 @@ fn violator_heavy_worlds_still_converge_and_localize() {
             max_poison_configs: Some(10),
         },
     );
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     let non_converged = campaign.records.iter().filter(|r| !r.converged).count();
     assert_eq!(
         non_converged, 0,
@@ -180,10 +174,12 @@ fn heavy_measurement_noise_degrades_gracefully() {
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::Measured,
-        Some(&plane),
-        200,
-    );
+        &CampaignOpts {
+            source: CatchmentSource::Measured(&plane),
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     // The pipeline must not crash, must track *something*, and clusters
     // must still partition the tracked set.
     assert!(!campaign.tracked.is_empty());

@@ -4,9 +4,6 @@
 //! campaign itself — results with a recorder attached are byte-identical
 //! across 1, 2, and 8 worker threads.
 
-use trackdown_suite::core::localize::{
-    run_campaign_parallel_recorded, run_campaign_recorded, run_campaign_sharded_recorded,
-};
 use trackdown_suite::obs::{
     validate_manifest, write_manifest, CampaignRecorder, EpochMode, RunInfo,
 };
@@ -34,7 +31,6 @@ fn run_info(name: &str, campaign: &Campaign, deterministic: bool) -> RunInfo {
         scale: "small".into(),
         mode: "warm".into(),
         threads: campaign.stats.threads,
-        shards: campaign.stats.shards,
         trace: trackdown_suite::obs::trace_config_label(),
         schedule_len: campaign.configs.len(),
         deterministic,
@@ -48,16 +44,16 @@ fn warm_campaign_manifest_validates() {
     let (world, origin, schedule) = scenario(7);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let recorder = CampaignRecorder::new(false);
-    let campaign = run_campaign_recorded(
+    let campaign = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-        CampaignMode::Warm,
-        Some(&recorder),
-    );
+        &CampaignOpts {
+            recorder: Some(&recorder),
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     let records = recorder.take_records();
     assert_eq!(records.len(), schedule.len(), "one record per epoch");
     // Epoch 0 must be a cold start; with the default violator population
@@ -92,16 +88,16 @@ fn clean_engine_records_warm_epochs() {
     };
     let engine = BgpEngine::new(&world.topology, &cfg);
     let recorder = CampaignRecorder::new(true);
-    let _ = run_campaign_recorded(
+    let _ = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-        CampaignMode::Warm,
-        Some(&recorder),
-    );
+        &CampaignOpts {
+            recorder: Some(&recorder),
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     let records = recorder.take_records();
     let warm = records.iter().filter(|r| r.mode == EpochMode::Warm).count();
     assert!(warm > 0, "clean engine should warm-start some epochs");
@@ -123,16 +119,17 @@ fn delta_campaign_manifest_validates() {
     };
     let engine = BgpEngine::new(&world.topology, &cfg);
     let recorder = CampaignRecorder::new(true);
-    let campaign = run_campaign_recorded(
+    let campaign = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-        CampaignMode::Delta,
-        Some(&recorder),
-    );
+        &CampaignOpts {
+            mode: CampaignMode::Delta,
+            recorder: Some(&recorder),
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     let records = recorder.take_records();
     let delta = records
         .iter()
@@ -163,16 +160,16 @@ fn deterministic_manifest_is_reproducible() {
         let (world, origin, schedule) = scenario(11);
         let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
         let recorder = CampaignRecorder::new(true);
-        let campaign = run_campaign_recorded(
+        let campaign = run_campaign(
             &engine,
             &origin,
             &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-            CampaignMode::Warm,
-            Some(&recorder),
-        );
+            &CampaignOpts {
+                recorder: Some(&recorder),
+                ..CampaignOpts::default()
+            },
+        )
+        .expect("valid schedule");
         // Metrics snapshots accumulate across tests in one process, so the
         // reproducibility golden covers the run + epoch lines only.
         trackdown_suite::obs::render_manifest(
@@ -198,16 +195,17 @@ fn manifest_roundtrips_through_file() {
     let (world, origin, schedule) = scenario(13);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let recorder = CampaignRecorder::new(true);
-    let campaign = run_campaign_parallel_recorded(
+    let campaign = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        200,
-        4,
-        CampaignMode::Warm,
-        Some(&recorder),
-    );
+        &CampaignOpts {
+            threads: 4,
+            recorder: Some(&recorder),
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     let path = std::env::temp_dir().join("trackdown-obs-roundtrip.jsonl");
     write_manifest(
         path.to_str().expect("utf-8 temp path"),
@@ -232,16 +230,17 @@ fn recorder_does_not_perturb_thread_invariance() {
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let run = |threads: usize| {
         let recorder = CampaignRecorder::new(true);
-        let campaign = run_campaign_parallel_recorded(
+        let campaign = run_campaign(
             &engine,
             &origin,
             &schedule,
-            CatchmentSource::ControlPlane,
-            200,
-            threads,
-            CampaignMode::Warm,
-            Some(&recorder),
-        );
+            &CampaignOpts {
+                threads,
+                recorder: Some(&recorder),
+                ..CampaignOpts::default()
+            },
+        )
+        .expect("valid schedule");
         let records = recorder.take_records();
         assert_eq!(records.len(), schedule.len(), "{threads} threads");
         // Records come back sorted by epoch regardless of worker timing.
@@ -258,82 +257,16 @@ fn recorder_does_not_perturb_thread_invariance() {
         assert_eq!(one.records, other.records);
     }
     // And against the bare (un-instrumented) executor.
-    let bare = run_campaign_parallel_recorded(
+    let bare = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        200,
-        2,
-        CampaignMode::Warm,
-        None,
-    );
+        &CampaignOpts {
+            threads: 2,
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     assert_eq!(one.catchments, bare.catchments);
     assert_eq!(one.records, bare.records);
-}
-
-/// Sharded catchment extraction must be invisible in deterministic
-/// manifests: rendered run + epoch lines are byte-identical across
-/// `--shards 1`, `2`, and `8` at a fixed thread count. The shard count
-/// only surfaces in non-deterministic headers (schema 2), so two runs
-/// that differ solely in sharding produce the same golden bytes.
-#[test]
-fn deterministic_manifest_is_shard_invariant() {
-    let (world, origin, schedule) = scenario(19);
-    let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-    let render = |shards: usize| {
-        let recorder = CampaignRecorder::new(true);
-        let campaign = run_campaign_sharded_recorded(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            200,
-            3,
-            shards,
-            CampaignMode::Warm,
-            Some(&recorder),
-        );
-        assert_eq!(
-            campaign.stats.shards,
-            ShardPlan::new(world.topology.num_ases(), shards).num_shards()
-        );
-        let records = recorder.take_records();
-        assert_eq!(records.len(), schedule.len(), "{shards} shards");
-        trackdown_suite::obs::render_manifest(
-            &run_info("obs_manifest", &campaign, true),
-            &records,
-            None,
-        )
-    };
-    let one = render(1);
-    let two = render(2);
-    let eight = render(8);
-    assert_eq!(one, two, "shards=2 manifest diverged from shards=1");
-    assert_eq!(one, eight, "shards=8 manifest diverged from shards=1");
-    validate_manifest(&one).expect("shard-invariant manifest validates");
-    // Non-deterministic headers *do* carry the shard count, so operators
-    // can see the partitioning that produced a run.
-    let recorder = CampaignRecorder::new(false);
-    let campaign = run_campaign_sharded_recorded(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        200,
-        3,
-        8,
-        CampaignMode::Warm,
-        Some(&recorder),
-    );
-    let text = trackdown_suite::obs::render_manifest(
-        &run_info("obs_manifest", &campaign, false),
-        &recorder.take_records(),
-        None,
-    );
-    let effective = ShardPlan::new(world.topology.num_ases(), 8).num_shards();
-    assert!(
-        text.contains(&format!("\"shards\":{effective}")),
-        "non-det header records the effective shard count"
-    );
 }

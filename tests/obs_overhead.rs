@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use trackdown_suite::core::localize::run_campaign;
 use trackdown_suite::obs::{end_trace, set_span_sink, start_trace, NullSink, TraceConfig};
 use trackdown_suite::prelude::*;
 
@@ -44,14 +43,8 @@ fn noop_instrumentation_overhead_under_limit() {
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let run_once = || {
         let t = Instant::now();
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let dt = t.elapsed();
         assert!(!campaign.records.is_empty());
         dt
@@ -98,14 +91,8 @@ fn enabled_tracing_overhead_under_limit() {
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let run_once = || {
         let t = Instant::now();
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         let dt = t.elapsed();
         assert!(!campaign.records.is_empty());
         dt

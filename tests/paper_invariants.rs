@@ -278,14 +278,14 @@ proptest! {
         );
         let engine = BgpEngine::new(&world.topology, &conformant());
         let registry = trackdown_suite::obs::global();
-        let mut session = engine.session();
+        let mut session = engine.session_with(CampaignMode::Delta);
         let mut prev_cold: Option<RoutingOutcome> = None;
         for cfg in schedule.iter().take(12) {
             let anns = cfg.to_link_announcements();
             let visited_before = registry.counter("bgp.delta.visited").get();
             let disturbed_before = registry.counter("bgp.delta.disturbed").get();
             let out = session
-                .deploy_config_delta(&origin, &anns, 200)
+                .deploy_config(&origin, &anns, 200)
                 .expect("valid configuration");
             let visited = registry.counter("bgp.delta.visited").get() - visited_before;
             let disturbed = registry.counter("bgp.delta.disturbed").get() - disturbed_before;

@@ -15,7 +15,6 @@ use std::collections::VecDeque;
 use trackdown_suite::bgp::{
     Catchments, Community, CommunityBits, CommunitySet, Injection, SnapshotDetail,
 };
-use trackdown_suite::core::localize::run_campaign_parallel_mode;
 use trackdown_suite::prelude::*;
 use trackdown_suite::topology::NeighborKind;
 
@@ -352,7 +351,9 @@ proptest! {
         let anns = announcements_from_knobs(&g.topology, &origin, &knobs);
         let inj = origin.build_injections(&g.topology, &anns).unwrap();
 
-        let out = engine.propagate_detailed(&inj, 200, SnapshotDetail::Full);
+        let out = engine
+            .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+            .unwrap();
         let reference = ref_propagate(&engine, &inj, 200);
         assert_outcome_matches_reference(&out, &reference);
 
@@ -449,15 +450,17 @@ fn campaigns_match_reference_across_modes_and_threads() {
     let mut campaigns = Vec::new();
     for mode in [CampaignMode::Warm, CampaignMode::Cold] {
         for threads in [1usize, 2, 8] {
-            let c = run_campaign_parallel_mode(
+            let c = run_campaign(
                 &engine,
                 &origin,
                 &schedule,
-                CatchmentSource::ControlPlane,
-                200,
-                threads,
-                mode,
-            );
+                &CampaignOpts {
+                    mode,
+                    threads,
+                    ..CampaignOpts::default()
+                },
+            )
+            .expect("valid schedule");
             for (k, cat) in c.catchments.iter().enumerate() {
                 for i in world.topology.indices() {
                     assert_eq!(

@@ -4,7 +4,6 @@
 //! golden manifest), and extensions-on preserves campaign determinism.
 
 use trackdown_suite::bgp::{Injection, PolicyTable};
-use trackdown_suite::core::localize::run_campaign_recorded;
 use trackdown_suite::obs::{CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 use trackdown_suite::topology::cone::Tier;
@@ -40,16 +39,16 @@ fn extensions_off_manifest_matches_pre_change_golden() {
     );
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let recorder = CampaignRecorder::new(true);
-    let campaign = run_campaign_recorded(
+    let campaign = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-        CampaignMode::Warm,
-        Some(&recorder),
-    );
+        &CampaignOpts {
+            recorder: Some(&recorder),
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     let info = RunInfo {
         name: "extensions_off_golden".into(),
         seed: 11,
@@ -57,7 +56,6 @@ fn extensions_off_manifest_matches_pre_change_golden() {
         scale: "small".into(),
         mode: "warm".into(),
         threads: campaign.stats.threads,
-        shards: campaign.stats.shards,
         trace: trackdown_suite::obs::trace_config_label(),
         schedule_len: campaign.configs.len(),
         deterministic: true,
@@ -220,14 +218,8 @@ fn extensions_on_campaign_is_deterministic() {
             ..ExtensionConfig::default()
         });
         let engine = BgpEngine::new(&world.topology, &cfg);
-        let campaign = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-        );
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
         (campaign.catchments, campaign.tracked, campaign.records)
     };
     let a = run();

@@ -22,14 +22,8 @@ fn medium_campaign(seed: u64) -> (GeneratedTopology, OriginAs, Campaign) {
             max_poison_configs: Some(40),
         },
     );
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     (world, origin, campaign)
 }
 

@@ -23,7 +23,6 @@
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use trackdown_suite::core::localize::run_campaign_parallel_mode;
 use trackdown_suite::core::online::{localize_online, localize_online_acc, OnlineOptions};
 use trackdown_suite::prelude::*;
 use trackdown_suite::traffic::{volume_per_link, Flow};
@@ -226,9 +225,7 @@ proptest! {
         let (world, origin, schedule) = scenario(seed, pops, 1, max_poison);
         let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
         for mode in [CampaignMode::Warm, CampaignMode::Delta, CampaignMode::Cold] {
-            let campaign = run_campaign_mode(
-                &engine, &origin, &schedule, CatchmentSource::ControlPlane,
-                None, 200, mode);
+            let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { mode, ..CampaignOpts::default() }).expect("valid schedule");
             let volume = plant_attackers(&world, &campaign, attackers, seed);
             let vols = link_volume_matrix(&campaign, &volume);
             let flows = flows_from_volume(&volume);
@@ -263,9 +260,7 @@ proptest! {
         let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
         let mut golden: Option<RankedSuspects> = None;
         for threads in [1usize, 2, 8] {
-            let campaign = run_campaign_parallel_mode(
-                &engine, &origin, &schedule, CatchmentSource::ControlPlane,
-                200, threads, CampaignMode::Warm);
+            let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { threads, ..CampaignOpts::default() }).expect("valid schedule");
             let volume = plant_attackers(&world, &campaign, attackers, seed);
             let vols = link_volume_matrix(&campaign, &volume);
             let flows = flows_from_volume(&volume);
@@ -336,14 +331,8 @@ fn adversarial_collisions_stay_within_enumerated_bound() {
 fn online_loop_with_sketch_oracle_names_attacker() {
     let (world, origin, schedule) = scenario(29, 4, 1, 12);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     let attacker = campaign.tracked[campaign.tracked.len() / 4];
     let mut vol = vec![0u64; world.topology.num_ases()];
     vol[attacker.us()] = 1_000_000;
@@ -424,14 +413,8 @@ fn online_loop_with_sketch_oracle_names_attacker() {
 fn ingest_counters_grow_with_streamed_flows() {
     let (world, origin, schedule) = scenario(31, 4, 1, 8);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-    let campaign = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     let volume = plant_attackers(&world, &campaign, 2, 31);
     let flows = flows_from_volume(&volume);
     let bytes: u64 = flows.iter().map(|f| f.bytes).sum();

@@ -1,5 +1,5 @@
 //! Trace-tree well-formedness suite: structured traces collected over
-//! real sharded campaigns must form valid per-thread span forests —
+//! real multi-threaded campaigns must form valid per-thread span forests —
 //! unique nonzero ids, parents that contain their children in time on
 //! the same thread, per-thread completion ordering — with invariant
 //! span counts across 1, 2, and 8 worker threads, and the Chrome
@@ -7,7 +7,6 @@
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use trackdown_suite::core::localize::{run_campaign_sharded_mode, CampaignMode, CatchmentSource};
 use trackdown_suite::obs::{
     chrome_trace_json, end_trace, start_trace, tracing_enabled, Trace, TraceConfig, TraceEventKind,
 };
@@ -108,62 +107,60 @@ fn count(trace: &Trace, name: &str) -> usize {
         .count()
 }
 
-/// The tentpole invariant: the same campaign traced at 1, 2, and 8
-/// worker threads yields well-formed trees whose per-phase span counts
-/// are fixed by the workload, not the executor shape.
+/// The same campaign traced at 1, 2, and 8 worker threads yields
+/// well-formed trees whose per-phase span counts are fixed by the
+/// workload, not the executor shape: one campaign root, and one
+/// `worker.epoch` span per propagated epoch with that epoch's
+/// `bgp.deploy` nested under it. A one-thread campaign runs on the
+/// calling thread alone, so its trace has a single timeline.
 #[test]
-fn sharded_campaign_traces_are_well_formed_across_thread_counts() {
+fn campaign_traces_are_well_formed_across_thread_counts() {
     let _guard = lock();
     let (world, origin, schedule) = scenario(7);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-    const SHARDS: usize = 4;
     for threads in [1usize, 2, 8] {
         start_trace(TraceConfig::default());
         assert!(tracing_enabled());
-        let campaign = run_campaign_sharded_mode(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            200,
+        let opts = CampaignOpts {
             threads,
-            SHARDS,
-            CampaignMode::Warm,
-        );
+            ..CampaignOpts::default()
+        };
+        let campaign = run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule");
         let trace = end_trace().expect("trace collected");
         assert!(!tracing_enabled(), "tracing must disarm at end_trace");
         assert_well_formed(&trace);
 
-        // Workload-invariant counts: one campaign root; one produce span
-        // per propagated epoch; extraction tasks (local + stolen) cover
-        // every (epoch, shard) pair exactly once.
         assert_eq!(count(&trace, "campaign.run"), 1, "{threads} threads");
         assert_eq!(
-            count(&trace, "worker.produce"),
+            count(&trace, "worker.epoch"),
             campaign.stats.propagations,
             "{threads} threads"
         );
-        assert_eq!(
-            count(&trace, "worker.extract") + count(&trace, "worker.steal"),
-            campaign.stats.propagations * campaign.stats.shards,
-            "{threads} threads"
-        );
-        // The deploy work under each produce span is a child of it.
-        let produce_ids: Vec<u64> = trace
+        let epoch_ids: Vec<u64> = trace
             .events
             .iter()
-            .filter(|e| e.name == "worker.produce")
+            .filter(|e| e.name == "worker.epoch")
             .map(|e| e.id)
             .collect();
-        let deploys_under_produce = trace
+        let deploys_under_epoch = trace
             .events
             .iter()
-            .filter(|e| e.name == "bgp.deploy" && produce_ids.contains(&e.parent))
+            .filter(|e| e.name == "bgp.deploy" && epoch_ids.contains(&e.parent))
             .count();
         assert_eq!(
-            deploys_under_produce, campaign.stats.propagations,
-            "{threads} threads: every epoch deploy nests under its produce span"
+            deploys_under_epoch, campaign.stats.propagations,
+            "{threads} threads: every deploy nests under its epoch span"
         );
+        // Every worker records its own timeline; the first chunk runs on
+        // the calling thread, so one thread means one timeline.
+        assert_eq!(
+            trace.threads.len(),
+            campaign.stats.threads,
+            "{threads} threads"
+        );
+        if threads == 1 {
+            assert_eq!(trace.threads.len(), 1, "a 1-thread campaign spawns nothing");
+        }
 
         // The exporter accepts the real trace: valid JSON with balanced
         // B/E events (checked structurally by the obs unit test; here we
@@ -186,18 +183,11 @@ fn spans_outside_a_trace_window_are_dropped() {
     let _guard = lock();
     let (world, origin, schedule) = scenario(9);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-    let run = || {
-        run_campaign_sharded_mode(
-            &engine,
-            &origin,
-            &schedule,
-            CatchmentSource::ControlPlane,
-            200,
-            2,
-            2,
-            CampaignMode::Warm,
-        )
+    let opts = CampaignOpts {
+        threads: 2,
+        ..CampaignOpts::default()
     };
+    let run = || run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule");
     // Untraced run: no window, nothing recorded anywhere.
     assert!(end_trace().is_none(), "no trace armed yet");
     let _ = run();
@@ -206,7 +196,7 @@ fn spans_outside_a_trace_window_are_dropped() {
     let campaign = run();
     let trace = end_trace().expect("trace collected");
     assert_eq!(count(&trace, "campaign.run"), 1);
-    assert_eq!(count(&trace, "worker.produce"), campaign.stats.propagations);
+    assert_eq!(count(&trace, "worker.epoch"), campaign.stats.propagations);
     // And a third, untraced run leaves no residue to drain.
     let _ = run();
     assert!(end_trace().is_none(), "tracing stayed off");

@@ -11,9 +11,6 @@
 //! regimes, and are the proof obligation for the equivalence claim.
 
 use proptest::prelude::*;
-use trackdown_suite::core::localize::{
-    run_campaign_parallel_mode, run_campaign_recorded, run_campaign_sharded_mode,
-};
 use trackdown_suite::obs::{render_manifest, CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 
@@ -89,10 +86,8 @@ proptest! {
         } else {
             CatchmentSource::ControlPlane
         };
-        let warm = run_campaign_mode(
-            &engine, &origin, &schedule, source, None, 200, CampaignMode::Warm);
-        let cold = run_campaign_mode(
-            &engine, &origin, &schedule, source, None, 200, CampaignMode::Cold);
+        let warm = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, ..CampaignOpts::default() }).expect("valid schedule");
+        let cold = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, mode: CampaignMode::Cold, ..CampaignOpts::default() }).expect("valid schedule");
         assert_campaigns_identical!(warm, cold);
         // Executor accounting: every configuration is either propagated
         // or served from the memo, and the cold oracle never memoizes.
@@ -115,12 +110,8 @@ proptest! {
     ) {
         let (world, origin, schedule) = scenario(seed, 4, 1, max_poison);
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
-        let warm = run_campaign_parallel_mode(
-            &engine, &origin, &schedule, CatchmentSource::ControlPlane,
-            200, threads, CampaignMode::Warm);
-        let cold = run_campaign_mode(
-            &engine, &origin, &schedule, CatchmentSource::ControlPlane,
-            None, 200, CampaignMode::Cold);
+        let warm = run_campaign(&engine, &origin, &schedule, &CampaignOpts { threads, ..CampaignOpts::default() }).expect("valid schedule");
+        let cold = run_campaign(&engine, &origin, &schedule, &CampaignOpts { mode: CampaignMode::Cold, ..CampaignOpts::default() }).expect("valid schedule");
         assert_campaigns_identical!(warm, cold);
     }
 
@@ -138,68 +129,117 @@ proptest! {
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
         let cones = ConeInfo::compute(&world.topology);
         let plane = MeasurementPlane::new(&world.topology, &cones, &MeasurementConfig::default());
-        let warm = run_campaign_mode(
-            &engine, &origin, &schedule, CatchmentSource::Measured,
-            Some(&plane), 200, CampaignMode::Warm);
-        let cold = run_campaign_mode(
-            &engine, &origin, &schedule, CatchmentSource::Measured,
-            Some(&plane), 200, CampaignMode::Cold);
+        let warm = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source: CatchmentSource::Measured(&plane), ..CampaignOpts::default() }).expect("valid schedule");
+        let cold = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source: CatchmentSource::Measured(&plane), mode: CampaignMode::Cold, ..CampaignOpts::default() }).expect("valid schedule");
         assert_campaigns_identical!(warm, cold);
         prop_assert_eq!(warm.stats.memo_hits, 0);
         prop_assert_eq!(warm.stats.propagations, schedule.len());
     }
 
-    // The sharded batch-catchment executor vs the unsharded oracle, for
-    // every Warm/Cold × shard-count combination — all the way through
-    // suspect ranking, so a shard-merge bug that reshuffled catchments
-    // could not hide behind equal cluster *counts*.
+    // One executor, every shape: Warm/Delta/Cold sessions over
+    // control-plane, data-plane, and measured catchments, at 1, 2, and 4
+    // worker threads, must all reproduce the one-thread cold oracle —
+    // catchments (also through the dense reference form), tracked set,
+    // clusters, records, attribution index, and suspect ranking.
+    // Measured campaigns stay thread-invariant because the observation
+    // plane salts its noise by schedule index, not by deployment order.
     #[test]
-    fn sharded_equals_unsharded_for_all_modes_and_shard_counts(
+    fn campaigns_are_mode_source_and_thread_invariant(
         seed in 0u64..300,
         max_poison in 4usize..10,
-        threads in 1usize..4,
-        data_plane in 0u8..2,
         clean in 0u8..2,
     ) {
         let (world, origin, schedule) = scenario(seed, 4, 1, max_poison);
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
-        let source = if data_plane == 1 {
-            CatchmentSource::DataPlane
-        } else {
-            CatchmentSource::ControlPlane
-        };
+        let cones = ConeInfo::compute(&world.topology);
+        let plane = MeasurementPlane::new(&world.topology, &cones, &MeasurementConfig::default());
         let volume: Vec<u64> = (0..world.topology.num_ases() as u64)
             .map(|i| 1 + i % 7)
             .collect();
-        for mode in [CampaignMode::Warm, CampaignMode::Delta, CampaignMode::Cold] {
-            let oracle = run_campaign_mode(
-                &engine, &origin, &schedule, source, None, 200, mode);
+        for source in [
+            CatchmentSource::ControlPlane,
+            CatchmentSource::DataPlane,
+            CatchmentSource::Measured(&plane),
+        ] {
+            let oracle_opts = CampaignOpts {
+                source,
+                mode: CampaignMode::Cold,
+                ..CampaignOpts::default()
+            };
+            let oracle = run_campaign(&engine, &origin, &schedule, &oracle_opts)
+                .expect("valid schedule");
             let oracle_vols = link_volume_matrix(&oracle, &volume);
             let oracle_rank = rank_suspects(&oracle, &oracle_vols);
-            for shards in [1usize, 2, 8] {
-                let sharded = run_campaign_sharded_mode(
-                    &engine, &origin, &schedule, source,
-                    200, threads, shards, mode);
-                assert_campaigns_identical!(sharded, oracle);
-                // Bitset rows vs the dense reference representation: every
-                // campaign catchment must survive a dense round-trip, so the
-                // packed u64 blocks and the Vec<Option<LinkId>> assignment
-                // are the same function — per config, against the oracle.
-                for (c, o) in sharded.catchments.iter().zip(oracle.catchments.iter()) {
-                    let dense = c.dense();
-                    prop_assert_eq!(&dense, &o.dense());
-                    prop_assert_eq!(&Catchments::from_dense(&dense), c);
+            for mode in [CampaignMode::Warm, CampaignMode::Delta, CampaignMode::Cold] {
+                for threads in [1usize, 2, 4] {
+                    let opts = CampaignOpts {
+                        source,
+                        mode,
+                        threads,
+                        ..CampaignOpts::default()
+                    };
+                    let campaign = run_campaign(&engine, &origin, &schedule, &opts)
+                        .expect("valid schedule");
+                    assert_campaigns_identical!(campaign, oracle);
+                    prop_assert_eq!(&campaign.attribution, &oracle.attribution);
+                    // Bitset rows vs the dense reference representation:
+                    // the packed u64 blocks and the Vec<Option<LinkId>>
+                    // assignment are the same function, per config.
+                    for (c, o) in campaign.catchments.iter().zip(&oracle.catchments) {
+                        let dense = c.dense();
+                        prop_assert_eq!(&dense, &o.dense());
+                        prop_assert_eq!(&Catchments::from_dense(&dense), c);
+                    }
+                    let vols = link_volume_matrix(&campaign, &volume);
+                    prop_assert_eq!(rank_suspects(&campaign, &vols), oracle_rank.clone());
+                    prop_assert_eq!(campaign.stats.mode, mode);
+                    prop_assert_eq!(
+                        campaign.stats.propagations + campaign.stats.memo_hits,
+                        schedule.len()
+                    );
                 }
-                let vols = link_volume_matrix(&sharded, &volume);
-                prop_assert_eq!(rank_suspects(&sharded, &vols), oracle_rank.clone());
-                prop_assert_eq!(
-                    sharded.stats.shards,
-                    ShardPlan::new(world.topology.num_ases(), shards).num_shards()
-                );
-                prop_assert_eq!(sharded.stats.mode, mode);
             }
         }
     }
+}
+
+// `cold_epochs` counts every deployment that reused no routing state,
+// whatever the cause.
+#[test]
+fn cold_epochs_count_every_stateless_deployment() {
+    let (world, origin, schedule) = scenario(11, 4, 1, 6);
+    // Default policy: the 8% violators gate every deployment cold, so
+    // a Warm campaign reports no warm epoch at all.
+    let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
+    let default = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
+    assert_eq!(default.stats.mode, CampaignMode::Warm);
+    assert_eq!(default.stats.cold_epochs, default.stats.propagations);
+    // Violator-free, one thread: only the first deployment and event-cap
+    // restarts start cold.
+    let clean = BgpEngine::new(&world.topology, &engine_config(true));
+    let warm =
+        run_campaign(&clean, &origin, &schedule, &CampaignOpts::default()).expect("valid schedule");
+    assert!(warm.stats.propagations > 1);
+    assert_eq!(warm.stats.cold_epochs, 1 + warm.stats.cold_restarts);
+    // Each worker's first deployment is cold.
+    let par = CampaignOpts {
+        threads: 3,
+        ..CampaignOpts::default()
+    };
+    let par = run_campaign(&clean, &origin, &schedule, &par).expect("valid schedule");
+    assert_eq!(par.stats.threads, 3);
+    assert_eq!(
+        par.stats.cold_epochs,
+        par.stats.threads + par.stats.cold_restarts
+    );
+    // Cold mode reuses nothing.
+    let cold = CampaignOpts {
+        mode: CampaignMode::Cold,
+        ..CampaignOpts::default()
+    };
+    let cold = run_campaign(&clean, &origin, &schedule, &cold).expect("valid schedule");
+    assert_eq!(cold.stats.cold_epochs, cold.stats.propagations);
 }
 
 // Policy extensions make the import filter stricter, never
@@ -229,24 +269,18 @@ fn extensions_on_warm_equals_cold() {
                 ..EngineConfig::default()
             };
             let engine = BgpEngine::new(&world.topology, &cfg);
-            let warm = run_campaign_mode(
+            let warm = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+                .expect("valid schedule");
+            let cold = run_campaign(
                 &engine,
                 &origin,
                 &schedule,
-                CatchmentSource::ControlPlane,
-                None,
-                200,
-                CampaignMode::Warm,
-            );
-            let cold = run_campaign_mode(
-                &engine,
-                &origin,
-                &schedule,
-                CatchmentSource::ControlPlane,
-                None,
-                200,
-                CampaignMode::Cold,
-            );
+                &CampaignOpts {
+                    mode: CampaignMode::Cold,
+                    ..CampaignOpts::default()
+                },
+            )
+            .expect("valid schedule");
             assert_eq!(
                 &warm.catchments, &cold.catchments,
                 "{ext} at {fraction}: warm catchments diverged from cold"
@@ -276,14 +310,14 @@ fn identical_redeploy_is_a_zero_work_epoch() {
 
     // Engine level: the second (identical) deployment diffs to an empty
     // seed set and never enters the propagation loop.
-    let mut session = engine.session();
+    let mut session = engine.session_with(CampaignMode::Delta);
     let anns = schedule[0].to_link_announcements();
     let first = session
-        .deploy_config_delta(&origin, &anns, 200)
+        .deploy_config(&origin, &anns, 200)
         .expect("valid configuration");
     assert!(first.converged);
     let redeploy = session
-        .deploy_config_delta(&origin, &anns, 200)
+        .deploy_config(&origin, &anns, 200)
         .expect("valid configuration");
     assert_eq!(redeploy.events, 0, "identical redeploy must not propagate");
     assert_eq!(redeploy.routes_disturbed, 0);
@@ -299,16 +333,17 @@ fn identical_redeploy_is_a_zero_work_epoch() {
     doubled.push(schedule[0].clone());
     let manifest_of = || {
         let recorder = CampaignRecorder::new(true);
-        let campaign = run_campaign_recorded(
+        let campaign = run_campaign(
             &engine,
             &origin,
             &doubled,
-            CatchmentSource::ControlPlane,
-            None,
-            200,
-            CampaignMode::Delta,
-            Some(&recorder),
-        );
+            &CampaignOpts {
+                mode: CampaignMode::Delta,
+                recorder: Some(&recorder),
+                ..CampaignOpts::default()
+            },
+        )
+        .expect("valid schedule");
         let info = RunInfo {
             name: "degenerate".into(),
             seed: 23,
@@ -316,7 +351,6 @@ fn identical_redeploy_is_a_zero_work_epoch() {
             scale: "small".into(),
             mode: "delta".into(),
             threads: campaign.stats.threads,
-            shards: campaign.stats.shards,
             trace: "off".into(),
             schedule_len: campaign.configs.len(),
             deterministic: true,
@@ -336,24 +370,20 @@ fn identical_redeploy_is_a_zero_work_epoch() {
 fn default_entry_points_run_warm() {
     let (world, origin, schedule) = scenario(11, 4, 1, 6);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-    let seq = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        CatchmentSource::ControlPlane,
-        None,
-        200,
-    );
+    let seq = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+        .expect("valid schedule");
     assert_eq!(seq.stats.mode, CampaignMode::Warm);
     assert_eq!(seq.stats.propagations + seq.stats.memo_hits, schedule.len());
-    let par = run_campaign_parallel(
+    let par = run_campaign(
         &engine,
         &origin,
         &schedule,
-        CatchmentSource::ControlPlane,
-        200,
-        2,
-    );
+        &CampaignOpts {
+            threads: 2,
+            ..CampaignOpts::default()
+        },
+    )
+    .expect("valid schedule");
     assert_eq!(par.stats.mode, CampaignMode::Warm);
     assert_eq!(par.stats.threads, 2);
     assert_eq!(seq.catchments, par.catchments);
