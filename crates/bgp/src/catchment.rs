@@ -18,7 +18,9 @@
 //! and extraction sets each AS's bit in one pass over the outcome. The
 //! historical dense form (`Vec<Option<LinkId>>`) remains available as a
 //! reference API ([`Catchments::dense`] / [`Catchments::from_dense`]) for
-//! the differential oracles, and is still the serde wire format.
+//! the differential oracles, and is still the serde wire format;
+//! [`Catchments::fill_links`] writes it into a reused buffer, the O(1)
+//! per-AS lookup table streaming ingest resolves once per window.
 
 use crate::engine::RoutingOutcome;
 use crate::route::LinkId;
@@ -164,13 +166,29 @@ impl Catchments {
     /// The dense per-AS form. Reference API for the differential oracles;
     /// `Catchments::from_dense(&c.dense()) == c` for every `c`.
     pub fn dense(&self) -> Vec<Option<LinkId>> {
-        let mut dense = vec![None; self.n];
-        for (l, row) in self.links.iter().zip(&self.rows) {
-            for i in iter_set_bits(row.iter().copied()) {
-                dense[i] = Some(*l);
+        let mut dense = Vec::new();
+        self.fill_links(&mut dense);
+        dense
+    }
+
+    /// Write the dense per-AS form into a caller-owned buffer: `out` ends
+    /// up `len()` long with `out[i] == get(i)`, whatever it held before.
+    /// One pass over each row's set bits and no allocation once `out` has
+    /// the capacity, so a streaming consumer can resolve each window's
+    /// catchment into a reused table and then look up every flow's link
+    /// with one load instead of a row scan.
+    pub fn fill_links(&self, out: &mut Vec<Option<LinkId>>) {
+        out.clear();
+        out.resize(self.n, None);
+        for (&l, row) in self.links.iter().zip(&self.rows) {
+            for (chunk, &word) in out.chunks_mut(WORD).zip(row) {
+                let mut bits = word;
+                while bits != 0 {
+                    chunk[bits.trailing_zeros() as usize] = Some(l);
+                    bits &= bits - 1;
+                }
             }
         }
-        dense
     }
 
     /// Index of `link`'s row, inserting an empty row (keeping `links`
@@ -250,6 +268,34 @@ impl Catchments {
             Err(_) => &[],
         };
         iter_set_bits(row.iter().copied()).map(|i| AsIndex(i as u32))
+    }
+
+    /// Sum a per-AS value over each link's members: `(link, Σ values[i])`
+    /// over the ASes `i` in that link's row, one entry per link row,
+    /// ascending (a link emptied by [`Catchments::set`] sums to 0). ASes
+    /// past the end of `values` count as 0. Word-at-a-time: a block of 64
+    /// ASes whose values are all zero costs one OR-reduction of those
+    /// values and no row probes, so a sparse vector costs about one pass
+    /// over it.
+    pub fn member_sums(&self, values: &[u64]) -> Vec<(LinkId, u64)> {
+        let mut sums: Vec<(LinkId, u64)> = self.links.iter().map(|&l| (l, 0)).collect();
+        for (w, block) in values.chunks(WORD).enumerate().take(self.assigned.len()) {
+            if block.iter().fold(0, |any, &v| any | v) == 0 {
+                continue;
+            }
+            let nonzero = block
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (b, &v)| m | (u64::from(v != 0) << b));
+            for ((_, sum), row) in sums.iter_mut().zip(&self.rows) {
+                let mut bits = row[w] & nonzero;
+                while bits != 0 {
+                    *sum += block[bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                }
+            }
+        }
+        sums
     }
 
     /// Number of ASes with an assignment.
@@ -423,6 +469,90 @@ mod tests {
             ]
         );
         assert_eq!(Catchments::from_dense(&dense), c);
+    }
+
+    /// `fill_links` is `dense()` into a reused buffer: it must agree with
+    /// `get` on every AS whatever the buffer held before — longer, shorter,
+    /// or a previous window's links.
+    #[test]
+    fn fill_links_agrees_with_get_over_a_reused_buffer() {
+        let windows = [
+            vec![
+                Some(LinkId(2)),
+                None,
+                Some(LinkId(0)),
+                Some(LinkId(2)),
+                None,
+            ],
+            vec![None; 3],
+            (0..70)
+                .map(|i| (i % 3 != 0).then_some(LinkId((i % 5) as u8)))
+                .collect(),
+            vec![Some(LinkId(7)); 9],
+            Vec::new(),
+            vec![None, Some(LinkId(1))],
+        ];
+        let mut table = vec![Some(LinkId(9)); 100];
+        for dense in &windows {
+            let c = Catchments::from_dense(dense);
+            c.fill_links(&mut table);
+            assert_eq!(&table, dense);
+            assert_eq!(table, c.dense());
+            for (i, &link) in table.iter().enumerate() {
+                assert_eq!(link, c.get(AsIndex(i as u32)), "AS {i}");
+            }
+        }
+        // Rows emptied by `set` leave no stale bits behind.
+        let mut c = sample();
+        c.set(AsIndex(0), Some(LinkId(1)));
+        c.set(AsIndex(1), None);
+        c.fill_links(&mut table);
+        assert_eq!(
+            table,
+            vec![Some(LinkId(1)), None, Some(LinkId(1)), None, None]
+        );
+    }
+
+    /// `member_sums` against a per-AS `get` reference: value vectors
+    /// shorter and longer than the catchment, sparse and dense, and a row
+    /// emptied by `set`.
+    #[test]
+    fn member_sums_match_per_as_lookup() {
+        let dense: Vec<Option<LinkId>> = (0..200)
+            .map(|i| (i % 7 != 3).then_some(LinkId((i * 5 % 4) as u8)))
+            .collect();
+        let mut emptied = Catchments::from_dense(&dense);
+        for (i, &link) in dense.iter().enumerate() {
+            if link == Some(LinkId(2)) {
+                emptied.set(AsIndex(i as u32), None);
+            }
+        }
+        for c in [
+            Catchments::from_dense(&dense),
+            emptied,
+            Catchments::unassigned(70),
+        ] {
+            for values in [
+                (0..200u64).map(|i| i * 3 + 1).collect::<Vec<_>>(),
+                (0..130u64)
+                    .map(|i| u64::from(i % 61 == 0) * 1_000)
+                    .collect(),
+                (0..300u64).map(|i| i % 5).collect(),
+                Vec::new(),
+            ] {
+                let mut want = [0u64; 4];
+                for (i, &v) in values.iter().enumerate().take(c.len()) {
+                    if let Some(l) = c.get(AsIndex(i as u32)) {
+                        want[l.us()] += v;
+                    }
+                }
+                let mut got = [0u64; 4];
+                for (l, v) in c.member_sums(&values) {
+                    got[l.us()] += v;
+                }
+                assert_eq!(got, want, "values of length {}", values.len());
+            }
+        }
     }
 
     #[test]

@@ -4,18 +4,21 @@
 use trackdown_bgp::{Catchments, LinkId};
 use trackdown_topology::AsIndex;
 
-/// Aggregate per-AS volumes onto peering links through the catchments.
+/// Aggregate per-AS volumes onto peering links through the catchments:
+/// each link sums the volume over its member bitset row
+/// ([`Catchments::member_sums`]), so no AS needs a per-source link lookup.
+/// Volume from unassigned ASes is dropped.
+///
+/// # Panics
+/// Panics if a link at or beyond `num_links` carries nonzero volume.
 pub fn volume_per_link(
     catchments: &Catchments,
     volume_per_as: &[u64],
     num_links: usize,
 ) -> Vec<u64> {
     let mut out = vec![0u64; num_links];
-    for (i, &v) in volume_per_as.iter().enumerate() {
-        if v == 0 {
-            continue;
-        }
-        if let Some(link) = catchments.get(AsIndex(i as u32)) {
+    for (link, v) in catchments.member_sums(volume_per_as) {
+        if v > 0 {
             out[link.us()] += v;
         }
     }

@@ -9,6 +9,7 @@
 //! so the honeypot never contributes meaningful attack volume.
 
 use crate::flow::Flow;
+use crate::sketch::{attributed_link, with_resolved};
 use serde::{Deserialize, Serialize};
 use trackdown_bgp::{Catchments, LinkId, Prefix};
 
@@ -102,6 +103,10 @@ impl Honeypot {
     /// data-plane) catchments. Only flows destined to the honeypot prefix
     /// are seen; each is attributed to the ingress link of its *true*
     /// source AS — which is exactly what the origin's border routers see.
+    /// Flows the window cannot pin to one of the `num_links` links (source
+    /// AS unassigned or outside the catchments, link out of range) count
+    /// as unattributed, by the same rule as
+    /// [`VolumeAccumulator::ingest_resolved`](crate::VolumeAccumulator::ingest_resolved).
     pub fn observe(
         &self,
         catchments: &Catchments,
@@ -112,19 +117,21 @@ impl Honeypot {
         let mut per_link_packets = vec![0u64; num_links];
         let mut total_bytes = 0u64;
         let mut unattributed = 0usize;
-        for f in flows {
-            if !self.cfg.prefix.contains(f.dst_ip) {
-                continue; // not addressed to the honeypot
-            }
-            match catchments.get(f.src_as) {
-                Some(link) => {
-                    per_link_bytes[link.us()] += f.bytes;
-                    per_link_packets[link.us()] += f.packets;
-                    total_bytes += f.bytes;
+        with_resolved(catchments, flows, |links| {
+            for f in flows {
+                if !self.cfg.prefix.contains(f.dst_ip) {
+                    continue; // not addressed to the honeypot
                 }
-                None => unattributed += 1,
+                match attributed_link(links, num_links, f) {
+                    Some(link) => {
+                        per_link_bytes[link.us()] += f.bytes;
+                        per_link_packets[link.us()] += f.packets;
+                        total_bytes += f.bytes;
+                    }
+                    None => unattributed += 1,
+                }
             }
-        }
+        });
         let uncapped = (total_bytes as f64 * self.cfg.amplification_factor) as u64;
         let response_bytes = match self.cfg.response_byte_cap {
             Some(cap) => uncapped.min(cap),
@@ -199,6 +206,57 @@ mod tests {
         let r = hp.observe(&catchments3(), 3, &[flow(3, 1_000, dst)]);
         assert_eq!(r.total_bytes, 0);
         assert_eq!(r.unattributed_flows, 1);
+    }
+
+    /// Regression: a source AS beyond the catchments used to trip the
+    /// range assert inside `Catchments::get`.
+    #[test]
+    fn source_outside_catchments_is_unattributed() {
+        let hp = Honeypot::new(HoneypotConfig::default());
+        let dst = hp.config().prefix.addr(1);
+        let r = hp.observe(&catchments3(), 3, &[flow(4, 1_000, dst), flow(0, 500, dst)]);
+        assert_eq!(r.unattributed_flows, 1);
+        assert_eq!(r.per_link_bytes, vec![500, 0, 0]);
+        assert_eq!(r.total_bytes, 500);
+    }
+
+    /// Regression: a link at or beyond `num_links` used to index past the
+    /// per-link vectors.
+    #[test]
+    fn link_beyond_num_links_is_unattributed() {
+        let hp = Honeypot::new(HoneypotConfig::default());
+        let dst = hp.config().prefix.addr(1);
+        let flows = vec![
+            flow(0, 1_000, dst),
+            flow(1, 2_000, dst),
+            flow(2, 4_000, dst),
+        ];
+        // AS 1 and AS 2 ingress on link 1, outside a one-link window.
+        let r = hp.observe(&catchments3(), 1, &flows);
+        assert_eq!(r.unattributed_flows, 2);
+        assert_eq!(r.per_link_bytes, vec![1_000]);
+        assert_eq!(r.per_link_packets, vec![1_000 / 64]);
+        assert_eq!(r.total_bytes, 1_000);
+    }
+
+    /// A window with far fewer flows than ASes resolves only its flows'
+    /// sources; the attribution rule is the same.
+    #[test]
+    fn sparse_window_attributes_by_the_same_rule() {
+        let hp = Honeypot::new(HoneypotConfig::default());
+        let dst = hp.config().prefix.addr(1);
+        let mut c = Catchments::unassigned(1_000);
+        c.set(AsIndex(10), Some(LinkId(0)));
+        c.set(AsIndex(20), Some(LinkId(5)));
+        let flows = vec![
+            flow(10, 640, dst),
+            flow(20, 640, dst),    // link 5 is outside a 3-link window
+            flow(30, 640, dst),    // unassigned
+            flow(5_000, 640, dst), // outside the catchments
+        ];
+        let r = hp.observe(&c, 3, &flows);
+        assert_eq!(r.per_link_bytes, vec![640, 0, 0]);
+        assert_eq!(r.unattributed_flows, 3);
     }
 
     #[test]

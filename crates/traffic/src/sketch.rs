@@ -2,13 +2,20 @@
 //!
 //! The attribution plane in `trackdown-core` correlates per-configuration,
 //! per-link spoofed volumes with the campaign's clustering. The exact
-//! pipeline materializes those volumes as dense `Vec<Vec<u64>>` rows — fine
-//! for analysis, but a production traceback box ingesting millions of
-//! flows/sec cannot afford a full scan of the AS space per configuration.
-//! This module provides the streaming alternative: flows are folded into a
-//! [`VolumeAccumulator`] as they arrive, and the localization layer reads
-//! volumes back through the same trait whether they are exact or
-//! approximate.
+//! pipeline builds those volumes as dense `Vec<Vec<u64>>` rows by
+//! rescanning every tracked source per configuration. This module provides
+//! the streaming alternative: flows are folded into a [`VolumeAccumulator`]
+//! as they arrive, and the localization layer reads volumes back through
+//! the same trait whether they are exact or approximate.
+//!
+//! Exact streaming is cheap: a window's catchment is fixed, so
+//! [`ingest_stream`] resolves it once into a per-AS link table (one pass
+//! over the catchment's bitset rows, into a reused buffer; a window with
+//! far fewer flows than ASes resolves only its flows' sources) and each
+//! flow's link is then a single table load. The counters themselves are
+//! per-(configuration, link), a handful per window, so the exact store is
+//! small too. The sketch's classical advantage — a key space too large for
+//! exact counters — does not arise for link ids.
 //!
 //! Two streaming implementations:
 //!
@@ -34,6 +41,7 @@
 //! error bound, but it can never silently clear a guilty cluster.
 
 use crate::flow::Flow;
+use std::cell::Cell;
 use trackdown_bgp::{Catchments, LinkId};
 
 /// Default number of flows per streaming batch (see [`ingest_stream`]).
@@ -90,49 +98,123 @@ pub trait VolumeAccumulator {
         (0..self.num_configs()).map(|c| self.dense_row(c)).collect()
     }
 
-    /// Ingest one batch of flows observed during `config`, attributing
-    /// each flow to its source AS's catchment link. Flows from ASes with
-    /// no catchment (or outside the catchment / counter range) are counted
-    /// as unattributed and dropped — exactly what the honeypot does with
+    /// Fold one batch observed during `config` against a catchment
+    /// already resolved into a per-AS link table: `links` is as long as
+    /// the catchment and `links[i]` is AS `i`'s link for every source AS
+    /// `i` the batch names ([`Catchments::fill_links`] resolves them all).
+    /// Flows whose source AS is outside the table or has no link, and
+    /// flows whose link is outside the counter row, are counted as
+    /// unattributed and dropped — exactly what the honeypot does with
     /// traffic it cannot pin to an ingress link.
     ///
     /// Maintains the `traffic.ingest.flows` / `traffic.ingest.bytes` /
-    /// `traffic.ingest.unattributed` counters and, for sketch-backed
+    /// `traffic.ingest.unattributed` counters, once per batch. The default
+    /// records each attributed flow through [`VolumeAccumulator::record`];
+    /// an override changes only where attributed bytes land, never which
+    /// flows are attributed.
+    fn ingest_resolved(&mut self, config: usize, links: &[Option<LinkId>], flows: &[Flow]) {
+        let width = self.num_links();
+        attribute_batch(links, width, flows, |_, link, bytes| {
+            self.record(config, link, bytes)
+        });
+    }
+
+    /// Ingest one batch of flows observed during `config`, attributing
+    /// each flow to its source AS's catchment link (see
+    /// [`VolumeAccumulator::ingest_resolved`] for which flows count as
+    /// unattributed). [`ingest_stream`] with a single batch.
+    ///
+    /// Maintains the `traffic.ingest.*` counters and, for sketch-backed
     /// stores, the `traffic.sketch.saturation_permille` gauge.
     fn ingest(&mut self, config: usize, catchments: &Catchments, flows: &[Flow]) {
-        let width = self.num_links();
-        let mut bytes = 0u64;
-        let mut unattributed = 0u64;
-        for f in flows {
-            bytes += f.bytes;
-            let link = if f.src_as.us() < catchments.len() {
-                catchments.get(f.src_as)
-            } else {
-                None
-            };
-            match link {
-                Some(l) if l.us() < width => self.record(config, l, f.bytes),
-                _ => unattributed += 1,
-            }
-        }
-        publish_ingest_metrics(flows.len() as u64, bytes, unattributed);
-        if let Some(s) = self.saturation_permille() {
-            trackdown_obs::global()
-                .gauge("traffic.sketch.saturation_permille")
-                .set(s as i64);
-        }
+        ingest_stream(self, config, catchments, flows, flows.len().max(1));
     }
 }
 
-fn publish_ingest_metrics(flows: u64, bytes: u64, unattributed: u64) {
-    trackdown_obs::counter!("traffic.ingest.flows").add(flows);
+/// The one attribution rule: a flow lands on its source AS's link when the
+/// AS is inside the resolved table, has a link, and the link is below
+/// `width` (the counter row); every other flow is unattributed.
+#[inline]
+pub(crate) fn attributed_link(
+    links: &[Option<LinkId>],
+    width: usize,
+    flow: &Flow,
+) -> Option<LinkId> {
+    match links.get(flow.src_as.us()) {
+        Some(&Some(link)) if link.us() < width => Some(link),
+        _ => None,
+    }
+}
+
+/// Attribute one batch, handing each attributed flow to `sink` as
+/// `(position in batch, link, bytes)`, then publish the batch's
+/// `traffic.ingest.*` counters.
+#[inline]
+fn attribute_batch(
+    links: &[Option<LinkId>],
+    width: usize,
+    flows: &[Flow],
+    mut sink: impl FnMut(usize, LinkId, u64),
+) {
+    let mut bytes = 0u64;
+    let mut unattributed = 0u64;
+    for (i, f) in flows.iter().enumerate() {
+        bytes += f.bytes;
+        match attributed_link(links, width, f) {
+            Some(link) => sink(i, link, f.bytes),
+            None => unattributed += 1,
+        }
+    }
+    trackdown_obs::counter!("traffic.ingest.flows").add(flows.len() as u64);
     trackdown_obs::counter!("traffic.ingest.bytes").add(bytes);
     trackdown_obs::counter!("traffic.ingest.unattributed").add(unattributed);
 }
 
+/// A window resolves its whole catchment once it carries at least one flow
+/// per this many ASes. A full resolve writes every AS's table entry (a few
+/// ns each); a per-flow `Catchments::get` probes the link rows (15–20 ns),
+/// so below this density resolving only the flows' sources is cheaper.
+const ASES_PER_FLOW_FOR_FULL_RESOLVE: usize = 4;
+
+thread_local! {
+    /// The per-AS link table each window's catchment is resolved into,
+    /// reused across windows and calls so steady-state ingest allocates
+    /// nothing.
+    static LINK_TABLE: Cell<Vec<Option<LinkId>>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run `f` on `catchments` resolved into this thread's reused per-AS link
+/// table, `catchments.len()` long and correct at every source AS `flows`
+/// names. A dense window resolves every AS ([`Catchments::fill_links`]);
+/// a sparse one probes only its flows' sources, leaving the other entries
+/// stale but never read. The table is taken out for the call, so a nested
+/// resolve gets a fresh table instead of aliasing this one.
+pub(crate) fn with_resolved<R>(
+    catchments: &Catchments,
+    flows: &[Flow],
+    f: impl FnOnce(&[Option<LinkId>]) -> R,
+) -> R {
+    let mut table = LINK_TABLE.take();
+    if flows.len() * ASES_PER_FLOW_FOR_FULL_RESOLVE >= catchments.len() {
+        catchments.fill_links(&mut table);
+    } else {
+        table.resize(catchments.len(), None);
+        for flow in flows {
+            if let Some(slot) = table.get_mut(flow.src_as.us()) {
+                *slot = catchments.get(flow.src_as);
+            }
+        }
+    }
+    let out = f(&table);
+    LINK_TABLE.set(table);
+    out
+}
+
 /// Stream a flow list into an accumulator in fixed-size batches — the
 /// shape a line-rate deployment sees (NetFlow-style export intervals)
-/// rather than one giant slice.
+/// rather than one giant slice. The catchment is fixed for the window, so
+/// it is resolved into a per-AS link table once per call and every flow's
+/// link is one table load.
 pub fn ingest_stream<A: VolumeAccumulator + ?Sized>(
     acc: &mut A,
     config: usize,
@@ -140,9 +222,16 @@ pub fn ingest_stream<A: VolumeAccumulator + ?Sized>(
     flows: &[Flow],
     batch: usize,
 ) {
-    for chunk in crate::flow::flow_batches(flows, batch) {
-        acc.ingest(config, catchments, chunk);
-    }
+    with_resolved(catchments, flows, |links| {
+        for chunk in crate::flow::flow_batches(flows, batch) {
+            acc.ingest_resolved(config, links, chunk);
+            if let Some(s) = acc.saturation_permille() {
+                trackdown_obs::global()
+                    .gauge("traffic.sketch.saturation_permille")
+                    .set(s as i64);
+            }
+        }
+    });
 }
 
 /// Exact dense rows are the trivial accumulator: direct indexing, zero
@@ -513,38 +602,41 @@ impl VolumeAccumulator for BatchedDenseAccumulator {
         0
     }
 
-    fn ingest(&mut self, config: usize, catchments: &Catchments, flows: &[Flow]) {
+    fn ingest_resolved(&mut self, config: usize, links: &[Option<LinkId>], flows: &[Flow]) {
         let width = self.num_links;
-        let mut bytes = 0u64;
-        let mut unattributed = 0u64;
-        for (i, f) in flows.iter().enumerate() {
-            bytes += f.bytes;
-            let link = if f.src_as.us() < catchments.len() {
-                catchments.get(f.src_as)
-            } else {
-                None
-            };
-            match link {
-                Some(l) if l.us() < width => {
-                    self.scratch[l.us() * LANES + (i % LANES)] += f.bytes;
-                }
-                _ => unattributed += 1,
-            }
-        }
+        let scratch = &mut self.scratch;
+        attribute_batch(links, width, flows, |i, link, bytes| {
+            scratch[link.us() * LANES + (i % LANES)] += bytes;
+        });
         for l in 0..width {
             let lanes = &mut self.scratch[l * LANES..(l + 1) * LANES];
             let sum: u64 = lanes.iter().sum();
             lanes.fill(0);
             self.rows[config * width + l] += sum;
         }
-        publish_ingest_metrics(flows.len() as u64, bytes, unattributed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::{Mutex, MutexGuard};
     use trackdown_topology::AsIndex;
+
+    /// Serializes the tests that ingest: the `traffic.ingest.*` counters
+    /// are process-global and the differential test compares exact deltas.
+    fn ingest_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Current `(flows, bytes, unattributed)` ingest counter totals.
+    fn ingest_counters() -> [u64; 3] {
+        let obs = trackdown_obs::global();
+        ["flows", "bytes", "unattributed"]
+            .map(|k| obs.counter(&format!("traffic.ingest.{k}")).get())
+    }
 
     fn catchments(n: usize, links: usize) -> Catchments {
         let mut c = Catchments::unassigned(n);
@@ -630,6 +722,7 @@ mod tests {
 
     #[test]
     fn accumulator_ingest_matches_dense_reference() {
+        let _lock = ingest_lock();
         let n = 200;
         let cat = catchments(n, 5);
         let fl = flows(n);
@@ -659,6 +752,7 @@ mod tests {
 
     #[test]
     fn ingest_counts_unattributed_flows() {
+        let _lock = ingest_lock();
         let before = trackdown_obs::global()
             .counter("traffic.ingest.unattributed")
             .get();
@@ -676,6 +770,7 @@ mod tests {
 
     #[test]
     fn saturation_gauge_tracks_occupancy() {
+        let _lock = ingest_lock();
         let cat = catchments(40, 4);
         let fl = flows(40);
         let mut sk = SketchAccumulator::new(1, 4, 8, 2, 3);
@@ -687,6 +782,106 @@ mod tests {
         assert!(direct > 0);
         assert!(gauge > 0, "saturation gauge never published");
         assert!(direct <= 1000);
+    }
+
+    /// The per-flow reference: look every flow's link up with
+    /// `Catchments::get`, record it through `record`, and return the
+    /// `(flows, bytes, unattributed)` the ingest counters must grow by.
+    fn reference_ingest<A: VolumeAccumulator + ?Sized>(
+        acc: &mut A,
+        config: usize,
+        cat: &Catchments,
+        flows: &[Flow],
+    ) -> [u64; 3] {
+        let width = acc.num_links();
+        let mut tally = [flows.len() as u64, 0, 0];
+        for f in flows {
+            tally[1] += f.bytes;
+            let link = (f.src_as.us() < cat.len())
+                .then(|| cat.get(f.src_as))
+                .flatten();
+            match link {
+                Some(l) if l.us() < width => acc.record(config, l, f.bytes),
+                _ => tally[2] += 1,
+            }
+        }
+        tally
+    }
+
+    /// `ingest_stream` one window and return the ingest counter deltas.
+    fn stream_delta<A: VolumeAccumulator + ?Sized>(
+        acc: &mut A,
+        config: usize,
+        cat: &Catchments,
+        flows: &[Flow],
+        batch: usize,
+    ) -> [u64; 3] {
+        let before = ingest_counters();
+        ingest_stream(acc, config, cat, flows, batch);
+        let after = ingest_counters();
+        [0, 1, 2].map(|k| after[k] - before[k])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Resolved-table ingest against the per-flow `Catchments::get`
+        // reference, window after window through the one reused table:
+        // unassigned ASes, sources beyond the catchments and links beyond
+        // the row width are all unattributed. Window and flow counts span
+        // both the full resolve and the sources-only one. Rows (sketch
+        // estimates included) must be bit-identical and the counter
+        // deltas equal.
+        #[test]
+        fn resolved_ingest_matches_per_flow_get(
+            windows in proptest::collection::vec(
+                proptest::collection::vec(proptest::option::of(0u8..10), 0..600),
+                1..4,
+            ),
+            width in 1usize..8,
+            flows in proptest::collection::vec((0u32..700, 1u64..50_000), 0..400),
+        ) {
+            let cats: Vec<Catchments> = windows
+                .iter()
+                .map(|d| {
+                    let dense: Vec<Option<LinkId>> = d.iter().map(|l| l.map(LinkId)).collect();
+                    Catchments::from_dense(&dense)
+                })
+                .collect();
+            let flows: Vec<Flow> = flows
+                .iter()
+                .map(|&(src, bytes)| Flow {
+                    src_as: AsIndex(src),
+                    claimed_ip: 0xCB00_7101,
+                    dst_ip: 0xB8A4_E001,
+                    packets: bytes.div_ceil(64),
+                    bytes,
+                    spoofed: true,
+                })
+                .collect();
+            let configs = cats.len();
+            let _lock = ingest_lock();
+            for batch in [1, 17, 1024, flows.len() + 1] {
+                let mut want_plain = vec![vec![0u64; width]; configs];
+                let mut want_sketch = SketchAccumulator::new(configs, width, 4, 2, 5);
+                let mut plain = vec![vec![0u64; width]; configs];
+                let mut batched = BatchedDenseAccumulator::new(configs, width);
+                let mut sketch = SketchAccumulator::new(configs, width, 4, 2, 5);
+                for (c, cat) in cats.iter().enumerate() {
+                    let want = reference_ingest(want_plain.as_mut_slice(), c, cat, &flows);
+                    reference_ingest(&mut want_sketch, c, cat, &flows);
+                    let deltas = [
+                        stream_delta(plain.as_mut_slice(), c, cat, &flows, batch),
+                        stream_delta(&mut batched, c, cat, &flows, batch),
+                        stream_delta(&mut sketch, c, cat, &flows, batch),
+                    ];
+                    prop_assert_eq!(deltas, [want; 3], "batch {}, window {}", batch, c);
+                }
+                prop_assert_eq!(&plain, &want_plain, "plain rows, batch {}", batch);
+                prop_assert_eq!(&batched.dense_rows(), &want_plain, "batched rows, batch {}", batch);
+                prop_assert_eq!(sketch.dense_rows(), want_sketch.dense_rows(), "sketch, batch {}", batch);
+            }
+        }
     }
 
     #[test]
