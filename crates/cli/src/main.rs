@@ -23,7 +23,7 @@ use trackdown_core::hijack::all_impacts;
 use trackdown_core::localize::{run_campaign, Campaign, CampaignMode, CampaignOpts};
 use trackdown_core::report::render_table;
 use trackdown_experiments::{
-    mode_label, parse_defense, parse_mode, parse_sketch, report_stats, Options, Scale, Scenario,
+    mode_label, parse_defense, parse_mode, report_stats, Options, Scale, Scenario,
 };
 use trackdown_topology::serfmt::{to_as_rel, to_dot};
 use trackdown_topology::Asn;
@@ -73,7 +73,6 @@ USAGE:
                       [--metrics-deterministic] [--defense NAME=FRACTION[:BIAS]]...
   trackdown info      --dataset FILE
   trackdown localize  --dataset FILE --attacker ASN [--attacker ASN ...] [--volume BYTES]
-                      [--sketch WIDTHxDEPTH]
   trackdown hijack    --dataset FILE [--config K]
   trackdown bench-snapshot [--out FILE]
   trackdown validate-manifest --manifest FILE
@@ -87,11 +86,6 @@ aspa, peerlock-lite, only-to-customers, enforce-first-as, edge-filter)
 at the given fraction of ASes, tier-biased by BIAS (uniform|core|stub,
 default core); repeat the flag to combine extensions. No --defense
 flags reproduce the extension-free engine bit-for-bit.
-
-localize --sketch streams the attack flows through a count-min sketch
-of the given geometry instead of exact per-link counters and reports
-the approximate suspect ranking with its worst-case error bound and
-rank-stability verdict alongside the exact estimates.
 
 The internet scale loads the CAIDA as-rel snapshot named by the
 TRACKDOWN_AS_REL environment variable when set, and falls back to a
@@ -186,9 +180,6 @@ impl Args {
         for d in self.get_all("--defense") {
             opts.defenses
                 .push(parse_defense(d).ok_or_else(|| bad("--defense", d))?);
-        }
-        if let Some(s) = self.get("--sketch") {
-            opts.sketch = Some(parse_sketch(s).ok_or_else(|| bad("--sketch", s))?);
         }
         Ok(opts)
     }
@@ -351,47 +342,6 @@ fn cmd_localize(args: &Args) -> Result<(), String> {
             }
         );
     }
-    // Approximate path: stream the same attack as flows through a
-    // count-min sketch and report the ranking with its error bound.
-    if let Some((width, depth)) = args.options().ok().and_then(|o| o.sketch) {
-        use trackdown_traffic::{ingest_stream, DEFAULT_FLOW_BATCH};
-        let flows: Vec<trackdown_traffic::Flow> = per_as
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v > 0)
-            .map(|(i, &v)| trackdown_traffic::Flow {
-                src_as: trackdown_topology::AsIndex(i as u32),
-                claimed_ip: 0xCB00_7101,
-                dst_ip: 0xCB00_7201,
-                packets: v / 64,
-                bytes: v,
-                spoofed: true,
-            })
-            .collect();
-        let mut sketch = trackdown_traffic::SketchAccumulator::new(
-            campaign.catchments.len(),
-            campaign.attribution.num_links(),
-            width,
-            depth,
-            0x5CE7,
-        );
-        for (c, cat) in campaign.catchments.iter().enumerate() {
-            ingest_stream(&mut sketch, c, cat, &flows, DEFAULT_FLOW_BATCH);
-        }
-        let ranked = trackdown_core::localize::rank_suspects_acc(&campaign, &sketch);
-        println!(
-            "sketch {width}x{depth}: {} suspect cluster(s), error bound {} bytes \
-             (eps*N {}), ranking {}",
-            ranked.suspects.len(),
-            ranked.error_bound,
-            sketch.epsilon_n_bound(),
-            if ranked.stable {
-                "stable (every gap exceeds the bound)"
-            } else {
-                "UNSTABLE (some adjacent suspects within the bound)"
-            }
-        );
-    }
     Ok(())
 }
 
@@ -503,28 +453,22 @@ struct BenchSnapshot {
     attribution_scan_ms: f64,
     /// `attribution_scan_ms / attribution_indexed_ms` — gated ≥ 5.0 in CI.
     attribution_speedup: f64,
-    /// Count-min geometry of the schema-7 streaming-ingest arm.
-    sketch_width: u64,
-    /// Rows in the streaming arm's count-min sketch.
-    sketch_depth: u64,
-    /// Flows streamed per configuration in the sketch arm: the ~1k active
-    /// sources of the 50k-source workload — the few-source regime
-    /// amplification attacks live in (AmpPot, §I).
-    sketch_flows: u64,
+    /// Flows streamed per configuration in the streaming arm (schema 9;
+    /// `sketch_flows` before): the few hundred active sources of the
+    /// 50k-source workload — the few-source regime amplification attacks
+    /// live in (AmpPot, §I).
+    stream_flows: u64,
     /// Building the exact dense link-volume matrix for the same attack —
     /// a full 50k-source catchment rescan per configuration (best of 2,
     /// ms). This is what the streaming path replaces.
     exact_ingest_ms: f64,
-    /// Streaming the flows through the count-min accumulator across all
-    /// configurations (best of 2, ms).
-    sketch_ingest_ms: f64,
-    /// `exact_ingest_ms / sketch_ingest_ms` — gated ≥ 3.0 in CI. The
-    /// per-counter overestimation bound and suspect-superset property are
-    /// checked before any timing.
-    sketch_ingest_speedup: f64,
-    /// The sketch's enumerated worst-case overestimation bound (bytes)
-    /// on the streaming arm.
-    sketch_error_bound: u64,
+    /// Clearing the exact streaming accumulator and ingesting the flows
+    /// across all configurations (best of 2, ms).
+    stream_ingest_ms: f64,
+    /// `exact_ingest_ms / stream_ingest_ms` — gated ≥ 3.0 in CI. Row
+    /// equality with the rescan and an equal suspect ranking are checked
+    /// before any timing.
+    stream_ingest_speedup: f64,
     /// Logical cores available to the benching machine (schema 4). The
     /// thread-speedup CI gate scales its floor with this; the value itself
     /// is machine-dependent and excluded from snapshot comparisons.
@@ -611,18 +555,15 @@ fn bench_scale_arm(scale: Scale) -> Result<(u64, u64, u64, f64, f64), String> {
 }
 
 /// What the synthetic 50k-source attribution workload measured: the
-/// schema-3 indexed-vs-scan arms plus the schema-7 streaming-ingest arms.
+/// schema-3 indexed-vs-scan arms plus the streaming-ingest arms.
 struct AttributionArms {
     sources: u64,
     configs: u64,
     indexed_ms: f64,
     scan_ms: f64,
-    sketch_width: u64,
-    sketch_depth: u64,
-    sketch_flows: u64,
+    stream_flows: u64,
     exact_ingest_ms: f64,
-    sketch_ingest_ms: f64,
-    sketch_error_bound: u64,
+    stream_ingest_ms: f64,
 }
 
 /// The schema-3 attribution workload: a 50k-source synthetic partition
@@ -630,15 +571,15 @@ struct AttributionArms {
 /// the indexed attribution plane and through the scan-based references it
 /// replaced. Both arms produce byte-identical suspect/estimate output —
 /// checked before timing — so the ratio is pure mechanism. The same
-/// partition then carries the schema-7 streaming arm: exact dense
-/// matrix construction vs count-min flow ingest.
+/// partition then carries the streaming arm: the dense matrix rescan vs
+/// flow ingest into exact streaming counters.
 fn bench_attribution_arms() -> Result<AttributionArms, String> {
     use trackdown_core::localize::{
         estimate_cluster_volumes, estimate_cluster_volumes_rescan, link_volume_matrix,
         rank_suspects, rank_suspects_acc, rank_suspects_rescan, AttributionIndex, CampaignStats,
     };
     use trackdown_topology::AsIndex;
-    use trackdown_traffic::{ingest_stream, SketchAccumulator, VolumeAccumulator as _};
+    use trackdown_traffic::{ingest_stream, BatchedDenseAccumulator, VolumeAccumulator as _};
 
     const SOURCES: usize = 50_000;
     const CONFIGS: usize = 24;
@@ -733,15 +674,13 @@ fn bench_attribution_arms() -> Result<AttributionArms, String> {
     let indexed_ms = time_ms(&|| run_indexed().2);
     let scan_ms = time_ms(&|| run_scan().2);
 
-    // --- Schema-7 streaming arm -----------------------------------------
+    // --- Streaming arm -------------------------------------------------
     // The same partition, but the attack arrives as flows from a few
     // hundred active sources (1-in-200 of the 50k — the few-source regime
     // amplification attacks live in; AmpPot-style measurements put most
-    // reflection campaigns well under a thousand origins). The exact path
-    // must rescan every tracked source per configuration to build its
-    // dense rows; the count-min path only touches the flows it is fed.
-    const SKETCH_W: usize = 512;
-    const SKETCH_D: usize = 4;
+    // reflection campaigns well under a thousand origins). The rescan
+    // must visit every tracked source per configuration to build its
+    // dense rows; streaming ingest only touches the flows it is fed.
     let mut flow_volume = vec![0u64; SOURCES];
     for v in flow_volume.iter_mut() {
         let r = next();
@@ -762,58 +701,15 @@ fn bench_attribution_arms() -> Result<AttributionArms, String> {
             spoofed: true,
         })
         .collect();
-    let width = campaign.attribution.num_links();
     let build_exact = || link_volume_matrix(&campaign, &flow_volume);
-    let build_sketch = || {
-        let mut acc = SketchAccumulator::new(CONFIGS, width, SKETCH_W, SKETCH_D, 7);
-        for (c, cat) in campaign.catchments.iter().enumerate() {
-            ingest_stream(
-                &mut acc,
-                c,
-                cat,
-                &flows,
-                trackdown_traffic::DEFAULT_FLOW_BATCH,
-            );
-        }
-        acc
-    };
-    // Correctness before timing claims: every sketch counter must sit in
-    // [exact, exact + bound], and the approximate suspect set must cover
-    // the exact one (overestimation never exonerates).
-    let exact_rows = build_exact();
-    let sketch = build_sketch();
-    let sketch_error_bound = sketch.error_bound();
-    for (c, row) in exact_rows.iter().enumerate() {
-        for (l, &e) in row.iter().enumerate() {
-            let s = sketch.volume(c, trackdown_bgp::LinkId(l as u8));
-            if s < e || s > e.saturating_add(sketch_error_bound) {
-                return Err(format!(
-                    "sketch counter ({c},{l}) = {s} outside [{e}, {e}+{sketch_error_bound}]; \
-                     bench snapshot aborted"
-                ));
-            }
-        }
-    }
-    let exact_suspects: BTreeSet<usize> = rank_suspects(&campaign, &exact_rows)
-        .iter()
-        .map(|s| s.cluster)
-        .collect();
-    let sketch_suspects: BTreeSet<usize> = rank_suspects_acc(&campaign, &sketch)
-        .suspects
-        .iter()
-        .map(|s| s.cluster)
-        .collect();
-    if !exact_suspects.is_subset(&sketch_suspects) {
-        return Err("sketch suspect set dropped an exact suspect; bench snapshot aborted".into());
-    }
-    let exact_ingest_ms = time_ms(&|| build_exact()[0][0] as usize);
     // Steady state for the streaming arm: a line-rate box allocates the
-    // sketch once and recycles it between observation windows, so the
+    // counters once and recycles them between observation windows, so the
     // timed work is clear + ingest, not allocation.
-    let reused = std::cell::RefCell::new(SketchAccumulator::new(
-        CONFIGS, width, SKETCH_W, SKETCH_D, 7,
+    let reused = std::cell::RefCell::new(BatchedDenseAccumulator::new(
+        CONFIGS,
+        campaign.attribution.num_links(),
     ));
-    let sketch_ingest_ms = time_ms(&|| {
+    let stream = || {
         let mut acc = reused.borrow_mut();
         acc.clear();
         for (c, cat) in campaign.catchments.iter().enumerate() {
@@ -826,19 +722,32 @@ fn bench_attribution_arms() -> Result<AttributionArms, String> {
             );
         }
         acc.num_links()
-    });
+    };
+    // Equality before timing claims: the streamed rows must equal the
+    // rescan bit for bit, and so must the suspect ranking read from them.
+    let exact_rows = build_exact();
+    stream();
+    if reused.borrow().dense_rows() != exact_rows {
+        return Err(
+            "streamed rows diverged from link_volume_matrix; bench snapshot aborted".into(),
+        );
+    }
+    if rank_suspects_acc(&campaign, &*reused.borrow()).suspects
+        != rank_suspects(&campaign, &exact_rows)
+    {
+        return Err("streamed suspect ranking diverged; bench snapshot aborted".into());
+    }
+    let exact_ingest_ms = time_ms(&|| build_exact()[0][0] as usize);
+    let stream_ingest_ms = time_ms(&stream);
 
     Ok(AttributionArms {
         sources: SOURCES as u64,
         configs: CONFIGS as u64,
         indexed_ms,
         scan_ms,
-        sketch_width: SKETCH_W as u64,
-        sketch_depth: SKETCH_D as u64,
-        sketch_flows: flows.len() as u64,
+        stream_flows: flows.len() as u64,
         exact_ingest_ms,
-        sketch_ingest_ms,
-        sketch_error_bound,
+        stream_ingest_ms,
     })
 }
 
@@ -946,7 +855,7 @@ fn bench_snapshot() -> Result<BenchSnapshot, String> {
         .unwrap_or(1) as u64;
 
     let snap = BenchSnapshot {
-        schema: 8,
+        schema: 9,
         bench: "pipeline".into(),
         scale: "small".into(),
         seed: 7,
@@ -972,13 +881,10 @@ fn bench_snapshot() -> Result<BenchSnapshot, String> {
         attribution_indexed_ms: (arms.indexed_ms * 1e3).round() / 1e3,
         attribution_scan_ms: (arms.scan_ms * 1e3).round() / 1e3,
         attribution_speedup: ((arms.scan_ms / arms.indexed_ms) * 1e3).round() / 1e3,
-        sketch_width: arms.sketch_width,
-        sketch_depth: arms.sketch_depth,
-        sketch_flows: arms.sketch_flows,
+        stream_flows: arms.stream_flows,
         exact_ingest_ms: (arms.exact_ingest_ms * 1e3).round() / 1e3,
-        sketch_ingest_ms: (arms.sketch_ingest_ms * 1e3).round() / 1e3,
-        sketch_ingest_speedup: ((arms.exact_ingest_ms / arms.sketch_ingest_ms) * 1e3).round() / 1e3,
-        sketch_error_bound: arms.sketch_error_bound,
+        stream_ingest_ms: (arms.stream_ingest_ms * 1e3).round() / 1e3,
+        stream_ingest_speedup: ((arms.exact_ingest_ms / arms.stream_ingest_ms) * 1e3).round() / 1e3,
         cores,
         large_ases,
         large_tracked,
@@ -1005,7 +911,7 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
         "wrote {out_path} (warm {:.1} ms, cold {:.1} ms, speedup {:.2}x; \
          delta {:.1} ms, {:.2}x fewer events than warm; \
          attribution indexed {:.1} ms vs scan {:.1} ms, {:.1}x; \
-         sketch ingest {:.2} ms vs exact {:.2} ms, {:.1}x on {} flows; \
+         stream ingest {:.2} ms vs exact {:.2} ms, {:.1}x on {} flows; \
          large {} ASes/{} tracked 1t {:.0} ms vs 8t {:.0} ms, {:.2}x; \
          internet {} ASes/{} tracked 1t {:.0} ms vs 8t {:.0} ms, {:.2}x \
          on {} cores)",
@@ -1017,10 +923,10 @@ fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
         snap.attribution_indexed_ms,
         snap.attribution_scan_ms,
         snap.attribution_speedup,
-        snap.sketch_ingest_ms,
+        snap.stream_ingest_ms,
         snap.exact_ingest_ms,
-        snap.sketch_ingest_speedup,
-        snap.sketch_flows,
+        snap.stream_ingest_speedup,
+        snap.stream_flows,
         snap.large_ases,
         snap.large_tracked,
         snap.large_1t_ms,

@@ -820,35 +820,17 @@ pub fn rank_suspects_rescan(campaign: &Campaign, link_volumes: &[Vec<u64>]) -> V
     out
 }
 
-/// Suspect ranking produced from a (possibly approximate) streaming
-/// accumulator by [`rank_suspects_acc`], annotated with the accumulator's
-/// error bound and whether the ordering is provably stable under it.
+/// Suspect ranking produced from a streaming accumulator by
+/// [`rank_suspects_acc`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RankedSuspects {
     /// Ranked suspects, exactly as [`rank_suspects`] would order them on
     /// the accumulator's volumes.
     pub suspects: Vec<SuspectCluster>,
-    /// The accumulator's deterministic one-sided overestimate bound `B`:
-    /// every reported volume is within `[true, true + B]`.
-    pub error_bound: u64,
-    /// Whether the ranking could *not* flip within the error bound: true
-    /// iff every adjacent pair of suspects is separated by at least
-    /// `error_bound`. With one-sided error, two suspects whose reported
-    /// bounds differ by `g >= B` cannot swap under any true volumes
-    /// consistent with the sketch; a smaller gap might.
-    pub stable: bool,
 }
 
 /// [`rank_suspects`] over a streaming [`VolumeAccumulator`] instead of
-/// exact dense rows — the line-rate entry point.
-///
-/// Because approximate accumulators are one-sided (never *under* the true
-/// volume), the zero-volume exoneration rule stays sound: a sketch can
-/// never report zero for a link that actually carried spoofed bytes, so
-/// the returned suspect set is always a superset of the exact one, and the
-/// extra suspects' bounds are within [`RankedSuspects::error_bound`] of
-/// zero-evidence. [`RankedSuspects::stable`] reports whether the ordering
-/// itself is trustworthy at the current sketch resolution.
+/// dense rows — the line-rate entry point.
 ///
 /// # Panics
 /// If the accumulator's shape does not match the campaign: one
@@ -862,15 +844,8 @@ pub fn rank_suspects_acc<A: VolumeAccumulator + ?Sized>(
     let _span =
         trackdown_obs::span("attr.rank_acc").attr("configs", campaign.catchments.len() as u64);
     validate_accumulator(campaign, acc);
-    let suspects = rank_suspects_core(campaign, |k, l| acc.volume(k, l));
-    let error_bound = acc.error_bound();
-    let stable = suspects
-        .windows(2)
-        .all(|w| w[0].volume_upper_bound - w[1].volume_upper_bound >= error_bound);
     RankedSuspects {
-        suspects,
-        error_bound,
-        stable,
+        suspects: rank_suspects_core(campaign, |k, l| acc.volume(k, l)),
     }
 }
 
@@ -930,21 +905,10 @@ pub fn estimate_cluster_volumes(
         num_links,
         &links,
         vol,
-        0,
     )
 }
 
 /// [`estimate_cluster_volumes`] over a streaming [`VolumeAccumulator`].
-///
-/// One-sided overestimates need one adaptation to stay *sound* (never
-/// excluding the true volume from a cluster's interval): lower-bound
-/// updates are relaxed by the accumulator's error bound. Conservation on
-/// link `l` says `v_k >= V_true − Σ_{j≠k} upper_j`, but the accumulator
-/// only knows `V' ∈ [V_true, V_true + B]` — so the proven floor becomes
-/// `(V' − B) − Σ upper_j`. Upper bounds need no slack: `V' >= V_true`
-/// already makes them conservative. Consequently every interval this
-/// returns *contains* the interval the exact pipeline would prove, and a
-/// cluster with true volume > 0 is never exonerated.
 ///
 /// # Panics
 /// Same shape contract as [`rank_suspects_acc`].
@@ -965,7 +929,6 @@ pub fn estimate_cluster_volumes_acc<A: VolumeAccumulator + ?Sized>(
         num_links,
         &links,
         |c, l| acc.volume(c, l),
-        acc.error_bound(),
     )
 }
 
@@ -1000,15 +963,12 @@ pub fn estimate_cluster_volumes_rescan(
         num_links,
         &links,
         vol,
-        0,
     )
 }
 
 /// Interval constraint propagation shared by the indexed, rescan, and
 /// accumulator estimators: everything after the per-cluster link matrix is
-/// obtained. `slack` is the volume store's one-sided overestimate bound
-/// (0 for exact stores); lower-bound updates subtract it so a possibly
-/// inflated link reading never proves a floor the true volumes could not.
+/// obtained.
 fn estimate_from_links(
     campaign: &Campaign,
     num_configs: usize,
@@ -1016,7 +976,6 @@ fn estimate_from_links(
     num_links: usize,
     links: &[Vec<Option<LinkId>>],
     vol: impl Fn(usize, LinkId) -> u64,
-    slack: u64,
 ) -> Vec<VolumeEstimate> {
     // Initial bounds.
     let mut upper: Vec<u64> = links
@@ -1049,11 +1008,9 @@ fn estimate_from_links(
                 // Lower: what the others cannot explain.
                 // `saturating_sub`: bounds updated earlier in this pass
                 // leave the per-link sums slightly stale; saturation keeps
-                // the estimates conservative (sound) either way. `slack`
-                // discounts a possibly overestimated link reading before
-                // it can prove anything.
+                // the estimates conservative (sound) either way.
                 let others_upper = sum_upper[l.us()].saturating_sub(upper[k] as u128);
-                let new_lower = v.saturating_sub(slack as u128).saturating_sub(others_upper) as u64;
+                let new_lower = v.saturating_sub(others_upper) as u64;
                 if new_lower > lower[k] {
                     lower[k] = new_lower;
                     changed = true;

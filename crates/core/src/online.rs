@@ -20,7 +20,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use trackdown_bgp::{BgpEngine, Catchments, LinkId, OriginAs, RoutingOutcome};
 use trackdown_topology::AsIndex;
-use trackdown_traffic::VolumeAccumulator;
 
 /// Options for the online loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,44 +68,10 @@ pub struct OnlineResult {
     pub rounds: usize,
 }
 
-/// The volumes the honeypot reports for one deployed configuration.
+/// The volumes the honeypot reports for one deployed configuration. A
+/// streaming deployment ingests the window's flows into a one-configuration
+/// `VolumeAccumulator` and returns its `dense_row(0)`.
 pub type VolumeOracle<'a> = dyn Fn(&AnnouncementConfig) -> Vec<u64> + 'a;
-
-/// A streaming measurement callback: deploy a configuration and return a
-/// single-configuration [`VolumeAccumulator`] holding whatever the ingest
-/// path collected during the observation window (a sketch at line rate,
-/// exact batched counters otherwise). See [`localize_online_acc`].
-pub type AccumulatorOracle<'a> = dyn Fn(&AnnouncementConfig) -> Box<dyn VolumeAccumulator> + 'a;
-
-/// [`localize_online`] with a streaming accumulator per observation
-/// window instead of exact dense volume rows.
-///
-/// Each deployed configuration's accumulator is materialized into one
-/// dense row (configuration 0 of the returned accumulator) and fed to the
-/// exact online loop. Soundness under one-sided overestimates is
-/// inherited from the loop's exoneration rule: a cluster is dropped only
-/// when its link reads *zero*, and an overestimating accumulator never
-/// reports zero for a link that carried spoofed bytes — so the suspect
-/// set converges to a superset of the exact loop's, never excluding the
-/// true sources.
-pub fn localize_online_acc(
-    candidates: &[AnnouncementConfig],
-    prior: Option<&[Catchments]>,
-    tracked: &[AsIndex],
-    observe: &AccumulatorOracle<'_>,
-    measure_catchments: &dyn Fn(usize, &AnnouncementConfig) -> Catchments,
-    opts: OnlineOptions,
-) -> OnlineResult {
-    let dense = |cfg: &AnnouncementConfig| -> Vec<u64> {
-        let acc = observe(cfg);
-        assert!(
-            acc.num_configs() >= 1,
-            "accumulator oracle must cover the observation window"
-        );
-        acc.dense_row(0)
-    };
-    localize_online(candidates, prior, tracked, &dense, measure_catchments, opts)
-}
 
 /// Suspects under the current observations: members of clusters whose
 /// link carried volume in *every* deployed configuration.

@@ -3,11 +3,9 @@
 //! vantage — its honeypot attracts the pre-reflection queries and the
 //! campaign names the true origin cluster behind the reflector hop.
 //!
-//! Accepts the shared experiment flags plus `--sketch WIDTHxDEPTH` to
-//! route the flows through the count-min accumulator instead of exact
-//! counters. With `--check`, exits non-zero unless the origin stays
-//! invisible to the victim *and* ≥90% of the baseline-observable origin
-//! ASes are recovered (the CI smoke contract, on either accumulator).
+//! Accepts the shared experiment flags. With `--check`, exits non-zero
+//! unless the origin stays invisible to the victim *and* ≥90% of the
+//! baseline-observable origin ASes are recovered (the CI smoke contract).
 
 use trackdown_experiments::{scenarios, Options};
 
@@ -24,14 +22,12 @@ fn main() {
     );
     println!(
         "origin view: {} origin ASes ({} observable at baseline), {}/{} recovered; \
-         {} ASes named; error bound {}; ranking stable: {}",
+         {} ASes named",
         outcome.origin_ases.len(),
         outcome.observable,
         outcome.recovered,
         outcome.observable,
         outcome.named_ases.len(),
-        outcome.error_bound,
-        outcome.ranking_stable,
     );
 
     if check {

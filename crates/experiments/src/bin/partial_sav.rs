@@ -4,11 +4,9 @@
 //! Localization must concentrate the suspect volume on clusters holding
 //! spoof-capable stubs, not the compliant remainder.
 //!
-//! Accepts the shared experiment flags plus `--sketch WIDTHxDEPTH` to
-//! route the flows through the count-min accumulator instead of exact
-//! counters. With `--check`, exits non-zero unless ≥90% of the suspect
-//! volume lands on spoof-capable pockets (the CI smoke contract, on
-//! either accumulator).
+//! Accepts the shared experiment flags. With `--check`, exits non-zero
+//! unless ≥90% of the suspect volume lands on spoof-capable pockets (the
+//! CI smoke contract).
 
 use trackdown_experiments::{scenarios, Options};
 
@@ -19,14 +17,11 @@ fn main() {
     let outcome = scenarios::partial_sav(&opts);
     println!(
         "partial SAV: {}/{} stubs spoof-capable; {} suspect clusters; \
-         {:.1}% of suspect volume on spoof-capable pockets; error bound {}; \
-         ranking stable: {}",
+         {:.1}% of suspect volume on spoof-capable pockets",
         outcome.spoof_capable,
         outcome.stubs,
         outcome.suspect_clusters,
         outcome.volume_on_spoofers * 100.0,
-        outcome.error_bound,
-        outcome.ranking_stable,
     );
 
     if check {

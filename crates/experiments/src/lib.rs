@@ -126,10 +126,6 @@ pub struct Options {
     /// <name>=<fraction>[:<bias>]`, repeatable). Empty reproduces the
     /// extension-free engine bit-for-bit.
     pub defenses: Vec<ExtensionDeployment>,
-    /// Streaming-sketch geometry (`--sketch WIDTHxDEPTH`): attribute
-    /// volumes through a count-min sketch of this shape instead of exact
-    /// dense counters. `None` keeps the exact path.
-    pub sketch: Option<(usize, usize)>,
 }
 
 impl Default for Options {
@@ -143,18 +139,8 @@ impl Default for Options {
             metrics_out: None,
             metrics_deterministic: false,
             defenses: Vec::new(),
-            sketch: None,
         }
     }
-}
-
-/// Parse one `--sketch` operand: `WIDTHxDEPTH` (e.g. `64x4`), both
-/// positive.
-pub fn parse_sketch(s: &str) -> Option<(usize, usize)> {
-    let (w, d) = s.split_once('x')?;
-    let width: usize = w.parse().ok().filter(|&v| v >= 1)?;
-    let depth: usize = d.parse().ok().filter(|&v| v >= 1)?;
-    Some((width, depth))
 }
 
 /// Parse one `--defense` operand: `<name>=<fraction>[:<bias>]` with
@@ -248,10 +234,6 @@ impl Options {
                 }
                 "--metrics-out" => opts.metrics_out = Some(value()?.to_string()),
                 "--metrics-deterministic" => opts.metrics_deterministic = true,
-                "--sketch" => {
-                    let v = value()?;
-                    opts.sketch = Some(parse_sketch(v).ok_or_else(|| bad(v))?);
-                }
                 "--defense" => {
                     let v = value()?;
                     opts.defenses.push(parse_defense(v).ok_or_else(|| bad(v))?);
@@ -290,7 +272,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: <experiment> [--scale small|medium|full|large|internet] [--seed <u64>] \
          [--measured] [--cold | --delta] [--threads <n>] \
-         [--metrics-out FILE] [--metrics-deterministic] [--sketch WIDTHxDEPTH] \
+         [--metrics-out FILE] [--metrics-deterministic] \
          [--defense <name>=<fraction>[:<bias>]]...\n\
          defenses: rov, peer-rov, aspa, peerlock-lite, only-to-customers, \
          enforce-first-as, edge-filter; bias: uniform|core|stub (default core)"
@@ -754,7 +736,6 @@ mod tests {
             &["--scale", "bogus"][..],
             &["--seed"],
             &["--threads", "0"],
-            &["--sketch", "64"],
             &["--bogus"],
             &["--cold", "--delta"],
         ] {

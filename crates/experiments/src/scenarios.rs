@@ -11,43 +11,30 @@
 //!   Attribution must concentrate the suspect volume on the pockets that
 //!   can actually spoof.
 //!
-//! Both scenarios stream flows through a [`VolumeAccumulator`] — the
-//! exact [`BatchedDenseAccumulator`] by default, or a count-min
-//! [`SketchAccumulator`] under `--sketch WIDTHxDEPTH` — so the binaries
-//! double as end-to-end checks of the approximate path: the `--check`
-//! contract must hold on either accumulator.
+//! Both scenarios stream flows through the exact
+//! [`BatchedDenseAccumulator`] and attribute from its counters, so the
+//! binaries double as end-to-end checks of the streaming ingest path.
 
 use crate::{Options, Scenario};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use trackdown_core::localize::{
-    estimate_cluster_volumes_acc, rank_suspects_acc, suspect_ases, Campaign, RankedSuspects,
+    estimate_cluster_volumes_acc, rank_suspects_acc, suspect_ases, Campaign,
 };
 use trackdown_topology::AsIndex;
 use trackdown_traffic::{
     ingest_stream, place_sources, scatter_reflectors, spoofed_flows, BatchedDenseAccumulator, Flow,
-    FlowConfig, Honeypot, HoneypotConfig, ReflectorKind, SketchAccumulator, SourcePlacement,
-    VolumeAccumulator, DEFAULT_FLOW_BATCH,
+    FlowConfig, Honeypot, HoneypotConfig, ReflectorKind, SourcePlacement, DEFAULT_FLOW_BATCH,
 };
 
-/// Stream the scenario's flows into the accumulator the options select:
-/// exact batched-dense counters, or a count-min sketch under `--sketch`.
-/// One accumulator configuration per campaign configuration, exactly the
-/// attribution plane's width.
-fn accumulate_flows(
-    campaign: &Campaign,
-    flows: &[Flow],
-    sketch: Option<(usize, usize)>,
-    seed: u64,
-) -> Box<dyn VolumeAccumulator> {
-    let configs = campaign.catchments.len();
-    let width = campaign.attribution.num_links();
-    let mut acc: Box<dyn VolumeAccumulator> = match sketch {
-        Some((w, d)) => Box::new(SketchAccumulator::new(configs, width, w, d, seed)),
-        None => Box::new(BatchedDenseAccumulator::new(configs, width)),
-    };
+/// Stream the scenario's flows into exact counters: one accumulator
+/// configuration per campaign configuration, exactly the attribution
+/// plane's width.
+fn accumulate_flows(campaign: &Campaign, flows: &[Flow]) -> BatchedDenseAccumulator {
+    let mut acc =
+        BatchedDenseAccumulator::new(campaign.catchments.len(), campaign.attribution.num_links());
     for (c, cat) in campaign.catchments.iter().enumerate() {
-        ingest_stream(acc.as_mut(), c, cat, flows, DEFAULT_FLOW_BATCH);
+        ingest_stream(&mut acc, c, cat, flows, DEFAULT_FLOW_BATCH);
     }
     acc
 }
@@ -72,10 +59,6 @@ pub struct AmplificationOutcome {
     pub recovered: usize,
     /// ASes named by the ranked suspect clusters.
     pub named_ases: Vec<AsIndex>,
-    /// The accumulator's worst-case overestimation bound (0 when exact).
-    pub error_bound: u64,
-    /// Whether every adjacent suspect gap exceeds the error bound.
-    pub ranking_stable: bool,
 }
 
 impl AmplificationOutcome {
@@ -110,7 +93,7 @@ impl AmplificationOutcome {
 /// Run the reflection-attack scenario: a handful of Pareto-placed origins
 /// spray spoofed queries off open reflectors at a victim; the origin
 /// network's honeypot attracts the same queries and the campaign
-/// attributes them back through the selected accumulator.
+/// attributes them back through the streamed counters.
 pub fn amplification(opts: &Options) -> AmplificationOutcome {
     let scenario = Scenario::build(opts.clone());
     let topo = &scenario.gen.topology;
@@ -166,8 +149,8 @@ pub fn amplification(opts: &Options) -> AmplificationOutcome {
         honeypot.config().prefix,
         &FlowConfig::default(),
     );
-    let acc = accumulate_flows(&campaign, &flows, opts.sketch, opts.seed ^ 0x5CE7);
-    let ranked: RankedSuspects = rank_suspects_acc(&campaign, acc.as_ref());
+    let acc = accumulate_flows(&campaign, &flows);
+    let ranked = rank_suspects_acc(&campaign, &acc);
     let named = suspect_ases(&ranked.suspects, 1.0);
 
     let baseline = &campaign.catchments[0];
@@ -186,8 +169,6 @@ pub fn amplification(opts: &Options) -> AmplificationOutcome {
         observable: observable.len(),
         recovered,
         named_ases: named,
-        error_bound: ranked.error_bound,
-        ranking_stable: ranked.stable,
     }
 }
 
@@ -203,10 +184,6 @@ pub struct PartialSavOutcome {
     /// Fraction of total suspect volume (upper bounds) sitting on
     /// clusters that contain at least one spoof-capable stub.
     pub volume_on_spoofers: f64,
-    /// The accumulator's worst-case overestimation bound (0 when exact).
-    pub error_bound: u64,
-    /// Whether every adjacent suspect gap exceeds the error bound.
-    pub ranking_stable: bool,
 }
 
 impl PartialSavOutcome {
@@ -273,13 +250,12 @@ pub fn partial_sav(opts: &Options) -> PartialSavOutcome {
     );
 
     let campaign = scenario.run();
-    let acc = accumulate_flows(&campaign, &flows, opts.sketch, opts.seed ^ 0x5CE7);
-    let ranked = rank_suspects_acc(&campaign, acc.as_ref());
+    let acc = accumulate_flows(&campaign, &flows);
     // The min-bound filter keeps any cluster sharing a link with real
     // volume; attribute mass by the *refined* uppers from interval
     // constraint propagation, which squeezes non-originating clusters
     // toward zero through volume conservation.
-    let estimates = estimate_cluster_volumes_acc(&campaign, acc.as_ref(), 10);
+    let estimates = estimate_cluster_volumes_acc(&campaign, &acc, 10);
 
     let total: u128 = estimates.iter().map(|e| e.upper as u128).sum();
     let on_spoofers: u128 = estimates
@@ -302,7 +278,5 @@ pub fn partial_sav(opts: &Options) -> PartialSavOutcome {
         spoof_capable: spoof_capable.len(),
         suspect_clusters: estimates.len(),
         volume_on_spoofers,
-        error_bound: ranked.error_bound,
-        ranking_stable: ranked.stable,
     }
 }

@@ -112,7 +112,7 @@ pub fn spoofed_flows(
 }
 
 /// Iterate over a flow list in fixed-size batches — the unit the
-/// streaming accumulators in [`crate::sketch`] ingest (the last batch may
+/// streaming accumulators in [`crate::volume`] ingest (the last batch may
 /// be shorter).
 ///
 /// # Panics

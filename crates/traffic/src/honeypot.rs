@@ -9,7 +9,7 @@
 //! so the honeypot never contributes meaningful attack volume.
 
 use crate::flow::Flow;
-use crate::sketch::{attributed_link, with_resolved};
+use crate::volume::{attributed_link, with_resolved};
 use serde::{Deserialize, Serialize};
 use trackdown_bgp::{Catchments, LinkId, Prefix};
 
@@ -106,7 +106,7 @@ impl Honeypot {
     /// Flows the window cannot pin to one of the `num_links` links (source
     /// AS unassigned or outside the catchments, link out of range) count
     /// as unattributed, by the same rule as
-    /// [`VolumeAccumulator::ingest_resolved`](crate::VolumeAccumulator::ingest_resolved).
+    /// [`ingest_stream`](crate::ingest_stream).
     pub fn observe(
         &self,
         catchments: &Catchments,

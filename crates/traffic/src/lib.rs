@@ -17,11 +17,10 @@
 //!   victim's view (reflector ASes only) with the origin-side vantage;
 //! * [`attribution`] — per-link and per-cluster volume aggregation
 //!   (Figure 10's series);
-//! * [`sketch`] — streaming volume accumulators for line-rate ingest: a
-//!   seeded count-min sketch (conservative update, one-sided error with a
-//!   deterministic bound) and exact dense counters with batched folds,
-//!   both behind the [`VolumeAccumulator`] trait the localization layer
-//!   accepts in place of exact dense rows.
+//! * [`volume`] — streaming volume accumulation for line-rate ingest:
+//!   flows fold into exact per-(configuration, link) counters behind the
+//!   [`VolumeAccumulator`] trait the localization layer accepts in place
+//!   of dense rows.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,7 +32,7 @@ pub mod honeypot;
 pub mod packet;
 pub mod placement;
 pub mod reflector;
-pub mod sketch;
+pub mod volume;
 
 pub use attribution::{
     cumulative_volume_by_cluster_size, cumulative_volume_by_cluster_slices, hottest,
@@ -48,10 +47,7 @@ pub use honeypot::{Honeypot, HoneypotConfig, HoneypotReport};
 pub use packet::{amp_ports, PacketError, UdpPacket};
 pub use placement::{pareto_shape_80_20, place_sources, PlacedSources, SourcePlacement};
 pub use reflector::{reflect_attack, scatter_reflectors, Reflector, ReflectorKind, VictimReport};
-pub use sketch::{
-    ingest_stream, BatchedDenseAccumulator, CountMinSketch, SketchAccumulator, VolumeAccumulator,
-    DEFAULT_FLOW_BATCH,
-};
+pub use volume::{ingest_stream, BatchedDenseAccumulator, VolumeAccumulator, DEFAULT_FLOW_BATCH};
 
 #[cfg(test)]
 mod proptests {

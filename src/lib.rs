@@ -74,8 +74,7 @@ pub mod prelude {
     pub use trackdown_topology::gen::{generate, GeneratedTopology, TopologyConfig};
     pub use trackdown_topology::{AsIndex, AsPath, Asn, Topology};
     pub use trackdown_traffic::{
-        ingest_stream, place_sources, spoofed_flows, BatchedDenseAccumulator, CountMinSketch,
-        FlowConfig, Honeypot, HoneypotConfig, PlacedSources, SketchAccumulator, SourcePlacement,
-        VolumeAccumulator,
+        ingest_stream, place_sources, spoofed_flows, BatchedDenseAccumulator, FlowConfig, Honeypot,
+        HoneypotConfig, PlacedSources, SourcePlacement, VolumeAccumulator,
     };
 }

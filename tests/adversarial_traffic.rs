@@ -2,25 +2,22 @@
 //! (small topology, seed 7 — the same arm the scenario binaries gate with
 //! `--check`): the reflection-attack triangle must recover the true
 //! origins the victim can never see, and partial-SAV localization must
-//! concentrate suspect volume on the spoof-capable pockets. Both run
-//! through the exact accumulator *and* the count-min sketch, asserting
-//! the `check()` contract holds on either — the sketch's one-sided error
-//! may widen suspect sets but must not break either scenario's promise.
+//! concentrate suspect volume on the spoof-capable pockets. Both stream
+//! their flows through the exact accumulator.
 
 use trackdown_experiments::{scenarios, Options, Scale};
 
-fn opts(sketch: Option<(usize, usize)>) -> Options {
+fn opts() -> Options {
     Options {
         scale: Scale::Small,
         seed: 7,
-        sketch,
         ..Options::default()
     }
 }
 
 #[test]
 fn amplification_recovers_origins_behind_reflectors_exact() {
-    let outcome = scenarios::amplification(&opts(None));
+    let outcome = scenarios::amplification(&opts());
     assert_eq!(outcome.check(), None, "{outcome:?}");
     // The victim's apparent sources are reflectors, never the origins.
     assert!(!outcome.origin_visible_to_victim);
@@ -30,54 +27,15 @@ fn amplification_recovers_origins_behind_reflectors_exact() {
     // ≥90% of the baseline-observable true origins (the check already
     // enforces this; restated here so a contract change fails loudly).
     assert!(outcome.recovered * 10 >= outcome.observable * 9);
-    // The exact accumulator reports a zero error bound and, with it, a
-    // ranking that cannot flip.
-    assert_eq!(outcome.error_bound, 0);
-    assert!(outcome.ranking_stable);
-}
-
-#[test]
-fn amplification_contract_survives_the_sketch() {
-    let exact = scenarios::amplification(&opts(None));
-    let sketch = scenarios::amplification(&opts(Some((64, 4))));
-    assert_eq!(sketch.check(), None, "{sketch:?}");
-    // Same attack, same origins — only the accumulator changed.
-    assert_eq!(sketch.origin_ases, exact.origin_ases);
-    assert_eq!(sketch.observable, exact.observable);
-    // One-sided error: the sketch may name extra ASes, never fewer of
-    // the true origins.
-    assert!(sketch.recovered >= exact.recovered);
-    for a in exact
-        .origin_ases
-        .iter()
-        .filter(|a| exact.named_ases.contains(a))
-    {
-        assert!(
-            sketch.named_ases.contains(a),
-            "sketch dropped true origin AS {a:?} that the exact ranking named"
-        );
-    }
 }
 
 #[test]
 fn partial_sav_concentrates_volume_on_spoof_capable_stubs() {
-    let outcome = scenarios::partial_sav(&opts(None));
+    let outcome = scenarios::partial_sav(&opts());
     assert_eq!(outcome.check(), None, "{outcome:?}");
     // The pocket is a strict, non-empty subset of the stubs.
     assert!(outcome.spoof_capable >= 1);
     assert!(outcome.spoof_capable < outcome.stubs);
     // ≥90% of suspect volume lands on spoof-capable pockets.
     assert!(outcome.volume_on_spoofers >= 0.9);
-    assert_eq!(outcome.error_bound, 0);
-}
-
-#[test]
-fn partial_sav_contract_survives_the_sketch() {
-    let exact = scenarios::partial_sav(&opts(None));
-    let sketch = scenarios::partial_sav(&opts(Some((64, 4))));
-    assert_eq!(sketch.check(), None, "{sketch:?}");
-    // The SAV deployment is seeded by the scenario, not the accumulator.
-    assert_eq!(sketch.stubs, exact.stubs);
-    assert_eq!(sketch.spoof_capable, exact.spoof_capable);
-    assert!(sketch.volume_on_spoofers >= 0.9);
 }
