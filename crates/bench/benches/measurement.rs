@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use trackdown_bgp::{BgpEngine, EngineConfig, LinkAnnouncement, OriginAs};
+use trackdown_bgp::{BgpEngine, EngineConfig, LinkAnnouncement, OriginAs, SnapshotDetail};
 use trackdown_measure::{
     repair_campaign, run_campaign as run_traceroutes, IpToAs, IpToAsConfig, MeasurementConfig,
     MeasurementPlane, TracerouteConfig,
@@ -17,7 +17,10 @@ fn bench_measurement(c: &mut Criterion) {
     let origin = OriginAs::peering_style(&world, 5);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-    let outcome = engine.propagate_config(&origin, &anns, 200).unwrap();
+    // The plane reads BGP feed paths from the outcome's path store.
+    let outcome = engine
+        .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Paths)
+        .unwrap();
     let cones = ConeInfo::compute(&world.topology);
 
     let db = IpToAs::build(&world.topology, &IpToAsConfig::default());

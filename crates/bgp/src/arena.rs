@@ -93,7 +93,7 @@ fn materialize_nodes(nodes: &[PathNode], id: PathId) -> AsPath {
 ///
 /// Owned by the engine's simulation; snapshots that need path contents
 /// copy the node table into an immutable [`PathStore`]
-/// ([`crate::SnapshotDetail::Full`]).
+/// ([`crate::SnapshotDetail::Paths`] and [`crate::SnapshotDetail::Full`]).
 #[derive(Debug, Default)]
 pub struct PathArena {
     nodes: Vec<PathNode>,
@@ -211,7 +211,8 @@ impl PathStore {
     ///
     /// # Panics
     /// Panics if the store is empty (snapshot captured without
-    /// [`crate::SnapshotDetail::Full`]) or `id` belongs to another arena.
+    /// [`crate::SnapshotDetail::Paths`] or [`crate::SnapshotDetail::Full`])
+    /// or `id` belongs to another arena.
     #[inline]
     pub fn iter(&self, id: PathId) -> PathIter<'_> {
         assert!(

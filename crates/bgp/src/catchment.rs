@@ -94,8 +94,9 @@ impl Catchments {
     pub fn from_data_plane(outcome: &RoutingOutcome) -> Catchments {
         let _span = trackdown_obs::span("catchment.extract_dp");
         let mut walker = crate::engine::ForwardingWalker::new();
+        let mut hops = Vec::new();
         Catchments::collect(outcome.best.len(), |i| {
-            walker.walk(outcome, AsIndex(i as u32)).map(|w| w.link)
+            walker.walk_into(outcome, AsIndex(i as u32), &mut hops)
         })
     }
 

@@ -1,10 +1,10 @@
 //! Delta propagation support: rank-ordered scheduling and injection
 //! diffing for incremental epoch transitions.
 //!
-//! A warm epoch transition ([`crate::CampaignSession::deploy`]) withdraws
-//! and re-injects *every* PoP announcement and re-runs the activation
-//! queue in FIFO order. Both halves do more work than the change itself
-//! requires:
+//! A warm epoch transition ([`crate::CampaignSession::deploy_config`])
+//! withdraws and re-injects *every* PoP announcement and re-runs the
+//! activation queue in FIFO order. Both halves do more work than the
+//! change itself requires:
 //!
 //! * **Seeding** — re-injecting an unchanged provider forces a decide
 //!   pass that rediscovers the same best route. Diffing the incoming

@@ -67,9 +67,11 @@ pub struct ForwardingPath {
 /// The campaign pipeline only ever reads catchments (ingress tags and
 /// next hops) from an outcome, so the default snapshot skips the two
 /// expensive captures: the per-AS candidate RIB copy and the path-arena
-/// store. Analyses that read candidate sets or path contents (compliance
-/// / Fig 9, traceroute feeders, report output) opt into [`Full`].
+/// store. Readers of path contents alone (the measurement plane's BGP
+/// feeds) opt into [`Paths`]; analyses that also read candidate sets
+/// (compliance / Fig 9) opt into [`Full`].
 ///
+/// [`Paths`]: SnapshotDetail::Paths
 /// [`Full`]: SnapshotDetail::Full
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SnapshotDetail {
@@ -78,6 +80,11 @@ pub enum SnapshotDetail {
     /// the outcome's [`PathStore`] is empty (materializing panics).
     #[default]
     Catchments,
+    /// Additionally capture a [`PathStore`] snapshot so routes can be
+    /// materialized into [`AsPath`]s; `candidates` is absent. One copy
+    /// of the arena's node table, against one vector per AS for
+    /// [`SnapshotDetail::Full`].
+    Paths,
     /// Additionally capture the candidate RIBs and a [`PathStore`]
     /// snapshot so routes can be materialized into [`AsPath`]s.
     Full,
@@ -136,9 +143,8 @@ impl RoutingOutcome {
     /// survived import. Used by the compliance analysis (Fig 9).
     ///
     /// # Panics
-    /// Panics when the outcome was captured at
-    /// [`SnapshotDetail::Catchments`] (the default), which skips the
-    /// candidate copy.
+    /// Panics unless the outcome was captured at [`SnapshotDetail::Full`]:
+    /// the other details skip the candidate copy.
     pub fn candidates(&self) -> &[Vec<Route>] {
         self.candidates
             .as_deref()
@@ -196,6 +202,22 @@ impl ForwardingWalker {
 
     /// [`RoutingOutcome::forwarding_walk`] with this walker's buffer.
     pub fn walk(&mut self, outcome: &RoutingOutcome, from: AsIndex) -> Option<ForwardingPath> {
+        let mut hops = Vec::new();
+        let link = self.walk_into(outcome, from, &mut hops)?;
+        Some(ForwardingPath { hops, link })
+    }
+
+    /// [`ForwardingWalker::walk`] writing the hops into a caller-owned
+    /// buffer, so a loop of walks allocates nothing once `hops` has the
+    /// capacity. Returns the ingress link; on `None` (unreachable or a
+    /// forwarding loop) `hops` holds the partial walk.
+    pub fn walk_into(
+        &mut self,
+        outcome: &RoutingOutcome,
+        from: AsIndex,
+        hops: &mut Vec<AsIndex>,
+    ) -> Option<LinkId> {
+        hops.clear();
         if self.visited.len() < outcome.best.len() {
             self.visited.resize(outcome.best.len(), self.stamp);
         }
@@ -207,7 +229,6 @@ impl ForwardingWalker {
                 1
             }
         };
-        let mut hops = Vec::new();
         let mut cur = from;
         loop {
             if self.visited[cur.us()] == self.stamp {
@@ -218,12 +239,7 @@ impl ForwardingWalker {
             hops.push(cur);
             match route.from_neighbor {
                 Some(next) => cur = next,
-                None => {
-                    return Some(ForwardingPath {
-                        hops,
-                        link: route.ingress,
-                    })
-                }
+                None => return Some(route.ingress),
             }
         }
     }
@@ -1240,6 +1256,15 @@ impl<'e, 't> Simulation<'e, 't> {
         }
     }
 
+    /// The candidate RIBs and path store a snapshot at `detail` carries.
+    fn capture(&self, detail: SnapshotDetail) -> (Option<Vec<Vec<Route>>>, PathStore) {
+        match detail {
+            SnapshotDetail::Catchments => (None, PathStore::default()),
+            SnapshotDetail::Paths => (None, self.arena.store()),
+            SnapshotDetail::Full => (Some(self.capture_candidates()), self.arena.store()),
+        }
+    }
+
     /// Candidate RIB copy for a [`SnapshotDetail::Full`] snapshot.
     fn capture_candidates(&self) -> Vec<Vec<Route>> {
         (0..self.direct.len())
@@ -1270,10 +1295,7 @@ impl<'e, 't> Simulation<'e, 't> {
     /// Snapshot the converged state into a [`RoutingOutcome`].
     fn snapshot(self, detail: SnapshotDetail) -> RoutingOutcome {
         let routes_disturbed = self.routes_disturbed();
-        let (candidates, paths) = match detail {
-            SnapshotDetail::Catchments => (None, PathStore::default()),
-            SnapshotDetail::Full => (Some(self.capture_candidates()), self.arena.store()),
-        };
+        let (candidates, paths) = self.capture(detail);
         RoutingOutcome {
             best: self.best.to_options(),
             candidates,
@@ -1291,10 +1313,7 @@ impl<'e, 't> Simulation<'e, 't> {
     /// [`SnapshotDetail::Catchments`] this copies only the `best` vector
     /// and the epoch's change log.
     fn snapshot_cloned(&self, detail: SnapshotDetail) -> RoutingOutcome {
-        let (candidates, paths) = match detail {
-            SnapshotDetail::Catchments => (None, PathStore::default()),
-            SnapshotDetail::Full => (Some(self.capture_candidates()), self.arena.store()),
-        };
+        let (candidates, paths) = self.capture(detail);
         RoutingOutcome {
             best: self.best.to_options(),
             candidates,
@@ -2040,6 +2059,17 @@ mod tests {
         assert_eq!(out.control_catchments(), full.control_catchments());
         assert!(full.has_candidates());
         assert!(!full.paths.is_empty());
+        // The paths-detail snapshot carries the same paths and no
+        // candidate copy.
+        let paths = engine
+            .propagate_config_detailed(&o, &all_plain(&o), 200, SnapshotDetail::Paths)
+            .unwrap();
+        assert!(!paths.has_candidates());
+        assert_eq!(paths.paths.len(), full.paths.len());
+        for (a, b) in paths.best.iter().zip(&full.best) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(paths.path_of(a), full.path_of(b));
+        }
     }
 
     #[test]

@@ -104,6 +104,37 @@ Set TRACKDOWN_SPANS=1 to stream span timings to stderr."
     ExitCode::from(2)
 }
 
+/// Boolean flags: present or absent, no value.
+const BOOL_FLAGS: &[&str] = &[
+    "--measured",
+    "--cold",
+    "--delta",
+    "--metrics-deterministic",
+    "--report-only",
+];
+
+/// Flags that take one value. Every command reads a subset of these; a
+/// flag on neither list is rejected, so a typo or a flag left over from
+/// an older release fails loudly instead of being ignored.
+const VALUE_FLAGS: &[&str] = &[
+    "--attacker",
+    "--baseline",
+    "--config",
+    "--current",
+    "--dataset",
+    "--defense",
+    "--format",
+    "--manifest",
+    "--metrics-out",
+    "--out",
+    "--scale",
+    "--seed",
+    "--threads",
+    "--tolerance",
+    "--trace-out",
+    "--volume",
+];
+
 /// Minimal flag parser: returns (flags with values, boolean flags).
 struct Args {
     values: Vec<(String, String)>,
@@ -111,29 +142,23 @@ struct Args {
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Option<Args> {
+    fn parse(args: &[String]) -> Result<Args, String> {
         let mut values = Vec::new();
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let a = &args[i];
-            if !a.starts_with("--") {
-                return None;
+        let mut args = args.iter();
+        while let Some(a) = args.next() {
+            if BOOL_FLAGS.contains(&a.as_str()) {
+                flags.push(a.clone());
+            } else if VALUE_FLAGS.contains(&a.as_str()) {
+                let v = args.next().ok_or_else(|| format!("{a} needs a value"))?;
+                values.push((a.clone(), v.clone()));
+            } else if a.starts_with("--") {
+                return Err(format!("unknown flag {a}"));
+            } else {
+                return Err(format!("unexpected argument {a:?}"));
             }
-            match a.as_str() {
-                "--measured"
-                | "--cold"
-                | "--delta"
-                | "--metrics-deterministic"
-                | "--report-only" => flags.push(a.clone()),
-                _ => {
-                    i += 1;
-                    values.push((a.clone(), args.get(i)?.clone()));
-                }
-            }
-            i += 1;
         }
-        Some(Args { values, flags })
+        Ok(Args { values, flags })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -1059,8 +1084,15 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = argv.split_first() else {
         return usage();
     };
-    let Some(args) = Args::parse(rest) else {
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
         return usage();
+    }
+    let args = match Args::parse(rest) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
     };
     let result = match cmd.as_str() {
         "topology" => cmd_topology(&args),
@@ -1072,7 +1104,6 @@ fn main() -> ExitCode {
         "validate-manifest" => cmd_validate_manifest(&args),
         "profile" => cmd_profile(&args),
         "perf-report" => cmd_perf_report(&args),
-        "--help" | "-h" | "help" => return usage(),
         other => Err(format!("unknown command {other:?}")),
     };
     match result {
@@ -1118,13 +1149,44 @@ mod tests {
 
     #[test]
     fn args_reject_malformed() {
-        assert!(Args::parse(&argv(&["positional"])).is_none());
-        assert!(Args::parse(&argv(&["--out"])).is_none()); // missing value
+        assert!(Args::parse(&argv(&["positional"])).is_err());
+        let err = Args::parse(&argv(&["--out"])).err().unwrap(); // missing value
+        assert!(err.contains("--out"), "{err}");
         let a = Args::parse(&argv(&["--scale", "bogus"])).unwrap();
         assert!(a.options().is_err());
         let a = Args::parse(&argv(&["--cold", "--delta"])).unwrap();
         let err = a.options().unwrap_err();
         assert!(err.contains("exclusive"), "{err}");
+    }
+
+    #[test]
+    fn args_reject_unknown_flags_by_name() {
+        // A flag from an older release (the removed count-min sketch)
+        // must fail, naming the flag, instead of being ignored.
+        let err = Args::parse(&argv(&[
+            "--dataset",
+            "d.json",
+            "--attacker",
+            "AS105",
+            "--sketch",
+            "64x4",
+        ]))
+        .err()
+        .unwrap();
+        assert!(err.contains("--sketch"), "{err}");
+        let err = Args::parse(&argv(&["--measurd"])).err().unwrap();
+        assert!(err.contains("--measurd"), "{err}");
+        // Every flag a command reads is on exactly one of the lists.
+        for flag in BOOL_FLAGS {
+            assert!(!VALUE_FLAGS.contains(flag), "{flag} on both lists");
+            assert!(Args::parse(&argv(&[flag])).unwrap().has(flag));
+        }
+        for flag in VALUE_FLAGS {
+            assert_eq!(
+                Args::parse(&argv(&[flag, "v"])).unwrap().get(flag),
+                Some("v")
+            );
+        }
     }
 
     #[test]

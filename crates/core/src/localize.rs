@@ -431,11 +431,12 @@ fn run_chunk(
         CampaignMode::Warm | CampaignMode::Delta => warm_start_order(chunk),
         CampaignMode::Cold => (0..chunk.len()).collect(),
     };
-    // Only measured campaigns read path contents (BGP feed collection);
-    // ground truth gets the cheap Catchments-detail snapshot. Duplicate
-    // footprints have identical fixpoints, so ground truth memoizes them.
+    // Only measured campaigns read path contents (BGP feed collection),
+    // and nothing here reads candidate RIBs; ground truth gets the cheap
+    // Catchments-detail snapshot. Duplicate footprints have identical
+    // fixpoints, so ground truth memoizes them.
     let (detail, memoize) = match opts.source {
-        CatchmentSource::Measured(_) => (SnapshotDetail::Full, false),
+        CatchmentSource::Measured(_) => (SnapshotDetail::Paths, false),
         _ => (SnapshotDetail::Catchments, mode != CampaignMode::Cold),
     };
     let mut session = engine.session_with(mode);

@@ -274,7 +274,8 @@ pub fn localize_online(
 /// with a planted per-AS volume vector. Returns the result plus the number
 /// of configurations deployed.
 ///
-/// Routing runs through one persistent warm [`CampaignSession`]: each
+/// Routing runs through one persistent warm
+/// [`CampaignSession`](trackdown_bgp::CampaignSession): each
 /// deployed configuration is an epoch transition from the previous one
 /// (exactly what the live origin would do), and a memo cache keyed by the
 /// canonical announcement footprint lets the observe and measure callbacks

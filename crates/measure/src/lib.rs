@@ -35,12 +35,31 @@ pub use collector::{CollectorUpdate, UpdateStream};
 pub use mapping::{HopResolution, IpToAs, IpToAsConfig};
 pub use observe::{collect_bgp_feeds, combine_observations, BgpObservation, MeasuredCatchments};
 pub use plane::{MeasurementConfig, MeasurementPlane};
-pub use repair::{repair_campaign, InteriorIndex, RepairedPath};
+pub use repair::{repair_campaign, RepairedPath};
 pub use traceroute::{
     run_campaign, run_traceroute, sample_probes, Hop, Traceroute, TracerouteConfig,
 };
 pub use vantage::{VantageConfig, VantagePoints};
 pub use visibility::{analysis_set, impute_visibility, ImputationStats};
+
+/// The integer form of the fault-injection roll `(r as f64 / scale as
+/// f64) < p` over `r` in `0..scale`: the least `r` for which the roll
+/// fails, so the roll holds exactly when `r < roll_threshold(p, scale)`.
+/// The quotient never decreases as `r` grows (division by a positive
+/// constant is monotone under IEEE rounding), so the rolls that hold are
+/// a prefix of `0..scale` and a binary search finds its end.
+pub(crate) fn roll_threshold(p: f64, scale: u64) -> u64 {
+    let (mut lo, mut hi) = (0, scale);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if (mid as f64 / scale as f64) < p {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
 
 /// SplitMix64 mixer shared by the fault-injection rolls in this crate.
 #[inline]
@@ -57,6 +76,85 @@ mod proptests {
     use proptest::prelude::*;
     use trackdown_topology::Asn;
 
+    /// One observed hop: a gap (unresponsive or unmapped), an IXP-fabric
+    /// ASN, or one of a handful of ASNs, so interiors repeat and conflict.
+    fn hop_strategy() -> impl Strategy<Value = Option<Asn>> {
+        (0u32..12).prop_map(|v| match v {
+            0 | 1 => None,
+            2 => Some(Asn(64512 + 7)),
+            3 => Some(Asn(4_200_000_001)),
+            v => Some(Asn(v - 3)),
+        })
+    }
+
+    /// Campaigns of short traceroutes over [`hop_strategy`] hops, some
+    /// unreached, plus a BGP corpus over the same few ASNs.
+    fn campaign_strategy() -> impl Strategy<Value = (Vec<Traceroute>, Vec<Vec<Asn>>)> {
+        use crate::traceroute::Hop;
+        use trackdown_topology::AsIndex;
+        let trace = (
+            0u32..4,
+            proptest::option::weighted(0.8, 0u8..3),
+            proptest::collection::vec(hop_strategy(), 0..9),
+        )
+            .prop_map(|(probe, reached, hops)| Traceroute {
+                probe: AsIndex(probe),
+                round: 0,
+                reached: reached.map(trackdown_bgp::LinkId),
+                hops: hops
+                    .into_iter()
+                    .map(|observed| Hop {
+                        true_as: AsIndex(probe),
+                        observed,
+                    })
+                    .collect(),
+            });
+        let path = proptest::collection::vec((1u32..9).prop_map(Asn), 0..7);
+        (
+            proptest::collection::vec(trace, 0..14),
+            proptest::collection::vec(path, 0..5),
+        )
+    }
+
+    /// Six ASes (ASNs 1–6) in a provider chain: observations may also
+    /// name ASNs 7–9, which are outside it.
+    fn chain_topology() -> trackdown_topology::Topology {
+        use trackdown_topology::LinkKind;
+        trackdown_topology::topology_from_links(
+            (1..6).map(|a| (Asn(a), Asn(a + 1), LinkKind::ProviderCustomer)),
+        )
+        .unwrap()
+    }
+
+    /// BGP observations and repaired traceroutes over [`chain_topology`],
+    /// with three links so vote ties are common.
+    fn observations_strategy(
+    ) -> impl Strategy<Value = (Vec<crate::BgpObservation>, Vec<crate::RepairedPath>)> {
+        use trackdown_bgp::LinkId;
+        use trackdown_topology::AsIndex;
+        let path = || proptest::collection::vec((1u32..10).prop_map(Asn), 0..6);
+        let obs =
+            (0u32..6, path(), 0u8..3).prop_map(|(feeder, path, link)| crate::BgpObservation {
+                feeder: AsIndex(feeder),
+                path,
+                ingress: LinkId(link),
+            });
+        let trace = (0u32..6, proptest::option::weighted(0.8, 0u8..3), path()).prop_map(
+            |(probe, reached, path)| crate::RepairedPath {
+                probe: AsIndex(probe),
+                reached: reached.map(LinkId),
+                path,
+                ignored_hops: 0,
+                repaired_hops: 0,
+                ixp_hops: 0,
+            },
+        );
+        (
+            proptest::collection::vec(obs, 0..6),
+            proptest::collection::vec(trace, 0..10),
+        )
+    }
+
     fn seq_strategy() -> impl Strategy<Value = Vec<Option<Asn>>> {
         proptest::collection::vec(
             proptest::option::weighted(0.8, (1u32..40).prop_map(Asn)),
@@ -64,7 +162,61 @@ mod proptests {
         )
     }
 
+    #[test]
+    fn roll_thresholds_match_float_rolls() {
+        for p in [
+            0.0,
+            1e-9,
+            0.02,
+            0.05,
+            0.08,
+            0.3,
+            0.5,
+            0.999_99,
+            1.0,
+            1.5,
+            -0.1,
+            f64::NAN,
+        ] {
+            for scale in [10_000u64, 100_000] {
+                let t = roll_threshold(p, scale);
+                for r in 0..scale {
+                    assert_eq!(
+                        r < t,
+                        (r as f64 / scale as f64) < p,
+                        "p={p} scale={scale} r={r}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
+        // The anchor-pair index repairs every traceroute exactly as the
+        // index of every ordered pair does: same paths, same gap-hop and
+        // IXP-hop counts, over gaps at either end, IXP hops, unreached
+        // traceroutes and conflicting interiors.
+        #[test]
+        fn repair_matches_reference(input in campaign_strategy()) {
+            let (campaign, corpus) = input;
+            let got = repair_campaign(&campaign, &corpus);
+            let want = crate::repair::reference::repair_campaign(&campaign, &corpus);
+            prop_assert_eq!(got, want);
+        }
+
+        // The flat vote tally resolves every AS exactly as the per-AS vote
+        // vectors do, over ties, out-of-topology ASNs and unreached
+        // traceroutes.
+        #[test]
+        fn tally_matches_reference(input in observations_strategy()) {
+            let (bgp, traceroutes) = input;
+            let topo = chain_topology();
+            let got = combine_observations(&topo, &bgp, &traceroutes);
+            let want = crate::observe::reference::combine_observations(&topo, &bgp, &traceroutes);
+            prop_assert_eq!(got.catchments.dense(), want.catchments.dense());
+            prop_assert_eq!(got, want);
+        }
+
         // Repair never invents an AS that is absent from every evidence
         // source (the sequence itself, other traceroutes, BGP paths).
         #[test]

@@ -67,10 +67,15 @@ impl Default for IpToAsConfig {
 pub struct IpToAs {
     /// For each AS, the neighbor its dirty space resolves to (if dirty).
     dirty_target: Vec<Option<AsIndex>>,
-    mismap_prob: f64,
-    unmapped_prob: f64,
+    /// Integer thresholds of the mis-map and unmapped rolls
+    /// ([`crate::roll_threshold`] over [`ROLL_SCALE`]).
+    mismap_below: u64,
+    unmapped_below: u64,
     seed: u64,
 }
+
+/// Resolution of the database's per-hop rolls.
+const ROLL_SCALE: u64 = 10_000;
 
 impl IpToAs {
     /// Build the database model for a topology.
@@ -94,8 +99,8 @@ impl IpToAs {
             .collect();
         IpToAs {
             dirty_target,
-            mismap_prob: cfg.mismap_prob,
-            unmapped_prob: cfg.unmapped_prob,
+            mismap_below: crate::roll_threshold(cfg.mismap_prob, ROLL_SCALE),
+            unmapped_below: crate::roll_threshold(cfg.unmapped_prob, ROLL_SCALE),
             seed: cfg.seed,
         }
     }
@@ -109,21 +114,30 @@ impl IpToAs {
     /// round, and hop position so repeated measurements of the same router
     /// resolve consistently only when they truly hit the same address).
     pub fn resolve(&self, topo: &Topology, true_as: AsIndex, salt: u64) -> HopResolution {
+        match self.resolve_index(true_as, salt) {
+            None => HopResolution::Unmapped,
+            // A mis-map target is a neighbor, never the AS itself.
+            Some(i) if i == true_as => HopResolution::Correct(topo.asn_of(i)),
+            Some(i) => HopResolution::Mismapped(topo.asn_of(i)),
+        }
+    }
+
+    /// [`IpToAs::resolve`] as the index of the AS the hop resolves to.
+    pub(crate) fn resolve_index(&self, true_as: AsIndex, salt: u64) -> Option<AsIndex> {
         let h = crate::mix(self.seed ^ salt ^ ((true_as.0 as u64) << 24));
-        let roll = (h % 10_000) as f64 / 10_000.0;
-        if roll < self.unmapped_prob {
-            return HopResolution::Unmapped;
+        if h % ROLL_SCALE < self.unmapped_below {
+            return None;
         }
         if let Some(target) = self.dirty_target[true_as.us()] {
             // Dirty ASes resolve a fixed slice of their space to the
             // neighbor; whether a given observation lands in that slice is
             // a salted deterministic roll.
             let h2 = crate::mix(h ^ 0xD1);
-            if ((h2 % 10_000) as f64 / 10_000.0) < self.mismap_prob {
-                return HopResolution::Mismapped(topo.asn_of(target));
+            if h2 % ROLL_SCALE < self.mismap_below {
+                return Some(target);
             }
         }
-        HopResolution::Correct(topo.asn_of(true_as))
+        Some(true_as)
     }
 }
 

@@ -108,74 +108,144 @@ pub fn run_traceroute(
     cfg: &TracerouteConfig,
     config_salt: u64,
 ) -> Traceroute {
-    let mut walker = ForwardingWalker::new();
-    run_traceroute_with_walker(
-        topo,
-        db,
+    HopFaults::new(topo, db, cfg, config_salt).trace(
+        &mut ForwardingWalker::new(),
         outcome,
         probe,
         round,
-        cfg,
-        config_salt,
-        &mut walker,
     )
 }
 
-/// [`run_traceroute`] reusing a caller-owned [`ForwardingWalker`], so
-/// campaign loops pay for the visited buffer once instead of per probe.
-#[allow(clippy::too_many_arguments)]
-pub fn run_traceroute_with_walker(
-    topo: &Topology,
-    db: &IpToAs,
-    outcome: &RoutingOutcome,
-    probe: AsIndex,
-    round: usize,
-    cfg: &TracerouteConfig,
+/// The fault model of one configuration's traceroutes: every roll's
+/// probability is turned into an integer threshold once, so each hop
+/// pays integer compares instead of float divisions.
+pub(crate) struct HopFaults<'a> {
+    topo: &'a Topology,
+    db: &'a IpToAs,
+    seed: u64,
     config_salt: u64,
-    walker: &mut ForwardingWalker,
-) -> Traceroute {
-    let walk = walker.walk(outcome, probe);
-    let (true_hops, reached) = match walk {
-        Some(w) => (w.hops, Some(w.link)),
-        None => (vec![probe], None),
-    };
-    let mut hops = Vec::with_capacity(true_hops.len());
-    for (pos, &h) in true_hops.iter().enumerate() {
-        let salt = crate::mix(
-            cfg.seed
-                ^ config_salt.rotate_left(17)
-                ^ ((probe.0 as u64) << 40)
-                ^ ((round as u64) << 28)
-                ^ ((pos as u64) << 20)
-                ^ h.0 as u64,
-        );
-        let unresponsive = ((salt % 100_000) as f64 / 100_000.0) < cfg.hop_unresponsive_prob;
-        let observed = if unresponsive {
-            None
-        } else {
+    /// A hop is unresponsive when its roll is below this.
+    unresponsive_below: u64,
+    /// A hop entered over a peering link answers from the IXP fabric when
+    /// its roll is below this.
+    ixp_below: u64,
+}
+
+impl<'a> HopFaults<'a> {
+    pub(crate) fn new(
+        topo: &'a Topology,
+        db: &'a IpToAs,
+        cfg: &TracerouteConfig,
+        config_salt: u64,
+    ) -> HopFaults<'a> {
+        HopFaults {
+            topo,
+            db,
+            seed: cfg.seed,
+            config_salt,
+            unresponsive_below: crate::roll_threshold(cfg.hop_unresponsive_prob, ROLL_SCALE),
+            ixp_below: crate::roll_threshold(cfg.ixp_hop_prob, ROLL_SCALE),
+        }
+    }
+
+    /// One traceroute with its hop vector.
+    fn trace(
+        &self,
+        walker: &mut ForwardingWalker,
+        outcome: &RoutingOutcome,
+        probe: AsIndex,
+        round: usize,
+    ) -> Traceroute {
+        let (mut true_hops, mut peering) = (Vec::new(), Vec::new());
+        let reached = walk_probe(walker, outcome, probe, &mut true_hops);
+        self.peering_hops(&true_hops, &mut peering);
+        let hops = true_hops
+            .iter()
+            .zip(self.observe(probe, round, &true_hops, &peering))
+            .map(|(&true_as, observed)| Hop {
+                true_as,
+                observed: observed.map(|(asn, _)| asn),
+            })
+            .collect();
+        Traceroute {
+            probe,
+            round,
+            reached,
+            hops,
+        }
+    }
+
+    /// Which hops of a walk were entered over a peering link, into
+    /// `peering` (one flag per hop). A walk's hops are the same in every
+    /// round, so callers compute this once per probe.
+    pub(crate) fn peering_hops(&self, true_hops: &[AsIndex], peering: &mut Vec<bool>) {
+        peering.clear();
+        peering.extend((0..true_hops.len()).map(|pos| {
+            pos > 0
+                && self.topo.relationship(true_hops[pos - 1], true_hops[pos])
+                    == Some(trackdown_topology::NeighborKind::Peer)
+        }));
+    }
+
+    /// What each hop of one traceroute resolves to, in hop order: `None`
+    /// for an unresponsive hop, an IXP-fabric ASN for some hops entered
+    /// over a peering link (`peering`, from
+    /// [`HopFaults::peering_hops`]), otherwise the IP-to-AS database's
+    /// answer. Each answer comes with its dense id: the AS index, or
+    /// [`FABRIC_ID`] for a fabric ASN (which repair strips).
+    pub(crate) fn observe<'h>(
+        &'h self,
+        probe: AsIndex,
+        round: usize,
+        true_hops: &'h [AsIndex],
+        peering: &'h [bool],
+    ) -> impl Iterator<Item = Option<(Asn, u32)>> + 'h {
+        true_hops.iter().enumerate().map(move |(pos, &h)| {
+            let salt = crate::mix(
+                self.seed
+                    ^ self.config_salt.rotate_left(17)
+                    ^ ((probe.0 as u64) << 40)
+                    ^ ((round as u64) << 28)
+                    ^ ((pos as u64) << 20)
+                    ^ h.0 as u64,
+            );
+            if salt % ROLL_SCALE < self.unresponsive_below {
+                return None;
+            }
             // Hops entered over a peering link may answer from the IXP
             // fabric's address space.
-            let over_peering = pos > 0
-                && topo.relationship(true_hops[pos - 1], h)
-                    == Some(trackdown_topology::NeighborKind::Peer);
-            let ixp_roll = (crate::mix(salt ^ 0x1c9) % 100_000) as f64 / 100_000.0;
-            if over_peering && ixp_roll < cfg.ixp_hop_prob {
-                Some(ixp_fabric_asn(true_hops[pos - 1], h))
+            if peering[pos] && crate::mix(salt ^ 0x1c9) % ROLL_SCALE < self.ixp_below {
+                Some((ixp_fabric_asn(true_hops[pos - 1], h), FABRIC_ID))
             } else {
-                db.resolve(topo, h, salt ^ 0xFACE).asn()
+                let at = self.db.resolve_index(h, salt ^ 0xFACE)?;
+                Some((self.topo.asn_of(at), at.0))
             }
-        };
-        hops.push(Hop {
-            true_as: h,
-            observed,
-        });
+        })
     }
-    Traceroute {
-        probe,
-        round,
-        reached,
-        hops,
+}
+
+/// Resolution of the traceroute fault rolls.
+const ROLL_SCALE: u64 = 100_000;
+
+/// The id [`HopFaults::observe`] gives IXP-fabric hops: they resolve to
+/// private ASNs outside the topology and are stripped before repair.
+pub(crate) const FABRIC_ID: u32 = u32::MAX;
+
+/// Walk the data plane from `probe` into `hops`, returning the ingress
+/// link. An unreachable probe (or a forwarding loop) leaves the probe's
+/// own AS as the only hop.
+pub(crate) fn walk_probe(
+    walker: &mut ForwardingWalker,
+    outcome: &RoutingOutcome,
+    probe: AsIndex,
+    hops: &mut Vec<AsIndex>,
+) -> Option<LinkId> {
+    let reached = walker.walk_into(outcome, probe, hops);
+    if reached.is_none() {
+        hops.clear();
+        hops.push(probe);
     }
+    reached
 }
 
 /// Run a full campaign: every probe, every round, one configuration.
@@ -187,34 +257,37 @@ pub fn run_campaign(
     cfg: &TracerouteConfig,
     config_salt: u64,
 ) -> Vec<Traceroute> {
-    let mut out = Vec::with_capacity(probes.len() * cfg.rounds);
+    let faults = HopFaults::new(topo, db, cfg, config_salt);
     let mut walker = ForwardingWalker::new();
-    for &p in probes {
-        for round in 0..cfg.rounds {
-            out.push(run_traceroute_with_walker(
-                topo,
-                db,
-                outcome,
-                p,
-                round,
-                cfg,
-                config_salt,
-                &mut walker,
-            ));
-        }
-    }
-    out
+    probes
+        .iter()
+        .flat_map(|&p| (0..cfg.rounds).map(move |round| (p, round)))
+        .map(|(p, round)| faults.trace(&mut walker, outcome, p, round))
+        .collect()
 }
 
 /// Probe subsampling: the paper could only probe from 1 600 Atlas probes
 /// every 20 minutes; this helper deterministically samples a probe subset
 /// per configuration when a budget is set.
 pub fn sample_probes(probes: &[AsIndex], budget: usize, salt: u64) -> Vec<AsIndex> {
+    let mut out = Vec::new();
+    sample_probes_into(probes, budget, salt, &mut out);
+    out
+}
+
+/// [`sample_probes`] into a caller-owned buffer.
+pub(crate) fn sample_probes_into(
+    probes: &[AsIndex],
+    budget: usize,
+    salt: u64,
+    pool: &mut Vec<AsIndex>,
+) {
+    pool.clear();
+    pool.extend_from_slice(probes);
     if probes.len() <= budget {
-        return probes.to_vec();
+        return;
     }
     let mut rng = ChaCha8Rng::seed_from_u64(salt);
-    let mut pool = probes.to_vec();
     // Partial Fisher-Yates: draw `budget` distinct probes.
     for k in 0..budget {
         let j = k + rng.random_range(0..pool.len() - k);
@@ -222,7 +295,6 @@ pub fn sample_probes(probes: &[AsIndex], budget: usize, salt: u64) -> Vec<AsInde
     }
     pool.truncate(budget);
     pool.sort_unstable();
-    pool
 }
 
 #[cfg(test)]

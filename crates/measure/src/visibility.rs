@@ -11,7 +11,6 @@
 //!    observed (i.e. `s` and `smax` route similarly).
 
 use crate::observe::MeasuredCatchments;
-use std::collections::HashMap;
 use trackdown_topology::AsIndex;
 
 /// Statistics from an imputation pass.
@@ -39,9 +38,15 @@ pub fn analysis_set(measured: &[MeasuredCatchments], baseline: usize) -> Vec<AsI
 }
 
 /// For source `s`, find `smax`: the other source most frequently sharing
-/// `s`'s catchment across configurations where `s` was observed.
-fn find_smax(measured: &[MeasuredCatchments], s: AsIndex) -> Option<AsIndex> {
-    let mut counts: HashMap<AsIndex, u32> = HashMap::new();
+/// `s`'s catchment across configurations where `s` was observed. Ties go
+/// to the lowest index. `counts` is zeroed scratch of one counter per
+/// source and is left zeroed; `seen` is scratch for the sources counted.
+fn find_smax(
+    measured: &[MeasuredCatchments],
+    s: AsIndex,
+    counts: &mut [u32],
+    seen: &mut Vec<AsIndex>,
+) -> Option<AsIndex> {
     for m in measured {
         if !m.observed[s.us()] {
             continue;
@@ -51,15 +56,25 @@ fn find_smax(measured: &[MeasuredCatchments], s: AsIndex) -> Option<AsIndex> {
         };
         for t in m.catchments.members(link) {
             if t != s {
-                *counts.entry(t).or_insert(0) += 1;
+                if counts[t.us()] == 0 {
+                    seen.push(t);
+                }
+                counts[t.us()] += 1;
             }
         }
     }
-    // Deterministic argmax: highest count, then lowest index.
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(t, _)| t)
+    let mut best: Option<(AsIndex, u32)> = None;
+    for t in seen.drain(..) {
+        let c = std::mem::take(&mut counts[t.us()]);
+        let better = match best {
+            None => true,
+            Some((b, bc)) => c > bc || (c == bc && t < b),
+        };
+        if better {
+            best = Some((t, c));
+        }
+    }
+    best.map(|(t, _)| t)
 }
 
 /// Fill visibility holes in-place: for each source in the analysis set and
@@ -73,12 +88,14 @@ pub fn impute_visibility(measured: &mut [MeasuredCatchments], baseline: usize) -
         excluded_sources: n - set.len(),
         ..ImputationStats::default()
     };
+    let mut counts = vec![0u32; n];
+    let mut seen = Vec::new();
     for &s in &set {
         // Skip fully-observed sources quickly.
         if measured.iter().all(|m| m.observed[s.us()]) {
             continue;
         }
-        let smax = find_smax(measured, s);
+        let smax = find_smax(measured, s, &mut counts, &mut seen);
         for m in measured.iter_mut() {
             if m.observed[s.us()] {
                 continue;
@@ -131,7 +148,22 @@ mod tests {
             mc(3, &[(0, 0), (1, 0), (2, 1)]),
             mc(3, &[(0, 1), (1, 1), (2, 1)]),
         ];
-        assert_eq!(find_smax(&ms, AsIndex(0)), Some(AsIndex(1)));
+        let (mut counts, mut seen) = (vec![0; 3], Vec::new());
+        assert_eq!(
+            find_smax(&ms, AsIndex(0), &mut counts, &mut seen),
+            Some(AsIndex(1))
+        );
+        assert_eq!(counts, vec![0; 3], "scratch left zeroed");
+        // Equal counts: the lower index wins.
+        let tied = vec![mc(3, &[(0, 0), (1, 0), (2, 0)])];
+        assert_eq!(
+            find_smax(&tied, AsIndex(2), &mut counts, &mut seen),
+            Some(AsIndex(0))
+        );
+        assert_eq!(
+            find_smax(&tied, AsIndex(0), &mut counts, &mut seen),
+            Some(AsIndex(1))
+        );
     }
 
     #[test]

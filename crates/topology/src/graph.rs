@@ -1,8 +1,8 @@
 //! The AS-level topology graph.
 
+use crate::fxhash::FxHashMap;
 use crate::{Asn, Link, LinkKind, NeighborKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Dense index of an AS inside a [`Topology`].
@@ -56,7 +56,7 @@ impl std::error::Error for TopologyError {}
 pub struct Topology {
     asns: Vec<Asn>,
     #[serde(skip)]
-    index: HashMap<Asn, AsIndex>,
+    index: FxHashMap<Asn, AsIndex>,
     /// Per-AS adjacency: `(neighbor, how the neighbor looks from here)`.
     adjacency: Vec<Vec<(AsIndex, NeighborKind)>>,
     links: Vec<Link>,
@@ -201,7 +201,7 @@ impl Topology {
 #[derive(Debug, Default)]
 pub struct TopologyBuilder {
     asns: Vec<Asn>,
-    index: HashMap<Asn, AsIndex>,
+    index: FxHashMap<Asn, AsIndex>,
     adjacency: Vec<Vec<(AsIndex, NeighborKind)>>,
     links: Vec<Link>,
 }
@@ -216,7 +216,7 @@ impl TopologyBuilder {
     pub fn with_capacity(n: usize) -> TopologyBuilder {
         TopologyBuilder {
             asns: Vec::with_capacity(n),
-            index: HashMap::with_capacity(n),
+            index: FxHashMap::with_capacity_and_hasher(n, Default::default()),
             adjacency: Vec::with_capacity(n),
             links: Vec::new(),
         }

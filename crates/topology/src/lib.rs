@@ -27,6 +27,7 @@
 pub mod analysis;
 mod asn;
 pub mod cone;
+pub mod fxhash;
 pub mod gen;
 mod graph;
 pub mod infer;

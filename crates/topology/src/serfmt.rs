@@ -9,6 +9,9 @@
 //! <peer-asn>|<peer-asn>|0
 //! ```
 //!
+//! CAIDA's serial-2 files add a fourth field naming the inference source
+//! (`<provider-asn>|<customer-asn>|-1|bgp`); it is accepted and ignored.
+//!
 //! This module reads and writes that format so synthetic topologies can be
 //! exported and (externally produced) relationship files imported.
 
@@ -18,7 +21,7 @@ use std::fmt;
 /// Errors raised while parsing an `as-rel` document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AsRelError {
-    /// A non-comment line did not have three `|`-separated fields.
+    /// A non-comment line did not have three or four `|`-separated fields.
     BadLine {
         /// 1-based line number.
         line: usize,
@@ -40,7 +43,10 @@ impl fmt::Display for AsRelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AsRelError::BadLine { line, content } => {
-                write!(f, "line {line}: expected `a|b|rel`, got {content:?}")
+                write!(
+                    f,
+                    "line {line}: expected `a|b|rel[|source]`, got {content:?}"
+                )
             }
             AsRelError::BadField { line, field } => {
                 write!(f, "line {line}: bad field {field:?}")
@@ -69,9 +75,12 @@ pub fn parse_as_rel(text: &str) -> Result<Topology, AsRelError> {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
+        // Serial-1 lines have three fields; serial-2 lines append the
+        // inference source, which carries nothing the topology needs.
         let mut parts = trimmed.split('|');
-        let (a, b, code) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-            (Some(a), Some(b), Some(c), None) => (a, b, c),
+        let fields = (parts.next(), parts.next(), parts.next(), parts.next());
+        let (a, b, code) = match (fields, parts.next()) {
+            ((Some(a), Some(b), Some(c), _), None) => (a, b, c),
             _ => {
                 return Err(AsRelError::BadLine {
                     line,
@@ -207,13 +216,36 @@ mod tests {
     }
 
     #[test]
+    fn accepts_serial2_source_field() {
+        let doc = "# serial-2\n1|2|-1|bgp\n2|3|0|mlp\n3|4|-1|\n";
+        let topo = parse_as_rel(doc).unwrap();
+        let serial1 = parse_as_rel("1|2|-1\n2|3|0\n3|4|-1\n").unwrap();
+        assert_eq!(topo.links(), serial1.links());
+        assert_eq!(topo.asns(), serial1.asns());
+        // The source field is ignored, not parsed: the relationship code
+        // is still checked.
+        assert!(matches!(
+            parse_as_rel("1|2|7|bgp"),
+            Err(AsRelError::BadField { .. })
+        ));
+    }
+
+    #[test]
     fn rejects_bad_lines() {
+        assert!(matches!(
+            parse_as_rel("1"),
+            Err(AsRelError::BadLine { line: 1, .. })
+        ));
         assert!(matches!(
             parse_as_rel("1|2"),
             Err(AsRelError::BadLine { line: 1, .. })
         ));
         assert!(matches!(
-            parse_as_rel("1|2|-1|junk"),
+            parse_as_rel("1|2|-1\n1|3|-1|bgp|junk"),
+            Err(AsRelError::BadLine { line: 2, .. })
+        ));
+        assert!(matches!(
+            parse_as_rel("1|2|-1|bgp|x|y"),
             Err(AsRelError::BadLine { .. })
         ));
     }

@@ -6,7 +6,7 @@
 //! cargo run --release --example measurement_pipeline
 //! ```
 
-use trackdown_suite::bgp::Catchments;
+use trackdown_suite::bgp::{Catchments, SnapshotDetail};
 use trackdown_suite::measure::{
     collect_bgp_feeds, combine_observations, impute_visibility, repair_campaign, run_campaign,
     IpToAs, IpToAsConfig, TracerouteConfig, UpdateStream, VantageConfig, VantagePoints,
@@ -21,7 +21,10 @@ fn main() {
 
     // One configuration: the full anycast baseline.
     let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-    let outcome = engine.propagate_config(&origin, &anns, 200).unwrap();
+    // BGP feeds read AS-paths, so the outcome keeps its path store.
+    let outcome = engine
+        .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Paths)
+        .unwrap();
     let truth = Catchments::from_control_plane(&outcome);
     println!(
         "ground truth: {} ASes reachable, convergence depth {} rounds",
@@ -110,7 +113,9 @@ fn main() {
         .skip(1)
         .map(LinkAnnouncement::plain)
         .collect();
-    let second_outcome = engine.propagate_config(&origin, &second_cfg, 200).unwrap();
+    let second_outcome = engine
+        .propagate_config_detailed(&origin, &second_cfg, 200, SnapshotDetail::Paths)
+        .unwrap();
     let second_campaign = run_campaign(
         &world.topology,
         &db,

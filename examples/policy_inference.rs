@@ -12,6 +12,7 @@
 //! cargo run --release --example policy_inference
 //! ```
 
+use trackdown_suite::bgp::SnapshotDetail;
 use trackdown_suite::measure::collect_bgp_feeds;
 use trackdown_suite::prelude::*;
 use trackdown_suite::topology::infer::{infer_relationships, score_inference, InferenceParams};
@@ -48,7 +49,12 @@ fn main() {
 
     for (k, cfg) in schedule.iter().enumerate() {
         let outcome = engine
-            .propagate_config(&origin, &cfg.to_link_announcements(), 200)
+            .propagate_config_detailed(
+                &origin,
+                &cfg.to_link_announcements(),
+                200,
+                SnapshotDetail::Paths,
+            )
             .unwrap();
         for obs in collect_bgp_feeds(&world.topology, &outcome, &feeders, origin.asn) {
             if !corpus.contains(&obs.path) {
