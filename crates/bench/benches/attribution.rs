@@ -1,76 +1,22 @@
 //! Attribution-plane benchmarks: indexed/incremental suspect ranking,
 //! volume estimation, and cluster lookups vs the scan-based references
-//! they replaced, on a large synthetic partition (50k tracked sources —
-//! the scale the ROADMAP's production north star assumes, far beyond the
-//! 2k-AS simulated topologies).
+//! they replaced, on the 50k-source synthetic partition of
+//! [`trackdown_bench::attribution_fixture`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::{RngExt, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-use trackdown_bgp::{Catchments, LinkId};
+use trackdown_bench::{attribution_fixture, AttributionFixture};
 use trackdown_core::localize::{
-    estimate_cluster_volumes, estimate_cluster_volumes_rescan, link_volume_matrix, rank_suspects,
-    rank_suspects_rescan, AttributionIndex, Campaign, CampaignStats,
+    estimate_cluster_volumes, estimate_cluster_volumes_rescan, rank_suspects, rank_suspects_rescan,
 };
 use trackdown_topology::AsIndex;
 
-const SOURCES: usize = 50_000;
-const CONFIGS: usize = 24;
-const LINKS: usize = 8;
-const GROUPS: usize = 2_000;
-
-/// A campaign-shaped fixture over a synthetic partition: sources route in
-/// co-routed groups (the shape real campaigns converge to — ~2k clusters
-/// of ~25 sources), with a sprinkling of unobserved catchments, a handful
-/// of active attackers, and the honeypot volume matrix they induce.
-fn synthetic_campaign(seed: u64) -> (Campaign, Vec<Vec<u64>>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let group_of: Vec<usize> = (0..SOURCES).map(|_| rng.random_range(0..GROUPS)).collect();
-    let catchments: Vec<Catchments> = (0..CONFIGS)
-        .map(|_| {
-            let group_link: Vec<Option<LinkId>> = (0..GROUPS)
-                .map(|_| {
-                    if rng.random_range(0..16u32) == 0 {
-                        None
-                    } else {
-                        Some(LinkId(rng.random_range(0..LINKS as u8)))
-                    }
-                })
-                .collect();
-            let mut c = Catchments::unassigned(SOURCES);
-            for i in 0..SOURCES {
-                c.set(AsIndex(i as u32), group_link[group_of[i]]);
-            }
-            c
-        })
-        .collect();
-    let tracked: Vec<AsIndex> = (0..SOURCES as u32).map(AsIndex).collect();
-    let (clustering, attribution) = AttributionIndex::build(tracked.clone(), &catchments);
-    let campaign = Campaign {
-        configs: Vec::new(),
-        catchments,
-        tracked,
-        clustering,
-        attribution,
-        records: Vec::new(),
-        imputation: None,
-        stats: CampaignStats::default(),
-    };
-    let mut volume_per_as = vec![0u64; SOURCES];
-    for (i, v) in [
-        (SOURCES / 7, 1_000_000),
-        (SOURCES / 2, 2_000_000),
-        (5 * SOURCES / 6, 3_000_000),
-    ] {
-        volume_per_as[i] = v;
-    }
-    let link_volumes = link_volume_matrix(&campaign, &volume_per_as);
-    (campaign, link_volumes)
-}
-
 fn bench_attribution(c: &mut Criterion) {
-    let (campaign, vols) = synthetic_campaign(11);
+    let AttributionFixture {
+        campaign,
+        link_volumes: vols,
+        ..
+    } = attribution_fixture();
     // The two paths must agree before we time them.
     assert_eq!(
         rank_suspects(&campaign, &vols),

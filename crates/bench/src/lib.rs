@@ -12,7 +12,142 @@
 //! * `pipeline` — per-figure workloads (campaign behind Figures 3/4,
 //!   Figure 8 schedulers, Figure 10 attribution) and the packet codec;
 //! * `attribution` — indexed/incremental suspect ranking, volume
-//!   estimation, and cluster lookups vs the scan-based references on a
-//!   50k-source synthetic partition.
+//!   estimation, and cluster lookups vs the scan-based references on the
+//!   50k-source [`attribution_fixture`].
 //!
-//! Run with `cargo bench --workspace`.
+//! Run with `cargo bench --workspace`. The mechanism-speedup gates over
+//! the same fixture live in `tests/mechanism_speedups.rs` (`#[ignore]`d
+//! timing tests; run them in release mode with `--ignored`).
+
+use trackdown_bgp::{Catchments, LinkId};
+use trackdown_core::localize::{link_volume_matrix, AttributionIndex, Campaign, CampaignStats};
+use trackdown_topology::AsIndex;
+use trackdown_traffic::Flow;
+
+/// Tracked sources in the synthetic attribution partition.
+const SOURCES: usize = 50_000;
+/// Configurations (catchment maps) in the synthetic partition.
+const CONFIGS: usize = 24;
+/// Origin links the synthetic catchments choose from.
+const LINKS: u8 = 8;
+/// Co-routed source groups the partition settles into.
+const GROUPS: usize = 2_000;
+
+/// A campaign-shaped attribution workload over a synthetic partition,
+/// far beyond the 2k-AS simulated topologies: 50k tracked sources route
+/// in ~2k co-routed groups (stubs sharing transit, the shape real
+/// campaigns converge to), with a sprinkling of unobserved catchments.
+pub struct AttributionFixture {
+    /// The partition as a finished campaign (clustering and attribution
+    /// index built from the catchments; no configs or records).
+    pub campaign: Campaign,
+    /// Honeypot volume matrix induced by three heavy attackers.
+    pub link_volumes: Vec<Vec<u64>>,
+    /// Per-source volume of a second attack from a few hundred active
+    /// sources (1 in 200 of the 50k) — the few-source regime
+    /// amplification attacks live in (AmpPot, §I).
+    pub flow_volume: Vec<u64>,
+    /// That attack as one flow record per active source.
+    pub flows: Vec<Flow>,
+}
+
+/// Build the [`AttributionFixture`]. A fixed LCG drives every choice, so
+/// the partition and both attacks are identical on every run and machine.
+pub fn attribution_fixture() -> AttributionFixture {
+    let mut state = 0x853C_49E6_748F_EA9Bu64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    };
+    let group_of: Vec<usize> = (0..SOURCES).map(|_| next() as usize % GROUPS).collect();
+    let catchments: Vec<Catchments> = (0..CONFIGS)
+        .map(|_| {
+            let group_link: Vec<Option<LinkId>> = (0..GROUPS)
+                .map(|_| {
+                    let v = next();
+                    (v % 16 != 0).then(|| LinkId((v % LINKS as u32) as u8))
+                })
+                .collect();
+            let mut c = Catchments::unassigned(SOURCES);
+            for (i, &g) in group_of.iter().enumerate() {
+                c.set(AsIndex(i as u32), group_link[g]);
+            }
+            c
+        })
+        .collect();
+    let tracked: Vec<AsIndex> = (0..SOURCES as u32).map(AsIndex).collect();
+    let (clustering, attribution) = AttributionIndex::build(tracked.clone(), &catchments);
+    let campaign = Campaign {
+        configs: Vec::new(),
+        catchments,
+        tracked,
+        clustering,
+        attribution,
+        records: Vec::new(),
+        imputation: None,
+        stats: CampaignStats::default(),
+    };
+    let mut volume_per_as = vec![0u64; SOURCES];
+    for (i, v) in [
+        (SOURCES / 7, 1_000_000u64),
+        (SOURCES / 2, 2_000_000),
+        (5 * SOURCES / 6, 3_000_000),
+    ] {
+        volume_per_as[i] = v;
+    }
+    let link_volumes = link_volume_matrix(&campaign, &volume_per_as);
+    let flow_volume: Vec<u64> = (0..SOURCES)
+        .map(|_| {
+            let r = next();
+            if r % 200 == 0 {
+                64 * (1 + (r % 997) as u64)
+            } else {
+                0
+            }
+        })
+        .collect();
+    let flows = flow_volume
+        .iter()
+        .enumerate()
+        .filter(|(_, &v)| v > 0)
+        .map(|(i, &v)| Flow {
+            src_as: AsIndex(i as u32),
+            claimed_ip: 0xCB00_7101,
+            dst_ip: 0xCB00_7201,
+            packets: v / 64,
+            bytes: v,
+            spoofed: true,
+        })
+        .collect();
+    AttributionFixture {
+        campaign,
+        link_volumes,
+        flow_volume,
+        flows,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fixture_shape_is_pinned() {
+        let f = attribution_fixture();
+        assert_eq!(f.campaign.tracked.len(), SOURCES);
+        assert_eq!(f.campaign.catchments.len(), CONFIGS);
+        assert_eq!(f.link_volumes.len(), CONFIGS);
+        // The few-hundred-source attack: 257 active sources at this seed.
+        assert_eq!(f.flows.len(), 257);
+        assert_eq!(
+            f.flows.iter().map(|fl| fl.bytes).sum::<u64>(),
+            f.flow_volume.iter().sum::<u64>()
+        );
+        // Co-routed groups: the partition settles near GROUPS clusters,
+        // not 50k singletons.
+        let clusters = f.campaign.clustering.num_clusters();
+        assert!((GROUPS / 2..=GROUPS).contains(&clusters), "{clusters}");
+    }
+}

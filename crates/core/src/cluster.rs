@@ -21,8 +21,9 @@
 //! * a persistent source→position map, making [`Clustering::cluster_of`]
 //!   and [`Clustering::cluster_size_of`] O(1) instead of an O(n)
 //!   `position()` scan per call (the old scans are preserved as
-//!   [`Clustering::cluster_of_scan`] / [`Clustering::cluster_size_of_scan`]
-//!   for regression tests and benchmarks);
+//!   `Clustering::cluster_of_scan` / `Clustering::cluster_size_of_scan`
+//!   behind the test-only `reference` feature, for regression tests and
+//!   benchmarks);
 //! * a CSR-style membership layout (`offsets` + `members`), so
 //!   [`Clustering::cluster_members`] returns a borrowed slice and
 //!   [`Clustering::iter_clusters`] walks every cluster without
@@ -191,6 +192,7 @@ impl Clustering {
     /// The pre-index implementation of [`Clustering::cluster_of`]: an
     /// O(n) `position()` scan per call. Kept as the reference for
     /// regression tests and the scan-vs-index benchmarks.
+    #[cfg(any(test, feature = "reference"))]
     pub fn cluster_of_scan(&self, source: AsIndex) -> Option<u32> {
         self.sources
             .iter()
@@ -415,6 +417,7 @@ impl Clustering {
     /// The pre-index implementation of [`Clustering::cluster_size_of`]:
     /// an O(n) source scan followed by an O(n) assignment rescan. Kept as
     /// the reference for regression tests and benchmarks.
+    #[cfg(any(test, feature = "reference"))]
     pub fn cluster_size_of_scan(&self, source: AsIndex) -> Option<usize> {
         let id = self.cluster_of_scan(source)?;
         Some(self.assignment.iter().filter(|&&a| a == id).count())

@@ -114,11 +114,28 @@ impl Dataset {
                 )));
             }
         }
-        for &t in &self.tracked {
-            if t.us() >= self.asns.len() {
+        let links = self.origin.num_links();
+        for (k, c) in self.catchments.iter().enumerate() {
+            if let Some(&l) = c.active_links().last().filter(|l| l.us() >= links) {
                 return Err(DatasetError::Inconsistent(format!(
-                    "tracked index {t:?} out of range"
+                    "catchment map {k} uses link {l}, but the origin has {links} links"
                 )));
+            }
+        }
+        let mut seen = vec![false; self.asns.len()];
+        for &t in &self.tracked {
+            match seen.get_mut(t.us()) {
+                None => {
+                    return Err(DatasetError::Inconsistent(format!(
+                        "tracked index {t:?} out of range"
+                    )))
+                }
+                Some(true) => {
+                    return Err(DatasetError::Inconsistent(format!(
+                        "tracked index {t:?} listed twice"
+                    )))
+                }
+                Some(s) => *s = true,
             }
         }
         Ok(())
@@ -164,7 +181,7 @@ mod tests {
     use super::*;
     use crate::generator::{full_schedule, GeneratorParams};
     use crate::localize::{run_campaign, CampaignOpts};
-    use trackdown_bgp::{BgpEngine, EngineConfig};
+    use trackdown_bgp::{BgpEngine, EngineConfig, LinkId};
     use trackdown_topology::gen::{generate, TopologyConfig};
 
     fn small_dataset() -> (Dataset, Campaign) {
@@ -237,5 +254,39 @@ mod tests {
         let mut bad = ds;
         bad.tracked.push(AsIndex(1_000_000));
         assert!(matches!(bad.validate(), Err(DatasetError::Inconsistent(_))));
+    }
+
+    /// Reject `bad` on load: it serializes, but `from_json` refuses it.
+    fn assert_rejected_on_load(bad: &Dataset, why: &str) {
+        let json = bad.to_json().unwrap();
+        match Dataset::from_json(&json) {
+            Err(DatasetError::Inconsistent(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("expected Inconsistent({why}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validation_rejects_duplicate_tracked_sources() {
+        // A repeated tracked source would be counted and listed twice by
+        // every downstream report.
+        let (ds, _) = small_dataset();
+        let mut bad = ds.clone();
+        bad.tracked.extend_from_slice(&ds.tracked[..3]);
+        assert_rejected_on_load(&bad, "listed twice");
+    }
+
+    #[test]
+    fn validation_rejects_links_beyond_the_origin() {
+        let (ds, _) = small_dataset();
+        assert_eq!(ds.origin.num_links(), 4);
+        for link in [4u8, 9, 255] {
+            let mut bad = ds.clone();
+            bad.catchments[0].set(ds.tracked[0], Some(LinkId(link)));
+            assert_rejected_on_load(&bad, &format!("uses link {}", LinkId(link)));
+        }
+        // The last valid link still loads.
+        let mut ok = ds.clone();
+        ok.catchments[0].set(ds.tracked[0], Some(LinkId(3)));
+        assert!(Dataset::from_json(&ok.to_json().unwrap()).is_ok());
     }
 }

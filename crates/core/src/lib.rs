@@ -69,11 +69,15 @@ pub use config::{AnnouncementConfig, ConfigError, Phase};
 pub use dataset::Dataset;
 pub use generator::{full_schedule, GeneratorParams};
 pub use localize::{
-    estimate_cluster_volumes, estimate_cluster_volumes_acc, estimate_cluster_volumes_rescan,
-    fit_link_volumes, rank_suspects, rank_suspects_acc, rank_suspects_rescan, run_campaign,
-    AttributionIndex, Campaign, CampaignError, CampaignMode, CampaignOpts, CampaignStats,
-    CatchmentSource, RankedSuspects, SuspectCluster, VolumeEstimate,
+    estimate_cluster_volumes, estimate_cluster_volumes_acc, fit_link_volumes, rank_suspects,
+    rank_suspects_acc, run_campaign, AttributionIndex, Campaign, CampaignError, CampaignMode,
+    CampaignOpts, CampaignStats, CatchmentSource, RankedSuspects, SuspectCluster, VolumeEstimate,
 };
+/// The pre-index scan references the differential suites and the
+/// scan-vs-indexed benchmarks compare against (test-only `reference`
+/// feature).
+#[cfg(any(test, feature = "reference"))]
+pub use localize::{estimate_cluster_volumes_rescan, rank_suspects_rescan};
 
 #[cfg(test)]
 mod proptests {

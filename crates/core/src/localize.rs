@@ -711,7 +711,7 @@ pub fn fit_link_volumes(campaign: &Campaign, mut rows: Vec<Vec<u64>>) -> Vec<Vec
 /// each split's children inheriting the parent's accumulated min-bound
 /// (valid because a child's catchment history is its parent's history
 /// extended by one configuration). Output is identical to the from-scratch
-/// [`rank_suspects_rescan`] reference — proven by the differential suite —
+/// `rank_suspects_rescan` reference — proven by the differential suite —
 /// without materializing `clusters()` or scanning catchments per cluster.
 ///
 /// # Panics
@@ -781,6 +781,7 @@ fn rank_suspects_core(
 /// `clusters()` and rescans every catchment per cluster, reading absent
 /// volume entries as zero. Kept as the from-scratch reference the
 /// differential suite and the scan-vs-indexed benchmarks compare against.
+#[cfg(any(test, feature = "reference"))]
 pub fn rank_suspects_rescan(campaign: &Campaign, link_volumes: &[Vec<u64>]) -> Vec<SuspectCluster> {
     assert_eq!(
         link_volumes.len(),
@@ -883,7 +884,7 @@ pub struct VolumeEstimate {
 /// The per-cluster link matrix comes from the campaign's
 /// [`AttributionIndex`] (ancestor chains walked backward through the
 /// refinement deltas) rather than per-cluster catchment rescans; output is
-/// identical to [`estimate_cluster_volumes_rescan`].
+/// identical to `estimate_cluster_volumes_rescan`.
 ///
 /// # Panics
 /// Same volume-matrix width contract as [`rank_suspects`].
@@ -937,6 +938,7 @@ pub fn estimate_cluster_volumes_acc<A: VolumeAccumulator + ?Sized>(
 /// materializes `clusters()`, rescans every catchment per cluster for the
 /// link matrix, and reads absent volume entries as zero. Kept as the
 /// from-scratch reference for the differential suite and benchmarks.
+#[cfg(any(test, feature = "reference"))]
 pub fn estimate_cluster_volumes_rescan(
     campaign: &Campaign,
     link_volumes: &[Vec<u64>],
@@ -1068,7 +1070,7 @@ fn estimate_from_links(
 /// Counters are maintained incrementally along the campaign's
 /// [`AttributionIndex`] (children inherit their parent's observed/matched
 /// counts at each split); output is identical to
-/// [`match_fraction_scores_rescan`].
+/// `match_fraction_scores_rescan`.
 ///
 /// # Panics
 /// Same volume-matrix width contract as [`rank_suspects`].
@@ -1117,6 +1119,7 @@ pub fn match_fraction_scores(
 /// The pre-index implementation of [`match_fraction_scores`]: materializes
 /// `clusters()` and rescans every catchment per cluster. Kept as the
 /// from-scratch reference for the differential suite.
+#[cfg(any(test, feature = "reference"))]
 pub fn match_fraction_scores_rescan(
     campaign: &Campaign,
     link_volumes: &[Vec<u64>],

@@ -15,7 +15,9 @@ use crate::config::AnnouncementConfig;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use trackdown_bgp::Catchments;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use trackdown_bgp::{Catchments, CommunitySet, LinkId};
 use trackdown_topology::AsIndex;
 
 /// Mean-cluster-size trajectories across random deployment orders.
@@ -128,35 +130,50 @@ pub fn mean_size_objective(c: &Clustering) -> f64 {
 /// epoch transition's churn grows with the number of changed injections,
 /// so deploying configurations in small-edit order (gray-code style)
 /// minimizes total convergence work.
+///
+/// Allocation-free: the per-link maps are walked in key order side by
+/// side, so comparing two configurations touches each entry once.
 pub fn footprint_distance(a: &AnnouncementConfig, b: &AnnouncementConfig) -> usize {
-    use std::collections::BTreeSet;
-    let mut d = a.announce.symmetric_difference(&b.announce).count();
-    d += a.prepend.symmetric_difference(&b.prepend).count();
-    let poison_keys: BTreeSet<_> = a.poison.keys().chain(b.poison.keys()).collect();
-    for l in poison_keys {
-        let pa = a
-            .poison
-            .get(l)
-            .map(|v| v.as_slice())
-            .filter(|v| !v.is_empty());
-        let pb = b
-            .poison
-            .get(l)
-            .map(|v| v.as_slice())
-            .filter(|v| !v.is_empty());
-        if pa != pb {
-            d += 1;
+    a.announce.symmetric_difference(&b.announce).count()
+        + a.prepend.symmetric_difference(&b.prepend).count()
+        + differing_entries(&a.poison, &b.poison, Vec::is_empty)
+        + differing_entries(&a.communities, &b.communities, CommunitySet::is_empty)
+}
+
+/// Keys on which two per-link maps disagree, an entry whose value is
+/// `empty` counting as no entry: a merge walk over both sorted key
+/// sequences.
+fn differing_entries<V: PartialEq>(
+    a: &BTreeMap<LinkId, V>,
+    b: &BTreeMap<LinkId, V>,
+    empty: impl Fn(&V) -> bool,
+) -> usize {
+    let mut a = a.iter().filter(|(_, v)| !empty(v)).peekable();
+    let mut b = b.iter().filter(|(_, v)| !empty(v)).peekable();
+    let mut d = 0;
+    loop {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return d,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+        };
+        match order {
+            Ordering::Less => {
+                a.next();
+                d += 1;
+            }
+            Ordering::Greater => {
+                b.next();
+                d += 1;
+            }
+            Ordering::Equal => {
+                if a.next().map(|e| e.1) != b.next().map(|e| e.1) {
+                    d += 1;
+                }
+            }
         }
     }
-    let community_keys: BTreeSet<_> = a.communities.keys().chain(b.communities.keys()).collect();
-    for l in community_keys {
-        let ca = a.communities.get(l).filter(|c| !c.is_empty());
-        let cb = b.communities.get(l).filter(|c| !c.is_empty());
-        if ca != cb {
-            d += 1;
-        }
-    }
-    d
 }
 
 /// Order a schedule for warm-start execution: a greedy nearest-neighbour
@@ -172,6 +189,14 @@ pub fn warm_start_order(configs: &[AnnouncementConfig]) -> Vec<usize> {
     let _span =
         trackdown_obs::span("schedule.warm_start_order").attr("configs", configs.len() as u64);
     trackdown_obs::counter!("schedule.warm_start_orders").inc();
+    nearest_neighbour_chain(configs, footprint_distance)
+}
+
+/// The greedy chain behind [`warm_start_order`], over any distance.
+fn nearest_neighbour_chain(
+    configs: &[AnnouncementConfig],
+    distance: impl Fn(&AnnouncementConfig, &AnnouncementConfig) -> usize,
+) -> Vec<usize> {
     if configs.is_empty() {
         return Vec::new();
     }
@@ -183,7 +208,7 @@ pub fn warm_start_order(configs: &[AnnouncementConfig]) -> Vec<usize> {
         let mut best_pos = 0usize;
         let mut best_d = usize::MAX;
         for (pos, &k) in remaining.iter().enumerate() {
-            let d = footprint_distance(&configs[current], &configs[k]);
+            let d = distance(&configs[current], &configs[k]);
             // Strict `<` keeps the lowest index on ties (remaining is in
             // ascending index order).
             if d < best_d {
@@ -226,7 +251,7 @@ pub fn traffic_weighted_objective<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trackdown_bgp::LinkId;
+    use proptest::prelude::Strategy;
 
     fn cat(n: usize, links: &[u8]) -> Catchments {
         let mut c = Catchments::unassigned(n);
@@ -418,6 +443,114 @@ mod tests {
         let order = warm_start_order(&configs);
         assert_eq!(order, vec![0, 2, 1]);
         assert_eq!(warm_start_order(&[]), Vec::<usize>::new());
+    }
+
+    /// The pre-merge-walk [`footprint_distance`], which collects each
+    /// pair's poison and community keys into `BTreeSet`s: the reference
+    /// the allocation-free form must agree with.
+    fn footprint_distance_reference(a: &AnnouncementConfig, b: &AnnouncementConfig) -> usize {
+        use std::collections::BTreeSet;
+        let mut d = a.announce.symmetric_difference(&b.announce).count();
+        d += a.prepend.symmetric_difference(&b.prepend).count();
+        let poison_keys: BTreeSet<_> = a.poison.keys().chain(b.poison.keys()).collect();
+        for l in poison_keys {
+            let pa = a
+                .poison
+                .get(l)
+                .map(|v| v.as_slice())
+                .filter(|v| !v.is_empty());
+            let pb = b
+                .poison
+                .get(l)
+                .map(|v| v.as_slice())
+                .filter(|v| !v.is_empty());
+            if pa != pb {
+                d += 1;
+            }
+        }
+        let community_keys: BTreeSet<_> =
+            a.communities.keys().chain(b.communities.keys()).collect();
+        for l in community_keys {
+            let ca = a.communities.get(l).filter(|c| !c.is_empty());
+            let cb = b.communities.get(l).filter(|c| !c.is_empty());
+            if ca != cb {
+                d += 1;
+            }
+        }
+        d
+    }
+
+    /// Configurations over 6 links drawn from a tiny alphabet, so equal,
+    /// empty and one-sided per-link entries are all common.
+    fn config_strategy() -> impl Strategy<Value = AnnouncementConfig> {
+        use trackdown_bgp::{Community, CommunitySet};
+        use trackdown_topology::Asn;
+        let per_link = |max: u32| {
+            proptest::collection::vec(
+                proptest::option::of(proptest::collection::vec(0..max, 0..3)),
+                6,
+            )
+        };
+        (0..64u8, 0..64u8, per_link(3), per_link(3)).prop_map(
+            |(announce, prepend, poison, communities)| {
+                let links = |mask: u8| (0..6).filter(move |l| mask & (1 << l) != 0).map(LinkId);
+                let mut c = AnnouncementConfig::anycast(links(announce));
+                c.prepend = links(prepend).collect();
+                for (l, p) in poison.into_iter().enumerate() {
+                    if let Some(p) = p {
+                        c.poison
+                            .insert(LinkId(l as u8), p.into_iter().map(Asn).collect());
+                    }
+                }
+                for (l, cs) in communities.into_iter().enumerate() {
+                    if let Some(cs) = cs {
+                        let cs = cs.into_iter().map(|k| match k {
+                            0 => Community::NoExportToPeers,
+                            1 => Community::NoExportToProviders,
+                            _ => Community::PrependAtProvider(2),
+                        });
+                        c.communities
+                            .insert(LinkId(l as u8), CommunitySet::from_vec(cs.collect()));
+                    }
+                }
+                c
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn footprint_distance_matches_reference(a in config_strategy(), b in config_strategy()) {
+            proptest::prop_assert_eq!(
+                footprint_distance(&a, &b),
+                footprint_distance_reference(&a, &b)
+            );
+            proptest::prop_assert_eq!(footprint_distance(&a, &b), footprint_distance(&b, &a));
+        }
+    }
+
+    #[test]
+    fn warm_start_order_matches_reference_on_paper_schedule() {
+        use crate::generator::{full_schedule, GeneratorParams};
+        use trackdown_bgp::OriginAs;
+        use trackdown_topology::gen::{generate, TopologyConfig};
+        let world = generate(&TopologyConfig::paper(384));
+        let origin = OriginAs::peering_style(&world, 7);
+        let schedule = full_schedule(
+            &world.topology,
+            &origin,
+            &GeneratorParams {
+                max_removals: 3,
+                max_poison_configs: None,
+            },
+        );
+        assert_eq!(schedule.len(), 705);
+        assert_eq!(
+            warm_start_order(&schedule),
+            nearest_neighbour_chain(&schedule, footprint_distance_reference)
+        );
     }
 
     #[test]

@@ -45,10 +45,7 @@ pub use manifest::{
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
-pub use profile::{
-    diff_bench_snapshots, metric_policy, MetricDiff, MetricPolicy, MetricStatus, PerfReport,
-    PhaseStat, ProfileSummary, WorkerStat,
-};
+pub use profile::{PhaseStat, ProfileSummary, WorkerStat};
 pub use span::{
     set_span_sink, span, spans_enabled, CollectingSink, NullSink, Span, SpanRecord, SpanSink,
     StderrSink,

@@ -385,6 +385,15 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
         ));
     }
     let schedule_len = get_u64(*first_no, header, "schedule_len")? as usize;
+    // One epoch line per schedule index: a longer schedule cannot
+    // validate, and sizing the index table by it would let one corrupt
+    // field allocate without bound.
+    if schedule_len > rest.len() {
+        return Err(format!(
+            "line {first_no}: schedule_len {schedule_len} exceeds the {} records that follow",
+            rest.len()
+        ));
+    }
     get_u64(*first_no, header, "seed")?;
     get_u64(*first_no, header, "policy_seed")?;
     get_u64(*first_no, header, "threads")?;

@@ -1,4 +1,4 @@
-//! Self-profile summaries and the bench perf-regression reporter.
+//! Self-profile summaries.
 //!
 //! [`ProfileSummary::from_trace`] folds a drained [`Trace`] into
 //! per-phase exclusive/inclusive time and per-worker utilization — the
@@ -8,13 +8,8 @@
 //! across all phases partitions recorded wall time without double
 //! counting; idle stretches are recorded as `*.idle` spans, so they are
 //! accounted (not missing) time.
-//!
-//! [`diff_bench_snapshots`] implements `trackdown perf-report`: it
-//! diffs two `BENCH_pipeline.json` value trees metric-by-metric with a
-//! tolerance threshold and renders the markdown table CI posts.
 
 use crate::trace::{Trace, TraceEventKind};
-use serde::Value;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -221,301 +216,9 @@ impl ProfileSummary {
     }
 }
 
-// ---- perf-report -----------------------------------------------------
-
-/// Direction in which a metric is allowed to move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricPolicy {
-    /// Smaller is better (latencies, allocation counts): flag increases
-    /// beyond tolerance.
-    LowerBetter,
-    /// Larger is better (speedups, ratios): flag decreases beyond
-    /// tolerance.
-    HigherBetter,
-    /// Environment descriptors (core counts): never flagged.
-    Info,
-    /// Everything else: any change is reported as drift, never as a
-    /// regression.
-    Exact,
-}
-
-/// Outcome for one metric in a [`PerfReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricStatus {
-    /// Within tolerance (or unchanged).
-    Ok,
-    /// Moved in the good direction beyond tolerance.
-    Improved,
-    /// Moved in the bad direction beyond tolerance.
-    Regressed,
-    /// Changed, but the metric has no better/worse direction (schema
-    /// bumps, key added/removed). Informational, never failing.
-    Drift,
-    /// Info-only metric.
-    Info,
-}
-
-impl MetricStatus {
-    fn label(self) -> &'static str {
-        match self {
-            MetricStatus::Ok => "ok",
-            MetricStatus::Improved => "improved ✅",
-            MetricStatus::Regressed => "REGRESSED ❌",
-            MetricStatus::Drift => "drift",
-            MetricStatus::Info => "info",
-        }
-    }
-}
-
-/// One metric row of a perf report.
-#[derive(Debug, Clone)]
-pub struct MetricDiff {
-    /// Metric key from the snapshot JSON.
-    pub key: String,
-    /// Baseline rendering (`-` if absent).
-    pub baseline: String,
-    /// Current rendering (`-` if absent).
-    pub current: String,
-    /// Relative change in percent, when both sides are numeric.
-    pub delta_pct: Option<f64>,
-    /// Verdict under the policy and tolerance.
-    pub status: MetricStatus,
-}
-
-/// The diff of two bench snapshots.
-#[derive(Debug, Clone)]
-pub struct PerfReport {
-    /// Per-metric rows, in baseline key order (new keys appended).
-    pub rows: Vec<MetricDiff>,
-    /// Tolerance threshold used, in percent.
-    pub tolerance_pct: f64,
-}
-
-impl PerfReport {
-    /// Keys whose status is [`MetricStatus::Regressed`].
-    pub fn regressions(&self) -> Vec<&MetricDiff> {
-        self.rows
-            .iter()
-            .filter(|r| r.status == MetricStatus::Regressed)
-            .collect()
-    }
-
-    /// Render the markdown table CI posts.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "## Bench perf report (tolerance ±{:.0}%)\n",
-            self.tolerance_pct
-        );
-        out.push_str("| metric | baseline | current | Δ% | status |\n");
-        out.push_str("|---|---:|---:|---:|---|\n");
-        for r in &self.rows {
-            let delta = match r.delta_pct {
-                Some(d) => format!("{d:+.1}"),
-                None => "-".into(),
-            };
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {} |",
-                r.key,
-                r.baseline,
-                r.current,
-                delta,
-                r.status.label()
-            );
-        }
-        let regs = self.regressions();
-        if regs.is_empty() {
-            out.push_str("\nNo regressions beyond tolerance.\n");
-        } else {
-            let keys: Vec<&str> = regs.iter().map(|r| r.key.as_str()).collect();
-            let _ = writeln!(
-                out,
-                "\n**{} regression(s): {}**",
-                regs.len(),
-                keys.join(", ")
-            );
-        }
-        out
-    }
-}
-
-/// Policy for a snapshot key, by naming convention: `*_ms` and
-/// allocation counts are lower-better, `*speedup*`/`*ratio*` are
-/// higher-better, `cores` is environment info, anything else (schema,
-/// labels, counts) is compared exactly and reported as drift on change.
-pub fn metric_policy(key: &str) -> MetricPolicy {
-    if key.ends_with("_ms") || key.ends_with("_us") || key == "allocs_per_epoch" {
-        MetricPolicy::LowerBetter
-    } else if key.contains("speedup") || key.contains("ratio") {
-        MetricPolicy::HigherBetter
-    } else if key == "cores" {
-        MetricPolicy::Info
-    } else {
-        MetricPolicy::Exact
-    }
-}
-
-fn numeric(v: &Value) -> Option<f64> {
-    match v {
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        Value::F64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn render_value(v: Option<&Value>) -> String {
-    match v {
-        None => "-".into(),
-        Some(Value::Str(s)) => s.clone(),
-        Some(other) => serde_json::to_string(other).unwrap_or_else(|_| "?".into()),
-    }
-}
-
-/// Diff two bench-snapshot object trees. `tolerance_pct` is the relative
-/// change (in percent) a directional metric may move before it is
-/// flagged.
-pub fn diff_bench_snapshots(baseline: &Value, current: &Value, tolerance_pct: f64) -> PerfReport {
-    let empty: &[(String, Value)] = &[];
-    let base = baseline.as_object().unwrap_or(empty);
-    let cur = current.as_object().unwrap_or(empty);
-    let mut keys: Vec<&str> = base.iter().map(|(k, _)| k.as_str()).collect();
-    for (k, _) in cur {
-        if !keys.contains(&k.as_str()) {
-            keys.push(k);
-        }
-    }
-    let mut rows = Vec::with_capacity(keys.len());
-    for key in keys {
-        let b = serde::obj_get(base, key);
-        let c = serde::obj_get(cur, key);
-        let policy = metric_policy(key);
-        let (delta_pct, status) = match (b, c) {
-            (Some(bv), Some(cv)) => match (numeric(bv), numeric(cv)) {
-                (Some(bn), Some(cn)) => {
-                    let delta = if bn == 0.0 {
-                        if cn == 0.0 {
-                            0.0
-                        } else {
-                            f64::INFINITY
-                        }
-                    } else {
-                        100.0 * (cn - bn) / bn
-                    };
-                    let status = match policy {
-                        MetricPolicy::Info => MetricStatus::Info,
-                        MetricPolicy::Exact => {
-                            if bn == cn {
-                                MetricStatus::Ok
-                            } else {
-                                MetricStatus::Drift
-                            }
-                        }
-                        MetricPolicy::LowerBetter => {
-                            if delta > tolerance_pct {
-                                MetricStatus::Regressed
-                            } else if delta < -tolerance_pct {
-                                MetricStatus::Improved
-                            } else {
-                                MetricStatus::Ok
-                            }
-                        }
-                        MetricPolicy::HigherBetter => {
-                            if delta < -tolerance_pct {
-                                MetricStatus::Regressed
-                            } else if delta > tolerance_pct {
-                                MetricStatus::Improved
-                            } else {
-                                MetricStatus::Ok
-                            }
-                        }
-                    };
-                    (Some(delta), status)
-                }
-                _ => {
-                    let status = if bv == cv {
-                        MetricStatus::Ok
-                    } else {
-                        MetricStatus::Drift
-                    };
-                    (None, status)
-                }
-            },
-            // Key added or removed: schema drift, not a perf verdict.
-            _ => (None, MetricStatus::Drift),
-        };
-        rows.push(MetricDiff {
-            key: key.to_string(),
-            baseline: render_value(b),
-            current: render_value(c),
-            delta_pct,
-            status,
-        });
-    }
-    PerfReport {
-        rows,
-        tolerance_pct,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn snap(entries: &[(&str, Value)]) -> Value {
-        Value::Object(
-            entries
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn perf_report_flags_directional_regressions_only() {
-        let base = snap(&[
-            ("schema", Value::U64(5)),
-            ("warm_ms", Value::F64(1.0)),
-            ("large_thread_speedup", Value::F64(0.7)),
-            ("cores", Value::U64(1)),
-        ]);
-        let cur = snap(&[
-            ("schema", Value::U64(6)),
-            ("warm_ms", Value::F64(1.5)),
-            ("large_thread_speedup", Value::F64(1.4)),
-            ("cores", Value::U64(8)),
-        ]);
-        let report = diff_bench_snapshots(&base, &cur, 10.0);
-        let by_key = |k: &str| {
-            report
-                .rows
-                .iter()
-                .find(|r| r.key == k)
-                .unwrap_or_else(|| panic!("missing row {k}"))
-        };
-        assert_eq!(by_key("warm_ms").status, MetricStatus::Regressed);
-        assert_eq!(
-            by_key("large_thread_speedup").status,
-            MetricStatus::Improved
-        );
-        assert_eq!(by_key("schema").status, MetricStatus::Drift);
-        assert_eq!(by_key("cores").status, MetricStatus::Info);
-        assert_eq!(report.regressions().len(), 1);
-        let md = report.render_markdown();
-        assert!(md.contains("| warm_ms |"));
-        assert!(md.contains("REGRESSED"));
-    }
-
-    #[test]
-    fn perf_report_within_tolerance_is_clean() {
-        let base = snap(&[("warm_ms", Value::F64(1.00))]);
-        let cur = snap(&[("warm_ms", Value::F64(1.04))]);
-        let report = diff_bench_snapshots(&base, &cur, 10.0);
-        assert!(report.regressions().is_empty());
-        assert!(report.render_markdown().contains("No regressions"));
-    }
 
     #[test]
     fn profile_summary_partitions_time() {

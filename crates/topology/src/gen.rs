@@ -129,8 +129,9 @@ impl TopologyConfig {
     }
 
     /// The `large` experiment scale: a power-law graph of ≈12 000 ASes,
-    /// the smallest size at which sharded catchment extraction pays for
-    /// its coordination (see `bench-snapshot`'s large arm).
+    /// between the paper's 2k-AS topology and the 80k-AS `internet`
+    /// scale; large enough that splitting the schedule across worker
+    /// threads has work to share.
     pub fn large(seed: u64) -> TopologyConfig {
         TopologyConfig::power_law(seed, 12_000)
     }

@@ -63,10 +63,10 @@ pub mod prelude {
     };
     pub use trackdown_core::generator::{full_schedule, GeneratorParams};
     pub use trackdown_core::localize::{
-        estimate_cluster_volumes, estimate_cluster_volumes_acc, estimate_cluster_volumes_rescan,
-        fit_link_volumes, link_volume_matrix, rank_suspects, rank_suspects_acc,
-        rank_suspects_rescan, run_campaign, suspect_ases, AttributionIndex, Campaign,
-        CampaignError, CampaignMode, CampaignOpts, CampaignStats, CatchmentSource, RankedSuspects,
+        estimate_cluster_volumes, estimate_cluster_volumes_acc, fit_link_volumes,
+        link_volume_matrix, rank_suspects, rank_suspects_acc, run_campaign, suspect_ases,
+        AttributionIndex, Campaign, CampaignError, CampaignMode, CampaignOpts, CampaignStats,
+        CatchmentSource, RankedSuspects,
     };
     pub use trackdown_core::{AnnouncementConfig, Clustering, Dataset, Phase};
     pub use trackdown_measure::{MeasurementConfig, MeasurementPlane};

@@ -12,7 +12,10 @@
 //! the executor and `path_arena_differential.rs` for the routing core.
 
 use proptest::prelude::*;
-use trackdown_suite::core::localize::{match_fraction_scores, match_fraction_scores_rescan};
+use trackdown_suite::core::localize::{
+    estimate_cluster_volumes_rescan, match_fraction_scores, match_fraction_scores_rescan,
+    rank_suspects_rescan,
+};
 use trackdown_suite::prelude::*;
 
 fn engine_config(clean: bool) -> EngineConfig {

@@ -10,7 +10,10 @@
 //! observed), and the width-contract regression for the volume-vector
 //! bug `rank_suspects` used to paper over with `unwrap_or(0)`.
 
-use trackdown_suite::core::localize::{match_fraction_scores, match_fraction_scores_rescan};
+use trackdown_suite::core::localize::{
+    estimate_cluster_volumes_rescan, match_fraction_scores, match_fraction_scores_rescan,
+    rank_suspects_rescan,
+};
 use trackdown_suite::obs::{validate_manifest, CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 

@@ -1,0 +1,184 @@
+//! Pinned pipeline gates on deterministic work counts.
+//!
+//! The fixed workload is the small scenario at seed 7 on a
+//! violator-free engine (warm and delta sessions reuse state only when
+//! the engine has no policy violators). Every epoch's event count is
+//! deterministic, so these gates hold on any machine and at any load:
+//!
+//! * the stable counts of the workload (ASes, configurations,
+//!   propagations, memo hits, restarts, events, disturbance, mean
+//!   cluster size, arena high-water mark) are pinned;
+//! * warm and delta reproduce the cold oracle exactly;
+//! * delta does at most 2/3 of warm's propagation events, and warm does
+//!   fewer than cold;
+//! * a doubled schedule serves its whole second half from the memo.
+//!
+//! The `#[ignore]`d test at the end times 1-thread against 8-thread
+//! campaigns at the `large` and `internet` scales. Run it in release
+//! mode:
+//!
+//! ```text
+//! cargo test --release --test pipeline_gates -- --ignored --nocapture --test-threads=1
+//! ```
+
+use std::time::Instant;
+use trackdown_experiments::{Options, Scale, Scenario};
+use trackdown_suite::prelude::*;
+
+/// The scenario at `scale`, seed 7, and its engine configuration with
+/// policy violators removed.
+fn violator_free(scale: Scale) -> (Scenario, EngineConfig) {
+    let scenario = Scenario::build(Options {
+        scale,
+        seed: 7,
+        ..Options::default()
+    });
+    let engine_cfg = EngineConfig {
+        policy: PolicyConfig {
+            violator_fraction: 0.0,
+            ..scenario.engine_cfg.policy.clone()
+        },
+        ..scenario.engine_cfg.clone()
+    };
+    (scenario, engine_cfg)
+}
+
+fn run(
+    engine: &BgpEngine,
+    scenario: &Scenario,
+    schedule: &[AnnouncementConfig],
+    mode: CampaignMode,
+    threads: usize,
+) -> Campaign {
+    let opts = CampaignOpts {
+        mode,
+        threads,
+        max_events_factor: scenario.engine_cfg.max_events_factor,
+        ..CampaignOpts::default()
+    };
+    run_campaign(engine, &scenario.origin, schedule, &opts).expect("generated schedules are valid")
+}
+
+fn assert_same_campaign(a: &Campaign, b: &Campaign, what: &str) {
+    assert!(a.catchments == b.catchments, "{what}: catchments diverged");
+    assert_eq!(a.tracked, b.tracked, "{what}: tracked sets diverged");
+    assert_eq!(
+        a.clustering.clusters(),
+        b.clustering.clusters(),
+        "{what}: clusters diverged"
+    );
+    assert_eq!(a.records, b.records, "{what}: records diverged");
+}
+
+#[test]
+fn small_campaign_counts_and_reuse_gates() {
+    let (scenario, engine_cfg) = violator_free(Scale::Small);
+    let engine = BgpEngine::new(&scenario.gen.topology, &engine_cfg);
+    let schedule = scenario.schedule();
+    let warm = run(&engine, &scenario, &schedule, CampaignMode::Warm, 1);
+    let cold = run(&engine, &scenario, &schedule, CampaignMode::Cold, 1);
+    let delta = run(&engine, &scenario, &schedule, CampaignMode::Delta, 1);
+    assert_same_campaign(&warm, &cold, "warm/cold");
+    assert_same_campaign(&delta, &cold, "delta/cold");
+
+    assert_eq!(scenario.gen.topology.num_ases(), 119);
+    assert_eq!(warm.configs.len(), 59);
+    assert_eq!(warm.stats.propagations, 59);
+    assert_eq!(warm.stats.memo_hits, 0);
+    assert_eq!(warm.stats.cold_restarts, 0);
+    assert_eq!(warm.stats.events, 4_376);
+    assert_eq!(cold.stats.events, 8_901);
+    assert_eq!(delta.stats.events, 2_623);
+    assert_eq!(delta.stats.routes_disturbed, 2_525);
+    assert_eq!(warm.clustering.mean_size(), 2.975);
+    assert_eq!(warm.stats.peak_arena_nodes, 401);
+
+    // The reuse gates in their event-count form. Diff seeding and
+    // frontier pruning: delta does at most 2/3 of warm's convergence
+    // work; warm reuse does less than cold starts.
+    let (warm, cold, delta) = (warm.stats.events, cold.stats.events, delta.stats.events);
+    assert!(
+        2 * warm >= 3 * delta,
+        "delta above 2/3 of warm's events: warm {warm}, delta {delta}"
+    );
+    assert!(
+        warm < cold,
+        "warm reuse saved no events: warm {warm}, cold {cold}"
+    );
+}
+
+#[test]
+fn doubled_schedule_hits_the_memo_for_every_repeat() {
+    let (scenario, engine_cfg) = violator_free(Scale::Small);
+    let engine = BgpEngine::new(&scenario.gen.topology, &engine_cfg);
+    let schedule = scenario.schedule();
+    // The seed-7 schedule has no duplicate configs, so its own memo_hits
+    // is 0; doubling it proves the memo path still fires.
+    let mut doubled = schedule.clone();
+    doubled.extend(schedule.iter().cloned());
+    let campaign = run(&engine, &scenario, &doubled, CampaignMode::Warm, 1);
+    assert_eq!(campaign.stats.memo_hits, schedule.len());
+}
+
+#[test]
+#[ignore = "timing-sensitive and large; run in release mode via CI's observability job"]
+fn scale_campaigns_are_thread_invariant_and_scale_with_cores() {
+    const TRIALS: usize = 3;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for (scale, pinned) in [
+        (Scale::Large, (12_000, 12_000, 81)),
+        (Scale::Internet, (80_000, 79_999, 65)),
+    ] {
+        let (scenario, engine_cfg) = violator_free(scale);
+        let engine = BgpEngine::new(&scenario.gen.topology, &engine_cfg);
+        let schedule = scenario.schedule();
+        let one = run(&engine, &scenario, &schedule, CampaignMode::Warm, 1);
+        let eight = run(&engine, &scenario, &schedule, CampaignMode::Warm, 8);
+        assert_same_campaign(
+            &one,
+            &eight,
+            &format!("{} 1-thread/8-thread", scale.label()),
+        );
+        assert_eq!(
+            (
+                scenario.gen.topology.num_ases(),
+                one.tracked.len(),
+                schedule.len()
+            ),
+            pinned,
+            "{} (ases, tracked, configs)",
+            scale.label()
+        );
+
+        let time = |threads| {
+            let t = Instant::now();
+            run(&engine, &scenario, &schedule, CampaignMode::Warm, threads);
+            t.elapsed().as_secs_f64() * 1e3
+        };
+        let (mut t1, mut t8) = (Vec::new(), Vec::new());
+        for _ in 0..TRIALS {
+            t1.push(time(1));
+            t8.push(time(8));
+        }
+        t1.sort_by(f64::total_cmp);
+        t8.sort_by(f64::total_cmp);
+        let (t1, t8) = (t1[TRIALS / 2], t8[TRIALS / 2]);
+        let speedup = t1 / t8;
+        println!(
+            "{}: 1 thread {t1:.0} ms, 8 threads {t8:.0} ms (medians of {TRIALS}), \
+             {speedup:.2}x on {cores} cores",
+            scale.label()
+        );
+        // Eight workers can only beat one by 3x on hardware with eight
+        // cores; below that the ratio is reported, not gated.
+        if cores >= 8 {
+            assert!(
+                speedup >= 3.0,
+                "{} thread speedup {speedup:.2}x under 3.0 on {cores} cores",
+                scale.label()
+            );
+        } else {
+            println!("info: thread-speedup floor applies at >= 8 cores (have {cores})");
+        }
+    }
+}
