@@ -448,7 +448,7 @@ impl<'t> BgpEngine<'t> {
             warm_reuse: mode != CampaignMode::Cold && self.policy.num_violators() == 0,
             deployments: 0,
             cold_restarts: 0,
-            last_deploy_warm: false,
+            last_cold_start: None,
             peak_arena_nodes: 0,
             last_injections: Vec::new(),
         }
@@ -486,6 +486,22 @@ pub enum CampaignMode {
     Delta,
 }
 
+/// Why a [`CampaignSession`] deployment reused no routing state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColdStart {
+    /// Nothing was deployed before it: the session's first deployment,
+    /// or the first after [`CampaignSession::reset`].
+    First,
+    /// The engine has policy violators, so the session never reuses
+    /// state (see [`CampaignSession`]).
+    ViolatorGate,
+    /// The warm transition hit the event cap and was redone cold, or a
+    /// delta epoch followed a predecessor that ended capped.
+    EventCap,
+    /// The session is a [`CampaignMode::Cold`] one.
+    ColdMode,
+}
+
 /// A persistent deployment session over one engine: the first deployment
 /// cold-starts, every later one is applied as an epoch transition on top
 /// of the previous converged state — what a real origin does when it
@@ -518,7 +534,7 @@ pub struct CampaignSession<'e, 't> {
     warm_reuse: bool,
     deployments: usize,
     cold_restarts: usize,
-    last_deploy_warm: bool,
+    last_cold_start: Option<ColdStart>,
     peak_arena_nodes: usize,
     /// The injections of the most recent deployment, kept so a delta
     /// deployment can diff against them. Valid only while `deployed`
@@ -581,7 +597,18 @@ impl<'e, 't> CampaignSession<'e, 't> {
         let mut span = trackdown_obs::span("bgp.deploy");
         self.deployments += 1;
         let delta = self.mode == CampaignMode::Delta;
-        let mut warm = self.deployed && self.warm_reuse && (!delta || self.sim.converged);
+        let mut cold_start = if self.mode == CampaignMode::Cold {
+            Some(ColdStart::ColdMode)
+        } else if !self.deployed {
+            Some(ColdStart::First)
+        } else if !self.warm_reuse {
+            Some(ColdStart::ViolatorGate)
+        } else if delta && !self.sim.converged {
+            Some(ColdStart::EventCap)
+        } else {
+            None
+        };
+        let mut warm = cold_start.is_none();
         if self.deployed && !warm {
             self.reset();
         }
@@ -616,6 +643,7 @@ impl<'e, 't> CampaignSession<'e, 't> {
             self.cold_restarts += 1;
             trackdown_obs::counter!("bgp.session_cold_restarts").inc();
             warm = false;
+            cold_start = Some(ColdStart::EventCap);
             self.reset();
             self.sim.apply_injections(injections);
             self.deployed = true;
@@ -636,7 +664,7 @@ impl<'e, 't> CampaignSession<'e, 't> {
         span.set_attr("events", self.sim.events as u64);
         self.last_injections.clear();
         self.last_injections.extend_from_slice(injections);
-        self.last_deploy_warm = warm;
+        self.last_cold_start = cold_start;
         self.peak_arena_nodes = self.peak_arena_nodes.max(self.sim.arena.num_nodes());
         trackdown_obs::counter!("bgp.deployments").inc();
         let outcome = self.sim.snapshot_cloned(detail);
@@ -679,7 +707,15 @@ impl<'e, 't> CampaignSession<'e, 't> {
     /// violator-gated sessions, and event-cap cold restarts) — the
     /// per-epoch `warm`/`cold` label run manifests use.
     pub fn last_deploy_warm(&self) -> bool {
-        self.last_deploy_warm
+        self.last_cold_start.is_none()
+    }
+
+    /// Why the most recent deployment cold-started, or `None` if it
+    /// reused the previous epoch's state. A [`CampaignMode::Cold`]
+    /// session reports [`ColdStart::ColdMode`] even for its first
+    /// deployment.
+    pub fn last_cold_start(&self) -> Option<ColdStart> {
+        self.last_cold_start
     }
 }
 

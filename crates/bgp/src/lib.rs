@@ -46,8 +46,8 @@ pub use catchment::Catchments;
 pub use community::{Community, CommunityBits, CommunitySet};
 pub use delta::{diff_injections, PropagationRanks};
 pub use engine::{
-    BgpEngine, CampaignMode, CampaignSession, EngineConfig, ForwardingPath, ForwardingWalker,
-    RouteChange, RoutingOutcome, SnapshotDetail,
+    BgpEngine, CampaignMode, CampaignSession, ColdStart, EngineConfig, ForwardingPath,
+    ForwardingWalker, RouteChange, RoutingOutcome, SnapshotDetail,
 };
 pub use origin::{Injection, LinkAnnouncement, OriginAs, OriginError, PeeringLink};
 pub use policy::{

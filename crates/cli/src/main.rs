@@ -383,11 +383,12 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     let summary = trackdown_obs::ProfileSummary::from_trace(&trace);
     print!("{}", summary.render());
     println!(
-        "mode={} cold_epochs={}/{} over {} worker(s); wrote {trace_out} ({} events) — \
+        "mode={} cold_epochs={}/{} ({}) over {} worker(s); wrote {trace_out} ({} events) — \
          load it at https://ui.perfetto.dev or chrome://tracing",
         mode_label(campaign.stats.mode),
         campaign.stats.cold_epochs,
         campaign.stats.propagations,
+        campaign.stats.cold_causes,
         campaign.stats.threads,
         trace.events.len()
     );

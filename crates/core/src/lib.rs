@@ -71,7 +71,8 @@ pub use generator::{full_schedule, GeneratorParams};
 pub use localize::{
     estimate_cluster_volumes, estimate_cluster_volumes_acc, fit_link_volumes, rank_suspects,
     rank_suspects_acc, run_campaign, AttributionIndex, Campaign, CampaignError, CampaignMode,
-    CampaignOpts, CampaignStats, CatchmentSource, RankedSuspects, SuspectCluster, VolumeEstimate,
+    CampaignOpts, CampaignStats, CatchmentSource, ColdEpochs, RankedSuspects, SuspectCluster,
+    VolumeEstimate,
 };
 /// The pre-index scan references the differential suites and the
 /// scan-vs-indexed benchmarks compare against (test-only `reference`

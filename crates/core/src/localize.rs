@@ -7,7 +7,9 @@ use crate::config::{AnnouncementConfig, ConfigError};
 use crate::schedule::warm_start_order;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use trackdown_bgp::{BgpEngine, Catchments, LinkId, OriginAs, OriginError, SnapshotDetail};
+use trackdown_bgp::{
+    BgpEngine, Catchments, ColdStart, LinkId, OriginAs, OriginError, SnapshotDetail,
+};
 use trackdown_measure::{
     analysis_set, impute_visibility, ImputationStats, MeasuredCatchments, MeasurementPlane,
 };
@@ -48,6 +50,9 @@ pub struct CampaignStats {
     /// restart, or [`CampaignMode::Cold`]. Equal to `propagations` when
     /// no epoch was warm.
     pub cold_epochs: usize,
+    /// `cold_epochs` split by cause.
+    #[serde(default)]
+    pub cold_causes: ColdEpochs,
     /// Worker threads used.
     pub threads: usize,
     /// High-water node count of the interned path arena (max over
@@ -72,11 +77,58 @@ impl Default for CampaignStats {
             memo_hits: 0,
             cold_restarts: 0,
             cold_epochs: 0,
+            cold_causes: ColdEpochs::default(),
             threads: 1,
             peak_arena_nodes: 0,
             routes_disturbed: 0,
             events: 0,
         }
+    }
+}
+
+/// [`CampaignStats::cold_epochs`] split by why each epoch reused no
+/// routing state; the four counts sum to `cold_epochs`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ColdEpochs {
+    /// A worker's first deployment.
+    pub first: usize,
+    /// The engine has policy violators, so no epoch reuses state.
+    pub violator_gate: usize,
+    /// Warm epochs that hit the event cap and were redone cold, and delta
+    /// epochs whose predecessor ended capped.
+    pub event_cap: usize,
+    /// Every epoch of a [`CampaignMode::Cold`] campaign.
+    pub cold_mode: usize,
+}
+
+impl ColdEpochs {
+    /// Count one cold start.
+    fn record(&mut self, cause: ColdStart) {
+        *match cause {
+            ColdStart::First => &mut self.first,
+            ColdStart::ViolatorGate => &mut self.violator_gate,
+            ColdStart::EventCap => &mut self.event_cap,
+            ColdStart::ColdMode => &mut self.cold_mode,
+        } += 1;
+    }
+
+    /// Fold in another worker's counts.
+    fn add(&mut self, other: ColdEpochs) {
+        self.first += other.first;
+        self.violator_gate += other.violator_gate;
+        self.event_cap += other.event_cap;
+        self.cold_mode += other.cold_mode;
+    }
+}
+
+impl std::fmt::Display for ColdEpochs {
+    /// `first=1 violator_gate=58 event_cap=0 cold_mode=0`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "first={} violator_gate={} event_cap={} cold_mode={}",
+            self.first, self.violator_gate, self.event_cap, self.cold_mode
+        )
     }
 }
 
@@ -379,6 +431,7 @@ pub fn run_campaign(
         stats.memo_hits += out.stats.memo_hits;
         stats.cold_restarts += out.stats.cold_restarts;
         stats.cold_epochs += out.stats.cold_epochs;
+        stats.cold_causes.add(out.stats.cold_causes);
         stats.routes_disturbed += out.stats.routes_disturbed;
         stats.events += out.stats.events;
         // Per-worker arenas: the campaign's footprint is the largest
@@ -486,7 +539,8 @@ fn run_chunk(
                 detail,
             )
             .expect("configurations are validated before deployment");
-        let warm = session.last_deploy_warm();
+        let cold_start = session.last_cold_start();
+        let warm = cold_start.is_none();
         if let Some(rec) = opts.recorder {
             rec.record(EpochRecord {
                 epoch,
@@ -506,7 +560,10 @@ fn run_chunk(
             });
         }
         stats.propagations += 1;
-        stats.cold_epochs += usize::from(!warm);
+        if let Some(cause) = cold_start {
+            stats.cold_epochs += 1;
+            stats.cold_causes.record(cause);
+        }
         stats.routes_disturbed += outcome.routes_disturbed;
         stats.events += outcome.events;
         converged[off] = outcome.converged;
@@ -566,6 +623,11 @@ fn assemble_campaign(
     trackdown_obs::counter!("campaign.memo_hits").add(stats.memo_hits as u64);
     trackdown_obs::counter!("campaign.cold_restarts").add(stats.cold_restarts as u64);
     trackdown_obs::counter!("campaign.cold_epochs").add(stats.cold_epochs as u64);
+    let causes = stats.cold_causes;
+    trackdown_obs::counter!("campaign.cold_epochs.first").add(causes.first as u64);
+    trackdown_obs::counter!("campaign.cold_epochs.violator_gate").add(causes.violator_gate as u64);
+    trackdown_obs::counter!("campaign.cold_epochs.event_cap").add(causes.event_cap as u64);
+    trackdown_obs::counter!("campaign.cold_epochs.cold_mode").add(causes.cold_mode as u64);
     let mut clustering = Clustering::single(tracked.clone());
     let initial_clusters = clustering.num_clusters() as u32;
     let mut deltas = Vec::with_capacity(configs.len());

@@ -573,6 +573,7 @@ pub fn report_stats(campaign: &Campaign) {
             "{}/{}",
             campaign.stats.cold_epochs, campaign.stats.propagations
         ),
+        cold_causes = campaign.stats.cold_causes,
         configs = campaign.configs.len(),
         tracked = campaign.tracked.len(),
         propagations = campaign.stats.propagations,

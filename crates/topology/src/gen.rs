@@ -18,6 +18,7 @@ use rand::SeedableRng;
 use rand::{Rng, RngExt};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Parameters of the synthetic Internet generator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -104,7 +105,7 @@ impl TopologyConfig {
     }
 
     /// A deterministic power-law configuration scaled to roughly
-    /// `target_ases` ASes (intended range 10 000 – 75 000), with
+    /// `target_ases` ASes (intended range 10 000 – 80 000), with
     /// CAIDA-like tier proportions: a dozen-to-twenty tier-1s, ~0.7%
     /// large transits, ~4% regional transits, and the rest stubs.
     ///
@@ -275,60 +276,172 @@ fn sample_multihoming<R: Rng>(rng: &mut R, mean: f64, max: usize) -> usize {
     n
 }
 
-/// Pick `count` distinct providers from `pool` with probability proportional
-/// to `weight(candidate) + 1` (preferential attachment), respecting regional
-/// bias. Returns fewer if the pool is too small.
-fn pick_providers<R: Rng>(
-    rng: &mut R,
-    pool: &[(Asn, u8)], // (candidate, region)
-    weights: impl Fn(Asn) -> usize,
-    my_region: u8,
-    cross_region_prob: f64,
-    count: usize,
-) -> Vec<Asn> {
-    let mut chosen: Vec<Asn> = Vec::with_capacity(count);
-    for _ in 0..count {
-        let cross = rng.random::<f64>() < cross_region_prob;
-        // Candidates: same-region unless we roll a cross-region pick; fall
-        // back to the whole pool when the filtered set is exhausted.
-        let candidates: Vec<Asn> = pool
-            .iter()
-            .filter(|(a, r)| {
-                !chosen.contains(a)
-                    && if cross {
-                        *r != my_region
-                    } else {
-                        *r == my_region
-                    }
-            })
-            .map(|(a, _)| *a)
-            .collect();
-        let candidates = if candidates.is_empty() {
-            pool.iter()
-                .filter(|(a, _)| !chosen.contains(a))
-                .map(|(a, _)| *a)
-                .collect::<Vec<_>>()
-        } else {
-            candidates
-        };
-        if candidates.is_empty() {
-            break;
+/// Preferential-attachment provider picks over one fixed pool.
+///
+/// The sampler owns every AS's customer count (by AS index) and one
+/// provider pool: a contiguous run of AS indices, since the generator
+/// numbers each tier consecutively. For every region it keeps a Fenwick
+/// tree over the pool's positions holding `customers + 1` at that
+/// region's entries and 0 elsewhere, so a pick is one descent through the
+/// included regions' trees, O(R · log n), instead of a scan of the pool.
+///
+/// [`ProviderSampler::pick`] makes the same RNG calls, over the same
+/// candidates, and returns the same providers as a linear scan of the
+/// pool in order (DESIGN.md §4n): the generated graph depends on it bit
+/// for bit.
+struct ProviderSampler {
+    /// Customers acquired so far, by AS index.
+    customers: Vec<usize>,
+    /// AS index of the pool's first entry.
+    first: usize,
+    /// Region of each pool position.
+    regions: Vec<u8>,
+    /// Per region, a 1-based Fenwick tree over pool positions of the
+    /// selectable weight.
+    trees: Vec<Vec<usize>>,
+    /// Per region, the selectable weight (the tree's total).
+    weight: Vec<usize>,
+    /// Per region, the number of selectable entries.
+    live: Vec<usize>,
+}
+
+impl ProviderSampler {
+    fn new(num_ases: usize, num_regions: usize) -> ProviderSampler {
+        ProviderSampler {
+            customers: vec![0; num_ases],
+            first: 0,
+            regions: Vec::new(),
+            trees: vec![Vec::new(); num_regions],
+            weight: vec![0; num_regions],
+            live: vec![0; num_regions],
         }
-        let total: usize = candidates.iter().map(|&a| weights(a) + 1).sum();
-        let mut roll = rng.random_range(0..total);
-        let mut pick = candidates[0];
-        for &c in &candidates {
-            let w = weights(c) + 1;
-            if roll < w {
-                pick = c;
+    }
+
+    /// Draw from the AS indices in `pool` from now on, weighted by the
+    /// current counts. `regions` holds the region of every AS by index.
+    fn set_pool(&mut self, pool: Range<usize>, regions: &[u8]) {
+        let first = pool.start;
+        let regions = &regions[pool];
+        let n = regions.len();
+        self.first = first;
+        self.regions.clear();
+        self.regions.extend_from_slice(regions);
+        self.weight.fill(0);
+        self.live.fill(0);
+        for tree in &mut self.trees {
+            tree.clear();
+            tree.resize(n + 1, 0);
+        }
+        for (pos, &r) in regions.iter().enumerate() {
+            let (r, w) = (r as usize, self.customers[first + pos] + 1);
+            self.trees[r][pos + 1] = w;
+            self.weight[r] += w;
+            self.live[r] += 1;
+        }
+        // Linear-time build: push each node's sum into its parent.
+        for tree in &mut self.trees {
+            for i in 1..=n {
+                let parent = i + (i & i.wrapping_neg());
+                if parent <= n {
+                    tree[parent] += tree[i];
+                }
+            }
+        }
+    }
+
+    /// Record one more customer of `provider` (an AS index).
+    fn add_customer(&mut self, provider: usize) {
+        self.customers[provider] += 1;
+        if let Some(pos) = provider
+            .checked_sub(self.first)
+            .filter(|&pos| pos < self.regions.len())
+        {
+            self.adjust(pos, 1, 0);
+        }
+    }
+
+    /// Add `weight` to pool position `pos` and `live` to its region's
+    /// selectable count.
+    fn adjust(&mut self, pos: usize, weight: isize, live: isize) {
+        let r = self.regions[pos] as usize;
+        self.weight[r] = self.weight[r].wrapping_add_signed(weight);
+        self.live[r] = self.live[r].wrapping_add_signed(live);
+        let tree = &mut self.trees[r];
+        let mut i = pos + 1;
+        while i < tree.len() {
+            tree[i] = tree[i].wrapping_add_signed(weight);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The first pool position, over the `included` regions' selectable
+    /// entries in pool order, whose cumulative weight exceeds `roll`.
+    fn descend(&self, included: &[usize], mut roll: usize) -> usize {
+        let n = self.regions.len();
+        let mut pos = 0;
+        let mut step = if n == 0 { 0 } else { 1 << n.ilog2() };
+        while step > 0 {
+            let next = pos + step;
+            if next <= n {
+                let w: usize = included.iter().map(|&r| self.trees[r][next]).sum();
+                if w <= roll {
+                    pos = next;
+                    roll -= w;
+                }
+            }
+            step >>= 1;
+        }
+        pos
+    }
+
+    /// Pick up to `count` distinct providers (AS indices) for an AS in
+    /// `my_region`, each with probability proportional to its customer
+    /// count + 1 (preferential attachment). Each pick draws from the own
+    /// region's entries, or with probability `cross_region_prob` from
+    /// every other region's, and falls back to the whole pool when that
+    /// set is exhausted. Returns fewer if the pool runs out.
+    fn pick<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        my_region: u8,
+        cross_region_prob: f64,
+        count: usize,
+    ) -> Vec<usize> {
+        let mut chosen: Vec<usize> = Vec::with_capacity(count);
+        let mut included: Vec<usize> = Vec::with_capacity(self.trees.len());
+        for _ in 0..count {
+            let cross = rng.random::<f64>() < cross_region_prob;
+            included.clear();
+            included.extend((0..self.trees.len()).filter(|&r| (r == my_region as usize) != cross));
+            if included.iter().all(|&r| self.live[r] == 0) {
+                included.clear();
+                included.extend(0..self.trees.len());
+            }
+            if included.iter().all(|&r| self.live[r] == 0) {
                 break;
             }
-            roll -= w;
+            let total: usize = included.iter().map(|&r| self.weight[r]).sum();
+            let pos = self.descend(&included, rng.random_range(0..total));
+            // Chosen entries are out of the running for this AS's later
+            // picks, and back in for the next AS.
+            self.adjust(pos, -self.weight_at(pos), -1);
+            chosen.push(pos);
         }
-        chosen.push(pick);
+        for &pos in &chosen {
+            self.adjust(pos, self.weight_at(pos), 1);
+        }
+        chosen.into_iter().map(|pos| self.first + pos).collect()
     }
-    chosen
+
+    /// Attachment weight of pool position `pos`.
+    fn weight_at(&self, pos: usize) -> isize {
+        (self.customers[self.first + pos] + 1) as isize
+    }
 }
+
+/// ASNs are assigned densely from here, so AS index `i` is ASN
+/// `FIRST_ASN + i`.
+const FIRST_ASN: u32 = 100;
 
 /// Generate an Internet-like topology from a configuration.
 ///
@@ -341,26 +454,46 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut builder = TopologyBuilder::with_capacity(config.total_ases());
     let mut regions: Vec<u8> = Vec::with_capacity(config.total_ases());
-    // Customer counts for preferential attachment, keyed by ASN value for
-    // simplicity (ASNs are assigned densely below).
-    let mut customer_count: std::collections::HashMap<Asn, usize> =
-        std::collections::HashMap::new();
-
-    let mut next_asn = 100u32;
-    let fresh_asn = |n: &mut u32| {
-        let a = Asn(*n);
-        *n += 1;
+    let mut sampler = ProviderSampler::new(config.total_ases(), config.num_regions);
+    let asn = |i: usize| Asn(FIRST_ASN + i as u32);
+    // Declare the next AS (index `regions.len()`) in `region`.
+    let add_as = |builder: &mut TopologyBuilder, regions: &mut Vec<u8>, region: u8| {
+        let a = asn(regions.len());
+        builder.add_as(a).expect("fresh ASN");
+        regions.push(region);
         a
+    };
+    // Link `a` under each picked provider.
+    let home = |builder: &mut TopologyBuilder,
+                sampler: &mut ProviderSampler,
+                provs: Vec<usize>,
+                a: Asn| {
+        for p in provs {
+            builder.add_provider_customer(asn(p), a).expect("new link");
+            sampler.add_customer(p);
+        }
+    };
+    // Same-region pairs of `pool`, each peering with probability `prob`.
+    let peer_within = |builder: &mut TopologyBuilder,
+                       rng: &mut ChaCha8Rng,
+                       regions: &[u8],
+                       pool: Range<usize>,
+                       prob: f64| {
+        for i in pool.clone() {
+            for j in (i + 1)..pool.end {
+                if regions[i] == regions[j] && rng.random::<f64>() < prob {
+                    builder.add_peering(asn(i), asn(j)).expect("new peering");
+                }
+            }
+        }
     };
 
     // --- Tier-1 clique -------------------------------------------------
-    let mut tier1s = Vec::with_capacity(config.num_tier1);
-    for k in 0..config.num_tier1 {
-        let a = fresh_asn(&mut next_asn);
-        builder.add_as(a).expect("fresh ASN");
-        regions.push((k % config.num_regions) as u8);
-        tier1s.push(a);
-    }
+    let tier1_pool = 0..config.num_tier1;
+    let tier1s: Vec<Asn> = tier1_pool
+        .clone()
+        .map(|k| add_as(&mut builder, &mut regions, (k % config.num_regions) as u8))
+        .collect();
     for i in 0..tier1s.len() {
         for j in (i + 1)..tier1s.len() {
             builder.add_peering(tier1s[i], tier1s[j]).expect("clique");
@@ -368,134 +501,75 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
     }
 
     // --- Large transit --------------------------------------------------
-    let tier1_pool: Vec<(Asn, u8)> = tier1s
-        .iter()
-        .enumerate()
-        .map(|(k, &a)| (a, (k % config.num_regions) as u8))
-        .collect();
+    sampler.set_pool(tier1_pool.clone(), &regions);
     let mut large_transits = Vec::with_capacity(config.num_large_transit);
-    let mut large_pool: Vec<(Asn, u8)> = Vec::new();
     for _ in 0..config.num_large_transit {
-        let a = fresh_asn(&mut next_asn);
-        builder.add_as(a).expect("fresh ASN");
         let region = rng.random_range(0..config.num_regions) as u8;
-        regions.push(region);
+        let a = add_as(&mut builder, &mut regions, region);
         let nprov =
             sample_multihoming(&mut rng, config.large_transit_multihoming, config.num_tier1);
-        let provs = pick_providers(
-            &mut rng,
-            &tier1_pool,
-            |c| customer_count.get(&c).copied().unwrap_or(0),
-            region,
-            config.cross_region_prob,
-            nprov,
-        );
-        for p in provs {
-            builder.add_provider_customer(p, a).expect("new link");
-            *customer_count.entry(p).or_insert(0) += 1;
-        }
+        let provs = sampler.pick(&mut rng, region, config.cross_region_prob, nprov);
+        home(&mut builder, &mut sampler, provs, a);
         large_transits.push(a);
-        large_pool.push((a, region));
     }
-    // Peering among same-region large transits.
-    for i in 0..large_pool.len() {
-        for j in (i + 1)..large_pool.len() {
-            let (a, ra) = large_pool[i];
-            let (b, rb) = large_pool[j];
-            if ra == rb && rng.random::<f64>() < config.peering_prob_large {
-                builder.add_peering(a, b).expect("new peering");
-            }
-        }
-    }
+    let large_pool = tier1_pool.end..regions.len();
+    peer_within(
+        &mut builder,
+        &mut rng,
+        &regions,
+        large_pool.clone(),
+        config.peering_prob_large,
+    );
 
     // --- Small transit ---------------------------------------------------
+    sampler.set_pool(large_pool.clone(), &regions);
     let mut small_transits = Vec::with_capacity(config.num_small_transit);
-    let mut small_pool: Vec<(Asn, u8)> = Vec::new();
     for _ in 0..config.num_small_transit {
-        let a = fresh_asn(&mut next_asn);
-        builder.add_as(a).expect("fresh ASN");
         let region = rng.random_range(0..config.num_regions) as u8;
-        regions.push(region);
+        let a = add_as(&mut builder, &mut regions, region);
         let nprov = sample_multihoming(
             &mut rng,
             config.small_transit_multihoming,
             config.num_large_transit.max(1),
         );
-        let provs = pick_providers(
-            &mut rng,
-            &large_pool,
-            |c| customer_count.get(&c).copied().unwrap_or(0),
-            region,
-            config.cross_region_prob,
-            nprov,
-        );
+        let mut provs = sampler.pick(&mut rng, region, config.cross_region_prob, nprov);
         if provs.is_empty() {
             // No large transits configured: home directly under tier-1s.
-            let provs = pick_providers(
-                &mut rng,
-                &tier1_pool,
-                |c| customer_count.get(&c).copied().unwrap_or(0),
-                region,
-                config.cross_region_prob,
-                nprov,
-            );
-            for p in provs {
-                builder.add_provider_customer(p, a).expect("new link");
-                *customer_count.entry(p).or_insert(0) += 1;
-            }
-        } else {
-            for p in provs {
-                builder.add_provider_customer(p, a).expect("new link");
-                *customer_count.entry(p).or_insert(0) += 1;
-            }
+            sampler.set_pool(tier1_pool.clone(), &regions);
+            provs = sampler.pick(&mut rng, region, config.cross_region_prob, nprov);
+            sampler.set_pool(large_pool.clone(), &regions);
         }
+        home(&mut builder, &mut sampler, provs, a);
         small_transits.push(a);
-        small_pool.push((a, region));
     }
     // Sparse same-region peering among small transits.
-    for i in 0..small_pool.len() {
-        for j in (i + 1)..small_pool.len() {
-            let (a, ra) = small_pool[i];
-            let (b, rb) = small_pool[j];
-            if ra == rb && rng.random::<f64>() < config.peering_prob_small {
-                builder.add_peering(a, b).expect("new peering");
-            }
-        }
-    }
+    let small_pool = large_pool.end..regions.len();
+    peer_within(
+        &mut builder,
+        &mut rng,
+        &regions,
+        small_pool,
+        config.peering_prob_small,
+    );
 
     // --- Stubs -------------------------------------------------------------
-    // Provider pool for stubs: all transit ASes (large + small).
-    let transit_pool: Vec<(Asn, u8)> = large_pool
-        .iter()
-        .chain(small_pool.iter())
-        .copied()
-        .collect();
+    // Provider pool for stubs: all transit ASes (large + small), or the
+    // tier-1s when there are none.
+    let transit_pool = large_pool.start..regions.len();
+    if transit_pool.is_empty() {
+        sampler.set_pool(tier1_pool, &regions);
+    } else {
+        sampler.set_pool(transit_pool, &regions);
+    }
     let mut stubs = Vec::with_capacity(config.num_stubs);
     // IXP membership per region for stub-stub peering.
     let mut ixp_members: Vec<Vec<Asn>> = vec![Vec::new(); config.num_regions];
     for _ in 0..config.num_stubs {
-        let a = fresh_asn(&mut next_asn);
-        builder.add_as(a).expect("fresh ASN");
         let region = rng.random_range(0..config.num_regions) as u8;
-        regions.push(region);
+        let a = add_as(&mut builder, &mut regions, region);
         let nprov = sample_multihoming(&mut rng, config.stub_multihoming, 4);
-        let pool: &[(Asn, u8)] = if transit_pool.is_empty() {
-            &tier1_pool
-        } else {
-            &transit_pool
-        };
-        let provs = pick_providers(
-            &mut rng,
-            pool,
-            |c| customer_count.get(&c).copied().unwrap_or(0),
-            region,
-            config.cross_region_prob,
-            nprov,
-        );
-        for p in provs {
-            builder.add_provider_customer(p, a).expect("new link");
-            *customer_count.entry(p).or_insert(0) += 1;
-        }
+        let provs = sampler.pick(&mut rng, region, config.cross_region_prob, nprov);
+        home(&mut builder, &mut sampler, provs, a);
         if rng.random::<f64>() < config.stub_ixp_prob {
             // Peer with up to 2 prior IXP members of the same region.
             let members = &ixp_members[region as usize];
@@ -525,6 +599,198 @@ pub fn generate(config: &TopologyConfig) -> GeneratedTopology {
 mod tests {
     use super::*;
     use crate::cone::{ConeInfo, Tier};
+    use proptest::prelude::*;
+
+    /// Pick `count` distinct providers from `pool` with probability proportional
+    /// to `weight(candidate) + 1` (preferential attachment), respecting regional
+    /// bias. Returns fewer if the pool is too small.
+    ///
+    /// The linear scan [`ProviderSampler::pick`] replaced, kept unchanged as
+    /// the oracle the sampler is held to.
+    fn pick_providers_reference<R: Rng>(
+        rng: &mut R,
+        pool: &[(Asn, u8)], // (candidate, region)
+        weights: impl Fn(Asn) -> usize,
+        my_region: u8,
+        cross_region_prob: f64,
+        count: usize,
+    ) -> Vec<Asn> {
+        let mut chosen: Vec<Asn> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let cross = rng.random::<f64>() < cross_region_prob;
+            // Candidates: same-region unless we roll a cross-region pick; fall
+            // back to the whole pool when the filtered set is exhausted.
+            let candidates: Vec<Asn> = pool
+                .iter()
+                .filter(|(a, r)| {
+                    !chosen.contains(a)
+                        && if cross {
+                            *r != my_region
+                        } else {
+                            *r == my_region
+                        }
+                })
+                .map(|(a, _)| *a)
+                .collect();
+            let candidates = if candidates.is_empty() {
+                pool.iter()
+                    .filter(|(a, _)| !chosen.contains(a))
+                    .map(|(a, _)| *a)
+                    .collect::<Vec<_>>()
+            } else {
+                candidates
+            };
+            if candidates.is_empty() {
+                break;
+            }
+            let total: usize = candidates.iter().map(|&a| weights(a) + 1).sum();
+            let mut roll = rng.random_range(0..total);
+            let mut pick = candidates[0];
+            for &c in &candidates {
+                let w = weights(c) + 1;
+                if roll < w {
+                    pick = c;
+                    break;
+                }
+                roll -= w;
+            }
+            chosen.push(pick);
+        }
+        chosen
+    }
+
+    proptest! {
+        // Twin RNGs through the sampler and the linear scan: the same
+        // picks, and the RNGs left at the same position, over pools of
+        // 1–600 entries (some smaller than `count`, some with no entry in
+        // the picking AS's own region) and weights bumped between calls.
+        #[test]
+        fn sampler_matches_linear_scan(
+            seed in any::<u64>(),
+            len in 1usize..=600,
+            short in any::<bool>(),
+            num_regions in 1usize..=8,
+            evict_own in any::<bool>(),
+            offset in 0usize..4,
+        ) {
+            let mut case = ChaCha8Rng::seed_from_u64(seed);
+            let len = if short { 1 + len % 5 } else { len };
+            let own = case.random_range(0..num_regions) as u8;
+            let regions: Vec<u8> = (0..offset + len)
+                .map(|_| {
+                    let r = case.random_range(0..num_regions) as u8;
+                    if evict_own && r == own && num_regions > 1 {
+                        (r + 1) % num_regions as u8
+                    } else {
+                        r
+                    }
+                })
+                .collect();
+            let pool: Vec<(Asn, u8)> = (offset..offset + len)
+                .map(|i| (Asn(i as u32), regions[i]))
+                .collect();
+            let mut sampler = ProviderSampler::new(offset + len, num_regions);
+            sampler.set_pool(offset..offset + len, &regions);
+            let mut customers = vec![0usize; offset + len];
+            let mut scan = ChaCha8Rng::seed_from_u64(seed ^ 1);
+            let mut fast = ChaCha8Rng::seed_from_u64(seed ^ 1);
+            for _ in 0..24 {
+                for _ in 0..case.random_range(0..12usize) {
+                    let i = case.random_range(0..offset + len);
+                    customers[i] += 1;
+                    sampler.add_customer(i);
+                }
+                let my_region = if case.random::<f64>() < 0.5 {
+                    own
+                } else {
+                    case.random_range(0..num_regions) as u8
+                };
+                let cross = [0.0, 0.15, 1.0][case.random_range(0..3usize)];
+                let count = case.random_range(1..=5usize);
+                let want = pick_providers_reference(
+                    &mut scan,
+                    &pool,
+                    |a| customers[a.0 as usize],
+                    my_region,
+                    cross,
+                    count,
+                );
+                let got: Vec<Asn> = sampler
+                    .pick(&mut fast, my_region, cross, count)
+                    .into_iter()
+                    .map(|i| Asn(i as u32))
+                    .collect();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(scan.next_u64(), fast.next_u64());
+                // Picks gain a customer, as they do in the generator.
+                for a in got {
+                    customers[a.0 as usize] += 1;
+                    sampler.add_customer(a.0 as usize);
+                }
+            }
+        }
+    }
+
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every preset at seed 7 generates the graph it always has: link
+    /// count, the FNV-1a of its as-rel text and of its regions. Pinned
+    /// from the linear-scan generator the sampler replaced.
+    #[test]
+    fn generated_graphs_are_pinned() {
+        let default = TopologyConfig {
+            seed: 7,
+            ..TopologyConfig::default()
+        };
+        for (name, cfg, links, as_rel, regions) in [
+            (
+                "small",
+                TopologyConfig::small(7),
+                228,
+                0x43f8_2a30_48df_42c5,
+                0x2c6d_f7fd_5068_af1b,
+            ),
+            (
+                "paper",
+                TopologyConfig::paper(7),
+                4_064,
+                0x0bf3_d506_95c1_b1ef,
+                0xf412_27f3_1aec_8854,
+            ),
+            (
+                "default",
+                default,
+                4_558,
+                0x2764_3249_f7f5_c973,
+                0x17d3_d8ad_8d85_e06b,
+            ),
+            (
+                "large",
+                TopologyConfig::large(7),
+                25_183,
+                0x4fc7_1b72_d2d6_be2b,
+                0xb401_491c_e6fc_459b,
+            ),
+            (
+                "internet",
+                TopologyConfig::internet(7),
+                193_838,
+                0x9e5b_fbf3_96e1_e0cf,
+                0x6bcb_31fd_0a56_dff6,
+            ),
+        ] {
+            let g = generate(&cfg);
+            assert_eq!(g.topology.num_links(), links, "{name}: links");
+            let text = crate::serfmt::to_as_rel(&g.topology);
+            assert_eq!(fnv1a(text.as_bytes()), as_rel, "{name}: as-rel text");
+            assert_eq!(fnv1a(&g.regions), regions, "{name}: regions");
+        }
+    }
 
     #[test]
     fn generates_requested_counts() {

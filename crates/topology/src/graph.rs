@@ -259,7 +259,7 @@ impl TopologyBuilder {
         if ia == ib {
             return Err(TopologyError::SelfLoop(link.a));
         }
-        if self.adjacency[ia.us()].iter().any(|(n, _)| *n == ib) {
+        if self.linked(ia, ib) {
             return Err(TopologyError::DuplicateLink(link.a, link.b));
         }
         let kind_a = link.kind_for(link.a).expect("a is endpoint");
@@ -288,9 +288,21 @@ impl TopologyBuilder {
     /// True if the pair is already linked.
     pub fn has_link(&self, x: Asn, y: Asn) -> bool {
         match (self.index.get(&x), self.index.get(&y)) {
-            (Some(&ix), Some(&iy)) => self.adjacency[ix.us()].iter().any(|(n, _)| *n == iy),
+            (Some(&ix), Some(&iy)) => self.linked(ix, iy),
             _ => false,
         }
+    }
+
+    /// True if `a` and `b` are linked. Adjacency is symmetric, so this
+    /// scans whichever endpoint has fewer neighbors: a stub's short list
+    /// rather than its provider's thousands.
+    fn linked(&self, a: AsIndex, b: AsIndex) -> bool {
+        let (from, to) = if self.adjacency[a.us()].len() <= self.adjacency[b.us()].len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.adjacency[from.us()].iter().any(|(n, _)| *n == to)
     }
 
     /// Finalize into an immutable [`Topology`]. Neighbor lists are sorted

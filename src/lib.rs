@@ -66,7 +66,7 @@ pub mod prelude {
         estimate_cluster_volumes, estimate_cluster_volumes_acc, fit_link_volumes,
         link_volume_matrix, rank_suspects, rank_suspects_acc, run_campaign, suspect_ases,
         AttributionIndex, Campaign, CampaignError, CampaignMode, CampaignOpts, CampaignStats,
-        CatchmentSource, RankedSuspects,
+        CatchmentSource, ColdEpochs, RankedSuspects,
     };
     pub use trackdown_core::{AnnouncementConfig, Clustering, Dataset, Phase};
     pub use trackdown_measure::{MeasurementConfig, MeasurementPlane};

@@ -11,7 +11,9 @@
 //! * warm and delta reproduce the cold oracle exactly;
 //! * delta does at most 2/3 of warm's propagation events, and warm does
 //!   fewer than cold;
-//! * a doubled schedule serves its whole second half from the memo.
+//! * a doubled schedule serves its whole second half from the memo;
+//! * cold starts are split by cause: first deployment, violator gate,
+//!   event cap and `Cold` mode.
 //!
 //! The `#[ignore]`d test at the end times 1-thread against 8-thread
 //! campaigns at the `large` and `internet` scales. Run it in release
@@ -92,6 +94,21 @@ fn small_campaign_counts_and_reuse_gates() {
     assert_eq!(delta.stats.routes_disturbed, 2_525);
     assert_eq!(warm.clustering.mean_size(), 2.975);
     assert_eq!(warm.stats.peak_arena_nodes, 401);
+    // Cold starts by cause: a violator-free warm or delta session
+    // cold-starts only its first deployment; a cold one, every epoch.
+    let first_only = ColdEpochs {
+        first: 1,
+        ..ColdEpochs::default()
+    };
+    assert_eq!(warm.stats.cold_causes, first_only);
+    assert_eq!(delta.stats.cold_causes, first_only);
+    assert_eq!(
+        cold.stats.cold_causes,
+        ColdEpochs {
+            cold_mode: 59,
+            ..ColdEpochs::default()
+        }
+    );
 
     // The reuse gates in their event-count form. Diff seeding and
     // frontier pruning: delta does at most 2/3 of warm's convergence
@@ -104,6 +121,28 @@ fn small_campaign_counts_and_reuse_gates() {
     assert!(
         warm < cold,
         "warm reuse saved no events: warm {warm}, cold {cold}"
+    );
+}
+
+#[test]
+fn default_policy_cold_starts_are_violator_gated() {
+    // The default policy has violators, so after the first deployment
+    // every epoch cold-starts through the violator gate.
+    let scenario = Scenario::build(Options {
+        scale: Scale::Small,
+        seed: 7,
+        threads: Some(1),
+        ..Options::default()
+    });
+    let stats = scenario.run().stats;
+    assert_eq!(stats.cold_epochs, stats.propagations);
+    assert_eq!(
+        stats.cold_causes,
+        ColdEpochs {
+            first: 1,
+            violator_gate: stats.propagations - 1,
+            ..ColdEpochs::default()
+        }
     );
 }
 

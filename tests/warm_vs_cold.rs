@@ -240,6 +240,39 @@ fn cold_epochs_count_every_stateless_deployment() {
     };
     let cold = run_campaign(&clean, &origin, &schedule, &cold).expect("valid schedule");
     assert_eq!(cold.stats.cold_epochs, cold.stats.propagations);
+    // A tight event cap: capped warm epochs are redone cold, and a delta
+    // epoch after a capped predecessor cold-starts too.
+    let capped = |mode| {
+        let opts = CampaignOpts {
+            mode,
+            max_events_factor: 1,
+            ..CampaignOpts::default()
+        };
+        run_campaign(&clean, &origin, &schedule, &opts).expect("valid schedule")
+    };
+    let (capped_warm, capped_delta) = (capped(CampaignMode::Warm), capped(CampaignMode::Delta));
+
+    // By cause, summing to `cold_epochs`.
+    let causes = |c: &Campaign| {
+        let k = c.stats.cold_causes;
+        assert_eq!(
+            k.first + k.violator_gate + k.event_cap + k.cold_mode,
+            c.stats.cold_epochs
+        );
+        (k.first, k.violator_gate, k.event_cap, k.cold_mode)
+    };
+    let n = default.stats.propagations;
+    assert_eq!(causes(&default), (1, n - 1, 0, 0));
+    assert_eq!(causes(&warm), (1, 0, warm.stats.cold_restarts, 0));
+    assert_eq!(causes(&par), (3, 0, par.stats.cold_restarts, 0));
+    assert_eq!(causes(&cold), (0, 0, 0, n));
+    assert!(capped_warm.stats.cold_restarts > 0);
+    assert_eq!(
+        causes(&capped_warm),
+        (1, 0, capped_warm.stats.cold_restarts, 0)
+    );
+    assert_eq!(capped_delta.stats.cold_restarts, 0);
+    assert_eq!(causes(&capped_delta), (1, 0, n - 1, 0));
 }
 
 // Policy extensions make the import filter stricter, never
