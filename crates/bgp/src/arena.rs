@@ -217,7 +217,8 @@ impl PathStore {
     pub fn iter(&self, id: PathId) -> PathIter<'_> {
         assert!(
             id.is_empty() || (id.0 as usize) < self.nodes.len(),
-            "path id not in this store — was the outcome captured with SnapshotDetail::Full?"
+            "path id not in this store — was the outcome captured with SnapshotDetail::Paths \
+             or SnapshotDetail::Full?"
         );
         iter_nodes(&self.nodes, id)
     }

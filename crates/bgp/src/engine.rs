@@ -99,7 +99,7 @@ pub struct RoutingOutcome {
     /// [`SnapshotDetail::Full`]); see [`RoutingOutcome::candidates`].
     candidates: Option<Vec<Vec<Route>>>,
     /// Interned path nodes backing this outcome's routes (empty unless
-    /// captured at [`SnapshotDetail::Full`]).
+    /// captured at [`SnapshotDetail::Paths`] or [`SnapshotDetail::Full`]).
     pub paths: PathStore,
     /// Number of decision events processed.
     pub events: usize,
@@ -257,11 +257,12 @@ pub struct BgpEngine<'t> {
     /// are `rib_offsets[i] .. rib_offsets[i + 1]`, one per entry of
     /// `topo.neighbors(i)` in the same (sorted) order. Length `n + 1`.
     rib_offsets: Vec<u32>,
-    /// Mirror-slot table over CSR slots: for slot `rib_offsets[i] + k`
-    /// (AS `i`'s `k`-th neighbor `j`), the slot in `j`'s Adj-RIB-In that
-    /// holds `i`'s offers. An involution (`mirror[mirror[s]] == s`); it
-    /// turns every export's receiver-slot lookup into one sequential load.
-    mirror: Vec<u32>,
+    /// Edge table over CSR slots: slot `rib_offsets[i] + k` holds AS
+    /// `i`'s `k`-th neighbor `j`, how `j` looks from `i`, and the mirror
+    /// slot in `j`'s Adj-RIB-In that holds `i`'s offers. The mirror map
+    /// is an involution; one 8-byte load per export gives the export loop
+    /// everything it needs about the receiver's side of the link.
+    edges: Vec<Edge>,
 }
 
 impl<'t> BgpEngine<'t> {
@@ -277,12 +278,12 @@ impl<'t> BgpEngine<'t> {
         cones: &ConeInfo,
         config: &EngineConfig,
     ) -> BgpEngine<'t> {
-        let (rib_offsets, mirror) = rib_layout(topo);
+        let (rib_offsets, edges) = rib_layout(topo);
         BgpEngine {
             topo,
             policy: PolicyTable::build(topo, cones, &config.policy),
             rib_offsets,
-            mirror,
+            edges,
         }
     }
 
@@ -353,23 +354,20 @@ impl<'t> BgpEngine<'t> {
         a.ingress < b.ingress
     }
 
-    /// Run best-path selection at `at` over the direct injections and the
+    /// Run best-path selection at `at` over its direct injections and the
     /// AS's CSR slot range of the flat Adj-RIB-In. Candidate order is
-    /// direct routes first, then present slots ascending — the same order
-    /// the per-AS vectors yielded, so tiebreak outcomes are bit-identical.
+    /// direct routes first, in injection order, then present slots
+    /// ascending — the same order the per-AS vectors yielded, so tiebreak
+    /// outcomes are bit-identical.
     fn decide(
         &self,
         at: AsIndex,
-        direct: &[Route],
+        direct: impl Iterator<Item = Route>,
         ribs: &RouteTable,
         slots: Range<usize>,
     ) -> Option<Route> {
         let mut best: Option<Route> = None;
-        for cand in direct
-            .iter()
-            .copied()
-            .chain(ribs.present_in(slots).map(|s| ribs.route_at(s)))
-        {
+        for cand in direct.chain(ribs.present_in(slots).map(|s| ribs.route_at(s))) {
             best = match best {
                 None => Some(cand),
                 Some(cur) => {
@@ -719,16 +717,19 @@ impl<'e, 't> CampaignSession<'e, 't> {
     }
 }
 
-/// CSR offsets of the flat Adj-RIB-In and its mirror-slot table (see
+/// CSR offsets of the flat Adj-RIB-In and its edge table (see
 /// [`BgpEngine`]'s fields). Built once per engine: the topology is
 /// immutable, so every session shares the layout.
-fn rib_layout(topo: &Topology) -> (Vec<u32>, Vec<u32>) {
+fn rib_layout(topo: &Topology) -> (Vec<u32>, Vec<Edge>) {
+    let total: usize = topo.indices().map(|i| topo.degree(i)).sum();
+    assert!(
+        total < Edge::MAX_SLOTS,
+        "{total} Adj-RIB-In slots: the edge table packs slots into 30 bits"
+    );
     let mut rib_offsets = Vec::with_capacity(topo.num_ases() + 1);
-    let mut total = 0u32;
     rib_offsets.push(0);
     for i in topo.indices() {
-        total += topo.degree(i) as u32;
-        rib_offsets.push(total);
+        rib_offsets.push(rib_offsets[i.us()] + topo.degree(i) as u32);
     }
     // Position of neighbor `j` within `i`'s (sorted) neighbor list.
     let neighbor_pos = |i: AsIndex, j: AsIndex| {
@@ -736,14 +737,83 @@ fn rib_layout(topo: &Topology) -> (Vec<u32>, Vec<u32>) {
             .binary_search_by_key(&j, |(n, _)| *n)
             .expect("adjacency is symmetric")
     };
-    let mut mirror = Vec::with_capacity(total as usize);
+    let mut edges = Vec::with_capacity(total);
     for i in topo.indices() {
-        for &(j, _) in topo.neighbors(i) {
-            mirror.push(rib_offsets[j.us()] + neighbor_pos(j, i) as u32);
+        for &(j, kind) in topo.neighbors(i) {
+            edges.push(Edge::new(
+                j,
+                rib_offsets[j.us()] + neighbor_pos(j, i) as u32,
+                kind,
+            ));
         }
     }
-    (rib_offsets, mirror)
+    (rib_offsets, edges)
 }
+
+/// One CSR slot of the edge table: AS `i`'s link to neighbor `to`, in 8
+/// bytes so the export loop reads one contiguous stream.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// The neighbor `j`.
+    to: AsIndex,
+    /// The mirror slot (low 30 bits) and how `j` looks from `i` (top 2
+    /// bits, the [`NeighborKind`] discriminant).
+    mirror_kind: u32,
+}
+
+// The edge table is read once per export: keep it at 8 bytes per slot.
+const _: () = assert!(std::mem::size_of::<Edge>() == 8);
+
+impl Edge {
+    const KIND_SHIFT: u32 = 30;
+    /// Exclusive bound on slot numbers the packing can hold.
+    const MAX_SLOTS: usize = 1 << Edge::KIND_SHIFT;
+
+    /// `mirror` must be below [`Edge::MAX_SLOTS`] (`rib_layout` asserts
+    /// it for the whole table).
+    fn new(to: AsIndex, mirror: u32, kind: NeighborKind) -> Edge {
+        Edge {
+            to,
+            mirror_kind: mirror | (kind as u32) << Edge::KIND_SHIFT,
+        }
+    }
+
+    /// The slot in `to`'s Adj-RIB-In that holds this AS's offers.
+    #[inline]
+    fn mirror(self) -> usize {
+        (self.mirror_kind & ((1 << Edge::KIND_SHIFT) - 1)) as usize
+    }
+
+    /// How `to` looks from this AS.
+    #[inline]
+    fn kind(self) -> NeighborKind {
+        match self.mirror_kind >> Edge::KIND_SHIFT {
+            0 => NeighborKind::Customer,
+            1 => NeighborKind::Peer,
+            _ => NeighborKind::Provider,
+        }
+    }
+}
+
+/// The per-AS scalars the drain reads and writes on every event, packed
+/// into 16 bytes so one AS's state is one load.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeState {
+    /// Causal depth of the AS's latest best-route change.
+    depth: u32,
+    /// Depth the AS's next change will take: one more than the deepest
+    /// neighbor change that activated it.
+    pending_depth: u32,
+    /// `touched == epoch_stamp` ⟺ the AS's best route changed at least
+    /// once this epoch (its pre-epoch route is logged in `pre_epoch`).
+    touched: u32,
+    /// Queued for a decision.
+    in_queue: bool,
+    /// Holds at least one entry of `Simulation::direct`.
+    has_direct: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<NodeState>() == 16);
 
 /// One packed RIB entry: a [`Route`] in 20 bytes, so reading or writing a
 /// random slot touches one cache line.
@@ -908,8 +978,8 @@ impl RouteTable {
     }
 }
 
-/// Mutable propagation state: per-AS direct routes, Adj-RIB-Ins, best
-/// routes, and the activation queue. One [`Simulation`] can run several
+/// Mutable propagation state: direct routes, Adj-RIB-Ins, best routes,
+/// and the activation queue. One [`Simulation`] can run several
 /// epochs (configuration deployments) back to back, which is how
 /// [`BgpEngine::transition_config`] models warm-start configuration changes.
 struct Simulation<'e, 't> {
@@ -920,14 +990,18 @@ struct Simulation<'e, 't> {
     /// never truncate — canonical interning makes re-offered paths
     /// converge to a high-water set instead of growing without bound.
     arena: PathArena,
-    direct: Vec<Vec<Route>>,
+    /// Direct routes from the origin as `(provider, route)`, in injection
+    /// order. Short (one per announced link), and read only for ASes with
+    /// [`NodeState::has_direct`] set.
+    direct: Vec<(AsIndex, Route)>,
     /// Flat Adj-RIB-In over the engine's CSR slots
     /// ([`BgpEngine::rib_slots`]).
     ribs: RouteTable,
     /// Best routes over AS index.
     best: RouteTable,
     queue: VecDeque<AsIndex>,
-    in_queue: Vec<bool>,
+    /// Per-AS drain state over AS index.
+    node: Vec<NodeState>,
     /// Rank-ordered activation queue used instead of `queue` while
     /// `ranked` is set (delta epochs): one bucket per customer-cone rank,
     /// drained highest-rank-first, so announcement waves climb provider
@@ -948,15 +1022,11 @@ struct Simulation<'e, 't> {
     ranks: Vec<u32>,
     /// Whether `enqueue`/`pop_next` currently use the rank buckets.
     ranked: bool,
-    depth: Vec<u32>,
-    pending_depth: Vec<u32>,
     max_depth: u32,
     changes: Vec<RouteChange>,
     events: usize,
     converged: bool,
-    /// `touched[i] == epoch_stamp` ⟺ AS `i`'s best route changed at least
-    /// once this epoch (its pre-epoch route is logged in `pre_epoch`).
-    touched: Vec<u32>,
+    /// Stamp of the current epoch ([`NodeState::touched`]).
     epoch_stamp: u32,
     /// First-touch log: each AS whose best changed this epoch, paired
     /// with the route it held when the epoch began. Net disturbance is
@@ -970,23 +1040,20 @@ impl<'e, 't> Simulation<'e, 't> {
         Simulation {
             engine,
             arena: PathArena::new(),
-            direct: vec![Vec::new(); n],
-            ribs: RouteTable::new(engine.mirror.len()),
+            direct: Vec::new(),
+            ribs: RouteTable::new(engine.edges.len()),
             best: RouteTable::new(n),
             queue: VecDeque::new(),
-            in_queue: vec![false; n],
+            node: vec![NodeState::default(); n],
             buckets: Vec::new(),
             bucket_hi: 0,
             bucket_len: 0,
             ranks: Vec::new(),
             ranked: false,
-            depth: vec![0; n],
-            pending_depth: vec![0; n],
             max_depth: 0,
             changes: Vec::new(),
             events: 0,
             converged: true,
-            touched: vec![0; n],
             epoch_stamp: 1,
             pre_epoch: Vec::new(),
         }
@@ -999,21 +1066,22 @@ impl<'e, 't> Simulation<'e, 't> {
     /// simulation is bit-equivalent to a fresh one.
     fn clear(&mut self) {
         self.arena.clear();
-        for d in &mut self.direct {
-            d.clear();
-        }
+        self.direct.clear();
         self.ribs.clear();
         self.best.clear();
         self.queue.clear();
-        self.in_queue.fill(false);
+        for node in &mut self.node {
+            *node = NodeState {
+                touched: node.touched,
+                ..NodeState::default()
+            };
+        }
         for b in &mut self.buckets {
             b.clear();
         }
         self.bucket_hi = 0;
         self.bucket_len = 0;
         self.ranked = false;
-        self.depth.fill(0);
-        self.pending_depth.fill(0);
         self.max_depth = 0;
         self.changes.clear();
         self.events = 0;
@@ -1027,15 +1095,17 @@ impl<'e, 't> Simulation<'e, 't> {
         self.epoch_stamp = self.epoch_stamp.wrapping_add(1);
         if self.epoch_stamp == 0 {
             // Stamp wrap: invalidate every stale mark the slow way.
-            self.touched.fill(0);
+            for node in &mut self.node {
+                node.touched = 0;
+            }
             self.epoch_stamp = 1;
         }
         self.pre_epoch.clear();
     }
 
     fn enqueue(&mut self, i: AsIndex) {
-        if !self.in_queue[i.us()] {
-            self.in_queue[i.us()] = true;
+        if !self.node[i.us()].in_queue {
+            self.node[i.us()].in_queue = true;
             if self.ranked {
                 let r = self.ranks[i.us()] as usize;
                 self.buckets[r].push_back(i.0);
@@ -1074,6 +1144,20 @@ impl<'e, 't> Simulation<'e, 't> {
         }
     }
 
+    /// The direct routes injected at `at`, in injection order; the list
+    /// is not scanned unless `at` holds one.
+    fn direct_routes(&self, at: AsIndex) -> impl Iterator<Item = Route> + '_ {
+        let direct: &[(AsIndex, Route)] = if self.node[at.us()].has_direct {
+            &self.direct
+        } else {
+            &[]
+        };
+        direct
+            .iter()
+            .filter(move |(provider, _)| *provider == at)
+            .map(|(_, r)| *r)
+    }
+
     /// Inject one origin announcement at its PoP's provider. The provider
     /// treats the origin as a customer.
     fn apply_injection(&mut self, inj: &Injection) {
@@ -1088,15 +1172,19 @@ impl<'e, 't> Simulation<'e, 't> {
             .policy
             .local_pref(inj.provider, None, NeighborKind::Customer);
         let path_id = self.arena.intern_path(&inj.path);
-        self.direct[inj.provider.us()].push(Route {
-            path_id,
-            path_len: inj.path.len() as u32,
-            ingress: inj.link,
-            from_neighbor: None,
-            local_pref: lp,
-            learned_from: NeighborKind::Customer,
-            communities: CommunityBits::from_set(&inj.communities),
-        });
+        self.direct.push((
+            inj.provider,
+            Route {
+                path_id,
+                path_len: inj.path.len() as u32,
+                ingress: inj.link,
+                from_neighbor: None,
+                local_pref: lp,
+                learned_from: NeighborKind::Customer,
+                communities: CommunityBits::from_set(&inj.communities),
+            },
+        ));
+        self.node[inj.provider.us()].has_direct = true;
         self.enqueue(inj.provider);
     }
 
@@ -1110,8 +1198,10 @@ impl<'e, 't> Simulation<'e, 't> {
     /// Start a fresh measurement epoch: reset round accounting and the
     /// change log, keeping the converged routing state.
     fn begin_epoch(&mut self) {
-        self.depth.fill(0);
-        self.pending_depth.fill(0);
+        for node in &mut self.node {
+            node.depth = 0;
+            node.pending_depth = 0;
+        }
         self.max_depth = 0;
         self.changes.clear();
         self.events = 0;
@@ -1121,14 +1211,20 @@ impl<'e, 't> Simulation<'e, 't> {
     /// Replace the origin's announcements: withdraw every current direct
     /// route, then inject the new set. Providers losing or gaining a
     /// direct route are activated and the withdrawal/announcement churn
-    /// propagates on the next [`Simulation::run`].
+    /// propagates on the next [`Simulation::run`]. The previous providers
+    /// are activated in ascending index order.
     fn replace_injections(&mut self, injections: &[Injection]) {
-        for i in 0..self.direct.len() {
-            if !self.direct[i].is_empty() {
-                self.direct[i].clear();
-                self.enqueue(AsIndex(i as u32));
+        self.direct
+            .sort_unstable_by_key(|&(provider, _)| provider.0);
+        for k in 0..self.direct.len() {
+            let provider = self.direct[k].0;
+            // A provider's later entries find `has_direct` already clear.
+            if self.node[provider.us()].has_direct {
+                self.node[provider.us()].has_direct = false;
+                self.enqueue(provider);
             }
         }
+        self.direct.clear();
         self.apply_injections(injections);
     }
 
@@ -1140,16 +1236,15 @@ impl<'e, 't> Simulation<'e, 't> {
     /// providers.
     fn replace_injections_delta(&mut self, prev: &[Injection], next: &[Injection]) -> usize {
         let changed = diff_injections(prev, next);
+        // `changed` is sorted and deduplicated by provider index.
+        let is_changed = |p: AsIndex| changed.binary_search_by_key(&p.0, |c| c.0).is_ok();
+        self.direct.retain(|&(provider, _)| !is_changed(provider));
         for &p in &changed {
-            self.direct[p.us()].clear();
+            self.node[p.us()].has_direct = false;
             self.enqueue(p);
         }
         for inj in next {
-            // `changed` is sorted and deduplicated by provider index.
-            if changed
-                .binary_search_by_key(&inj.provider.0, |p| p.0)
-                .is_ok()
-            {
+            if is_changed(inj.provider) {
                 self.apply_injection(inj);
             }
         }
@@ -1162,26 +1257,28 @@ impl<'e, 't> Simulation<'e, 't> {
         let n = engine.topo.num_ases();
         let cap = max_events_factor.saturating_mul(n.max(1));
         while let Some(i) = self.pop_next() {
-            self.in_queue[i.us()] = false;
+            self.node[i.us()].in_queue = false;
             self.events += 1;
             if self.events > cap {
                 self.converged = false;
                 break;
             }
             let slots = engine.rib_slots(i);
-            let new_best = engine.decide(i, &self.direct[i.us()], &self.ribs, slots.clone());
+            let new_best = engine.decide(i, self.direct_routes(i), &self.ribs, slots.clone());
             if self.best.matches(i.us(), &new_best) {
                 continue;
             }
-            if self.touched[i.us()] != self.epoch_stamp {
-                self.touched[i.us()] = self.epoch_stamp;
+            let node = &mut self.node[i.us()];
+            if node.touched != self.epoch_stamp {
+                node.touched = self.epoch_stamp;
                 self.pre_epoch.push((i, self.best.get(i.us())));
             }
+            node.depth = node.pending_depth;
+            let depth = node.depth;
             self.best.set(i.us(), new_best);
-            self.depth[i.us()] = self.pending_depth[i.us()];
-            self.max_depth = self.max_depth.max(self.depth[i.us()]);
+            self.max_depth = self.max_depth.max(depth);
             self.changes.push(RouteChange {
-                round: self.depth[i.us()],
+                round: depth,
                 at: i,
                 ingress: new_best.map(|r| r.ingress),
                 path_len: new_best.map(|r| r.path_len()).unwrap_or(0),
@@ -1193,11 +1290,10 @@ impl<'e, 't> Simulation<'e, 't> {
             let mut exported_path: Option<PathId> = None;
             // Export (or withdraw) toward every neighbor; `slot` is the
             // mirror slot in `j`'s Adj-RIB-In that holds `i`'s offer.
-            for (&(j, j_kind_from_i), &slot) in
-                engine.topo.neighbors(i).iter().zip(&engine.mirror[slots])
-            {
-                let slot = slot as usize;
+            for &edge in &engine.edges[slots] {
+                let (j, slot) = (edge.to, edge.mirror());
                 // `j_kind_from_i`: how j looks from i (is j my customer?).
+                let j_kind_from_i = edge.kind();
                 let offer = match new_best {
                     Some(r)
                         if engine.policy.may_export_route(
@@ -1232,10 +1328,13 @@ impl<'e, 't> Simulation<'e, 't> {
                         // route dropped here leaves the offer `None`, so
                         // the delta relevance check below can never treat
                         // it as a viable activation.
-                        let accepted = engine.policy.accepts_offer_iter(
+                        let i_kind_from_j = j_kind_from_i.reverse();
+                        let j_flags = engine.policy.flags_of(j);
+                        let accepted = engine.policy.accepts_offer_from(
                             engine.topo,
                             j,
-                            Some(i),
+                            j_flags,
+                            (i, i_kind_from_j),
                             exported_comms,
                             std::iter::repeat_n(own_asn, 1 + extra)
                                 .chain(self.arena.iter(r.path_id)),
@@ -1244,13 +1343,17 @@ impl<'e, 't> Simulation<'e, 't> {
                             let path_id = *exported_path.get_or_insert_with(|| {
                                 self.arena.push_times(r.path_id, own_asn, 1 + extra)
                             });
-                            let i_kind_from_j = j_kind_from_i.reverse();
                             Some(Route {
                                 path_id,
                                 path_len: r.path_len + 1 + extra as u32,
                                 ingress: r.ingress,
                                 from_neighbor: Some(i),
-                                local_pref: engine.policy.local_pref(j, Some(i), i_kind_from_j),
+                                local_pref: engine.policy.local_pref_with(
+                                    j_flags,
+                                    j,
+                                    Some(i),
+                                    i_kind_from_j,
+                                ),
                                 learned_from: i_kind_from_j,
                                 communities: exported_comms,
                             })
@@ -1273,7 +1376,7 @@ impl<'e, 't> Simulation<'e, 't> {
                     // queue are exactly the ones that cannot change it), so
                     // comparing against `best[j]` is sound.
                     let relevant = !self.ranked
-                        || self.in_queue[j.us()]
+                        || self.node[j.us()].in_queue
                         || match self.best.get(j.us()) {
                             Some(b) => {
                                 b.from_neighbor == Some(i)
@@ -1283,8 +1386,8 @@ impl<'e, 't> Simulation<'e, 't> {
                         };
                     self.ribs.set(slot, offer);
                     if relevant {
-                        self.pending_depth[j.us()] =
-                            self.pending_depth[j.us()].max(self.depth[i.us()] + 1);
+                        let pending = &mut self.node[j.us()].pending_depth;
+                        *pending = (*pending).max(depth + 1);
                         self.enqueue(j);
                     }
                 }
@@ -1303,12 +1406,12 @@ impl<'e, 't> Simulation<'e, 't> {
 
     /// Candidate RIB copy for a [`SnapshotDetail::Full`] snapshot.
     fn capture_candidates(&self) -> Vec<Vec<Route>> {
-        (0..self.direct.len())
+        self.engine
+            .topo
+            .indices()
             .map(|i| {
-                let slots = self.engine.rib_slots(AsIndex(i as u32));
-                self.direct[i]
-                    .iter()
-                    .copied()
+                let slots = self.engine.rib_slots(i);
+                self.direct_routes(i)
                     .chain(self.ribs.present_in(slots).map(|s| self.ribs.route_at(s)))
                     .collect()
             })
@@ -1461,24 +1564,29 @@ mod tests {
         o.link_ids().map(LinkAnnouncement::plain).collect()
     }
 
-    /// The mirror table is an involution, and each mirror slot lies in the
-    /// receiver's CSR range at the position that names the sender.
-    fn assert_mirror_table(topo: &trackdown_topology::Topology) {
+    /// The edge table matches the adjacency slot for slot: `to` and the
+    /// unpacked kind are `topo.neighbors(i)[k]`, the mirror map is an
+    /// involution, and each mirror slot lies in the receiver's CSR range
+    /// at the position that names the sender.
+    fn assert_edge_table(topo: &trackdown_topology::Topology) {
         let engine = BgpEngine::new(topo, &clean_config());
         assert_eq!(engine.rib_offsets.len(), topo.num_ases() + 1);
         assert_eq!(
-            engine.mirror.len(),
+            engine.edges.len(),
             *engine.rib_offsets.last().unwrap() as usize
         );
         for i in topo.indices() {
             let slots = engine.rib_slots(i);
             assert_eq!(slots.len(), topo.degree(i));
             for (k, s) in slots.enumerate() {
-                let j = topo.neighbors(i)[k].0;
-                let m = engine.mirror[s] as usize;
-                assert_eq!(engine.mirror[m] as usize, s, "slot {s} of {i:?}");
+                let edge = engine.edges[s];
+                let (j, kind) = topo.neighbors(i)[k];
+                assert_eq!((edge.to, edge.kind()), (j, kind), "slot {s} of {i:?}");
+                let m = edge.mirror();
+                assert_eq!(engine.edges[m].mirror(), s, "slot {s} of {i:?}");
                 let receiver = engine.rib_slots(j);
                 assert!(receiver.contains(&m), "slot {s}: mirror {m} outside {j:?}");
+                assert_eq!(engine.edges[m].to, i);
                 assert_eq!(topo.neighbors(j)[m - receiver.start].0, i);
             }
         }
@@ -1517,13 +1625,13 @@ mod tests {
     }
 
     #[test]
-    fn mirror_table_is_an_involution() {
+    fn edge_table_matches_the_adjacency() {
         use trackdown_topology::gen::{generate, TopologyConfig};
-        assert_mirror_table(&fig2_topology());
-        assert_mirror_table(&generate(&TopologyConfig::small(7)).topology);
-        assert_mirror_table(&generate(&TopologyConfig::paper(7)).topology);
+        assert_edge_table(&fig2_topology());
+        assert_edge_table(&generate(&TopologyConfig::small(7)).topology);
+        assert_edge_table(&generate(&TopologyConfig::paper(7)).topology);
         // Two ASes, one link.
-        assert_mirror_table(&topology_from_links([(Asn(1), Asn(2), LinkKind::PeerPeer)]).unwrap());
+        assert_edge_table(&topology_from_links([(Asn(1), Asn(2), LinkKind::PeerPeer)]).unwrap());
         // A degree-1 stub hanging off a transit with other neighbors.
         let stub = topology_from_links([
             (Asn(1), Asn(2), LinkKind::ProviderCustomer),
@@ -1532,7 +1640,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(stub.degree(stub.index_of(Asn(4)).unwrap()), 1);
-        assert_mirror_table(&stub);
+        assert_edge_table(&stub);
     }
 
     #[test]
@@ -1581,6 +1689,26 @@ mod tests {
         // u now reaches the origin through its provider t2 toward y.
         let iu = topo.index_of(Asn(12)).unwrap();
         assert_eq!(out.catchment(iu), Some(LinkId(2)));
+    }
+
+    #[test]
+    fn tier1_filter_drops_exports_from_customers_naming_another_tier1() {
+        let topo = fig2_topology();
+        let o = origin_xny();
+        // Only X announces, poisoned with t2: x exports the path
+        // `[x, origin, t2, origin]` up to its provider t1.
+        let anns = [LinkAnnouncement::poisoned(LinkId(0), vec![Asn(2)])];
+        let t1 = topo.index_of(Asn(1)).unwrap();
+        for filtering in [false, true] {
+            let mut config = clean_config();
+            config.policy.tier1_poison_filtering = filtering;
+            let engine = BgpEngine::new(&topo, &config);
+            assert!(engine.policy().is_tier1(t1));
+            let out = engine.propagate_config(&o, &anns, 200).unwrap();
+            // t1 drops the customer route naming tier-1 t2 only when
+            // filtering; without it, t1 routes through x.
+            assert_eq!(out.catchment(t1).is_some(), !filtering);
+        }
     }
 
     #[test]

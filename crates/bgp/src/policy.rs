@@ -363,6 +363,13 @@ impl PolicyTable {
         }
     }
 
+    /// `i`'s per-AS `FLAG_*` byte, for [`PolicyTable::local_pref_with`]
+    /// and [`PolicyTable::accepts_offer_from`].
+    #[inline]
+    pub(crate) fn flags_of(&self, i: AsIndex) -> u8 {
+        self.flags[i.us()]
+    }
+
     /// True if `i` deviates from Gao-Rexford preferences.
     #[inline]
     pub fn is_violator(&self, i: AsIndex) -> bool {
@@ -397,7 +404,21 @@ impl PolicyTable {
     /// LocalPref range, modeling arbitrary-but-stable policy.
     #[inline]
     pub fn local_pref(&self, at: AsIndex, neighbor: Option<AsIndex>, kind: NeighborKind) -> u32 {
-        if self.is_violator(at) {
+        self.local_pref_with(self.flags[at.us()], at, neighbor, kind)
+    }
+
+    /// [`PolicyTable::local_pref`] with `at`'s flags byte already loaded
+    /// ([`PolicyTable::flags_of`]), so the engine's export loop reads it
+    /// once for both the import check and the LocalPref.
+    #[inline]
+    pub(crate) fn local_pref_with(
+        &self,
+        flags: u8,
+        at: AsIndex,
+        neighbor: Option<AsIndex>,
+        kind: NeighborKind,
+    ) -> u32 {
+        if flags & FLAG_VIOLATOR != 0 {
             let nid = neighbor.map(|n| n.0 as u64 + 1).unwrap_or(0);
             let h = mix64(self.seed ^ ((at.0 as u64) << 32) ^ nid);
             // Spread violator preferences across the Gao-Rexford band so
@@ -548,7 +569,12 @@ impl PolicyTable {
         if bits == 0 {
             return true;
         }
-        self.extensions_accept(topo, at, from, bits, path)
+        let from_kind = match from {
+            Some(f) => topo.relationship(at, f).unwrap_or(NeighborKind::Customer),
+            // Direct injection: the origin is a virtual customer.
+            None => NeighborKind::Customer,
+        };
+        self.extensions_accept(topo, at, from, from_kind, bits, path)
     }
 
     /// [`PolicyTable::accepts_iter`] with the offered route's communities,
@@ -578,9 +604,53 @@ impl PolicyTable {
         self.accepts_iter(topo, at, from, path)
     }
 
+    /// [`PolicyTable::accepts_offer_iter`] for an offer from a neighbor,
+    /// given what the engine's export loop already holds: `at`'s flags
+    /// byte ([`PolicyTable::flags_of`]) and the sender as an adjacency
+    /// entry of `at`, `(from, how from looks from at)`. Equal to
+    /// `accepts_offer_iter(topo, at, Some(from), offered, path)`, without
+    /// the adjacency binary searches the public form needs to find that
+    /// kind; `ext_bits` is read only when some AS deploys an extension.
+    pub(crate) fn accepts_offer_from<I>(
+        &self,
+        topo: &Topology,
+        at: AsIndex,
+        flags: u8,
+        (from, from_kind): (AsIndex, NeighborKind),
+        offered: CommunityBits,
+        path: I,
+    ) -> bool
+    where
+        I: Iterator<Item = Asn> + Clone,
+    {
+        let bits = if self.any_ext {
+            self.ext_bits[at.us()]
+        } else {
+            0
+        };
+        let from_customer = from_kind == NeighborKind::Customer;
+        if from_customer && offered.has_otc() && bits & PolicyExtension::OnlyToCustomers.bit() != 0
+        {
+            return false;
+        }
+        let own = topo.asn_of(at);
+        if flags & FLAG_NO_LOOP_PREVENTION == 0 && path.clone().any(|a| a == own) {
+            return false;
+        }
+        if self.tier1_filtering
+            && flags & FLAG_TIER1 != 0
+            && from_customer
+            && path.clone().any(|a| a != own && self.is_tier1_asn(a))
+        {
+            return false;
+        }
+        bits == 0 || self.extensions_accept(topo, at, Some(from), from_kind, bits, path)
+    }
+
     /// Evaluate the deployed extension set (`bits != 0`) at `at` against an
-    /// offered path. Runs after loop prevention and the tier-1 filter; the
-    /// order below is fixed and documented (DESIGN.md §4j). All checks are
+    /// offered path from `from`, which looks like `from_kind` from `at`.
+    /// Runs after loop prevention and the tier-1 filter; the order below
+    /// is fixed and documented (DESIGN.md §4j). All checks are
     /// allocation-free: each predicate re-scans a `Clone` of the virtual
     /// path iterator.
     fn extensions_accept<I>(
@@ -588,17 +658,13 @@ impl PolicyTable {
         topo: &Topology,
         at: AsIndex,
         from: Option<AsIndex>,
+        from_kind: NeighborKind,
         bits: u8,
         path: I,
     ) -> bool
     where
         I: Iterator<Item = Asn> + Clone,
     {
-        let from_kind = match from {
-            Some(f) => topo.relationship(at, f).unwrap_or(NeighborKind::Customer),
-            // Direct injection: the origin is a virtual customer.
-            None => NeighborKind::Customer,
-        };
         // 1. Enforce-first-AS: the nearest path element must identify the
         //    sending neighbor (the origin itself on direct injections).
         if bits & PolicyExtension::EnforceFirstAs.bit() != 0 {
@@ -799,6 +865,7 @@ pub fn compliance_of(chosen: &Route, candidates: &[&Route]) -> ComplianceFlags {
 mod tests {
     use super::*;
     use crate::route::LinkId;
+    use proptest::prelude::prop_assert_eq;
     use trackdown_topology::gen::{generate, TopologyConfig};
 
     fn table(violators: f64) -> (trackdown_topology::Topology, PolicyTable) {
@@ -930,6 +997,130 @@ mod tests {
         );
         // Salts should make at least some pair of ASes disagree.
         assert_ne!(t.tiebreak(AsIndex(0), &r), t.tiebreak(AsIndex(1), &r));
+    }
+
+    /// A random offered path from `from` to `at`, most-recent-first: the
+    /// sender (sometimes prepended), then elements every import check
+    /// reacts to — tier-1s, `at` itself, `at`'s neighbors, random
+    /// residents, an unknown ASN and poison sandwiches `[origin, victim,
+    /// origin]` — ending at the origin (or, rarely, a forged one).
+    fn random_offer(
+        topo: &Topology,
+        tier1s: &[Asn],
+        origin: Asn,
+        at: AsIndex,
+        from: AsIndex,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<Asn> {
+        let mut path = vec![topo.asn_of(from); rng.random_range(1..3usize)];
+        for _ in 0..rng.random_range(0..5usize) {
+            let asn = match rng.random_range(0..6u32) {
+                0 => tier1s[rng.random_range(0..tier1s.len())],
+                1 => topo.asn_of(at),
+                2 => {
+                    let adj = topo.neighbors(at);
+                    topo.asn_of(adj[rng.random_range(0..adj.len())].0)
+                }
+                3 => topo.asn_of(AsIndex(rng.random_range(0..topo.num_ases() as u32))),
+                4 => Asn(4_000_000_000),
+                _ => {
+                    path.push(origin);
+                    topo.asn_of(AsIndex(rng.random_range(0..topo.num_ases() as u32)))
+                }
+            };
+            path.push(asn);
+        }
+        path.push(if rng.random_range(0..8u32) == 0 {
+            Asn(4_000_000_001)
+        } else {
+            origin
+        });
+        path
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The engine's export check (flags byte and sender kind handed
+        /// in) equals the public `accepts_offer_iter` over random neighbor
+        /// pairs, paths and OTC bits, and `local_pref_with` equals
+        /// `local_pref`, across policy configs with violators,
+        /// loop-prevention immunity, tier-1 filtering on and off, and
+        /// every extension at fractions 0, 0.5 and 1.
+        #[test]
+        fn engine_export_check_equals_accepts_offer_iter(
+            topo_seed in 0u64..4,
+            violators in 0usize..3,
+            no_loop in 0usize..3,
+            tier1_filtering in proptest::prelude::any::<bool>(),
+            fractions in proptest::collection::vec(0usize..3, 7),
+            bias in 0usize..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            const FRACTIONS: [f64; 3] = [0.0, 0.5, 1.0];
+            let g = generate(&TopologyConfig::small(topo_seed));
+            let topo = &g.topology;
+            let cones = ConeInfo::compute(topo);
+            let origin = crate::origin::DEFAULT_ORIGIN_ASN;
+            let bias = [DeploymentBias::Uniform, DeploymentBias::Core, DeploymentBias::Stub][bias];
+            let cfg = PolicyConfig {
+                seed,
+                violator_fraction: FRACTIONS[violators],
+                no_loop_prevention_fraction: FRACTIONS[no_loop],
+                tier1_poison_filtering: tier1_filtering,
+                extensions: ExtensionConfig {
+                    origin_asn: origin,
+                    deployments: PolicyExtension::ALL
+                        .iter()
+                        .zip(&fractions)
+                        .map(|(&extension, &f)| ExtensionDeployment {
+                            extension,
+                            fraction: FRACTIONS[f],
+                            bias,
+                        })
+                        .collect(),
+                },
+            };
+            let t = PolicyTable::build(topo, &cones, &cfg);
+            let tier1s: Vec<Asn> = cones.tier1s().map(|i| topo.asn_of(i)).collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..200 {
+                let at = AsIndex(rng.random_range(0..topo.num_ases() as u32));
+                let adj = topo.neighbors(at);
+                if adj.is_empty() {
+                    continue;
+                }
+                let (from, from_kind_from_at) = adj[rng.random_range(0..adj.len())];
+                let path = random_offer(topo, &tier1s, origin, at, from, &mut rng);
+                let offered = if rng.random::<bool>() {
+                    CommunityBits::EMPTY.with_otc()
+                } else {
+                    CommunityBits::EMPTY
+                };
+                let flags = t.flags_of(at);
+                prop_assert_eq!(
+                    t.accepts_offer_from(
+                        topo,
+                        at,
+                        flags,
+                        (from, from_kind_from_at),
+                        offered,
+                        path.iter().copied(),
+                    ),
+                    t.accepts_offer_iter(topo, at, Some(from), offered, path.iter().copied()),
+                    "at {:?} from {:?} ({:?}) path {:?} otc {}",
+                    at,
+                    from,
+                    from_kind_from_at,
+                    path,
+                    offered.has_otc()
+                );
+                prop_assert_eq!(
+                    t.local_pref_with(flags, at, Some(from), from_kind_from_at),
+                    t.local_pref(at, Some(from), from_kind_from_at)
+                );
+            }
+        }
     }
 
     #[test]

@@ -36,9 +36,9 @@
 //! `localize` update per configuration instead of rescanning catchments.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use trackdown_bgp::{Catchments, LinkId};
 use trackdown_topology::analysis::{ccdf, summary_stats, SummaryStats};
+use trackdown_topology::fxhash::FxHashMap;
 use trackdown_topology::AsIndex;
 
 /// A partition of the tracked sources into indistinguishability clusters.
@@ -58,7 +58,7 @@ pub struct Clustering {
     num_clusters: u32,
     /// Derived: source → position in `sources` (first occurrence wins,
     /// matching the old `position()` scan).
-    index: HashMap<AsIndex, u32>,
+    index: FxHashMap<AsIndex, u32>,
     /// Derived CSR row offsets: cluster `c`'s members live at
     /// `members[offsets[c]..offsets[c + 1]]`. Length `num_clusters + 1`.
     offsets: Vec<u32>,
@@ -112,8 +112,8 @@ impl PartialEq for Clustering {
 
 impl Eq for Clustering {}
 
-fn build_index(sources: &[AsIndex]) -> HashMap<AsIndex, u32> {
-    let mut index = HashMap::with_capacity(sources.len());
+fn build_index(sources: &[AsIndex]) -> FxHashMap<AsIndex, u32> {
+    let mut index = FxHashMap::with_capacity_and_hasher(sources.len(), Default::default());
     for (k, &s) in sources.iter().enumerate() {
         index.entry(s).or_insert(k as u32);
     }
@@ -241,7 +241,7 @@ impl Clustering {
         let _span = trackdown_obs::span("cluster.refine");
         trackdown_obs::counter!("cluster.refines").inc();
         let old_num = self.num_clusters as usize;
-        let mut remap: HashMap<(u32, Option<LinkId>), u32> = HashMap::new();
+        let mut remap: FxHashMap<(u32, Option<LinkId>), u32> = FxHashMap::default();
         let mut parent_of: Vec<u32> = Vec::new();
         let mut link_of: Vec<Option<LinkId>> = Vec::new();
         let mut next = 0u32;
@@ -323,7 +323,7 @@ impl Clustering {
     /// Renumber cluster ids densely in first-appearance order (so two
     /// equal partitions compare equal regardless of construction path).
     pub fn normalize(&mut self) {
-        let mut remap: HashMap<u32, u32> = HashMap::new();
+        let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
         let mut next = 0u32;
         for a in &mut self.assignment {
             let id = *remap.entry(*a).or_insert_with(|| {

@@ -1,0 +1,104 @@
+//! Pins the FIFO drain's exact behaviour at the default policy.
+//!
+//! The default policy has policy violators, whose stable states depend on
+//! the order the drain processes events. Any change to the queue order,
+//! to a comparison, or to when a path is interned moves a violator
+//! somewhere in the schedule, and with it the event counts, the change
+//! log or a best route. Each test runs every configuration of a scenario
+//! through one [`CampaignSession`] and folds, per epoch, `events`,
+//! `rounds`, `changes.len()`, `routes_disturbed`, `converged` and every
+//! AS's best `(path_id, path_len, ingress, from_neighbor, local_pref,
+//! learned_from)` into one 64-bit FNV-1a fingerprint. Path ids are
+//! arena-interning order, so they pin the order of accepted exports too.
+//!
+//! The `internet` fingerprint is an `#[ignore]`d test; run it in release
+//! mode:
+//!
+//! ```text
+//! cargo test --release --test drain_exactness -- --ignored
+//! ```
+
+use std::hash::{Hash, Hasher};
+use trackdown_experiments::{Options, Scale, Scenario};
+use trackdown_suite::prelude::*;
+
+/// 64-bit FNV-1a over the bytes written.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Deploy every configuration of the seed-7 scenario at `scale` through
+/// one default-policy session; returns the number of configurations and
+/// the fingerprint of all epochs.
+fn fingerprint(scale: Scale) -> (usize, u64) {
+    let scenario = Scenario::build(Options {
+        scale,
+        seed: 7,
+        threads: Some(1),
+        ..Options::default()
+    });
+    let engine = BgpEngine::new(&scenario.gen.topology, &scenario.engine_cfg);
+    let mut session = engine.session();
+    let schedule = scenario.schedule();
+    let mut h = Fnv1a::new();
+    for cfg in &schedule {
+        let out = session
+            .deploy_config(
+                &scenario.origin,
+                &cfg.to_link_announcements(),
+                scenario.engine_cfg.max_events_factor,
+            )
+            .expect("generated schedules are valid");
+        h.write_u64(out.events as u64);
+        h.write_u32(out.rounds);
+        h.write_u64(out.changes.len() as u64);
+        h.write_u64(out.routes_disturbed as u64);
+        h.write_u8(out.converged as u8);
+        for best in &out.best {
+            match best {
+                None => h.write_u8(0),
+                Some(r) => {
+                    h.write_u8(1);
+                    r.path_id.hash(&mut h);
+                    h.write_u32(r.path_len);
+                    h.write_u8(r.ingress.0);
+                    h.write_u32(r.from_neighbor.map_or(0, |n| n.0 + 1));
+                    h.write_u32(r.local_pref);
+                    h.write_u8(r.learned_from as u8);
+                }
+            }
+        }
+    }
+    (schedule.len(), h.finish())
+}
+
+#[test]
+fn full_scale_drain_is_pinned() {
+    assert_eq!(fingerprint(Scale::Full), (511, FULL_FINGERPRINT));
+}
+
+#[test]
+#[ignore = "80k-AS campaign; run in release mode via CI's observability job"]
+fn internet_scale_drain_is_pinned() {
+    assert_eq!(fingerprint(Scale::Internet), (65, INTERNET_FINGERPRINT));
+}
+
+const FULL_FINGERPRINT: u64 = 1_388_190_762_873_754_945;
+const INTERNET_FINGERPRINT: u64 = 2_977_449_113_904_014_554;
