@@ -22,7 +22,7 @@ fn bench_fig34_campaign(c: &mut Criterion) {
     let origin = OriginAs::peering_style(&world, 4);
     // Violator-free policies: epoch reuse only engages where fixpoints
     // are history-independent (CampaignSession::warm_reuse), so this is
-    // the configuration in which the warm/cold ratio measures the
+    // the configuration in which the delta/cold ratio measures the
     // campaign-runner speedup rather than the violator fallback.
     let cfg = EngineConfig {
         policy: PolicyConfig {
@@ -40,7 +40,7 @@ fn bench_fig34_campaign(c: &mut Criterion) {
             max_poison_configs: Some(10),
         },
     );
-    // Default (warm-start epoch reuse) vs the cold-start reference oracle
+    // Default (delta epoch reuse) vs the cold-start reference oracle
     // on the same schedule — the ratio is the campaign-runner speedup.
     c.bench_function("fig3_4_campaign_small", |b| {
         b.iter(|| {
@@ -72,7 +72,7 @@ fn bench_fig34_campaign(c: &mut Criterion) {
 }
 
 // The paper-scale run: a full three-phase schedule (~705 configurations
-// at 7 PoPs) on the full 2000-AS topology, warm executor vs the cold
+// at 7 PoPs) on the full 2000-AS topology, default delta executor vs the cold
 // oracle. This is the headline number for the epoch-reuse runner.
 fn bench_full_campaign(c: &mut Criterion) {
     let world = generate(&TopologyConfig {

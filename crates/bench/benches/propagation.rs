@@ -58,9 +58,10 @@ fn bench_propagation(c: &mut Criterion) {
     group.finish();
 }
 
-// Warm-start epoch transitions: one persistent session alternating between
-// two configurations, against the cold-start cost of the same pair. The
-// warm path only reprocesses the routes the edit actually disturbs.
+// Delta epoch transitions: one persistent default-mode session alternating
+// between two configurations, against the cold-start cost of the same
+// pair. A delta epoch seeds only the providers whose announcement changed
+// and reprocesses only the routes the edit actually disturbs.
 fn bench_warm_epochs(c: &mut Criterion) {
     let world = generate(&TopologyConfig::medium(1));
     let origin = OriginAs::peering_style(&world, 5);

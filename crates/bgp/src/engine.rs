@@ -431,9 +431,9 @@ impl<'t> BgpEngine<'t> {
     }
 
     /// Open a persistent [`CampaignSession`] under the default
-    /// [`CampaignMode::Warm`] reuse policy.
+    /// [`CampaignMode::Delta`] reuse policy.
     pub fn session(&self) -> CampaignSession<'_, 't> {
-        self.session_with(CampaignMode::Warm)
+        self.session_with(CampaignMode::Delta)
     }
 
     /// Open a persistent [`CampaignSession`] with empty RIBs (nothing
@@ -443,7 +443,7 @@ impl<'t> BgpEngine<'t> {
             sim: Simulation::new(self),
             mode,
             deployed: false,
-            warm_reuse: mode != CampaignMode::Cold && self.policy.num_violators() == 0,
+            warm_reuse: mode == CampaignMode::Delta && self.policy.num_violators() == 0,
             deployments: 0,
             cold_restarts: 0,
             last_cold_start: None,
@@ -469,16 +469,14 @@ fn record_outcome_metrics(outcome: &RoutingOutcome) {
 /// identical to a fresh cold start of the same configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CampaignMode {
-    /// Warm-start epoch reuse: each deployment is applied as an epoch
-    /// transition on top of the previous converged state, replacing
-    /// every direct route and draining a FIFO activation queue.
-    Warm,
     /// Cold start: every deployment propagates from empty RIBs — the
-    /// oracle the differential tests compare the other policies against.
+    /// oracle the differential tests compare [`CampaignMode::Delta`]
+    /// against.
     Cold,
-    /// Delta propagation: like [`CampaignMode::Warm`], but each epoch
-    /// diffs the incoming injections against the previous ones, seeds
-    /// only providers whose injection changed, and propagates with
+    /// Delta propagation (the default): each deployment is applied as an
+    /// epoch transition on top of the previous converged state. The
+    /// epoch diffs the incoming injections against the previous ones,
+    /// seeds only providers whose injection changed, and propagates with
     /// rank-ordered scheduling ([`PropagationRanks`]) — epoch cost tracks
     /// routes actually disturbed instead of topology size.
     Delta,
@@ -493,22 +491,22 @@ pub enum ColdStart {
     /// The engine has policy violators, so the session never reuses
     /// state (see [`CampaignSession`]).
     ViolatorGate,
-    /// The warm transition hit the event cap and was redone cold, or a
-    /// delta epoch followed a predecessor that ended capped.
+    /// The delta transition hit the event cap and was redone cold, or it
+    /// followed a predecessor that ended capped.
     EventCap,
     /// The session is a [`CampaignMode::Cold`] one.
     ColdMode,
 }
 
-/// A persistent deployment session over one engine: the first deployment
-/// cold-starts, every later one is applied as an epoch transition on top
-/// of the previous converged state — what a real origin does when it
-/// reconfigures announcements on a live prefix. The [`CampaignMode`]
-/// fixed at [`BgpEngine::session_with`] decides how a transition is
-/// seeded (warm or delta) or whether state is reused at all (cold).
+/// A persistent deployment session over one engine. In
+/// [`CampaignMode::Delta`] the first deployment cold-starts, and every
+/// later one is applied as a delta transition on top of the previous
+/// converged state — what a real origin does when it reconfigures
+/// announcements on a live prefix. A [`CampaignMode::Cold`] session
+/// reuses no state at all.
 ///
 /// Path-vector fixpoints under Gao-Rexford-compliant policies are unique
-/// (the stable-paths problem is safe), so the warm state converges to
+/// (the stable-paths problem is safe), so the delta state converges to
 /// exactly the cold-start state of each configuration: `best` and
 /// `candidates` (and hence catchments) are identical to
 /// [`BgpEngine::propagate_config`] for the same announcements. The
@@ -580,12 +578,10 @@ impl<'e, 't> CampaignSession<'e, 't> {
 
     /// Deploy a set of injections, replacing whatever is currently
     /// announced, and run to fixpoint. The epoch reuses the previous
-    /// state when the policy allows it; a [`CampaignMode::Delta`] epoch
-    /// additionally requires the previous run to have converged, since a
+    /// state when the policy allows it and the previous run converged: a
     /// capped predecessor leaves stranded FIFO queue entries whose
     /// `in_queue` marks the rank-bucket scheduler would never clear,
-    /// silently freezing those ASes for the epoch. (The plain warm path
-    /// is immune — it keeps draining the same FIFO.)
+    /// silently freezing those ASes for the epoch.
     fn deploy(
         &mut self,
         injections: &[Injection],
@@ -594,14 +590,13 @@ impl<'e, 't> CampaignSession<'e, 't> {
     ) -> RoutingOutcome {
         let mut span = trackdown_obs::span("bgp.deploy");
         self.deployments += 1;
-        let delta = self.mode == CampaignMode::Delta;
         let mut cold_start = if self.mode == CampaignMode::Cold {
             Some(ColdStart::ColdMode)
         } else if !self.deployed {
             Some(ColdStart::First)
         } else if !self.warm_reuse {
             Some(ColdStart::ViolatorGate)
-        } else if delta && !self.sim.converged {
+        } else if !self.sim.converged {
             Some(ColdStart::EventCap)
         } else {
             None
@@ -613,18 +608,13 @@ impl<'e, 't> CampaignSession<'e, 't> {
         let mut seeds = 0;
         if warm {
             self.sim.begin_epoch();
-            if delta {
-                self.sim.ensure_ranks();
-                self.sim.ranked = true;
-                let prev = std::mem::take(&mut self.last_injections);
-                let mut seed_span = trackdown_obs::span("bgp.delta_seed");
-                seeds = self.sim.replace_injections_delta(&prev, injections);
-                seed_span.set_attr("seeds", seeds as u64);
-                self.last_injections = prev;
-            } else {
-                self.sim.converged = true;
-                self.sim.replace_injections(injections);
-            }
+            self.sim.ensure_ranks();
+            self.sim.ranked = true;
+            let prev = std::mem::take(&mut self.last_injections);
+            let mut seed_span = trackdown_obs::span("bgp.delta_seed");
+            seeds = self.sim.replace_injections_delta(&prev, injections);
+            seed_span.set_attr("seeds", seeds as u64);
+            self.last_injections = prev;
         } else {
             self.sim.apply_injections(injections);
             self.deployed = true;
@@ -647,7 +637,7 @@ impl<'e, 't> CampaignSession<'e, 't> {
             self.deployed = true;
             self.sim.run(max_events_factor);
         }
-        if warm && delta {
+        if warm {
             // Recorded only for delta runs that were kept: a discarded
             // (cold-restarted) frontier must not skew the soundness
             // evidence these counters feed.
@@ -656,9 +646,7 @@ impl<'e, 't> CampaignSession<'e, 't> {
             trackdown_obs::counter!("bgp.delta.disturbed").add(self.sim.routes_disturbed() as u64);
         }
         span.set_attr("warm", warm as u64);
-        if delta {
-            span.set_attr("seeds", seeds as u64);
-        }
+        span.set_attr("seeds", seeds as u64);
         span.set_attr("events", self.sim.events as u64);
         self.last_injections.clear();
         self.last_injections.extend_from_slice(injections);
@@ -695,7 +683,7 @@ impl<'e, 't> CampaignSession<'e, 't> {
         self.deployments
     }
 
-    /// Warm epochs that hit the event cap and were redone cold.
+    /// Delta epochs that hit the event cap and were redone cold.
     pub fn cold_restarts(&self) -> usize {
         self.cold_restarts
     }

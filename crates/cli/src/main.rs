@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! trackdown topology  [--scale S] [--seed N] [--out FILE]   # export as-rel
-//! trackdown campaign  [--scale S] [--seed N] [--measured] [--cold | --delta] [--threads N] --out FILE
+//! trackdown campaign  [--scale S] [--seed N] [--measured] [--cold] [--threads N] --out FILE
 //!                     [--metrics-out FILE] [--metrics-deterministic]
 //! trackdown info      --dataset FILE
 //! trackdown localize  --dataset FILE --attacker ASN [--attacker ASN ...]
@@ -19,9 +19,7 @@ use trackdown_core::dataset::Dataset;
 use trackdown_core::hijack::all_impacts;
 use trackdown_core::localize::Campaign;
 use trackdown_core::report::render_table;
-use trackdown_experiments::{
-    mode_label, parse_defense, parse_mode, report_stats, Options, Scale, Scenario,
-};
+use trackdown_experiments::{mode_label, report_stats, Options, Scenario};
 use trackdown_topology::serfmt::{to_as_rel, to_dot};
 use trackdown_topology::Asn;
 
@@ -32,13 +30,13 @@ fn usage() -> ExitCode {
 USAGE:
   trackdown topology  [--scale small|medium|full|large|internet] [--seed N] [--format as-rel|dot] [--out FILE]
   trackdown campaign  [--scale small|medium|full|large|internet] [--seed N] [--measured]
-                      [--cold | --delta] [--threads N] --out FILE [--metrics-out FILE]
+                      [--cold] [--threads N] --out FILE [--metrics-out FILE]
                       [--metrics-deterministic] [--defense NAME=FRACTION[:BIAS]]...
   trackdown info      --dataset FILE
   trackdown localize  --dataset FILE --attacker ASN [--attacker ASN ...] [--volume BYTES]
   trackdown hijack    --dataset FILE [--config K]
   trackdown validate-manifest --manifest FILE
-  trackdown profile   [--scale S] [--seed N] [--measured] [--cold | --delta] [--threads N]
+  trackdown profile   [--scale S] [--seed N] [--measured] [--cold] [--threads N]
                       [--trace-out FILE]
 
 --defense deploys a routing-security policy extension (rov, peer-rov,
@@ -61,52 +59,43 @@ Set TRACKDOWN_SPANS=1 to stream span timings to stderr."
     ExitCode::from(2)
 }
 
-/// Boolean flags: present or absent, no value.
-const BOOL_FLAGS: &[&str] = &["--measured", "--cold", "--delta", "--metrics-deterministic"];
-
-/// Flags that take one value. Every command reads a subset of these; a
-/// flag on neither list is rejected, so a typo or a flag left over from
-/// an older release fails loudly instead of being ignored.
-const VALUE_FLAGS: &[&str] = &[
-    "--attacker",
-    "--config",
-    "--dataset",
-    "--defense",
-    "--format",
-    "--manifest",
-    "--metrics-out",
-    "--out",
-    "--scale",
-    "--seed",
-    "--threads",
-    "--trace-out",
-    "--volume",
+/// The CLI's own flags, each taking one value (the `=` suffix is how
+/// [`Options::parse`] marks a flag to skip with its operand). Everything
+/// else is a shared campaign flag, parsed by `Options::parse` alone; a
+/// flag neither knows is rejected, so a typo or a flag left over from an
+/// older release fails loudly instead of being ignored.
+const CLI_FLAGS: &[&str] = &[
+    "--attacker=",
+    "--config=",
+    "--dataset=",
+    "--format=",
+    "--manifest=",
+    "--out=",
+    "--trace-out=",
+    "--volume=",
 ];
 
-/// Minimal flag parser: returns (flags with values, boolean flags).
+/// A command line: the CLI's own flag values and the shared options.
 struct Args {
     values: Vec<(String, String)>,
-    flags: Vec<String>,
+    options: Options,
 }
 
 impl Args {
     fn parse(args: &[String]) -> Result<Args, String> {
+        let options = Options::parse(args, CLI_FLAGS)?;
         let mut values = Vec::new();
-        let mut flags = Vec::new();
-        let mut args = args.iter();
-        while let Some(a) = args.next() {
-            if BOOL_FLAGS.contains(&a.as_str()) {
-                flags.push(a.clone());
-            } else if VALUE_FLAGS.contains(&a.as_str()) {
-                let v = args.next().ok_or_else(|| format!("{a} needs a value"))?;
+        let mut rest = args.iter();
+        while let Some(a) = rest.next() {
+            if CLI_FLAGS
+                .iter()
+                .any(|f| f.strip_suffix('=') == Some(a.as_str()))
+            {
+                let v = rest.next().ok_or_else(|| format!("{a} needs a value"))?;
                 values.push((a.clone(), v.clone()));
-            } else if a.starts_with("--") {
-                return Err(format!("unknown flag {a}"));
-            } else {
-                return Err(format!("unexpected argument {a:?}"));
             }
         }
-        Ok(Args { values, flags })
+        Ok(Args { values, options })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -124,43 +113,10 @@ impl Args {
             .map(|(_, v)| v.as_str())
             .collect()
     }
-
-    fn has(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-
-    fn options(&self) -> Result<Options, String> {
-        let mut opts = Options::default();
-        let bad = |flag: &str, v: &str| format!("bad {flag} value: {v}");
-        if let Some(s) = self.get("--scale") {
-            opts.scale = Scale::parse(s).ok_or_else(|| bad("--scale", s))?;
-        }
-        if let Some(s) = self.get("--seed") {
-            opts.seed = s.parse().map_err(|_| bad("--seed", s))?;
-        }
-        opts.measured = self.has("--measured");
-        opts.mode = parse_mode(self.has("--cold"), self.has("--delta"))?;
-        if let Some(s) = self.get("--threads") {
-            opts.threads = Some(
-                s.parse()
-                    .ok()
-                    .filter(|&v| v >= 1)
-                    .ok_or_else(|| bad("--threads", s))?,
-            );
-        }
-        opts.metrics_out = self.get("--metrics-out").map(str::to_string);
-        opts.metrics_deterministic = self.has("--metrics-deterministic");
-        for d in self.get_all("--defense") {
-            opts.defenses
-                .push(parse_defense(d).ok_or_else(|| bad("--defense", d))?);
-        }
-        Ok(opts)
-    }
 }
 
 fn cmd_topology(args: &Args) -> Result<(), String> {
-    let opts = args.options()?;
-    let scenario = Scenario::build(opts);
+    let scenario = Scenario::build(args.options.clone());
     let text = match args.get("--format").unwrap_or("as-rel") {
         "as-rel" => to_as_rel(&scenario.gen.topology),
         "dot" => to_dot(&scenario.gen.topology),
@@ -185,9 +141,8 @@ fn cmd_topology(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
-    let opts = args.options()?;
     let out_path = args.get("--out").ok_or("campaign requires --out FILE")?;
-    let scenario = Scenario::build(opts);
+    let scenario = Scenario::build(args.options.clone());
     scenario.announce();
     let campaign = scenario.run();
     report_stats(&campaign);
@@ -369,9 +324,8 @@ fn cmd_hijack(args: &Args) -> Result<(), String> {
 /// trace-event JSON, and print the self-profile summary — per-phase
 /// exclusive/inclusive time and per-worker utilization.
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    let opts = args.options()?;
     let trace_out = args.get("--trace-out").unwrap_or("trace.json").to_string();
-    let scenario = Scenario::build(opts);
+    let scenario = Scenario::build(args.options.clone());
     scenario.announce();
     trackdown_obs::start_trace(trackdown_obs::TraceConfig::default());
     let campaign = scenario.run_recorded(None);
@@ -468,16 +422,19 @@ mod tests {
             "x.json",
         ]))
         .unwrap();
-        assert_eq!(a.get("--scale"), Some("small"));
-        assert_eq!(a.get("--seed"), Some("9"));
         assert_eq!(a.get("--out"), Some("x.json"));
-        assert!(a.has("--measured"));
-        let opts = a.options().unwrap();
-        assert_eq!(opts.seed, 9);
-        assert!(opts.measured);
-        assert_eq!(opts.mode, trackdown_core::localize::CampaignMode::Warm);
-        let delta = Args::parse(&argv(&["--delta"])).unwrap().options().unwrap();
-        assert_eq!(delta.mode, trackdown_core::localize::CampaignMode::Delta);
+        assert_eq!(a.options.scale, trackdown_experiments::Scale::Small);
+        assert_eq!(a.options.seed, 9);
+        assert!(a.options.measured);
+        assert_eq!(
+            a.options.mode,
+            trackdown_core::localize::CampaignMode::Delta
+        );
+        let cold = Args::parse(&argv(&["--cold"])).unwrap();
+        assert_eq!(
+            cold.options.mode,
+            trackdown_core::localize::CampaignMode::Cold
+        );
     }
 
     #[test]
@@ -485,11 +442,18 @@ mod tests {
         assert!(Args::parse(&argv(&["positional"])).is_err());
         let err = Args::parse(&argv(&["--out"])).err().unwrap(); // missing value
         assert!(err.contains("--out"), "{err}");
-        let a = Args::parse(&argv(&["--scale", "bogus"])).unwrap();
-        assert!(a.options().is_err());
-        let a = Args::parse(&argv(&["--cold", "--delta"])).unwrap();
-        let err = a.options().unwrap_err();
-        assert!(err.contains("exclusive"), "{err}");
+        let err = Args::parse(&argv(&["--scale", "bogus"])).err().unwrap();
+        assert!(err.contains("--scale"), "{err}");
+    }
+
+    #[test]
+    fn args_reject_the_removed_delta_flag_by_name() {
+        // Delta is the default reuse mode; the flag that once selected it
+        // is gone and fails like any other unknown flag.
+        let err = Args::parse(&argv(&["--scale", "small", "--delta"]))
+            .err()
+            .unwrap();
+        assert!(err.contains("--delta"), "{err}");
     }
 
     #[test]
@@ -509,12 +473,8 @@ mod tests {
         assert!(err.contains("--sketch"), "{err}");
         let err = Args::parse(&argv(&["--measurd"])).err().unwrap();
         assert!(err.contains("--measurd"), "{err}");
-        // Every flag a command reads is on exactly one of the lists.
-        for flag in BOOL_FLAGS {
-            assert!(!VALUE_FLAGS.contains(flag), "{flag} on both lists");
-            assert!(Args::parse(&argv(&[flag])).unwrap().has(flag));
-        }
-        for flag in VALUE_FLAGS {
+        // Every CLI flag reaches the command with its value.
+        for flag in CLI_FLAGS.iter().filter_map(|f| f.strip_suffix('=')) {
             assert_eq!(
                 Args::parse(&argv(&[flag, "v"])).unwrap().get(flag),
                 Some("v")
@@ -529,6 +489,10 @@ mod tests {
             "AS1",
             "--attacker",
             "AS2",
+            "--out",
+            "a.json",
+            "--out",
+            "b.json",
             "--seed",
             "1",
             "--seed",
@@ -536,7 +500,8 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(a.get_all("--attacker"), vec!["AS1", "AS2"]);
-        assert_eq!(a.get("--seed"), Some("2"));
+        assert_eq!(a.get("--out"), Some("b.json"));
+        assert_eq!(a.options.seed, 2);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::cluster::{ClusterSplit, Clustering, RefineDelta};
 use crate::config::{AnnouncementConfig, ConfigError};
 use crate::schedule::warm_start_order;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use trackdown_bgp::{
     BgpEngine, Catchments, ColdStart, LinkId, OriginAs, OriginError, SnapshotDetail,
 };
@@ -37,13 +36,9 @@ pub enum CatchmentSource<'p> {
 pub struct CampaignStats {
     /// The routing sessions' reuse policy.
     pub mode: CampaignMode,
-    /// Fixpoint computations actually run (≤ number of configurations
-    /// when the memo cache hits).
+    /// Fixpoint computations run: one per configuration.
     pub propagations: usize,
-    /// Configurations served from the footprint memo cache without
-    /// touching the engine.
-    pub memo_hits: usize,
-    /// Warm epochs that hit the event cap and were redone cold.
+    /// Delta epochs that hit the event cap and were redone cold.
     pub cold_restarts: usize,
     /// Deployed epochs that reused no routing state, whatever the cause:
     /// a worker's first deployment, the violator gate, an event-cap
@@ -56,25 +51,25 @@ pub struct CampaignStats {
     /// Worker threads used.
     pub threads: usize,
     /// High-water node count of the interned path arena (max over
-    /// workers): the steady-state memory footprint of warm reuse.
+    /// workers): the steady-state memory footprint of a routing session.
     pub peak_arena_nodes: usize,
     /// Sum over deployed epochs of the ASes whose best route differs from
-    /// the previous epoch's fixpoint (memo hits contribute 0) — the
-    /// workload [`CampaignMode::Delta`] makes epoch cost proportional to.
+    /// the previous epoch's fixpoint — the workload
+    /// [`CampaignMode::Delta`] makes epoch cost proportional to.
     pub routes_disturbed: usize,
     /// Total propagation events (per-AS decide/export activations) across
     /// every deployed epoch. Deterministic for a fixed scenario and mode,
-    /// so warm/delta event ratios are comparable across machines — the
-    /// work-unit metric the bench snapshot's `delta_speedup` reports.
+    /// so delta/cold event ratios are comparable across machines — the
+    /// work-unit metric `tests/pipeline_gates.rs` pins and trackbench
+    /// reports as `bgp.events`.
     pub events: usize,
 }
 
 impl Default for CampaignStats {
     fn default() -> CampaignStats {
         CampaignStats {
-            mode: CampaignMode::Warm,
+            mode: CampaignMode::Delta,
             propagations: 0,
-            memo_hits: 0,
             cold_restarts: 0,
             cold_epochs: 0,
             cold_causes: ColdEpochs::default(),
@@ -94,8 +89,8 @@ pub struct ColdEpochs {
     pub first: usize,
     /// The engine has policy violators, so no epoch reuses state.
     pub violator_gate: usize,
-    /// Warm epochs that hit the event cap and were redone cold, and delta
-    /// epochs whose predecessor ended capped.
+    /// Delta epochs that hit the event cap and were redone cold, or whose
+    /// predecessor ended capped.
     pub event_cap: usize,
     /// Every epoch of a [`CampaignMode::Cold`] campaign.
     pub cold_mode: usize,
@@ -273,12 +268,12 @@ pub struct Campaign {
     pub records: Vec<ConfigRecord>,
     /// Visibility-imputation statistics (measured campaigns only).
     pub imputation: Option<ImputationStats>,
-    /// Executor counters (mode, propagations, memo hits).
+    /// Executor counters (mode, propagations, cold starts).
     pub stats: CampaignStats,
 }
 
 /// Options of one [`run_campaign`] call. The default is a one-thread
-/// [`CampaignMode::Warm`] campaign over control-plane catchments, with
+/// [`CampaignMode::Delta`] campaign over control-plane catchments, with
 /// the engine's default event cap and no recorder.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignOpts<'a> {
@@ -301,7 +296,7 @@ impl Default for CampaignOpts<'_> {
     fn default() -> Self {
         CampaignOpts {
             source: CatchmentSource::ControlPlane,
-            mode: CampaignMode::Warm,
+            mode: CampaignMode::Delta,
             threads: 1,
             recorder: None,
             max_events_factor: 200,
@@ -358,22 +353,18 @@ impl std::error::Error for CampaignError {}
 /// The schedule splits into `opts.threads` contiguous chunks — the
 /// simulation analog of the paper's §V-C speed-up of deploying
 /// configurations concurrently on several prefixes. Each worker owns one
-/// routing session in `opts.mode` and a footprint memo, and deploys its
-/// chunk in [`warm_start_order`] (schedule order for
-/// [`CampaignMode::Cold`]); the calling thread works the first chunk
-/// itself, so a one-thread campaign spawns nothing. Results are stored
-/// by schedule index and clustering refines in schedule order, so the
-/// campaign — catchments, tracked set, clusters, records — is identical
-/// for every mode and thread count: each deployment's outcome is its
-/// configuration's cold-start fixpoint (sessions cold-start internally
-/// on violator engines, where fixpoints are history-dependent), the memo
-/// only replays identical footprints, and the observation plane salts
-/// its noise by schedule index. Only `stats` and the per-epoch recorder
-/// counters describe the executor shape: memo hits never cross chunks,
-/// and each worker warm-starts its own chain.
-///
-/// The memo is off for measured campaigns: duplicate footprints still
-/// measure differently under index-salted noise.
+/// routing session in `opts.mode` and deploys its chunk in
+/// [`warm_start_order`] when the session reuses state, in schedule order
+/// otherwise; the calling thread works the first chunk itself, so a
+/// one-thread campaign spawns nothing. Results are stored by schedule
+/// index and clustering refines in schedule order, so the campaign —
+/// catchments, tracked set, clusters, records — is identical for every
+/// mode and thread count: each deployment's outcome is its
+/// configuration's cold-start fixpoint (sessions cold-start internally on
+/// violator engines, where fixpoints are history-dependent), and the
+/// observation plane salts its noise by schedule index. Only `stats` and
+/// the per-epoch recorder counters describe the executor shape: each
+/// worker chains its own delta epochs.
 ///
 /// # Errors
 /// [`CampaignError`] for an empty schedule or a configuration the origin
@@ -428,7 +419,6 @@ pub fn run_campaign(
         measured.extend(out.measured);
         converged.extend(out.converged);
         stats.propagations += out.stats.propagations;
-        stats.memo_hits += out.stats.memo_hits;
         stats.cold_restarts += out.stats.cold_restarts;
         stats.cold_epochs += out.stats.cold_epochs;
         stats.cold_causes.add(out.stats.cold_causes);
@@ -479,56 +469,30 @@ fn run_chunk(
     base: usize,
     chunk: &[AnnouncementConfig],
 ) -> ChunkOutput {
-    let mode = opts.mode;
-    let order: Vec<usize> = match mode {
-        CampaignMode::Warm | CampaignMode::Delta => warm_start_order(chunk),
-        CampaignMode::Cold => (0..chunk.len()).collect(),
+    let mut session = engine.session_with(opts.mode);
+    // Deployment order only matters when epochs chain off each other.
+    let order: Vec<usize> = if session.warm_reuse() {
+        warm_start_order(chunk)
+    } else {
+        (0..chunk.len()).collect()
     };
     // Only measured campaigns read path contents (BGP feed collection),
     // and nothing here reads candidate RIBs; ground truth gets the cheap
-    // Catchments-detail snapshot. Duplicate footprints have identical
-    // fixpoints, so ground truth memoizes them.
-    let (detail, memoize) = match opts.source {
-        CatchmentSource::Measured(_) => (SnapshotDetail::Paths, false),
-        _ => (SnapshotDetail::Catchments, mode != CampaignMode::Cold),
+    // Catchments-detail snapshot.
+    let detail = match opts.source {
+        CatchmentSource::Measured(_) => SnapshotDetail::Paths,
+        _ => SnapshotDetail::Catchments,
     };
-    let mut session = engine.session_with(mode);
-    let mut memo: HashMap<String, usize> = HashMap::new();
     let mut truth: Vec<Option<Catchments>> = vec![None; chunk.len()];
     let mut measured: Vec<Option<MeasuredCatchments>> = (0..chunk.len()).map(|_| None).collect();
     let mut converged = vec![false; chunk.len()];
     let mut stats = CampaignStats::default();
-    // Delta mode patches control-plane catchments from the epoch change
-    // log instead of re-extracting: the last *deployed* (not
-    // memo-replayed) epoch is the patch base.
+    // Delta epochs patch control-plane catchments from the epoch change
+    // log instead of re-extracting: the previous epoch is the patch base.
     let mut last_deployed: Option<usize> = None;
     for &off in &order {
         let cfg = &chunk[off];
         let epoch = base + off;
-        if memoize {
-            let key = cfg.footprint_key();
-            if let Some(&j) = memo.get(&key) {
-                stats.memo_hits += 1;
-                truth[off] = truth[j].clone();
-                converged[off] = converged[j];
-                if let Some(rec) = opts.recorder {
-                    rec.record(EpochRecord {
-                        epoch,
-                        footprint: key,
-                        mode: EpochMode::Memo,
-                        thread,
-                        events: 0,
-                        rounds: 0,
-                        changes: 0,
-                        routes_disturbed: 0,
-                        converged: converged[off],
-                        wall_us: None,
-                    });
-                }
-                continue;
-            }
-            memo.insert(key, off);
-        }
         let _span = trackdown_obs::span("worker.epoch").attr("epoch", epoch as u64);
         let timer = opts.recorder.and_then(|r| r.start_timer());
         let outcome = session
@@ -545,10 +509,10 @@ fn run_chunk(
             rec.record(EpochRecord {
                 epoch,
                 footprint: cfg.footprint_key(),
-                mode: match (warm, mode) {
-                    (false, _) => EpochMode::Cold,
-                    (true, CampaignMode::Delta) => EpochMode::Delta,
-                    (true, _) => EpochMode::Warm,
+                mode: if warm {
+                    EpochMode::Delta
+                } else {
+                    EpochMode::Cold
                 },
                 thread,
                 events: outcome.events,
@@ -576,7 +540,7 @@ fn run_chunk(
                 // A delta epoch's change log lists exactly the ASes whose
                 // best route moved, so the previous catchments patch
                 // forward in O(changes).
-                let base = last_deployed.filter(|_| warm && mode == CampaignMode::Delta);
+                let base = last_deployed.filter(|_| warm);
                 truth[off] = Some(match base {
                     Some(j) => {
                         let mut c = truth[j].clone().expect("deployed epoch extracted");
@@ -620,7 +584,6 @@ fn assemble_campaign(
     let _span = trackdown_obs::span("campaign.cluster");
     trackdown_obs::counter!("campaign.runs").inc();
     trackdown_obs::counter!("campaign.propagations").add(stats.propagations as u64);
-    trackdown_obs::counter!("campaign.memo_hits").add(stats.memo_hits as u64);
     trackdown_obs::counter!("campaign.cold_restarts").add(stats.cold_restarts as u64);
     trackdown_obs::counter!("campaign.cold_epochs").add(stats.cold_epochs as u64);
     let causes = stats.cold_causes;

@@ -181,10 +181,10 @@ fn differing_entries<V: PartialEq>(
 /// baseline), ties broken toward the lowest index. Returns a permutation
 /// of `0..configs.len()`.
 ///
-/// The executor deploys each configuration as an epoch transition from
-/// its predecessor, so chaining small edits keeps transition churn low;
-/// duplicate footprints (distance 0) become adjacent, where they are
-/// no-op epochs or memo hits.
+/// A delta session deploys each configuration as an epoch transition
+/// from its predecessor, so chaining small edits keeps transition churn
+/// low; duplicate footprints (distance 0) become adjacent, where they
+/// are no-op epochs.
 pub fn warm_start_order(configs: &[AnnouncementConfig]) -> Vec<usize> {
     let _span =
         trackdown_obs::span("schedule.warm_start_order").attr("configs", configs.len() as u64);

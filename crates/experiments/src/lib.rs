@@ -21,8 +21,8 @@
 //! Internet, not PEERING + RouteViews + Atlas); the *shapes* are the
 //! reproduction target. Every binary accepts `--scale
 //! small|medium|full|large|internet` (default `full`), `--seed <u64>`,
-//! `--cold` or `--delta` (the routing sessions' reuse policy; warm by
-//! default) and `--threads <n>`. The `internet` scale loads a real
+//! `--cold` (cold-start every configuration instead of the default delta
+//! reuse) and `--threads <n>`. The `internet` scale loads a real
 //! CAIDA `as-rel` snapshot from the path in `TRACKDOWN_AS_REL` when that
 //! variable is set, and falls back to a deterministic 80 000-AS
 //! power-law graph otherwise.
@@ -107,10 +107,10 @@ pub struct Options {
     /// only feed/probe-visible sources enter the analysis.
     pub measured: bool,
     /// How each routing session reuses state between configurations:
-    /// warm-start epoch reuse by default, `--cold` to cold-start every
-    /// configuration (the slower reference oracle), `--delta` to seed
-    /// only changed providers in customer-cone rank order. Results are
-    /// identical in every mode (enforced by `tests/delta_differential.rs`).
+    /// delta reuse by default (seed only changed providers, in
+    /// customer-cone rank order), `--cold` to cold-start every
+    /// configuration (the slower reference oracle). Results are identical
+    /// in both modes (enforced by `tests/delta_differential.rs`).
     pub mode: CampaignMode,
     /// Worker-thread override (`--threads`). Defaults to the machine's
     /// available parallelism. Results are thread-count-invariant; this
@@ -134,7 +134,7 @@ impl Default for Options {
             scale: Scale::Full,
             seed: 0x5eed_0001,
             measured: false,
-            mode: CampaignMode::Warm,
+            mode: CampaignMode::Delta,
             threads: None,
             metrics_out: None,
             metrics_deterministic: false,
@@ -197,7 +197,6 @@ impl Options {
     /// does. Errors name the offending argument.
     pub fn parse(args: &[String], ignore: &[&str]) -> Result<Options, String> {
         let mut opts = Options::default();
-        let (mut cold, mut delta) = (false, false);
         let mut i = 0;
         while i < args.len() {
             let flag = args[i].as_str();
@@ -226,8 +225,7 @@ impl Options {
                     opts.seed = v.parse().map_err(|_| bad(v))?;
                 }
                 "--measured" => opts.measured = true,
-                "--cold" => cold = true,
-                "--delta" => delta = true,
+                "--cold" => opts.mode = CampaignMode::Cold,
                 "--threads" => {
                     let v = value()?;
                     opts.threads = Some(v.parse().ok().filter(|&s| s >= 1).ok_or_else(|| bad(v))?);
@@ -243,26 +241,13 @@ impl Options {
             }
             i += 1;
         }
-        opts.mode = parse_mode(cold, delta)?;
         Ok(opts)
-    }
-}
-
-/// The session reuse policy selected by the `--cold` / `--delta` flags.
-/// The two are exclusive: each names a different policy.
-pub fn parse_mode(cold: bool, delta: bool) -> Result<CampaignMode, String> {
-    match (cold, delta) {
-        (true, true) => Err("--cold and --delta are exclusive".into()),
-        (true, false) => Ok(CampaignMode::Cold),
-        (false, true) => Ok(CampaignMode::Delta),
-        (false, false) => Ok(CampaignMode::Warm),
     }
 }
 
 /// The lowercase mode name used by manifests and `obs` events.
 pub fn mode_label(mode: CampaignMode) -> &'static str {
     match mode {
-        CampaignMode::Warm => "warm",
         CampaignMode::Cold => "cold",
         CampaignMode::Delta => "delta",
     }
@@ -271,7 +256,7 @@ pub fn mode_label(mode: CampaignMode) -> &'static str {
 fn usage() -> ! {
     eprintln!(
         "usage: <experiment> [--scale small|medium|full|large|internet] [--seed <u64>] \
-         [--measured] [--cold | --delta] [--threads <n>] \
+         [--measured] [--cold] [--threads <n>] \
          [--metrics-out FILE] [--metrics-deterministic] \
          [--defense <name>=<fraction>[:<bias>]]...\n\
          defenses: rov, peer-rov, aspa, peerlock-lite, only-to-customers, \
@@ -577,7 +562,6 @@ pub fn report_stats(campaign: &Campaign) {
         configs = campaign.configs.len(),
         tracked = campaign.tracked.len(),
         propagations = campaign.stats.propagations,
-        memo_hits = campaign.stats.memo_hits,
         cold_restarts = campaign.stats.cold_restarts,
         threads = campaign.stats.threads,
         mean_cluster_size = format!("{:.3}", campaign.clustering.mean_size())
@@ -714,7 +698,7 @@ mod tests {
                 "small",
                 "--seed",
                 "9",
-                "--delta",
+                "--cold",
                 "--threads",
                 "3",
                 "--check",
@@ -724,11 +708,9 @@ mod tests {
         .expect("valid flags");
         assert_eq!(opts.scale, Scale::Small);
         assert_eq!(opts.seed, 9);
-        assert_eq!(opts.mode, CampaignMode::Delta);
+        assert_eq!(opts.mode, CampaignMode::Cold);
         assert_eq!(opts.threads, Some(3));
-        let cold = Options::parse(&argv(&["--cold"]), &[]).expect("valid flags");
-        assert_eq!(cold.mode, CampaignMode::Cold);
-        assert_eq!(Options::parse(&[], &[]).unwrap().mode, CampaignMode::Warm);
+        assert_eq!(Options::parse(&[], &[]).unwrap().mode, CampaignMode::Delta);
     }
 
     #[test]
@@ -738,12 +720,16 @@ mod tests {
             &["--seed"],
             &["--threads", "0"],
             &["--bogus"],
-            &["--cold", "--delta"],
         ] {
             assert!(Options::parse(&argv(bad), &[]).is_err(), "{bad:?} accepted");
         }
-        let err = Options::parse(&argv(&["--delta", "--cold"]), &[]).unwrap_err();
-        assert!(err.contains("exclusive"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_the_removed_delta_flag_by_name() {
+        // Delta is the default; the flag that once selected it is gone.
+        let err = Options::parse(&argv(&["--delta"]), &[]).unwrap_err();
+        assert!(err.contains("--delta"), "{err}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! ## Metric naming
 //!
-//! Dot-separated `area.metric` names: `bgp.events`, `campaign.memo_hits`,
+//! Dot-separated `area.metric` names: `bgp.events`, `campaign.cold_epochs`,
 //! `measure.campaigns`, … Span timings land in `time.<span>` histograms
 //! (microseconds). See DESIGN.md §Observability for the full list.
 

@@ -63,18 +63,22 @@ pub struct RunInfo {
     pub deterministic: bool,
 }
 
-/// How one epoch's routing outcome was obtained.
+/// How one epoch's routing outcome was obtained. Campaigns emit `Delta`
+/// and `Cold`; `Warm` and `Memo` stay in the schema-5 vocabulary so
+/// manifests written by older runs still parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochMode {
-    /// Epoch transition reusing the previous converged state.
+    /// FIFO epoch transition reusing the previous converged state (the
+    /// deleted warm reuse mode).
     Warm,
     /// Delta epoch transition: injection diff seeding + rank-ordered
     /// propagation from the previous converged state.
     Delta,
-    /// Cold start from empty RIBs (includes warm-executor first
-    /// deployments, violator-gate cold starts, and `Cold` campaigns).
+    /// Cold start from empty RIBs (includes a session's first
+    /// deployment, violator-gate cold starts, and `Cold` campaigns).
     Cold,
-    /// Served from the footprint memo cache without touching the engine.
+    /// Served from the (deleted) footprint memo cache without touching
+    /// the engine.
     Memo,
 }
 

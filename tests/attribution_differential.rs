@@ -1,5 +1,5 @@
 //! Differential suite for the indexed attribution plane: on every
-//! proptest-generated campaign — Warm and Cold executors, 1/2/8 worker
+//! proptest-generated campaign — Delta and Cold executors, 1/2/8 worker
 //! threads, planted attacker volumes — the incremental implementations
 //! (`rank_suspects`, `estimate_cluster_volumes`, `match_fraction_scores`,
 //! `cluster_of`, `cluster_size_of`) must produce byte-identical output to
@@ -108,7 +108,7 @@ macro_rules! assert_attribution_matches_rescan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Sequential Warm and Cold campaigns: the indexed plane must match
+    // Sequential Delta and Cold campaigns: the indexed plane must match
     // the rescans on both, and the two campaigns' suspect lists must
     // agree with each other (the executor equivalence the warm_vs_cold
     // suite proves, restated at the attribution layer).
@@ -122,7 +122,7 @@ proptest! {
     ) {
         let (world, origin, schedule) = scenario(seed, pops, 1, max_poison);
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
-        for mode in [CampaignMode::Warm, CampaignMode::Cold] {
+        for mode in [CampaignMode::Delta, CampaignMode::Cold] {
             let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { mode, ..CampaignOpts::default() }).expect("valid schedule");
             let volume = plant_attackers(&world, &campaign, attackers, seed);
             let vols = link_volume_matrix(&campaign, &volume);

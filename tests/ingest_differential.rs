@@ -1,5 +1,5 @@
 //! Differential suite for the streaming attribution plane: on every
-//! proptest-generated campaign — Warm, Delta and Cold executors, 1/2/8
+//! proptest-generated campaign — Delta and Cold executors, 1/2/8
 //! worker threads, planted attacker volumes — flows streamed through
 //! [`BatchedDenseAccumulator`] and read back by `rank_suspects_acc` /
 //! `estimate_cluster_volumes_acc` must reproduce the dense path
@@ -127,7 +127,7 @@ fn assert_streamed_equals_exact(campaign: &Campaign, volume: &[u64]) -> RankedSu
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Warm, Delta and Cold campaigns: the streamed path must equal the
+    // Delta and Cold campaigns: the streamed path must equal the
     // dense path on each.
     #[test]
     fn streamed_attribution_equals_exact_across_modes(
@@ -138,7 +138,7 @@ proptest! {
     ) {
         let (world, origin, schedule) = scenario(seed, pops, 1, max_poison);
         let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-        for mode in [CampaignMode::Warm, CampaignMode::Delta, CampaignMode::Cold] {
+        for mode in [CampaignMode::Delta, CampaignMode::Cold] {
             let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { mode, ..CampaignOpts::default() }).expect("valid schedule");
             let volume = plant_attackers(&world, &campaign, attackers, seed);
             assert_streamed_equals_exact(&campaign, &volume);

@@ -37,8 +37,9 @@ fn run_info(name: &str, campaign: &Campaign, deterministic: bool) -> RunInfo {
     }
 }
 
-/// A warm sequential campaign produces one epoch record per configuration
-/// and the rendered manifest passes the checked-in validator.
+/// A default sequential campaign produces one epoch record per
+/// configuration and the rendered manifest passes the checked-in
+/// validator.
 #[test]
 fn warm_campaign_manifest_validates() {
     let (world, origin, schedule) = scenario(7);
@@ -59,8 +60,6 @@ fn warm_campaign_manifest_validates() {
     // Epoch 0 must be a cold start; with the default violator population
     // the session cold-starts internally, so every deploy records Cold.
     assert_eq!(records[0].mode, EpochMode::Cold);
-    let memo_hits = records.iter().filter(|r| r.mode == EpochMode::Memo).count();
-    assert_eq!(memo_hits, campaign.stats.memo_hits, "memo epochs == stats");
 
     let text = trackdown_suite::obs::render_manifest(
         &run_info("obs_manifest", &campaign, false),
@@ -70,12 +69,14 @@ fn warm_campaign_manifest_validates() {
     let summary = validate_manifest(&text).expect("manifest validates");
     assert_eq!(summary.epochs, schedule.len());
     assert_eq!(summary.schedule_len, schedule.len());
-    assert_eq!(summary.memo, memo_hits);
+    // The manifest vocabulary still parses `warm` and `memo`, but the
+    // campaign no longer emits them.
+    assert_eq!((summary.warm, summary.memo), (0, 0));
     assert!(!summary.deterministic);
 }
 
 /// A clean (violator-free) engine actually reuses epochs: the manifest
-/// must label the reused deployments Warm.
+/// must label the reused deployments Delta.
 #[test]
 fn clean_engine_records_warm_epochs() {
     let (world, origin, schedule) = scenario(9);
@@ -99,8 +100,11 @@ fn clean_engine_records_warm_epochs() {
     )
     .expect("valid schedule");
     let records = recorder.take_records();
-    let warm = records.iter().filter(|r| r.mode == EpochMode::Warm).count();
-    assert!(warm > 0, "clean engine should warm-start some epochs");
+    let delta = records
+        .iter()
+        .filter(|r| r.mode == EpochMode::Delta)
+        .count();
+    assert!(delta > 0, "clean engine should reuse some epochs");
     // Deterministic recorder never reads the clock.
     assert!(records.iter().all(|r| r.wall_us.is_none()));
 }

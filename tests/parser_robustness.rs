@@ -310,12 +310,10 @@ fn campaign_over_parsed_provider_cycle_agrees_across_modes() {
         cycle.iter().any(|&a| cold.catchments[0].get(a).is_some()),
         "the cycle hangs below a tier-1, so some member is reachable"
     );
-    for mode in [CampaignMode::Warm, CampaignMode::Delta] {
-        let other = run(mode);
-        assert!(
-            other.catchments == cold.catchments,
-            "{mode:?} diverged from cold"
-        );
-        assert_eq!(other.tracked, cold.tracked, "{mode:?}");
-    }
+    let delta = run(CampaignMode::Delta);
+    assert!(
+        delta.catchments == cold.catchments,
+        "delta diverged from cold"
+    );
+    assert_eq!(delta.tracked, cold.tracked);
 }

@@ -368,7 +368,7 @@ proptest! {
         }
     }
 
-    // Warm epoch transitions land on the same fixpoint as the reference
+    // Delta epoch transitions land on the same fixpoint as the reference
     // cold start of the final configuration (unique fixpoints: clean
     // policies only), across a chain of random deployments.
     #[test]
@@ -395,7 +395,7 @@ proptest! {
         let (anns, out) = last.unwrap();
         let inj = origin.build_injections(&g.topology, &anns).unwrap();
         let reference = ref_propagate(&engine, &inj, 200);
-        // The warm outcome's change log describes the transition, not the
+        // The delta outcome's change log describes the transition, not the
         // cold start, so only the fixpoint state is compared.
         prop_assert_eq!(out.converged, reference.converged);
         for (i, (a, r)) in out.best.iter().zip(&reference.best).enumerate() {
@@ -414,7 +414,7 @@ proptest! {
     }
 }
 
-/// Campaign-level differential: Warm and Cold executors at 1, 2, and 8
+/// Campaign-level differential: Delta and Cold executors at 1, 2, and 8
 /// threads all agree with each other *and* with the reference propagator
 /// run per configuration.
 #[test]
@@ -448,7 +448,7 @@ fn campaigns_match_reference_across_modes_and_threads() {
         .collect();
 
     let mut campaigns = Vec::new();
-    for mode in [CampaignMode::Warm, CampaignMode::Cold] {
+    for mode in [CampaignMode::Delta, CampaignMode::Cold] {
         for threads in [1usize, 2, 8] {
             let c = run_campaign(
                 &engine,
@@ -487,10 +487,9 @@ fn campaigns_match_reference_across_modes_and_threads() {
         );
         assert_eq!(&anchor.tracked, &c.tracked);
     }
-    // Warm reuse actually engaged (violator-free default would gate it
-    // off; the default engine has violators, so sessions cold-start —
-    // verify the stats reflect whichever regime is active).
-    let (_, _, warm1) = &campaigns[0];
-    assert_eq!(warm1.stats.mode, CampaignMode::Warm);
-    assert!(warm1.stats.propagations + warm1.stats.memo_hits == schedule.len());
+    // The default engine has violators, so delta sessions cold-start;
+    // the stats still count one propagation per configuration.
+    let (_, _, delta1) = &campaigns[0];
+    assert_eq!(delta1.stats.mode, CampaignMode::Delta);
+    assert_eq!(delta1.stats.propagations, schedule.len());
 }

@@ -1,17 +1,15 @@
 //! Pinned pipeline gates on deterministic work counts.
 //!
 //! The fixed workload is the small scenario at seed 7 on a
-//! violator-free engine (warm and delta sessions reuse state only when
-//! the engine has no policy violators). Every epoch's event count is
-//! deterministic, so these gates hold on any machine and at any load:
+//! violator-free engine (delta sessions reuse state only when the engine
+//! has no policy violators). Every epoch's event count is deterministic,
+//! so these gates hold on any machine and at any load:
 //!
 //! * the stable counts of the workload (ASes, configurations,
-//!   propagations, memo hits, restarts, events, disturbance, mean
-//!   cluster size, arena high-water mark) are pinned;
-//! * warm and delta reproduce the cold oracle exactly;
-//! * delta does at most 2/3 of warm's propagation events, and warm does
-//!   fewer than cold;
-//! * a doubled schedule serves its whole second half from the memo;
+//!   propagations, restarts, events, disturbance, mean cluster size,
+//!   arena high-water mark) are pinned;
+//! * delta reproduces the cold oracle exactly;
+//! * delta does fewer propagation events than cold;
 //! * cold starts are split by cause: first deployment, violator gate,
 //!   event cap and `Cold` mode.
 //!
@@ -77,31 +75,28 @@ fn small_campaign_counts_and_reuse_gates() {
     let (scenario, engine_cfg) = violator_free(Scale::Small);
     let engine = BgpEngine::new(&scenario.gen.topology, &engine_cfg);
     let schedule = scenario.schedule();
-    let warm = run(&engine, &scenario, &schedule, CampaignMode::Warm, 1);
     let cold = run(&engine, &scenario, &schedule, CampaignMode::Cold, 1);
     let delta = run(&engine, &scenario, &schedule, CampaignMode::Delta, 1);
-    assert_same_campaign(&warm, &cold, "warm/cold");
     assert_same_campaign(&delta, &cold, "delta/cold");
 
     assert_eq!(scenario.gen.topology.num_ases(), 119);
-    assert_eq!(warm.configs.len(), 59);
-    assert_eq!(warm.stats.propagations, 59);
-    assert_eq!(warm.stats.memo_hits, 0);
-    assert_eq!(warm.stats.cold_restarts, 0);
-    assert_eq!(warm.stats.events, 4_376);
+    assert_eq!(delta.configs.len(), 59);
+    assert_eq!(delta.stats.propagations, 59);
+    assert_eq!(delta.stats.cold_restarts, 0);
     assert_eq!(cold.stats.events, 8_901);
     assert_eq!(delta.stats.events, 2_623);
     assert_eq!(delta.stats.routes_disturbed, 2_525);
-    assert_eq!(warm.clustering.mean_size(), 2.975);
-    assert_eq!(warm.stats.peak_arena_nodes, 401);
-    // Cold starts by cause: a violator-free warm or delta session
-    // cold-starts only its first deployment; a cold one, every epoch.
-    let first_only = ColdEpochs {
-        first: 1,
-        ..ColdEpochs::default()
-    };
-    assert_eq!(warm.stats.cold_causes, first_only);
-    assert_eq!(delta.stats.cold_causes, first_only);
+    assert_eq!(delta.clustering.mean_size(), 2.975);
+    assert_eq!(delta.stats.peak_arena_nodes, 366);
+    // Cold starts by cause: a violator-free delta session cold-starts
+    // only its first deployment; a cold one, every epoch.
+    assert_eq!(
+        delta.stats.cold_causes,
+        ColdEpochs {
+            first: 1,
+            ..ColdEpochs::default()
+        }
+    );
     assert_eq!(
         cold.stats.cold_causes,
         ColdEpochs {
@@ -110,17 +105,12 @@ fn small_campaign_counts_and_reuse_gates() {
         }
     );
 
-    // The reuse gates in their event-count form. Diff seeding and
-    // frontier pruning: delta does at most 2/3 of warm's convergence
-    // work; warm reuse does less than cold starts.
-    let (warm, cold, delta) = (warm.stats.events, cold.stats.events, delta.stats.events);
+    // The reuse gate in its event-count form: delta epochs do less
+    // convergence work than cold starts.
+    let (cold, delta) = (cold.stats.events, delta.stats.events);
     assert!(
-        2 * warm >= 3 * delta,
-        "delta above 2/3 of warm's events: warm {warm}, delta {delta}"
-    );
-    assert!(
-        warm < cold,
-        "warm reuse saved no events: warm {warm}, cold {cold}"
+        delta < cold,
+        "delta reuse saved no events: delta {delta}, cold {cold}"
     );
 }
 
@@ -147,19 +137,6 @@ fn default_policy_cold_starts_are_violator_gated() {
 }
 
 #[test]
-fn doubled_schedule_hits_the_memo_for_every_repeat() {
-    let (scenario, engine_cfg) = violator_free(Scale::Small);
-    let engine = BgpEngine::new(&scenario.gen.topology, &engine_cfg);
-    let schedule = scenario.schedule();
-    // The seed-7 schedule has no duplicate configs, so its own memo_hits
-    // is 0; doubling it proves the memo path still fires.
-    let mut doubled = schedule.clone();
-    doubled.extend(schedule.iter().cloned());
-    let campaign = run(&engine, &scenario, &doubled, CampaignMode::Warm, 1);
-    assert_eq!(campaign.stats.memo_hits, schedule.len());
-}
-
-#[test]
 #[ignore = "timing-sensitive and large; run in release mode via CI's observability job"]
 fn scale_campaigns_are_thread_invariant_and_scale_with_cores() {
     const TRIALS: usize = 3;
@@ -171,8 +148,9 @@ fn scale_campaigns_are_thread_invariant_and_scale_with_cores() {
         let (scenario, engine_cfg) = violator_free(scale);
         let engine = BgpEngine::new(&scenario.gen.topology, &engine_cfg);
         let schedule = scenario.schedule();
-        let one = run(&engine, &scenario, &schedule, CampaignMode::Warm, 1);
-        let eight = run(&engine, &scenario, &schedule, CampaignMode::Warm, 8);
+        let mode = CampaignOpts::default().mode;
+        let one = run(&engine, &scenario, &schedule, mode, 1);
+        let eight = run(&engine, &scenario, &schedule, mode, 8);
         assert_same_campaign(
             &one,
             &eight,
@@ -191,7 +169,7 @@ fn scale_campaigns_are_thread_invariant_and_scale_with_cores() {
 
         let time = |threads| {
             let t = Instant::now();
-            run(&engine, &scenario, &schedule, CampaignMode::Warm, threads);
+            run(&engine, &scenario, &schedule, mode, threads);
             t.elapsed().as_secs_f64() * 1e3
         };
         let (mut t1, mut t8) = (Vec::new(), Vec::new());

@@ -1,11 +1,10 @@
-//! Differential suite: the warm-start epoch-reuse executor must be
+//! Differential suite: the default delta epoch-reuse executor must be
 //! indistinguishable — catchments, tracked set, clustering, per-config
 //! records — from the cold-start oracle that propagates every
 //! configuration from empty RIBs.
 //!
 //! On Gao-Rexford-conformant engines fixpoints are unique, so any
-//! divergence is an executor bug (stale session state, memo-key
-//! collision, reorder leakage). On engines with policy violators stable
+//! divergence is an executor bug (stale session state, reorder leakage). On engines with policy violators stable
 //! states are history-dependent (BGP wedgies) and the session must
 //! detect that and cold-start internally — these tests exercise both
 //! regimes, and are the proof obligation for the equivalence claim.
@@ -68,7 +67,7 @@ macro_rules! assert_campaigns_identical {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Sequential warm executor vs the cold oracle, both ground-truth
+    // Sequential delta executor vs the cold oracle, both ground-truth
     // catchment sources.
     #[test]
     fn warm_campaign_equals_cold_oracle(
@@ -89,18 +88,13 @@ proptest! {
         let warm = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, ..CampaignOpts::default() }).expect("valid schedule");
         let cold = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, mode: CampaignMode::Cold, ..CampaignOpts::default() }).expect("valid schedule");
         assert_campaigns_identical!(warm, cold);
-        // Executor accounting: every configuration is either propagated
-        // or served from the memo, and the cold oracle never memoizes.
-        prop_assert_eq!(
-            warm.stats.propagations + warm.stats.memo_hits,
-            schedule.len()
-        );
+        // Executor accounting: every configuration is propagated once.
+        prop_assert_eq!(warm.stats.propagations, schedule.len());
         prop_assert_eq!(cold.stats.propagations, schedule.len());
-        prop_assert_eq!(cold.stats.memo_hits, 0);
     }
 
-    // Parallel warm workers (chunked sessions, per-chunk reordering and
-    // memoization) vs the sequential cold oracle.
+    // Parallel delta workers (chunked sessions, per-chunk reordering) vs
+    // the sequential cold oracle.
     #[test]
     fn parallel_warm_equals_sequential_cold(
         seed in 0u64..500,
@@ -115,10 +109,10 @@ proptest! {
         assert_campaigns_identical!(warm, cold);
     }
 
-    // Measured campaigns: the memo is disabled (the observation plane
-    // salts its noise per schedule index) but the warm session still
-    // drives the engine — imputation and the analysis set must match the
-    // cold oracle exactly, noise included.
+    // Measured campaigns: the observation plane salts its noise per
+    // schedule index while the delta session drives the engine —
+    // imputation and the analysis set must match the cold oracle exactly,
+    // noise included.
     #[test]
     fn measured_warm_equals_measured_cold(
         seed in 0u64..200,
@@ -132,11 +126,10 @@ proptest! {
         let warm = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source: CatchmentSource::Measured(&plane), ..CampaignOpts::default() }).expect("valid schedule");
         let cold = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source: CatchmentSource::Measured(&plane), mode: CampaignMode::Cold, ..CampaignOpts::default() }).expect("valid schedule");
         assert_campaigns_identical!(warm, cold);
-        prop_assert_eq!(warm.stats.memo_hits, 0);
         prop_assert_eq!(warm.stats.propagations, schedule.len());
     }
 
-    // One executor, every shape: Warm/Delta/Cold sessions over
+    // One executor, every shape: Delta/Cold sessions over
     // control-plane, data-plane, and measured catchments, at 1, 2, and 4
     // worker threads, must all reproduce the one-thread cold oracle —
     // catchments (also through the dense reference form), tracked set,
@@ -170,7 +163,7 @@ proptest! {
                 .expect("valid schedule");
             let oracle_vols = link_volume_matrix(&oracle, &volume);
             let oracle_rank = rank_suspects(&oracle, &oracle_vols);
-            for mode in [CampaignMode::Warm, CampaignMode::Delta, CampaignMode::Cold] {
+            for mode in [CampaignMode::Delta, CampaignMode::Cold] {
                 for threads in [1usize, 2, 4] {
                     let opts = CampaignOpts {
                         source,
@@ -193,10 +186,7 @@ proptest! {
                     let vols = link_volume_matrix(&campaign, &volume);
                     prop_assert_eq!(rank_suspects(&campaign, &vols), oracle_rank.clone());
                     prop_assert_eq!(campaign.stats.mode, mode);
-                    prop_assert_eq!(
-                        campaign.stats.propagations + campaign.stats.memo_hits,
-                        schedule.len()
-                    );
+                    prop_assert_eq!(campaign.stats.propagations, schedule.len());
                 }
             }
         }
@@ -209,11 +199,11 @@ proptest! {
 fn cold_epochs_count_every_stateless_deployment() {
     let (world, origin, schedule) = scenario(11, 4, 1, 6);
     // Default policy: the 8% violators gate every deployment cold, so
-    // a Warm campaign reports no warm epoch at all.
+    // a default (Delta) campaign reports no reused epoch at all.
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let default = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
         .expect("valid schedule");
-    assert_eq!(default.stats.mode, CampaignMode::Warm);
+    assert_eq!(default.stats.mode, CampaignMode::Delta);
     assert_eq!(default.stats.cold_epochs, default.stats.propagations);
     // Violator-free, one thread: only the first deployment and event-cap
     // restarts start cold.
@@ -240,17 +230,18 @@ fn cold_epochs_count_every_stateless_deployment() {
     };
     let cold = run_campaign(&clean, &origin, &schedule, &cold).expect("valid schedule");
     assert_eq!(cold.stats.cold_epochs, cold.stats.propagations);
-    // A tight event cap: capped warm epochs are redone cold, and a delta
-    // epoch after a capped predecessor cold-starts too.
-    let capped = |mode| {
-        let opts = CampaignOpts {
-            mode,
+    // A tight event cap: a delta epoch after a capped predecessor
+    // cold-starts.
+    let capped_delta = run_campaign(
+        &clean,
+        &origin,
+        &schedule,
+        &CampaignOpts {
             max_events_factor: 1,
             ..CampaignOpts::default()
-        };
-        run_campaign(&clean, &origin, &schedule, &opts).expect("valid schedule")
-    };
-    let (capped_warm, capped_delta) = (capped(CampaignMode::Warm), capped(CampaignMode::Delta));
+        },
+    )
+    .expect("valid schedule");
 
     // By cause, summing to `cold_epochs`.
     let causes = |c: &Campaign| {
@@ -266,18 +257,13 @@ fn cold_epochs_count_every_stateless_deployment() {
     assert_eq!(causes(&warm), (1, 0, warm.stats.cold_restarts, 0));
     assert_eq!(causes(&par), (3, 0, par.stats.cold_restarts, 0));
     assert_eq!(causes(&cold), (0, 0, 0, n));
-    assert!(capped_warm.stats.cold_restarts > 0);
-    assert_eq!(
-        causes(&capped_warm),
-        (1, 0, capped_warm.stats.cold_restarts, 0)
-    );
     assert_eq!(capped_delta.stats.cold_restarts, 0);
     assert_eq!(causes(&capped_delta), (1, 0, n - 1, 0));
 }
 
 // Policy extensions make the import filter stricter, never
 // history-dependent: with any extension deployed — at 0% (the inert
-// configuration), partial, or universal coverage — the warm executor's
+// configuration), partial, or universal coverage — the delta executor's
 // epoch reuse must remain indistinguishable from the cold oracle, all
 // the way through suspect ranking.
 #[test]
@@ -397,16 +383,16 @@ fn identical_redeploy_is_a_zero_work_epoch() {
     assert_eq!(manifest_of(), manifest_of(), "manifest must be byte-stable");
 }
 
-// The default entry points are the warm executor; pin that so a future
-// refactor can't silently flip the default back to cold.
+// The default entry points are the delta executor; pin that so a future
+// refactor can't silently flip the default to cold.
 #[test]
 fn default_entry_points_run_warm() {
     let (world, origin, schedule) = scenario(11, 4, 1, 6);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let seq = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
         .expect("valid schedule");
-    assert_eq!(seq.stats.mode, CampaignMode::Warm);
-    assert_eq!(seq.stats.propagations + seq.stats.memo_hits, schedule.len());
+    assert_eq!(seq.stats.mode, CampaignMode::Delta);
+    assert_eq!(seq.stats.propagations, schedule.len());
     let par = run_campaign(
         &engine,
         &origin,
@@ -417,7 +403,7 @@ fn default_entry_points_run_warm() {
         },
     )
     .expect("valid schedule");
-    assert_eq!(par.stats.mode, CampaignMode::Warm);
+    assert_eq!(par.stats.mode, CampaignMode::Delta);
     assert_eq!(par.stats.threads, 2);
     assert_eq!(seq.catchments, par.catchments);
 }
