@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! trackdown topology  [--scale S] [--seed N] [--out FILE]   # export as-rel
-//! trackdown campaign  [--scale S] [--seed N] [--measured] [--cold] [--threads N] --out FILE
+//! trackdown campaign  [--scale S] [--seed N] [--measured] [--threads N] --out FILE
 //!                     [--metrics-out FILE] [--metrics-deterministic]
 //! trackdown info      --dataset FILE
 //! trackdown localize  --dataset FILE --attacker ASN [--attacker ASN ...]
@@ -19,7 +19,7 @@ use trackdown_core::dataset::Dataset;
 use trackdown_core::hijack::all_impacts;
 use trackdown_core::localize::Campaign;
 use trackdown_core::report::render_table;
-use trackdown_experiments::{mode_label, report_stats, Options, Scenario};
+use trackdown_experiments::{mode_label, report_stats, wants_help, Options, Scenario};
 use trackdown_topology::serfmt::{to_as_rel, to_dot};
 use trackdown_topology::Asn;
 
@@ -30,13 +30,13 @@ fn usage() -> ExitCode {
 USAGE:
   trackdown topology  [--scale small|medium|full|large|internet] [--seed N] [--format as-rel|dot] [--out FILE]
   trackdown campaign  [--scale small|medium|full|large|internet] [--seed N] [--measured]
-                      [--cold] [--threads N] --out FILE [--metrics-out FILE]
+                      [--threads N] --out FILE [--metrics-out FILE]
                       [--metrics-deterministic] [--defense NAME=FRACTION[:BIAS]]...
   trackdown info      --dataset FILE
   trackdown localize  --dataset FILE --attacker ASN [--attacker ASN ...] [--volume BYTES]
   trackdown hijack    --dataset FILE [--config K]
   trackdown validate-manifest --manifest FILE
-  trackdown profile   [--scale S] [--seed N] [--measured] [--cold] [--threads N]
+  trackdown profile   [--scale S] [--seed N] [--measured] [--threads N]
                       [--trace-out FILE]
 
 --defense deploys a routing-security policy extension (rov, peer-rov,
@@ -52,9 +52,7 @@ all cores) splits the schedule across worker threads; results do not
 depend on it.
 
 profile runs one traced campaign, writes a Chrome trace-event JSON
-(load it at https://ui.perfetto.dev) and prints a self-profile table.
-
-Set TRACKDOWN_SPANS=1 to stream span timings to stderr."
+(load it at https://ui.perfetto.dev) and prints a self-profile table."
     );
     ExitCode::from(2)
 }
@@ -368,12 +366,11 @@ fn cmd_validate_manifest(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    trackdown_obs::init_spans_from_env();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         return usage();
     };
-    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+    if cmd == "help" || wants_help(&argv) {
         return usage();
     }
     let args = match Args::parse(rest) {
@@ -426,15 +423,6 @@ mod tests {
         assert_eq!(a.options.scale, trackdown_experiments::Scale::Small);
         assert_eq!(a.options.seed, 9);
         assert!(a.options.measured);
-        assert_eq!(
-            a.options.mode,
-            trackdown_core::localize::CampaignMode::Delta
-        );
-        let cold = Args::parse(&argv(&["--cold"])).unwrap();
-        assert_eq!(
-            cold.options.mode,
-            trackdown_core::localize::CampaignMode::Cold
-        );
     }
 
     #[test]
@@ -447,13 +435,16 @@ mod tests {
     }
 
     #[test]
-    fn args_reject_the_removed_delta_flag_by_name() {
-        // Delta is the default reuse mode; the flag that once selected it
-        // is gone and fails like any other unknown flag.
-        let err = Args::parse(&argv(&["--scale", "small", "--delta"]))
-            .err()
-            .unwrap();
-        assert!(err.contains("--delta"), "{err}");
+    fn args_reject_the_removed_mode_flags_by_name() {
+        // Delta is the default reuse mode and cold starts are a library
+        // option; the flags that once selected either are gone and fail
+        // like any other unknown flag.
+        for flag in ["--delta", "--cold"] {
+            let err = Args::parse(&argv(&["--scale", "small", flag]))
+                .err()
+                .unwrap();
+            assert!(err.contains(flag), "{err}");
+        }
     }
 
     #[test]

@@ -396,11 +396,15 @@ pub fn run_campaign(
             })
             .collect();
         let mut outputs = vec![run_chunk(engine, origin, opts, 0, 0, first)];
-        outputs.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("campaign worker panicked")),
-        );
+        if !handles.is_empty() {
+            // The calling thread's wait for the other workers.
+            let _idle = trackdown_obs::span("campaign.idle");
+            outputs.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("campaign worker panicked")),
+            );
+        }
         outputs
     });
 

@@ -20,9 +20,11 @@
 //! Absolute values differ from the paper (the substrate is a synthetic
 //! Internet, not PEERING + RouteViews + Atlas); the *shapes* are the
 //! reproduction target. Every binary accepts `--scale
-//! small|medium|full|large|internet` (default `full`), `--seed <u64>`,
-//! `--cold` (cold-start every configuration instead of the default delta
-//! reuse) and `--threads <n>`. The `internet` scale loads a real
+//! small|medium|full|large|internet` (default `full`), `--seed <u64>`
+//! and `--threads <n>`; `-h`/`--help` prints the usage. Campaigns reuse
+//! routing state between configurations (delta mode); the cold-start
+//! oracle is a library option (`CampaignOpts::mode`), not a flag. The
+//! `internet` scale loads a real
 //! CAIDA `as-rel` snapshot from the path in `TRACKDOWN_AS_REL` when that
 //! variable is set, and falls back to a deterministic 80 000-AS
 //! power-law graph otherwise.
@@ -106,12 +108,6 @@ pub struct Options {
     /// control-plane oracle — closest to the paper's §IV pipeline, where
     /// only feed/probe-visible sources enter the analysis.
     pub measured: bool,
-    /// How each routing session reuses state between configurations:
-    /// delta reuse by default (seed only changed providers, in
-    /// customer-cone rank order), `--cold` to cold-start every
-    /// configuration (the slower reference oracle). Results are identical
-    /// in both modes (enforced by `tests/delta_differential.rs`).
-    pub mode: CampaignMode,
     /// Worker-thread override (`--threads`). Defaults to the machine's
     /// available parallelism. Results are thread-count-invariant; this
     /// pins the executor shape for profiling and benches.
@@ -134,7 +130,6 @@ impl Default for Options {
             scale: Scale::Full,
             seed: 0x5eed_0001,
             measured: false,
-            mode: CampaignMode::Delta,
             threads: None,
             metrics_out: None,
             metrics_deterministic: false,
@@ -170,8 +165,8 @@ pub fn parse_defense(s: &str) -> Option<ExtensionDeployment> {
 }
 
 impl Options {
-    /// Parse the shared flags from process arguments; exits with a usage
-    /// message on malformed input.
+    /// Parse the shared flags from process arguments; prints the usage
+    /// and exits with status 2 on `-h`/`--help` or malformed input.
     pub fn from_args() -> Options {
         Options::from_args_filtered(&[])
     }
@@ -183,13 +178,13 @@ impl Options {
     /// the flag *and* its value token.
     pub fn from_args_filtered(ignore: &[&str]) -> Options {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let opts = Options::parse(&args, ignore).unwrap_or_else(|e| {
+        if wants_help(&args) {
+            usage()
+        }
+        Options::parse(&args, ignore).unwrap_or_else(|e| {
             eprintln!("{e}");
             usage()
-        });
-        // Span timing is opt-in via TRACKDOWN_SPANS=1 (stderr sink).
-        trackdown_obs::init_spans_from_env();
-        opts
+        })
     }
 
     /// Parse the shared flags from `args` (program name excluded),
@@ -225,7 +220,6 @@ impl Options {
                     opts.seed = v.parse().map_err(|_| bad(v))?;
                 }
                 "--measured" => opts.measured = true,
-                "--cold" => opts.mode = CampaignMode::Cold,
                 "--threads" => {
                     let v = value()?;
                     opts.threads = Some(v.parse().ok().filter(|&s| s >= 1).ok_or_else(|| bad(v))?);
@@ -236,13 +230,17 @@ impl Options {
                     let v = value()?;
                     opts.defenses.push(parse_defense(v).ok_or_else(|| bad(v))?);
                 }
-                "--help" | "-h" => return Err("help requested".into()),
                 other => return Err(format!("unknown argument: {other}")),
             }
             i += 1;
         }
         Ok(opts)
     }
+}
+
+/// Whether `args` ask for the usage text: `-h` or `--help` anywhere.
+pub fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|a| a == "-h" || a == "--help")
 }
 
 /// The lowercase mode name used by manifests and `obs` events.
@@ -256,7 +254,7 @@ pub fn mode_label(mode: CampaignMode) -> &'static str {
 fn usage() -> ! {
     eprintln!(
         "usage: <experiment> [--scale small|medium|full|large|internet] [--seed <u64>] \
-         [--measured] [--cold] [--threads <n>] \
+         [--measured] [--threads <n>] \
          [--metrics-out FILE] [--metrics-deterministic] \
          [--defense <name>=<fraction>[:<bias>]]...\n\
          defenses: rov, peer-rov, aspa, peerlock-lite, only-to-customers, \
@@ -325,8 +323,6 @@ pub struct Scenario {
     pub seed: u64,
     /// Whether campaigns run through the measurement plane.
     pub measured: bool,
-    /// How campaign sessions reuse routing state between configurations.
-    pub mode: CampaignMode,
     /// Worker-thread override (`None` = available parallelism).
     pub threads: Option<usize>,
     /// Run-manifest output path ([`Scenario::run`] writes it when set).
@@ -406,7 +402,6 @@ impl Scenario {
             scale: opts.scale,
             seed: opts.seed,
             measured: opts.measured,
-            mode: opts.mode,
             threads: opts.threads,
             metrics_out: opts.metrics_out,
             metrics_deterministic: opts.metrics_deterministic,
@@ -427,9 +422,9 @@ impl Scenario {
     /// control plane; with `--measured` they pass through the simulated
     /// observation plane (the paper's §IV pipeline), which restricts the
     /// tracked set to feed/probe-visible sources and adds measurement
-    /// noise. Campaigns warm-start each configuration from the previous
-    /// converged routing state unless `--cold` forces per-configuration
-    /// cold starts (the slower reference oracle).
+    /// noise. Campaigns run in the default delta mode: each configuration
+    /// transitions from the previous converged routing state when the
+    /// session can reuse it.
     pub fn run(&self) -> Campaign {
         // Attach a recorder only when a manifest was requested; with
         // `None` the executor skips all instrumentation work.
@@ -470,7 +465,6 @@ impl Scenario {
                 Some(plane) => CatchmentSource::Measured(plane),
                 None => CatchmentSource::ControlPlane,
             },
-            mode: self.mode,
             threads: self.threads.unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -478,6 +472,7 @@ impl Scenario {
             }),
             recorder,
             max_events_factor: self.engine_cfg.max_events_factor,
+            ..CampaignOpts::default()
         };
         run_campaign(&engine, &self.origin, &schedule, &opts)
             .expect("generated schedules are valid for their origin")
@@ -490,7 +485,7 @@ impl Scenario {
             seed: self.seed,
             policy_seed: self.engine_cfg.policy.seed,
             scale: self.scale.label().into(),
-            mode: mode_label(self.mode).into(),
+            mode: mode_label(campaign.stats.mode).into(),
             threads: campaign.stats.threads,
             trace: trackdown_obs::trace_config_label(),
             schedule_len: campaign.configs.len(),
@@ -525,8 +520,7 @@ impl Scenario {
             links = self.gen.topology.num_links(),
             origin = self.origin.asn,
             pops = self.origin.num_links(),
-            measured = self.measured,
-            mode = mode_label(self.mode)
+            measured = self.measured
         );
     }
 
@@ -698,7 +692,6 @@ mod tests {
                 "small",
                 "--seed",
                 "9",
-                "--cold",
                 "--threads",
                 "3",
                 "--check",
@@ -708,9 +701,7 @@ mod tests {
         .expect("valid flags");
         assert_eq!(opts.scale, Scale::Small);
         assert_eq!(opts.seed, 9);
-        assert_eq!(opts.mode, CampaignMode::Cold);
         assert_eq!(opts.threads, Some(3));
-        assert_eq!(Options::parse(&[], &[]).unwrap().mode, CampaignMode::Delta);
     }
 
     #[test]
@@ -726,10 +717,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_the_removed_delta_flag_by_name() {
-        // Delta is the default; the flag that once selected it is gone.
-        let err = Options::parse(&argv(&["--delta"]), &[]).unwrap_err();
-        assert!(err.contains("--delta"), "{err}");
+    fn parse_rejects_the_removed_mode_flags_by_name() {
+        // Delta is the default and cold starts are a library option; the
+        // flags that once selected either are gone.
+        for flag in ["--delta", "--cold"] {
+            let err = Options::parse(&argv(&["--scale", "small", flag]), &[]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! [`chrome_trace_json`] renders a drained [`Trace`] as Chrome
 //! trace-event JSON (the `{"traceEvents": [...]}` object form), which
 //! loads directly in Perfetto (<https://ui.perfetto.dev>) and
-//! `chrome://tracing`. Spans become `B`/`E` duration pairs, counter
-//! samples become `C` events, and each thread gets an `M`
-//! (`thread_name`) metadata record.
+//! `chrome://tracing`. Spans become `B`/`E` duration pairs, and each
+//! thread gets an `M` (`thread_name`) metadata record.
 //!
 //! Emission walks each thread's span tree (rebuilt from parent links)
 //! depth-first, so `B`/`E` pairs are balanced and properly nested by
 //! construction even though the buffers store spans in completion order.
 
-use crate::trace::{Trace, TraceEvent, TraceEventKind};
+use crate::trace::{Trace, TraceEvent};
 use serde::Value;
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -79,11 +78,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     }
     for thread in 0..trace.threads.len() {
         // Rebuild this thread's span forest from parent links.
-        let spans: Vec<&TraceEvent> = trace
-            .events
-            .iter()
-            .filter(|e| e.thread == thread && e.kind == TraceEventKind::Span)
-            .collect();
+        let spans: Vec<&TraceEvent> = trace.events.iter().filter(|e| e.thread == thread).collect();
         let index_of: std::collections::HashMap<u64, usize> =
             spans.iter().enumerate().map(|(i, e)| (e.id, i)).collect();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
@@ -99,26 +94,12 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
         let by_start = |list: &mut Vec<usize>| {
             list.sort_by_key(|&i| (spans[i].start_us, spans[i].id));
         };
-        roots.sort_by_key(|&i| (spans[i].start_us, spans[i].id));
+        by_start(&mut roots);
         for list in &mut children {
             by_start(list);
         }
         for &root in &roots {
             push_span_events(&mut events, &spans, &children, root);
-        }
-        for e in trace
-            .events
-            .iter()
-            .filter(|e| e.thread == thread && e.kind == TraceEventKind::Counter)
-        {
-            events.push(obj(vec![
-                ("name", Value::Str(e.name.to_string())),
-                ("ph", Value::Str("C".into())),
-                ("pid", Value::U64(1)),
-                ("tid", Value::U64(e.thread as u64)),
-                ("ts", Value::U64(e.start_us)),
-                ("args", attr_args(e)),
-            ]));
         }
     }
     let doc = obj(vec![
@@ -142,7 +123,6 @@ mod tests {
             {
                 let _b = crate::span("export.test.inner");
             }
-            crate::counter_sample("export.test.depth", 5);
         }
         let trace = end_trace().unwrap();
         let json = chrome_trace_json(&trace);
@@ -164,7 +144,6 @@ mod tests {
         };
         let mut depth = 0i64;
         let mut begins = 0;
-        let mut counters = 0;
         for e in events {
             match ph(e).as_str() {
                 "B" => {
@@ -175,13 +154,11 @@ mod tests {
                     depth -= 1;
                     assert!(depth >= 0, "E without matching B");
                 }
-                "C" => counters += 1,
                 "M" => {}
                 other => panic!("unexpected phase {other}"),
             }
         }
         assert_eq!(depth, 0, "unbalanced B/E pairs");
         assert_eq!(begins, 2);
-        assert_eq!(counters, 1);
     }
 }

@@ -1,15 +1,16 @@
 //! # trackdown-obs
 //!
 //! In-tree observability for the trackdown pipeline: a thread-safe
-//! metrics registry, scoped span timers with a pluggable sink, uniform
-//! progress events, and JSONL run manifests. Hand-rolled and
+//! metrics registry, scoped spans recorded into structured traces (with
+//! a Chrome exporter and a self-profile summary), uniform progress
+//! events, and JSONL run manifests. Hand-rolled and
 //! dependency-light — the build is fully offline, so this is not a
 //! `tracing` vendor drop.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero cost when off.** Spans are inert (one relaxed atomic load,
-//!    no clock read) until a sink is installed; campaign recorders are
+//!    no clock read) until a trace is armed; campaign recorders are
 //!    `Option<&CampaignRecorder>` and skip everything on `None`.
 //!    Counters are single relaxed atomic adds on pre-resolved handles.
 //! 2. **Determinism-safe.** Instrumentation never feeds back into
@@ -23,8 +24,9 @@
 //! ## Metric naming
 //!
 //! Dot-separated `area.metric` names: `bgp.events`, `campaign.cold_epochs`,
-//! `measure.campaigns`, … Span timings land in `time.<span>` histograms
-//! (microseconds). See DESIGN.md §Observability for the full list.
+//! `measure.measurements`, … Span timings live only in traces
+//! ([`start_trace`] → [`ProfileSummary`]). See DESIGN.md §4c for the
+//! full list.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,13 +48,10 @@ pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
 pub use profile::{PhaseStat, ProfileSummary, WorkerStat};
-pub use span::{
-    set_span_sink, span, spans_enabled, CollectingSink, NullSink, Span, SpanRecord, SpanSink,
-    StderrSink,
-};
+pub use span::{span, Span};
 pub use trace::{
-    counter_sample, end_trace, record_span, start_trace, trace_config_label, tracing_enabled,
-    ThreadInfo, Trace, TraceConfig, TraceEvent, TraceEventKind,
+    end_trace, start_trace, trace_config_label, tracing_enabled, ThreadInfo, Trace, TraceConfig,
+    TraceEvent,
 };
 
 /// Resolve (once per call site) and return a `&'static`-lived handle to
@@ -77,16 +76,7 @@ macro_rules! histogram {
     }};
 }
 
-/// Install the stderr span sink when `TRACKDOWN_SPANS` is set in the
-/// environment (any non-empty value). Binaries call this once at
-/// startup so span timing stays strictly opt-in.
-pub fn init_spans_from_env() {
-    if std::env::var("TRACKDOWN_SPANS").is_ok_and(|v| !v.is_empty()) {
-        set_span_sink(Some(std::sync::Arc::new(StderrSink)));
-    }
-}
-
-/// Serializes unit tests that touch process-global span/trace state
+/// Serializes unit tests that touch process-global trace state
 /// (cargo runs tests in threads; two tests arming traces race).
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {

@@ -5,9 +5,11 @@
 //! explicit key list (no derive-driven field sets), and a checked-in
 //! [`validate_manifest`] asserts exact key sets so CI catches schema
 //! drift. In *deterministic* mode no wall-clock-derived field is
-//! emitted at all — `wall_us` is dropped from epoch lines and `time.*`
-//! histograms from the metrics snapshot — so two runs of the same
-//! campaign produce byte-identical manifests.
+//! emitted at all — `wall_us` is dropped from epoch lines, and the
+//! metrics snapshot holds only work counts (spans feed no metric) — so
+//! two runs of the same campaign produce byte-identical manifests. The
+//! validator still rejects `time.*` histograms in a deterministic
+//! manifest, since manifests are read back from outside.
 
 use crate::metrics::MetricsSnapshot;
 use serde::{obj_get, Serialize, Value};
@@ -238,11 +240,6 @@ pub fn render_manifest(
         out.push('\n');
     }
     if let Some(m) = metrics {
-        let m = if run.deterministic {
-            m.without_time()
-        } else {
-            m.clone()
-        };
         out.push_str(&json_line(&obj(vec![
             ("record", Value::Str("metrics".into())),
             ("counters", m.counters.to_value()),
@@ -539,7 +536,7 @@ mod tests {
     fn roundtrip_validates() {
         let reg = Registry::new();
         reg.counter("bgp.events").add(14);
-        reg.histogram("time.deploy").observe(120);
+        reg.histogram("bgp.rounds").observe(3);
         let snap = reg.snapshot();
 
         let text = render_manifest(&run_info(false), &records(Some(33)), Some(&snap));
@@ -548,15 +545,19 @@ mod tests {
         assert_eq!(s.warm, 1);
         assert_eq!(s.cold, 1);
         assert!(text.contains("wall_us"));
-        assert!(text.contains("time.deploy"));
+        assert!(text.contains("bgp.rounds"));
         assert!(text.contains("\"trace\":\"off\""));
 
         let det = render_manifest(&run_info(true), &records(Some(33)), Some(&snap));
         let s = validate_manifest(&det).expect("valid deterministic manifest");
         assert!(s.deterministic);
         assert!(!det.contains("wall_us"), "wall-clock field leaked: {det}");
-        assert!(!det.contains("time."), "wall-clock histogram leaked");
         assert!(!det.contains("trace"), "trace config leaked");
+
+        // A wall-clock histogram in a deterministic manifest is rejected.
+        reg.histogram("time.deploy").observe(120);
+        let timed = render_manifest(&run_info(true), &records(None), Some(&reg.snapshot()));
+        assert!(validate_manifest(&timed).is_err());
     }
 
     #[test]

@@ -184,23 +184,6 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-impl MetricsSnapshot {
-    /// Copy of this snapshot with every wall-clock-derived metric
-    /// (`time.*` histograms) removed — the deterministic-manifest view.
-    pub fn without_time(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|(k, _)| !k.starts_with("time."))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        }
-    }
-}
-
 /// A named collection of metrics. Handles are `Arc`s: resolve once, then
 /// update lock-free.
 #[derive(Debug, Default)]
@@ -354,17 +337,5 @@ mod tests {
         g.set(10);
         g.add(-3);
         assert_eq!(g.get(), 7);
-    }
-
-    #[test]
-    fn without_time_drops_only_time_histograms() {
-        let reg = Registry::new();
-        reg.counter("a").inc();
-        reg.histogram("time.x").observe(5);
-        reg.histogram("size.x").observe(5);
-        let snap = reg.snapshot().without_time();
-        assert!(snap.counters.contains_key("a"));
-        assert!(!snap.histograms.contains_key("time.x"));
-        assert!(snap.histograms.contains_key("size.x"));
     }
 }

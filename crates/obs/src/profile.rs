@@ -9,7 +9,7 @@
 //! counting; idle stretches are recorded as `*.idle` spans, so they are
 //! accounted (not missing) time.
 
-use crate::trace::{Trace, TraceEventKind};
+use crate::trace::Trace;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -66,16 +66,12 @@ pub struct ProfileSummary {
 impl ProfileSummary {
     /// Fold a trace into per-phase and per-worker aggregates.
     pub fn from_trace(trace: &Trace) -> ProfileSummary {
-        let spans: Vec<_> = trace
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::Span)
-            .collect();
+        let spans = &trace.events;
         let index_of: HashMap<u64, usize> =
             spans.iter().enumerate().map(|(i, e)| (e.id, i)).collect();
         // Sum each span's direct-children inclusive time onto the parent.
         let mut child_us = vec![0u64; spans.len()];
-        for e in &spans {
+        for e in spans {
             if e.parent != 0 {
                 if let Some(&p) = index_of.get(&e.parent) {
                     child_us[p] += e.end_us.saturating_sub(e.start_us);

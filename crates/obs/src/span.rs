@@ -1,153 +1,38 @@
-//! Scoped span timers with a pluggable sink and optional trace capture.
+//! Scoped spans that record into the armed trace.
 //!
-//! Spans are *disabled by default*: until a sink is installed or a trace
-//! is armed ([`crate::trace::start_trace`]), [`span`] returns an inert
-//! guard whose construction and drop are a single relaxed atomic load
-//! each — no clock reads, no allocation — so instrumented hot paths pay
-//! nothing (the warm-start campaign speedup is not regressed).
+//! Spans are *inert by default*: until a trace is armed
+//! ([`crate::trace::start_trace`]), [`span`] returns an inert guard whose
+//! construction and drop are a single relaxed atomic load each — no
+//! clock reads, no allocation — so instrumented hot paths pay nothing.
 //!
-//! With a sink installed, each span reads the monotonic clock twice,
-//! feeds a `time.<name>` histogram in the global registry, and reports a
-//! [`SpanRecord`] to the sink. The histogram handle is resolved once at
-//! span *open* and the sink is cached per thread (keyed by an install
-//! generation), so enabled spans do no allocation and take no global
-//! lock on the drop path.
-//!
-//! While a trace is armed, each span additionally records a
-//! [`crate::trace::TraceEvent`] with id, parent link, thread index,
-//! timestamps, and any [`Span::attr`] attributes into the per-thread
-//! trace buffer. Tracing alone does *not* feed `time.*` histograms, so
-//! deterministic metrics snapshots are unaffected by profiling runs.
+//! While a trace is armed, each span reads the monotonic clock at open
+//! and close and records a [`crate::trace::TraceEvent`] with id, parent
+//! link, thread index, timestamps, and any [`Span::attr`] attributes into
+//! the per-thread trace buffer. Spans feed no metric, so deterministic
+//! metrics snapshots are unaffected by profiling runs.
 
-use crate::metrics::{global, Histogram};
 use crate::trace::{self, TraceCtx, MAX_ATTRS};
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-/// One finished span, as delivered to a [`SpanSink`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Span name (e.g. `campaign.run`).
-    pub name: &'static str,
-    /// Nesting depth at the time the span was *opened* (1 = top level).
-    pub depth: usize,
-    /// Elapsed wall time in microseconds.
-    pub micros: u64,
-}
-
-/// Receives finished spans. Implementations must be cheap: they run
-/// inline on the instrumented thread.
-pub trait SpanSink: Send + Sync {
-    /// Called once per finished span.
-    fn record(&self, span: &SpanRecord);
-}
-
-/// Combined fast-path flag: sink installed OR trace armed. The single
-/// relaxed load of this flag is the entire cost of an inert span.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static SINK_INSTALLED: AtomicBool = AtomicBool::new(false);
-/// Bumped on every [`set_span_sink`] call; per-thread sink caches
-/// revalidate against it instead of taking the `RwLock` per span.
-static SINK_GEN: AtomicU64 = AtomicU64::new(0);
-static SINK: RwLock<Option<Arc<dyn SpanSink>>> = RwLock::new(None);
-
-/// Recompute the combined fast-path flag. Called by [`set_span_sink`]
-/// and by trace arm/disarm.
-pub(crate) fn refresh_active() {
-    let on = SINK_INSTALLED.load(Ordering::Relaxed) || trace::tracing_enabled();
-    ACTIVE.store(on, Ordering::SeqCst);
-}
-
-/// Install (or with `None`, remove) the process-wide span sink. Spans
-/// are timed while a sink is installed or a trace is armed.
-pub fn set_span_sink(sink: Option<Arc<dyn SpanSink>>) {
-    let mut w = SINK.write().expect("span sink lock");
-    SINK_INSTALLED.store(sink.is_some(), Ordering::SeqCst);
-    *w = sink;
-    SINK_GEN.fetch_add(1, Ordering::SeqCst);
-    drop(w);
-    refresh_active();
-}
-
-/// Whether spans are currently being timed (sink installed or trace armed).
-pub fn spans_enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-thread_local! {
-    static DEPTH: Cell<usize> = const { Cell::new(0) };
-    /// Histogram handles resolved once per (thread, span name): avoids
-    /// the `format!("time.{name}")` allocation and registry lock per drop.
-    static HIST_CACHE: RefCell<HashMap<&'static str, Arc<Histogram>>> =
-        RefCell::new(HashMap::new());
-    /// (generation, sink) — revalidated against `SINK_GEN` per span open.
-    static SINK_CACHE: RefCell<(u64, Option<Arc<dyn SpanSink>>)> =
-        const { RefCell::new((0, None)) };
-}
-
-fn cached_histogram(name: &'static str) -> Arc<Histogram> {
-    HIST_CACHE.with(|cache| {
-        Arc::clone(
-            cache
-                .borrow_mut()
-                .entry(name)
-                .or_insert_with(|| global().histogram(&format!("time.{name}"))),
-        )
-    })
-}
-
-fn cached_sink() -> Option<Arc<dyn SpanSink>> {
-    SINK_CACHE.with(|cache| {
-        let mut slot = cache.borrow_mut();
-        let gen_now = SINK_GEN.load(Ordering::Acquire);
-        if slot.0 != gen_now {
-            *slot = (gen_now, SINK.read().expect("span sink lock").clone());
-        }
-        slot.1.clone()
-    })
-}
-
-/// RAII guard returned by [`span`]; reports on drop.
+/// RAII guard returned by [`span`]; records its trace event on drop.
 #[must_use = "a span measures the scope it is bound to"]
 pub struct Span {
     name: &'static str,
-    start: Option<Instant>,
-    hist: Option<Arc<Histogram>>,
     trace: Option<TraceCtx>,
     attrs: [(&'static str, u64); MAX_ATTRS],
     n_attrs: u8,
 }
 
-/// Open a scoped span. Inert (no clock read) unless a sink is installed
-/// or a trace is armed.
+/// Open a scoped span. Inert (no clock read) unless a trace is armed.
 pub fn span(name: &'static str) -> Span {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return Span {
-            name,
-            start: None,
-            hist: None,
-            trace: None,
-            attrs: [("", 0); MAX_ATTRS],
-            n_attrs: 0,
-        };
-    }
-    let now = Instant::now();
-    let sinking = SINK_INSTALLED.load(Ordering::Relaxed);
-    if sinking {
-        DEPTH.with(|d| d.set(d.get() + 1));
-    }
+    let trace = if trace::tracing_enabled() {
+        trace::enter(Instant::now())
+    } else {
+        None
+    };
     Span {
         name,
-        start: Some(now),
-        hist: sinking.then(|| cached_histogram(name)),
-        trace: if trace::tracing_enabled() {
-            trace::enter(now)
-        } else {
-            None
-        },
+        trace,
         attrs: [("", 0); MAX_ATTRS],
         n_attrs: 0,
     }
@@ -163,7 +48,7 @@ impl Span {
 
     /// Attach a `u64` attribute in place; same semantics as [`Span::attr`].
     pub fn set_attr(&mut self, key: &'static str, value: u64) {
-        if self.start.is_none() {
+        if self.trace.is_none() {
             return;
         }
         let n = self.n_attrs as usize;
@@ -176,113 +61,8 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let end = Instant::now();
         if let Some(tctx) = self.trace.take() {
-            trace::exit(tctx, self.name, end, self.attrs, self.n_attrs);
+            trace::exit(tctx, self.name, Instant::now(), self.attrs, self.n_attrs);
         }
-        let Some(hist) = self.hist.take() else { return };
-        let micros = end
-            .checked_duration_since(start)
-            .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
-            .unwrap_or(0);
-        let depth = DEPTH.with(|d| {
-            let v = d.get();
-            d.set(v - 1);
-            v
-        });
-        hist.observe(micros);
-        if let Some(sink) = cached_sink() {
-            sink.record(&SpanRecord {
-                name: self.name,
-                depth,
-                micros,
-            });
-        }
-    }
-}
-
-/// Sink printing one parseable line per span to stderr:
-/// `obs span name=<name> depth=<d> us=<micros>`.
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl SpanSink for StderrSink {
-    fn record(&self, span: &SpanRecord) {
-        eprintln!(
-            "obs span name={} depth={} us={}",
-            span.name, span.depth, span.micros
-        );
-    }
-}
-
-/// Sink buffering spans in memory (tests and overhead probes).
-#[derive(Debug, Default)]
-pub struct CollectingSink {
-    records: Mutex<Vec<SpanRecord>>,
-}
-
-impl CollectingSink {
-    /// A new, empty sink.
-    pub fn new() -> CollectingSink {
-        CollectingSink::default()
-    }
-
-    /// All spans recorded so far.
-    pub fn records(&self) -> Vec<SpanRecord> {
-        self.records.lock().expect("collecting sink lock").clone()
-    }
-}
-
-impl SpanSink for CollectingSink {
-    fn record(&self, span: &SpanRecord) {
-        self.records
-            .lock()
-            .expect("collecting sink lock")
-            .push(span.clone());
-    }
-}
-
-/// Sink that counts spans but stores nothing — the cheapest *enabled*
-/// sink, used to bound instrumentation overhead.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl SpanSink for NullSink {
-    fn record(&self, _span: &SpanRecord) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The sink is process-global, so the span tests share one #[test]
-    // (cargo runs tests in threads; two tests swapping the sink race).
-    #[test]
-    fn spans_nest_and_disable() {
-        let _guard = crate::test_lock();
-        // Disabled: inert guard, nothing recorded.
-        assert!(!spans_enabled());
-        drop(span("never"));
-
-        let sink = Arc::new(CollectingSink::new());
-        set_span_sink(Some(sink.clone()));
-        {
-            let _outer = span("outer");
-            let _inner = span("inner");
-        }
-        set_span_sink(None);
-        drop(span("after"));
-
-        let records = sink.records();
-        assert_eq!(records.len(), 2);
-        // Inner drops first, at depth 2.
-        assert_eq!(records[0].name, "inner");
-        assert_eq!(records[0].depth, 2);
-        assert_eq!(records[1].name, "outer");
-        assert_eq!(records[1].depth, 1);
-        // Enabled spans feed time.* histograms.
-        assert!(global().histogram("time.outer").count() >= 1);
-        assert_eq!(global().histogram("time.never").count(), 0);
     }
 }

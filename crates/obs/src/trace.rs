@@ -1,10 +1,10 @@
 //! Structured trace trees with per-thread buffers.
 //!
 //! A *trace* is a bounded recording window: [`start_trace`] arms collection,
-//! instrumented code records spans and counter samples into per-thread
-//! buffers, and [`end_trace`] disarms collection and drains every buffer
-//! into a single [`Trace`] value that the exporters in [`crate::export`]
-//! and [`crate::profile`] consume.
+//! instrumented code records spans into per-thread buffers, and
+//! [`end_trace`] disarms collection and drains every buffer into a single
+//! [`Trace`] value that the exporters in [`crate::export`] and
+//! [`crate::profile`] consume.
 //!
 //! Design points:
 //!
@@ -35,20 +35,10 @@ use std::time::Instant;
 /// Maximum number of key/value attributes carried inline by one event.
 pub const MAX_ATTRS: usize = 4;
 
-/// Is a recorded event a duration span or a point-in-time counter sample?
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// A closed duration span (`start_us..end_us`).
-    Span,
-    /// An instantaneous counter sample; the value lives in `attrs[0].1`
-    /// and `start_us == end_us`.
-    Counter,
-}
-
-/// One recorded event: a closed span or a counter sample.
+/// One recorded event: a closed duration span (`start_us..end_us`).
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// Unique nonzero id (spans only; counters reuse the id space).
+    /// Unique nonzero id.
     pub id: u64,
     /// Id of the enclosing span on the same thread, or 0 for a root.
     pub parent: u64,
@@ -60,8 +50,6 @@ pub struct TraceEvent {
     pub start_us: u64,
     /// End, microseconds since the trace epoch (`>= start_us`).
     pub end_us: u64,
-    /// Span or counter sample.
-    pub kind: TraceEventKind,
     attrs: [(&'static str, u64); MAX_ATTRS],
     n_attrs: u8,
 }
@@ -123,8 +111,7 @@ struct TraceState {
     threads: Vec<Arc<ThreadBuf>>,
 }
 
-/// Armed flag, read (relaxed) on the span fast path via
-/// [`crate::span::refresh_active`]'s combined flag.
+/// Armed flag, read (relaxed) on the span fast path.
 static TRACING: AtomicBool = AtomicBool::new(false);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static GENERATION: AtomicU64 = AtomicU64::new(0);
@@ -172,8 +159,6 @@ pub fn start_trace(config: TraceConfig) {
         threads: Vec::new(),
     });
     TRACING.store(true, Ordering::Relaxed);
-    drop(guard);
-    crate::span::refresh_active();
 }
 
 /// Disarm collection and drain every per-thread buffer.
@@ -181,7 +166,6 @@ pub fn start_trace(config: TraceConfig) {
 /// Returns `None` if no trace was armed.
 pub fn end_trace() -> Option<Trace> {
     TRACING.store(false, Ordering::Relaxed);
-    crate::span::refresh_active();
     let taken = state().lock().unwrap().take();
     let st = taken?;
     let duration_us = st.epoch.elapsed().as_micros() as u64;
@@ -291,58 +275,8 @@ pub(crate) fn exit(
             thread: ctx.thread,
             start_us: tctx.start_us,
             end_us: us_since(ctx.epoch, end),
-            kind: TraceEventKind::Span,
             attrs,
             n_attrs,
-        });
-    });
-}
-
-/// Record a whole span in one call from explicit start/end instants,
-/// under the current parent — for stretches such as idle waits, where
-/// opening a `Span` up front would itself be measured.
-pub fn record_span(name: &'static str, start: Instant, end: Instant) {
-    if !tracing_enabled() {
-        return;
-    }
-    with_local(|ctx| {
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        ctx.buf.events.lock().unwrap().push(TraceEvent {
-            id,
-            parent: ctx.current_parent,
-            name,
-            thread: ctx.thread,
-            start_us: us_since(ctx.epoch, start),
-            end_us: us_since(ctx.epoch, end),
-            kind: TraceEventKind::Span,
-            attrs: [("", 0); MAX_ATTRS],
-            n_attrs: 0,
-        });
-    });
-}
-
-/// Record an instantaneous counter sample (e.g. queue depth) under the
-/// current thread. No-op when tracing is disarmed.
-pub fn counter_sample(name: &'static str, value: u64) {
-    if !tracing_enabled() {
-        return;
-    }
-    let now = Instant::now();
-    with_local(|ctx| {
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        let ts = us_since(ctx.epoch, now);
-        let mut attrs = [("", 0u64); MAX_ATTRS];
-        attrs[0] = ("value", value);
-        ctx.buf.events.lock().unwrap().push(TraceEvent {
-            id,
-            parent: ctx.current_parent,
-            name,
-            thread: ctx.thread,
-            start_us: ts,
-            end_us: ts,
-            kind: TraceEventKind::Counter,
-            attrs,
-            n_attrs: 1,
         });
     });
 }
@@ -354,23 +288,22 @@ mod tests {
     #[test]
     fn trace_collects_nested_spans_with_parent_links() {
         let _guard = crate::test_lock();
+        // Disarmed: inert guards, and an inert guard stays inert when a
+        // trace arms before it drops.
+        drop(crate::span("trace.test.never"));
+        let late = crate::span("trace.test.late");
         start_trace(TraceConfig::default());
+        drop(late);
         {
             let _outer = crate::span("trace.test.outer");
             let _inner = crate::span("trace.test.inner");
         }
         let trace = end_trace().expect("trace was armed");
         assert!(!tracing_enabled());
-        let outer = trace
-            .events
-            .iter()
-            .find(|e| e.name == "trace.test.outer")
-            .expect("outer recorded");
-        let inner = trace
-            .events
-            .iter()
-            .find(|e| e.name == "trace.test.inner")
-            .expect("inner recorded");
+        let names: Vec<_> = trace.events.iter().map(|e| e.name).collect();
+        // Inner closes first: buffers hold spans in completion order.
+        assert_eq!(names, ["trace.test.inner", "trace.test.outer"]);
+        let (inner, outer) = (&trace.events[0], &trace.events[1]);
         assert_eq!(outer.parent, 0);
         assert_eq!(inner.parent, outer.id);
         assert!(outer.start_us <= inner.start_us);
@@ -379,16 +312,16 @@ mod tests {
     }
 
     #[test]
-    fn counter_samples_and_attrs_round_trip() {
+    fn span_attrs_round_trip() {
         let _guard = crate::test_lock();
         start_trace(TraceConfig {
             buffer_capacity: 16,
         });
         {
-            let _s = crate::span("trace.test.attrs")
+            let mut s = crate::span("trace.test.attrs")
                 .attr("epoch", 3)
                 .attr("shard", 7);
-            counter_sample("trace.test.depth", 42);
+            s.set_attr("events", 9);
         }
         let trace = end_trace().unwrap();
         let span = trace
@@ -396,23 +329,14 @@ mod tests {
             .iter()
             .find(|e| e.name == "trace.test.attrs")
             .unwrap();
-        assert_eq!(span.attrs(), &[("epoch", 3), ("shard", 7)]);
-        let c = trace
-            .events
-            .iter()
-            .find(|e| e.name == "trace.test.depth")
-            .unwrap();
-        assert_eq!(c.kind, TraceEventKind::Counter);
-        assert_eq!(c.attrs(), &[("value", 42)]);
-        assert_eq!(c.parent, span.id);
+        assert_eq!(span.attrs(), &[("epoch", 3), ("shard", 7), ("events", 9)]);
     }
 
     #[test]
     fn end_without_start_is_none_and_recording_when_off_is_noop() {
         let _guard = crate::test_lock();
         assert!(end_trace().is_none());
-        counter_sample("trace.test.ignored", 1);
-        record_span("trace.test.ignored", Instant::now(), Instant::now());
+        drop(crate::span("trace.test.ignored").attr("epoch", 1));
         assert!(end_trace().is_none());
         assert_eq!(trace_config_label(), "off");
     }

@@ -215,7 +215,7 @@ fn manifest_roundtrips_through_file() {
         path.to_str().expect("utf-8 temp path"),
         &run_info("obs_manifest", &campaign, true),
         &recorder.take_records(),
-        Some(&trackdown_suite::obs::global().snapshot().without_time()),
+        Some(&trackdown_suite::obs::global().snapshot()),
     )
     .expect("write manifest");
     let text = std::fs::read_to_string(&path).expect("read back");

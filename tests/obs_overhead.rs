@@ -1,21 +1,18 @@
-//! Overhead guard: with the default no-op configuration (no span sink,
-//! no recorder), the instrumentation layer must not slow the campaign
+//! Overhead guard: collecting a trace must not slow the campaign
 //! pipeline measurably. Run explicitly (CI does, in release mode):
 //!
 //! ```text
 //! cargo test --release --test obs_overhead -- --ignored
 //! ```
 //!
-//! Methodology: the same medium warm campaign is timed with spans
-//! disabled and with a [`NullSink`] installed (the worst realistic
-//! "instrumentation on" case short of I/O), alternating A/B/A/B and
-//! keeping the minimum per arm — minima are robust to scheduler noise
-//! where means are not. The threshold is 2% by default
-//! (`OBS_OVERHEAD_LIMIT_PCT` overrides it for noisy machines).
+//! Methodology: the same medium campaign is timed untraced and traced,
+//! alternating A/B/A/B and keeping the minimum per arm — minima are
+//! robust to scheduler noise where means are not. With no trace armed a
+//! span is one relaxed atomic load, so the untraced arm is the
+//! instrumentation-off baseline.
 
-use std::sync::Arc;
 use std::time::Instant;
-use trackdown_suite::obs::{end_trace, set_span_sink, start_trace, NullSink, TraceConfig};
+use trackdown_suite::obs::{end_trace, start_trace, TraceConfig};
 use trackdown_suite::prelude::*;
 
 fn build() -> (GeneratedTopology, OriginAs, Vec<AnnouncementConfig>) {
@@ -30,49 +27,6 @@ fn build() -> (GeneratedTopology, OriginAs, Vec<AnnouncementConfig>) {
         },
     );
     (world, origin, schedule)
-}
-
-#[test]
-#[ignore = "timing-sensitive; run in release mode via CI's observability job"]
-fn noop_instrumentation_overhead_under_limit() {
-    let limit_pct: f64 = std::env::var("OBS_OVERHEAD_LIMIT_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-    let (world, origin, schedule) = build();
-    let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-    let run_once = || {
-        let t = Instant::now();
-        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
-            .expect("valid schedule");
-        let dt = t.elapsed();
-        assert!(!campaign.records.is_empty());
-        dt
-    };
-
-    // Warm the caches (page-in, allocator) before measuring anything.
-    let _ = run_once();
-
-    let rounds = 5usize;
-    let mut best_off = f64::MAX;
-    let mut best_on = f64::MAX;
-    for _ in 0..rounds {
-        set_span_sink(None);
-        best_off = best_off.min(run_once().as_secs_f64());
-        set_span_sink(Some(Arc::new(NullSink)));
-        best_on = best_on.min(run_once().as_secs_f64());
-    }
-    set_span_sink(None);
-
-    let overhead_pct = (best_on / best_off - 1.0) * 100.0;
-    eprintln!(
-        "obs overhead: off {:.3}s, on(NullSink) {:.3}s, overhead {:+.2}% (limit {limit_pct}%)",
-        best_off, best_on, overhead_pct
-    );
-    assert!(
-        overhead_pct < limit_pct,
-        "no-op instrumentation overhead {overhead_pct:.2}% exceeds {limit_pct}%"
-    );
 }
 
 /// Enabled-tracing overhead bound: a warm campaign run with a full trace

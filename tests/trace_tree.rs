@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use trackdown_suite::obs::{
-    chrome_trace_json, end_trace, start_trace, tracing_enabled, Trace, TraceConfig, TraceEventKind,
+    chrome_trace_json, end_trace, start_trace, tracing_enabled, ProfileSummary, Trace, TraceConfig,
 };
 use trackdown_suite::prelude::*;
 
@@ -37,11 +37,7 @@ fn scenario(seed: u64) -> (GeneratedTopology, OriginAs, Vec<AnnouncementConfig>)
 /// Structural invariants every collected trace must satisfy, regardless
 /// of workload or thread count.
 fn assert_well_formed(trace: &Trace) {
-    let spans: Vec<_> = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == TraceEventKind::Span)
-        .collect();
+    let spans: Vec<_> = trace.events.iter().collect();
     assert!(!spans.is_empty(), "trace has no spans");
 
     // Unique, nonzero ids; timestamps ordered; threads in range.
@@ -100,11 +96,7 @@ fn assert_well_formed(trace: &Trace) {
 }
 
 fn count(trace: &Trace, name: &str) -> usize {
-    trace
-        .events
-        .iter()
-        .filter(|e| e.kind == TraceEventKind::Span && e.name == name)
-        .count()
+    trace.events.iter().filter(|e| e.name == name).count()
 }
 
 /// The same campaign traced at 1, 2, and 8 worker threads yields
@@ -112,7 +104,8 @@ fn count(trace: &Trace, name: &str) -> usize {
 /// workload, not the executor shape: one campaign root, and one
 /// `worker.epoch` span per propagated epoch with that epoch's
 /// `bgp.deploy` nested under it. A one-thread campaign runs on the
-/// calling thread alone, so its trace has a single timeline.
+/// calling thread alone, so its trace has a single timeline; with more
+/// workers, the calling thread's join wait is one `campaign.idle` span.
 #[test]
 fn campaign_traces_are_well_formed_across_thread_counts() {
     let _guard = lock();
@@ -160,19 +153,38 @@ fn campaign_traces_are_well_formed_across_thread_counts() {
         );
         if threads == 1 {
             assert_eq!(trace.threads.len(), 1, "a 1-thread campaign spawns nothing");
+            assert_eq!(count(&trace, "campaign.idle"), 0, "nothing to wait for");
+        } else {
+            // The calling thread works the first chunk, then waits on the
+            // other workers inside one `campaign.idle` under `campaign.run`,
+            // and the profile books exactly that wait as its idle time.
+            assert!(campaign.stats.threads > 1, "{threads} threads");
+            let on_caller = |name: &str| {
+                let found: Vec<_> = trace
+                    .events
+                    .iter()
+                    .filter(|e| e.thread == 0 && e.name == name)
+                    .collect();
+                assert_eq!(found.len(), 1, "{threads} threads: one {name} on thread 0");
+                found[0]
+            };
+            let (run, idle) = (on_caller("campaign.run"), on_caller("campaign.idle"));
+            assert_eq!(count(&trace, "campaign.idle"), 1, "{threads} threads");
+            assert_eq!(idle.parent, run.id, "{threads} threads");
+            let summary = ProfileSummary::from_trace(&trace);
+            assert_eq!(
+                summary.workers[0].idle_us,
+                idle.end_us - idle.start_us,
+                "{threads} threads"
+            );
         }
 
         // The exporter accepts the real trace: valid JSON with balanced
         // B/E events (checked structurally by the obs unit test; here we
         // just require one B and one E per span).
         let json = chrome_trace_json(&trace);
-        let spans = trace
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::Span)
-            .count();
-        assert_eq!(json.matches("\"ph\":\"B\"").count(), spans);
-        assert_eq!(json.matches("\"ph\":\"E\"").count(), spans);
+        assert_eq!(json.matches("\"ph\":\"B\"").count(), trace.events.len());
+        assert_eq!(json.matches("\"ph\":\"E\"").count(), trace.events.len());
     }
 }
 
