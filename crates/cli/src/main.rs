@@ -352,15 +352,9 @@ fn cmd_validate_manifest(args: &Args) -> Result<(), String> {
     let text = fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let summary = trackdown_obs::validate_manifest(&text).map_err(|e| format!("{path}: {e}"))?;
     println!(
-        "{path}: valid manifest — {} epochs ({} warm, {} delta, {} cold, {} memo), \
+        "{path}: valid manifest — {} epochs ({} delta, {} cold), \
          schedule_len {}, deterministic {}",
-        summary.epochs,
-        summary.warm,
-        summary.delta,
-        summary.cold,
-        summary.memo,
-        summary.schedule_len,
-        summary.deterministic
+        summary.epochs, summary.delta, summary.cold, summary.schedule_len, summary.deterministic
     );
     Ok(())
 }

@@ -635,66 +635,61 @@ pub struct SuspectCluster {
     pub volume_upper_bound: u64,
 }
 
-/// Check the volume matrix against the campaign's shape: one row per
-/// configuration, each row *exactly* as wide as the attribution plane —
-/// every link a tracked cluster was routed to, and nothing more. Short
-/// rows would otherwise read as zero volume and silently *exonerate*
-/// clusters on missing data; over-wide rows carry entries no tracked
-/// cluster can ever be matched against, which almost always means the
-/// caller built the matrix against the wrong width (e.g. the origin's
-/// full link count) and the surplus volume would be silently dropped.
-fn validate_link_volumes(campaign: &Campaign, link_volumes: &[Vec<u64>]) {
+/// Check a volume store against the campaign's shape: `rows` rows, one
+/// per configuration, with row `k` covering `width(k)` links. Every row
+/// must be at least as wide as the attribution plane — every link a
+/// tracked cluster was routed to — because a short row would read as zero
+/// volume and silently *exonerate* clusters on missing data. Unless
+/// `allow_wide`, every row must also be *exactly* that wide: over-wide
+/// rows carry entries no tracked cluster can ever be matched against,
+/// which almost always means the caller built the matrix against the
+/// wrong width (e.g. the origin's full link count) and the surplus volume
+/// would be silently dropped.
+fn check_volume_shape(
+    campaign: &Campaign,
+    rows: usize,
+    width: impl Fn(usize) -> usize,
+    allow_wide: bool,
+) {
     assert_eq!(
-        link_volumes.len(),
+        rows,
         campaign.catchments.len(),
-        "one volume vector per configuration"
+        "one volume row per configuration"
     );
     let need = campaign.attribution.num_links();
-    for (k, row) in link_volumes.iter().enumerate() {
+    for k in 0..rows {
+        let have = width(k);
         assert!(
-            row.len() >= need,
-            "link_volumes[{k}] covers {} links but the campaign routed tracked \
+            have >= need,
+            "volume row {k} covers {have} links but the campaign routed tracked \
              clusters to links up to id {}; missing entries would read as zero \
              volume and silently exonerate clusters",
-            row.len(),
             need - 1
         );
         assert!(
-            row.len() == need,
-            "link_volumes[{k}] covers {} links but the campaign's attribution \
+            allow_wide || have == need,
+            "volume row {k} covers {have} links but the campaign's attribution \
              plane spans exactly {need}; the extra entries belong to no tracked \
              cluster and would be silently ignored — trim the rows with \
-             fit_link_volumes or build them with link_volume_matrix",
-            row.len()
+             fit_link_volumes or build them with link_volume_matrix"
         );
     }
 }
 
-/// Check an accumulator's shape against the campaign: same contract as the
-/// dense-matrix validation — one configuration per campaign configuration
-/// and exactly the attribution plane's link width.
+/// [`check_volume_shape`] for dense rows.
+fn validate_link_volumes(campaign: &Campaign, link_volumes: &[Vec<u64>]) {
+    check_volume_shape(
+        campaign,
+        link_volumes.len(),
+        |k| link_volumes[k].len(),
+        false,
+    );
+}
+
+/// [`check_volume_shape`] for an accumulator, whose configurations all
+/// share one link width.
 fn validate_accumulator<A: VolumeAccumulator + ?Sized>(campaign: &Campaign, acc: &A) {
-    assert_eq!(
-        acc.num_configs(),
-        campaign.catchments.len(),
-        "one accumulator configuration per campaign configuration"
-    );
-    let need = campaign.attribution.num_links();
-    assert!(
-        acc.num_links() >= need,
-        "accumulator covers {} links but the campaign routed tracked clusters \
-         to links up to id {}; missing counters would read as zero volume and \
-         silently exonerate clusters",
-        acc.num_links(),
-        need - 1
-    );
-    assert!(
-        acc.num_links() == need,
-        "accumulator covers {} links but the campaign's attribution plane \
-         spans exactly {need}; the extra counters belong to no tracked cluster \
-         and would be silently ignored",
-        acc.num_links()
-    );
+    check_volume_shape(campaign, acc.num_configs(), |_| acc.num_links(), false);
 }
 
 /// Adapt honeypot-shaped volume rows (width = the origin's full link
@@ -708,21 +703,9 @@ fn validate_accumulator<A: VolumeAccumulator + ?Sized>(campaign: &Campaign, acc:
 /// exoneration hazard — see [`rank_suspects`]), or the row count does not
 /// match the campaign's configuration count.
 pub fn fit_link_volumes(campaign: &Campaign, mut rows: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-    assert_eq!(
-        rows.len(),
-        campaign.catchments.len(),
-        "one volume vector per configuration"
-    );
+    check_volume_shape(campaign, rows.len(), |k| rows[k].len(), true);
     let need = campaign.attribution.num_links();
-    for (k, row) in rows.iter_mut().enumerate() {
-        assert!(
-            row.len() >= need,
-            "link_volumes[{k}] covers {} links but the campaign routed tracked \
-             clusters to links up to id {}; missing entries would read as zero \
-             volume and silently exonerate clusters",
-            row.len(),
-            need - 1
-        );
+    for row in &mut rows {
         row.truncate(need);
     }
     rows

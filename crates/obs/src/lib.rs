@@ -44,9 +44,7 @@ pub use manifest::{
     render_manifest, validate_manifest, write_manifest, CampaignRecorder, EpochMode, EpochRecord,
     ManifestSummary, RunInfo, MANIFEST_SCHEMA_VERSION,
 };
-pub use metrics::{
-    global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
-};
+pub use metrics::{global, Counter, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use profile::{PhaseStat, ProfileSummary, WorkerStat};
 pub use span::{span, Span};
 pub use trace::{

@@ -36,7 +36,11 @@ use std::time::Instant;
 /// Version 5 dropped the `shards` run-header field along with the
 /// sharded executor: campaigns run on one chunked executor whose shape
 /// the `threads` field already describes.
-pub const MANIFEST_SCHEMA_VERSION: u64 = 5;
+///
+/// Version 6 dropped the vocabulary no campaign emits: the `warm` and
+/// `memo` epoch modes (their executor and cache are deleted) and the
+/// metrics line's `gauges` key (no gauge is registered).
+pub const MANIFEST_SCHEMA_VERSION: u64 = 6;
 
 /// Run-level header describing the whole campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +53,7 @@ pub struct RunInfo {
     pub policy_seed: u64,
     /// Scale label (`small`/`medium`/`full`).
     pub scale: String,
-    /// Session reuse policy (`warm`/`delta`/`cold`).
+    /// Session reuse policy (`delta`/`cold`).
     pub mode: String,
     /// Worker threads used.
     pub threads: usize,
@@ -65,33 +69,23 @@ pub struct RunInfo {
     pub deterministic: bool,
 }
 
-/// How one epoch's routing outcome was obtained. Campaigns emit `Delta`
-/// and `Cold`; `Warm` and `Memo` stay in the schema-5 vocabulary so
-/// manifests written by older runs still parse.
+/// How one epoch's routing outcome was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochMode {
-    /// FIFO epoch transition reusing the previous converged state (the
-    /// deleted warm reuse mode).
-    Warm,
     /// Delta epoch transition: injection diff seeding + rank-ordered
     /// propagation from the previous converged state.
     Delta,
     /// Cold start from empty RIBs (includes a session's first
     /// deployment, violator-gate cold starts, and `Cold` campaigns).
     Cold,
-    /// Served from the (deleted) footprint memo cache without touching
-    /// the engine.
-    Memo,
 }
 
 impl EpochMode {
     /// Manifest string for this mode.
     pub fn as_str(&self) -> &'static str {
         match self {
-            EpochMode::Warm => "warm",
             EpochMode::Delta => "delta",
             EpochMode::Cold => "cold",
-            EpochMode::Memo => "memo",
         }
     }
 }
@@ -114,12 +108,12 @@ pub struct EpochRecord {
     /// Best-route changes during the epoch.
     pub changes: usize,
     /// ASes whose best route at this epoch's fixpoint differs from the
-    /// previous fixpoint (net disturbance; 0 for memo hits).
+    /// previous fixpoint (net disturbance).
     pub routes_disturbed: usize,
     /// Whether the epoch converged within the event cap.
     pub converged: bool,
     /// Wall time of the deployment in microseconds (`None` in
-    /// deterministic mode, and for memo hits).
+    /// deterministic mode).
     pub wall_us: Option<u64>,
 }
 
@@ -243,7 +237,6 @@ pub fn render_manifest(
         out.push_str(&json_line(&obj(vec![
             ("record", Value::Str("metrics".into())),
             ("counters", m.counters.to_value()),
-            ("gauges", m.gauges.to_value()),
             ("histograms", m.histograms.to_value()),
         ])));
         out.push('\n');
@@ -268,14 +261,10 @@ pub struct ManifestSummary {
     pub schedule_len: usize,
     /// Number of epoch lines.
     pub epochs: usize,
-    /// Epochs deployed as warm transitions.
-    pub warm: usize,
     /// Epochs deployed as delta transitions.
     pub delta: usize,
     /// Epochs deployed as cold starts.
     pub cold: usize,
-    /// Epochs served from the memo cache.
-    pub memo: usize,
     /// Whether the run declared deterministic mode.
     pub deterministic: bool,
 }
@@ -306,7 +295,7 @@ const EPOCH_KEYS: &[&str] = &[
     "routes_disturbed",
     "converged",
 ];
-const METRICS_KEYS: &[&str] = &["record", "counters", "gauges", "histograms"];
+const METRICS_KEYS: &[&str] = &["record", "counters", "histograms"];
 
 fn key_set(obj: &[(String, Value)]) -> Vec<&str> {
     let mut keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
@@ -348,8 +337,8 @@ fn get_bool(line: usize, obj: &[(String, Value)], key: &str) -> Result<bool, Str
 
 /// Validate a manifest against the schema: exact key sets per record
 /// kind, a `run` header first, exactly one `epoch` line per schedule
-/// index (each index exactly once), modes from the
-/// `warm|delta|cold|memo` vocabulary, and — when the run declares deterministic mode — no
+/// index (each index exactly once), modes from the `delta|cold`
+/// vocabulary, and — when the run declares deterministic mode — no
 /// `wall_us` anywhere and no `time.*` histograms.
 pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
     let mut lines = Vec::new();
@@ -406,10 +395,8 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
     let mut summary = ManifestSummary {
         schedule_len,
         epochs: 0,
-        warm: 0,
         delta: 0,
         cold: 0,
-        memo: 0,
         deterministic,
     };
     let mut saw_metrics = false;
@@ -425,7 +412,7 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
                 if deterministic {
                     expect_keys(*no, record, EPOCH_KEYS)?;
                 } else {
-                    // wall_us is optional (memo hits omit it).
+                    // wall_us is optional (a record taken without a timer omits it).
                     let mut with_wall: Vec<&str> = EPOCH_KEYS.to_vec();
                     with_wall.push("wall_us");
                     expect_keys(*no, record, EPOCH_KEYS)
@@ -441,10 +428,8 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
                 seen_epochs[epoch] = true;
                 summary.epochs += 1;
                 match get_str(*no, record, "mode")? {
-                    "warm" => summary.warm += 1,
                     "delta" => summary.delta += 1,
                     "cold" => summary.cold += 1,
-                    "memo" => summary.memo += 1,
                     other => return Err(format!("line {no}: unknown epoch mode {other:?}")),
                 }
                 get_str(*no, record, "footprint")?;
@@ -495,7 +480,7 @@ mod tests {
             seed: 7,
             policy_seed: 9,
             scale: "small".into(),
-            mode: "warm".into(),
+            mode: "delta".into(),
             threads: 1,
             trace: "off".into(),
             schedule_len: 2,
@@ -520,7 +505,7 @@ mod tests {
             EpochRecord {
                 epoch: 1,
                 footprint: "⟨{l1}⟩".into(),
-                mode: EpochMode::Warm,
+                mode: EpochMode::Delta,
                 thread: 0,
                 events: 4,
                 rounds: 1,
@@ -542,8 +527,7 @@ mod tests {
         let text = render_manifest(&run_info(false), &records(Some(33)), Some(&snap));
         let s = validate_manifest(&text).expect("valid manifest");
         assert_eq!(s.epochs, 2);
-        assert_eq!(s.warm, 1);
-        assert_eq!(s.cold, 1);
+        assert_eq!((s.delta, s.cold), (1, 1));
         assert!(text.contains("wall_us"));
         assert!(text.contains("bgp.rounds"));
         assert!(text.contains("\"trace\":\"off\""));
@@ -576,11 +560,10 @@ mod tests {
     #[test]
     fn delta_epochs_validate_and_count() {
         let mut recs = records(None);
-        recs[1].mode = EpochMode::Delta;
+        recs[0].mode = EpochMode::Delta;
         let text = render_manifest(&run_info(true), &recs, None);
         let s = validate_manifest(&text).expect("valid delta manifest");
-        assert_eq!(s.delta, 1);
-        assert_eq!(s.warm, 0);
+        assert_eq!((s.delta, s.cold), (2, 0));
         assert!(text.contains("\"mode\":\"delta\""));
         assert!(text.contains("\"routes_disturbed\":2"));
     }
@@ -597,12 +580,27 @@ mod tests {
         // Duplicate epoch.
         let dup = good.replace("\"epoch\":1", "\"epoch\":0");
         assert!(validate_manifest(&dup).is_err());
-        // Bad mode vocabulary.
-        let bad_mode = good.replace(
-            "\"mode\":\"warm\",\"thread\"",
-            "\"mode\":\"hot\",\"thread\"",
+        // Bad mode vocabulary, including the schema-5 words no campaign
+        // emits any more.
+        for retired in ["hot", "warm", "memo"] {
+            let bad_mode = good.replace(
+                "\"mode\":\"delta\",\"thread\"",
+                &format!("\"mode\":\"{retired}\",\"thread\""),
+            );
+            assert!(validate_manifest(&bad_mode).is_err(), "{retired}");
+        }
+        // A schema-5 header, and a metrics line with the schema-5
+        // `gauges` key.
+        let schema5 = good.replace("\"schema\":6", "\"schema\":5");
+        assert!(validate_manifest(&schema5).is_err());
+        let with_metrics = render_manifest(
+            &run_info(false),
+            &records(None),
+            Some(&Registry::new().snapshot()),
         );
-        assert!(validate_manifest(&bad_mode).is_err());
+        assert!(validate_manifest(&with_metrics).is_ok());
+        let gauges = with_metrics.replace("\"histograms\":", "\"gauges\":{},\"histograms\":");
+        assert!(validate_manifest(&gauges).is_err());
         // wall_us in a deterministic run.
         let det_header = good.replace("\"deterministic\":false", "\"deterministic\":true");
         let leaked = det_header.replace("\"converged\":true}", "\"converged\":true,\"wall_us\":5}");

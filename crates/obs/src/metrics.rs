@@ -1,5 +1,5 @@
-//! Thread-safe metrics: atomic counters, gauges, and fixed-bucket
-//! histograms, collected in a named registry.
+//! Thread-safe metrics: atomic counters and fixed-bucket histograms,
+//! collected in a named registry.
 //!
 //! Buckets are powers of two: observation `v` lands in bucket
 //! `⌈log2(v+1)⌉`, so bucket `i` covers `(2^(i-1), 2^i]` (bucket 0 holds
@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Number of histogram buckets: bucket 63 covers everything above `2^62`.
@@ -33,27 +33,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed gauge: a level that can move both ways.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Set to an absolute value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add a (possibly negative) delta.
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -178,8 +157,6 @@ pub struct HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
@@ -189,7 +166,6 @@ pub struct MetricsSnapshot {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -213,11 +189,6 @@ impl Registry {
         resolve(&self.counters, name)
     }
 
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        resolve(&self.gauges, name)
-    }
-
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         resolve(&self.histograms, name)
@@ -228,13 +199,6 @@ impl Registry {
         MetricsSnapshot {
             counters: self
                 .counters
-                .read()
-                .expect("registry lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
                 .read()
                 .expect("registry lock")
                 .iter()
@@ -329,13 +293,5 @@ mod tests {
         });
         assert_eq!(reg.counter("t.hits").get(), n_threads * per_thread);
         assert_eq!(reg.histogram("t.sizes").count(), n_threads * per_thread);
-    }
-
-    #[test]
-    fn gauge_moves_both_ways() {
-        let g = Gauge::default();
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
     }
 }

@@ -1,37 +1,52 @@
-//! # trackdown-bench
-//!
-//! Criterion benchmarks for the trackdown stack; see the `benches/`
-//! directory:
-//!
-//! * `propagation` — BGP engine fixpoints per announcement configuration
-//!   at small/medium/full scale, plain and poisoned;
-//! * `clustering` — incremental catchment refinement vs the paper's naive
-//!   split, plus CCDF extraction;
-//! * `measurement` — traceroute campaigns, hop repair, and the
-//!   per-configuration measure() pipeline;
-//! * `pipeline` — per-figure workloads (campaign behind Figures 3/4,
-//!   Figure 8 schedulers, Figure 10 attribution) and the packet codec;
-//! * `attribution` — indexed/incremental suspect ranking, volume
-//!   estimation, and cluster lookups vs the scan-based references on the
-//!   50k-source [`attribution_fixture`].
-//!
-//! Run with `cargo bench --workspace`. The mechanism-speedup gates over
-//! the same fixture live in `tests/mechanism_speedups.rs` (`#[ignore]`d
-//! timing tests; run them in release mode with `--ignored`).
+//! Helpers shared by the integration tests: the 50k-source
+//! [`attribution_fixture`] and the [`interleaved_medians`] timer every
+//! `#[ignore]`d timing gate uses. Each test binary compiles this module
+//! and uses only part of it.
+#![allow(dead_code)]
 
+use std::hint::black_box;
+use std::time::Instant;
 use trackdown_bgp::{Catchments, LinkId};
 use trackdown_core::localize::{link_volume_matrix, AttributionIndex, Campaign, CampaignStats};
 use trackdown_topology::AsIndex;
 use trackdown_traffic::Flow;
 
+/// Median wall-clock milliseconds of `a` and of `b` over `trials` rounds
+/// that alternate the two arms (a, b, a, b, ...), after one untimed call
+/// of each. Interleaving spreads machine-load shifts over both arms, and
+/// medians are robust to the occasional preempted trial, so a gate reads
+/// the ratio of the two medians.
+pub fn interleaved_medians<A, B>(
+    trials: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (f64, f64) {
+    fn time<T>(f: &mut impl FnMut() -> T) -> f64 {
+        let t = Instant::now();
+        black_box(f());
+        t.elapsed().as_secs_f64() * 1e3
+    }
+    black_box((a(), b()));
+    let (mut ta, mut tb) = (Vec::with_capacity(trials), Vec::with_capacity(trials));
+    for _ in 0..trials {
+        ta.push(time(&mut a));
+        tb.push(time(&mut b));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(ta), median(tb))
+}
+
 /// Tracked sources in the synthetic attribution partition.
-const SOURCES: usize = 50_000;
+pub const SOURCES: usize = 50_000;
 /// Configurations (catchment maps) in the synthetic partition.
-const CONFIGS: usize = 24;
+pub const CONFIGS: usize = 24;
 /// Origin links the synthetic catchments choose from.
 const LINKS: u8 = 8;
 /// Co-routed source groups the partition settles into.
-const GROUPS: usize = 2_000;
+pub const GROUPS: usize = 2_000;
 
 /// A campaign-shaped attribution workload over a synthetic partition,
 /// far beyond the 2k-AS simulated topologies: 50k tracked sources route
@@ -126,28 +141,5 @@ pub fn attribution_fixture() -> AttributionFixture {
         link_volumes,
         flow_volume,
         flows,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixture_shape_is_pinned() {
-        let f = attribution_fixture();
-        assert_eq!(f.campaign.tracked.len(), SOURCES);
-        assert_eq!(f.campaign.catchments.len(), CONFIGS);
-        assert_eq!(f.link_volumes.len(), CONFIGS);
-        // The few-hundred-source attack: 257 active sources at this seed.
-        assert_eq!(f.flows.len(), 257);
-        assert_eq!(
-            f.flows.iter().map(|fl| fl.bytes).sum::<u64>(),
-            f.flow_volume.iter().sum::<u64>()
-        );
-        // Co-routed groups: the partition settles near GROUPS clusters,
-        // not 50k singletons.
-        let clusters = f.campaign.clustering.num_clusters();
-        assert!((GROUPS / 2..=GROUPS).contains(&clusters), "{clusters}");
     }
 }

@@ -1,24 +1,25 @@
-//! Mechanism-speedup gates on the 50k-source [`attribution_fixture`]:
-//! the indexed attribution plane against the scan-based references it
-//! replaced (≥ 5×), and exact streaming ingest against the dense
-//! per-source rescan (≥ 3×). Each test checks that both arms produce
-//! equal output before it times anything, so a floor only ever gates
-//! equivalent code. Run explicitly, in release mode, one test at a time:
+//! The 50k-source [`attribution_fixture`] and the checks and gates over
+//! it. The fixture's shape and the indexed == scan equality of the
+//! attribution plane run in every `cargo test`. The two mechanism-speedup
+//! gates are `#[ignore]`d timing tests: the indexed attribution plane
+//! against the scan-based references it replaced (>= 5x), and exact
+//! streaming ingest against the dense per-source rescan (>= 3x). Each
+//! gate checks that both arms produce equal output before it times
+//! anything, so a floor only ever gates equivalent code. Run them
+//! explicitly, in release mode, one test at a time:
 //!
 //! ```text
-//! cargo test --release -p trackdown-bench --test mechanism_speedups -- \
+//! cargo test --release --test mechanism_speedups -- \
 //!     --ignored --nocapture --test-threads=1
 //! ```
 //!
-//! Methodology: the two arms alternate A/B for `TRIALS` rounds after an
-//! untimed warm-up, and the floor is checked on the ratio of the two
-//! medians — interleaving spreads machine-load shifts over both arms,
-//! and medians are robust to the occasional preempted trial.
+//! Both gates read the ratio of [`interleaved_medians`] over `TRIALS`
+//! alternating rounds.
 
+mod common;
+
+use common::{attribution_fixture, interleaved_medians, CONFIGS, GROUPS, SOURCES};
 use std::cell::RefCell;
-use std::hint::black_box;
-use std::time::Instant;
-use trackdown_bench::attribution_fixture;
 use trackdown_core::localize::{
     estimate_cluster_volumes, estimate_cluster_volumes_rescan, link_volume_matrix, rank_suspects,
     rank_suspects_acc, rank_suspects_rescan,
@@ -30,25 +31,41 @@ use trackdown_traffic::{
 
 const TRIALS: usize = 9;
 
-/// Median wall-clock (ms) of `a` and of `b` over `TRIALS` interleaved
-/// rounds, after one untimed call of each.
-fn interleaved_medians(a: impl Fn() -> usize, b: impl Fn() -> usize) -> (f64, f64) {
-    let time = |f: &dyn Fn() -> usize| {
-        let t = Instant::now();
-        black_box(f());
-        t.elapsed().as_secs_f64() * 1e3
-    };
-    black_box((a(), b()));
-    let (mut ta, mut tb) = (Vec::new(), Vec::new());
-    for _ in 0..TRIALS {
-        ta.push(time(&a));
-        tb.push(time(&b));
+#[test]
+fn fixture_shape_is_pinned() {
+    let f = attribution_fixture();
+    assert_eq!(f.campaign.tracked.len(), SOURCES);
+    assert_eq!(f.campaign.catchments.len(), CONFIGS);
+    assert_eq!(f.link_volumes.len(), CONFIGS);
+    // The few-hundred-source attack: 257 active sources at this seed.
+    assert_eq!(f.flows.len(), 257);
+    assert_eq!(
+        f.flows.iter().map(|fl| fl.bytes).sum::<u64>(),
+        f.flow_volume.iter().sum::<u64>()
+    );
+    // Co-routed groups: the partition settles near GROUPS clusters,
+    // not 50k singletons.
+    let clusters = f.campaign.clustering.num_clusters();
+    assert!((GROUPS / 2..=GROUPS).contains(&clusters), "{clusters}");
+}
+
+/// The indexed attribution plane equals the scan-based references on the
+/// 50k-source partition, for both the suspect ranking and the interval
+/// volume estimates, at both attacks of the fixture.
+#[test]
+fn indexed_attribution_equals_rescan_on_fixture() {
+    let f = attribution_fixture();
+    let campaign = &f.campaign;
+    let flow_rows = link_volume_matrix(campaign, &f.flow_volume);
+    for vols in [&f.link_volumes, &flow_rows] {
+        let suspects = rank_suspects(campaign, vols);
+        assert!(!suspects.is_empty(), "the attack names no suspect");
+        assert_eq!(suspects, rank_suspects_rescan(campaign, vols));
+        assert_eq!(
+            estimate_cluster_volumes(campaign, vols, 10),
+            estimate_cluster_volumes_rescan(campaign, vols, 10)
+        );
     }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    (median(ta), median(tb))
 }
 
 #[test]
@@ -82,7 +99,7 @@ fn indexed_attribution_is_5x_faster_than_rescan() {
         "indexed/scan attribution diverged"
     );
 
-    let (indexed_ms, scan_ms) = interleaved_medians(|| run_indexed().2, || run_scan().2);
+    let (indexed_ms, scan_ms) = interleaved_medians(TRIALS, run_indexed, run_scan);
     let speedup = scan_ms / indexed_ms;
     println!(
         "attribution: indexed {indexed_ms:.3} ms vs scan {scan_ms:.3} ms (medians of {TRIALS}), \
@@ -129,7 +146,7 @@ fn stream_ingest_is_3x_faster_than_rescan() {
         "streamed suspect ranking diverged"
     );
 
-    let (exact_ms, stream_ms) = interleaved_medians(|| build_exact()[0][0] as usize, stream);
+    let (exact_ms, stream_ms) = interleaved_medians(TRIALS, build_exact, stream);
     let speedup = exact_ms / stream_ms;
     println!(
         "stream ingest: {stream_ms:.3} ms vs exact rescan {exact_ms:.3} ms on {} flows \

@@ -29,7 +29,7 @@ fn run_info(name: &str, campaign: &Campaign, deterministic: bool) -> RunInfo {
         seed: 7,
         policy_seed: 0,
         scale: "small".into(),
-        mode: "warm".into(),
+        mode: "delta".into(),
         threads: campaign.stats.threads,
         trace: trackdown_suite::obs::trace_config_label(),
         schedule_len: campaign.configs.len(),
@@ -69,9 +69,8 @@ fn warm_campaign_manifest_validates() {
     let summary = validate_manifest(&text).expect("manifest validates");
     assert_eq!(summary.epochs, schedule.len());
     assert_eq!(summary.schedule_len, schedule.len());
-    // The manifest vocabulary still parses `warm` and `memo`, but the
-    // campaign no longer emits them.
-    assert_eq!((summary.warm, summary.memo), (0, 0));
+    // Every deploy under the default violator population cold-starts.
+    assert_eq!((summary.delta, summary.cold), (0, schedule.len()));
     assert!(!summary.deterministic);
 }
 

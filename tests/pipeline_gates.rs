@@ -21,7 +21,9 @@
 //! cargo test --release --test pipeline_gates -- --ignored --nocapture --test-threads=1
 //! ```
 
-use std::time::Instant;
+mod common;
+
+use common::interleaved_medians;
 use trackdown_experiments::{Options, Scale, Scenario};
 use trackdown_suite::prelude::*;
 
@@ -167,19 +169,11 @@ fn scale_campaigns_are_thread_invariant_and_scale_with_cores() {
             scale.label()
         );
 
-        let time = |threads| {
-            let t = Instant::now();
-            run(&engine, &scenario, &schedule, mode, threads);
-            t.elapsed().as_secs_f64() * 1e3
-        };
-        let (mut t1, mut t8) = (Vec::new(), Vec::new());
-        for _ in 0..TRIALS {
-            t1.push(time(1));
-            t8.push(time(8));
-        }
-        t1.sort_by(f64::total_cmp);
-        t8.sort_by(f64::total_cmp);
-        let (t1, t8) = (t1[TRIALS / 2], t8[TRIALS / 2]);
+        let (t1, t8) = interleaved_medians(
+            TRIALS,
+            || run(&engine, &scenario, &schedule, mode, 1),
+            || run(&engine, &scenario, &schedule, mode, 8),
+        );
         let speedup = t1 / t8;
         println!(
             "{}: 1 thread {t1:.0} ms, 8 threads {t8:.0} ms (medians of {TRIALS}), \
