@@ -299,6 +299,31 @@ impl Catchments {
         sums
     }
 
+    /// Number of distinct [`Catchments::get`] values over the ASes in
+    /// `members`, a bitset over AS index (bit `i % 64` of word `i / 64`
+    /// set = AS `i` is a member; a bitset shorter than the catchment
+    /// reads as zeros past its end): the link rows `members` intersects,
+    /// plus 1 when some member is unassigned. Word ANDs only, no per-AS
+    /// lookup — the online loop scores every greedy candidate with it.
+    ///
+    /// Panics when a member lies at or past [`Catchments::len`], as `get`
+    /// does for such an AS.
+    pub fn distinct_among(&self, members: &[u64]) -> usize {
+        let stray = members
+            .iter()
+            .skip(self.n / WORD)
+            .enumerate()
+            .any(|(k, &w)| if k == 0 { w >> (self.n % WORD) } else { w } != 0);
+        assert!(
+            !stray,
+            "member bitset reaches past catchment range {}",
+            self.n
+        );
+        let meets = |row: &[u64]| row.iter().zip(members).any(|(r, m)| r & m != 0);
+        let unassigned = self.assigned.iter().zip(members).any(|(a, m)| m & !a != 0);
+        self.rows.iter().filter(|row| meets(row)).count() + usize::from(unassigned)
+    }
+
     /// Number of ASes with an assignment.
     pub fn assigned_count(&self) -> usize {
         self.counts.iter().sum()
@@ -554,6 +579,23 @@ mod tests {
                 assert_eq!(got, want, "values of length {}", values.len());
             }
         }
+    }
+
+    /// `distinct_among` counts link rows met plus one for unassigned
+    /// members, and a member past the catchment's range panics like `get`.
+    #[test]
+    fn distinct_among_counts_parts_and_rejects_stray_members() {
+        let c = sample();
+        assert_eq!(c.distinct_among(&[]), 0);
+        assert_eq!(c.distinct_among(&[0b00110]), 1);
+        assert_eq!(c.distinct_among(&[0b01011]), 3);
+        assert_eq!(c.distinct_among(&[0b11111, 0]), 3);
+        let wide = Catchments::unassigned(70);
+        assert_eq!(wide.distinct_among(&[0, 1 << 5]), 1);
+        let stray = std::panic::catch_unwind(|| wide.distinct_among(&[0, 1 << 6]));
+        assert!(stray.is_err(), "AS 70 is past a 70-AS catchment");
+        let stray = std::panic::catch_unwind(|| c.distinct_among(&[1 << 5]));
+        assert!(stray.is_err(), "AS 5 is past a 5-AS catchment");
     }
 
     #[test]

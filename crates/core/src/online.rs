@@ -16,9 +16,10 @@ use crate::cluster::Clustering;
 use crate::config::AnnouncementConfig;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::rc::Rc;
-use trackdown_bgp::{BgpEngine, Catchments, LinkId, OriginAs, RoutingOutcome};
+use trackdown_bgp::{BgpEngine, Catchments, OriginAs, RoutingOutcome};
 use trackdown_topology::AsIndex;
 
 /// Options for the online loop.
@@ -159,13 +160,13 @@ impl SuspectState {
     }
 }
 
-/// Expected number of suspect-set parts configuration `cat` produces,
-/// judged on prior catchments (the greedy scoring step).
-fn split_score(suspects: &[AsIndex], cat: &Catchments) -> usize {
-    let mut links: Vec<Option<LinkId>> = suspects.iter().map(|&s| cat.get(s)).collect();
-    links.sort_unstable();
-    links.dedup();
-    links.len()
+/// `ases` as a bitset over AS index, the form [`Catchments::distinct_among`] reads.
+fn bitset(ases: &[AsIndex]) -> Vec<u64> {
+    let mut bits = vec![0u64; ases.iter().map(|a| a.us() / 64 + 1).max().unwrap_or(0)];
+    for a in ases {
+        bits[a.us() / 64] |= 1 << (a.us() % 64);
+    }
+    bits
 }
 
 /// Run the online localization loop.
@@ -191,6 +192,12 @@ pub fn localize_online(
     assert!(!candidates.is_empty());
     if let Some(p) = prior {
         assert_eq!(p.len(), candidates.len());
+        let end = tracked.iter().map(|a| a.us() + 1).max().unwrap_or(0);
+        assert!(
+            p.iter().all(|cat| end <= cat.len()),
+            "tracked AS index {} out of a prior catchment's range",
+            end - 1
+        );
     }
     let mut clustering = Clustering::single(tracked.to_vec());
     let mut state = SuspectState::new(&clustering);
@@ -207,26 +214,21 @@ pub fn localize_online(
     // than one prefix is available).
     let mut batch: Vec<usize> = vec![0usize];
     loop {
+        let members = bitset(&suspects);
         // Top the batch up to the prefix budget.
         while batch.len() < prefixes
             && deployed.len() + batch.len() < opts.max_configs
             && !remaining.is_empty()
         {
             let pick = match (opts.greedy, prior) {
-                (true, Some(prior_cats)) => {
-                    let mut best: Option<(usize, usize)> = None; // (pos, score)
-                    for (pos, &idx) in remaining.iter().enumerate() {
-                        let score = split_score(&suspects, &prior_cats[idx]);
-                        let better = match best {
-                            None => true,
-                            Some((_, s)) => score > s,
-                        };
-                        if better {
-                            best = Some((pos, score));
-                        }
-                    }
-                    best.map(|(pos, _)| remaining.remove(pos))
-                }
+                // The candidate whose prior catchment splits the suspects
+                // into the most parts; the first position on equal score.
+                (true, Some(prior_cats)) => remaining
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .min_by_key(|&(_, idx)| Reverse(prior_cats[idx].distinct_among(&members)))
+                    .map(|(pos, _)| remaining.remove(pos)),
                 _ => Some(remaining.remove(0)),
             };
             match pick {
@@ -271,17 +273,15 @@ pub fn localize_online(
 }
 
 /// Simulation harness: run the online loop against ground-truth routing
-/// with a planted per-AS volume vector. Returns the result plus the number
-/// of configurations deployed.
+/// with a planted per-AS volume vector.
 ///
-/// Routing runs through one persistent
-/// [`CampaignSession`](trackdown_bgp::CampaignSession) in the default
-/// [`CampaignMode::Delta`](trackdown_bgp::CampaignMode::Delta): each
-/// deployed configuration is an epoch transition from the previous one
-/// (exactly what the live origin would do), and a memo cache keyed by the
-/// canonical announcement footprint lets the observe and measure callbacks
-/// for the same configuration share a single propagation. Fixpoint
-/// uniqueness keeps the outcomes identical to per-callback cold starts.
+/// Routing runs through one [`CampaignSession`](trackdown_bgp::CampaignSession)
+/// per call. The default policy has violators, so every deployment is
+/// violator-gated and cold-starts; only a violator-free engine deploys
+/// each configuration as a delta from the previous one, which reaches
+/// the same unique fixpoint. A memo keyed by the announcement footprint
+/// lets a configuration's observe and measure callbacks share one
+/// propagation; nothing else is shared between deployments.
 pub fn simulate_online_attack(
     engine: &BgpEngine<'_>,
     origin: &OriginAs,

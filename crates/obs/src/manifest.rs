@@ -337,9 +337,9 @@ fn get_bool(line: usize, obj: &[(String, Value)], key: &str) -> Result<bool, Str
 
 /// Validate a manifest against the schema: exact key sets per record
 /// kind, a `run` header first, exactly one `epoch` line per schedule
-/// index (each index exactly once), modes from the `delta|cold`
-/// vocabulary, and — when the run declares deterministic mode — no
-/// `wall_us` anywhere and no `time.*` histograms.
+/// index (each index exactly once), run and epoch modes from the
+/// `delta|cold` vocabulary, and — when the run declares deterministic
+/// mode — no `wall_us` anywhere and no `time.*` histograms.
 pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
     let mut lines = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -389,7 +389,10 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
     get_u64(*first_no, header, "threads")?;
     get_str(*first_no, header, "name")?;
     get_str(*first_no, header, "scale")?;
-    get_str(*first_no, header, "mode")?;
+    match get_str(*first_no, header, "mode")? {
+        "delta" | "cold" => {}
+        other => return Err(format!("line {first_no}: unknown run mode {other:?}")),
+    }
 
     let mut seen_epochs = vec![false; schedule_len];
     let mut summary = ManifestSummary {
@@ -588,6 +591,22 @@ mod tests {
                 &format!("\"mode\":\"{retired}\",\"thread\""),
             );
             assert!(validate_manifest(&bad_mode).is_err(), "{retired}");
+        }
+        // The run header's mode takes the same vocabulary: both words
+        // pass, and no other word (the retired ones included) does.
+        let cold_header = good.replace(
+            "\"mode\":\"delta\",\"threads\"",
+            "\"mode\":\"cold\",\"threads\"",
+        );
+        assert_ne!(cold_header, good);
+        assert!(validate_manifest(&cold_header).is_ok());
+        for retired in ["warm", "memo", ""] {
+            let bad_header = good.replace(
+                "\"mode\":\"delta\",\"threads\"",
+                &format!("\"mode\":\"{retired}\",\"threads\""),
+            );
+            let err = validate_manifest(&bad_header).expect_err(retired);
+            assert!(err.contains("unknown run mode"), "{err}");
         }
         // A schema-5 header, and a metrics line with the schema-5
         // `gauges` key.

@@ -1,15 +1,39 @@
 //! Helpers shared by the integration tests: the 50k-source
-//! [`attribution_fixture`] and the [`interleaved_medians`] timer every
-//! `#[ignore]`d timing gate uses. Each test binary compiles this module
-//! and uses only part of it.
+//! [`attribution_fixture`], the [`interleaved_medians`] timer every
+//! `#[ignore]`d timing gate uses, and the [`Fnv1a`] hasher the
+//! exactness pins fold their results into. Each test binary compiles
+//! this module and uses only part of it.
 #![allow(dead_code)]
 
+use std::hash::Hasher;
 use std::hint::black_box;
 use std::time::Instant;
 use trackdown_bgp::{Catchments, LinkId};
 use trackdown_core::localize::{link_volume_matrix, AttributionIndex, Campaign, CampaignStats};
 use trackdown_topology::AsIndex;
 use trackdown_traffic::Flow;
+
+/// 64-bit FNV-1a over the bytes written.
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Median wall-clock milliseconds of `a` and of `b` over `trials` rounds
 /// that alternate the two arms (a, b, a, b, ...), after one untimed call

@@ -7,13 +7,16 @@
 //!
 //! These are the inputs the incremental index is most likely to get wrong
 //! (empty delta lists, zero-width volume vectors, clusters nobody ever
-//! observed), and the width-contract regression for the volume-vector
-//! bug `rank_suspects` used to paper over with `unwrap_or(0)`.
+//! observed), the width-contract regression for the volume-vector
+//! bug `rank_suspects` used to paper over with `unwrap_or(0)`, and the
+//! online loop's range check on its prior catchments.
 
+use trackdown_experiments::mode_label;
 use trackdown_suite::core::localize::{
     estimate_cluster_volumes_rescan, match_fraction_scores, match_fraction_scores_rescan,
     rank_suspects_rescan,
 };
+use trackdown_suite::core::online::{localize_online, OnlineOptions};
 use trackdown_suite::obs::{validate_manifest, CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 
@@ -168,6 +171,25 @@ fn wide_volume_rows_are_rejected_not_ignored() {
     let _ = rank_suspects(&campaign, &[vec![5, 5, 5, 5, 9, 9]]);
 }
 
+/// The online loop's range contract: a tracked AS past a prior
+/// catchment is rejected up front, before anything deploys, as
+/// `Catchments::get` rejected it on each greedy lookup.
+#[test]
+#[should_panic(expected = "tracked AS index 5 out of a prior catchment's range")]
+fn online_tracked_past_prior_catchment_is_rejected() {
+    let tracked: Vec<AsIndex> = (0..6).map(AsIndex).collect();
+    let configs = vec![AnnouncementConfig::anycast_all(4); 2];
+    let prior = vec![Catchments::unassigned(6), Catchments::unassigned(5)];
+    let _ = localize_online(
+        &configs,
+        Some(&prior),
+        &tracked,
+        &|_: &AnnouncementConfig| -> Vec<u64> { unreachable!("deployed before the check") },
+        &|_, _| unreachable!("measured before the check"),
+        OnlineOptions::default(),
+    );
+}
+
 /// A recorded campaign at the smallest end of the schedule space (the
 /// baseline configuration alone — one epoch, no refinement deltas beyond
 /// the first) must still produce a manifest `validate_manifest` accepts.
@@ -216,7 +238,7 @@ fn single_config_recorded_campaign_manifest_validates() {
             seed: 31,
             policy_seed: 0,
             scale: "small".into(),
-            mode: "warm".into(),
+            mode: mode_label(campaign.stats.mode).into(),
             threads: campaign.stats.threads,
             trace: "off".into(),
             schedule_len: campaign.configs.len(),

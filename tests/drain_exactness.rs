@@ -18,31 +18,12 @@
 //! cargo test --release --test drain_exactness -- --ignored
 //! ```
 
+mod common;
+
+use common::Fnv1a;
 use std::hash::{Hash, Hasher};
 use trackdown_experiments::{Options, Scale, Scenario};
 use trackdown_suite::prelude::*;
-
-/// 64-bit FNV-1a over the bytes written.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Deploy every configuration of the seed-7 scenario at `scale` through
 /// one default-policy session; returns the number of configurations and
@@ -57,7 +38,7 @@ fn fingerprint(scale: Scale) -> (usize, u64) {
     let engine = BgpEngine::new(&scenario.gen.topology, &scenario.engine_cfg);
     let mut session = engine.session();
     let schedule = scenario.schedule();
-    let mut h = Fnv1a::new();
+    let mut h = Fnv1a::default();
     for cfg in &schedule {
         let out = session
             .deploy_config(

@@ -1,29 +1,37 @@
-//! The 50k-source [`attribution_fixture`] and the checks and gates over
-//! it. The fixture's shape and the indexed == scan equality of the
-//! attribution plane run in every `cargo test`. The two mechanism-speedup
-//! gates are `#[ignore]`d timing tests: the indexed attribution plane
-//! against the scan-based references it replaced (>= 5x), and exact
-//! streaming ingest against the dense per-source rescan (>= 3x). Each
-//! gate checks that both arms produce equal output before it times
-//! anything, so a floor only ever gates equivalent code. Run them
-//! explicitly, in release mode, one test at a time:
+//! The 50k-source [`attribution_fixture`], the online loop's greedy
+//! scoring, and the checks and gates over them. The fixture's shape, the
+//! indexed == scan equality of the attribution plane and the property
+//! that bitset scoring ([`Catchments::distinct_among`]) equals the
+//! sort/dedup count it replaced run in every `cargo test`. The three
+//! mechanism-speedup gates are `#[ignore]`d timing tests: the indexed
+//! attribution plane against the scan-based references it replaced
+//! (>= 5x), exact streaming ingest against the dense per-source rescan
+//! (>= 3x), and bitset scoring against sort/dedup on the paper-scale
+//! prior (>= 10x). Each gate checks that both arms produce equal output
+//! before it times anything, so a floor only ever gates equivalent code.
+//! Run them explicitly, in release mode, one test at a time:
 //!
 //! ```text
 //! cargo test --release --test mechanism_speedups -- \
 //!     --ignored --nocapture --test-threads=1
 //! ```
 //!
-//! Both gates read the ratio of [`interleaved_medians`] over `TRIALS`
+//! Every gate reads the ratio of [`interleaved_medians`] over `TRIALS`
 //! alternating rounds.
 
 mod common;
 
 use common::{attribution_fixture, interleaved_medians, CONFIGS, GROUPS, SOURCES};
+use proptest::collection::vec;
+use proptest::option;
+use proptest::prelude::*;
 use std::cell::RefCell;
+use trackdown_bgp::{Catchments, LinkId};
 use trackdown_core::localize::{
     estimate_cluster_volumes, estimate_cluster_volumes_rescan, link_volume_matrix, rank_suspects,
     rank_suspects_acc, rank_suspects_rescan,
 };
+use trackdown_experiments::{Options, Scale, Scenario};
 use trackdown_topology::AsIndex;
 use trackdown_traffic::{
     ingest_stream, BatchedDenseAccumulator, VolumeAccumulator as _, DEFAULT_FLOW_BATCH,
@@ -156,5 +164,125 @@ fn stream_ingest_is_3x_faster_than_rescan() {
     assert!(
         speedup >= 3.0,
         "stream ingest under 3x over the rescan: {speedup:.2}x"
+    );
+}
+
+/// The greedy score the online loop computed before bitset scoring: the
+/// distinct [`Catchments::get`] values over `ases`, by sort and dedup.
+fn distinct_reference(cat: &Catchments, ases: &[AsIndex]) -> usize {
+    let mut links: Vec<Option<LinkId>> = ases.iter().map(|&a| cat.get(a)).collect();
+    links.sort_unstable();
+    links.dedup();
+    links.len()
+}
+
+/// `ases` as a bitset over AS index, `width` bits wide.
+fn bitset(ases: &[AsIndex], width: usize) -> Vec<u64> {
+    let mut bits = vec![0u64; width.div_ceil(64)];
+    for a in ases {
+        bits[a.us() / 64] |= 1 << (a.us() % 64);
+    }
+    bits
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `distinct_among` equals the sort/dedup count over `get`: catchments
+    /// of any width (mostly not a multiple of 64) with unassigned ASes and
+    /// a link row emptied through `set`, member sets from empty to full,
+    /// read from a bitset as wide as the catchment and from one that ends
+    /// at the last member's word.
+    #[test]
+    fn distinct_among_equals_sort_dedup_count(
+        dense in vec(option::weighted(0.8, 0u8..7), 0..300),
+        emptied in 0u8..7,
+        draws in vec(any::<u8>(), 300),
+        density in any::<u8>(),
+    ) {
+        let dense: Vec<Option<LinkId>> = dense.into_iter().map(|l| l.map(LinkId)).collect();
+        let mut cat = Catchments::from_dense(&dense);
+        for (i, &link) in dense.iter().enumerate() {
+            if link == Some(LinkId(emptied)) {
+                let moved = (i % 2 == 0).then_some(LinkId((emptied + 1) % 7));
+                cat.set(AsIndex(i as u32), moved);
+            }
+        }
+        let members: Vec<AsIndex> = (0..dense.len())
+            .filter(|&i| draws[i] < density)
+            .map(|i| AsIndex(i as u32))
+            .collect();
+        let want = distinct_reference(&cat, &members);
+        prop_assert_eq!(cat.distinct_among(&bitset(&members, cat.len())), want);
+        let end = members.last().map_or(0, |a| a.us() + 1);
+        prop_assert_eq!(cat.distinct_among(&bitset(&members, end)), want);
+        prop_assert_eq!(cat.distinct_among(&[]), 0);
+    }
+}
+
+#[test]
+#[ignore = "timing-sensitive; run in release mode via CI's observability job"]
+fn bitset_scoring_is_10x_faster_than_sort_dedup() {
+    let scenario = Scenario::build(Options {
+        scale: Scale::Full,
+        seed: 7,
+        threads: Some(1),
+        ..Options::default()
+    });
+    let campaign = scenario.run();
+    let prior = &campaign.catchments;
+    // One greedy pick per baseline link: after the baseline round, the
+    // suspects are the tracked ASes of the link that carried the attack.
+    let suspect_sets: Vec<Vec<AsIndex>> = prior[0]
+        .active_links()
+        .into_iter()
+        .map(|l| {
+            campaign
+                .tracked
+                .iter()
+                .copied()
+                .filter(|&a| prior[0].get(a) == Some(l))
+                .collect()
+        })
+        .collect();
+    let score_bitset = || {
+        suspect_sets
+            .iter()
+            .map(|suspects| {
+                let members = bitset(suspects, prior[0].len());
+                prior
+                    .iter()
+                    .map(|c| c.distinct_among(&members))
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+    };
+    let score_reference = || {
+        suspect_sets
+            .iter()
+            .map(|suspects| {
+                prior
+                    .iter()
+                    .map(|c| distinct_reference(c, suspects))
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+    };
+    assert!(
+        score_bitset() == score_reference(),
+        "bitset scores diverged from sort/dedup"
+    );
+
+    let (bitset_ms, reference_ms) = interleaved_medians(TRIALS, score_bitset, score_reference);
+    let speedup = reference_ms / bitset_ms;
+    println!(
+        "greedy scoring: bitset {bitset_ms:.3} ms vs sort/dedup {reference_ms:.3} ms for {} picks \
+         over {} candidates (medians of {TRIALS}), {speedup:.2}x",
+        suspect_sets.len(),
+        prior.len()
+    );
+    assert!(
+        speedup >= 10.0,
+        "bitset scoring under 10x over sort/dedup: {speedup:.2}x"
     );
 }

@@ -4,6 +4,7 @@
 //! campaign itself — results with a recorder attached are byte-identical
 //! across 1, 2, and 8 worker threads.
 
+use trackdown_experiments::mode_label;
 use trackdown_suite::obs::{
     validate_manifest, write_manifest, CampaignRecorder, EpochMode, RunInfo,
 };
@@ -29,7 +30,7 @@ fn run_info(name: &str, campaign: &Campaign, deterministic: bool) -> RunInfo {
         seed: 7,
         policy_seed: 0,
         scale: "small".into(),
-        mode: "delta".into(),
+        mode: mode_label(campaign.stats.mode).into(),
         threads: campaign.stats.threads,
         trace: trackdown_suite::obs::trace_config_label(),
         schedule_len: campaign.configs.len(),

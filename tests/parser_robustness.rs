@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::OnceLock;
+use trackdown_experiments::mode_label;
 use trackdown_suite::core::dataset::Dataset;
 use trackdown_suite::obs::{render_manifest, validate_manifest, CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
@@ -161,7 +162,7 @@ fn valid_documents() -> &'static (String, String) {
             seed: 7,
             policy_seed: 0,
             scale: "small".into(),
-            mode: "warm".into(),
+            mode: mode_label(campaign.stats.mode).into(),
             threads: campaign.stats.threads,
             trace: "off".into(),
             schedule_len: schedule.len(),

@@ -3,12 +3,14 @@
 //! extensions-off is byte-identical to the pre-extension engine (pinned
 //! golden manifest), and extensions-on preserves campaign determinism.
 
+use trackdown_experiments::mode_label;
 use trackdown_suite::bgp::{Injection, PolicyTable};
 use trackdown_suite::obs::{CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 use trackdown_suite::topology::cone::Tier;
 
-/// Pre-change deterministic manifest (small topology, seed 11, warm mode),
+/// Pre-change deterministic manifest (small topology, seed 11, default
+/// Delta campaign whose violator-gated epochs all cold-start),
 /// generated from the engine before the extension layer existed.
 const GOLDEN: &str = include_str!("golden/extensions_off_manifest.jsonl");
 
@@ -54,7 +56,7 @@ fn extensions_off_manifest_matches_pre_change_golden() {
         seed: 11,
         policy_seed: 0,
         scale: "small".into(),
-        mode: "warm".into(),
+        mode: mode_label(campaign.stats.mode).into(),
         threads: campaign.stats.threads,
         trace: trackdown_suite::obs::trace_config_label(),
         schedule_len: campaign.configs.len(),
@@ -65,6 +67,7 @@ fn extensions_off_manifest_matches_pre_change_golden() {
         text, GOLDEN,
         "extensions-off engine drifted from the pre-extension golden manifest"
     );
+    trackdown_suite::obs::validate_manifest(GOLDEN).expect("the golden manifest validates");
 }
 
 fn table_with(world: &GeneratedTopology, extensions: ExtensionConfig) -> (ConeInfo, PolicyTable) {
