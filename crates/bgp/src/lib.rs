@@ -35,7 +35,6 @@
 pub mod arena;
 pub mod catchment;
 pub mod community;
-pub mod delta;
 pub mod engine;
 pub mod origin;
 pub mod policy;
@@ -44,10 +43,9 @@ pub mod route;
 pub use arena::{PathArena, PathId, PathStore};
 pub use catchment::Catchments;
 pub use community::{Community, CommunityBits, CommunitySet};
-pub use delta::{diff_injections, PropagationRanks};
 pub use engine::{
-    BgpEngine, CampaignMode, CampaignSession, ColdStart, EngineConfig, ForwardingPath,
-    ForwardingWalker, RouteChange, RoutingOutcome, SnapshotDetail,
+    BgpEngine, CampaignSession, EngineConfig, ForwardingPath, ForwardingWalker, RouteChange,
+    RoutingOutcome, SnapshotDetail,
 };
 pub use origin::{Injection, LinkAnnouncement, OriginAs, OriginError, PeeringLink};
 pub use policy::{

@@ -19,7 +19,7 @@ use trackdown_core::dataset::Dataset;
 use trackdown_core::hijack::all_impacts;
 use trackdown_core::localize::Campaign;
 use trackdown_core::report::render_table;
-use trackdown_experiments::{mode_label, report_stats, wants_help, Options, Scenario};
+use trackdown_experiments::{report_stats, wants_help, Options, Scenario};
 use trackdown_topology::serfmt::{to_as_rel, to_dot};
 use trackdown_topology::Asn;
 
@@ -335,12 +335,10 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     let summary = trackdown_obs::ProfileSummary::from_trace(&trace);
     print!("{}", summary.render());
     println!(
-        "mode={} cold_epochs={}/{} ({}) over {} worker(s); wrote {trace_out} ({} events) — \
+        "propagations={} events={} over {} worker(s); wrote {trace_out} ({} events) — \
          load it at https://ui.perfetto.dev or chrome://tracing",
-        mode_label(campaign.stats.mode),
-        campaign.stats.cold_epochs,
         campaign.stats.propagations,
-        campaign.stats.cold_causes,
+        campaign.stats.events,
         campaign.stats.threads,
         trace.events.len()
     );
@@ -352,9 +350,8 @@ fn cmd_validate_manifest(args: &Args) -> Result<(), String> {
     let text = fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let summary = trackdown_obs::validate_manifest(&text).map_err(|e| format!("{path}: {e}"))?;
     println!(
-        "{path}: valid manifest — {} epochs ({} delta, {} cold), \
-         schedule_len {}, deterministic {}",
-        summary.epochs, summary.delta, summary.cold, summary.schedule_len, summary.deterministic
+        "{path}: valid manifest — {} epochs, schedule_len {}, deterministic {}",
+        summary.epochs, summary.schedule_len, summary.deterministic
     );
     Ok(())
 }
@@ -430,9 +427,9 @@ mod tests {
 
     #[test]
     fn args_reject_the_removed_mode_flags_by_name() {
-        // Delta is the default reuse mode and cold starts are a library
-        // option; the flags that once selected either are gone and fail
-        // like any other unknown flag.
+        // Every configuration propagates from empty RIBs; the flags that
+        // once selected a reuse mode are gone and fail like any other
+        // unknown flag.
         for flag in ["--delta", "--cold"] {
             let err = Args::parse(&argv(&["--scale", "small", flag]))
                 .err()

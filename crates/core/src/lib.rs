@@ -13,7 +13,7 @@
 //!    reproducing the paper's 64 + 294 + (one per neighbor) counts.
 //! 2. [`localize::run_campaign`] deploys each [`config::AnnouncementConfig`]
 //!    on a [`trackdown_bgp::BgpEngine`] — through one routing session per
-//!    worker thread, reusing state as [`localize::CampaignOpts`] asks —
+//!    worker thread, each deployment propagating from empty RIBs —
 //!    obtains catchments (ground truth or through the
 //!    [`trackdown_measure`] observation plane), and refines a
 //!    [`cluster::Clustering`]. Bad input comes back as a
@@ -70,9 +70,8 @@ pub use dataset::Dataset;
 pub use generator::{full_schedule, GeneratorParams};
 pub use localize::{
     estimate_cluster_volumes, estimate_cluster_volumes_acc, fit_link_volumes, rank_suspects,
-    rank_suspects_acc, run_campaign, AttributionIndex, Campaign, CampaignError, CampaignMode,
-    CampaignOpts, CampaignStats, CatchmentSource, ColdEpochs, RankedSuspects, SuspectCluster,
-    VolumeEstimate,
+    rank_suspects_acc, run_campaign, AttributionIndex, Campaign, CampaignError, CampaignOpts,
+    CampaignStats, CatchmentSource, RankedSuspects, SuspectCluster, VolumeEstimate,
 };
 /// The pre-index scan references the differential suites and the
 /// scan-vs-indexed benchmarks compare against (test-only `reference`

@@ -4,19 +4,14 @@
 
 use crate::cluster::{ClusterSplit, Clustering, RefineDelta};
 use crate::config::{AnnouncementConfig, ConfigError};
-use crate::schedule::warm_start_order;
 use serde::{Deserialize, Serialize};
-use trackdown_bgp::{
-    BgpEngine, Catchments, ColdStart, LinkId, OriginAs, OriginError, SnapshotDetail,
-};
+use trackdown_bgp::{BgpEngine, Catchments, LinkId, OriginAs, OriginError, SnapshotDetail};
 use trackdown_measure::{
     analysis_set, impute_visibility, ImputationStats, MeasuredCatchments, MeasurementPlane,
 };
-use trackdown_obs::{CampaignRecorder, EpochMode, EpochRecord};
+use trackdown_obs::{CampaignRecorder, EpochRecord};
 use trackdown_topology::AsIndex;
 use trackdown_traffic::VolumeAccumulator;
-
-pub use trackdown_bgp::CampaignMode;
 
 /// How catchments are obtained for each configuration.
 #[derive(Debug, Clone, Copy)]
@@ -34,96 +29,35 @@ pub enum CatchmentSource<'p> {
 /// Executor counters reported alongside a [`Campaign`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignStats {
-    /// The routing sessions' reuse policy.
-    pub mode: CampaignMode,
-    /// Fixpoint computations run: one per configuration.
+    /// Fixpoint computations run: one per configuration, each from empty
+    /// RIBs.
     pub propagations: usize,
-    /// Delta epochs that hit the event cap and were redone cold.
-    pub cold_restarts: usize,
-    /// Deployed epochs that reused no routing state, whatever the cause:
-    /// a worker's first deployment, the violator gate, an event-cap
-    /// restart, or [`CampaignMode::Cold`]. Equal to `propagations` when
-    /// no epoch was warm.
-    pub cold_epochs: usize,
-    /// `cold_epochs` split by cause.
-    #[serde(default)]
-    pub cold_causes: ColdEpochs,
     /// Worker threads used.
     pub threads: usize,
     /// High-water node count of the interned path arena (max over
     /// workers): the steady-state memory footprint of a routing session.
     pub peak_arena_nodes: usize,
     /// Sum over deployed epochs of the ASes whose best route differs from
-    /// the previous epoch's fixpoint — the workload
-    /// [`CampaignMode::Delta`] makes epoch cost proportional to.
+    /// the empty state each propagation starts from: the reachable count
+    /// of every configuration.
     pub routes_disturbed: usize,
     /// Total propagation events (per-AS decide/export activations) across
-    /// every deployed epoch. Deterministic for a fixed scenario and mode,
-    /// so delta/cold event ratios are comparable across machines — the
-    /// work-unit metric `tests/pipeline_gates.rs` pins and trackbench
-    /// reports as `bgp.events`.
+    /// every deployed epoch. Deterministic for a fixed scenario, so it is
+    /// comparable across machines — the work-unit metric
+    /// `tests/pipeline_gates.rs` pins and trackbench reports as
+    /// `bgp.events`.
     pub events: usize,
 }
 
 impl Default for CampaignStats {
     fn default() -> CampaignStats {
         CampaignStats {
-            mode: CampaignMode::Delta,
             propagations: 0,
-            cold_restarts: 0,
-            cold_epochs: 0,
-            cold_causes: ColdEpochs::default(),
             threads: 1,
             peak_arena_nodes: 0,
             routes_disturbed: 0,
             events: 0,
         }
-    }
-}
-
-/// [`CampaignStats::cold_epochs`] split by why each epoch reused no
-/// routing state; the four counts sum to `cold_epochs`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ColdEpochs {
-    /// A worker's first deployment.
-    pub first: usize,
-    /// The engine has policy violators, so no epoch reuses state.
-    pub violator_gate: usize,
-    /// Delta epochs that hit the event cap and were redone cold, or whose
-    /// predecessor ended capped.
-    pub event_cap: usize,
-    /// Every epoch of a [`CampaignMode::Cold`] campaign.
-    pub cold_mode: usize,
-}
-
-impl ColdEpochs {
-    /// Count one cold start.
-    fn record(&mut self, cause: ColdStart) {
-        *match cause {
-            ColdStart::First => &mut self.first,
-            ColdStart::ViolatorGate => &mut self.violator_gate,
-            ColdStart::EventCap => &mut self.event_cap,
-            ColdStart::ColdMode => &mut self.cold_mode,
-        } += 1;
-    }
-
-    /// Fold in another worker's counts.
-    fn add(&mut self, other: ColdEpochs) {
-        self.first += other.first;
-        self.violator_gate += other.violator_gate;
-        self.event_cap += other.event_cap;
-        self.cold_mode += other.cold_mode;
-    }
-}
-
-impl std::fmt::Display for ColdEpochs {
-    /// `first=1 violator_gate=58 event_cap=0 cold_mode=0`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "first={} violator_gate={} event_cap={} cold_mode={}",
-            self.first, self.violator_gate, self.event_cap, self.cold_mode
-        )
     }
 }
 
@@ -268,19 +202,17 @@ pub struct Campaign {
     pub records: Vec<ConfigRecord>,
     /// Visibility-imputation statistics (measured campaigns only).
     pub imputation: Option<ImputationStats>,
-    /// Executor counters (mode, propagations, cold starts).
+    /// Executor counters (propagations, events, threads).
     pub stats: CampaignStats,
 }
 
 /// Options of one [`run_campaign`] call. The default is a one-thread
-/// [`CampaignMode::Delta`] campaign over control-plane catchments, with
-/// the engine's default event cap and no recorder.
+/// campaign over control-plane catchments, with the engine's default
+/// event cap and no recorder.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignOpts<'a> {
     /// How catchments are obtained for each configuration.
     pub source: CatchmentSource<'a>,
-    /// How each worker's routing session reuses state between epochs.
-    pub mode: CampaignMode,
     /// Worker threads: the schedule splits into this many contiguous
     /// chunks (fewer when the schedule is shorter; 0 counts as 1).
     pub threads: usize,
@@ -296,7 +228,6 @@ impl Default for CampaignOpts<'_> {
     fn default() -> Self {
         CampaignOpts {
             source: CatchmentSource::ControlPlane,
-            mode: CampaignMode::Delta,
             threads: 1,
             recorder: None,
             max_events_factor: 200,
@@ -353,18 +284,15 @@ impl std::error::Error for CampaignError {}
 /// The schedule splits into `opts.threads` contiguous chunks — the
 /// simulation analog of the paper's §V-C speed-up of deploying
 /// configurations concurrently on several prefixes. Each worker owns one
-/// routing session in `opts.mode` and deploys its chunk in
-/// [`warm_start_order`] when the session reuses state, in schedule order
-/// otherwise; the calling thread works the first chunk itself, so a
-/// one-thread campaign spawns nothing. Results are stored by schedule
-/// index and clustering refines in schedule order, so the campaign —
-/// catchments, tracked set, clusters, records — is identical for every
-/// mode and thread count: each deployment's outcome is its
-/// configuration's cold-start fixpoint (sessions cold-start internally on
-/// violator engines, where fixpoints are history-dependent), and the
-/// observation plane salts its noise by schedule index. Only `stats` and
-/// the per-epoch recorder counters describe the executor shape: each
-/// worker chains its own delta epochs.
+/// routing session and deploys its chunk in schedule order; the calling
+/// thread works the first chunk itself, so a one-thread campaign spawns
+/// nothing. Every deployment propagates from empty RIBs with a FIFO
+/// drain (DESIGN.md §4b), so its outcome depends on the configuration
+/// alone, and the observation plane salts its noise by schedule index:
+/// the campaign — catchments, tracked set, clusters, records — is
+/// identical for every thread count. Only `stats.threads`,
+/// `stats.peak_arena_nodes` and the recorder's `thread` field describe
+/// the executor shape.
 ///
 /// # Errors
 /// [`CampaignError`] for an empty schedule or a configuration the origin
@@ -409,7 +337,6 @@ pub fn run_campaign(
     });
 
     let mut stats = CampaignStats {
-        mode: opts.mode,
         threads: outputs.len(),
         ..CampaignStats::default()
     };
@@ -423,9 +350,6 @@ pub fn run_campaign(
         measured.extend(out.measured);
         converged.extend(out.converged);
         stats.propagations += out.stats.propagations;
-        stats.cold_restarts += out.stats.cold_restarts;
-        stats.cold_epochs += out.stats.cold_epochs;
-        stats.cold_causes.add(out.stats.cold_causes);
         stats.routes_disturbed += out.stats.routes_disturbed;
         stats.events += out.stats.events;
         // Per-worker arenas: the campaign's footprint is the largest
@@ -473,13 +397,7 @@ fn run_chunk(
     base: usize,
     chunk: &[AnnouncementConfig],
 ) -> ChunkOutput {
-    let mut session = engine.session_with(opts.mode);
-    // Deployment order only matters when epochs chain off each other.
-    let order: Vec<usize> = if session.warm_reuse() {
-        warm_start_order(chunk)
-    } else {
-        (0..chunk.len()).collect()
-    };
+    let mut session = engine.session();
     // Only measured campaigns read path contents (BGP feed collection),
     // and nothing here reads candidate RIBs; ground truth gets the cheap
     // Catchments-detail snapshot.
@@ -487,15 +405,11 @@ fn run_chunk(
         CatchmentSource::Measured(_) => SnapshotDetail::Paths,
         _ => SnapshotDetail::Catchments,
     };
-    let mut truth: Vec<Option<Catchments>> = vec![None; chunk.len()];
-    let mut measured: Vec<Option<MeasuredCatchments>> = (0..chunk.len()).map(|_| None).collect();
-    let mut converged = vec![false; chunk.len()];
+    let mut catchments = Vec::new();
+    let mut measured = Vec::new();
+    let mut converged = Vec::with_capacity(chunk.len());
     let mut stats = CampaignStats::default();
-    // Delta epochs patch control-plane catchments from the epoch change
-    // log instead of re-extracting: the previous epoch is the patch base.
-    let mut last_deployed: Option<usize> = None;
-    for &off in &order {
-        let cfg = &chunk[off];
+    for (off, cfg) in chunk.iter().enumerate() {
         let epoch = base + off;
         let _span = trackdown_obs::span("worker.epoch").attr("epoch", epoch as u64);
         let timer = opts.recorder.and_then(|r| r.start_timer());
@@ -507,17 +421,10 @@ fn run_chunk(
                 detail,
             )
             .expect("configurations are validated before deployment");
-        let cold_start = session.last_cold_start();
-        let warm = cold_start.is_none();
         if let Some(rec) = opts.recorder {
             rec.record(EpochRecord {
                 epoch,
                 footprint: cfg.footprint_key(),
-                mode: if warm {
-                    EpochMode::Delta
-                } else {
-                    EpochMode::Cold
-                },
                 thread,
                 events: outcome.events,
                 rounds: outcome.rounds,
@@ -528,55 +435,32 @@ fn run_chunk(
             });
         }
         stats.propagations += 1;
-        if let Some(cause) = cold_start {
-            stats.cold_epochs += 1;
-            stats.cold_causes.record(cause);
-        }
         stats.routes_disturbed += outcome.routes_disturbed;
         stats.events += outcome.events;
-        converged[off] = outcome.converged;
+        converged.push(outcome.converged);
         match opts.source {
             CatchmentSource::Measured(plane) => {
-                measured[off] =
-                    Some(plane.measure(engine.topology(), &outcome, origin.asn, epoch as u64));
+                measured.push(plane.measure(engine.topology(), &outcome, origin.asn, epoch as u64));
             }
             CatchmentSource::ControlPlane => {
-                // A delta epoch's change log lists exactly the ASes whose
-                // best route moved, so the previous catchments patch
-                // forward in O(changes).
-                let base = last_deployed.filter(|_| warm);
-                truth[off] = Some(match base {
-                    Some(j) => {
-                        let mut c = truth[j].clone().expect("deployed epoch extracted");
-                        for ch in &outcome.changes {
-                            c.set(ch.at, ch.ingress);
-                        }
-                        c
-                    }
-                    None => Catchments::from_control_plane(&outcome),
-                });
-                last_deployed = Some(off);
+                catchments.push(Catchments::from_control_plane(&outcome));
             }
-            // Data-plane catchments always need a full walk: a hop change
-            // can reroute sources whose own best route is untouched.
             CatchmentSource::DataPlane => {
-                truth[off] = Some(Catchments::from_data_plane(&outcome));
+                catchments.push(Catchments::from_data_plane(&outcome));
             }
         }
     }
-    stats.cold_restarts = session.cold_restarts();
     stats.peak_arena_nodes = session.peak_arena_nodes();
     ChunkOutput {
-        catchments: truth.into_iter().flatten().collect(),
-        measured: measured.into_iter().flatten().collect(),
+        catchments,
+        measured,
         converged,
         stats,
     }
 }
 
 /// Cluster the catchments and assemble the final [`Campaign`].
-/// Refinement runs in schedule (index) order, so campaigns are identical
-/// however the executor ordered deployments.
+/// Refinement runs in schedule (index) order.
 fn assemble_campaign(
     configs: &[AnnouncementConfig],
     catchments: Vec<Catchments>,
@@ -588,13 +472,6 @@ fn assemble_campaign(
     let _span = trackdown_obs::span("campaign.cluster");
     trackdown_obs::counter!("campaign.runs").inc();
     trackdown_obs::counter!("campaign.propagations").add(stats.propagations as u64);
-    trackdown_obs::counter!("campaign.cold_restarts").add(stats.cold_restarts as u64);
-    trackdown_obs::counter!("campaign.cold_epochs").add(stats.cold_epochs as u64);
-    let causes = stats.cold_causes;
-    trackdown_obs::counter!("campaign.cold_epochs.first").add(causes.first as u64);
-    trackdown_obs::counter!("campaign.cold_epochs.violator_gate").add(causes.violator_gate as u64);
-    trackdown_obs::counter!("campaign.cold_epochs.event_cap").add(causes.event_cap as u64);
-    trackdown_obs::counter!("campaign.cold_epochs.cold_mode").add(causes.cold_mode as u64);
     let mut clustering = Clustering::single(tracked.clone());
     let initial_clusters = clustering.num_clusters() as u32;
     let mut deltas = Vec::with_capacity(configs.len());

@@ -276,12 +276,11 @@ pub fn localize_online(
 /// with a planted per-AS volume vector.
 ///
 /// Routing runs through one [`CampaignSession`](trackdown_bgp::CampaignSession)
-/// per call. The default policy has violators, so every deployment is
-/// violator-gated and cold-starts; only a violator-free engine deploys
-/// each configuration as a delta from the previous one, which reaches
-/// the same unique fixpoint. A memo keyed by the announcement footprint
-/// lets a configuration's observe and measure callbacks share one
-/// propagation; nothing else is shared between deployments.
+/// per call, so every deployment propagates from empty RIBs and reaches
+/// the state a campaign reports for the same configuration. A memo
+/// keyed by the announcement footprint lets a configuration's observe
+/// and measure callbacks share one propagation; nothing else is shared
+/// between deployments.
 pub fn simulate_online_attack(
     engine: &BgpEngine<'_>,
     origin: &OriginAs,

@@ -126,10 +126,8 @@ pub fn mean_size_objective(c: &Clustering) -> f64 {
 /// community entries that differ. Empty poison lists and empty community
 /// sets count as absent (they lower to the same injections).
 ///
-/// This is the cost model of the warm-start campaign executor: a BGP
-/// epoch transition's churn grows with the number of changed injections,
-/// so deploying configurations in small-edit order (gray-code style)
-/// minimizes total convergence work.
+/// A BGP epoch transition's churn grows with the number of changed
+/// injections ([`warm_start_order`] chains configurations by it).
 ///
 /// Allocation-free: the per-link maps are walked in key order side by
 /// side, so comparing two configurations touches each entry once.
@@ -181,10 +179,9 @@ fn differing_entries<V: PartialEq>(
 /// baseline), ties broken toward the lowest index. Returns a permutation
 /// of `0..configs.len()`.
 ///
-/// A delta session deploys each configuration as an epoch transition
-/// from its predecessor, so chaining small edits keeps transition churn
-/// low; duplicate footprints (distance 0) become adjacent, where they
-/// are no-op epochs.
+/// Duplicate footprints (distance 0) become adjacent. Every deployment
+/// now propagates from empty RIBs, so no campaign orders its schedule
+/// this way. Trackbench-only; drop with ROADMAP item 4.
 pub fn warm_start_order(configs: &[AnnouncementConfig]) -> Vec<usize> {
     let _span =
         trackdown_obs::span("schedule.warm_start_order").attr("configs", configs.len() as u64);

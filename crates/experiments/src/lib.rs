@@ -21,10 +21,9 @@
 //! Internet, not PEERING + RouteViews + Atlas); the *shapes* are the
 //! reproduction target. Every binary accepts `--scale
 //! small|medium|full|large|internet` (default `full`), `--seed <u64>`
-//! and `--threads <n>`; `-h`/`--help` prints the usage. Campaigns reuse
-//! routing state between configurations (delta mode); the cold-start
-//! oracle is a library option (`CampaignOpts::mode`), not a flag. The
-//! `internet` scale loads a real
+//! and `--threads <n>`; `-h`/`--help` prints the usage. Every
+//! configuration propagates from empty RIBs. The `internet` scale loads
+//! a real
 //! CAIDA `as-rel` snapshot from the path in `TRACKDOWN_AS_REL` when that
 //! variable is set, and falls back to a deterministic 80 000-AS
 //! power-law graph otherwise.
@@ -35,9 +34,7 @@ use trackdown_bgp::{
     PolicyExtension,
 };
 use trackdown_core::generator::{full_schedule, phase_boundaries, GeneratorParams};
-use trackdown_core::localize::{
-    run_campaign, Campaign, CampaignMode, CampaignOpts, CatchmentSource,
-};
+use trackdown_core::localize::{run_campaign, Campaign, CampaignOpts, CatchmentSource};
 use trackdown_core::report::{downsample, render_table, Series};
 use trackdown_core::{AnnouncementConfig, Phase};
 use trackdown_measure::{MeasurementConfig, MeasurementPlane};
@@ -243,14 +240,6 @@ pub fn wants_help(args: &[String]) -> bool {
     args.iter().any(|a| a == "-h" || a == "--help")
 }
 
-/// The lowercase mode name used by manifests and `obs` events.
-pub fn mode_label(mode: CampaignMode) -> &'static str {
-    match mode {
-        CampaignMode::Cold => "cold",
-        CampaignMode::Delta => "delta",
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: <experiment> [--scale small|medium|full|large|internet] [--seed <u64>] \
@@ -422,9 +411,7 @@ impl Scenario {
     /// control plane; with `--measured` they pass through the simulated
     /// observation plane (the paper's §IV pipeline), which restricts the
     /// tracked set to feed/probe-visible sources and adds measurement
-    /// noise. Campaigns run in the default delta mode: each configuration
-    /// transitions from the previous converged routing state when the
-    /// session can reuse it.
+    /// noise. Each configuration propagates from empty RIBs.
     pub fn run(&self) -> Campaign {
         // Attach a recorder only when a manifest was requested; with
         // `None` the executor skips all instrumentation work.
@@ -472,7 +459,6 @@ impl Scenario {
             }),
             recorder,
             max_events_factor: self.engine_cfg.max_events_factor,
-            ..CampaignOpts::default()
         };
         run_campaign(&engine, &self.origin, &schedule, &opts)
             .expect("generated schedules are valid for their origin")
@@ -485,7 +471,6 @@ impl Scenario {
             seed: self.seed,
             policy_seed: self.engine_cfg.policy.seed,
             scale: self.scale.label().into(),
-            mode: mode_label(campaign.stats.mode).into(),
             threads: campaign.stats.threads,
             trace: trackdown_obs::trace_config_label(),
             schedule_len: campaign.configs.len(),
@@ -547,16 +532,10 @@ impl Scenario {
 pub fn report_stats(campaign: &Campaign) {
     trackdown_obs::progress!(
         "campaign.stats",
-        mode = mode_label(campaign.stats.mode),
-        cold_epochs = format!(
-            "{}/{}",
-            campaign.stats.cold_epochs, campaign.stats.propagations
-        ),
-        cold_causes = campaign.stats.cold_causes,
         configs = campaign.configs.len(),
         tracked = campaign.tracked.len(),
         propagations = campaign.stats.propagations,
-        cold_restarts = campaign.stats.cold_restarts,
+        events = campaign.stats.events,
         threads = campaign.stats.threads,
         mean_cluster_size = format!("{:.3}", campaign.clustering.mean_size())
     );
@@ -718,8 +697,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_the_removed_mode_flags_by_name() {
-        // Delta is the default and cold starts are a library option; the
-        // flags that once selected either are gone.
+        // Every configuration propagates from empty RIBs; the flags that
+        // once selected a reuse mode are gone.
         for flag in ["--delta", "--cold"] {
             let err = Options::parse(&argv(&["--scale", "small", flag]), &[]).unwrap_err();
             assert!(err.contains(flag), "{err}");

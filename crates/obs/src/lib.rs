@@ -23,7 +23,7 @@
 //!
 //! ## Metric naming
 //!
-//! Dot-separated `area.metric` names: `bgp.events`, `campaign.cold_epochs`,
+//! Dot-separated `area.metric` names: `bgp.events`, `campaign.propagations`,
 //! `measure.measurements`, … Span timings live only in traces
 //! ([`start_trace`] → [`ProfileSummary`]). See DESIGN.md §4c for the
 //! full list.
@@ -41,7 +41,7 @@ pub mod trace;
 
 pub use export::chrome_trace_json;
 pub use manifest::{
-    render_manifest, validate_manifest, write_manifest, CampaignRecorder, EpochMode, EpochRecord,
+    render_manifest, validate_manifest, write_manifest, CampaignRecorder, EpochRecord,
     ManifestSummary, RunInfo, MANIFEST_SCHEMA_VERSION,
 };
 pub use metrics::{global, Counter, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};

@@ -40,7 +40,11 @@ use std::time::Instant;
 /// Version 6 dropped the vocabulary no campaign emits: the `warm` and
 /// `memo` epoch modes (their executor and cache are deleted) and the
 /// metrics line's `gauges` key (no gauge is registered).
-pub const MANIFEST_SCHEMA_VERSION: u64 = 6;
+///
+/// Version 7 dropped `mode` from the run header and every epoch line:
+/// every deployment propagates from empty RIBs, so the field had one
+/// value.
+pub const MANIFEST_SCHEMA_VERSION: u64 = 7;
 
 /// Run-level header describing the whole campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,8 +57,6 @@ pub struct RunInfo {
     pub policy_seed: u64,
     /// Scale label (`small`/`medium`/`full`).
     pub scale: String,
-    /// Session reuse policy (`delta`/`cold`).
-    pub mode: String,
     /// Worker threads used.
     pub threads: usize,
     /// Trace/profile configuration label (`"off"`, or e.g.
@@ -69,27 +71,6 @@ pub struct RunInfo {
     pub deterministic: bool,
 }
 
-/// How one epoch's routing outcome was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochMode {
-    /// Delta epoch transition: injection diff seeding + rank-ordered
-    /// propagation from the previous converged state.
-    Delta,
-    /// Cold start from empty RIBs (includes a session's first
-    /// deployment, violator-gate cold starts, and `Cold` campaigns).
-    Cold,
-}
-
-impl EpochMode {
-    /// Manifest string for this mode.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EpochMode::Delta => "delta",
-            EpochMode::Cold => "cold",
-        }
-    }
-}
-
 /// One deployed configuration, as recorded by the campaign executors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochRecord {
@@ -97,8 +78,6 @@ pub struct EpochRecord {
     pub epoch: usize,
     /// Canonical announcement footprint key.
     pub footprint: String,
-    /// How the outcome was obtained.
-    pub mode: EpochMode,
     /// Worker thread that deployed it (0 for sequential executors).
     pub thread: usize,
     /// Decision events processed during the epoch.
@@ -200,7 +179,6 @@ pub fn render_manifest(
         ("seed", Value::U64(run.seed)),
         ("policy_seed", Value::U64(run.policy_seed)),
         ("scale", Value::Str(run.scale.clone())),
-        ("mode", Value::Str(run.mode.clone())),
         ("threads", Value::U64(run.threads as u64)),
     ];
     if !run.deterministic {
@@ -217,7 +195,6 @@ pub fn render_manifest(
             ("record", Value::Str("epoch".into())),
             ("epoch", Value::U64(r.epoch as u64)),
             ("footprint", Value::Str(r.footprint.clone())),
-            ("mode", Value::Str(r.mode.as_str().into())),
             ("thread", Value::U64(r.thread as u64)),
             ("events", Value::U64(r.events as u64)),
             ("rounds", Value::U64(r.rounds as u64)),
@@ -261,10 +238,6 @@ pub struct ManifestSummary {
     pub schedule_len: usize,
     /// Number of epoch lines.
     pub epochs: usize,
-    /// Epochs deployed as delta transitions.
-    pub delta: usize,
-    /// Epochs deployed as cold starts.
-    pub cold: usize,
     /// Whether the run declared deterministic mode.
     pub deterministic: bool,
 }
@@ -278,7 +251,6 @@ const RUN_KEYS: &[&str] = &[
     "seed",
     "policy_seed",
     "scale",
-    "mode",
     "threads",
     "schedule_len",
     "deterministic",
@@ -287,7 +259,6 @@ const EPOCH_KEYS: &[&str] = &[
     "record",
     "epoch",
     "footprint",
-    "mode",
     "thread",
     "events",
     "rounds",
@@ -337,9 +308,9 @@ fn get_bool(line: usize, obj: &[(String, Value)], key: &str) -> Result<bool, Str
 
 /// Validate a manifest against the schema: exact key sets per record
 /// kind, a `run` header first, exactly one `epoch` line per schedule
-/// index (each index exactly once), run and epoch modes from the
-/// `delta|cold` vocabulary, and — when the run declares deterministic
-/// mode — no `wall_us` anywhere and no `time.*` histograms.
+/// index (each index exactly once), and — when the run declares
+/// deterministic mode — no `wall_us` anywhere and no `time.*`
+/// histograms.
 pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
     let mut lines = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -389,17 +360,11 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
     get_u64(*first_no, header, "threads")?;
     get_str(*first_no, header, "name")?;
     get_str(*first_no, header, "scale")?;
-    match get_str(*first_no, header, "mode")? {
-        "delta" | "cold" => {}
-        other => return Err(format!("line {first_no}: unknown run mode {other:?}")),
-    }
 
     let mut seen_epochs = vec![false; schedule_len];
     let mut summary = ManifestSummary {
         schedule_len,
         epochs: 0,
-        delta: 0,
-        cold: 0,
         deterministic,
     };
     let mut saw_metrics = false;
@@ -430,11 +395,6 @@ pub fn validate_manifest(text: &str) -> Result<ManifestSummary, String> {
                 }
                 seen_epochs[epoch] = true;
                 summary.epochs += 1;
-                match get_str(*no, record, "mode")? {
-                    "delta" => summary.delta += 1,
-                    "cold" => summary.cold += 1,
-                    other => return Err(format!("line {no}: unknown epoch mode {other:?}")),
-                }
                 get_str(*no, record, "footprint")?;
                 get_u64(*no, record, "thread")?;
                 get_u64(*no, record, "events")?;
@@ -483,7 +443,6 @@ mod tests {
             seed: 7,
             policy_seed: 9,
             scale: "small".into(),
-            mode: "delta".into(),
             threads: 1,
             trace: "off".into(),
             schedule_len: 2,
@@ -496,7 +455,6 @@ mod tests {
             EpochRecord {
                 epoch: 0,
                 footprint: "⟨{l0}⟩".into(),
-                mode: EpochMode::Cold,
                 thread: 0,
                 events: 10,
                 rounds: 3,
@@ -508,7 +466,6 @@ mod tests {
             EpochRecord {
                 epoch: 1,
                 footprint: "⟨{l1}⟩".into(),
-                mode: EpochMode::Delta,
                 thread: 0,
                 events: 4,
                 rounds: 1,
@@ -530,7 +487,6 @@ mod tests {
         let text = render_manifest(&run_info(false), &records(Some(33)), Some(&snap));
         let s = validate_manifest(&text).expect("valid manifest");
         assert_eq!(s.epochs, 2);
-        assert_eq!((s.delta, s.cold), (1, 1));
         assert!(text.contains("wall_us"));
         assert!(text.contains("bgp.rounds"));
         assert!(text.contains("\"trace\":\"off\""));
@@ -561,17 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_epochs_validate_and_count() {
-        let mut recs = records(None);
-        recs[0].mode = EpochMode::Delta;
-        let text = render_manifest(&run_info(true), &recs, None);
-        let s = validate_manifest(&text).expect("valid delta manifest");
-        assert_eq!((s.delta, s.cold), (2, 0));
-        assert!(text.contains("\"mode\":\"delta\""));
-        assert!(text.contains("\"routes_disturbed\":2"));
-    }
-
-    #[test]
     fn validator_rejects_schema_drift() {
         let good = render_manifest(&run_info(false), &records(None), None);
         // Missing epoch 1.
@@ -583,35 +528,16 @@ mod tests {
         // Duplicate epoch.
         let dup = good.replace("\"epoch\":1", "\"epoch\":0");
         assert!(validate_manifest(&dup).is_err());
-        // Bad mode vocabulary, including the schema-5 words no campaign
-        // emits any more.
-        for retired in ["hot", "warm", "memo"] {
-            let bad_mode = good.replace(
-                "\"mode\":\"delta\",\"thread\"",
-                &format!("\"mode\":\"{retired}\",\"thread\""),
-            );
-            assert!(validate_manifest(&bad_mode).is_err(), "{retired}");
-        }
-        // The run header's mode takes the same vocabulary: both words
-        // pass, and no other word (the retired ones included) does.
-        let cold_header = good.replace(
-            "\"mode\":\"delta\",\"threads\"",
-            "\"mode\":\"cold\",\"threads\"",
-        );
-        assert_ne!(cold_header, good);
-        assert!(validate_manifest(&cold_header).is_ok());
-        for retired in ["warm", "memo", ""] {
-            let bad_header = good.replace(
-                "\"mode\":\"delta\",\"threads\"",
-                &format!("\"mode\":\"{retired}\",\"threads\""),
-            );
-            let err = validate_manifest(&bad_header).expect_err(retired);
-            assert!(err.contains("unknown run mode"), "{err}");
-        }
-        // A schema-5 header, and a metrics line with the schema-5
+        // The schema-6 `mode` field, on the run header or an epoch line.
+        let moded_header = good.replace("\"threads\":", "\"mode\":\"delta\",\"threads\":");
+        assert!(validate_manifest(&moded_header).is_err());
+        let moded_epoch = good.replace("\"thread\":", "\"mode\":\"cold\",\"thread\":");
+        assert!(validate_manifest(&moded_epoch).is_err());
+        // A schema-6 header, and a metrics line with the schema-5
         // `gauges` key.
-        let schema5 = good.replace("\"schema\":6", "\"schema\":5");
-        assert!(validate_manifest(&schema5).is_err());
+        let schema6 = good.replace("\"schema\":7", "\"schema\":6");
+        assert_ne!(schema6, good);
+        assert!(validate_manifest(&schema6).is_err());
         let with_metrics = render_manifest(
             &run_info(false),
             &records(None),

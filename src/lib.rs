@@ -56,17 +56,16 @@ pub use trackdown_traffic as traffic;
 /// The names most programs using the stack need.
 pub mod prelude {
     pub use trackdown_bgp::{
-        diff_injections, BgpEngine, CampaignSession, Catchments, Community, CommunitySet,
-        DeploymentBias, EngineConfig, ExtensionConfig, ExtensionDeployment, LinkAnnouncement,
-        LinkId, OriginAs, PolicyConfig, PolicyExtension, Prefix, PropagationRanks, RouteChange,
-        RoutingOutcome, SnapshotDetail,
+        BgpEngine, CampaignSession, Catchments, Community, CommunitySet, DeploymentBias,
+        EngineConfig, ExtensionConfig, ExtensionDeployment, LinkAnnouncement, LinkId, OriginAs,
+        PolicyConfig, PolicyExtension, Prefix, RouteChange, RoutingOutcome, SnapshotDetail,
     };
     pub use trackdown_core::generator::{full_schedule, GeneratorParams};
     pub use trackdown_core::localize::{
         estimate_cluster_volumes, estimate_cluster_volumes_acc, fit_link_volumes,
         link_volume_matrix, rank_suspects, rank_suspects_acc, run_campaign, suspect_ases,
-        AttributionIndex, Campaign, CampaignError, CampaignMode, CampaignOpts, CampaignStats,
-        CatchmentSource, ColdEpochs, RankedSuspects,
+        AttributionIndex, Campaign, CampaignError, CampaignOpts, CampaignStats, CatchmentSource,
+        RankedSuspects,
     };
     pub use trackdown_core::{AnnouncementConfig, Clustering, Dataset, Phase};
     pub use trackdown_measure::{MeasurementConfig, MeasurementPlane};

@@ -1,6 +1,6 @@
 //! Differential suite for the indexed attribution plane: on every
-//! proptest-generated campaign — Delta and Cold executors, 1/2/8 worker
-//! threads, planted attacker volumes — the incremental implementations
+//! proptest-generated campaign — control-plane and data-plane
+//! catchments, 1/2/8 worker threads, planted attacker volumes — the incremental implementations
 //! (`rank_suspects`, `estimate_cluster_volumes`, `match_fraction_scores`,
 //! `cluster_of`, `cluster_size_of`) must produce byte-identical output to
 //! the scan-based references they replaced (`*_rescan` / `*_scan`).
@@ -8,8 +8,8 @@
 //! The rescans rebuild everything from the raw catchments each call, so
 //! any divergence is a bug in the index maintenance — a stale split-log
 //! entry, a parent chain walked wrong, a CSR offset off by one — not a
-//! modeling difference. This mirrors the role `warm_vs_cold.rs` plays for
-//! the executor and `path_arena_differential.rs` for the routing core.
+//! modeling difference. This mirrors the role `warm_vs_cold.rs`
+//! plays for the executor and `path_arena_differential.rs` for the routing core.
 
 use proptest::prelude::*;
 use trackdown_suite::core::localize::{
@@ -108,10 +108,8 @@ macro_rules! assert_attribution_matches_rescan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Sequential Delta and Cold campaigns: the indexed plane must match
-    // the rescans on both, and the two campaigns' suspect lists must
-    // agree with each other (the executor equivalence the warm_vs_cold
-    // suite proves, restated at the attribution layer).
+    // Sequential campaigns over control-plane and data-plane catchments:
+    // the indexed plane must match the rescans on both.
     #[test]
     fn indexed_attribution_matches_rescan_warm_and_cold(
         seed in 0u64..500,
@@ -122,8 +120,8 @@ proptest! {
     ) {
         let (world, origin, schedule) = scenario(seed, pops, 1, max_poison);
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
-        for mode in [CampaignMode::Delta, CampaignMode::Cold] {
-            let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { mode, ..CampaignOpts::default() }).expect("valid schedule");
+        for source in [CatchmentSource::ControlPlane, CatchmentSource::DataPlane] {
+            let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, ..CampaignOpts::default() }).expect("valid schedule");
             let volume = plant_attackers(&world, &campaign, attackers, seed);
             let vols = link_volume_matrix(&campaign, &volume);
             prop_assert_eq!(vols.len(), campaign.attribution.num_configs());
@@ -131,10 +129,9 @@ proptest! {
         }
     }
 
-    // Parallel campaigns across worker counts: chunked warm sessions
-    // reorder work internally, so the refinement history (and thus the
-    // attribution index) must still come out identical to the rescans —
-    // and identical across thread counts.
+    // Parallel campaigns across worker counts: the refinement history
+    // (and thus the attribution index) must come out identical to the
+    // rescans — and identical across thread counts.
     #[test]
     fn indexed_attribution_matches_rescan_across_threads(
         seed in 0u64..500,

@@ -11,7 +11,6 @@
 //! bug `rank_suspects` used to paper over with `unwrap_or(0)`, and the
 //! online loop's range check on its prior catchments.
 
-use trackdown_experiments::mode_label;
 use trackdown_suite::core::localize::{
     estimate_cluster_volumes_rescan, match_fraction_scores, match_fraction_scores_rescan,
     rank_suspects_rescan,
@@ -238,7 +237,6 @@ fn single_config_recorded_campaign_manifest_validates() {
             seed: 31,
             policy_seed: 0,
             scale: "small".into(),
-            mode: mode_label(campaign.stats.mode).into(),
             threads: campaign.stats.threads,
             trace: "off".into(),
             schedule_len: campaign.configs.len(),

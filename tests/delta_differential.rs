@@ -1,27 +1,28 @@
-//! Differential suite: the delta propagation engine (the default reuse
-//! mode) must be indistinguishable — catchments, tracked set,
-//! clustering, per-config records, suspect rankings — from the
-//! cold-start oracle, across thread counts and adversarial deployment
-//! orders.
+//! Session-level differential suite. A `CampaignSession` reuses its
+//! allocations across deployments but no routing state: each deployment
+//! propagates from empty RIBs with a FIFO drain (DESIGN.md §4b). So a
+//! chain of session deployments — in schedule order, in adversarial
+//! orders, through poison/unpoison flips, right after an epoch capped by
+//! the event limit — must equal fresh `propagate_config` outcomes bit
+//! for bit: best routes (path ids included), candidate RIBs, the paths
+//! behind them, change logs and every counter. Campaigns built on those
+//! sessions stay identical across thread counts with policy extensions
+//! deployed and with a tight event cap, and their counters add up.
 //!
-//! Delta epochs change two things at once relative to a cold start: the
-//! seed set (injection diffing against the previous epoch skips
-//! unchanged providers) and the activation order (customer-cone rank
-//! scheduling instead of FIFO).
-//! On Gao-Rexford-conformant engines the fixpoint is unique, so any
-//! divergence is a delta bug — a stale direct route surviving a diff, a
-//! rank tie processed inconsistently, a withdrawal cascade terminated
-//! early. The adversarial cases below (poison-then-unpoison flips,
-//! footprint-distance-*maximizing* schedules) drive exactly the
-//! withdrawal-heavy transitions where such bugs would surface.
+//! The file and test names date from when a session could start a
+//! deployment from the previous one's routing state ("delta") and was
+//! checked against a cold-start oracle. That reuse is gone; every check
+//! here compares against fresh propagations, which is what the cold
+//! oracle was.
 
 use proptest::prelude::*;
 use trackdown_suite::core::schedule::footprint_distance;
+use trackdown_suite::obs::CampaignRecorder;
 use trackdown_suite::prelude::*;
 
 /// Engine config with the violator knob explicit: `clean` engines have
-/// unique fixpoints (true delta reuse); default engines keep the 8%
-/// violator population and exercise the session's cold-start guard.
+/// unique stable states, default engines keep the 8% violator
+/// population, whose stable states need not be unique.
 fn engine_config(clean: bool) -> EngineConfig {
     if clean {
         EngineConfig {
@@ -57,87 +58,86 @@ fn scenario(
     (world, origin, schedule)
 }
 
-/// The full equality obligation between two campaigns. Stats are exempt
-/// by design (they describe *how* the executor ran, not what it found).
-macro_rules! assert_campaigns_identical {
-    ($a:expr, $b:expr) => {
-        prop_assert_eq!(&$a.configs, &$b.configs);
-        prop_assert_eq!(&$a.catchments, &$b.catchments);
-        prop_assert_eq!(&$a.tracked, &$b.tracked);
-        prop_assert_eq!($a.clustering.clusters(), $b.clustering.clusters());
-        prop_assert_eq!(&$a.records, &$b.records);
-        prop_assert_eq!($a.imputation, $b.imputation);
-    };
-}
-
-/// Per-epoch oracle comparison for session-driven tests: the delta
-/// session outcome must match a cold propagation of the same
-/// configuration, in both catchment planes.
-fn assert_outcome_matches_cold(
+/// Deploy `cfg` through `session` with event cap `factor` and check the
+/// full-detail outcome equals a fresh propagation of the same
+/// configuration bit for bit. Returns the session's outcome.
+fn deploy_matches_fresh(
     engine: &BgpEngine<'_>,
+    session: &mut CampaignSession<'_, '_>,
     origin: &OriginAs,
     cfg: &AnnouncementConfig,
-    delta: &RoutingOutcome,
-) {
-    let cold = engine
-        .propagate_config(origin, &cfg.to_link_announcements(), 200)
+    factor: usize,
+    what: &str,
+) -> RoutingOutcome {
+    let anns = cfg.to_link_announcements();
+    let got = session
+        .deploy_config_detailed(origin, &anns, factor, SnapshotDetail::Full)
         .expect("valid configuration");
-    assert_eq!(delta.converged, cold.converged);
+    let want = engine
+        .propagate_config_detailed(origin, &anns, factor, SnapshotDetail::Full)
+        .expect("valid configuration");
+    assert_eq!(got.best, want.best, "{what}: best routes");
+    assert_eq!(got.candidates(), want.candidates(), "{what}: candidates");
+    assert_eq!(got.paths.len(), want.paths.len(), "{what}: arena size");
+    for r in got.best.iter().flatten() {
+        assert_eq!(got.path_of(r), want.path_of(r), "{what}: path of {r:?}");
+    }
+    assert_eq!(got.events, want.events, "{what}: events");
+    assert_eq!(got.rounds, want.rounds, "{what}: rounds");
+    assert_eq!(got.changes, want.changes, "{what}: change log");
+    assert_eq!(got.converged, want.converged, "{what}: converged");
     assert_eq!(
-        Catchments::from_control_plane(delta),
-        Catchments::from_control_plane(&cold)
+        got.routes_disturbed, want.routes_disturbed,
+        "{what}: disturbance"
     );
-    assert_eq!(
-        Catchments::from_data_plane(delta),
-        Catchments::from_data_plane(&cold)
-    );
+    got
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // The oracle: Delta == Cold on one worker thread, all the way to
-    // suspect ranking, over both catchment sources and both policy
-    // regimes.
+    // One session deploys the schedule forward and then backward, over
+    // random schedules in both policy regimes; every deployment equals
+    // a fresh propagation, and the forward pass's catchments are the
+    // campaign's.
     #[test]
     fn delta_equals_warm_equals_cold(
         seed in 0u64..500,
         pops in 3usize..6,
         max_removals in 0usize..3,
         max_poison in 4usize..12,
-        data_plane in 0u8..2,
         clean in 0u8..2,
     ) {
         let (world, origin, schedule) = scenario(seed, pops, max_removals, max_poison);
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
-        let source = if data_plane == 1 {
-            CatchmentSource::DataPlane
-        } else {
-            CatchmentSource::ControlPlane
-        };
-        let delta = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, mode: CampaignMode::Delta, ..CampaignOpts::default() }).expect("valid schedule");
-        let cold = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, mode: CampaignMode::Cold, ..CampaignOpts::default() }).expect("valid schedule");
-        assert_campaigns_identical!(delta, cold);
-        // Suspect rankings must survive the full attribution pipeline.
-        let volume: Vec<u64> = (0..world.topology.num_ases() as u64)
-            .map(|i| 1 + i % 5)
-            .collect();
-        let dv = link_volume_matrix(&delta, &volume);
-        let cv = link_volume_matrix(&cold, &volume);
-        prop_assert_eq!(rank_suspects(&delta, &dv), rank_suspects(&cold, &cv));
-        prop_assert_eq!(delta.stats.mode, CampaignMode::Delta);
-        prop_assert_eq!(delta.stats.propagations, schedule.len());
+        let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
+            .expect("valid schedule");
+        let mut session = engine.session();
+        for (k, cfg) in schedule.iter().enumerate() {
+            let out = deploy_matches_fresh(&engine, &mut session, &origin, cfg, 200, &format!("forward {k}"));
+            prop_assert_eq!(&Catchments::from_control_plane(&out), &campaign.catchments[k]);
+        }
+        for (k, cfg) in schedule.iter().enumerate().rev() {
+            deploy_matches_fresh(&engine, &mut session, &origin, cfg, 200, &format!("backward {k}"));
+        }
+        prop_assert_eq!(session.deployments(), 2 * schedule.len());
+        prop_assert!(session.peak_arena_nodes() > 0);
     }
 
-    // Delta at 1/2/8 worker threads vs the one-thread cold oracle —
-    // the thread counts the manifests promise invariance over.
+    // Campaigns at 1, 2 and 8 worker threads under a tight, a loose and
+    // the default event cap, both ground-truth sources, both policy
+    // regimes, down to suspect ranking. A capped deployment ends where
+    // its FIFO drain stopped, which depends on the configuration alone,
+    // so capped campaigns are thread-invariant too.
     #[test]
     fn delta_is_thread_invariant(
         seed in 0u64..300,
         max_poison in 4usize..10,
         data_plane in 0u8..2,
         clean in 0u8..2,
+        cap in 0usize..3,
     ) {
+        let factor = [1usize, 3, 200][cap];
         let (world, origin, schedule) = scenario(seed, 4, 1, max_poison);
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
         let source = if data_plane == 1 {
@@ -148,35 +148,36 @@ proptest! {
         let volume: Vec<u64> = (0..world.topology.num_ases() as u64)
             .map(|i| 1 + i % 7)
             .collect();
-        let cold_opts = CampaignOpts {
-            source,
-            mode: CampaignMode::Cold,
-            ..CampaignOpts::default()
-        };
-        let cold = run_campaign(&engine, &origin, &schedule, &cold_opts).expect("valid schedule");
-        let cold_vols = link_volume_matrix(&cold, &volume);
-        let cold_rank = rank_suspects(&cold, &cold_vols);
-        for threads in [1usize, 2, 8] {
+        let run = |threads| {
             let opts = CampaignOpts {
                 source,
-                mode: CampaignMode::Delta,
                 threads,
+                max_events_factor: factor,
                 ..CampaignOpts::default()
             };
-            let par = run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule");
-            assert_campaigns_identical!(par, cold);
+            run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule")
+        };
+        let base = run(1);
+        if factor == 1 {
+            prop_assert!(base.records.iter().any(|r| !r.converged));
+        }
+        let base_vols = link_volume_matrix(&base, &volume);
+        let base_rank = rank_suspects(&base, &base_vols);
+        for threads in [2usize, 8] {
+            let par = run(threads);
+            prop_assert_eq!(&par.catchments, &base.catchments);
+            prop_assert_eq!(&par.tracked, &base.tracked);
+            prop_assert_eq!(par.clustering.clusters(), base.clustering.clusters());
+            prop_assert_eq!(&par.records, &base.records);
+            prop_assert_eq!(par.stats.events, base.stats.events);
             let vols = link_volume_matrix(&par, &volume);
-            prop_assert_eq!(rank_suspects(&par, &vols), cold_rank.clone());
-            prop_assert_eq!(par.stats.mode, CampaignMode::Delta);
+            prop_assert_eq!(rank_suspects(&par, &vols), base_rank.clone());
         }
     }
 
-    // Adversarial ordering 1: poison-then-unpoison flips, driven through
-    // the session directly (the executors would reorder them away). Each
-    // transition withdraws a poisoned announcement and restores the plain
-    // one (or vice versa) — the withdrawal-cascade path where FIFO
-    // processing path-hunts and rank scheduling must still converge to
-    // the same fixpoint.
+    // Poison → unpoison → poison flips through one session, then an
+    // identical redeploy of the poisoned configuration: the
+    // withdrawal-heavy transitions, each equal to a fresh propagation.
     #[test]
     fn poison_then_unpoison_cascades_match_cold(
         seed in 0u64..200,
@@ -193,31 +194,17 @@ proptest! {
         if poisoned.is_empty() {
             return; // no poison-phase configs at this seed; vacuous case
         }
-        let mut session = engine.session_with(CampaignMode::Delta);
+        let mut session = engine.session();
         for (i, p) in poisoned.iter().take(flips).enumerate() {
-            // poison → unpoison → poison again: A;P unchanged, Q flips.
-            for cfg in [*p, baseline, *p] {
-                let out = session
-                    .deploy_config(&origin, &cfg.to_link_announcements(), 200)
-                    .expect("valid configuration");
-                assert_outcome_matches_cold(&engine, &origin, cfg, &out);
-            }
-            // Re-deploying the previous config identically must be a
-            // zero-seed epoch on clean engines (diff is empty).
-            if clean == 1 {
-                let out = session
-                    .deploy_config(&origin, &poisoned[i].to_link_announcements(), 200)
-                    .expect("valid configuration");
-                prop_assert_eq!(out.events, 0, "identical redeploy must not propagate");
-                prop_assert_eq!(out.routes_disturbed, 0);
+            for (step, cfg) in [*p, baseline, *p, *p].into_iter().enumerate() {
+                deploy_matches_fresh(&engine, &mut session, &origin, cfg, 200, &format!("flip {i} step {step}"));
             }
         }
     }
 
-    // Adversarial ordering 2: deploy the schedule in a greedy
-    // footprint-distance-MAXIMIZING chain — the exact opposite of the
-    // warm-start order — so every transition is the largest available
-    // edit (announce/withdraw/poison churn all at once).
+    // Deploy the schedule in a greedy footprint-distance-maximizing
+    // chain, so every transition is the largest available edit
+    // (announce/withdraw/poison churn all at once).
     #[test]
     fn distance_maximizing_schedule_matches_cold(
         seed in 0u64..200,
@@ -238,43 +225,24 @@ proptest! {
             current = remaining.remove(pos);
             order.push(current);
         }
-        let mut session = engine.session_with(CampaignMode::Delta);
+        let mut session = engine.session();
         for &k in &order {
-            let out = session
-                .deploy_config(&origin, &schedule[k].to_link_announcements(), 200)
-                .expect("valid configuration");
-            assert_outcome_matches_cold(&engine, &origin, &schedule[k], &out);
+            deploy_matches_fresh(&engine, &mut session, &origin, &schedule[k], 200, &format!("config {k}"));
         }
     }
 }
 
-/// Clean engine (unique fixpoints) with the given policy-extension
-/// deployments activated.
-fn engine_config_ext(deployments: Vec<ExtensionDeployment>) -> EngineConfig {
-    let mut policy = PolicyConfig {
-        violator_fraction: 0.0,
-        ..PolicyConfig::default()
-    };
-    policy.extensions.deployments = deployments;
-    EngineConfig {
-        policy,
-        ..EngineConfig::default()
-    }
-}
-
-// Policy extensions drop routes at import time — each drop must surface
-// as a non-viable activation to the delta engine, never as a stale
-// entry it warm-reuses. Every extension, at partial (30%) and universal
-// (100%) deployment (0% is the extension-free baseline the rest of the
-// suite covers), must keep Delta == Cold through the parallel
-// executor's 1/2/8 thread counts, all the way to suspect ranking.
+// Policy extensions make the import filter stricter. With each extension
+// at partial (30%) and universal coverage, and with all of them at once,
+// in both policy regimes, campaigns must stay identical at 1, 2 and 8
+// worker threads all the way through suspect ranking.
 #[test]
 fn extensions_on_delta_equals_warm_equals_cold_across_threads() {
     let (world, origin, schedule) = scenario(29, 4, 1, 8);
     let volume: Vec<u64> = (0..world.topology.num_ases() as u64)
         .map(|i| 1 + i % 7)
         .collect();
-    let mut arms: Vec<Vec<ExtensionDeployment>> = vec![vec![]];
+    let mut arms: Vec<Vec<ExtensionDeployment>> = Vec::new();
     for ext in PolicyExtension::ALL {
         for fraction in [0.3, 1.0] {
             arms.push(vec![ExtensionDeployment {
@@ -284,7 +252,6 @@ fn extensions_on_delta_equals_warm_equals_cold_across_threads() {
             }]);
         }
     }
-    // Mixed arm: every extension at once, partial deployment.
     arms.push(
         PolicyExtension::ALL
             .into_iter()
@@ -295,117 +262,122 @@ fn extensions_on_delta_equals_warm_equals_cold_across_threads() {
             })
             .collect(),
     );
-    for arm in arms {
-        let engine = BgpEngine::new(&world.topology, &engine_config_ext(arm.clone()));
-        let cold = run_campaign(
-            &engine,
-            &origin,
-            &schedule,
-            &CampaignOpts {
-                mode: CampaignMode::Cold,
-                ..CampaignOpts::default()
-            },
-        )
-        .expect("valid schedule");
-        let cold_vols = link_volume_matrix(&cold, &volume);
-        let cold_rank = rank_suspects(&cold, &cold_vols);
-        for threads in [1usize, 2, 8] {
-            let delta = run_campaign(
-                &engine,
-                &origin,
-                &schedule,
-                &CampaignOpts {
-                    mode: CampaignMode::Delta,
+    for clean in [true, false] {
+        for arm in &arms {
+            let mut cfg = engine_config(clean);
+            cfg.policy.extensions.deployments = arm.clone();
+            let engine = BgpEngine::new(&world.topology, &cfg);
+            let run = |threads| {
+                let opts = CampaignOpts {
                     threads,
                     ..CampaignOpts::default()
-                },
-            )
-            .expect("valid schedule");
-            assert_eq!(
-                &delta.catchments, &cold.catchments,
-                "delta vs cold at {threads} threads: {arm:?}"
-            );
-            assert_eq!(&delta.tracked, &cold.tracked);
-            assert_eq!(delta.clustering.clusters(), cold.clustering.clusters());
-            assert_eq!(&delta.records, &cold.records);
-            let vols = link_volume_matrix(&delta, &volume);
-            assert_eq!(
-                rank_suspects(&delta, &vols),
-                cold_rank,
-                "suspect ranking diverged at {threads} threads: {arm:?}"
-            );
+                };
+                run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule")
+            };
+            let base = run(1);
+            let base_vols = link_volume_matrix(&base, &volume);
+            let base_rank = rank_suspects(&base, &base_vols);
+            for threads in [2usize, 8] {
+                let par = run(threads);
+                let what = format!("clean={clean} {threads} threads: {arm:?}");
+                assert_eq!(&par.catchments, &base.catchments, "{what}");
+                assert_eq!(&par.tracked, &base.tracked, "{what}");
+                assert_eq!(par.clustering.clusters(), base.clustering.clusters());
+                assert_eq!(&par.records, &base.records, "{what}");
+                let vols = link_volume_matrix(&par, &volume);
+                assert_eq!(rank_suspects(&par, &vols), base_rank, "{what}");
+            }
         }
     }
 }
 
-// Regression: a capped (non-converged) epoch must never be warm-reused
-// by the next delta epoch. The capped run leaves stranded FIFO queue
-// entries with `in_queue` set; a rank-scheduled delta epoch on top of
-// them would drain only the rank buckets, freezing those ASes for the
-// whole epoch while reporting convergence. The session must instead
-// fall back to a cold start — and stay fixpoint-identical to the
-// oracle from then on.
+// A capped (non-converged) deployment leaves a populated activation
+// queue behind; the next deployment must not inherit it. Cap the first
+// deployment of a session and one mid-session, in both policy regimes:
+// the capped outcomes and every deployment after them equal fresh
+// propagations bit for bit.
 #[test]
 fn capped_epoch_then_delta_falls_back_to_cold() {
     let (world, origin, schedule) = scenario(23, 4, 1, 8);
-    let engine = BgpEngine::new(&world.topology, &engine_config(true));
-    let mut session = engine.session_with(CampaignMode::Delta);
-    // A zero events budget caps the first deployment immediately,
-    // leaving a populated activation queue behind.
-    let capped = session
-        .deploy_config(&origin, &schedule[0].to_link_announcements(), 0)
-        .expect("valid configuration");
-    assert!(!capped.converged, "factor-0 cap must not converge");
-    // Every later epoch gets a real budget; each must match a cold
-    // propagation of the same configuration in both catchment planes.
-    for cfg in schedule.iter().take(6) {
-        let out = session
-            .deploy_config(&origin, &cfg.to_link_announcements(), 200)
-            .expect("valid configuration");
-        assert!(out.converged);
-        assert_outcome_matches_cold(&engine, &origin, cfg, &out);
-    }
-    // Same hazard mid-session: cap a *delta* epoch, then resume.
-    let _ = session.deploy_config(&origin, &schedule[1].to_link_announcements(), 0);
-    for cfg in schedule.iter().rev().take(4) {
-        let out = session
-            .deploy_config(&origin, &cfg.to_link_announcements(), 200)
-            .expect("valid configuration");
-        assert_outcome_matches_cold(&engine, &origin, cfg, &out);
+    for clean in [true, false] {
+        let engine = BgpEngine::new(&world.topology, &engine_config(clean));
+        let mut session = engine.session();
+        let capped = deploy_matches_fresh(
+            &engine,
+            &mut session,
+            &origin,
+            &schedule[0],
+            0,
+            "capped first",
+        );
+        assert!(!capped.converged, "factor-0 cap must not converge");
+        for (k, cfg) in schedule.iter().take(6).enumerate() {
+            let out =
+                deploy_matches_fresh(&engine, &mut session, &origin, cfg, 200, &format!("{k}"));
+            assert!(out.converged);
+        }
+        let capped = deploy_matches_fresh(
+            &engine,
+            &mut session,
+            &origin,
+            &schedule[1],
+            1,
+            "capped mid-session",
+        );
+        assert!(!capped.converged, "factor-1 cap must not converge");
+        for (k, cfg) in schedule.iter().enumerate().rev().take(4) {
+            deploy_matches_fresh(&engine, &mut session, &origin, cfg, 200, &format!("{k}"));
+        }
     }
 }
 
-// Delta stats carry the disturbance accounting trackbench reports as
-// `bgp.routes_disturbed`.
+// Campaign counters add up: each epoch propagates from empty RIBs, so
+// it disturbs exactly the ASes it reaches, and the campaign's events
+// and disturbance are the sums over fresh propagations — per epoch in
+// the recorder, in total in the stats.
 #[test]
 fn delta_stats_report_disturbance() {
     let (world, origin, schedule) = scenario(17, 4, 1, 8);
-    let engine = BgpEngine::new(&world.topology, &engine_config(true));
-    let delta = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        &CampaignOpts {
-            mode: CampaignMode::Delta,
-            ..CampaignOpts::default()
-        },
-    )
-    .expect("valid schedule");
-    let cold = run_campaign(
-        &engine,
-        &origin,
-        &schedule,
-        &CampaignOpts {
-            mode: CampaignMode::Cold,
-            ..CampaignOpts::default()
-        },
-    )
-    .expect("valid schedule");
-    assert_eq!(delta.catchments, cold.catchments);
-    assert_eq!(delta.stats.mode, CampaignMode::Delta);
-    // The first (cold) epoch alone disturbs every reachable AS; later
-    // delta epochs only add their frontiers, so the total is at least
-    // the baseline coverage but far below propagations × topology size.
-    assert!(delta.stats.routes_disturbed >= delta.tracked.len());
-    assert!(delta.stats.routes_disturbed < delta.stats.propagations * world.topology.num_ases());
+    for clean in [true, false] {
+        let engine = BgpEngine::new(&world.topology, &engine_config(clean));
+        let fresh: Vec<RoutingOutcome> = schedule
+            .iter()
+            .map(|c| {
+                engine
+                    .propagate_config(&origin, &c.to_link_announcements(), 200)
+                    .expect("valid configuration")
+            })
+            .collect();
+        for threads in [1usize, 2] {
+            let recorder = CampaignRecorder::new(true);
+            let campaign = run_campaign(
+                &engine,
+                &origin,
+                &schedule,
+                &CampaignOpts {
+                    threads,
+                    recorder: Some(&recorder),
+                    ..CampaignOpts::default()
+                },
+            )
+            .expect("valid schedule");
+            let mut records = recorder.take_records();
+            records.sort_by_key(|r| r.epoch);
+            assert_eq!(records.len(), schedule.len());
+            for (r, o) in records.iter().zip(&fresh) {
+                assert_eq!(r.routes_disturbed, o.reachable_count(), "epoch {}", r.epoch);
+                assert_eq!(r.events, o.events, "epoch {}", r.epoch);
+            }
+            assert_eq!(campaign.stats.propagations, schedule.len());
+            assert_eq!(
+                campaign.stats.events,
+                fresh.iter().map(|o| o.events).sum::<usize>()
+            );
+            assert_eq!(
+                campaign.stats.routes_disturbed,
+                fresh.iter().map(|o| o.reachable_count()).sum::<usize>()
+            );
+            assert!(campaign.stats.routes_disturbed >= campaign.tracked.len());
+        }
+    }
 }

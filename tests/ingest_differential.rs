@@ -1,6 +1,6 @@
 //! Differential suite for the streaming attribution plane: on every
-//! proptest-generated campaign — Delta and Cold executors, 1/2/8
-//! worker threads, planted attacker volumes — flows streamed through
+//! proptest-generated campaign — control-plane and data-plane
+//! catchments, 1/2/8 worker threads, planted attacker volumes — flows streamed through
 //! [`BatchedDenseAccumulator`] and read back by `rank_suspects_acc` /
 //! `estimate_cluster_volumes_acc` must reproduce the dense path
 //! (`link_volume_matrix` + `rank_suspects` / `estimate_cluster_volumes`)
@@ -127,8 +127,8 @@ fn assert_streamed_equals_exact(campaign: &Campaign, volume: &[u64]) -> RankedSu
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Delta and Cold campaigns: the streamed path must equal the
-    // dense path on each.
+    // Control-plane and data-plane campaigns: the streamed path must
+    // equal the dense path on each.
     #[test]
     fn streamed_attribution_equals_exact_across_modes(
         seed in 0u64..500,
@@ -138,8 +138,8 @@ proptest! {
     ) {
         let (world, origin, schedule) = scenario(seed, pops, 1, max_poison);
         let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
-        for mode in [CampaignMode::Delta, CampaignMode::Cold] {
-            let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { mode, ..CampaignOpts::default() }).expect("valid schedule");
+        for source in [CatchmentSource::ControlPlane, CatchmentSource::DataPlane] {
+            let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts { source, ..CampaignOpts::default() }).expect("valid schedule");
             let volume = plant_attackers(&world, &campaign, attackers, seed);
             assert_streamed_equals_exact(&campaign, &volume);
         }

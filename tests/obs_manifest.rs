@@ -4,10 +4,7 @@
 //! campaign itself — results with a recorder attached are byte-identical
 //! across 1, 2, and 8 worker threads.
 
-use trackdown_experiments::mode_label;
-use trackdown_suite::obs::{
-    validate_manifest, write_manifest, CampaignRecorder, EpochMode, RunInfo,
-};
+use trackdown_suite::obs::{validate_manifest, write_manifest, CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 
 fn scenario(seed: u64) -> (GeneratedTopology, OriginAs, Vec<AnnouncementConfig>) {
@@ -30,7 +27,6 @@ fn run_info(name: &str, campaign: &Campaign, deterministic: bool) -> RunInfo {
         seed: 7,
         policy_seed: 0,
         scale: "small".into(),
-        mode: mode_label(campaign.stats.mode).into(),
         threads: campaign.stats.threads,
         trace: trackdown_suite::obs::trace_config_label(),
         schedule_len: campaign.configs.len(),
@@ -58,9 +54,6 @@ fn warm_campaign_manifest_validates() {
     .expect("valid schedule");
     let records = recorder.take_records();
     assert_eq!(records.len(), schedule.len(), "one record per epoch");
-    // Epoch 0 must be a cold start; with the default violator population
-    // the session cold-starts internally, so every deploy records Cold.
-    assert_eq!(records[0].mode, EpochMode::Cold);
 
     let text = trackdown_suite::obs::render_manifest(
         &run_info("obs_manifest", &campaign, false),
@@ -70,13 +63,13 @@ fn warm_campaign_manifest_validates() {
     let summary = validate_manifest(&text).expect("manifest validates");
     assert_eq!(summary.epochs, schedule.len());
     assert_eq!(summary.schedule_len, schedule.len());
-    // Every deploy under the default violator population cold-starts.
-    assert_eq!((summary.delta, summary.cold), (0, schedule.len()));
     assert!(!summary.deterministic);
 }
 
-/// A clean (violator-free) engine actually reuses epochs: the manifest
-/// must label the reused deployments Delta.
+/// A clean (violator-free) engine records one epoch per configuration,
+/// in schedule order, each the full propagation of its configuration
+/// from empty RIBs: its counters equal a fresh propagation's. The
+/// deterministic recorder never reads the clock.
 #[test]
 fn clean_engine_records_warm_epochs() {
     let (world, origin, schedule) = scenario(9);
@@ -100,17 +93,25 @@ fn clean_engine_records_warm_epochs() {
     )
     .expect("valid schedule");
     let records = recorder.take_records();
-    let delta = records
-        .iter()
-        .filter(|r| r.mode == EpochMode::Delta)
-        .count();
-    assert!(delta > 0, "clean engine should reuse some epochs");
+    assert_eq!(records.len(), schedule.len(), "one record per epoch");
+    for (k, (r, c)) in records.iter().zip(&schedule).enumerate() {
+        let fresh = engine
+            .propagate_config(&origin, &c.to_link_announcements(), 200)
+            .expect("valid configuration");
+        assert_eq!(r.epoch, k);
+        assert_eq!(r.footprint, c.footprint_key());
+        assert_eq!(r.events, fresh.events, "epoch {k}: events");
+        assert_eq!(r.rounds, fresh.rounds, "epoch {k}: rounds");
+        assert_eq!(r.changes, fresh.changes.len(), "epoch {k}: changes");
+        assert_eq!(r.routes_disturbed, fresh.reachable_count(), "epoch {k}");
+        assert_eq!(r.converged, fresh.converged, "epoch {k}: converged");
+    }
     // Deterministic recorder never reads the clock.
     assert!(records.iter().all(|r| r.wall_us.is_none()));
 }
 
-/// A delta campaign on a clean engine records Delta epochs that validate
-/// against the schema-3 vocabulary and carry per-epoch disturbance.
+/// A campaign on a clean engine records epochs that validate and carry
+/// per-epoch disturbance.
 #[test]
 fn delta_campaign_manifest_validates() {
     let (world, origin, schedule) = scenario(15);
@@ -128,18 +129,12 @@ fn delta_campaign_manifest_validates() {
         &origin,
         &schedule,
         &CampaignOpts {
-            mode: CampaignMode::Delta,
             recorder: Some(&recorder),
             ..CampaignOpts::default()
         },
     )
     .expect("valid schedule");
     let records = recorder.take_records();
-    let delta = records
-        .iter()
-        .filter(|r| r.mode == EpochMode::Delta)
-        .count();
-    assert!(delta > 0, "clean engine should delta-start most epochs");
     // The campaign's disturbance total is the sum over deployed epochs.
     assert_eq!(
         records.iter().map(|r| r.routes_disturbed).sum::<usize>(),
@@ -150,9 +145,7 @@ fn delta_campaign_manifest_validates() {
         &records,
         None,
     );
-    assert!(text.contains("\"mode\":\"delta\""));
-    let summary = validate_manifest(&text).expect("delta manifest validates");
-    assert_eq!(summary.delta, delta);
+    let summary = validate_manifest(&text).expect("manifest validates");
     assert_eq!(summary.epochs, schedule.len());
 }
 
@@ -226,8 +219,8 @@ fn manifest_roundtrips_through_file() {
 
 /// The determinism fix the issue calls out: attaching a recorder must not
 /// perturb parallel campaign results, and those results stay identical
-/// across 1, 2, and 8 threads. Epoch *records* may differ (each worker
-/// warm-starts its own chunk); campaign outputs may not.
+/// across 1, 2, and 8 threads. Epoch *records* may differ in their
+/// `thread` field; campaign outputs may not.
 #[test]
 fn recorder_does_not_perturb_thread_invariance() {
     let (world, origin, schedule) = scenario(17);

@@ -255,81 +255,6 @@ proptest! {
             }
         }
     }
-
-    // Frontier soundness of the delta engine: every AS whose best route
-    // differs between consecutive epochs' fixpoints must be inside the
-    // delta propagation's visited set — no silently-skipped AS. The
-    // per-epoch change log is checked directly against a cold oracle of
-    // both fixpoints, and the `bgp.delta.*` frontier counters must agree
-    // (this test is the binary's only delta-counter consumer, so the
-    // process-global deltas are attributable).
-    #[test]
-    fn delta_frontier_covers_every_route_difference(
-        seed in 0u64..300,
-        pops in 3usize..6,
-        max_poison in 4usize..10,
-    ) {
-        let world = generate(&TopologyConfig::small(seed));
-        let origin = OriginAs::peering_style(&world, pops);
-        let schedule = full_schedule(
-            &world.topology,
-            &origin,
-            &GeneratorParams { max_removals: 1, max_poison_configs: Some(max_poison) },
-        );
-        let engine = BgpEngine::new(&world.topology, &conformant());
-        let registry = trackdown_suite::obs::global();
-        let mut session = engine.session_with(CampaignMode::Delta);
-        let mut prev_cold: Option<RoutingOutcome> = None;
-        for cfg in schedule.iter().take(12) {
-            let anns = cfg.to_link_announcements();
-            let visited_before = registry.counter("bgp.delta.visited").get();
-            let disturbed_before = registry.counter("bgp.delta.disturbed").get();
-            let out = session
-                .deploy_config(&origin, &anns, 200)
-                .expect("valid configuration");
-            let visited = registry.counter("bgp.delta.visited").get() - visited_before;
-            let disturbed = registry.counter("bgp.delta.disturbed").get() - disturbed_before;
-            let cold = engine.propagate_config(&origin, &anns, 200).unwrap();
-            if let Some(prev) = &prev_cold {
-                // Oracle frontier: ASes whose best route moved between the
-                // two fixpoints, computed from cold runs on both sides.
-                let moved: Vec<AsIndex> = world
-                    .topology
-                    .indices()
-                    .filter(|&i| prev.catchment(i) != cold.catchment(i))
-                    .collect();
-                let logged: BTreeSet<u32> =
-                    out.changes.iter().map(|ch| ch.at.0).collect();
-                for i in &moved {
-                    prop_assert!(
-                        logged.contains(&i.0),
-                        "AS index {} changed best route but was never \
-                         visited by the delta engine",
-                        i.0
-                    );
-                }
-                // Counter consistency: the published net disturbance
-                // covers at least the ingress-moved oracle frontier (it
-                // also counts same-ingress path changes), matches the
-                // outcome field, and the engine visited at least that
-                // many ASes to find it.
-                prop_assert_eq!(disturbed as usize, out.routes_disturbed);
-                prop_assert!(
-                    out.routes_disturbed >= moved.len(),
-                    "disturbed {} misses part of the {}-AS oracle frontier",
-                    out.routes_disturbed,
-                    moved.len()
-                );
-                prop_assert!(
-                    visited as usize >= out.routes_disturbed,
-                    "visited {} < disturbed {}",
-                    visited,
-                    out.routes_disturbed
-                );
-            }
-            prev_cold = Some(cold);
-        }
-    }
 }
 
 /// The literal §III-A-c statement: for a victim `u` whose only link is to

@@ -11,7 +11,6 @@
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::OnceLock;
-use trackdown_experiments::mode_label;
 use trackdown_suite::core::dataset::Dataset;
 use trackdown_suite::obs::{render_manifest, validate_manifest, CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
@@ -162,7 +161,6 @@ fn valid_documents() -> &'static (String, String) {
             seed: 7,
             policy_seed: 0,
             scale: "small".into(),
-            mode: mode_label(campaign.stats.mode).into(),
             threads: campaign.stats.threads,
             trace: "off".into(),
             schedule_len: schedule.len(),
@@ -272,8 +270,8 @@ fn manifest_with_huge_schedule_len_is_rejected() {
 
 /// A campaign over a parsed as-rel file whose providers form a 3-AS
 /// cycle (AS 64501 → 64502 → 64503 → 64501), hung below a tier-1 of a
-/// generated topology. Propagation ranks park the cycle; every mode
-/// must run it and, with no policy violators, agree on every catchment.
+/// generated topology. Campaigns at 1 and 2 worker threads must run it
+/// and agree on every catchment.
 #[test]
 fn campaign_over_parsed_provider_cycle_agrees_across_modes() {
     let world = small_world(7);
@@ -295,26 +293,26 @@ fn campaign_over_parsed_provider_cycle_agrees_across_modes() {
         ..EngineConfig::default()
     };
     let engine = BgpEngine::new(&world.topology, &engine_cfg);
-    let run = |mode| {
+    let run = |threads| {
         let opts = CampaignOpts {
-            mode,
+            threads,
             ..CampaignOpts::default()
         };
         run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule")
     };
-    let cold = run(CampaignMode::Cold);
+    let one = run(1);
     let cycle: Vec<AsIndex> = [64501, 64502, 64503]
         .into_iter()
         .map(|a| world.topology.index_of(Asn(a)).expect("cycle AS parsed"))
         .collect();
     assert!(
-        cycle.iter().any(|&a| cold.catchments[0].get(a).is_some()),
+        cycle.iter().any(|&a| one.catchments[0].get(a).is_some()),
         "the cycle hangs below a tier-1, so some member is reachable"
     );
-    let delta = run(CampaignMode::Delta);
+    let two = run(2);
     assert!(
-        delta.catchments == cold.catchments,
-        "delta diverged from cold"
+        two.catchments == one.catchments,
+        "2-thread campaign diverged"
     );
-    assert_eq!(delta.tracked, cold.tracked);
+    assert_eq!(two.tracked, one.tracked);
 }

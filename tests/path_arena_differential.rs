@@ -368,55 +368,43 @@ proptest! {
         }
     }
 
-    // Delta epoch transitions land on the same fixpoint as the reference
-    // cold start of the final configuration (unique fixpoints: clean
-    // policies only), across a chain of random deployments.
+    // Every deployment of a session starts from empty RIBs, whatever the
+    // session deployed before: across a chain of random deployments each
+    // outcome equals the reference propagator's cold start of its own
+    // configuration, route for route and change for change.
     #[test]
     fn warm_session_matches_reference_cold_start(
         topo_seed in 0u64..100,
         policy_seed in 0u64..50,
+        violators in 0u8..2,
         chain in proptest::collection::vec(
             proptest::collection::vec(0u8..48, 4), 2..5),
     ) {
         let g = generate(&TopologyConfig::small(topo_seed));
         let origin = OriginAs::peering_style(&g, 4);
-        let cfg = engine_config(policy_seed, 0.0, 0.0, true);
+        let cfg = engine_config(
+            policy_seed,
+            if violators == 1 { 0.15 } else { 0.0 },
+            0.0,
+            true,
+        );
         let engine = BgpEngine::new(&g.topology, &cfg);
         let mut session = engine.session();
-        prop_assert!(session.warm_reuse());
-        let mut last = None;
         for knobs in &chain {
             let anns = announcements_from_knobs(&g.topology, &origin, knobs);
             let out = session
                 .deploy_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
                 .unwrap();
-            last = Some((anns, out));
+            let inj = origin.build_injections(&g.topology, &anns).unwrap();
+            assert_outcome_matches_reference(&out, &ref_propagate(&engine, &inj, 200));
         }
-        let (anns, out) = last.unwrap();
-        let inj = origin.build_injections(&g.topology, &anns).unwrap();
-        let reference = ref_propagate(&engine, &inj, 200);
-        // The delta outcome's change log describes the transition, not the
-        // cold start, so only the fixpoint state is compared.
-        prop_assert_eq!(out.converged, reference.converged);
-        for (i, (a, r)) in out.best.iter().zip(&reference.best).enumerate() {
-            match (a, r) {
-                (None, None) => {}
-                (Some(a), Some(r)) => {
-                    prop_assert_eq!(out.path_of(a), r.path.clone(), "path differs at AS {}", i);
-                    prop_assert_eq!(a.ingress, r.ingress);
-                    prop_assert_eq!(a.from_neighbor, r.from_neighbor);
-                    prop_assert_eq!(a.local_pref, r.local_pref);
-                    prop_assert_eq!(a.learned_from, r.learned_from);
-                }
-                _ => prop_assert!(false, "best presence differs at AS {}", i),
-            }
-        }
+        prop_assert_eq!(session.deployments(), chain.len());
     }
 }
 
-/// Campaign-level differential: Delta and Cold executors at 1, 2, and 8
-/// threads all agree with each other *and* with the reference propagator
-/// run per configuration.
+/// Campaign-level differential: campaigns at 1, 2, and 8 threads all
+/// agree with each other *and* with the reference propagator run per
+/// configuration.
 #[test]
 fn campaigns_match_reference_across_modes_and_threads() {
     let world = generate(&TopologyConfig::small(7));
@@ -448,48 +436,42 @@ fn campaigns_match_reference_across_modes_and_threads() {
         .collect();
 
     let mut campaigns = Vec::new();
-    for mode in [CampaignMode::Delta, CampaignMode::Cold] {
-        for threads in [1usize, 2, 8] {
-            let c = run_campaign(
-                &engine,
-                &origin,
-                &schedule,
-                &CampaignOpts {
-                    mode,
-                    threads,
-                    ..CampaignOpts::default()
-                },
-            )
-            .expect("valid schedule");
-            for (k, cat) in c.catchments.iter().enumerate() {
-                for i in world.topology.indices() {
-                    assert_eq!(
-                        cat.get(i),
-                        reference[k][i.us()],
-                        "{mode:?}/{threads} threads: catchment of AS {i:?} in config {k}"
-                    );
-                }
+    for threads in [1usize, 2, 8] {
+        let c = run_campaign(
+            &engine,
+            &origin,
+            &schedule,
+            &CampaignOpts {
+                threads,
+                ..CampaignOpts::default()
+            },
+        )
+        .expect("valid schedule");
+        for (k, cat) in c.catchments.iter().enumerate() {
+            for i in world.topology.indices() {
+                assert_eq!(
+                    cat.get(i),
+                    reference[k][i.us()],
+                    "{threads} threads: catchment of AS {i:?} in config {k}"
+                );
             }
-            campaigns.push((mode, threads, c));
         }
+        campaigns.push((threads, c));
     }
-    // All six campaigns are mutually identical in results.
-    let (_, _, anchor) = &campaigns[0];
-    for (mode, threads, c) in &campaigns[1..] {
+    // All three campaigns are mutually identical in results.
+    let (_, anchor) = &campaigns[0];
+    for (threads, c) in &campaigns[1..] {
         assert_eq!(
             &anchor.catchments, &c.catchments,
-            "catchments differ for {mode:?}/{threads}"
+            "catchments differ at {threads} threads"
         );
         assert_eq!(
             anchor.clustering.clusters(),
             c.clustering.clusters(),
-            "clusters differ for {mode:?}/{threads}"
+            "clusters differ at {threads} threads"
         );
         assert_eq!(&anchor.tracked, &c.tracked);
     }
-    // The default engine has violators, so delta sessions cold-start;
-    // the stats still count one propagation per configuration.
-    let (_, _, delta1) = &campaigns[0];
-    assert_eq!(delta1.stats.mode, CampaignMode::Delta);
-    assert_eq!(delta1.stats.propagations, schedule.len());
+    // One propagation per configuration.
+    assert_eq!(anchor.stats.propagations, schedule.len());
 }

@@ -1,17 +1,11 @@
 //! Pinned pipeline gates on deterministic work counts.
 //!
-//! The fixed workload is the small scenario at seed 7 on a
-//! violator-free engine (delta sessions reuse state only when the engine
-//! has no policy violators). Every epoch's event count is deterministic,
-//! so these gates hold on any machine and at any load:
-//!
-//! * the stable counts of the workload (ASes, configurations,
-//!   propagations, restarts, events, disturbance, mean cluster size,
-//!   arena high-water mark) are pinned;
-//! * delta reproduces the cold oracle exactly;
-//! * delta does fewer propagation events than cold;
-//! * cold starts are split by cause: first deployment, violator gate,
-//!   event cap and `Cold` mode.
+//! The fixed workload is the small scenario at seed 7, on a
+//! violator-free engine and under the default policy. Every epoch
+//! propagates from empty RIBs and its event count is deterministic, so
+//! the stable counts of the workload (ASes, configurations,
+//! propagations, events, disturbance, mean cluster size, arena
+//! high-water mark) are pinned and hold on any machine and at any load.
 //!
 //! The `#[ignore]`d test at the end times 1-thread against 8-thread
 //! campaigns at the `large` and `internet` scales. Run it in release
@@ -49,11 +43,9 @@ fn run(
     engine: &BgpEngine,
     scenario: &Scenario,
     schedule: &[AnnouncementConfig],
-    mode: CampaignMode,
     threads: usize,
 ) -> Campaign {
     let opts = CampaignOpts {
-        mode,
         threads,
         max_events_factor: scenario.engine_cfg.max_events_factor,
         ..CampaignOpts::default()
@@ -73,69 +65,41 @@ fn assert_same_campaign(a: &Campaign, b: &Campaign, what: &str) {
 }
 
 #[test]
-fn small_campaign_counts_and_reuse_gates() {
+fn small_campaign_counts_are_pinned() {
     let (scenario, engine_cfg) = violator_free(Scale::Small);
     let engine = BgpEngine::new(&scenario.gen.topology, &engine_cfg);
     let schedule = scenario.schedule();
-    let cold = run(&engine, &scenario, &schedule, CampaignMode::Cold, 1);
-    let delta = run(&engine, &scenario, &schedule, CampaignMode::Delta, 1);
-    assert_same_campaign(&delta, &cold, "delta/cold");
+    let one = run(&engine, &scenario, &schedule, 1);
+    let two = run(&engine, &scenario, &schedule, 2);
+    assert_same_campaign(&one, &two, "1-thread/2-thread");
 
     assert_eq!(scenario.gen.topology.num_ases(), 119);
-    assert_eq!(delta.configs.len(), 59);
-    assert_eq!(delta.stats.propagations, 59);
-    assert_eq!(delta.stats.cold_restarts, 0);
-    assert_eq!(cold.stats.events, 8_901);
-    assert_eq!(delta.stats.events, 2_623);
-    assert_eq!(delta.stats.routes_disturbed, 2_525);
-    assert_eq!(delta.clustering.mean_size(), 2.975);
-    assert_eq!(delta.stats.peak_arena_nodes, 366);
-    // Cold starts by cause: a violator-free delta session cold-starts
-    // only its first deployment; a cold one, every epoch.
-    assert_eq!(
-        delta.stats.cold_causes,
-        ColdEpochs {
-            first: 1,
-            ..ColdEpochs::default()
-        }
-    );
-    assert_eq!(
-        cold.stats.cold_causes,
-        ColdEpochs {
-            cold_mode: 59,
-            ..ColdEpochs::default()
-        }
-    );
-
-    // The reuse gate in its event-count form: delta epochs do less
-    // convergence work than cold starts.
-    let (cold, delta) = (cold.stats.events, delta.stats.events);
-    assert!(
-        delta < cold,
-        "delta reuse saved no events: delta {delta}, cold {cold}"
-    );
+    assert_eq!(one.configs.len(), 59);
+    assert_eq!(one.stats.propagations, 59);
+    assert_eq!(one.stats.events, 8_901);
+    assert_eq!(one.stats.routes_disturbed, 7_013);
+    assert_eq!(one.clustering.mean_size(), 2.975);
+    assert_eq!(one.stats.peak_arena_nodes, 44);
+    assert_eq!(two.stats.events, one.stats.events);
 }
 
 #[test]
-fn default_policy_cold_starts_are_violator_gated() {
-    // The default policy has violators, so after the first deployment
-    // every epoch cold-starts through the violator gate.
+fn default_policy_campaign_counts_are_pinned() {
+    // The scenario as every binary runs it: the default policy, with its
+    // 8% violators.
     let scenario = Scenario::build(Options {
         scale: Scale::Small,
         seed: 7,
         threads: Some(1),
         ..Options::default()
     });
-    let stats = scenario.run().stats;
-    assert_eq!(stats.cold_epochs, stats.propagations);
-    assert_eq!(
-        stats.cold_causes,
-        ColdEpochs {
-            first: 1,
-            violator_gate: stats.propagations - 1,
-            ..ColdEpochs::default()
-        }
-    );
+    let campaign = scenario.run();
+    let stats = &campaign.stats;
+    assert_eq!(stats.propagations, 59);
+    assert_eq!(stats.events, 9_543);
+    assert_eq!(stats.routes_disturbed, 7_013);
+    assert_eq!(stats.peak_arena_nodes, 53);
+    assert_eq!(campaign.clustering.mean_size(), 2.7674418604651163);
 }
 
 #[test]
@@ -150,9 +114,8 @@ fn scale_campaigns_are_thread_invariant_and_scale_with_cores() {
         let (scenario, engine_cfg) = violator_free(scale);
         let engine = BgpEngine::new(&scenario.gen.topology, &engine_cfg);
         let schedule = scenario.schedule();
-        let mode = CampaignOpts::default().mode;
-        let one = run(&engine, &scenario, &schedule, mode, 1);
-        let eight = run(&engine, &scenario, &schedule, mode, 8);
+        let one = run(&engine, &scenario, &schedule, 1);
+        let eight = run(&engine, &scenario, &schedule, 8);
         assert_same_campaign(
             &one,
             &eight,
@@ -171,8 +134,8 @@ fn scale_campaigns_are_thread_invariant_and_scale_with_cores() {
 
         let (t1, t8) = interleaved_medians(
             TRIALS,
-            || run(&engine, &scenario, &schedule, mode, 1),
-            || run(&engine, &scenario, &schedule, mode, 8),
+            || run(&engine, &scenario, &schedule, 1),
+            || run(&engine, &scenario, &schedule, 8),
         );
         let speedup = t1 / t8;
         println!(

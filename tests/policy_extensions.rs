@@ -3,15 +3,14 @@
 //! extensions-off is byte-identical to the pre-extension engine (pinned
 //! golden manifest), and extensions-on preserves campaign determinism.
 
-use trackdown_experiments::mode_label;
 use trackdown_suite::bgp::{Injection, PolicyTable};
 use trackdown_suite::obs::{CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 use trackdown_suite::topology::cone::Tier;
 
 /// Pre-change deterministic manifest (small topology, seed 11, default
-/// Delta campaign whose violator-gated epochs all cold-start),
-/// generated from the engine before the extension layer existed.
+/// campaign), generated from the engine before the extension layer
+/// existed; its `mode` fields were dropped with schema 7.
 const GOLDEN: &str = include_str!("golden/extensions_off_manifest.jsonl");
 
 fn engine_config_with(extensions: ExtensionConfig) -> EngineConfig {
@@ -56,7 +55,6 @@ fn extensions_off_manifest_matches_pre_change_golden() {
         seed: 11,
         policy_seed: 0,
         scale: "small".into(),
-        mode: mode_label(campaign.stats.mode).into(),
         threads: campaign.stats.threads,
         trace: trackdown_suite::obs::trace_config_label(),
         schedule_len: campaign.configs.len(),
