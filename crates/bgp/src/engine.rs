@@ -116,11 +116,12 @@ pub struct RoutingOutcome {
     /// False if the event cap fired before quiescence.
     pub converged: bool,
     /// Number of ASes whose best route at this fixpoint differs from
-    /// their best route at the previous epoch's fixpoint. Propagations
-    /// and session deployments start from empty RIBs, so there it equals
+    /// their best route before the configuration was deployed. Every
+    /// deployment starts from empty RIBs, so there it equals
     /// [`RoutingOutcome::reachable_count`]; a
-    /// [`BgpEngine::transition_config`] counts what its transition moved.
-    /// Transient flips that settle back are excluded.
+    /// [`BgpEngine::transition_config`] counts the ASes whose best route
+    /// differs from the previous configuration's fixpoint (transient
+    /// flips that settle back are excluded).
     pub routes_disturbed: usize,
 }
 
@@ -296,8 +297,10 @@ impl<'t> BgpEngine<'t> {
         self.topo
     }
 
-    /// Convenience: validate a configuration against the origin, build
-    /// injections, and propagate.
+    /// Validate a configuration against the origin, build injections, and
+    /// propagate them from empty RIBs: one deployment of a fresh
+    /// [`CampaignSession`]. Callers deploying many configurations open one
+    /// session and reuse its allocations.
     pub fn propagate_config(
         &self,
         origin: &OriginAs,
@@ -320,8 +323,8 @@ impl<'t> BgpEngine<'t> {
         max_events_factor: usize,
         detail: SnapshotDetail,
     ) -> Result<RoutingOutcome, OriginError> {
-        let inj = origin.build_injections(self.topo, announcements)?;
-        Ok(self.propagate_detailed(&inj, max_events_factor, detail))
+        self.session()
+            .deploy_config_detailed(origin, announcements, max_events_factor, detail)
     }
 
     /// CSR slot range of AS `i`'s Adj-RIB-In.
@@ -381,35 +384,14 @@ impl<'t> BgpEngine<'t> {
         best
     }
 
-    /// Propagate a set of origin injections to fixpoint in a fresh
-    /// simulation (cold start: empty RIBs everywhere) — the reference
-    /// every [`CampaignSession`] policy must reproduce.
-    fn propagate_detailed(
-        &self,
-        injections: &[Injection],
-        max_events_factor: usize,
-        detail: SnapshotDetail,
-    ) -> RoutingOutcome {
-        let mut span = trackdown_obs::span("bgp.propagate");
-        let mut sim = Simulation::new(self);
-        sim.apply_injections(injections);
-        sim.run(max_events_factor);
-        trackdown_obs::counter!("bgp.propagations").inc();
-        let outcome = sim.snapshot(detail);
-        record_outcome_metrics(&outcome);
-        span.set_attr("events", outcome.events as u64);
-        span.set_attr("rounds", outcome.rounds as u64);
-        span.set_attr("changes", outcome.changes.len() as u64);
-        outcome
-    }
-
     /// Deploy `next` *on top of* the converged state of `prev` — what a
     /// real configuration change does. The old announcements are replaced
     /// (withdrawn links produce withdrawal churn), and the returned
     /// outcome's `changes`/`rounds` describe only the transition, not the
     /// cold start. This is the event stream the paper's public dataset
     /// records across its 705 deployments ("thousands of route changes",
-    /// §VI).
+    /// §VI). `routes_disturbed` counts the ASes whose best route differs
+    /// from `prev`'s fixpoint.
     pub fn transition_config(
         &self,
         origin: &OriginAs,
@@ -423,10 +405,17 @@ impl<'t> BgpEngine<'t> {
         let mut sim = Simulation::new(self);
         sim.apply_injections(&prev);
         sim.run(max_events_factor);
+        let before = sim.best.clone();
         sim.begin_epoch();
         sim.replace_injections(&next);
         sim.run(max_events_factor);
-        Ok(sim.snapshot(detail))
+        let mut outcome = sim.snapshot(detail);
+        // Route equality compares `path_id`s, which is sound within one
+        // simulation: its arena is canonical and never truncated here.
+        outcome.routes_disturbed = (0..before.slots.len())
+            .filter(|&s| !sim.best.matches(s, &before.get(s)))
+            .count();
+        Ok(outcome)
     }
 
     /// Open a [`CampaignSession`]: one simulation whose allocations
@@ -451,11 +440,12 @@ fn record_outcome_metrics(outcome: &RoutingOutcome) {
     }
 }
 
-/// A deployment session over one engine. Every deployment propagates
-/// from empty RIBs with a FIFO drain, exactly as
-/// [`BgpEngine::propagate_config`] does, so its outcome is a function of
-/// the engine and the configuration alone; under policy violators that
-/// pins which of several stable states is reported (DESIGN.md §4b).
+/// A deployment session over one engine: the one deployment path.
+/// Every deployment propagates from empty RIBs with a FIFO drain, so its
+/// outcome is a function of the engine and the configuration alone;
+/// under policy violators that pins which of several stable states is
+/// reported (DESIGN.md §4b). [`BgpEngine::propagate_config`] is one
+/// deployment of a fresh session.
 ///
 /// What the session adds is reuse of memory, not of routing state: the
 /// simulation is cleared in place before each deployment, so RIB
@@ -463,8 +453,7 @@ fn record_outcome_metrics(outcome: &RoutingOutcome) {
 /// and a long campaign performs no heap allocation in the decide/export
 /// loop once the arena reaches its high-water mark. Identical operation
 /// sequences after a clear intern identical [`crate::PathId`]s, so each
-/// outcome equals a fresh [`BgpEngine::propagate_config_detailed`] bit
-/// for bit.
+/// outcome equals a fresh session's bit for bit.
 pub struct CampaignSession<'e, 't> {
     sim: Simulation<'e, 't>,
     deployments: usize,
@@ -520,7 +509,7 @@ impl<'e, 't> CampaignSession<'e, 't> {
         span.set_attr("events", self.sim.events as u64);
         self.peak_arena_nodes = self.peak_arena_nodes.max(self.sim.arena.num_nodes());
         trackdown_obs::counter!("bgp.deployments").inc();
-        let outcome = self.sim.snapshot_cloned(detail);
+        let outcome = self.sim.snapshot(detail);
         record_outcome_metrics(&outcome);
         outcome
     }
@@ -621,7 +610,7 @@ impl Edge {
 }
 
 /// The per-AS scalars the drain reads and writes on every event, packed
-/// into 16 bytes so one AS's state is one load.
+/// into 12 bytes so one AS's state is one load.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeState {
     /// Causal depth of the AS's latest best-route change.
@@ -629,16 +618,13 @@ struct NodeState {
     /// Depth the AS's next change will take: one more than the deepest
     /// neighbor change that activated it.
     pending_depth: u32,
-    /// `touched == epoch_stamp` ⟺ the AS's best route changed at least
-    /// once this epoch (its pre-epoch route is logged in `pre_epoch`).
-    touched: u32,
     /// Queued for a decision.
     in_queue: bool,
     /// Holds at least one entry of `Simulation::direct`.
     has_direct: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<NodeState>() == 16);
+const _: () = assert!(std::mem::size_of::<NodeState>() == 12);
 
 /// One packed RIB entry: a [`Route`] in 20 bytes, so reading or writing a
 /// random slot touches one cache line.
@@ -707,6 +693,7 @@ impl Slot {
 /// per-AS heap vectors, absent slots are skipped a word at a time without
 /// loading any route bytes, and an epoch clear is an O(slots/64) zero of
 /// the presence words rather than an O(slots) `Option` fill.
+#[derive(Clone)]
 struct RouteTable {
     /// Contents of absent slots are stale filler and never read.
     slots: Vec<Slot>,
@@ -790,6 +777,11 @@ impl RouteTable {
             })
     }
 
+    /// Number of present slots: a popcount of the presence words.
+    fn count(&self) -> usize {
+        self.present.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// Drop every route: zero the presence words, leaving slot filler in
     /// place. O(slots/64).
     fn clear(&mut self) {
@@ -831,12 +823,6 @@ struct Simulation<'e, 't> {
     changes: Vec<RouteChange>,
     events: usize,
     converged: bool,
-    /// Stamp of the current epoch ([`NodeState::touched`]).
-    epoch_stamp: u32,
-    /// First-touch log: each AS whose best changed this epoch, paired
-    /// with the route it held when the epoch began. Net disturbance is
-    /// the subset whose final best differs from that pre-epoch route.
-    pre_epoch: Vec<(AsIndex, Option<Route>)>,
 }
 
 impl<'e, 't> Simulation<'e, 't> {
@@ -854,8 +840,6 @@ impl<'e, 't> Simulation<'e, 't> {
             changes: Vec::new(),
             events: 0,
             converged: true,
-            epoch_stamp: 1,
-            pre_epoch: Vec::new(),
         }
     }
 
@@ -870,31 +854,11 @@ impl<'e, 't> Simulation<'e, 't> {
         self.ribs.clear();
         self.best.clear();
         self.queue.clear();
-        for node in &mut self.node {
-            *node = NodeState {
-                touched: node.touched,
-                ..NodeState::default()
-            };
-        }
+        self.node.fill(NodeState::default());
         self.max_depth = 0;
         self.changes.clear();
         self.events = 0;
         self.converged = true;
-        self.bump_epoch_stamp();
-    }
-
-    /// Open a fresh disturbance-tracking window: the next first change of
-    /// any AS logs its current route as the pre-epoch state.
-    fn bump_epoch_stamp(&mut self) {
-        self.epoch_stamp = self.epoch_stamp.wrapping_add(1);
-        if self.epoch_stamp == 0 {
-            // Stamp wrap: invalidate every stale mark the slow way.
-            for node in &mut self.node {
-                node.touched = 0;
-            }
-            self.epoch_stamp = 1;
-        }
-        self.pre_epoch.clear();
     }
 
     fn enqueue(&mut self, i: AsIndex) {
@@ -965,7 +929,6 @@ impl<'e, 't> Simulation<'e, 't> {
         self.max_depth = 0;
         self.changes.clear();
         self.events = 0;
-        self.bump_epoch_stamp();
     }
 
     /// Replace the origin's announcements: withdraw every current direct
@@ -1006,10 +969,6 @@ impl<'e, 't> Simulation<'e, 't> {
                 continue;
             }
             let node = &mut self.node[i.us()];
-            if node.touched != self.epoch_stamp {
-                node.touched = self.epoch_stamp;
-                self.pre_epoch.push((i, self.best.get(i.us())));
-            }
             node.depth = node.pending_depth;
             let depth = node.depth;
             self.best.set(i.us(), new_best);
@@ -1130,40 +1089,12 @@ impl<'e, 't> Simulation<'e, 't> {
             .collect()
     }
 
-    /// Net disturbance of the current epoch: ASes whose best route
-    /// differs from the route they held when the epoch began (transient
-    /// flips that settled back are excluded). Route equality compares
-    /// `path_id`s, which is sound within one simulation lifetime — the
-    /// arena is canonical and only truncated by [`Simulation::clear`],
-    /// which also opens a fresh tracking window.
-    fn routes_disturbed(&self) -> usize {
-        self.pre_epoch
-            .iter()
-            .filter(|(i, pre)| self.best.get(i.us()) != *pre)
-            .count()
-    }
-
-    /// Snapshot the converged state into a [`RoutingOutcome`].
-    fn snapshot(self, detail: SnapshotDetail) -> RoutingOutcome {
-        let routes_disturbed = self.routes_disturbed();
-        let (candidates, paths) = self.capture(detail);
-        RoutingOutcome {
-            best: self.best.to_options(),
-            candidates,
-            paths,
-            events: self.events,
-            rounds: self.max_depth,
-            changes: self.changes,
-            converged: self.converged,
-            routes_disturbed,
-        }
-    }
-
-    /// Non-consuming snapshot: the simulation stays alive for further
-    /// epochs (the [`CampaignSession`] path). At the default
+    /// Snapshot the converged state into a [`RoutingOutcome`]; the
+    /// simulation stays alive for further deployments. At the default
     /// [`SnapshotDetail::Catchments`] this copies only the `best` vector
-    /// and the epoch's change log.
-    fn snapshot_cloned(&self, detail: SnapshotDetail) -> RoutingOutcome {
+    /// and the epoch's change log. A deployment starts from empty RIBs,
+    /// so every reachable AS counts as disturbed.
+    fn snapshot(&self, detail: SnapshotDetail) -> RoutingOutcome {
         let (candidates, paths) = self.capture(detail);
         RoutingOutcome {
             best: self.best.to_options(),
@@ -1173,7 +1104,7 @@ impl<'e, 't> Simulation<'e, 't> {
             rounds: self.max_depth,
             changes: self.changes.clone(),
             converged: self.converged,
-            routes_disturbed: self.routes_disturbed(),
+            routes_disturbed: self.best.count(),
         }
     }
 }
@@ -1542,7 +1473,9 @@ mod tests {
     fn no_announcement_no_routes() {
         let topo = fig2_topology();
         let engine = BgpEngine::new(&topo, &clean_config());
-        let out = engine.propagate_detailed(&[], 200, SnapshotDetail::Catchments);
+        let out = engine
+            .session()
+            .deploy(&[], 200, SnapshotDetail::Catchments);
         assert_eq!(out.reachable_count(), 0);
         assert!(out.converged);
         assert!(out.forwarding_walk(AsIndex(0)).is_none());
@@ -1782,6 +1715,48 @@ mod tests {
         // Change rounds start again from the new epoch's frontier.
         let max_round = warm.changes.iter().map(|c| c.round).max().unwrap();
         assert_eq!(max_round, warm.rounds);
+    }
+
+    #[test]
+    fn transition_disturbance_counts_moved_best_routes() {
+        use trackdown_topology::gen::{generate, TopologyConfig};
+        let mut moved_total = 0;
+        for seed in [26, 27, 31] {
+            let g = generate(&TopologyConfig::small(seed));
+            let origin = OriginAs::peering_style(&g, 4);
+            let anycast = all_plain(&origin);
+            for config in [clean_config(), EngineConfig::default()] {
+                let engine = BgpEngine::new(&g.topology, &config);
+                for l in origin.link_ids() {
+                    let withdrawn: Vec<_> =
+                        anycast.iter().filter(|a| a.link != l).cloned().collect();
+                    for (prev, next) in [(&anycast, &withdrawn), (&withdrawn, &anycast)] {
+                        let before = engine
+                            .propagate_config_detailed(&origin, prev, 200, SnapshotDetail::Paths)
+                            .unwrap();
+                        let after = engine
+                            .transition_config(&origin, prev, next, 200, SnapshotDetail::Paths)
+                            .unwrap();
+                        // Net disturbance: ASes whose best route differs
+                        // between the two fixpoints, transient flips aside.
+                        let moved = best_keys(&before)
+                            .iter()
+                            .zip(&best_keys(&after))
+                            .filter(|(b, a)| b != a)
+                            .count();
+                        assert_eq!(
+                            after.routes_disturbed,
+                            moved,
+                            "small({seed}), link {l} withdrawn, {} violators, prev has {} links",
+                            engine.policy().num_violators(),
+                            prev.len()
+                        );
+                        moved_total += moved;
+                    }
+                }
+            }
+        }
+        assert!(moved_total > 0, "no transition moved any route");
     }
 
     #[test]

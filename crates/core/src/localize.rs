@@ -37,9 +37,10 @@ pub struct CampaignStats {
     /// High-water node count of the interned path arena (max over
     /// workers): the steady-state memory footprint of a routing session.
     pub peak_arena_nodes: usize,
-    /// Sum over deployed epochs of the ASes whose best route differs from
-    /// the empty state each propagation starts from: the reachable count
-    /// of every configuration.
+    /// Sum over deployed epochs of
+    /// [`trackdown_bgp::RoutingOutcome::routes_disturbed`]:
+    /// every deployment starts from empty RIBs, so this sums the
+    /// reachable count of every configuration.
     pub routes_disturbed: usize,
     /// Total propagation events (per-AS decide/export activations) across
     /// every deployed epoch. Deterministic for a fixed scenario, so it is

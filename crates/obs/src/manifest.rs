@@ -22,9 +22,9 @@ use std::time::Instant;
 /// manifests only) for the since-removed sharded extraction executor.
 ///
 /// Version 3 added the `delta` epoch mode and the per-epoch
-/// `routes_disturbed` field (net best-route disturbance vs the previous
-/// epoch's fixpoint — the workload delta propagation is proportional to;
-/// 0 for memo hits, reachable-count for cold starts).
+/// `routes_disturbed` field. It then measured net best-route disturbance
+/// vs the previous epoch's fixpoint (0 for memo hits); every deployment
+/// now starts from empty RIBs, so it is the epoch's reachable count.
 ///
 /// Version 4 added the `trace` run-header field (non-deterministic
 /// manifests only): the trace/profile configuration label from
@@ -87,7 +87,7 @@ pub struct EpochRecord {
     /// Best-route changes during the epoch.
     pub changes: usize,
     /// ASes whose best route at this epoch's fixpoint differs from the
-    /// previous fixpoint (net disturbance).
+    /// empty state the deployment starts from: the reachable count.
     pub routes_disturbed: usize,
     /// Whether the epoch converged within the event cap.
     pub converged: bool,

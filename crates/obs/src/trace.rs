@@ -42,7 +42,7 @@ pub struct TraceEvent {
     pub id: u64,
     /// Id of the enclosing span on the same thread, or 0 for a root.
     pub parent: u64,
-    /// Static event name (phase name, e.g. `"bgp.propagate"`).
+    /// Static event name (phase name, e.g. `"bgp.deploy"`).
     pub name: &'static str,
     /// Dense per-trace thread index (see [`Trace::threads`]).
     pub thread: usize,

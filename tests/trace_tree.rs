@@ -213,3 +213,29 @@ fn spans_outside_a_trace_window_are_dropped() {
     let _ = run();
     assert!(end_trace().is_none(), "tracing stayed off");
 }
+
+/// A bare `propagate_config` is one session deployment, so its trace has
+/// the same shape as a campaign epoch's: one `bgp.deploy` span with the
+/// drain's `bgp.drain` nested under it.
+#[test]
+fn bare_propagation_traces_as_one_deployment() {
+    let _guard = lock();
+    let (world, origin, schedule) = scenario(7);
+    let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
+    start_trace(TraceConfig::default());
+    engine
+        .propagate_config(&origin, &schedule[0].to_link_announcements(), 200)
+        .expect("valid configuration");
+    let trace = end_trace().expect("trace collected");
+    assert_well_formed(&trace);
+    assert_eq!(count(&trace, "bgp.deploy"), 1);
+    assert_eq!(count(&trace, "bgp.drain"), 1);
+    let deploy = trace
+        .events
+        .iter()
+        .find(|e| e.name == "bgp.deploy")
+        .unwrap();
+    let drain = trace.events.iter().find(|e| e.name == "bgp.drain").unwrap();
+    assert_eq!(drain.parent, deploy.id, "the drain nests under its deploy");
+    assert_eq!(trace.events.len(), 2, "no other span: {:?}", trace.events);
+}
