@@ -10,13 +10,15 @@
 //! against dispute wheels introduced by policy violators.
 
 use crate::arena::{PathArena, PathId, PathStore};
+use crate::catchment::Catchments;
 use crate::community::CommunityBits;
 use crate::origin::{Injection, LinkAnnouncement, OriginAs, OriginError};
 use crate::policy::{PolicyConfig, PolicyTable};
 use crate::route::{LinkId, Route};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard};
 use trackdown_topology::{cone::ConeInfo, AsIndex, AsPath, NeighborKind, Topology};
 
 /// Engine configuration: policy knobs plus the convergence guard.
@@ -25,7 +27,9 @@ pub struct EngineConfig {
     /// Policy realism knobs (violators, loop prevention, tier-1 filters).
     pub policy: PolicyConfig,
     /// Event cap = `max_events_factor × num_ases`. Propagation that does
-    /// not quiesce within the cap is reported as non-converged.
+    /// not quiesce within the cap is reported as non-converged. The engine
+    /// keeps it for [`BgpEngine::deployed_catchments`]; the other entry
+    /// points still take their own per-call factor.
     pub max_events_factor: usize,
 }
 
@@ -245,11 +249,23 @@ impl ForwardingWalker {
     }
 }
 
+/// The catchments one deployment of a configuration yields, as
+/// [`BgpEngine::deployed_catchments`] memoizes them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeployedCatchments {
+    /// [`Catchments::from_control_plane`] of the deployment's outcome.
+    pub control_plane: Catchments,
+    /// [`Catchments::from_data_plane`] of the deployment's outcome.
+    pub data_plane: Catchments,
+}
+
 /// The propagation engine, bound to one topology and one policy table.
 ///
 /// Building the engine is O(V+E); each [`BgpEngine::propagate_config`] run is
 /// independent, so one engine serves an entire multi-configuration
-/// experiment.
+/// experiment. The engine is `Sync`: campaign workers and online trials
+/// on several threads share one, and with it the catchment memo of
+/// [`BgpEngine::deployed_catchments`].
 pub struct BgpEngine<'t> {
     topo: &'t Topology,
     policy: PolicyTable,
@@ -263,6 +279,12 @@ pub struct BgpEngine<'t> {
     /// is an involution; one 8-byte load per export gives the export loop
     /// everything it needs about the receiver's side of the link.
     edges: Vec<Edge>,
+    /// [`EngineConfig::max_events_factor`].
+    max_events_factor: usize,
+    /// [`BgpEngine::deployed_catchments`]'s memo, keyed by the full
+    /// deployment input: a deployment's outcome is a function of the
+    /// engine and its injections alone (DESIGN.md §4b).
+    deployed: Mutex<HashMap<Vec<Injection>, Arc<DeployedCatchments>>>,
 }
 
 impl<'t> BgpEngine<'t> {
@@ -284,6 +306,8 @@ impl<'t> BgpEngine<'t> {
             policy: PolicyTable::build(topo, cones, &config.policy),
             rib_offsets,
             edges,
+            max_events_factor: config.max_events_factor,
+            deployed: Mutex::default(),
         }
     }
 
@@ -325,6 +349,54 @@ impl<'t> BgpEngine<'t> {
     ) -> Result<RoutingOutcome, OriginError> {
         self.session()
             .deploy_config_detailed(origin, announcements, max_events_factor, detail)
+    }
+
+    /// The control- and data-plane catchments of one deployment of
+    /// `announcements`, memoized per engine. A miss deploys through a
+    /// fresh [`CampaignSession`] at [`SnapshotDetail::Catchments`] with
+    /// the engine's own event cap; a hit returns the stored entry without
+    /// entering BGP. The key is the full injection list, so origins and
+    /// configurations that differ in anything routing reads never share
+    /// an entry. Callers that run many online trials on one engine thus
+    /// propagate each configuration once.
+    pub fn deployed_catchments(
+        &self,
+        origin: &OriginAs,
+        announcements: &[LinkAnnouncement],
+    ) -> Result<Arc<DeployedCatchments>, OriginError> {
+        let injections = origin.build_injections(self.topo, announcements)?;
+        if let Some(hit) = self.memo().get(&injections) {
+            trackdown_obs::counter!("bgp.memo_hits").inc();
+            return Ok(Arc::clone(hit));
+        }
+        trackdown_obs::counter!("bgp.memo_misses").inc();
+        // Deploy without the lock held, so threads missing on different
+        // configurations propagate in parallel. Two threads missing on the
+        // same one both deploy and the first insert wins; the outcomes are
+        // equal either way.
+        let outcome = self.session().deploy(
+            &injections,
+            self.max_events_factor,
+            SnapshotDetail::Catchments,
+        );
+        let deployed = Arc::new(DeployedCatchments {
+            control_plane: Catchments::from_control_plane(&outcome),
+            data_plane: Catchments::from_data_plane(&outcome),
+        });
+        Ok(Arc::clone(
+            self.memo().entry(injections).or_insert(deployed),
+        ))
+    }
+
+    /// Configurations [`BgpEngine::deployed_catchments`] has memoized.
+    pub fn memoized_configs(&self) -> usize {
+        self.memo().len()
+    }
+
+    fn memo(&self) -> MutexGuard<'_, HashMap<Vec<Injection>, Arc<DeployedCatchments>>> {
+        self.deployed
+            .lock()
+            .expect("no thread panics while holding the catchment memo")
     }
 
     /// CSR slot range of AS `i`'s Adj-RIB-In.

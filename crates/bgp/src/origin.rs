@@ -139,7 +139,7 @@ impl LinkAnnouncement {
 
 /// A ready-to-inject announcement: the provider AS that receives it, the
 /// link tag, and the AS-path as the provider sees it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Injection {
     /// Provider AS (by topology index) receiving the announcement.
     pub provider: AsIndex,

@@ -177,8 +177,7 @@ impl AnnouncementConfig {
     /// affects routing (`A`, `P`, `Q`, communities) and nothing that does
     /// not (`phase`, empty poison lists, empty community sets). Two
     /// configurations with equal keys lower to identical injections and
-    /// therefore identical routing outcomes — the invariant the online
-    /// loop's outcome cache relies on.
+    /// therefore identical routing outcomes.
     pub fn footprint_key(&self) -> String {
         // The Display rendering is already canonical: BTree iteration
         // order, no phase, empty Q/community entries skipped.

@@ -15,11 +15,8 @@
 use crate::cluster::Clustering;
 use crate::config::AnnouncementConfig;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::HashMap;
-use std::rc::Rc;
-use trackdown_bgp::{BgpEngine, Catchments, OriginAs, RoutingOutcome};
+use trackdown_bgp::{BgpEngine, Catchments, OriginAs};
 use trackdown_topology::AsIndex;
 
 /// Options for the online loop.
@@ -275,12 +272,18 @@ pub fn localize_online(
 /// Simulation harness: run the online loop against ground-truth routing
 /// with a planted per-AS volume vector.
 ///
-/// Routing runs through one [`CampaignSession`](trackdown_bgp::CampaignSession)
-/// per call, so every deployment propagates from empty RIBs and reaches
-/// the state a campaign reports for the same configuration. A memo
-/// keyed by the announcement footprint lets a configuration's observe
-/// and measure callbacks share one propagation; nothing else is shared
-/// between deployments.
+/// Each deployed configuration's catchments come from
+/// [`BgpEngine::deployed_catchments`]: `measure` reads the control plane
+/// and `observe` attributes the planted volumes over the data plane. The
+/// engine memoizes them per configuration, so only the first trial on an
+/// engine to reach a configuration propagates it; every later trial, on
+/// any thread, reads the stored catchments. A deployment propagates from
+/// empty RIBs (DESIGN.md §4b), so a hit equals what a fresh deployment
+/// would report and the result does not depend on which trials ran
+/// before.
+///
+/// # Panics
+/// Panics if a candidate is invalid for `origin`.
 pub fn simulate_online_attack(
     engine: &BgpEngine<'_>,
     origin: &OriginAs,
@@ -290,28 +293,20 @@ pub fn simulate_online_attack(
     volume_per_as: &[u64],
     opts: OnlineOptions,
 ) -> OnlineResult {
-    let session = RefCell::new(engine.session());
-    let memo: RefCell<HashMap<String, Rc<RoutingOutcome>>> = RefCell::new(HashMap::new());
-    let outcome_for = |cfg: &AnnouncementConfig| -> Rc<RoutingOutcome> {
-        let key = cfg.footprint_key();
-        if let Some(out) = memo.borrow().get(&key) {
-            return Rc::clone(out);
-        }
-        let out = Rc::new(
-            session
-                .borrow_mut()
-                .deploy_config(origin, &cfg.to_link_announcements(), 200)
-                .expect("valid config"),
-        );
-        memo.borrow_mut().insert(key, Rc::clone(&out));
-        out
+    let deployed = |cfg: &AnnouncementConfig| {
+        engine
+            .deployed_catchments(origin, &cfg.to_link_announcements())
+            .expect("valid config")
     };
     let observe = |cfg: &AnnouncementConfig| -> Vec<u64> {
-        let cat = Catchments::from_data_plane(&outcome_for(cfg));
-        trackdown_traffic::volume_per_link(&cat, volume_per_as, origin.num_links())
+        trackdown_traffic::volume_per_link(
+            &deployed(cfg).data_plane,
+            volume_per_as,
+            origin.num_links(),
+        )
     };
     let measure = |_idx: usize, cfg: &AnnouncementConfig| -> Catchments {
-        Catchments::from_control_plane(&outcome_for(cfg))
+        deployed(cfg).control_plane.clone()
     };
     localize_online(candidates, prior, tracked, &observe, &measure, opts)
 }

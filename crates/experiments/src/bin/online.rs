@@ -28,6 +28,7 @@ fn main() {
         "# ({} single-source trials, budget 40 configurations)\n",
         trials
     );
+    let mut deployed = 0usize;
     for greedy in [true, false] {
         let mut used = Vec::new();
         let mut localized = 0usize;
@@ -57,6 +58,7 @@ fn main() {
             }
             used.push(result.deployed.len());
         }
+        deployed += used.iter().sum::<usize>();
         used.sort_unstable();
         let mean: f64 = used.iter().sum::<usize>() as f64 / used.len() as f64;
         println!(
@@ -69,7 +71,13 @@ fn main() {
             used[(used.len() * 9) / 10],
         );
     }
-    println!("\n# each configuration costs ~70 minutes in deployment (convergence +");
+    // Trials share the engine's catchment memo: a configuration
+    // propagates once, however many trials deploy it.
+    println!(
+        "\n# {deployed} configurations deployed over both loops; {} distinct ones propagated",
+        engine.memoized_configs()
+    );
+    println!("# each configuration costs ~70 minutes in deployment (convergence +");
     println!("# measurement), so halving the configuration count halves wall-clock");
     println!("# time to actionable attribution.");
 }
