@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
-use trackdown_topology::{cone::ConeInfo, AsIndex, AsPath, NeighborKind, Topology};
+use trackdown_topology::{cone::ConeInfo, AsIndex, AsPath, Asn, NeighborKind, Topology};
 
 /// Engine configuration: policy knobs plus the convergence guard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -266,18 +266,31 @@ pub struct DeployedCatchments {
 /// experiment. The engine is `Sync`: campaign workers and online trials
 /// on several threads share one, and with it the catchment memo of
 /// [`BgpEngine::deployed_catchments`].
+///
+/// Internally every per-AS array of the drain is laid out in the
+/// engine's own AS numbering (`locality_order`): ASes the drain visits
+/// one after another sit next to each other in memory (DESIGN.md §4o).
+/// Every routing rule still reads the original [`AsIndex`], and every
+/// outcome is reported in it.
 pub struct BgpEngine<'t> {
     topo: &'t Topology,
     policy: PolicyTable,
-    /// CSR offsets into the flat Adj-RIB-In: AS `i`'s per-neighbor slots
-    /// are `rib_offsets[i] .. rib_offsets[i + 1]`, one per entry of
-    /// `topo.neighbors(i)` in the same (sorted) order. Length `n + 1`.
+    /// The AS at each internal id: `order[k]` is the original index of
+    /// [`NodeId`] `k`.
+    order: Vec<AsIndex>,
+    /// The inverse of `order`: `internal[i]` is AS `i`'s [`NodeId`].
+    internal: Vec<NodeId>,
+    /// CSR offsets into the flat Adj-RIB-In, over internal ids: AS `k`'s
+    /// per-neighbor slots are `rib_offsets[k] .. rib_offsets[k + 1]`, one
+    /// per entry of `topo.neighbors(order[k])` in the same (sorted
+    /// original-index) order. Length `n + 1`.
     rib_offsets: Vec<u32>,
-    /// Edge table over CSR slots: slot `rib_offsets[i] + k` holds AS
-    /// `i`'s `k`-th neighbor `j`, how `j` looks from `i`, and the mirror
-    /// slot in `j`'s Adj-RIB-In that holds `i`'s offers. The mirror map
-    /// is an involution; one 8-byte load per export gives the export loop
-    /// everything it needs about the receiver's side of the link.
+    /// Edge table over CSR slots: slot `rib_offsets[k] + m` holds AS
+    /// `k`'s `m`-th neighbor `j` (as a [`NodeId`]), how `j` looks from
+    /// `k`, and the mirror slot in `j`'s Adj-RIB-In that holds `k`'s
+    /// offers. The mirror map is an involution; one 8-byte load per
+    /// export gives the export loop everything it needs about the
+    /// receiver's side of the link.
     edges: Vec<Edge>,
     /// [`EngineConfig::max_events_factor`].
     max_events_factor: usize,
@@ -300,10 +313,33 @@ impl<'t> BgpEngine<'t> {
         cones: &ConeInfo,
         config: &EngineConfig,
     ) -> BgpEngine<'t> {
-        let (rib_offsets, edges) = rib_layout(topo);
+        BgpEngine::with_order(topo, cones, config, locality_order(topo))
+    }
+
+    /// [`BgpEngine::with_cones`] over an explicit internal numbering:
+    /// `order` lists every AS once, and its position is the AS's
+    /// [`NodeId`].
+    fn with_order(
+        topo: &'t Topology,
+        cones: &ConeInfo,
+        config: &EngineConfig,
+        order: Vec<AsIndex>,
+    ) -> BgpEngine<'t> {
+        let mut internal = vec![NodeId::NONE; topo.num_ases()];
+        for (k, &i) in order.iter().enumerate() {
+            assert!(
+                internal[i.us()] == NodeId::NONE,
+                "{i:?} appears twice in the internal order"
+            );
+            internal[i.us()] = NodeId(k as u32);
+        }
+        assert_eq!(order.len(), topo.num_ases(), "the order lists every AS");
+        let (rib_offsets, edges) = rib_layout(topo, &order, &internal);
         BgpEngine {
             topo,
             policy: PolicyTable::build(topo, cones, &config.policy),
+            order,
+            internal,
             rib_offsets,
             edges,
             max_events_factor: config.max_events_factor,
@@ -359,6 +395,12 @@ impl<'t> BgpEngine<'t> {
     /// configurations that differ in anything routing reads never share
     /// an entry. Callers that run many online trials on one engine thus
     /// propagate each configuration once.
+    ///
+    /// On a converged deployment the data plane is the control plane:
+    /// each AS's best route is its next hop's current best re-exported,
+    /// so it carries the next hop's ingress and a strictly longer path,
+    /// and every forwarding chain ends at its first AS's ingress. Only a
+    /// deployment the event cap stopped walks the forwarding chains.
     pub fn deployed_catchments(
         &self,
         origin: &OriginAs,
@@ -379,9 +421,15 @@ impl<'t> BgpEngine<'t> {
             self.max_events_factor,
             SnapshotDetail::Catchments,
         );
+        let control_plane = Catchments::from_control_plane(&outcome);
+        let data_plane = if outcome.converged {
+            control_plane.clone()
+        } else {
+            Catchments::from_data_plane(&outcome)
+        };
         let deployed = Arc::new(DeployedCatchments {
-            control_plane: Catchments::from_control_plane(&outcome),
-            data_plane: Catchments::from_data_plane(&outcome),
+            control_plane,
+            data_plane,
         });
         Ok(Arc::clone(
             self.memo().entry(injections).or_insert(deployed),
@@ -399,61 +447,10 @@ impl<'t> BgpEngine<'t> {
             .expect("no thread panics while holding the catchment memo")
     }
 
-    /// CSR slot range of AS `i`'s Adj-RIB-In.
+    /// CSR slot range of AS `k`'s Adj-RIB-In.
     #[inline]
-    fn rib_slots(&self, i: AsIndex) -> Range<usize> {
-        self.rib_offsets[i.us()] as usize..self.rib_offsets[i.us() + 1] as usize
-    }
-
-    /// True when `a` is strictly better than `b` at AS `at` under the full
-    /// decision process.
-    fn better(&self, at: AsIndex, a: &Route, b: &Route) -> bool {
-        if a.local_pref != b.local_pref {
-            return a.local_pref > b.local_pref;
-        }
-        if a.path_len != b.path_len {
-            return a.path_len < b.path_len;
-        }
-        let ta = self.policy.tiebreak(at, a);
-        let tb = self.policy.tiebreak(at, b);
-        if ta != tb {
-            return ta < tb;
-        }
-        // Total order fallback: neighbor index then ingress link.
-        let na = a.from_neighbor.map(|n| n.0 + 1).unwrap_or(0);
-        let nb = b.from_neighbor.map(|n| n.0 + 1).unwrap_or(0);
-        if na != nb {
-            return na < nb;
-        }
-        a.ingress < b.ingress
-    }
-
-    /// Run best-path selection at `at` over its direct injections and the
-    /// AS's CSR slot range of the flat Adj-RIB-In. Candidate order is
-    /// direct routes first, in injection order, then present slots
-    /// ascending — the same order the per-AS vectors yielded, so tiebreak
-    /// outcomes are bit-identical.
-    fn decide(
-        &self,
-        at: AsIndex,
-        direct: impl Iterator<Item = Route>,
-        ribs: &RouteTable,
-        slots: Range<usize>,
-    ) -> Option<Route> {
-        let mut best: Option<Route> = None;
-        for cand in direct.chain(ribs.present_in(slots).map(|s| ribs.route_at(s))) {
-            best = match best {
-                None => Some(cand),
-                Some(cur) => {
-                    if self.better(at, &cand, &cur) {
-                        Some(cand)
-                    } else {
-                        Some(cur)
-                    }
-                }
-            };
-        }
-        best
+    fn rib_slots(&self, k: NodeId) -> Range<usize> {
+        self.rib_offsets[k.us()] as usize..self.rib_offsets[k.us() + 1] as usize
     }
 
     /// Deploy `next` *on top of* the converged state of `prev` — what a
@@ -581,6 +578,8 @@ impl<'e, 't> CampaignSession<'e, 't> {
         span.set_attr("events", self.sim.events as u64);
         self.peak_arena_nodes = self.peak_arena_nodes.max(self.sim.arena.num_nodes());
         trackdown_obs::counter!("bgp.deployments").inc();
+        trackdown_obs::counter!("bgp.offers").add(self.sim.offers);
+        trackdown_obs::counter!("bgp.full_decides").add(self.sim.full_decides);
         let outcome = self.sim.snapshot(detail);
         record_outcome_metrics(&outcome);
         outcome
@@ -603,19 +602,62 @@ impl<'e, 't> CampaignSession<'e, 't> {
     }
 }
 
+/// The engine's internal AS numbering, as `order[k]` = the original
+/// index of internal id `k`: a breadth-first search from the
+/// highest-degree AS (lowest index among equals). Each dequeued AS
+/// queues its unvisited neighbors by descending degree, ties by index,
+/// and an AS the search does not reach starts a new search from the
+/// lowest unvisited index. The FIFO drain spreads outward from the
+/// announcing providers through the well-connected core, so in this
+/// order the ASes it visits one after another, and the receivers of one
+/// AS's exports, mostly lie close together in memory.
+fn locality_order(topo: &Topology) -> Vec<AsIndex> {
+    let mut order = Vec::with_capacity(topo.num_ases());
+    let mut seen = vec![false; topo.num_ases()];
+    let mut unvisited = Vec::new();
+    let root = topo
+        .indices()
+        .max_by_key(|&i| (topo.degree(i), std::cmp::Reverse(i.0)));
+    for start in root.into_iter().chain(topo.indices()) {
+        if seen[start.us()] {
+            continue;
+        }
+        seen[start.us()] = true;
+        let mut head = order.len();
+        order.push(start);
+        while let Some(&i) = order.get(head) {
+            head += 1;
+            unvisited.clear();
+            unvisited.extend(
+                topo.neighbors(i)
+                    .iter()
+                    .map(|&(j, _)| j)
+                    .filter(|j| !seen[j.us()]),
+            );
+            unvisited.sort_unstable_by_key(|&j| (std::cmp::Reverse(topo.degree(j)), j.0));
+            for &j in &unvisited {
+                seen[j.us()] = true;
+                order.push(j);
+            }
+        }
+    }
+    order
+}
+
 /// CSR offsets of the flat Adj-RIB-In and its edge table (see
-/// [`BgpEngine`]'s fields). Built once per engine: the topology is
-/// immutable, so every session shares the layout.
-fn rib_layout(topo: &Topology) -> (Vec<u32>, Vec<Edge>) {
+/// [`BgpEngine`]'s fields) over the internal numbering `order` /
+/// `internal`. Built once per engine: the topology is immutable, so
+/// every session shares the layout.
+fn rib_layout(topo: &Topology, order: &[AsIndex], internal: &[NodeId]) -> (Vec<u32>, Vec<Edge>) {
     let total: usize = topo.indices().map(|i| topo.degree(i)).sum();
     assert!(
         total < Edge::MAX_SLOTS,
         "{total} Adj-RIB-In slots: the edge table packs slots into 30 bits"
     );
-    let mut rib_offsets = Vec::with_capacity(topo.num_ases() + 1);
+    let mut rib_offsets = Vec::with_capacity(order.len() + 1);
     rib_offsets.push(0);
-    for i in topo.indices() {
-        rib_offsets.push(rib_offsets[i.us()] + topo.degree(i) as u32);
+    for (k, &i) in order.iter().enumerate() {
+        rib_offsets.push(rib_offsets[k] + topo.degree(i) as u32);
     }
     // Position of neighbor `j` within `i`'s (sorted) neighbor list.
     let neighbor_pos = |i: AsIndex, j: AsIndex| {
@@ -624,11 +666,12 @@ fn rib_layout(topo: &Topology) -> (Vec<u32>, Vec<Edge>) {
             .expect("adjacency is symmetric")
     };
     let mut edges = Vec::with_capacity(total);
-    for i in topo.indices() {
+    for &i in order {
         for &(j, kind) in topo.neighbors(i) {
+            let to = internal[j.us()];
             edges.push(Edge::new(
-                j,
-                rib_offsets[j.us()] + neighbor_pos(j, i) as u32,
+                to,
+                rib_offsets[to.us()] + neighbor_pos(j, i) as u32,
                 kind,
             ));
         }
@@ -636,13 +679,29 @@ fn rib_layout(topo: &Topology) -> (Vec<u32>, Vec<Edge>) {
     (rib_offsets, edges)
 }
 
-/// One CSR slot of the edge table: AS `i`'s link to neighbor `to`, in 8
+/// An AS's position in the engine's internal numbering
+/// ([`locality_order`]): the index of every per-AS array the drain
+/// reads. Never leaves the engine; outcomes speak [`AsIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NodeId(u32);
+
+impl NodeId {
+    /// No AS (also: the best route was not learned from a neighbor).
+    const NONE: NodeId = NodeId(u32::MAX);
+
+    #[inline]
+    fn us(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One CSR slot of the edge table: AS `k`'s link to neighbor `to`, in 8
 /// bytes so the export loop reads one contiguous stream.
 #[derive(Debug, Clone, Copy)]
 struct Edge {
     /// The neighbor `j`.
-    to: AsIndex,
-    /// The mirror slot (low 30 bits) and how `j` looks from `i` (top 2
+    to: NodeId,
+    /// The mirror slot (low 30 bits) and how `j` looks from `k` (top 2
     /// bits, the [`NeighborKind`] discriminant).
     mirror_kind: u32,
 }
@@ -657,7 +716,7 @@ impl Edge {
 
     /// `mirror` must be below [`Edge::MAX_SLOTS`] (`rib_layout` asserts
     /// it for the whole table).
-    fn new(to: AsIndex, mirror: u32, kind: NeighborKind) -> Edge {
+    fn new(to: NodeId, mirror: u32, kind: NeighborKind) -> Edge {
         Edge {
             to,
             mirror_kind: mirror | (kind as u32) << Edge::KIND_SHIFT,
@@ -681,22 +740,129 @@ impl Edge {
     }
 }
 
-/// The per-AS scalars the drain reads and writes on every event, packed
-/// into 12 bytes so one AS's state is one load.
-#[derive(Debug, Clone, Copy, Default)]
-struct NodeState {
-    /// Causal depth of the AS's latest best-route change.
-    depth: u32,
-    /// Depth the AS's next change will take: one more than the deepest
-    /// neighbor change that activated it.
-    pending_depth: u32,
-    /// Queued for a decision.
-    in_queue: bool,
-    /// Holds at least one entry of `Simulation::direct`.
-    has_direct: bool,
+/// [`NodeState::bits`]: queued for a decision.
+const IN_QUEUE: u8 = 1;
+/// [`NodeState::bits`]: holds at least one entry of `Simulation::direct`.
+const HAS_DIRECT: u8 = 1 << 1;
+/// [`NodeState::bits`]: an offer worsened the reference route's slot, so
+/// the next decision rescans the whole Adj-RIB-In.
+const RESCAN: u8 = 1 << 2;
+/// [`NodeState::bits`]: the reference route or the direct routes
+/// changed since the last decision.
+const CHANGED: u8 = 1 << 3;
+
+/// The fields of a route BGP's decision process compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RouteKey {
+    local_pref: u32,
+    path_len: u32,
+    /// Announcing neighbor's original index + 1; 0 = learned directly
+    /// from the origin.
+    from: u32,
+    ingress: LinkId,
 }
 
-const _: () = assert!(std::mem::size_of::<NodeState>() == 12);
+impl RouteKey {
+    #[inline]
+    fn of(r: &Route) -> RouteKey {
+        RouteKey {
+            local_pref: r.local_pref,
+            path_len: r.path_len,
+            from: r.from_neighbor.map_or(0, |n| n.0 + 1),
+            ingress: r.ingress,
+        }
+    }
+}
+
+/// One AS's record in the drain, in 32 bytes: the copies the export loop
+/// reads about a receiver (ASN, original index, policy flags) and the
+/// AS's reference route, next to the state the drain writes. An offer
+/// touches the receiver's record and its RIB slot, and a decision reads
+/// the popped AS's record alone.
+///
+/// The reference route carries the changed-slot invariant (DESIGN.md
+/// §4o): unless [`RESCAN`] is set, it is a copy of the best of the AS's
+/// present Adj-RIB-In entries, or absent (`ref_from == 0`) when none is
+/// present. [`better`] is a strict total order over one AS's slots (they
+/// differ in the announcing neighbor), so an offer from another neighbor
+/// is compared with the reference alone, and a decision needs no scan.
+#[derive(Debug, Clone, Copy)]
+struct NodeState {
+    /// The AS's ASN.
+    asn: Asn,
+    /// The AS's original index.
+    orig: AsIndex,
+    /// Causal depth the AS's next best-route change takes: one more than
+    /// the deepest neighbor change that activated it.
+    pending_depth: u32,
+    /// The reference route ([`Slot`]'s fields; see above). `ref_from` is
+    /// the announcing neighbor's original index + 1, so 0 = no route,
+    /// and names the Adj-RIB-In slot the route sits in. LocalPref takes
+    /// 16 bits: the policy assigns 100..=300.
+    ref_path: PathId,
+    ref_len: u32,
+    ref_from: u32,
+    ref_pref: u16,
+    ref_communities: CommunityBits,
+    ref_ingress: LinkId,
+    ref_learned: NeighborKind,
+    /// [`PolicyTable::flags_of`] this AS.
+    flags: u8,
+    /// [`IN_QUEUE`], [`HAS_DIRECT`], [`RESCAN`] and [`CHANGED`].
+    bits: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<NodeState>() == 32);
+
+impl NodeState {
+    /// Forget the drain state, keeping the AS's constants.
+    fn reset(&mut self) {
+        self.pending_depth = 0;
+        self.ref_from = 0;
+        self.bits = 0;
+    }
+
+    #[inline]
+    fn ref_key(&self) -> RouteKey {
+        RouteKey {
+            local_pref: self.ref_pref.into(),
+            path_len: self.ref_len,
+            from: self.ref_from,
+            ingress: self.ref_ingress,
+        }
+    }
+
+    /// The reference route, if any.
+    #[inline]
+    fn ref_route(&self) -> Option<Route> {
+        (self.ref_from != 0).then(|| Route {
+            path_id: self.ref_path,
+            path_len: self.ref_len,
+            ingress: self.ref_ingress,
+            from_neighbor: Some(AsIndex(self.ref_from - 1)),
+            local_pref: self.ref_pref.into(),
+            learned_from: self.ref_learned,
+            communities: self.ref_communities,
+        })
+    }
+
+    /// Make `r`, a route learned from a neighbor, the reference.
+    #[inline]
+    fn set_ref(&mut self, r: &Route) {
+        debug_assert!(
+            r.local_pref <= u16::MAX.into(),
+            "policy LocalPrefs fit 16 bits"
+        );
+        self.ref_path = r.path_id;
+        self.ref_len = r.path_len;
+        self.ref_from = r.from_neighbor.map_or(0, |n| n.0 + 1);
+        self.ref_pref = r.local_pref as u16;
+        self.ref_communities = r.communities;
+        self.ref_ingress = r.ingress;
+        self.ref_learned = r.learned_from;
+        self.bits |= CHANGED;
+    }
+}
 
 /// One packed RIB entry: a [`Route`] in 20 bytes, so reading or writing a
 /// random slot touches one cache line.
@@ -704,8 +870,9 @@ const _: () = assert!(std::mem::size_of::<NodeState>() == 12);
 struct Slot {
     path_id: PathId,
     path_len: u32,
-    /// Announcing neighbor index + 1; 0 = learned directly from the
-    /// origin (the `Option<AsIndex>` niche, flattened into the field).
+    /// Announcing neighbor's original index + 1; 0 = learned directly
+    /// from the origin (the `Option<AsIndex>` niche, flattened into the
+    /// field).
     from_neighbor: u32,
     local_pref: u32,
     ingress: LinkId,
@@ -756,15 +923,56 @@ impl Slot {
     }
 }
 
+/// True when a route with key `a` is strictly better than one with key
+/// `b` at AS `at` under the full decision process: LocalPref, then
+/// AS-path length, then the salted tiebreak
+/// ([`PolicyTable::tiebreak_key`]), then neighbor index and ingress link
+/// as a total-order fallback.
+#[inline]
+fn better(policy: &PolicyTable, at: AsIndex, a: RouteKey, b: RouteKey) -> bool {
+    if a.local_pref != b.local_pref {
+        return a.local_pref > b.local_pref;
+    }
+    if a.path_len != b.path_len {
+        return a.path_len < b.path_len;
+    }
+    let ta = policy.tiebreak_nid(at, a.from, a.ingress);
+    let tb = policy.tiebreak_nid(at, b.from, b.ingress);
+    if ta != tb {
+        return ta < tb;
+    }
+    if a.from != b.from {
+        return a.from < b.from;
+    }
+    a.ingress < b.ingress
+}
+
+/// BGP's choice among `candidates` at AS `at`: each replaces the
+/// current pick when strictly [`better`], so among equals the first
+/// stays.
+fn select(
+    policy: &PolicyTable,
+    at: AsIndex,
+    candidates: impl Iterator<Item = Route>,
+) -> Option<Route> {
+    candidates.reduce(|cur, cand| {
+        if better(policy, at, RouteKey::of(&cand), RouteKey::of(&cur)) {
+            cand
+        } else {
+            cur
+        }
+    })
+}
+
 /// Route table: one packed [`Slot`] per index plus a u64 presence bitset.
 ///
-/// Both the flat CSR Adj-RIB-In (AS `i`'s slots are
+/// Both the flat CSR Adj-RIB-In (AS `k`'s slots are
 /// [`BgpEngine::rib_slots`]; an export lands in the mirror slot) and the
-/// per-AS best table (slot = AS index) use this layout, so
-/// [`BgpEngine::decide`] streams contiguous memory instead of chasing
-/// per-AS heap vectors, absent slots are skipped a word at a time without
-/// loading any route bytes, and an epoch clear is an O(slots/64) zero of
-/// the presence words rather than an O(slots) `Option` fill.
+/// per-AS best table (slot = internal id) use this layout, so a full
+/// decision streams contiguous memory instead of chasing per-AS heap
+/// vectors, absent slots are skipped a word at a time without loading
+/// any route bytes, and an epoch clear is an O(slots/64) zero of the
+/// presence words rather than an O(slots) `Option` fill.
 #[derive(Clone)]
 struct RouteTable {
     /// Contents of absent slots are stale filler and never read.
@@ -849,6 +1057,11 @@ impl RouteTable {
             })
     }
 
+    /// The best present route within `slots` at AS `at`.
+    fn best_in(&self, policy: &PolicyTable, at: AsIndex, slots: Range<usize>) -> Option<Route> {
+        select(policy, at, self.present_in(slots).map(|s| self.route_at(s)))
+    }
+
     /// Number of present slots: a popcount of the presence words.
     fn count(&self) -> usize {
         self.present.iter().map(|w| w.count_ones() as usize).sum()
@@ -859,18 +1072,13 @@ impl RouteTable {
     fn clear(&mut self) {
         self.present.fill(0);
     }
-
-    /// Materialize the whole table as the dense `Option` form (snapshot
-    /// boundary — [`RoutingOutcome::best`] keeps its public shape).
-    fn to_options(&self) -> Vec<Option<Route>> {
-        (0..self.slots.len()).map(|s| self.get(s)).collect()
-    }
 }
 
 /// Mutable propagation state: direct routes, Adj-RIB-Ins, best routes,
-/// and the activation queue. One [`Simulation`] can run several
-/// epochs (configuration deployments) back to back, which is how
-/// [`BgpEngine::transition_config`] models a live configuration change.
+/// and the activation queue, every per-AS part over internal ids. One
+/// [`Simulation`] can run several epochs (configuration deployments)
+/// back to back, which is how [`BgpEngine::transition_config`] models a
+/// live configuration change.
 struct Simulation<'e, 't> {
     engine: &'e BgpEngine<'t>,
     /// Interned AS-paths for every route alive in this state. Append-only
@@ -881,36 +1089,59 @@ struct Simulation<'e, 't> {
     arena: PathArena,
     /// Direct routes from the origin as `(provider, route)`, in injection
     /// order. Short (one per announced link), and read only for ASes with
-    /// [`NodeState::has_direct`] set.
-    direct: Vec<(AsIndex, Route)>,
+    /// [`HAS_DIRECT`] set.
+    direct: Vec<(NodeId, Route)>,
     /// Flat Adj-RIB-In over the engine's CSR slots
     /// ([`BgpEngine::rib_slots`]).
     ribs: RouteTable,
-    /// Best routes over AS index.
+    /// Best routes over internal id.
     best: RouteTable,
-    queue: VecDeque<AsIndex>,
-    /// Per-AS drain state over AS index.
+    queue: VecDeque<NodeId>,
+    /// Per-AS records over internal id.
     node: Vec<NodeState>,
     max_depth: u32,
     changes: Vec<RouteChange>,
     events: usize,
+    /// Offers the import policy evaluated (`bgp.offers`).
+    offers: u64,
+    /// Decisions that rescanned a whole Adj-RIB-In (`bgp.full_decides`).
+    full_decides: u64,
     converged: bool,
 }
 
 impl<'e, 't> Simulation<'e, 't> {
     fn new(engine: &'e BgpEngine<'t>) -> Simulation<'e, 't> {
-        let n = engine.topo.num_ases();
+        let node = engine
+            .order
+            .iter()
+            .map(|&i| NodeState {
+                asn: engine.topo.asn_of(i),
+                orig: i,
+                pending_depth: 0,
+                ref_path: PathId::EMPTY,
+                ref_len: 0,
+                ref_from: 0,
+                ref_pref: 0,
+                ref_communities: CommunityBits::EMPTY,
+                ref_ingress: LinkId(0),
+                ref_learned: NeighborKind::Customer,
+                flags: engine.policy.flags_of(i),
+                bits: 0,
+            })
+            .collect();
         Simulation {
             engine,
             arena: PathArena::new(),
             direct: Vec::new(),
             ribs: RouteTable::new(engine.edges.len()),
-            best: RouteTable::new(n),
+            best: RouteTable::new(engine.order.len()),
             queue: VecDeque::new(),
-            node: vec![NodeState::default(); n],
+            node,
             max_depth: 0,
             changes: Vec::new(),
             events: 0,
+            offers: 0,
+            full_decides: 0,
             converged: true,
         }
     }
@@ -926,31 +1157,34 @@ impl<'e, 't> Simulation<'e, 't> {
         self.ribs.clear();
         self.best.clear();
         self.queue.clear();
-        self.node.fill(NodeState::default());
+        self.node.iter_mut().for_each(NodeState::reset);
         self.max_depth = 0;
         self.changes.clear();
         self.events = 0;
+        self.offers = 0;
+        self.full_decides = 0;
         self.converged = true;
     }
 
-    fn enqueue(&mut self, i: AsIndex) {
-        if !self.node[i.us()].in_queue {
-            self.node[i.us()].in_queue = true;
-            self.queue.push_back(i);
+    fn enqueue(&mut self, k: NodeId) {
+        let node = &mut self.node[k.us()];
+        if node.bits & IN_QUEUE == 0 {
+            node.bits |= IN_QUEUE;
+            self.queue.push_back(k);
         }
     }
 
-    /// The direct routes injected at `at`, in injection order; the list
-    /// is not scanned unless `at` holds one.
-    fn direct_routes(&self, at: AsIndex) -> impl Iterator<Item = Route> + '_ {
-        let direct: &[(AsIndex, Route)] = if self.node[at.us()].has_direct {
+    /// The direct routes injected at `k`, in injection order; the list
+    /// is not scanned unless `k` holds one.
+    fn direct_routes(&self, k: NodeId) -> impl Iterator<Item = Route> + '_ {
+        let direct: &[(NodeId, Route)] = if self.node[k.us()].bits & HAS_DIRECT != 0 {
             &self.direct
         } else {
             &[]
         };
         direct
             .iter()
-            .filter(move |(provider, _)| *provider == at)
+            .filter(move |(provider, _)| *provider == k)
             .map(|(_, r)| *r)
     }
 
@@ -968,8 +1202,9 @@ impl<'e, 't> Simulation<'e, 't> {
             .policy
             .local_pref(inj.provider, None, NeighborKind::Customer);
         let path_id = self.arena.intern_path(&inj.path);
+        let k = engine.internal[inj.provider.us()];
         self.direct.push((
-            inj.provider,
+            k,
             Route {
                 path_id,
                 path_len: inj.path.len() as u32,
@@ -980,8 +1215,8 @@ impl<'e, 't> Simulation<'e, 't> {
                 communities: CommunityBits::from_set(&inj.communities),
             },
         ));
-        self.node[inj.provider.us()].has_direct = true;
-        self.enqueue(inj.provider);
+        self.node[k.us()].bits |= HAS_DIRECT;
+        self.enqueue(k);
     }
 
     /// Inject origin announcements at each PoP's provider.
@@ -995,7 +1230,6 @@ impl<'e, 't> Simulation<'e, 't> {
     /// change log, keeping the converged routing state.
     fn begin_epoch(&mut self) {
         for node in &mut self.node {
-            node.depth = 0;
             node.pending_depth = 0;
         }
         self.max_depth = 0;
@@ -1007,20 +1241,107 @@ impl<'e, 't> Simulation<'e, 't> {
     /// route, then inject the new set. Providers losing or gaining a
     /// direct route are activated and the withdrawal/announcement churn
     /// propagates on the next [`Simulation::run`]. The previous providers
-    /// are activated in ascending index order.
+    /// are activated in ascending original index order.
     fn replace_injections(&mut self, injections: &[Injection]) {
+        let order = &self.engine.order;
         self.direct
-            .sort_unstable_by_key(|&(provider, _)| provider.0);
+            .sort_unstable_by_key(|&(provider, _)| order[provider.us()]);
         for k in 0..self.direct.len() {
             let provider = self.direct[k].0;
-            // A provider's later entries find `has_direct` already clear.
-            if self.node[provider.us()].has_direct {
-                self.node[provider.us()].has_direct = false;
+            // A provider's later entries find `HAS_DIRECT` already clear.
+            let node = &mut self.node[provider.us()];
+            if node.bits & HAS_DIRECT != 0 {
+                node.bits = node.bits & !HAS_DIRECT | CHANGED;
                 self.enqueue(provider);
             }
         }
         self.direct.clear();
         self.apply_injections(injections);
+    }
+
+    /// Best-path selection at `k`: its direct routes in injection order,
+    /// then the best of its Adj-RIB-In, or `None` when neither can have
+    /// changed since `k`'s last decision. The Adj-RIB-In's best is the
+    /// reference route ([`NodeState`]) unless an offer worsened its slot;
+    /// only then are the AS's slots rescanned, in ascending order.
+    /// [`better`] orders the slots strictly, so the result is the one a
+    /// scan of every candidate in that order returns.
+    fn decide(&mut self, k: NodeId) -> Option<Option<Route>> {
+        let policy = &self.engine.policy;
+        let node = &mut self.node[k.us()];
+        if node.bits & (RESCAN | CHANGED | HAS_DIRECT) == 0 {
+            #[cfg(test)]
+            assert!(self.best.matches(k.us(), &self.scan(k)), "{k:?} moved");
+            return None;
+        }
+        if node.bits & RESCAN != 0 {
+            match self
+                .ribs
+                .best_in(policy, node.orig, self.engine.rib_slots(k))
+            {
+                Some(r) => node.set_ref(&r),
+                None => node.ref_from = 0,
+            }
+            self.full_decides += 1;
+        }
+        node.bits &= !(RESCAN | CHANGED);
+        let node = self.node[k.us()];
+        #[cfg(test)]
+        assert_eq!(
+            node.ref_route(),
+            self.ribs
+                .best_in(policy, node.orig, self.engine.rib_slots(k)),
+            "reference route at {k:?}"
+        );
+        let best = select(
+            policy,
+            node.orig,
+            self.direct_routes(k).chain(node.ref_route()),
+        );
+        #[cfg(test)]
+        assert_eq!(best, self.scan(k), "changed-slot selection at {k:?}");
+        Some(best)
+    }
+
+    /// Best-path selection at `k` over every candidate: direct routes in
+    /// injection order, then present slots ascending. The oracle
+    /// [`Simulation::decide`] is checked against in tests.
+    #[cfg(test)]
+    fn scan(&self, k: NodeId) -> Option<Route> {
+        let slots = self.engine.rib_slots(k);
+        select(
+            &self.engine.policy,
+            self.node[k.us()].orig,
+            self.direct_routes(k)
+                .chain(self.ribs.present_in(slots).map(|s| self.ribs.route_at(s))),
+        )
+    }
+
+    /// Keep `j`'s reference route ([`NodeState`]) true across the write
+    /// of `offer` (`None`: a withdrawal) from the neighbor with original
+    /// index `from - 1` into `j`'s Adj-RIB-In. An offer that beats the
+    /// reference takes its place; one that worsens the reference's own
+    /// slot leaves the best unknown until a rescan.
+    #[inline]
+    fn note_offer(&mut self, j: NodeId, from: u32, offer: Option<&Route>) {
+        let policy = &self.engine.policy;
+        let node = &mut self.node[j.us()];
+        if node.bits & RESCAN != 0 {
+            return;
+        }
+        if node.ref_from == from {
+            // Same neighbor: a tie is the reference slot's new route.
+            match offer {
+                Some(o) if !better(policy, node.orig, node.ref_key(), RouteKey::of(o)) => {
+                    node.set_ref(o)
+                }
+                _ => node.bits |= RESCAN,
+            }
+        } else if let Some(o) = offer {
+            if node.ref_from == 0 || better(policy, node.orig, RouteKey::of(o), node.ref_key()) {
+                node.set_ref(o);
+            }
+        }
     }
 
     /// Process the activation queue to quiescence (or the event cap).
@@ -1029,43 +1350,47 @@ impl<'e, 't> Simulation<'e, 't> {
         let n = engine.topo.num_ases();
         let cap = max_events_factor.saturating_mul(n.max(1));
         while let Some(i) = self.queue.pop_front() {
-            self.node[i.us()].in_queue = false;
+            self.node[i.us()].bits &= !IN_QUEUE;
             self.events += 1;
             if self.events > cap {
                 self.converged = false;
                 break;
             }
-            let slots = engine.rib_slots(i);
-            let new_best = engine.decide(i, self.direct_routes(i), &self.ribs, slots.clone());
+            let Some(new_best) = self.decide(i) else {
+                continue;
+            };
             if self.best.matches(i.us(), &new_best) {
                 continue;
             }
-            let node = &mut self.node[i.us()];
-            node.depth = node.pending_depth;
-            let depth = node.depth;
+            let sender = self.node[i.us()];
+            let depth = sender.pending_depth;
             self.best.set(i.us(), new_best);
             self.max_depth = self.max_depth.max(depth);
             self.changes.push(RouteChange {
                 round: depth,
-                at: i,
+                at: sender.orig,
                 ingress: new_best.map(|r| r.ingress),
                 path_len: new_best.map(|r| r.path_len()).unwrap_or(0),
             });
-            let own_asn = engine.topo.asn_of(i);
+            // A route is not offered back to the neighbor it came from.
+            let learned_from = match new_best.and_then(|r| r.from_neighbor) {
+                Some(n) => engine.internal[n.us()],
+                None => NodeId::NONE,
+            };
             // The exported path is the same for every neighbor; it is
             // interned on the first accepted export, exactly where the
             // per-neighbor interning first pushed its nodes.
             let mut exported_path: Option<PathId> = None;
             // Export (or withdraw) toward every neighbor; `slot` is the
             // mirror slot in `j`'s Adj-RIB-In that holds `i`'s offer.
-            for &edge in &engine.edges[slots] {
+            for &edge in &engine.edges[engine.rib_slots(i)] {
                 let (j, slot) = (edge.to, edge.mirror());
                 // `j_kind_from_i`: how j looks from i (is j my customer?).
                 let j_kind_from_i = edge.kind();
                 let offer = match new_best {
                     Some(r)
                         if engine.policy.may_export_route(
-                            i,
+                            sender.orig,
                             r.learned_from,
                             j_kind_from_i,
                             r.communities,
@@ -1075,7 +1400,7 @@ impl<'e, 't> Simulation<'e, 't> {
                             // scoping toward peers/providers.
                             && (r.from_neighbor.is_some()
                                 || r.communities.allows_export_to(j_kind_from_i))
-                            && r.from_neighbor != Some(j) =>
+                            && j != learned_from =>
                     {
                         // Provider-side prepending community: the provider
                         // prepends its own ASN extra times on export of a
@@ -1089,34 +1414,37 @@ impl<'e, 't> Simulation<'e, 't> {
                         // only-to-customers deployer marks (and everyone
                         // propagates) the OTC attribute. EMPTY whenever no
                         // extension is deployed.
-                        let exported_comms = engine.policy.export_communities(i, &r, j_kind_from_i);
+                        let exported_comms =
+                            engine
+                                .policy
+                                .export_communities(sender.orig, &r, j_kind_from_i);
                         // Evaluate acceptance on the *virtual* offered path
                         // (prepends chained onto the arena walk) before
                         // interning, so rejected offers push no nodes.
                         let i_kind_from_j = j_kind_from_i.reverse();
-                        let j_flags = engine.policy.flags_of(j);
+                        let receiver = self.node[j.us()];
+                        self.offers += 1;
                         let accepted = engine.policy.accepts_offer_from(
                             engine.topo,
-                            j,
-                            j_flags,
-                            (i, i_kind_from_j),
+                            (receiver.orig, receiver.asn, receiver.flags),
+                            (sender.orig, i_kind_from_j),
                             exported_comms,
-                            std::iter::repeat_n(own_asn, 1 + extra)
+                            std::iter::repeat_n(sender.asn, 1 + extra)
                                 .chain(self.arena.iter(r.path_id)),
                         );
                         if accepted {
                             let path_id = *exported_path.get_or_insert_with(|| {
-                                self.arena.push_times(r.path_id, own_asn, 1 + extra)
+                                self.arena.push_times(r.path_id, sender.asn, 1 + extra)
                             });
                             Some(Route {
                                 path_id,
                                 path_len: r.path_len + 1 + extra as u32,
                                 ingress: r.ingress,
-                                from_neighbor: Some(i),
+                                from_neighbor: Some(sender.orig),
                                 local_pref: engine.policy.local_pref_with(
-                                    j_flags,
-                                    j,
-                                    Some(i),
+                                    receiver.flags,
+                                    receiver.orig,
+                                    Some(sender.orig),
                                     i_kind_from_j,
                                 ),
                                 learned_from: i_kind_from_j,
@@ -1129,6 +1457,7 @@ impl<'e, 't> Simulation<'e, 't> {
                     _ => None,
                 };
                 if !self.ribs.matches(slot, &offer) {
+                    self.note_offer(j, sender.orig.0 + 1, offer.as_ref());
                     self.ribs.set(slot, offer);
                     let pending = &mut self.node[j.us()].pending_depth;
                     *pending = (*pending).max(depth + 1);
@@ -1136,6 +1465,15 @@ impl<'e, 't> Simulation<'e, 't> {
                 }
             }
         }
+    }
+
+    /// Best routes in original index order.
+    fn best_routes(&self) -> Vec<Option<Route>> {
+        self.engine
+            .internal
+            .iter()
+            .map(|k| self.best.get(k.us()))
+            .collect()
     }
 
     /// The candidate RIBs and path store a snapshot at `detail` carries.
@@ -1147,14 +1485,15 @@ impl<'e, 't> Simulation<'e, 't> {
         }
     }
 
-    /// Candidate RIB copy for a [`SnapshotDetail::Full`] snapshot.
+    /// Candidate RIB copy for a [`SnapshotDetail::Full`] snapshot, in
+    /// original index order.
     fn capture_candidates(&self) -> Vec<Vec<Route>> {
         self.engine
-            .topo
-            .indices()
-            .map(|i| {
-                let slots = self.engine.rib_slots(i);
-                self.direct_routes(i)
+            .internal
+            .iter()
+            .map(|&k| {
+                let slots = self.engine.rib_slots(k);
+                self.direct_routes(k)
                     .chain(self.ribs.present_in(slots).map(|s| self.ribs.route_at(s)))
                     .collect()
             })
@@ -1169,7 +1508,7 @@ impl<'e, 't> Simulation<'e, 't> {
     fn snapshot(&self, detail: SnapshotDetail) -> RoutingOutcome {
         let (candidates, paths) = self.capture(detail);
         RoutingOutcome {
-            best: self.best.to_options(),
+            best: self.best_routes(),
             candidates,
             paths,
             events: self.events,
@@ -1279,31 +1618,57 @@ mod tests {
         o.link_ids().map(LinkAnnouncement::plain).collect()
     }
 
-    /// The edge table matches the adjacency slot for slot: `to` and the
-    /// unpacked kind are `topo.neighbors(i)[k]`, the mirror map is an
-    /// involution, and each mirror slot lies in the receiver's CSR range
-    /// at the position that names the sender.
-    fn assert_edge_table(topo: &trackdown_topology::Topology) {
-        let engine = BgpEngine::new(topo, &clean_config());
+    /// The edge table matches the adjacency slot for slot: `order` and
+    /// `internal` are inverse permutations, and for every AS `i` with
+    /// internal id `k`, `to` and the unpacked kind of `k`'s `m`-th slot
+    /// are `topo.neighbors(i)[m]`, the mirror map is an involution, and
+    /// each mirror slot lies in the receiver's CSR range at the position
+    /// that names the sender.
+    fn assert_edge_table(engine: &BgpEngine) {
+        let topo = engine.topo;
+        assert_eq!(engine.order.len(), topo.num_ases());
+        for (k, &i) in engine.order.iter().enumerate() {
+            assert_eq!(engine.internal[i.us()], NodeId(k as u32));
+        }
         assert_eq!(engine.rib_offsets.len(), topo.num_ases() + 1);
         assert_eq!(
             engine.edges.len(),
             *engine.rib_offsets.last().unwrap() as usize
         );
         for i in topo.indices() {
-            let slots = engine.rib_slots(i);
+            let k = engine.internal[i.us()];
+            let slots = engine.rib_slots(k);
             assert_eq!(slots.len(), topo.degree(i));
-            for (k, s) in slots.enumerate() {
+            for (m, s) in slots.enumerate() {
                 let edge = engine.edges[s];
-                let (j, kind) = topo.neighbors(i)[k];
-                assert_eq!((edge.to, edge.kind()), (j, kind), "slot {s} of {i:?}");
-                let m = edge.mirror();
-                assert_eq!(engine.edges[m].mirror(), s, "slot {s} of {i:?}");
-                let receiver = engine.rib_slots(j);
-                assert!(receiver.contains(&m), "slot {s}: mirror {m} outside {j:?}");
-                assert_eq!(engine.edges[m].to, i);
-                assert_eq!(topo.neighbors(j)[m - receiver.start].0, i);
+                let (j, kind) = topo.neighbors(i)[m];
+                assert_eq!(
+                    (edge.to, edge.kind()),
+                    (engine.internal[j.us()], kind),
+                    "slot {s} of {i:?}"
+                );
+                let mirror = edge.mirror();
+                assert_eq!(engine.edges[mirror].mirror(), s, "slot {s} of {i:?}");
+                let receiver = engine.rib_slots(edge.to);
+                assert!(
+                    receiver.contains(&mirror),
+                    "slot {s}: mirror {mirror} outside {j:?}"
+                );
+                assert_eq!(engine.edges[mirror].to, k);
+                assert_eq!(topo.neighbors(j)[mirror - receiver.start].0, i);
             }
+        }
+    }
+
+    /// [`assert_edge_table`] under the locality order, the identity and
+    /// its reverse.
+    fn assert_edge_tables(topo: &trackdown_topology::Topology) {
+        let cones = ConeInfo::compute(topo);
+        let identity: Vec<AsIndex> = topo.indices().collect();
+        let reversed: Vec<AsIndex> = identity.iter().rev().copied().collect();
+        assert_edge_table(&BgpEngine::new(topo, &clean_config()));
+        for order in [identity, reversed] {
+            assert_edge_table(&BgpEngine::with_order(topo, &cones, &clean_config(), order));
         }
     }
 
@@ -1342,11 +1707,11 @@ mod tests {
     #[test]
     fn edge_table_matches_the_adjacency() {
         use trackdown_topology::gen::{generate, TopologyConfig};
-        assert_edge_table(&fig2_topology());
-        assert_edge_table(&generate(&TopologyConfig::small(7)).topology);
-        assert_edge_table(&generate(&TopologyConfig::paper(7)).topology);
+        assert_edge_tables(&fig2_topology());
+        assert_edge_tables(&generate(&TopologyConfig::small(7)).topology);
+        assert_edge_tables(&generate(&TopologyConfig::paper(7)).topology);
         // Two ASes, one link.
-        assert_edge_table(&topology_from_links([(Asn(1), Asn(2), LinkKind::PeerPeer)]).unwrap());
+        assert_edge_tables(&topology_from_links([(Asn(1), Asn(2), LinkKind::PeerPeer)]).unwrap());
         // A degree-1 stub hanging off a transit with other neighbors.
         let stub = topology_from_links([
             (Asn(1), Asn(2), LinkKind::ProviderCustomer),
@@ -1355,7 +1720,48 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(stub.degree(stub.index_of(Asn(4)).unwrap()), 1);
-        assert_edge_table(&stub);
+        assert_edge_tables(&stub);
+    }
+
+    /// The original indices of `asns`, for naming an expected order.
+    fn indices_of(topo: &Topology, asns: &[u32]) -> Vec<AsIndex> {
+        asns.iter()
+            .map(|&a| topo.index_of(Asn(a)).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn locality_order_is_a_degree_ranked_bfs() {
+        // From u (degree 4): its neighbors by degree, t2 (3), n (2), then
+        // a and b (1, by index); t2 adds t1 and y; n adds nothing new;
+        // t1 adds x.
+        let topo = fig2_topology();
+        assert_eq!(
+            locality_order(&topo),
+            indices_of(&topo, &[12, 2, 11, 20, 21, 1, 13, 10])
+        );
+        // A component the search does not reach starts from its lowest
+        // index.
+        let split = topology_from_links([
+            (Asn(1), Asn(2), LinkKind::PeerPeer),
+            (Asn(3), Asn(4), LinkKind::ProviderCustomer),
+            (Asn(3), Asn(5), LinkKind::ProviderCustomer),
+        ])
+        .unwrap();
+        let lowest = |a: u32, b: u32| {
+            let (ia, ib) = (
+                split.index_of(Asn(a)).unwrap(),
+                split.index_of(Asn(b)).unwrap(),
+            );
+            if ia < ib {
+                [a, b]
+            } else {
+                [b, a]
+            }
+        };
+        let [x, y] = lowest(4, 5);
+        let [p, q] = lowest(1, 2);
+        assert_eq!(locality_order(&split), indices_of(&split, &[3, x, y, p, q]));
     }
 
     #[test]
@@ -1974,10 +2380,15 @@ mod tests {
         if !sim.converged {
             return false;
         }
-        let reported = sim.best.to_options();
+        let reported = sim.best_routes();
+        let full_decides = sim.full_decides;
         sim.begin_epoch();
+        // Every AS rescans its whole Adj-RIB-In, as if no reference slot
+        // were known.
         for i in engine.topo.indices() {
-            sim.enqueue(i);
+            let k = engine.internal[i.us()];
+            sim.node[k.us()].bits |= RESCAN;
+            sim.enqueue(k);
         }
         sim.run(factor);
         assert!(sim.converged);
@@ -1989,7 +2400,11 @@ mod tests {
         );
         // Each AS decided exactly once and none exported.
         assert_eq!(sim.events, engine.topo.num_ases());
-        assert_eq!(sim.best.to_options(), reported);
+        assert_eq!(
+            sim.full_decides - full_decides,
+            engine.topo.num_ases() as u64
+        );
+        assert_eq!(sim.best_routes(), reported);
         true
     }
 
@@ -2066,6 +2481,100 @@ mod tests {
             // Capped drains report nothing, so they are skipped.
             for k in picks {
                 assert_stable(&engine, &origin, &configs[k % configs.len()]);
+            }
+        }
+    }
+
+    /// [`stability_configs`] plus, per link, full anycast with that link
+    /// prepended.
+    fn order_configs(topo: &Topology, origin: &OriginAs) -> Vec<Vec<LinkAnnouncement>> {
+        let mut configs = stability_configs(topo, origin, 2);
+        for l in origin.link_ids() {
+            let mut anns = all_plain(origin);
+            anns[l.us()] = LinkAnnouncement::prepended(l);
+            configs.push(anns);
+        }
+        configs
+    }
+
+    /// Everything an outcome reports, paths materialized.
+    fn assert_same_outcome(a: &RoutingOutcome, b: &RoutingOutcome, what: &str) {
+        assert_eq!(best_keys(a), best_keys(b), "{what}: best routes");
+        assert_eq!(a.best, b.best, "{what}: path ids");
+        assert_eq!(candidate_keys(a), candidate_keys(b), "{what}: candidates");
+        assert_eq!(
+            (a.events, a.rounds, a.routes_disturbed, a.converged),
+            (b.events, b.rounds, b.routes_disturbed, b.converged),
+            "{what}: events, rounds, disturbance, convergence"
+        );
+        assert_eq!(a.changes, b.changes, "{what}: change log");
+    }
+
+    proptest::proptest! {
+        /// The internal numbering is layout only: the identity, the
+        /// locality order and a random permutation report the same
+        /// deployments and transitions, down to path ids and the change
+        /// log, under violators, poisoning, prepending and extensions.
+        #[test]
+        fn outcomes_do_not_depend_on_the_internal_order(
+            topo_seed in 0u64..200,
+            policy_seed in 0u64..200,
+            violator_permille in 0u32..301,
+            extensions in proptest::prelude::any::<bool>(),
+            perm_seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(0usize..1_000_000, 3),
+        ) {
+            use crate::policy::{ExtensionConfig, ExtensionDeployment, PolicyExtension};
+            use rand::{RngExt, SeedableRng};
+            use trackdown_topology::gen::{generate, TopologyConfig};
+            let g = generate(&TopologyConfig::small(topo_seed));
+            let topo = &g.topology;
+            let origin = OriginAs::peering_style(&g, 4);
+            let extensions = if extensions {
+                ExtensionConfig {
+                    origin_asn: origin.asn,
+                    deployments: PolicyExtension::ALL
+                        .iter()
+                        .map(|&extension| ExtensionDeployment {
+                            extension,
+                            fraction: 0.3,
+                            bias: Default::default(),
+                        })
+                        .collect(),
+                }
+            } else {
+                ExtensionConfig::default()
+            };
+            let cfg = EngineConfig {
+                policy: PolicyConfig {
+                    seed: policy_seed,
+                    violator_fraction: f64::from(violator_permille) / 1000.0,
+                    extensions,
+                    ..PolicyConfig::default()
+                },
+                ..EngineConfig::default()
+            };
+            let cones = ConeInfo::compute(topo);
+            let identity: Vec<AsIndex> = topo.indices().collect();
+            let mut random = identity.clone();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(perm_seed);
+            for m in (1..random.len()).rev() {
+                random.swap(m, rng.random_range(0..=m));
+            }
+            let engines = [identity, locality_order(topo), random]
+                .map(|order| BgpEngine::with_order(topo, &cones, &cfg, order));
+            let configs = order_configs(topo, &origin);
+            let full = SnapshotDetail::Full;
+            for k in picks {
+                let next = &configs[k % configs.len()];
+                let prev = &configs[k / configs.len() % configs.len()];
+                let deploy = |e: &BgpEngine| e.propagate_config_detailed(&origin, next, 200, full);
+                let transit = |e: &BgpEngine| e.transition_config(&origin, prev, next, 200, full);
+                let (reference, transition) = (deploy(&engines[0]).unwrap(), transit(&engines[0]).unwrap());
+                for (name, engine) in ["locality", "random"].into_iter().zip(&engines[1..]) {
+                    assert_same_outcome(&deploy(engine).unwrap(), &reference, name);
+                    assert_same_outcome(&transit(engine).unwrap(), &transition, name);
+                }
             }
         }
     }

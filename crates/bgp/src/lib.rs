@@ -290,6 +290,50 @@ mod proptests {
             }
         }
 
+        // On a converged outcome the data plane is the control plane: each
+        // AS's best route is its next hop's best re-exported (same
+        // ingress, strictly shorter path at the next hop), so every
+        // forwarding chain ends at the first AS's ingress. Violators,
+        // disabled loop prevention, poisoning and prepending included.
+        #[test]
+        fn converged_data_plane_equals_control_plane(
+            topo_seed in 0u64..200,
+            policy_seed in 0u64..200,
+            violator_permille in 0u32..301,
+            poison_pick in 0usize..1000,
+            prepend_mask in 0u8..16,
+        ) {
+            let g = generate(&TopologyConfig::small(topo_seed));
+            let origin = OriginAs::peering_style(&g, 4);
+            let cfg = EngineConfig {
+                policy: PolicyConfig {
+                    seed: policy_seed,
+                    violator_fraction: f64::from(violator_permille) / 1000.0,
+                    ..PolicyConfig::default()
+                },
+                ..EngineConfig::default()
+            };
+            let engine = BgpEngine::new(&g.topology, &cfg);
+            let pairs = poison_pairs(&g.topology, &origin);
+            let (poisoned, target) = pairs[poison_pick % pairs.len()];
+            let anns: Vec<LinkAnnouncement> = origin
+                .link_ids()
+                .map(|l| LinkAnnouncement {
+                    link: l,
+                    prepend: prepend_mask & (1 << l.0) != 0,
+                    poisons: if l == poisoned { vec![target] } else { vec![] },
+                    communities: Default::default(),
+                })
+                .collect();
+            let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+            if out.converged {
+                prop_assert_eq!(
+                    Catchments::from_data_plane(&out),
+                    Catchments::from_control_plane(&out)
+                );
+            }
+        }
+
         // A PoP provider hears the origin directly as a 1-hop customer
         // route, which beats anything a neighbor can offer.
         #[test]

@@ -277,8 +277,6 @@ pub struct PolicyTable {
     num_violators: usize,
     /// Tier-1 ASNs, sorted, for path scanning.
     tier1_asns: Vec<Asn>,
-    /// Per-AS tiebreak salt (stands in for IGP cost / router-id diversity).
-    salts: Vec<u64>,
     /// Whether tier-1 filtering is active.
     tier1_filtering: bool,
     /// Per-AS deployment bitmask over [`PolicyExtension::ALL`] (all zero
@@ -319,10 +317,6 @@ impl PolicyTable {
         }
         tier1_asns.sort_unstable();
         tier1_asns.dedup();
-        let salts = topo
-            .indices()
-            .map(|i| mix64(cfg.seed ^ ((i.0 as u64) << 17) ^ 0xA5A5))
-            .collect();
         // Extension placement is hash-based (not rng-stream-based) so each
         // (extension, AS) decision is independent: adding a deployment
         // never reshuffles violator selection or another extension's
@@ -353,7 +347,6 @@ impl PolicyTable {
             flags,
             num_violators,
             tier1_asns,
-            salts,
             tier1_filtering: cfg.tier1_poison_filtering,
             ext_bits,
             any_ext,
@@ -605,17 +598,17 @@ impl PolicyTable {
     }
 
     /// [`PolicyTable::accepts_offer_iter`] for an offer from a neighbor,
-    /// given what the engine's export loop already holds: `at`'s flags
-    /// byte ([`PolicyTable::flags_of`]) and the sender as an adjacency
-    /// entry of `at`, `(from, how from looks from at)`. Equal to
-    /// `accepts_offer_iter(topo, at, Some(from), offered, path)`, without
-    /// the adjacency binary searches the public form needs to find that
-    /// kind; `ext_bits` is read only when some AS deploys an extension.
+    /// given what the engine's export loop already holds: the receiver
+    /// as `(at, its ASN, its flags byte)` ([`PolicyTable::flags_of`]) and
+    /// the sender as an adjacency entry of `at`, `(from, how from looks
+    /// from at)`. Equal to `accepts_offer_iter(topo, at, Some(from),
+    /// offered, path)`, without the adjacency binary searches the public
+    /// form needs to find that kind; `ext_bits` is read only when some AS
+    /// deploys an extension.
     pub(crate) fn accepts_offer_from<I>(
         &self,
         topo: &Topology,
-        at: AsIndex,
-        flags: u8,
+        (at, own, flags): (AsIndex, Asn, u8),
         (from, from_kind): (AsIndex, NeighborKind),
         offered: CommunityBits,
         path: I,
@@ -633,7 +626,6 @@ impl PolicyTable {
         {
             return false;
         }
-        let own = topo.asn_of(at);
         if flags & FLAG_NO_LOOP_PREVENTION == 0 && path.clone().any(|a| a == own) {
             return false;
         }
@@ -816,10 +808,19 @@ impl PolicyTable {
         from_neighbor: Option<AsIndex>,
         ingress: LinkId,
     ) -> u64 {
-        let nid = from_neighbor.map(|n| n.0 as u64 + 1).unwrap_or(0);
+        self.tiebreak_nid(at, from_neighbor.map_or(0, |n| n.0 + 1), ingress)
+    }
+
+    /// [`PolicyTable::tiebreak_key`] with the neighbor given as its
+    /// index plus one (0 = learned directly from the origin), the form
+    /// the engine's packed routes carry.
+    #[inline]
+    pub(crate) fn tiebreak_nid(&self, at: AsIndex, nid: u32, ingress: LinkId) -> u64 {
+        // The per-AS salt stands in for IGP cost / router-id diversity.
+        let salt = mix64(self.seed ^ ((at.0 as u64) << 17) ^ 0xA5A5);
         // Include the ingress link so equal-length paths from the same
         // neighbor but different origin links order deterministically.
-        mix64(self.salts[at.us()] ^ (nid << 8) ^ ingress.0 as u64)
+        mix64(salt ^ ((nid as u64) << 8) ^ ingress.0 as u64)
     }
 
     /// [`PolicyTable::tiebreak_key`] of a candidate [`Route`].
@@ -1101,8 +1102,7 @@ mod tests {
                 prop_assert_eq!(
                     t.accepts_offer_from(
                         topo,
-                        at,
-                        flags,
+                        (at, topo.asn_of(at), flags),
                         (from, from_kind_from_at),
                         offered,
                         path.iter().copied(),

@@ -441,12 +441,17 @@ impl Scenario {
     /// its noise by schedule index, so results do not depend on the
     /// worker count.
     pub fn run_recorded(&self, recorder: Option<&CampaignRecorder>) -> Campaign {
-        let engine = self.engine();
+        let topo = &self.gen.topology;
+        // The cones are large at Internet scale; keep them only while the
+        // engine and the plane are built.
+        let (engine, plane) = {
+            let cones = ConeInfo::compute(topo);
+            let plane = self
+                .measured
+                .then(|| MeasurementPlane::new(topo, &cones, &MeasurementConfig::default()));
+            (BgpEngine::with_cones(topo, &cones, &self.engine_cfg), plane)
+        };
         let schedule = self.schedule();
-        let plane = self.measured.then(|| {
-            let cones = ConeInfo::compute(&self.gen.topology);
-            MeasurementPlane::new(&self.gen.topology, &cones, &MeasurementConfig::default())
-        });
         let opts = CampaignOpts {
             source: match &plane {
                 Some(plane) => CatchmentSource::Measured(plane),
