@@ -124,6 +124,21 @@ impl PathArena {
         self.intern.clear();
     }
 
+    /// Drop every node interned after the first `len`, with its interning
+    /// key, so the arena holds exactly what it held when it had `len`
+    /// nodes: the next pushes intern the same ids they interned then. The
+    /// cost is one key removal per dropped node.
+    ///
+    /// Every outstanding [`PathId`] at or past `len` is invalidated; the
+    /// engine truncates only while rolling its routing state back to the
+    /// moment the arena had `len` nodes.
+    pub fn truncate(&mut self, len: usize) {
+        for node in self.nodes.get(len..).unwrap_or_default() {
+            self.intern.remove(&(node.parent.0, node.asn));
+        }
+        self.nodes.truncate(len);
+    }
+
     /// Intern `parent` extended by one more recent hop `asn`.
     pub fn push(&mut self, parent: PathId, asn: Asn) -> PathId {
         match self.intern.get(&(parent.0, asn)) {
@@ -315,6 +330,28 @@ mod tests {
         let after = arena.intern_path(&path);
         assert_eq!(before, after);
         assert_eq!(arena.num_nodes(), nodes_before);
+    }
+
+    #[test]
+    fn truncate_forgets_later_paths_and_reinterns_them_identically() {
+        let mut arena = PathArena::new();
+        let base = arena.intern_path(&AsPath::from_sequence([Asn(2), Asn(1)]));
+        let mark = arena.num_nodes();
+        let later = arena.push_times(base, Asn(3), 2);
+        let branch = arena.push(base, Asn(4));
+        arena.truncate(mark);
+        assert_eq!(arena.num_nodes(), mark);
+        // Paths interned before the mark keep their ids; later ones are
+        // interned again under the ids they had.
+        assert_eq!(
+            arena.intern_path(&AsPath::from_sequence([Asn(2), Asn(1)])),
+            base
+        );
+        assert_eq!(arena.push_times(base, Asn(3), 2), later);
+        assert_eq!(arena.push(base, Asn(4)), branch);
+        // Truncating past the end changes nothing.
+        arena.truncate(usize::MAX);
+        assert_eq!(arena.num_nodes(), mark + 3);
     }
 
     #[test]

@@ -34,6 +34,16 @@ fn word_count(n: usize) -> usize {
     n.div_ceil(WORD)
 }
 
+/// The nonzero words of a bitset as `(word index, word)`, ascending: the
+/// form [`Catchments::distinct_among_words`] reads.
+pub fn nonzero_words(bits: &[u64]) -> Vec<(usize, u64)> {
+    bits.iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, w)| w != 0)
+        .collect()
+}
+
 /// Indices of the set bits in a stream of u64 words, ascending.
 fn iter_set_bits<I: Iterator<Item = u64>>(words: I) -> impl Iterator<Item = usize> {
     words.enumerate().flat_map(|(w, bits)| {
@@ -304,23 +314,38 @@ impl Catchments {
     /// set = AS `i` is a member; a bitset shorter than the catchment
     /// reads as zeros past its end): the link rows `members` intersects,
     /// plus 1 when some member is unassigned. Word ANDs only, no per-AS
-    /// lookup — the online loop scores every greedy candidate with it.
+    /// lookup.
     ///
     /// Panics when a member lies at or past [`Catchments::len`], as `get`
     /// does for such an AS.
     pub fn distinct_among(&self, members: &[u64]) -> usize {
-        let stray = members
-            .iter()
-            .skip(self.n / WORD)
-            .enumerate()
-            .any(|(k, &w)| if k == 0 { w >> (self.n % WORD) } else { w } != 0);
+        self.parts_met(members.iter().copied().enumerate().filter(|&(_, w)| w != 0))
+    }
+
+    /// [`Catchments::distinct_among`] over a bitset given as its nonzero
+    /// words, `(word index, word)` ([`nonzero_words`]). The online loop
+    /// scores every greedy candidate against one suspect set; passing
+    /// only that set's nonzero words skips the zero ones, which are most
+    /// of them once the suspects are few.
+    ///
+    /// Panics when a member lies at or past [`Catchments::len`].
+    pub fn distinct_among_words(&self, words: &[(usize, u64)]) -> usize {
+        self.parts_met(words.iter().copied())
+    }
+
+    /// The link rows the member words meet, plus 1 when some member is
+    /// unassigned; `words` yields `(word index, word)`.
+    fn parts_met(&self, words: impl Iterator<Item = (usize, u64)> + Clone) -> usize {
+        let stray = words.clone().any(|(k, w)| {
+            k >= self.assigned.len() || (k + 1) * WORD > self.n && w >> (self.n - k * WORD) != 0
+        });
         assert!(
             !stray,
             "member bitset reaches past catchment range {}",
             self.n
         );
-        let meets = |row: &[u64]| row.iter().zip(members).any(|(r, m)| r & m != 0);
-        let unassigned = self.assigned.iter().zip(members).any(|(a, m)| m & !a != 0);
+        let meets = |row: &[u64]| words.clone().any(|(k, m)| row[k] & m != 0);
+        let unassigned = words.clone().any(|(k, m)| m & !self.assigned[k] != 0);
         self.rows.iter().filter(|row| meets(row)).count() + usize::from(unassigned)
     }
 
@@ -587,6 +612,11 @@ mod tests {
     fn distinct_among_counts_parts_and_rejects_stray_members() {
         let c = sample();
         assert_eq!(c.distinct_among(&[]), 0);
+        assert_eq!(c.distinct_among_words(&nonzero_words(&[0b01011])), 3);
+        assert_eq!(
+            nonzero_words(&[0, 5, 0, 1 << 63]),
+            vec![(1, 5), (3, 1 << 63)]
+        );
         assert_eq!(c.distinct_among(&[0b00110]), 1);
         assert_eq!(c.distinct_among(&[0b01011]), 3);
         assert_eq!(c.distinct_among(&[0b11111, 0]), 3);

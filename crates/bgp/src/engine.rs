@@ -5,9 +5,12 @@
 //! imports offers from its neighbors (loop prevention, LocalPref
 //! assignment), selects a best route (LocalPref ▸ AS-path length ▸
 //! deterministic salted tiebreak), and exports per valley-free policy.
-//! Processing uses an activation queue and terminates when no RIB changes,
-//! which Gao-Rexford-compliant policies guarantee; an event cap guards
-//! against dispute wheels introduced by policy violators.
+//! Processing uses an activation queue and terminates when no RIB changes.
+//! Every AS prefers customer routes (policy violators included), so on an
+//! acyclic provider hierarchy Gao-Rexford rules out dispute wheels: the
+//! drain converges, from any start, to one stable state per configuration.
+//! The event cap guards against the inputs outside that guarantee, such as
+//! an `as-rel` file with a provider cycle.
 
 use crate::arena::{PathArena, PathId, PathStore};
 use crate::catchment::Catchments;
@@ -19,7 +22,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
-use trackdown_topology::{cone::ConeInfo, AsIndex, AsPath, Asn, NeighborKind, Topology};
+use trackdown_topology::cone::{classify_tiers, has_provider_cycle};
+use trackdown_topology::{AsIndex, AsPath, Asn, NeighborKind, Topology};
 
 /// Engine configuration: policy knobs plus the convergence guard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -28,8 +32,11 @@ pub struct EngineConfig {
     pub policy: PolicyConfig,
     /// Event cap = `max_events_factor × num_ases`. Propagation that does
     /// not quiesce within the cap is reported as non-converged. The engine
-    /// keeps it for [`BgpEngine::deployed_catchments`]; the other entry
-    /// points still take their own per-call factor.
+    /// keeps it ([`BgpEngine::max_events_factor`]) for
+    /// [`BgpEngine::deployed_catchments`] and
+    /// [`CampaignSession::converge_baseline`], which campaigns use for
+    /// every deployment; the one-shot entry points and session deploys
+    /// still take a per-call factor.
     pub max_events_factor: usize,
 }
 
@@ -119,12 +126,11 @@ pub struct RoutingOutcome {
     pub changes: Vec<RouteChange>,
     /// False if the event cap fired before quiescence.
     pub converged: bool,
-    /// Number of ASes whose best route at this fixpoint differs from
-    /// their best route before the configuration was deployed. Every
-    /// deployment starts from empty RIBs, so there it equals
-    /// [`RoutingOutcome::reachable_count`]; a
-    /// [`BgpEngine::transition_config`] counts the ASes whose best route
-    /// differs from the previous configuration's fixpoint (transient
+    /// Number of ASes the configuration reaches, for a deployment:
+    /// [`RoutingOutcome::reachable_count`], whether it drained from empty
+    /// RIBs or from a session's baseline. A
+    /// [`BgpEngine::transition_config`] instead counts the ASes whose best
+    /// route differs from the previous configuration's fixpoint (transient
     /// flips that settle back are excluded).
     pub routes_disturbed: usize,
 }
@@ -294,6 +300,9 @@ pub struct BgpEngine<'t> {
     edges: Vec<Edge>,
     /// [`EngineConfig::max_events_factor`].
     max_events_factor: usize,
+    /// Whether the provider hierarchy is free of cycles, the condition
+    /// under which a session may deploy from a converged baseline.
+    acyclic: bool,
     /// [`BgpEngine::deployed_catchments`]'s memo, keyed by the full
     /// deployment input: a deployment's outcome is a function of the
     /// engine and its injections alone (DESIGN.md §4b).
@@ -301,30 +310,16 @@ pub struct BgpEngine<'t> {
 }
 
 impl<'t> BgpEngine<'t> {
-    /// Build an engine over `topo` with the given configuration.
+    /// Build an engine over `topo` with the given configuration. O(V+E):
+    /// the policy reads each AS's tier from its own adjacency
+    /// ([`classify_tiers`]), and no customer cone is computed.
     pub fn new(topo: &'t Topology, config: &EngineConfig) -> BgpEngine<'t> {
-        let cones = ConeInfo::compute(topo);
-        BgpEngine::with_cones(topo, &cones, config)
+        BgpEngine::with_order(topo, config, locality_order(topo))
     }
 
-    /// Build an engine reusing a precomputed [`ConeInfo`].
-    pub fn with_cones(
-        topo: &'t Topology,
-        cones: &ConeInfo,
-        config: &EngineConfig,
-    ) -> BgpEngine<'t> {
-        BgpEngine::with_order(topo, cones, config, locality_order(topo))
-    }
-
-    /// [`BgpEngine::with_cones`] over an explicit internal numbering:
-    /// `order` lists every AS once, and its position is the AS's
-    /// [`NodeId`].
-    fn with_order(
-        topo: &'t Topology,
-        cones: &ConeInfo,
-        config: &EngineConfig,
-        order: Vec<AsIndex>,
-    ) -> BgpEngine<'t> {
+    /// [`BgpEngine::new`] over an explicit internal numbering: `order`
+    /// lists every AS once, and its position is the AS's [`NodeId`].
+    fn with_order(topo: &'t Topology, config: &EngineConfig, order: Vec<AsIndex>) -> BgpEngine<'t> {
         let mut internal = vec![NodeId::NONE; topo.num_ases()];
         for (k, &i) in order.iter().enumerate() {
             assert!(
@@ -337,12 +332,13 @@ impl<'t> BgpEngine<'t> {
         let (rib_offsets, edges) = rib_layout(topo, &order, &internal);
         BgpEngine {
             topo,
-            policy: PolicyTable::build(topo, cones, &config.policy),
+            policy: PolicyTable::build(topo, &classify_tiers(topo), &config.policy),
             order,
             internal,
             rib_offsets,
             edges,
             max_events_factor: config.max_events_factor,
+            acyclic: !has_provider_cycle(topo),
             deployed: Mutex::default(),
         }
     }
@@ -355,6 +351,11 @@ impl<'t> BgpEngine<'t> {
     /// The topology this engine routes over.
     pub fn topology(&self) -> &Topology {
         self.topo
+    }
+
+    /// The engine's event cap factor, [`EngineConfig::max_events_factor`].
+    pub fn max_events_factor(&self) -> usize {
+        self.max_events_factor
     }
 
     /// Validate a configuration against the origin, build injections, and
@@ -488,12 +489,15 @@ impl<'t> BgpEngine<'t> {
     }
 
     /// Open a [`CampaignSession`]: one simulation whose allocations
-    /// every deployment reuses.
+    /// every deployment reuses. It deploys from empty RIBs until
+    /// [`CampaignSession::converge_baseline`] keeps a baseline.
     pub fn session(&self) -> CampaignSession<'_, 't> {
         CampaignSession {
             sim: Simulation::new(self),
             deployments: 0,
             peak_arena_nodes: 0,
+            baseline: None,
+            last_deploy_warm: false,
         }
     }
 }
@@ -509,27 +513,116 @@ fn record_outcome_metrics(outcome: &RoutingOutcome) {
     }
 }
 
-/// A deployment session over one engine: the one deployment path.
-/// Every deployment propagates from empty RIBs with a FIFO drain, so its
-/// outcome is a function of the engine and the configuration alone;
-/// under policy violators that pins which of several stable states is
-/// reported (DESIGN.md §4b). [`BgpEngine::propagate_config`] is one
-/// deployment of a fresh session.
+/// Whether a session deploys from a converged baseline: what
+/// [`CampaignSession::converge_baseline`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
+pub enum BaselineStatus {
+    /// The full anycast converged; every deployment starts from it.
+    Converged,
+    /// The provider hierarchy has a cycle, so a configuration's stable
+    /// state need not be unique: no baseline is kept and every deployment
+    /// starts from empty RIBs.
+    ProviderCycle,
+    /// The full anycast's drain hit the event cap: no baseline is kept and
+    /// every deployment starts from empty RIBs.
+    EventCap,
+}
+
+/// What [`CampaignSession::converge_baseline`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BaselineReport {
+    /// Whether the session now deploys from the baseline.
+    pub status: BaselineStatus,
+    /// Events the baseline's drain processed (0 on a provider cycle).
+    pub events: usize,
+}
+
+/// A deployment session over one engine.
 ///
-/// What the session adds is reuse of memory, not of routing state: the
-/// simulation is cleared in place before each deployment, so RIB
-/// vectors, the activation queue and the path arena keep their capacity
-/// and a long campaign performs no heap allocation in the decide/export
-/// loop once the arena reaches its high-water mark. Identical operation
-/// sequences after a clear intern identical [`crate::PathId`]s, so each
-/// outcome equals a fresh session's bit for bit.
+/// A fresh session deploys every configuration FIFO from empty RIBs, so
+/// its outcome is a function of the engine and the configuration alone;
+/// [`BgpEngine::propagate_config`] is one deployment of a fresh session.
+/// After [`CampaignSession::converge_baseline`] keeps the origin's
+/// converged full anycast, each deployment instead starts from that
+/// baseline: the session rolls its state back to it, replaces the direct
+/// routes with the configuration's and runs the same FIFO drain, which
+/// is what a live configuration change does. Every AS prefers customer
+/// routes, so on the acyclic provider hierarchies the baseline requires
+/// the stable state is unique (DESIGN.md §4b) and both starts reach the
+/// same routes; the outcome's `events`, `rounds` and `changes` describe
+/// the transition from the baseline.
+///
+/// The rollback replays an undo log of what the last transition
+/// overwrote: first-touch copies of the Adj-RIB-In slots it wrote, and of
+/// the reference routes of the ASes whose records or best entries it
+/// wrote, from which those records and entries are rebuilt. It also
+/// truncates the path arena to the baseline's node count. So a rollback
+/// costs about as much as the transition, and the session never holds a
+/// second copy of its state. Either way the simulation keeps its
+/// allocations, and each outcome equals, path ids included, what any
+/// session starting the same way reports.
 pub struct CampaignSession<'e, 't> {
     sim: Simulation<'e, 't>,
     deployments: usize,
     peak_arena_nodes: usize,
+    /// The converged baseline deployments start from, if kept.
+    baseline: Option<Baseline>,
+    last_deploy_warm: bool,
+}
+
+/// What a rollback restores besides the undo log's entries.
+struct Baseline {
+    /// The baseline's direct routes, in injection order.
+    direct: Vec<(NodeId, Route)>,
+    /// Arena nodes the baseline interned; later ones are a transition's.
+    arena_nodes: usize,
 }
 
 impl<'e, 't> CampaignSession<'e, 't> {
+    /// Converge `origin`'s full anycast (every link, plain) from empty
+    /// RIBs with the FIFO drain under the engine's event cap, and keep it
+    /// as the baseline every later deployment starts from. No baseline
+    /// is kept, and deployments stay on empty RIBs, when the provider
+    /// hierarchy has a cycle or the drain hits the cap; the report says
+    /// which. A second call replaces the baseline.
+    pub fn converge_baseline(&mut self, origin: &OriginAs) -> Result<BaselineReport, OriginError> {
+        let engine = self.sim.engine;
+        let anycast: Vec<LinkAnnouncement> =
+            origin.link_ids().map(LinkAnnouncement::plain).collect();
+        let injections = origin.build_injections(engine.topo, &anycast)?;
+        self.baseline = None;
+        self.sim.undo = None;
+        if !engine.acyclic {
+            return Ok(BaselineReport {
+                status: BaselineStatus::ProviderCycle,
+                events: 0,
+            });
+        }
+        let _span = trackdown_obs::span("bgp.baseline");
+        self.sim.clear();
+        self.sim.apply_injections(&injections);
+        self.sim.run(engine.max_events_factor);
+        let events = self.sim.events;
+        trackdown_obs::counter!("bgp.baselines").inc();
+        trackdown_obs::counter!("bgp.events").add(events as u64);
+        trackdown_obs::counter!("bgp.offers").add(self.sim.offers);
+        trackdown_obs::counter!("bgp.full_decides").add(self.sim.full_decides);
+        self.peak_arena_nodes = self.peak_arena_nodes.max(self.sim.arena.num_nodes());
+        let status = if self.sim.converged {
+            self.sim.begin_epoch();
+            self.sim.undo = Some(Box::new(UndoLog::new(engine)));
+            self.baseline = Some(Baseline {
+                direct: self.sim.direct.clone(),
+                arena_nodes: self.sim.arena.num_nodes(),
+            });
+            BaselineStatus::Converged
+        } else {
+            BaselineStatus::EventCap
+        };
+        Ok(BaselineReport { status, events })
+    }
+
     /// Validate a configuration against the origin, build injections, and
     /// deploy them.
     pub fn deploy_config(
@@ -558,9 +651,11 @@ impl<'e, 't> CampaignSession<'e, 't> {
         Ok(self.deploy(&inj, max_events_factor, detail))
     }
 
-    /// Clear the simulation in place, inject, and run to fixpoint. The
-    /// clear is the *only* point where the arena is truncated:
-    /// outstanding [`crate::PathId`]s live in the RIBs dropped alongside.
+    /// Roll back to the baseline and replace its direct routes, or, with
+    /// no baseline, clear the simulation in place and inject; then run to
+    /// fixpoint. The clear and the rollback are the only points where the
+    /// arena shrinks: outstanding [`crate::PathId`]s past its new length
+    /// live in the routing state they drop alongside.
     fn deploy(
         &mut self,
         injections: &[Injection],
@@ -569,8 +664,17 @@ impl<'e, 't> CampaignSession<'e, 't> {
     ) -> RoutingOutcome {
         let mut span = trackdown_obs::span("bgp.deploy");
         self.deployments += 1;
-        self.sim.clear();
-        self.sim.apply_injections(injections);
+        self.last_deploy_warm = self.baseline.is_some();
+        match &self.baseline {
+            Some(baseline) => {
+                self.sim.rollback(baseline);
+                self.sim.replace_injections(injections);
+            }
+            None => {
+                self.sim.clear();
+                self.sim.apply_injections(injections);
+            }
+        }
         {
             let _drain = trackdown_obs::span("bgp.drain");
             self.sim.run(max_events_factor);
@@ -585,7 +689,8 @@ impl<'e, 't> CampaignSession<'e, 't> {
         outcome
     }
 
-    /// High-water mark of interned path nodes across all deployments.
+    /// High-water mark of interned path nodes across all deployments and
+    /// the baseline.
     pub fn peak_arena_nodes(&self) -> usize {
         self.peak_arena_nodes
     }
@@ -595,10 +700,79 @@ impl<'e, 't> CampaignSession<'e, 't> {
         self.deployments
     }
 
-    /// Always `false`: no deployment reuses the previous one's routing
-    /// state. Trackbench-only; drop with ROADMAP item 4.
+    /// True when the last deployment started from the converged baseline
+    /// rather than from empty RIBs.
     pub fn last_deploy_warm(&self) -> bool {
-        false
+        self.last_deploy_warm
+    }
+}
+
+/// First-touch copies of one per-index array's entries: the value each
+/// index held before the current transition first wrote it.
+struct Journal<T> {
+    /// Bit `i` set ⟺ index `i` has its pre-transition value saved.
+    saved_bits: Vec<u64>,
+    saved: Vec<(u32, T)>,
+}
+
+impl<T: Copy> Journal<T> {
+    /// A journal over indices `0..len`. Each index is saved at most once
+    /// per transition, so `len` entries always suffice: reserving them up
+    /// front means the log never reallocates, and only the pages a
+    /// transition's saves reach become resident.
+    fn new(len: usize) -> Journal<T> {
+        Journal {
+            saved_bits: vec![0; len.div_ceil(64)],
+            saved: Vec::with_capacity(len),
+        }
+    }
+
+    /// Save index `i`'s current value, `current()`, unless the
+    /// transition already saved it.
+    #[inline]
+    fn save(&mut self, i: usize, current: impl FnOnce() -> T) {
+        let (word, bit) = (&mut self.saved_bits[i / 64], 1u64 << (i % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.saved.push((i as u32, current()));
+        }
+    }
+
+    /// Hand every saved value to `restore` and forget it.
+    fn rewind(&mut self, mut restore: impl FnMut(usize, T)) {
+        for (i, old) in self.saved.drain(..) {
+            self.saved_bits[i as usize / 64] &= !(1u64 << (i % 64));
+            restore(i as usize, old);
+        }
+    }
+}
+
+/// What a transition from a session's baseline overwrote, so the session
+/// can roll back to the baseline at the transition's own cost.
+///
+/// A baseline AS's record and best entry follow from its reference
+/// route and direct routes: the drain converged, so no AS is queued or
+/// awaits a rescan, and its best route is the selection among its direct
+/// routes and its reference. So for the ASes a transition wrote, the log
+/// keeps the packed reference route alone (24 bytes with the id, not a
+/// 32-byte record and a 20-byte best entry), and the rollback rebuilds
+/// the rest. Rescanning the restored slots for the reference instead
+/// would read every slot of every noted AS: on `internet`, 9.5M slots per
+/// campaign, taking more than half as long as the transitions.
+struct UndoLog {
+    /// Adj-RIB-In slots ([`RouteTable::raw`]).
+    ribs: Journal<Option<Slot>>,
+    /// Reference routes, by internal id, of the ASes whose record or best
+    /// entry was written.
+    refs: Journal<Option<Slot>>,
+}
+
+impl UndoLog {
+    fn new(engine: &BgpEngine<'_>) -> UndoLog {
+        UndoLog {
+            ribs: Journal::new(engine.edges.len()),
+            refs: Journal::new(engine.order.len()),
+        }
     }
 }
 
@@ -1006,6 +1180,23 @@ impl RouteTable {
         self.is_present(s).then(|| self.route_at(s))
     }
 
+    /// Slot `s` as stored: its packed route if present.
+    #[inline]
+    fn raw(&self, s: usize) -> Option<Slot> {
+        self.is_present(s).then(|| self.slots[s])
+    }
+
+    /// Put back what [`RouteTable::raw`] returned for slot `s`.
+    fn restore(&mut self, s: usize, slot: Option<Slot>) {
+        match slot {
+            Some(slot) => {
+                self.present[s / 64] |= 1 << (s % 64);
+                self.slots[s] = slot;
+            }
+            None => self.present[s / 64] &= !(1 << (s % 64)),
+        }
+    }
+
     #[inline]
     fn set(&mut self, s: usize, r: Option<Route>) {
         match r {
@@ -1077,8 +1268,9 @@ impl RouteTable {
 /// Mutable propagation state: direct routes, Adj-RIB-Ins, best routes,
 /// and the activation queue, every per-AS part over internal ids. One
 /// [`Simulation`] can run several epochs (configuration deployments)
-/// back to back, which is how [`BgpEngine::transition_config`] models a
-/// live configuration change.
+/// back to back, which is how [`BgpEngine::transition_config`] and a
+/// session's deployments from its baseline model a live configuration
+/// change.
 struct Simulation<'e, 't> {
     engine: &'e BgpEngine<'t>,
     /// Interned AS-paths for every route alive in this state. Append-only
@@ -1107,6 +1299,10 @@ struct Simulation<'e, 't> {
     /// Decisions that rescanned a whole Adj-RIB-In (`bgp.full_decides`).
     full_decides: u64,
     converged: bool,
+    /// While a session holds a baseline: what the current transition
+    /// overwrote. Every slot write saves the old slot first, and every
+    /// write to a record or a best entry saves the AS's reference first.
+    undo: Option<Box<UndoLog>>,
 }
 
 impl<'e, 't> Simulation<'e, 't> {
@@ -1143,6 +1339,7 @@ impl<'e, 't> Simulation<'e, 't> {
             offers: 0,
             full_decides: 0,
             converged: true,
+            undo: None,
         }
     }
 
@@ -1166,6 +1363,63 @@ impl<'e, 't> Simulation<'e, 't> {
         self.converged = true;
     }
 
+    /// Roll back to `baseline`, the state the undo log started from:
+    /// restore every saved slot, put back the baseline's direct routes,
+    /// rebuild each noted AS's record and best entry from its saved
+    /// reference ([`UndoLog`]), and drop the arena's later nodes and the
+    /// epoch's accounting.
+    fn rollback(&mut self, baseline: &Baseline) {
+        let engine = self.engine;
+        let undo = self
+            .undo
+            .as_mut()
+            .expect("a session with a baseline logs its transitions");
+        undo.ribs.rewind(|s, old| self.ribs.restore(s, old));
+        self.direct.clone_from(&baseline.direct);
+        undo.refs.rewind(|k, reference| {
+            let direct = self.direct.iter().filter(|(p, _)| p.us() == k);
+            let node = &mut self.node[k];
+            match reference {
+                Some(slot) => node.set_ref(&slot.unpack()),
+                None => node.ref_from = 0,
+            }
+            node.pending_depth = 0;
+            node.bits = if direct.clone().next().is_some() {
+                HAS_DIRECT
+            } else {
+                0
+            };
+            let best = select(
+                &engine.policy,
+                node.orig,
+                direct.map(|(_, r)| *r).chain(node.ref_route()),
+            );
+            self.best.set(k, best);
+        });
+        self.arena.truncate(baseline.arena_nodes);
+        self.queue.clear();
+        self.max_depth = 0;
+        self.changes.clear();
+        self.events = 0;
+        self.offers = 0;
+        self.full_decides = 0;
+        self.converged = true;
+    }
+
+    /// Save `k`'s reference route before the first write to its record in
+    /// a logged transition.
+    #[inline]
+    fn touch(&mut self, k: NodeId) {
+        if let Some(undo) = &mut self.undo {
+            let node = &self.node[k.us()];
+            undo.refs
+                .save(k.us(), || node.ref_route().map(|r| Slot::pack(&r)));
+        }
+    }
+
+    /// Queue `k` for a decision. In a logged transition `k` must already
+    /// be saved ([`Simulation::touch`]): the drain writes a queued AS's
+    /// record and best entry without saving it again.
     fn enqueue(&mut self, k: NodeId) {
         let node = &mut self.node[k.us()];
         if node.bits & IN_QUEUE == 0 {
@@ -1203,6 +1457,7 @@ impl<'e, 't> Simulation<'e, 't> {
             .local_pref(inj.provider, None, NeighborKind::Customer);
         let path_id = self.arena.intern_path(&inj.path);
         let k = engine.internal[inj.provider.us()];
+        self.touch(k);
         self.direct.push((
             k,
             Route {
@@ -1248,6 +1503,7 @@ impl<'e, 't> Simulation<'e, 't> {
             .sort_unstable_by_key(|&(provider, _)| order[provider.us()]);
         for k in 0..self.direct.len() {
             let provider = self.direct[k].0;
+            self.touch(provider);
             // A provider's later entries find `HAS_DIRECT` already clear.
             let node = &mut self.node[provider.us()];
             if node.bits & HAS_DIRECT != 0 {
@@ -1457,6 +1713,12 @@ impl<'e, 't> Simulation<'e, 't> {
                     _ => None,
                 };
                 if !self.ribs.matches(slot, &offer) {
+                    if let Some(undo) = &mut self.undo {
+                        undo.ribs.save(slot, || self.ribs.raw(slot));
+                        let node = &self.node[j.us()];
+                        undo.refs
+                            .save(j.us(), || node.ref_route().map(|r| Slot::pack(&r)));
+                    }
                     self.note_offer(j, sender.orig.0 + 1, offer.as_ref());
                     self.ribs.set(slot, offer);
                     let pending = &mut self.node[j.us()].pending_depth;
@@ -1503,8 +1765,9 @@ impl<'e, 't> Simulation<'e, 't> {
     /// Snapshot the converged state into a [`RoutingOutcome`]; the
     /// simulation stays alive for further deployments. At the default
     /// [`SnapshotDetail::Catchments`] this copies only the `best` vector
-    /// and the epoch's change log. A deployment starts from empty RIBs,
-    /// so every reachable AS counts as disturbed.
+    /// and the epoch's change log. Every reachable AS counts as
+    /// disturbed, whether the deployment started from empty RIBs or from
+    /// a session's baseline.
     fn snapshot(&self, detail: SnapshotDetail) -> RoutingOutcome {
         let (candidates, paths) = self.capture(detail);
         RoutingOutcome {
@@ -1663,12 +1926,11 @@ mod tests {
     /// [`assert_edge_table`] under the locality order, the identity and
     /// its reverse.
     fn assert_edge_tables(topo: &trackdown_topology::Topology) {
-        let cones = ConeInfo::compute(topo);
         let identity: Vec<AsIndex> = topo.indices().collect();
         let reversed: Vec<AsIndex> = identity.iter().rev().copied().collect();
         assert_edge_table(&BgpEngine::new(topo, &clean_config()));
         for order in [identity, reversed] {
-            assert_edge_table(&BgpEngine::with_order(topo, &cones, &clean_config(), order));
+            assert_edge_table(&BgpEngine::with_order(topo, &clean_config(), order));
         }
     }
 
@@ -2485,6 +2747,178 @@ mod tests {
         }
     }
 
+    /// Everything a rollback must restore, read through the public
+    /// accessors of each table: Adj-RIB-In and best entries (presence
+    /// and route), per-AS records, direct routes and the arena's size.
+    type SimState = (
+        Vec<Option<Route>>,
+        Vec<Option<Route>>,
+        Vec<(Asn, AsIndex, u8, u32, u8, Option<Route>)>,
+        Vec<(NodeId, Route)>,
+        usize,
+    );
+
+    /// Per-AS records are read through the reference route, whose
+    /// fields past an absent route are stale filler.
+    fn sim_state(sim: &Simulation) -> SimState {
+        (
+            (0..sim.ribs.slots.len()).map(|s| sim.ribs.get(s)).collect(),
+            (0..sim.best.slots.len()).map(|s| sim.best.get(s)).collect(),
+            sim.node
+                .iter()
+                .map(|n| {
+                    (
+                        n.asn,
+                        n.orig,
+                        n.flags,
+                        n.pending_depth,
+                        n.bits,
+                        n.ref_route(),
+                    )
+                })
+                .collect(),
+            sim.direct.clone(),
+            sim.arena.num_nodes(),
+        )
+    }
+
+    /// A fresh simulation's transition from the converged full anycast
+    /// (drained under the engine's cap) to `anns` under cap `factor`: what
+    /// [`BgpEngine::transition_config`] runs when both caps agree.
+    fn transition_from_anycast(
+        engine: &BgpEngine,
+        origin: &OriginAs,
+        anns: &[LinkAnnouncement],
+        factor: usize,
+    ) -> RoutingOutcome {
+        let mut sim = Simulation::new(engine);
+        sim.apply_injections(
+            &origin
+                .build_injections(engine.topo, &all_plain(origin))
+                .unwrap(),
+        );
+        sim.run(engine.max_events_factor);
+        assert!(sim.converged);
+        sim.begin_epoch();
+        sim.replace_injections(&origin.build_injections(engine.topo, anns).unwrap());
+        sim.run(factor);
+        sim.snapshot(SnapshotDetail::Full)
+    }
+
+    /// Each deployment from the baseline, capped ones included, is the
+    /// transition a fresh simulation runs from the converged full
+    /// anycast: the same best routes down to path ids, candidates,
+    /// events, rounds and change log; uncapped, it is
+    /// [`BgpEngine::transition_config`]'s. Only `routes_disturbed`
+    /// differs: a deployment reports the reachable count. Rolling back
+    /// restores the baseline's state exactly, and `last_deploy_warm` says
+    /// which start a deployment had.
+    #[test]
+    fn baseline_deploys_are_transitions_and_roll_back_exactly() {
+        use trackdown_topology::gen::{generate, TopologyConfig};
+        let g = generate(&TopologyConfig::small(7));
+        let origin = OriginAs::peering_style(&g, 4);
+        let anycast = all_plain(&origin);
+        let engine = BgpEngine::new(&g.topology, &EngineConfig::default());
+        let mut configs = order_configs(&g.topology, &origin);
+        configs.push(Vec::new());
+        let mut session = engine.session();
+        session
+            .deploy_config(&origin, &configs[1], 200)
+            .expect("valid configuration");
+        assert!(!session.last_deploy_warm());
+        let report = session.converge_baseline(&origin).unwrap();
+        assert_eq!(report.status, BaselineStatus::Converged);
+        let cold = engine.propagate_config(&origin, &anycast, 200).unwrap();
+        assert_eq!(report.events, cold.events);
+        let baseline = sim_state(&session.sim);
+        for (k, anns) in configs.iter().enumerate() {
+            for factor in [200, 1] {
+                let got = session
+                    .deploy_config_detailed(&origin, anns, factor, SnapshotDetail::Full)
+                    .unwrap();
+                assert!(session.last_deploy_warm());
+                let want = transition_from_anycast(&engine, &origin, anns, factor);
+                let what = format!("config {k}, factor {factor}");
+                assert_eq!(got.best, want.best, "{what}: best routes");
+                assert_eq!(best_keys(&got), best_keys(&want), "{what}: paths");
+                assert_eq!(candidate_keys(&got), candidate_keys(&want), "{what}");
+                assert_eq!(
+                    (got.events, got.rounds, got.converged),
+                    (want.events, want.rounds, want.converged),
+                    "{what}: events, rounds, convergence"
+                );
+                assert_eq!(got.changes, want.changes, "{what}: change log");
+                assert_eq!(got.routes_disturbed, got.reachable_count(), "{what}");
+                if factor == 200 {
+                    assert!(got.converged, "{what}");
+                    let public = engine
+                        .transition_config(&origin, &anycast, anns, factor, SnapshotDetail::Full)
+                        .unwrap();
+                    assert_eq!(got.best, public.best, "{what}: transition_config");
+                    assert_eq!(got.events, public.events, "{what}: transition_config");
+                }
+                session.sim.rollback(session.baseline.as_ref().unwrap());
+                assert!(sim_state(&session.sim) == baseline, "{what}: rollback");
+            }
+        }
+        // The full anycast itself re-decides its providers and moves
+        // nothing.
+        let noop = session.deploy_config(&origin, &anycast, 200).unwrap();
+        assert!(noop.changes.is_empty());
+        assert_eq!(noop.best, cold.best);
+    }
+
+    /// No baseline is kept on a provider cycle or when the baseline's
+    /// drain hits the cap; the session then deploys from empty RIBs.
+    #[test]
+    fn sessions_without_a_baseline_deploy_cold() {
+        use trackdown_topology::gen::{generate, TopologyConfig};
+        let g = generate(&TopologyConfig::small(7));
+        let origin = OriginAs::peering_style(&g, 4);
+        let anns = all_plain(&origin);
+        let capped = EngineConfig {
+            max_events_factor: 1,
+            ..EngineConfig::default()
+        };
+        let engine = BgpEngine::new(&g.topology, &capped);
+        let mut session = engine.session();
+        let report = session.converge_baseline(&origin).unwrap();
+        assert_eq!(report.status, BaselineStatus::EventCap);
+        assert_eq!(report.events, g.topology.num_ases() + 1);
+        let got = session.deploy_config(&origin, &anns[1..], 200).unwrap();
+        assert!(!session.last_deploy_warm());
+        let want = engine.propagate_config(&origin, &anns[1..], 200).unwrap();
+        assert_eq!((got.best, got.events), (want.best, want.events));
+
+        let cyclic = topology_from_links([
+            (Asn(1), Asn(2), LinkKind::ProviderCustomer),
+            (Asn(2), Asn(3), LinkKind::ProviderCustomer),
+            (Asn(3), Asn(1), LinkKind::ProviderCustomer),
+            (Asn(3), Asn(4), LinkKind::ProviderCustomer),
+        ])
+        .unwrap();
+        let origin = OriginAs::new(Asn(47065), vec![("A".into(), Asn(1)), ("D".into(), Asn(4))]);
+        let engine = BgpEngine::new(&cyclic, &clean_config());
+        let mut session = engine.session();
+        let report = session.converge_baseline(&origin).unwrap();
+        assert_eq!(
+            (report.status, report.events),
+            (BaselineStatus::ProviderCycle, 0)
+        );
+        let single = [LinkAnnouncement::plain(LinkId(1))];
+        let got = session.deploy_config(&origin, &single, 200).unwrap();
+        assert!(!session.last_deploy_warm());
+        let want = engine.propagate_config(&origin, &single, 200).unwrap();
+        assert_eq!((got.best, got.events), (want.best, want.events));
+        // An origin the topology cannot carry is refused.
+        let stray = OriginAs::new(Asn(47065), vec![("Z".into(), Asn(99))]);
+        assert!(matches!(
+            session.converge_baseline(&stray),
+            Err(OriginError::UnknownProvider(Asn(99)))
+        ));
+    }
+
     /// [`stability_configs`] plus, per link, full anycast with that link
     /// prepended.
     fn order_configs(topo: &Topology, origin: &OriginAs) -> Vec<Vec<LinkAnnouncement>> {
@@ -2554,7 +2988,6 @@ mod tests {
                 },
                 ..EngineConfig::default()
             };
-            let cones = ConeInfo::compute(topo);
             let identity: Vec<AsIndex> = topo.indices().collect();
             let mut random = identity.clone();
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(perm_seed);
@@ -2562,7 +2995,7 @@ mod tests {
                 random.swap(m, rng.random_range(0..=m));
             }
             let engines = [identity, locality_order(topo), random]
-                .map(|order| BgpEngine::with_order(topo, &cones, &cfg, order));
+                .map(|order| BgpEngine::with_order(topo, &cfg, order));
             let configs = order_configs(topo, &origin);
             let full = SnapshotDetail::Full;
             for k in picks {

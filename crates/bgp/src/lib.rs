@@ -44,8 +44,8 @@ pub use arena::{PathArena, PathId, PathStore};
 pub use catchment::Catchments;
 pub use community::{Community, CommunityBits, CommunitySet};
 pub use engine::{
-    BgpEngine, CampaignSession, DeployedCatchments, EngineConfig, ForwardingPath, ForwardingWalker,
-    RouteChange, RoutingOutcome, SnapshotDetail,
+    BaselineReport, BaselineStatus, BgpEngine, CampaignSession, DeployedCatchments, EngineConfig,
+    ForwardingPath, ForwardingWalker, RouteChange, RoutingOutcome, SnapshotDetail,
 };
 pub use origin::{Injection, LinkAnnouncement, OriginAs, OriginError, PeeringLink};
 pub use policy::{

@@ -2,8 +2,13 @@
 //! rules, plus the deviations the paper identifies in the wild.
 //!
 //! * **Policy violators** (§V-C, Fig 9): a configurable fraction of ASes do
-//!   not rank routes by relationship; they use arbitrary-but-stable
-//!   per-neighbor preferences (think traffic-engineering overrides).
+//!   not rank routes by relationship alone; they use arbitrary-but-stable
+//!   per-neighbor preferences (think traffic-engineering overrides) that
+//!   still put every customer route first, so they may rank a longer
+//!   route first or a provider above a peer, but never a peer or
+//!   provider route above a customer route. That keeps every AS
+//!   Gao-Rexford-safe: on an acyclic provider hierarchy the stable
+//!   routing state is unique (Gao & Rexford 2001).
 //! * **Disabled loop prevention** (§III-A-c): some ASes accept routes
 //!   containing their own ASN (e.g. multi-site interconnection over the
 //!   Internet), making them immune to BGP poisoning.
@@ -23,10 +28,7 @@ use crate::route::{LinkId, Route};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use trackdown_topology::{
-    cone::{ConeInfo, Tier},
-    AsIndex, AsPath, Asn, NeighborKind, Topology,
-};
+use trackdown_topology::{cone::Tier, AsIndex, AsPath, Asn, NeighborKind, Topology};
 
 /// Standard Gao-Rexford LocalPref bands.
 pub const LOCAL_PREF_CUSTOMER: u32 = 300;
@@ -226,7 +228,8 @@ pub struct PolicyConfig {
     /// Seed for violator selection, violator preferences, and tiebreak
     /// salts. Independent of the topology seed.
     pub seed: u64,
-    /// Fraction of ASes that deviate from Gao-Rexford preferences.
+    /// Fraction of ASes whose LocalPref is a per-neighbor hash within
+    /// their relationship band instead of the band's fixed value.
     pub violator_fraction: f64,
     /// Fraction of ASes with BGP loop prevention disabled (poison-immune).
     pub no_loop_prevention_fraction: f64,
@@ -260,7 +263,7 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-AS flag: deviates from Gao-Rexford import preferences.
+/// Per-AS flag: hashes LocalPref per neighbor within each band.
 const FLAG_VIOLATOR: u8 = 1;
 /// Per-AS flag: does not run loop prevention on its own ASN.
 const FLAG_NO_LOOP_PREVENTION: u8 = 1 << 1;
@@ -268,7 +271,7 @@ const FLAG_NO_LOOP_PREVENTION: u8 = 1 << 1;
 const FLAG_TIER1: u8 = 1 << 2;
 
 /// Materialized per-AS policy state for one topology.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyTable {
     /// Per-AS `FLAG_*` bits: every import and LocalPref decision reads
     /// one byte instead of probing hash sets.
@@ -296,8 +299,9 @@ pub struct PolicyTable {
 }
 
 impl PolicyTable {
-    /// Build the policy table for a topology.
-    pub fn build(topo: &Topology, cones: &ConeInfo, cfg: &PolicyConfig) -> PolicyTable {
+    /// Build the policy table for a topology whose ASes have the given
+    /// tiers (by index; [`trackdown_topology::cone::classify_tiers`]).
+    pub fn build(topo: &Topology, tiers: &[Tier], cfg: &PolicyConfig) -> PolicyTable {
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let mut flags = vec![0u8; topo.num_ases()];
         let mut num_violators = 0;
@@ -311,7 +315,7 @@ impl PolicyTable {
             }
         }
         let mut tier1_asns = Vec::new();
-        for i in cones.tier1s() {
+        for i in topo.indices().filter(|i| tiers[i.us()] == Tier::Tier1) {
             flags[i.us()] |= FLAG_TIER1;
             tier1_asns.push(topo.asn_of(i));
         }
@@ -332,7 +336,7 @@ impl PolicyTable {
                 let p = if d.fraction >= 1.0 {
                     1.0
                 } else {
-                    (d.fraction * d.bias.weight(cones.tier(i))).min(1.0)
+                    (d.fraction * d.bias.weight(tiers[i.us()])).min(1.0)
                 };
                 let h = mix64(cfg.seed ^ 0xE07_0DE5 ^ ((d.extension as u64) << 48) ^ i.0 as u64);
                 // 53-bit mantissa draw in [0, 1); p >= 1 always deploys.
@@ -363,7 +367,7 @@ impl PolicyTable {
         self.flags[i.us()]
     }
 
-    /// True if `i` deviates from Gao-Rexford preferences.
+    /// True if `i` hashes its LocalPrefs per neighbor (a policy violator).
     #[inline]
     pub fn is_violator(&self, i: AsIndex) -> bool {
         self.flags[i.us()] & FLAG_VIOLATOR != 0
@@ -393,8 +397,10 @@ impl PolicyTable {
     }
 
     /// LocalPref that AS `at` assigns to a route learned from a neighbor of
-    /// the given kind. Violators hash `(at, neighbor)` into the full
-    /// LocalPref range, modeling arbitrary-but-stable policy.
+    /// the given kind. Violators hash `(at, neighbor)` into the kind's
+    /// band, modeling arbitrary-but-stable policy that stays
+    /// Gao-Rexford-safe: customer routes get 201..=300, peer and provider
+    /// routes 100..=200, so a customer route always wins on LocalPref.
     #[inline]
     pub fn local_pref(&self, at: AsIndex, neighbor: Option<AsIndex>, kind: NeighborKind) -> u32 {
         self.local_pref_with(self.flags[at.us()], at, neighbor, kind)
@@ -414,9 +420,13 @@ impl PolicyTable {
         if flags & FLAG_VIOLATOR != 0 {
             let nid = neighbor.map(|n| n.0 as u64 + 1).unwrap_or(0);
             let h = mix64(self.seed ^ ((at.0 as u64) << 32) ^ nid);
-            // Spread violator preferences across the Gao-Rexford band so
-            // they sometimes agree and sometimes invert the textbook order.
-            100 + (h % 201) as u32 // 100..=300
+            // Within a band the hash may order neighbors against path
+            // length or rank a provider above a peer; a customer route
+            // still beats every other kind.
+            match kind {
+                NeighborKind::Customer => 201 + (h % 100) as u32,
+                NeighborKind::Peer | NeighborKind::Provider => 100 + (h % 101) as u32,
+            }
         } else {
             match kind {
                 NeighborKind::Customer => LOCAL_PREF_CUSTOMER,
@@ -867,14 +877,14 @@ mod tests {
     use super::*;
     use crate::route::LinkId;
     use proptest::prelude::prop_assert_eq;
+    use trackdown_topology::cone::{classify_tiers, ConeInfo};
     use trackdown_topology::gen::{generate, TopologyConfig};
 
     fn table(violators: f64) -> (trackdown_topology::Topology, PolicyTable) {
         let g = generate(&TopologyConfig::small(5));
-        let cones = ConeInfo::compute(&g.topology);
         let t = PolicyTable::build(
             &g.topology,
-            &cones,
+            &classify_tiers(&g.topology),
             &PolicyConfig {
                 seed: 99,
                 violator_fraction: violators,
@@ -897,19 +907,69 @@ mod tests {
 
     #[test]
     fn violator_prefs_stable_and_in_band() {
-        let (_, t) = table(1.0);
-        let i = AsIndex(3);
-        assert!(t.is_violator(i));
-        let p1 = t.local_pref(i, Some(AsIndex(7)), NeighborKind::Provider);
-        let p2 = t.local_pref(i, Some(AsIndex(7)), NeighborKind::Customer);
-        // Violator preference depends on the neighbor, not the relationship.
-        assert_eq!(p1, p2);
-        assert!((100..=300).contains(&p1));
-        // Stable across calls.
-        assert_eq!(
-            p1,
-            t.local_pref(i, Some(AsIndex(7)), NeighborKind::Provider)
+        let (topo, t) = table(1.0);
+        let mut spread = std::collections::BTreeSet::new();
+        for i in topo.indices() {
+            assert!(t.is_violator(i));
+            for n in (0..20).map(AsIndex).chain([AsIndex(u32::MAX - 1)]) {
+                let customer = t.local_pref(i, Some(n), NeighborKind::Customer);
+                let peer = t.local_pref(i, Some(n), NeighborKind::Peer);
+                let provider = t.local_pref(i, Some(n), NeighborKind::Provider);
+                // Every customer route beats every peer or provider route.
+                assert!((201..=300).contains(&customer));
+                assert!((100..=200).contains(&peer));
+                // Peers and providers share one per-neighbor hash.
+                assert_eq!(peer, provider);
+                // Stable across calls.
+                assert_eq!(customer, t.local_pref(i, Some(n), NeighborKind::Customer));
+                spread.insert(peer);
+            }
+            // The origin's direct route is a customer route too.
+            assert!(t.local_pref(i, None, NeighborKind::Customer) > 200);
+        }
+        // The hash spreads over the bands rather than fixing one value.
+        assert!(
+            spread.len() > 50,
+            "{} distinct peer LocalPrefs",
+            spread.len()
         );
+    }
+
+    /// The tiers the engine classifies from the adjacency alone build the
+    /// same policy table as the tiers of a full [`ConeInfo`], at small,
+    /// paper and Internet scale, with violators and tier-biased
+    /// extension placement both reading them.
+    #[test]
+    fn tiers_without_cones_build_the_same_table() {
+        let cfg = PolicyConfig {
+            extensions: ExtensionConfig {
+                deployments: PolicyExtension::ALL
+                    .iter()
+                    .map(|&extension| ExtensionDeployment {
+                        extension,
+                        fraction: 0.3,
+                        bias: DeploymentBias::Core,
+                    })
+                    .collect(),
+                ..ExtensionConfig::default()
+            },
+            ..PolicyConfig::default()
+        };
+        for topo_cfg in [
+            TopologyConfig::small(7),
+            TopologyConfig::paper(7),
+            TopologyConfig::internet(7),
+        ] {
+            let topo = generate(&topo_cfg).topology;
+            let cones = ConeInfo::compute(&topo);
+            let tiers = classify_tiers(&topo);
+            let table = PolicyTable::build(&topo, &tiers, &cfg);
+            assert_eq!(table, PolicyTable::build(&topo, cones.tiers(), &cfg));
+            assert_eq!(
+                topo.indices().filter(|&i| table.is_tier1(i)).count(),
+                cones.tier1s().count()
+            );
+        }
     }
 
     #[test]
@@ -941,10 +1001,9 @@ mod tests {
     #[test]
     fn no_loop_prevention_accepts_own_asn() {
         let g = generate(&TopologyConfig::small(5));
-        let cones = ConeInfo::compute(&g.topology);
         let t = PolicyTable::build(
             &g.topology,
-            &cones,
+            &classify_tiers(&g.topology),
             &PolicyConfig {
                 seed: 1,
                 violator_fraction: 0.0,
@@ -1061,7 +1120,7 @@ mod tests {
             const FRACTIONS: [f64; 3] = [0.0, 0.5, 1.0];
             let g = generate(&TopologyConfig::small(topo_seed));
             let topo = &g.topology;
-            let cones = ConeInfo::compute(topo);
+            let tiers = classify_tiers(topo);
             let origin = crate::origin::DEFAULT_ORIGIN_ASN;
             let bias = [DeploymentBias::Uniform, DeploymentBias::Core, DeploymentBias::Stub][bias];
             let cfg = PolicyConfig {
@@ -1082,8 +1141,12 @@ mod tests {
                         .collect(),
                 },
             };
-            let t = PolicyTable::build(topo, &cones, &cfg);
-            let tier1s: Vec<Asn> = cones.tier1s().map(|i| topo.asn_of(i)).collect();
+            let t = PolicyTable::build(topo, &tiers, &cfg);
+            let tier1s: Vec<Asn> = topo
+                .indices()
+                .filter(|i| tiers[i.us()] == Tier::Tier1)
+                .map(|i| topo.asn_of(i))
+                .collect();
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             for _ in 0..200 {
                 let at = AsIndex(rng.random_range(0..topo.num_ases() as u32));

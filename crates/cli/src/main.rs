@@ -427,9 +427,8 @@ mod tests {
 
     #[test]
     fn args_reject_the_removed_mode_flags_by_name() {
-        // Every configuration propagates from empty RIBs; the flags that
-        // once selected a reuse mode are gone and fail like any other
-        // unknown flag.
+        // There is one deployment rule; the flags that once selected a
+        // reuse mode are gone and fail like any other unknown flag.
         for flag in ["--delta", "--cold"] {
             let err = Args::parse(&argv(&["--scale", "small", flag]))
                 .err()

@@ -13,7 +13,8 @@
 //!    reproducing the paper's 64 + 294 + (one per neighbor) counts.
 //! 2. [`localize::run_campaign`] deploys each [`config::AnnouncementConfig`]
 //!    on a [`trackdown_bgp::BgpEngine`] — through one routing session per
-//!    worker thread, each deployment propagating from empty RIBs —
+//!    worker thread, each deployment a transition from the session's
+//!    converged full anycast —
 //!    obtains catchments (ground truth or through the
 //!    [`trackdown_measure`] observation plane), and refines a
 //!    [`cluster::Clustering`]. Bad input comes back as a

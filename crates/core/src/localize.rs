@@ -5,7 +5,10 @@
 use crate::cluster::{ClusterSplit, Clustering, RefineDelta};
 use crate::config::{AnnouncementConfig, ConfigError};
 use serde::{Deserialize, Serialize};
-use trackdown_bgp::{BgpEngine, Catchments, LinkId, OriginAs, OriginError, SnapshotDetail};
+use trackdown_bgp::{
+    BaselineStatus, BgpEngine, Catchments, LinkAnnouncement, LinkId, OriginAs, OriginError,
+    SnapshotDetail,
+};
 use trackdown_measure::{
     analysis_set, impute_visibility, ImputationStats, MeasuredCatchments, MeasurementPlane,
 };
@@ -29,8 +32,7 @@ pub enum CatchmentSource<'p> {
 /// Executor counters reported alongside a [`Campaign`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignStats {
-    /// Fixpoint computations run: one per configuration, each from empty
-    /// RIBs.
+    /// Fixpoint computations run: one per configuration.
     pub propagations: usize,
     /// Worker threads used.
     pub threads: usize,
@@ -38,16 +40,21 @@ pub struct CampaignStats {
     /// workers): the steady-state memory footprint of a routing session.
     pub peak_arena_nodes: usize,
     /// Sum over deployed epochs of
-    /// [`trackdown_bgp::RoutingOutcome::routes_disturbed`]:
-    /// every deployment starts from empty RIBs, so this sums the
-    /// reachable count of every configuration.
+    /// [`trackdown_bgp::RoutingOutcome::routes_disturbed`]: the reachable
+    /// count of every configuration.
     pub routes_disturbed: usize,
     /// Total propagation events (per-AS decide/export activations) across
-    /// every deployed epoch. Deterministic for a fixed scenario, so it is
-    /// comparable across machines — the work-unit metric
-    /// `tests/pipeline_gates.rs` pins and trackbench reports as
-    /// `bgp.events`.
+    /// every deployed epoch: with a converged baseline, each epoch's
+    /// transition from it. Deterministic for a fixed scenario and
+    /// independent of the thread count, so it is comparable across
+    /// machines — the work-unit metric `tests/pipeline_gates.rs` pins.
     pub events: usize,
+    /// Whether the workers deployed from a converged baseline, and if
+    /// not, why (the same for every worker).
+    pub baseline: BaselineStatus,
+    /// Events the workers' baseline drains processed, one baseline per
+    /// worker; `events + baseline_events` is the campaign's `bgp.events`.
+    pub baseline_events: usize,
 }
 
 impl Default for CampaignStats {
@@ -58,6 +65,8 @@ impl Default for CampaignStats {
             peak_arena_nodes: 0,
             routes_disturbed: 0,
             events: 0,
+            baseline: BaselineStatus::Converged,
+            baseline_events: 0,
         }
     }
 }
@@ -208,8 +217,8 @@ pub struct Campaign {
 }
 
 /// Options of one [`run_campaign`] call. The default is a one-thread
-/// campaign over control-plane catchments, with the engine's default
-/// event cap and no recorder.
+/// campaign over control-plane catchments with no recorder. The event cap
+/// is the engine's ([`BgpEngine::max_events_factor`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignOpts<'a> {
     /// How catchments are obtained for each configuration.
@@ -221,8 +230,6 @@ pub struct CampaignOpts<'a> {
     /// manifest. It only *reads* each deployment's outcome after the
     /// fact, so it cannot perturb the campaign.
     pub recorder: Option<&'a CampaignRecorder>,
-    /// Event cap per deployment, as a multiple of the AS count.
-    pub max_events_factor: usize,
 }
 
 impl Default for CampaignOpts<'_> {
@@ -231,7 +238,6 @@ impl Default for CampaignOpts<'_> {
             source: CatchmentSource::ControlPlane,
             threads: 1,
             recorder: None,
-            max_events_factor: 200,
         }
     }
 }
@@ -257,6 +263,10 @@ pub enum CampaignError {
         /// What the origin rejected.
         error: OriginError,
     },
+    /// The origin's full anycast, the baseline every deployment starts
+    /// from, cannot be announced (a link's provider is not in the
+    /// topology).
+    Baseline(OriginError),
 }
 
 impl std::fmt::Display for CampaignError {
@@ -268,6 +278,9 @@ impl std::fmt::Display for CampaignError {
             }
             CampaignError::Unannounceable { index, error } => {
                 write!(f, "configuration {index} cannot be announced: {error}")
+            }
+            CampaignError::Baseline(error) => {
+                write!(f, "the full anycast baseline cannot be announced: {error}")
             }
         }
     }
@@ -285,19 +298,26 @@ impl std::error::Error for CampaignError {}
 /// The schedule splits into `opts.threads` contiguous chunks — the
 /// simulation analog of the paper's §V-C speed-up of deploying
 /// configurations concurrently on several prefixes. Each worker owns one
-/// routing session and deploys its chunk in schedule order; the calling
-/// thread works the first chunk itself, so a one-thread campaign spawns
-/// nothing. Every deployment propagates from empty RIBs with a FIFO
-/// drain (DESIGN.md §4b), so its outcome depends on the configuration
-/// alone, and the observation plane salts its noise by schedule index:
-/// the campaign — catchments, tracked set, clusters, records — is
-/// identical for every thread count. Only `stats.threads`,
-/// `stats.peak_arena_nodes` and the recorder's `thread` field describe
-/// the executor shape.
+/// routing session, converges the origin's full anycast in it once
+/// ([`trackdown_bgp::CampaignSession::converge_baseline`]) and deploys
+/// its chunk in schedule order, each configuration as a FIFO transition
+/// from that baseline; the calling thread works the first chunk itself,
+/// so a one-thread campaign spawns nothing. Every policy is
+/// Gao-Rexford-safe, so on an acyclic provider hierarchy a
+/// configuration's stable state is unique (DESIGN.md §4b) and each
+/// outcome depends on the configuration alone; on a provider cycle, or
+/// when the baseline hits the event cap, every deployment propagates from
+/// empty RIBs instead (`stats.baseline` says which). The observation
+/// plane salts its noise by schedule index, so the campaign —
+/// catchments, tracked set, clusters, records — is identical for every
+/// thread count. Only `stats.threads`, `stats.peak_arena_nodes`,
+/// `stats.baseline_events` and the recorder's `thread` field describe the
+/// executor shape.
 ///
 /// # Errors
-/// [`CampaignError`] for an empty schedule or a configuration the origin
-/// cannot announce, before any deployment runs.
+/// [`CampaignError`] for an empty schedule, a configuration the origin
+/// cannot announce or an origin whose full anycast cannot be announced,
+/// before any deployment runs.
 pub fn run_campaign(
     engine: &BgpEngine<'_>,
     origin: &OriginAs,
@@ -314,6 +334,10 @@ pub fn run_campaign(
             .build_injections(engine.topology(), &cfg.to_link_announcements())
             .map_err(|error| CampaignError::Unannounceable { index, error })?;
     }
+    let anycast: Vec<LinkAnnouncement> = origin.link_ids().map(LinkAnnouncement::plain).collect();
+    origin
+        .build_injections(engine.topology(), &anycast)
+        .map_err(CampaignError::Baseline)?;
     let _span = trackdown_obs::span("campaign.run");
     let chunk_size = configs.len().div_ceil(opts.threads.max(1));
     let mut chunks = configs.chunks(chunk_size).enumerate();
@@ -353,6 +377,8 @@ pub fn run_campaign(
         stats.propagations += out.stats.propagations;
         stats.routes_disturbed += out.stats.routes_disturbed;
         stats.events += out.stats.events;
+        stats.baseline = out.stats.baseline;
+        stats.baseline_events += out.stats.baseline_events;
         // Per-worker arenas: the campaign's footprint is the largest
         // single arena, not the sum.
         stats.peak_arena_nodes = stats.peak_arena_nodes.max(out.stats.peak_arena_nodes);
@@ -389,7 +415,8 @@ struct ChunkOutput {
 }
 
 /// Deploy one contiguous chunk of the schedule, starting at schedule
-/// index `base`, through one routing session on worker `thread`.
+/// index `base`, through one routing session on worker `thread`, from the
+/// session's baseline when it keeps one.
 fn run_chunk(
     engine: &BgpEngine<'_>,
     origin: &OriginAs,
@@ -399,6 +426,9 @@ fn run_chunk(
     chunk: &[AnnouncementConfig],
 ) -> ChunkOutput {
     let mut session = engine.session();
+    let baseline = session
+        .converge_baseline(origin)
+        .expect("the baseline is validated before deployment");
     // Only measured campaigns read path contents (BGP feed collection),
     // and nothing here reads candidate RIBs; ground truth gets the cheap
     // Catchments-detail snapshot.
@@ -409,7 +439,11 @@ fn run_chunk(
     let mut catchments = Vec::new();
     let mut measured = Vec::new();
     let mut converged = Vec::with_capacity(chunk.len());
-    let mut stats = CampaignStats::default();
+    let mut stats = CampaignStats {
+        baseline: baseline.status,
+        baseline_events: baseline.events,
+        ..CampaignStats::default()
+    };
     for (off, cfg) in chunk.iter().enumerate() {
         let epoch = base + off;
         let _span = trackdown_obs::span("worker.epoch").attr("epoch", epoch as u64);
@@ -418,7 +452,7 @@ fn run_chunk(
             .deploy_config_detailed(
                 origin,
                 &cfg.to_link_announcements(),
-                opts.max_events_factor,
+                engine.max_events_factor(),
                 detail,
             )
             .expect("configurations are validated before deployment");

@@ -15,7 +15,7 @@
 use crate::cluster::Clustering;
 use crate::config::AnnouncementConfig;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
+use trackdown_bgp::catchment::nonzero_words;
 use trackdown_bgp::{BgpEngine, Catchments, OriginAs};
 use trackdown_topology::AsIndex;
 
@@ -207,11 +207,27 @@ pub fn localize_online(
     let prefixes = opts.prefixes.max(1);
     let mut rounds = 0usize;
 
+    // Each candidate's greedy score against an earlier suspect set. The
+    // score only falls as the suspects shrink, so while they do it bounds
+    // the current score, and a pick skips every candidate whose bound
+    // cannot beat the best score found so far.
+    let mut bound = vec![usize::MAX; candidates.len()];
+    let mut scored_against: Vec<u64> = Vec::new();
+
     // Round 1 always deploys the baseline (plus greedy picks when more
     // than one prefix is available).
     let mut batch: Vec<usize> = vec![0usize];
     loop {
-        let members = bitset(&suspects);
+        let bits = bitset(&suspects);
+        let grew = bits
+            .iter()
+            .enumerate()
+            .any(|(k, &w)| w & !scored_against.get(k).copied().unwrap_or(0) != 0);
+        if grew {
+            bound.fill(usize::MAX);
+        }
+        let members = nonzero_words(&bits);
+        scored_against = bits;
         // Top the batch up to the prefix budget.
         while batch.len() < prefixes
             && deployed.len() + batch.len() < opts.max_configs
@@ -220,12 +236,21 @@ pub fn localize_online(
             let pick = match (opts.greedy, prior) {
                 // The candidate whose prior catchment splits the suspects
                 // into the most parts; the first position on equal score.
-                (true, Some(prior_cats)) => remaining
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .min_by_key(|&(_, idx)| Reverse(prior_cats[idx].distinct_among(&members)))
-                    .map(|(pos, _)| remaining.remove(pos)),
+                (true, Some(prior_cats)) => {
+                    let mut best: Option<(usize, usize)> = None;
+                    for (pos, &idx) in remaining.iter().enumerate() {
+                        if best.is_some_and(|(score, _)| bound[idx] <= score) {
+                            continue;
+                        }
+                        let score = prior_cats[idx].distinct_among_words(&members);
+                        bound[idx] = score;
+                        match best {
+                            Some((top, _)) if score <= top => {}
+                            _ => best = Some((score, pos)),
+                        }
+                    }
+                    best.map(|(_, pos)| remaining.remove(pos))
+                }
                 _ => Some(remaining.remove(0)),
             };
             match pick {
@@ -277,8 +302,8 @@ pub fn localize_online(
 /// and `observe` attributes the planted volumes over the data plane. The
 /// engine memoizes them per configuration, so only the first trial on an
 /// engine to reach a configuration propagates it; every later trial, on
-/// any thread, reads the stored catchments. A deployment propagates from
-/// empty RIBs (DESIGN.md §4b), so a hit equals what a fresh deployment
+/// any thread, reads the stored catchments. A configuration has one
+/// stable state (DESIGN.md §4b), so a hit equals what a fresh deployment
 /// would report and the result does not depend on which trials ran
 /// before.
 ///

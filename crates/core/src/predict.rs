@@ -39,7 +39,6 @@ impl PredictionReport {
 /// everything an outside observer could assume without measurements.
 pub struct CatchmentPredictor<'t> {
     engine: BgpEngine<'t>,
-    max_events_factor: usize,
 }
 
 impl<'t> CatchmentPredictor<'t> {
@@ -53,11 +52,10 @@ impl<'t> CatchmentPredictor<'t> {
                 tier1_poison_filtering: false,
                 extensions: Default::default(),
             },
-            max_events_factor: 200,
+            ..EngineConfig::default()
         };
         CatchmentPredictor {
             engine: BgpEngine::new(topo, &cfg),
-            max_events_factor: 200,
         }
     }
 
@@ -68,7 +66,7 @@ impl<'t> CatchmentPredictor<'t> {
             .propagate_config(
                 origin,
                 &config.to_link_announcements(),
-                self.max_events_factor,
+                self.engine.max_events_factor(),
             )
             .expect("valid configuration");
         Catchments::from_control_plane(&outcome)

@@ -179,9 +179,10 @@ fn differing_entries<V: PartialEq>(
 /// baseline), ties broken toward the lowest index. Returns a permutation
 /// of `0..configs.len()`.
 ///
-/// Duplicate footprints (distance 0) become adjacent. Every deployment
-/// now propagates from empty RIBs, so no campaign orders its schedule
-/// this way. Trackbench-only; drop with ROADMAP item 4.
+/// Duplicate footprints (distance 0) become adjacent. Every campaign
+/// deployment starts from the same converged baseline, so no campaign
+/// orders its schedule this way. Trackbench-only; drop with ROADMAP
+/// item 2.
 pub fn warm_start_order(configs: &[AnnouncementConfig]) -> Vec<usize> {
     let _span =
         trackdown_obs::span("schedule.warm_start_order").attr("configs", configs.len() as u64);

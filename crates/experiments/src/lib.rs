@@ -22,8 +22,8 @@
 //! reproduction target. Every binary accepts `--scale
 //! small|medium|full|large|internet` (default `full`), `--seed <u64>`
 //! and `--threads <n>`; `-h`/`--help` prints the usage. Every
-//! configuration propagates from empty RIBs. The `internet` scale loads
-//! a real
+//! configuration deploys as a transition from the origin's converged
+//! full anycast. The `internet` scale loads a real
 //! CAIDA `as-rel` snapshot from the path in `TRACKDOWN_AS_REL` when that
 //! variable is set, and falls back to a deterministic 80 000-AS
 //! power-law graph otherwise.
@@ -411,7 +411,8 @@ impl Scenario {
     /// control plane; with `--measured` they pass through the simulated
     /// observation plane (the paper's §IV pipeline), which restricts the
     /// tracked set to feed/probe-visible sources and adds measurement
-    /// noise. Each configuration propagates from empty RIBs.
+    /// noise. Each configuration deploys as a transition from the
+    /// origin's converged full anycast (DESIGN.md §4b).
     pub fn run(&self) -> Campaign {
         // Attach a recorder only when a manifest was requested; with
         // `None` the executor skips all instrumentation work.
@@ -442,15 +443,13 @@ impl Scenario {
     /// worker count.
     pub fn run_recorded(&self, recorder: Option<&CampaignRecorder>) -> Campaign {
         let topo = &self.gen.topology;
-        // The cones are large at Internet scale; keep them only while the
-        // engine and the plane are built.
-        let (engine, plane) = {
+        let engine = self.engine();
+        // Only the measurement plane reads customer cones, and they are
+        // large at Internet scale: keep them only while it is built.
+        let plane = self.measured.then(|| {
             let cones = ConeInfo::compute(topo);
-            let plane = self
-                .measured
-                .then(|| MeasurementPlane::new(topo, &cones, &MeasurementConfig::default()));
-            (BgpEngine::with_cones(topo, &cones, &self.engine_cfg), plane)
-        };
+            MeasurementPlane::new(topo, &cones, &MeasurementConfig::default())
+        });
         let schedule = self.schedule();
         let opts = CampaignOpts {
             source: match &plane {
@@ -463,7 +462,6 @@ impl Scenario {
                     .unwrap_or(1)
             }),
             recorder,
-            max_events_factor: self.engine_cfg.max_events_factor,
         };
         run_campaign(&engine, &self.origin, &schedule, &opts)
             .expect("generated schedules are valid for their origin")
@@ -541,6 +539,7 @@ pub fn report_stats(campaign: &Campaign) {
         tracked = campaign.tracked.len(),
         propagations = campaign.stats.propagations,
         events = campaign.stats.events,
+        baseline_events = campaign.stats.baseline_events,
         threads = campaign.stats.threads,
         mean_cluster_size = format!("{:.3}", campaign.clustering.mean_size())
     );
@@ -702,8 +701,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_the_removed_mode_flags_by_name() {
-        // Every configuration propagates from empty RIBs; the flags that
-        // once selected a reuse mode are gone.
+        // There is one deployment rule; the flags that once selected a
+        // reuse mode are gone.
         for flag in ["--delta", "--cold"] {
             let err = Options::parse(&argv(&["--scale", "small", flag]), &[]).unwrap_err();
             assert!(err.contains(flag), "{err}");

@@ -23,8 +23,9 @@ use std::time::Instant;
 ///
 /// Version 3 added the `delta` epoch mode and the per-epoch
 /// `routes_disturbed` field. It then measured net best-route disturbance
-/// vs the previous epoch's fixpoint (0 for memo hits); every deployment
-/// now starts from empty RIBs, so it is the epoch's reachable count.
+/// vs the previous epoch's fixpoint (0 for memo hits); it is now the
+/// epoch's reachable count. An epoch's `events`, `rounds` and `changes`
+/// describe its transition from the campaign's converged baseline.
 ///
 /// Version 4 added the `trace` run-header field (non-deterministic
 /// manifests only): the trace/profile configuration label from
@@ -42,8 +43,9 @@ use std::time::Instant;
 /// metrics line's `gauges` key (no gauge is registered).
 ///
 /// Version 7 dropped `mode` from the run header and every epoch line:
-/// every deployment propagates from empty RIBs, so the field had one
-/// value.
+/// every deployment then propagated from empty RIBs, so the field had one
+/// value. (Epochs now start from the converged full anycast, which
+/// changed their counts but not the schema.)
 pub const MANIFEST_SCHEMA_VERSION: u64 = 7;
 
 /// Run-level header describing the whole campaign.

@@ -59,30 +59,10 @@ impl ConeInfo {
             members.sort_unstable();
             cones[i.us()] = members;
         }
-        let tiers = topo
-            .indices()
-            .map(|i| {
-                let has_customers = topo.customers(i).next().is_some();
-                let has_providers = topo.providers(i).next().is_some();
-                let has_peers = topo.peers(i).next().is_some();
-                match (has_providers, has_customers) {
-                    (false, true) => Tier::Tier1,
-                    (true, true) => Tier::Transit,
-                    (true, false) => Tier::Stub,
-                    (false, false) => {
-                        if has_peers {
-                            // Peering-only AS: treat as tier-1-like core
-                            // only if it peers; classify as Transit to be
-                            // conservative about poisoning filters.
-                            Tier::Transit
-                        } else {
-                            Tier::Isolated
-                        }
-                    }
-                }
-            })
-            .collect();
-        ConeInfo { cones, tiers }
+        ConeInfo {
+            cones,
+            tiers: classify_tiers(topo),
+        }
     }
 
     /// Sorted customer-cone members of `i` (always contains `i` itself).
@@ -103,6 +83,11 @@ impl ConeInfo {
     /// Tier classification of `i`.
     pub fn tier(&self, i: AsIndex) -> Tier {
         self.tiers[i.us()]
+    }
+
+    /// Every AS's tier, by index: [`classify_tiers`] of the topology.
+    pub fn tiers(&self) -> &[Tier] {
+        &self.tiers
     }
 
     /// True if `i` is in the provider-free core.
@@ -127,6 +112,55 @@ impl ConeInfo {
             .filter(move |(_, c)| c.len() > threshold)
             .map(|(i, _)| AsIndex(i as u32))
     }
+}
+
+/// Tier of every AS, by index, from its own adjacency alone: O(V+E),
+/// without the customer cones [`ConeInfo::compute`] walks.
+pub fn classify_tiers(topo: &Topology) -> Vec<Tier> {
+    topo.indices()
+        .map(|i| {
+            let has_customers = topo.customers(i).next().is_some();
+            let has_providers = topo.providers(i).next().is_some();
+            let has_peers = topo.peers(i).next().is_some();
+            match (has_providers, has_customers) {
+                (false, true) => Tier::Tier1,
+                (true, true) => Tier::Transit,
+                (true, false) => Tier::Stub,
+                (false, false) => {
+                    if has_peers {
+                        // Peering-only AS: treat as tier-1-like core
+                        // only if it peers; classify as Transit to be
+                        // conservative about poisoning filters.
+                        Tier::Transit
+                    } else {
+                        Tier::Isolated
+                    }
+                }
+            }
+        })
+        .collect()
+}
+
+/// True when following customer→provider links can return to where it
+/// started: some AS is, transitively, its own provider. Kahn's algorithm
+/// over the provider hierarchy, O(V+E). Gao-Rexford's uniqueness of the
+/// stable routing state assumes no such cycle.
+pub fn has_provider_cycle(topo: &Topology) -> bool {
+    // Customers not yet removed, per AS; an AS is removed once all its
+    // customers are, which reaches every AS exactly when no cycle exists.
+    let mut pending: Vec<usize> = topo.indices().map(|i| topo.customers(i).count()).collect();
+    let mut ready: Vec<AsIndex> = topo.indices().filter(|i| pending[i.us()] == 0).collect();
+    let mut removed = 0;
+    while let Some(i) = ready.pop() {
+        removed += 1;
+        for p in topo.providers(i) {
+            pending[p.us()] -= 1;
+            if pending[p.us()] == 0 {
+                ready.push(p);
+            }
+        }
+    }
+    removed < topo.num_ases()
 }
 
 #[cfg(test)]
@@ -178,6 +212,28 @@ mod tests {
         assert_eq!(c.tier(ix(4)), Tier::Stub);
         assert_eq!(c.tier(ix(5)), Tier::Stub);
         assert_eq!(c.tier1s().count(), 1);
+    }
+
+    #[test]
+    fn provider_cycles_are_found() {
+        assert!(!has_provider_cycle(&chain()));
+        // 1 → 2 → 3 → 1 (each the provider of the next), below a stub.
+        let cyclic = topology_from_links([
+            (Asn(1), Asn(2), LinkKind::ProviderCustomer),
+            (Asn(2), Asn(3), LinkKind::ProviderCustomer),
+            (Asn(3), Asn(1), LinkKind::ProviderCustomer),
+            (Asn(3), Asn(4), LinkKind::ProviderCustomer),
+        ])
+        .unwrap();
+        assert!(has_provider_cycle(&cyclic));
+        // Peering links never close a cycle.
+        let peered = topology_from_links([
+            (Asn(1), Asn(2), LinkKind::ProviderCustomer),
+            (Asn(2), Asn(3), LinkKind::PeerPeer),
+            (Asn(3), Asn(1), LinkKind::PeerPeer),
+        ])
+        .unwrap();
+        assert!(!has_provider_cycle(&peered));
     }
 
     #[test]

@@ -56,9 +56,10 @@ pub use trackdown_traffic as traffic;
 /// The names most programs using the stack need.
 pub mod prelude {
     pub use trackdown_bgp::{
-        BgpEngine, CampaignSession, Catchments, Community, CommunitySet, DeploymentBias,
-        EngineConfig, ExtensionConfig, ExtensionDeployment, LinkAnnouncement, LinkId, OriginAs,
-        PolicyConfig, PolicyExtension, Prefix, RouteChange, RoutingOutcome, SnapshotDetail,
+        BaselineStatus, BgpEngine, CampaignSession, Catchments, Community, CommunitySet,
+        DeploymentBias, EngineConfig, ExtensionConfig, ExtensionDeployment, LinkAnnouncement,
+        LinkId, OriginAs, PolicyConfig, PolicyExtension, Prefix, RouteChange, RoutingOutcome,
+        SnapshotDetail,
     };
     pub use trackdown_core::generator::{full_schedule, GeneratorParams};
     pub use trackdown_core::localize::{

@@ -139,7 +139,13 @@ proptest! {
     ) {
         let factor = [1usize, 3, 200][cap];
         let (world, origin, schedule) = scenario(seed, 4, 1, max_poison);
-        let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
+        let engine = BgpEngine::new(
+            &world.topology,
+            &EngineConfig {
+                max_events_factor: factor,
+                ..engine_config(clean == 1)
+            },
+        );
         let source = if data_plane == 1 {
             CatchmentSource::DataPlane
         } else {
@@ -152,7 +158,6 @@ proptest! {
             let opts = CampaignOpts {
                 source,
                 threads,
-                max_events_factor: factor,
                 ..CampaignOpts::default()
             };
             run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule")
@@ -331,23 +336,36 @@ fn capped_epoch_then_delta_falls_back_to_cold() {
     }
 }
 
-// Campaign counters add up: each epoch propagates from empty RIBs, so
-// it disturbs exactly the ASes it reaches, and the campaign's events
-// and disturbance are the sums over fresh propagations — per epoch in
-// the recorder, in total in the stats.
+// Campaign counters add up: each epoch is its configuration's
+// transition from the converged full anycast and reports the ASes it
+// reaches as disturbed, so the campaign's events are the sums over fresh
+// `transition_config`s from the full anycast and its disturbance the sum
+// of reachable counts — per epoch in the recorder, in total in the
+// stats. The baseline's drain is counted once per worker, apart.
 #[test]
 fn delta_stats_report_disturbance() {
     let (world, origin, schedule) = scenario(17, 4, 1, 8);
     for clean in [true, false] {
         let engine = BgpEngine::new(&world.topology, &engine_config(clean));
+        let anycast: Vec<LinkAnnouncement> =
+            origin.link_ids().map(LinkAnnouncement::plain).collect();
         let fresh: Vec<RoutingOutcome> = schedule
             .iter()
             .map(|c| {
                 engine
-                    .propagate_config(&origin, &c.to_link_announcements(), 200)
+                    .transition_config(
+                        &origin,
+                        &anycast,
+                        &c.to_link_announcements(),
+                        200,
+                        SnapshotDetail::Catchments,
+                    )
                     .expect("valid configuration")
             })
             .collect();
+        let baseline = engine
+            .propagate_config(&origin, &anycast, 200)
+            .expect("valid configuration");
         for threads in [1usize, 2] {
             let recorder = CampaignRecorder::new(true);
             let campaign = run_campaign(
@@ -378,6 +396,10 @@ fn delta_stats_report_disturbance() {
                 fresh.iter().map(|o| o.reachable_count()).sum::<usize>()
             );
             assert!(campaign.stats.routes_disturbed >= campaign.tracked.len());
+            assert_eq!(
+                campaign.stats.baseline_events,
+                campaign.stats.threads * baseline.events
+            );
         }
     }
 }

@@ -1,15 +1,17 @@
-//! Pins the FIFO drain's exact behaviour at the default policy.
+//! Pins the FIFO drain's exact behaviour at the default policy, on the
+//! path campaigns take: one session converges the origin's full anycast
+//! and deploys every configuration as a transition from it.
 //!
-//! The default policy has policy violators, whose stable states depend on
-//! the order the drain processes events. Any change to the queue order,
-//! to a comparison, or to when a path is interned moves a violator
-//! somewhere in the schedule, and with it the event counts, the change
-//! log or a best route. Each test runs every configuration of a scenario
-//! through one [`CampaignSession`] and folds, per epoch, `events`,
-//! `rounds`, `changes.len()`, `routes_disturbed`, `converged` and every
-//! AS's best `(path_id, path_len, ingress, from_neighbor, local_pref,
-//! learned_from)` into one 64-bit FNV-1a fingerprint. Path ids are
-//! arena-interning order, so they pin the order of accepted exports too.
+//! Every stable state is unique, so the routes themselves do not depend
+//! on the drain's order, but the work does: any change to the queue
+//! order, to a comparison, to when a path is interned or to what the
+//! rollback restores moves the event counts, the change log or a path id
+//! somewhere in the schedule. Each test folds the baseline's event count
+//! and, per epoch, `events`, `rounds`, `changes.len()`,
+//! `routes_disturbed`, `converged` and every AS's best `(path_id,
+//! path_len, ingress, from_neighbor, local_pref, learned_from)` into one
+//! 64-bit FNV-1a fingerprint. Path ids are arena-interning order, so they
+//! pin the order of accepted exports too.
 //!
 //! The `internet` fingerprint is an `#[ignore]`d test; run it in release
 //! mode:
@@ -26,8 +28,8 @@ use trackdown_experiments::{Options, Scale, Scenario};
 use trackdown_suite::prelude::*;
 
 /// Deploy every configuration of the seed-7 scenario at `scale` through
-/// one default-policy session; returns the number of configurations and
-/// the fingerprint of all epochs.
+/// one default-policy session from its baseline; returns the number of
+/// configurations and the fingerprint of the baseline and all epochs.
 fn fingerprint(scale: Scale) -> (usize, u64) {
     let scenario = Scenario::build(Options {
         scale,
@@ -37,8 +39,13 @@ fn fingerprint(scale: Scale) -> (usize, u64) {
     });
     let engine = BgpEngine::new(&scenario.gen.topology, &scenario.engine_cfg);
     let mut session = engine.session();
+    let baseline = session
+        .converge_baseline(&scenario.origin)
+        .expect("the origin announces every link");
+    assert_eq!(baseline.status, BaselineStatus::Converged);
     let schedule = scenario.schedule();
     let mut h = Fnv1a::default();
+    h.write_u64(baseline.events as u64);
     for cfg in &schedule {
         let out = session
             .deploy_config(
@@ -81,5 +88,5 @@ fn internet_scale_drain_is_pinned() {
     assert_eq!(fingerprint(Scale::Internet), (65, INTERNET_FINGERPRINT));
 }
 
-const FULL_FINGERPRINT: u64 = 1_388_190_762_873_754_945;
-const INTERNET_FINGERPRINT: u64 = 2_977_449_113_904_014_554;
+const FULL_FINGERPRINT: u64 = 6_350_597_150_802_260_830;
+const INTERNET_FINGERPRINT: u64 = 6_698_220_833_923_106_424;

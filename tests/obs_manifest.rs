@@ -67,9 +67,11 @@ fn warm_campaign_manifest_validates() {
 }
 
 /// A clean (violator-free) engine records one epoch per configuration,
-/// in schedule order, each the full propagation of its configuration
-/// from empty RIBs: its counters equal a fresh propagation's. The
-/// deterministic recorder never reads the clock.
+/// in schedule order, each the transition of its configuration from the
+/// converged full anycast: its work counters equal a fresh
+/// `transition_config` from the full anycast's, and its disturbance is
+/// the configuration's reachable count. The deterministic recorder never
+/// reads the clock.
 #[test]
 fn clean_engine_records_warm_epochs() {
     let (world, origin, schedule) = scenario(9);
@@ -94,9 +96,16 @@ fn clean_engine_records_warm_epochs() {
     .expect("valid schedule");
     let records = recorder.take_records();
     assert_eq!(records.len(), schedule.len(), "one record per epoch");
+    let anycast: Vec<LinkAnnouncement> = origin.link_ids().map(LinkAnnouncement::plain).collect();
     for (k, (r, c)) in records.iter().zip(&schedule).enumerate() {
         let fresh = engine
-            .propagate_config(&origin, &c.to_link_announcements(), 200)
+            .transition_config(
+                &origin,
+                &anycast,
+                &c.to_link_announcements(),
+                200,
+                SnapshotDetail::Catchments,
+            )
             .expect("valid configuration");
         assert_eq!(r.epoch, k);
         assert_eq!(r.footprint, c.footprint_key());

@@ -162,28 +162,28 @@ const MEDIUM_PINS: [Pin; 4] = [
         trials: 20,
         deployed: 655,
         localized: 4,
-        fingerprint: 18_168_534_809_724_966_738,
+        fingerprint: 10_433_991_214_255_310_335,
     },
     // greedy, four prefixes
     Pin {
         trials: 20,
         deployed: 684,
         localized: 4,
-        fingerprint: 1_937_597_126_139_137_765,
+        fingerprint: 10_467_747_512_339_712_801,
     },
     // in order, one prefix
     Pin {
         trials: 20,
         deployed: 739,
         localized: 3,
-        fingerprint: 6_685_003_419_199_279_790,
+        fingerprint: 2_133_849_328_931_895_774,
     },
     // in order, four prefixes
     Pin {
         trials: 20,
         deployed: 744,
         localized: 3,
-        fingerprint: 168_519_971_276_336_553,
+        fingerprint: 14_813_375_896_368_260_327,
     },
 ];
 
@@ -191,15 +191,15 @@ const SMALL_PINS: [Pin; 2] = [
     // greedy
     Pin {
         trials: 8,
-        deployed: 34,
+        deployed: 37,
         localized: 8,
-        fingerprint: 12_218_296_506_618_465_028,
+        fingerprint: 4_314_905_312_243_901_908,
     },
     // in order
     Pin {
         trials: 8,
-        deployed: 234,
+        deployed: 247,
         localized: 5,
-        fingerprint: 18_166_576_049_007_447_362,
+        fingerprint: 1_058_303_069_939_767_733,
     },
 ];

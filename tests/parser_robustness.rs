@@ -270,8 +270,10 @@ fn manifest_with_huge_schedule_len_is_rejected() {
 
 /// A campaign over a parsed as-rel file whose providers form a 3-AS
 /// cycle (AS 64501 → 64502 → 64503 → 64501), hung below a tier-1 of a
-/// generated topology. Campaigns at 1 and 2 worker threads must run it
-/// and agree on every catchment.
+/// generated topology. The cycle voids the uniqueness a baseline start
+/// relies on, so the campaign keeps no baseline and deploys every
+/// configuration from empty RIBs: at 1 and 2 worker threads it must say
+/// so and equal per-configuration propagations.
 #[test]
 fn campaign_over_parsed_provider_cycle_agrees_across_modes() {
     let world = small_world(7);
@@ -301,6 +303,19 @@ fn campaign_over_parsed_provider_cycle_agrees_across_modes() {
         run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule")
     };
     let one = run(1);
+    assert_eq!(one.stats.baseline, BaselineStatus::ProviderCycle);
+    assert_eq!(one.stats.baseline_events, 0);
+    for (k, cfg) in schedule.iter().enumerate() {
+        let fresh = engine
+            .propagate_config(&origin, &cfg.to_link_announcements(), 200)
+            .expect("valid configuration");
+        assert_eq!(
+            one.catchments[k],
+            Catchments::from_control_plane(&fresh),
+            "config {k}"
+        );
+        assert_eq!(one.records[k].converged, fresh.converged, "config {k}");
+    }
     let cycle: Vec<AsIndex> = [64501, 64502, 64503]
         .into_iter()
         .map(|a| world.topology.index_of(Asn(a)).expect("cycle AS parsed"))
@@ -310,6 +325,7 @@ fn campaign_over_parsed_provider_cycle_agrees_across_modes() {
         "the cycle hangs below a tier-1, so some member is reachable"
     );
     let two = run(2);
+    assert_eq!(two.stats.baseline, BaselineStatus::ProviderCycle);
     assert!(
         two.catchments == one.catchments,
         "2-thread campaign diverged"

@@ -1,10 +1,11 @@
 //! Pinned pipeline gates on deterministic work counts.
 //!
 //! The fixed workload is the small scenario at seed 7, on a
-//! violator-free engine and under the default policy. Every epoch
-//! propagates from empty RIBs and its event count is deterministic, so
-//! the stable counts of the workload (ASes, configurations,
-//! propagations, events, disturbance, mean cluster size, arena
+//! violator-free engine and under the default policy. Each worker
+//! converges the full anycast once and deploys every epoch as a
+//! transition from it, and every event count is deterministic, so the
+//! stable counts of the workload (ASes, configurations, propagations,
+//! transition and baseline events, disturbance, mean cluster size, arena
 //! high-water mark) are pinned and hold on any machine and at any load.
 //!
 //! The `#[ignore]`d test at the end times 1-thread against 8-thread
@@ -47,9 +48,12 @@ fn run(
 ) -> Campaign {
     let opts = CampaignOpts {
         threads,
-        max_events_factor: scenario.engine_cfg.max_events_factor,
         ..CampaignOpts::default()
     };
+    assert_eq!(
+        engine.max_events_factor(),
+        scenario.engine_cfg.max_events_factor
+    );
     run_campaign(engine, &scenario.origin, schedule, &opts).expect("generated schedules are valid")
 }
 
@@ -76,11 +80,15 @@ fn small_campaign_counts_are_pinned() {
     assert_eq!(scenario.gen.topology.num_ases(), 119);
     assert_eq!(one.configs.len(), 59);
     assert_eq!(one.stats.propagations, 59);
-    assert_eq!(one.stats.events, 8_901);
+    assert_eq!(one.stats.events, 6_360);
+    assert_eq!(one.stats.baseline, BaselineStatus::Converged);
+    assert_eq!(one.stats.baseline_events, 147);
     assert_eq!(one.stats.routes_disturbed, 7_013);
     assert_eq!(one.clustering.mean_size(), 2.975);
-    assert_eq!(one.stats.peak_arena_nodes, 44);
+    assert_eq!(one.stats.peak_arena_nodes, 91);
     assert_eq!(two.stats.events, one.stats.events);
+    // One baseline per worker.
+    assert_eq!(two.stats.baseline_events, 2 * 147);
 }
 
 #[test]
@@ -96,10 +104,11 @@ fn default_policy_campaign_counts_are_pinned() {
     let campaign = scenario.run();
     let stats = &campaign.stats;
     assert_eq!(stats.propagations, 59);
-    assert_eq!(stats.events, 9_543);
+    assert_eq!(stats.events, 6_373);
+    assert_eq!(stats.baseline_events, 151);
     assert_eq!(stats.routes_disturbed, 7_013);
-    assert_eq!(stats.peak_arena_nodes, 53);
-    assert_eq!(campaign.clustering.mean_size(), 2.7674418604651163);
+    assert_eq!(stats.peak_arena_nodes, 91);
+    assert_eq!(campaign.clustering.mean_size(), 2.975);
 }
 
 #[test]

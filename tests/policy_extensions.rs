@@ -8,9 +8,11 @@ use trackdown_suite::obs::{CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 use trackdown_suite::topology::cone::Tier;
 
-/// Pre-change deterministic manifest (small topology, seed 11, default
-/// campaign), generated from the engine before the extension layer
-/// existed; its `mode` fields were dropped with schema 7.
+/// Deterministic manifest of the default campaign (small topology, seed
+/// 11), first generated from the engine before the extension layer
+/// existed; its `mode` fields were dropped with schema 7, and it was
+/// regenerated when violators became Gao-Rexford-safe and epochs became
+/// transitions from the converged full anycast.
 const GOLDEN: &str = include_str!("golden/extensions_off_manifest.jsonl");
 
 fn engine_config_with(extensions: ExtensionConfig) -> EngineConfig {
@@ -24,7 +26,7 @@ fn engine_config_with(extensions: ExtensionConfig) -> EngineConfig {
 }
 
 /// With no extensions deployed the deterministic manifest must reproduce
-/// the pre-change golden byte-for-byte: the extension layer may not touch
+/// the pinned golden byte-for-byte: the extension layer may not touch
 /// RNG draws, route attributes, event counts, or iteration order.
 #[test]
 fn extensions_off_manifest_matches_pre_change_golden() {
@@ -77,7 +79,7 @@ fn table_with(world: &GeneratedTopology, extensions: ExtensionConfig) -> (ConeIn
         tier1_poison_filtering: false,
         extensions,
     };
-    let table = PolicyTable::build(&world.topology, &cones, &cfg);
+    let table = PolicyTable::build(&world.topology, cones.tiers(), &cfg);
     (cones, table)
 }
 

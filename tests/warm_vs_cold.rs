@@ -1,27 +1,30 @@
-//! Campaign-level invariance suite. Every deployment propagates from
-//! empty RIBs with a FIFO drain (DESIGN.md §4b), so a campaign is a
-//! function of the engine and the schedule alone:
+//! Campaign-level invariance suite. Each campaign worker converges the
+//! origin's full anycast once and deploys every configuration as a FIFO
+//! transition from that baseline ("warm"); a fresh `propagate_config`
+//! drains the same configuration from empty RIBs ("cold"). Every policy
+//! is Gao-Rexford-safe, so on the generator's acyclic provider
+//! hierarchies each configuration has one stable state (DESIGN.md §4b)
+//! and a campaign is a function of the engine and the schedule alone:
 //!
-//! * its catchments are the ones extracted from fresh `propagate_config`
-//!   outcomes — ground truth and measured alike;
-//! * it is identical at any worker-thread count, over control-plane,
-//!   data-plane and measured catchments, with and without policy
-//!   violators, down to suspect ranking;
+//! * its catchments are the ones extracted from fresh, cold
+//!   `propagate_config` outcomes — control plane, data plane and
+//!   measured alike;
+//! * it is identical at 1, 2 and 8 worker threads (one baseline per
+//!   worker), over control-plane, data-plane and measured catchments,
+//!   with and without policy violators, down to suspect ranking;
 //! * its default entry points and its manifest are reproducible.
 //!
-//! The file and test names date from when a session could reuse the
-//! previous deployment's routing state ("warm") and was checked against
-//! a cold-start oracle. That reuse is gone; every check here compares
-//! against fresh propagations, which is what the cold oracle was.
+//! `tests/agreement_oracle.rs` checks the uniqueness itself: three
+//! different starts of every configuration reach equal catchments.
 
 use proptest::prelude::*;
 use trackdown_suite::measure::{analysis_set, impute_visibility};
 use trackdown_suite::obs::{render_manifest, CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
 
-/// Engine config with the violator knob explicit: `clean` engines have
-/// unique stable states, default engines keep the 8% violator
-/// population, whose stable states need not be unique.
+/// Engine config with the violator knob explicit: `clean` engines rank
+/// routes by relationship alone, default engines keep the 8% violator
+/// population, which hashes LocalPref per neighbor within each band.
 fn engine_config(clean: bool) -> EngineConfig {
     if clean {
         EngineConfig {
@@ -268,12 +271,13 @@ fn extensions_on_warm_equals_cold() {
 }
 
 // Re-deploying the identical announcement repeats the first deployment
-// exactly: a session carries no routing state from one deployment to
-// the next, so the redeploy does the same work and reaches the same
-// routes. (The name dates from when such a redeploy reused the previous
-// state and did no work.) A schedule ending in a duplicated
-// configuration records the duplicate like the original, in a
-// deterministic manifest that is byte-identical across runs.
+// exactly: a session without a baseline carries no routing state from
+// one deployment to the next, so the redeploy does the same work and
+// reaches the same routes. From a baseline, deploying the baseline's own
+// full anycast is a zero-work epoch: its providers re-decide and no best
+// route moves. A schedule ending in a duplicated configuration records
+// the duplicate like the original, in a deterministic manifest that is
+// byte-identical across runs.
 #[test]
 fn identical_redeploy_is_a_zero_work_epoch() {
     let (world, origin, schedule) = scenario(23, 4, 1, 8);
@@ -293,6 +297,21 @@ fn identical_redeploy_is_a_zero_work_epoch() {
     assert_eq!(redeploy.changes, first.changes);
     assert_eq!(redeploy.routes_disturbed, first.routes_disturbed);
     assert_eq!(redeploy.routes_disturbed, first.reachable_count());
+
+    session.converge_baseline(&origin).expect("valid origin");
+    let anycast: Vec<LinkAnnouncement> = origin.link_ids().map(LinkAnnouncement::plain).collect();
+    let zero = session
+        .deploy_config(&origin, &anycast, 200)
+        .expect("valid configuration");
+    assert!(session.last_deploy_warm());
+    assert!(zero.changes.is_empty());
+    assert_eq!(zero.rounds, 0);
+    assert_eq!(zero.events, origin.num_links());
+    let cold = engine
+        .propagate_config(&origin, &anycast, 200)
+        .expect("valid configuration");
+    assert_eq!(zero.best, cold.best);
+    assert_eq!(zero.routes_disturbed, cold.reachable_count());
 
     let mut doubled = schedule.clone();
     doubled.push(schedule[0].clone());
@@ -332,9 +351,10 @@ fn identical_redeploy_is_a_zero_work_epoch() {
     assert_eq!(manifest_of(), manifest_of(), "manifest must be byte-stable");
 }
 
-// The default options are a one-thread control-plane campaign with the
-// engine's default event cap; pin that, and that the two-thread
-// campaign through the same entry point agrees with it.
+// The default options are a one-thread control-plane campaign, deployed
+// from a converged baseline under the engine's event cap; pin that, and
+// that the two-thread campaign through the same entry point agrees with
+// it.
 #[test]
 fn default_entry_points_run_warm() {
     let (world, origin, schedule) = scenario(11, 4, 1, 6);
@@ -342,6 +362,7 @@ fn default_entry_points_run_warm() {
     let seq = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
         .expect("valid schedule");
     assert_eq!(seq.stats.threads, 1);
+    assert_eq!(seq.stats.baseline, BaselineStatus::Converged);
     assert_eq!(seq.stats.propagations, schedule.len());
     assert_eq!(seq.imputation, None);
     let explicit = run_campaign(
@@ -352,7 +373,6 @@ fn default_entry_points_run_warm() {
             source: CatchmentSource::ControlPlane,
             threads: 1,
             recorder: None,
-            max_events_factor: 200,
         },
     )
     .expect("valid schedule");
