@@ -319,7 +319,19 @@ impl Catchments {
     /// Panics when a member lies at or past [`Catchments::len`], as `get`
     /// does for such an AS.
     pub fn distinct_among(&self, members: &[u64]) -> usize {
-        self.parts_met(members.iter().copied().enumerate().filter(|&(_, w)| w != 0))
+        let stray = members
+            .iter()
+            .skip(self.n / WORD)
+            .enumerate()
+            .any(|(k, &w)| if k == 0 { w >> (self.n % WORD) } else { w } != 0);
+        assert!(
+            !stray,
+            "member bitset reaches past catchment range {}",
+            self.n
+        );
+        let meets = |row: &[u64]| row.iter().zip(members).any(|(r, m)| r & m != 0);
+        let unassigned = self.assigned.iter().zip(members).any(|(a, m)| m & !a != 0);
+        self.rows.iter().filter(|row| meets(row)).count() + usize::from(unassigned)
     }
 
     /// [`Catchments::distinct_among`] over a bitset given as its nonzero
@@ -330,13 +342,7 @@ impl Catchments {
     ///
     /// Panics when a member lies at or past [`Catchments::len`].
     pub fn distinct_among_words(&self, words: &[(usize, u64)]) -> usize {
-        self.parts_met(words.iter().copied())
-    }
-
-    /// The link rows the member words meet, plus 1 when some member is
-    /// unassigned; `words` yields `(word index, word)`.
-    fn parts_met(&self, words: impl Iterator<Item = (usize, u64)> + Clone) -> usize {
-        let stray = words.clone().any(|(k, w)| {
+        let stray = words.iter().any(|&(k, w)| {
             k >= self.assigned.len() || (k + 1) * WORD > self.n && w >> (self.n - k * WORD) != 0
         });
         assert!(
@@ -344,8 +350,8 @@ impl Catchments {
             "member bitset reaches past catchment range {}",
             self.n
         );
-        let meets = |row: &[u64]| words.clone().any(|(k, m)| row[k] & m != 0);
-        let unassigned = words.clone().any(|(k, m)| m & !self.assigned[k] != 0);
+        let meets = |row: &[u64]| words.iter().any(|&(k, m)| row[k] & m != 0);
+        let unassigned = words.iter().any(|&(k, m)| m & !self.assigned[k] != 0);
         self.rows.iter().filter(|row| meets(row)).count() + usize::from(unassigned)
     }
 
@@ -612,7 +618,14 @@ mod tests {
     fn distinct_among_counts_parts_and_rejects_stray_members() {
         let c = sample();
         assert_eq!(c.distinct_among(&[]), 0);
-        assert_eq!(c.distinct_among_words(&nonzero_words(&[0b01011])), 3);
+        for bits in [&[][..], &[0b00110], &[0b01011], &[0b11111, 0]] {
+            assert_eq!(
+                c.distinct_among_words(&nonzero_words(bits)),
+                c.distinct_among(bits)
+            );
+        }
+        let stray = std::panic::catch_unwind(|| c.distinct_among_words(&[(0, 1 << 5)]));
+        assert!(stray.is_err(), "AS 5 is past a 5-AS catchment");
         assert_eq!(
             nonzero_words(&[0, 5, 0, 1 << 63]),
             vec![(1, 5), (3, 1 << 63)]

@@ -26,6 +26,7 @@ use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
 use std::cell::RefCell;
+use trackdown_bgp::catchment::nonzero_words;
 use trackdown_bgp::{Catchments, LinkId};
 use trackdown_core::localize::{
     estimate_cluster_volumes, estimate_cluster_volumes_rescan, link_volume_matrix, rank_suspects,
@@ -191,8 +192,9 @@ proptest! {
     /// `distinct_among` equals the sort/dedup count over `get`: catchments
     /// of any width (mostly not a multiple of 64) with unassigned ASes and
     /// a link row emptied through `set`, member sets from empty to full,
-    /// read from a bitset as wide as the catchment and from one that ends
-    /// at the last member's word.
+    /// read from a bitset as wide as the catchment, from one that ends at
+    /// the last member's word, and from its nonzero words
+    /// (`distinct_among_words`, the online loop's form).
     #[test]
     fn distinct_among_equals_sort_dedup_count(
         dense in vec(option::weighted(0.8, 0u8..7), 0..300),
@@ -216,6 +218,10 @@ proptest! {
         prop_assert_eq!(cat.distinct_among(&bitset(&members, cat.len())), want);
         let end = members.last().map_or(0, |a| a.us() + 1);
         prop_assert_eq!(cat.distinct_among(&bitset(&members, end)), want);
+        prop_assert_eq!(
+            cat.distinct_among_words(&nonzero_words(&bitset(&members, end))),
+            want
+        );
         prop_assert_eq!(cat.distinct_among(&[]), 0);
     }
 }
