@@ -309,38 +309,18 @@ impl Catchments {
         sums
     }
 
-    /// Number of distinct [`Catchments::get`] values over the ASes in
-    /// `members`, a bitset over AS index (bit `i % 64` of word `i / 64`
-    /// set = AS `i` is a member; a bitset shorter than the catchment
-    /// reads as zeros past its end): the link rows `members` intersects,
-    /// plus 1 when some member is unassigned. Word ANDs only, no per-AS
-    /// lookup.
+    /// Number of distinct [`Catchments::get`] values over the ASes of a
+    /// member bitset over AS index (bit `i % 64` of word `i / 64` set =
+    /// AS `i` is a member), given as its nonzero words,
+    /// `(word index, word)` ([`nonzero_words`]): the link rows the
+    /// members meet, plus 1 when some member is unassigned. Word ANDs
+    /// only, no per-AS lookup. The online loop scores every greedy
+    /// candidate against one suspect set; passing only that set's
+    /// nonzero words skips the zero ones, which are most of them once the
+    /// suspects are few.
     ///
     /// Panics when a member lies at or past [`Catchments::len`], as `get`
     /// does for such an AS.
-    pub fn distinct_among(&self, members: &[u64]) -> usize {
-        let stray = members
-            .iter()
-            .skip(self.n / WORD)
-            .enumerate()
-            .any(|(k, &w)| if k == 0 { w >> (self.n % WORD) } else { w } != 0);
-        assert!(
-            !stray,
-            "member bitset reaches past catchment range {}",
-            self.n
-        );
-        let meets = |row: &[u64]| row.iter().zip(members).any(|(r, m)| r & m != 0);
-        let unassigned = self.assigned.iter().zip(members).any(|(a, m)| m & !a != 0);
-        self.rows.iter().filter(|row| meets(row)).count() + usize::from(unassigned)
-    }
-
-    /// [`Catchments::distinct_among`] over a bitset given as its nonzero
-    /// words, `(word index, word)` ([`nonzero_words`]). The online loop
-    /// scores every greedy candidate against one suspect set; passing
-    /// only that set's nonzero words skips the zero ones, which are most
-    /// of them once the suspects are few.
-    ///
-    /// Panics when a member lies at or past [`Catchments::len`].
     pub fn distinct_among_words(&self, words: &[(usize, u64)]) -> usize {
         let stray = words.iter().any(|&(k, w)| {
             k >= self.assigned.len() || (k + 1) * WORD > self.n && w >> (self.n - k * WORD) != 0
@@ -612,33 +592,26 @@ mod tests {
         }
     }
 
-    /// `distinct_among` counts link rows met plus one for unassigned
-    /// members, and a member past the catchment's range panics like `get`.
+    /// `distinct_among_words` counts link rows met plus one for
+    /// unassigned members, and a member past the catchment's range panics
+    /// like `get`.
     #[test]
     fn distinct_among_counts_parts_and_rejects_stray_members() {
         let c = sample();
-        assert_eq!(c.distinct_among(&[]), 0);
-        for bits in [&[][..], &[0b00110], &[0b01011], &[0b11111, 0]] {
-            assert_eq!(
-                c.distinct_among_words(&nonzero_words(bits)),
-                c.distinct_among(bits)
-            );
-        }
-        let stray = std::panic::catch_unwind(|| c.distinct_among_words(&[(0, 1 << 5)]));
-        assert!(stray.is_err(), "AS 5 is past a 5-AS catchment");
         assert_eq!(
             nonzero_words(&[0, 5, 0, 1 << 63]),
             vec![(1, 5), (3, 1 << 63)]
         );
-        assert_eq!(c.distinct_among(&[0b00110]), 1);
-        assert_eq!(c.distinct_among(&[0b01011]), 3);
-        assert_eq!(c.distinct_among(&[0b11111, 0]), 3);
-        let wide = Catchments::unassigned(70);
-        assert_eq!(wide.distinct_among(&[0, 1 << 5]), 1);
-        let stray = std::panic::catch_unwind(|| wide.distinct_among(&[0, 1 << 6]));
-        assert!(stray.is_err(), "AS 70 is past a 70-AS catchment");
-        let stray = std::panic::catch_unwind(|| c.distinct_among(&[1 << 5]));
+        assert_eq!(c.distinct_among_words(&[]), 0);
+        assert_eq!(c.distinct_among_words(&nonzero_words(&[0b00110])), 1);
+        assert_eq!(c.distinct_among_words(&nonzero_words(&[0b01011])), 3);
+        assert_eq!(c.distinct_among_words(&nonzero_words(&[0b11111, 0])), 3);
+        let stray = std::panic::catch_unwind(|| c.distinct_among_words(&[(0, 1 << 5)]));
         assert!(stray.is_err(), "AS 5 is past a 5-AS catchment");
+        let wide = Catchments::unassigned(70);
+        assert_eq!(wide.distinct_among_words(&[(1, 1 << 5)]), 1);
+        let stray = std::panic::catch_unwind(|| wide.distinct_among_words(&[(1, 1 << 6)]));
+        assert!(stray.is_err(), "AS 70 is past a 70-AS catchment");
     }
 
     #[test]
@@ -725,7 +698,7 @@ mod tests {
             }
             let mut walker = ForwardingWalker::new();
             for (k, anns) in schedule.iter().enumerate() {
-                let out = engine.propagate_config(&origin, anns, 200).unwrap();
+                let out = engine.propagate_config(&origin, anns).unwrap();
                 assert_eq!(
                     Catchments::from_control_plane(&out),
                     Catchments::from_dense(&out.control_catchments()),

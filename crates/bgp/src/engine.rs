@@ -32,11 +32,12 @@ pub struct EngineConfig {
     pub policy: PolicyConfig,
     /// Event cap = `max_events_factor × num_ases`. Propagation that does
     /// not quiesce within the cap is reported as non-converged. The engine
-    /// keeps it ([`BgpEngine::max_events_factor`]) for
-    /// [`BgpEngine::deployed_catchments`] and
-    /// [`CampaignSession::converge_baseline`], which campaigns use for
-    /// every deployment; the one-shot entry points and session deploys
-    /// still take a per-call factor.
+    /// keeps it ([`BgpEngine::max_events_factor`]) and every engine entry
+    /// point drains under it: [`BgpEngine::propagate_config`],
+    /// [`BgpEngine::transition_config`], [`BgpEngine::deployed_catchments`]
+    /// and [`CampaignSession::converge_baseline`]. Only
+    /// [`CampaignSession::deploy_config`] takes a per-call factor; callers
+    /// that want the engine's cap pass [`BgpEngine::max_events_factor`].
     pub max_events_factor: usize,
 }
 
@@ -359,21 +360,16 @@ impl<'t> BgpEngine<'t> {
     }
 
     /// Validate a configuration against the origin, build injections, and
-    /// propagate them from empty RIBs: one deployment of a fresh
+    /// propagate them from empty RIBs under the engine's event cap
+    /// ([`EngineConfig::max_events_factor`]): one deployment of a fresh
     /// [`CampaignSession`]. Callers deploying many configurations open one
     /// session and reuse its allocations.
     pub fn propagate_config(
         &self,
         origin: &OriginAs,
         announcements: &[LinkAnnouncement],
-        max_events_factor: usize,
     ) -> Result<RoutingOutcome, OriginError> {
-        self.propagate_config_detailed(
-            origin,
-            announcements,
-            max_events_factor,
-            SnapshotDetail::Catchments,
-        )
+        self.propagate_config_detailed(origin, announcements, SnapshotDetail::Catchments)
     }
 
     /// [`BgpEngine::propagate_config`] with an explicit snapshot detail.
@@ -381,11 +377,10 @@ impl<'t> BgpEngine<'t> {
         &self,
         origin: &OriginAs,
         announcements: &[LinkAnnouncement],
-        max_events_factor: usize,
         detail: SnapshotDetail,
     ) -> Result<RoutingOutcome, OriginError> {
         self.session()
-            .deploy_config_detailed(origin, announcements, max_events_factor, detail)
+            .deploy_config_detailed(origin, announcements, self.max_events_factor, detail)
     }
 
     /// The control- and data-plane catchments of one deployment of
@@ -461,24 +456,24 @@ impl<'t> BgpEngine<'t> {
     /// cold start. This is the event stream the paper's public dataset
     /// records across its 705 deployments ("thousands of route changes",
     /// §VI). `routes_disturbed` counts the ASes whose best route differs
-    /// from `prev`'s fixpoint.
+    /// from `prev`'s fixpoint. Both drains run under the engine's event
+    /// cap.
     pub fn transition_config(
         &self,
         origin: &OriginAs,
         prev: &[LinkAnnouncement],
         next: &[LinkAnnouncement],
-        max_events_factor: usize,
         detail: SnapshotDetail,
     ) -> Result<RoutingOutcome, OriginError> {
         let prev = origin.build_injections(self.topo, prev)?;
         let next = origin.build_injections(self.topo, next)?;
         let mut sim = Simulation::new(self);
         sim.apply_injections(&prev);
-        sim.run(max_events_factor);
+        sim.run(self.max_events_factor);
         let before = sim.best.clone();
         sim.begin_epoch();
         sim.replace_injections(&next);
-        sim.run(max_events_factor);
+        sim.run(self.max_events_factor);
         let mut outcome = sim.snapshot(detail);
         // Route equality compares `path_id`s, which is sound within one
         // simulation: its arena is canonical and never truncated here.
@@ -2031,7 +2026,7 @@ mod tests {
         let topo = fig2_topology();
         let engine = BgpEngine::new(&topo, &clean_config());
         let o = origin_xny();
-        let out = engine.propagate_config(&o, &all_plain(&o), 200).unwrap();
+        let out = engine.propagate_config(&o, &all_plain(&o)).unwrap();
         assert!(out.converged);
         assert_eq!(out.reachable_count(), topo.num_ases());
     }
@@ -2041,7 +2036,7 @@ mod tests {
         let topo = fig2_topology();
         let engine = BgpEngine::new(&topo, &clean_config());
         let o = origin_xny();
-        let out = engine.propagate_config(&o, &all_plain(&o), 200).unwrap();
+        let out = engine.propagate_config(&o, &all_plain(&o)).unwrap();
         // u prefers the peer route via n (LocalPref peer > provider via t2),
         // so u and its customers a, b land in N's catchment (link 1).
         for asn in [12u32, 20, 21] {
@@ -2064,7 +2059,7 @@ mod tests {
             LinkAnnouncement::plain(LinkId(0)),
             LinkAnnouncement::plain(LinkId(2)),
         ];
-        let out = engine.propagate_config(&o, &anns, 200).unwrap();
+        let out = engine.propagate_config(&o, &anns).unwrap();
         assert_eq!(out.reachable_count(), topo.num_ases());
         for i in topo.indices() {
             assert_ne!(out.catchment(i), Some(LinkId(1)), "link 1 was withdrawn");
@@ -2087,7 +2082,7 @@ mod tests {
             config.policy.tier1_poison_filtering = filtering;
             let engine = BgpEngine::new(&topo, &config);
             assert!(engine.policy().is_tier1(t1));
-            let out = engine.propagate_config(&o, &anns, 200).unwrap();
+            let out = engine.propagate_config(&o, &anns).unwrap();
             // t1 drops the customer route naming tier-1 t2 only when
             // filtering; without it, t1 routes through x.
             assert_eq!(out.catchment(t1).is_some(), !filtering);
@@ -2105,7 +2100,7 @@ mod tests {
             LinkAnnouncement::poisoned(LinkId(1), vec![Asn(12)]),
             LinkAnnouncement::plain(LinkId(2)),
         ];
-        let out = engine.propagate_config(&o, &anns, 200).unwrap();
+        let out = engine.propagate_config(&o, &anns).unwrap();
         assert!(out.converged);
         // u must not use the poisoned n announcement: loop prevention drops
         // it, so u falls back to its provider t2 and lands in Y's catchment.
@@ -2142,7 +2137,7 @@ mod tests {
             LinkAnnouncement::poisoned(LinkId(1), vec![Asn(12)]),
             LinkAnnouncement::plain(LinkId(2)),
         ];
-        let out = engine.propagate_config(&o, &anns, 200).unwrap();
+        let out = engine.propagate_config(&o, &anns).unwrap();
         // u keeps preferring the peer route despite being poisoned.
         let iu = topo.index_of(Asn(12)).unwrap();
         assert_eq!(out.catchment(iu), Some(LinkId(1)));
@@ -2167,7 +2162,7 @@ mod tests {
         let is = topo.index_of(Asn(30)).unwrap();
 
         // Baseline: both plain; s picks one by tiebreak.
-        let out = engine.propagate_config(&o, &all_plain(&o), 200).unwrap();
+        let out = engine.propagate_config(&o, &all_plain(&o)).unwrap();
         let baseline = out.catchment(is).unwrap();
         let other = if baseline == LinkId(0) {
             LinkId(1)
@@ -2185,7 +2180,7 @@ mod tests {
             },
             LinkAnnouncement::plain(other),
         ];
-        let out2 = engine.propagate_config(&o, &anns, 200).unwrap();
+        let out2 = engine.propagate_config(&o, &anns).unwrap();
         assert_eq!(out2.catchment(is), Some(other));
     }
 
@@ -2194,7 +2189,7 @@ mod tests {
         let topo = fig2_topology();
         let engine = BgpEngine::new(&topo, &clean_config());
         let o = origin_xny();
-        let out = engine.propagate_config(&o, &all_plain(&o), 200).unwrap();
+        let out = engine.propagate_config(&o, &all_plain(&o)).unwrap();
         for i in topo.indices() {
             let walk = out.forwarding_walk(i).expect("reachable");
             // Data-plane ingress equals control-plane catchment for clean
@@ -2252,7 +2247,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+        let out = engine.propagate_config(&origin, &anns).unwrap();
         assert!(out.converged);
         // The scoped link's catchment is confined to the provider's
         // customer cone (customer-only export).
@@ -2270,7 +2265,7 @@ mod tests {
         // And the scoping actually shrank the link's catchment relative to
         // the baseline.
         let plain: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-        let base = engine.propagate_config(&origin, &plain, 200).unwrap();
+        let base = engine.propagate_config(&origin, &plain).unwrap();
         let base_members = Catchments::from_control_plane(&base)
             .members(scoped)
             .count();
@@ -2301,8 +2296,8 @@ mod tests {
             })
             .collect();
         let plain: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-        let base = engine.propagate_config(&origin, &plain, 200).unwrap();
-        let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+        let base = engine.propagate_config(&origin, &plain).unwrap();
+        let out = engine.propagate_config(&origin, &anns).unwrap();
         // The provider itself still prefers its direct route (communities
         // only act on export)...
         let p = g
@@ -2326,7 +2321,7 @@ mod tests {
         let origin = OriginAs::peering_style(&g, 5);
         let engine = BgpEngine::new(&g.topology, &clean_config());
         let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-        let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+        let out = engine.propagate_config(&origin, &anns).unwrap();
         assert!(out.converged);
         // Depth 0 at the PoP providers, growing along the propagation
         // frontier: bounded by a small multiple of the AS-level diameter
@@ -2339,7 +2334,7 @@ mod tests {
         );
         // Withdraw-heavy configurations still converge in bounded depth.
         let single = vec![LinkAnnouncement::plain(LinkId(0))];
-        let out2 = engine.propagate_config(&origin, &single, 200).unwrap();
+        let out2 = engine.propagate_config(&origin, &single).unwrap();
         assert!(out2.converged);
         assert!(out2.rounds <= 40);
     }
@@ -2359,10 +2354,10 @@ mod tests {
         // Deterministic path-vector fixpoints: the warm-start transition
         // must land on exactly the cold-start state of the new config.
         let cold = engine
-            .propagate_config_detailed(&origin, &subset, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &subset, SnapshotDetail::Full)
             .unwrap();
         let warm = engine
-            .transition_config(&origin, &all, &subset, 200, SnapshotDetail::Full)
+            .transition_config(&origin, &all, &subset, SnapshotDetail::Full)
             .unwrap();
         assert!(warm.converged);
         assert_eq!(best_keys(&warm), best_keys(&cold));
@@ -2382,10 +2377,10 @@ mod tests {
             .map(LinkAnnouncement::plain)
             .collect();
         let before = engine
-            .propagate_config_detailed(&origin, &all, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &all, SnapshotDetail::Full)
             .unwrap();
         let warm = engine
-            .transition_config(&origin, &all, &subset, 200, SnapshotDetail::Full)
+            .transition_config(&origin, &all, &subset, SnapshotDetail::Full)
             .unwrap();
         // Every AS whose final route differs appears in the change log;
         // ASes that kept their route emit nothing.
@@ -2417,7 +2412,7 @@ mod tests {
         let engine = BgpEngine::new(&g.topology, &clean_config());
         let all: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
         let warm = engine
-            .transition_config(&origin, &all, &all, 200, SnapshotDetail::Catchments)
+            .transition_config(&origin, &all, &all, SnapshotDetail::Catchments)
             .unwrap();
         // Re-announcing the identical configuration changes nothing: the
         // direct routes are replaced by equal ones and no AS re-decides.
@@ -2441,9 +2436,9 @@ mod tests {
             .take(2)
             .map(LinkAnnouncement::plain)
             .collect();
-        let cold_prev = engine.propagate_config(&origin, &all, 200).unwrap();
+        let cold_prev = engine.propagate_config(&origin, &all).unwrap();
         let warm = engine
-            .transition_config(&origin, &all, &subset, 200, SnapshotDetail::Catchments)
+            .transition_config(&origin, &all, &subset, SnapshotDetail::Catchments)
             .unwrap();
         // `events`/`rounds`/`changes` cover only the transition epoch: if
         // they accumulated across epochs they would exceed the first
@@ -2472,10 +2467,10 @@ mod tests {
                         anycast.iter().filter(|a| a.link != l).cloned().collect();
                     for (prev, next) in [(&anycast, &withdrawn), (&withdrawn, &anycast)] {
                         let before = engine
-                            .propagate_config_detailed(&origin, prev, 200, SnapshotDetail::Paths)
+                            .propagate_config_detailed(&origin, prev, SnapshotDetail::Paths)
                             .unwrap();
                         let after = engine
-                            .transition_config(&origin, prev, next, 200, SnapshotDetail::Paths)
+                            .transition_config(&origin, prev, next, SnapshotDetail::Paths)
                             .unwrap();
                         // Net disturbance: ASes whose best route differs
                         // between the two fixpoints, transient flips aside.
@@ -2520,8 +2515,8 @@ mod tests {
         let topo = fig2_topology();
         let engine = BgpEngine::new(&topo, &clean_config());
         let o = origin_xny();
-        let a = engine.propagate_config(&o, &all_plain(&o), 200).unwrap();
-        let b = engine.propagate_config(&o, &all_plain(&o), 200).unwrap();
+        let a = engine.propagate_config(&o, &all_plain(&o)).unwrap();
+        let b = engine.propagate_config(&o, &all_plain(&o)).unwrap();
         assert_eq!(a.best, b.best);
         assert_eq!(a.events, b.events);
     }
@@ -2532,7 +2527,7 @@ mod tests {
         let engine = BgpEngine::new(&topo, &clean_config());
         let o = origin_xny();
         let out = engine
-            .propagate_config_detailed(&o, &all_plain(&o), 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&o, &all_plain(&o), SnapshotDetail::Full)
             .unwrap();
         // u hears the route from its peer n and its provider t2: 2 candidates.
         let iu = topo.index_of(Asn(12)).unwrap();
@@ -2554,7 +2549,7 @@ mod tests {
         let topo = fig2_topology();
         let engine = BgpEngine::new(&topo, &clean_config());
         let o = origin_xny();
-        let out = engine.propagate_config(&o, &all_plain(&o), 200).unwrap();
+        let out = engine.propagate_config(&o, &all_plain(&o)).unwrap();
         assert!(!out.has_candidates());
         assert!(out.paths.is_empty());
         // Catchments, forwarding walks, and change logs still work.
@@ -2562,7 +2557,7 @@ mod tests {
         assert!(out.forwarding_walk(AsIndex(0)).is_some());
         // The full-detail snapshot of the same run agrees on catchments.
         let full = engine
-            .propagate_config_detailed(&o, &all_plain(&o), 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&o, &all_plain(&o), SnapshotDetail::Full)
             .unwrap();
         assert_eq!(out.control_catchments(), full.control_catchments());
         assert!(full.has_candidates());
@@ -2570,7 +2565,7 @@ mod tests {
         // The paths-detail snapshot carries the same paths and no
         // candidate copy.
         let paths = engine
-            .propagate_config_detailed(&o, &all_plain(&o), 200, SnapshotDetail::Paths)
+            .propagate_config_detailed(&o, &all_plain(&o), SnapshotDetail::Paths)
             .unwrap();
         assert!(!paths.has_candidates());
         assert_eq!(paths.paths.len(), full.paths.len());
@@ -2588,7 +2583,7 @@ mod tests {
         let engine = BgpEngine::new(&topo, &clean_config());
         let o = origin_xny();
         let out = engine
-            .propagate_config_detailed(&o, &all_plain(&o), 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&o, &all_plain(&o), SnapshotDetail::Full)
             .unwrap();
         for i in topo.indices() {
             if let Some(r) = &out.best[i.us()] {
@@ -2784,7 +2779,8 @@ mod tests {
 
     /// A fresh simulation's transition from the converged full anycast
     /// (drained under the engine's cap) to `anns` under cap `factor`: what
-    /// [`BgpEngine::transition_config`] runs when both caps agree.
+    /// [`BgpEngine::transition_config`] runs when `factor` is the
+    /// engine's cap.
     fn transition_from_anycast(
         engine: &BgpEngine,
         origin: &OriginAs,
@@ -2829,7 +2825,7 @@ mod tests {
         assert!(!session.last_deploy_warm());
         let report = session.converge_baseline(&origin).unwrap();
         assert_eq!(report.status, BaselineStatus::Converged);
-        let cold = engine.propagate_config(&origin, &anycast, 200).unwrap();
+        let cold = engine.propagate_config(&origin, &anycast).unwrap();
         assert_eq!(report.events, cold.events);
         let baseline = sim_state(&session.sim);
         for (k, anns) in configs.iter().enumerate() {
@@ -2853,7 +2849,7 @@ mod tests {
                 if factor == 200 {
                     assert!(got.converged, "{what}");
                     let public = engine
-                        .transition_config(&origin, &anycast, anns, factor, SnapshotDetail::Full)
+                        .transition_config(&origin, &anycast, anns, SnapshotDetail::Full)
                         .unwrap();
                     assert_eq!(got.best, public.best, "{what}: transition_config");
                     assert_eq!(got.events, public.events, "{what}: transition_config");
@@ -2888,7 +2884,9 @@ mod tests {
         assert_eq!(report.events, g.topology.num_ases() + 1);
         let got = session.deploy_config(&origin, &anns[1..], 200).unwrap();
         assert!(!session.last_deploy_warm());
-        let want = engine.propagate_config(&origin, &anns[1..], 200).unwrap();
+        let uncapped = BgpEngine::new(&g.topology, &EngineConfig::default());
+        let want = uncapped.propagate_config(&origin, &anns[1..]).unwrap();
+        assert!(want.converged);
         assert_eq!((got.best, got.events), (want.best, want.events));
 
         let cyclic = topology_from_links([
@@ -2909,7 +2907,7 @@ mod tests {
         let single = [LinkAnnouncement::plain(LinkId(1))];
         let got = session.deploy_config(&origin, &single, 200).unwrap();
         assert!(!session.last_deploy_warm());
-        let want = engine.propagate_config(&origin, &single, 200).unwrap();
+        let want = engine.propagate_config(&origin, &single).unwrap();
         assert_eq!((got.best, got.events), (want.best, want.events));
         // An origin the topology cannot carry is refused.
         let stray = OriginAs::new(Asn(47065), vec![("Z".into(), Asn(99))]);
@@ -2917,6 +2915,79 @@ mod tests {
             session.converge_baseline(&stray),
             Err(OriginError::UnknownProvider(Asn(99)))
         ));
+    }
+
+    /// The one-shot entry points drain under the engine's stored cap. On
+    /// an engine capped at factor 1, `propagate_config(_detailed)` and a
+    /// `transition_config` from no announcements stop where a fresh
+    /// session's deployment under that cap stops, a transition from the
+    /// capped full anycast stops too, and a memo miss stores the capped
+    /// catchments; the default engine converges on the same
+    /// configurations.
+    #[test]
+    fn one_shot_entry_points_drain_under_the_engine_cap() {
+        use trackdown_topology::gen::{generate, TopologyConfig};
+        let g = generate(&TopologyConfig::small(7));
+        let origin = OriginAs::peering_style(&g, 4);
+        let anycast = all_plain(&origin);
+        let capped_config = EngineConfig {
+            max_events_factor: 1,
+            ..EngineConfig::default()
+        };
+        let capped = BgpEngine::new(&g.topology, &capped_config);
+        let uncapped = BgpEngine::new(&g.topology, &EngineConfig::default());
+        let full = SnapshotDetail::Full;
+        for (k, anns) in stability_configs(&g.topology, &origin, 1)
+            .iter()
+            .enumerate()
+        {
+            let fresh = capped
+                .session()
+                .deploy_config(&origin, anns, capped.max_events_factor())
+                .unwrap();
+            let outcomes = [
+                ("propagate_config", capped.propagate_config(&origin, anns)),
+                (
+                    "propagate_config_detailed",
+                    capped.propagate_config_detailed(&origin, anns, full),
+                ),
+                // From no announcements the first drain does nothing, so
+                // the transition is the fresh deployment.
+                (
+                    "transition_config",
+                    capped.transition_config(&origin, &[], anns, full),
+                ),
+            ];
+            for (name, out) in &outcomes {
+                let out = out.as_ref().unwrap();
+                assert!(!out.converged, "config {k}: {name}");
+                assert_eq!(out.events, fresh.events, "config {k}: {name}");
+                assert_eq!(out.best, fresh.best, "config {k}: {name}");
+            }
+            let stopped = capped
+                .transition_config(&origin, &anycast, anns, full)
+                .unwrap();
+            assert!(!stopped.converged, "config {k}: from the capped anycast");
+            let capped_out = outcomes[0].1.as_ref().unwrap();
+            let misses = capped.memoized_configs();
+            let memo = capped.deployed_catchments(&origin, anns).unwrap();
+            assert_eq!(capped.memoized_configs(), misses + 1, "config {k}: a miss");
+            assert_eq!(
+                memo.control_plane,
+                Catchments::from_control_plane(capped_out),
+                "config {k}: memo"
+            );
+            let converged = [
+                uncapped.propagate_config(&origin, anns).unwrap(),
+                uncapped
+                    .propagate_config_detailed(&origin, anns, full)
+                    .unwrap(),
+                uncapped
+                    .transition_config(&origin, &anycast, anns, full)
+                    .unwrap(),
+            ];
+            assert!(converged.iter().all(|out| out.converged), "config {k}");
+        }
     }
 
     /// [`stability_configs`] plus, per link, full anycast with that link
@@ -3001,8 +3072,8 @@ mod tests {
             for k in picks {
                 let next = &configs[k % configs.len()];
                 let prev = &configs[k / configs.len() % configs.len()];
-                let deploy = |e: &BgpEngine| e.propagate_config_detailed(&origin, next, 200, full);
-                let transit = |e: &BgpEngine| e.transition_config(&origin, prev, next, 200, full);
+                let deploy = |e: &BgpEngine| e.propagate_config_detailed(&origin, next, full);
+                let transit = |e: &BgpEngine| e.transition_config(&origin, prev, next, full);
                 let (reference, transition) = (deploy(&engines[0]).unwrap(), transit(&engines[0]).unwrap());
                 for (name, engine) in ["locality", "random"].into_iter().zip(&engines[1..]) {
                     assert_same_outcome(&deploy(engine).unwrap(), &reference, name);

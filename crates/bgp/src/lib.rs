@@ -24,7 +24,7 @@
 //! let origin = OriginAs::peering_style(&g, 3);
 //! let engine = BgpEngine::new(&g.topology, &EngineConfig::default());
 //! let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-//! let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+//! let out = engine.propagate_config(&origin, &anns).unwrap();
 //! assert!(out.converged);
 //! assert!(out.reachable_count() > 0);
 //! ```
@@ -106,7 +106,7 @@ mod proptests {
                 .filter(|l| subset_mask & (1 << l.0) != 0)
                 .map(LinkAnnouncement::plain)
                 .collect();
-            let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+            let out = engine.propagate_config(&origin, &anns).unwrap();
             prop_assert!(out.converged);
             let c = Catchments::from_control_plane(&out);
             let member_total: usize =
@@ -136,7 +136,7 @@ mod proptests {
             let engine = BgpEngine::new(&g.topology, &cfg);
             let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
             let out = engine
-                .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+                .propagate_config_detailed(&origin, &anns, SnapshotDetail::Full)
                 .unwrap();
             for b in out.best.iter().flatten() {
                 prop_assert_eq!(out.path_of(b).origin(), Some(origin.asn));
@@ -161,7 +161,7 @@ mod proptests {
             };
             let engine = BgpEngine::new(&g.topology, &cfg);
             let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-            let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+            let out = engine.propagate_config(&origin, &anns).unwrap();
             prop_assert_eq!(out.reachable_count(), g.topology.num_ases());
         }
 
@@ -182,8 +182,8 @@ mod proptests {
                     communities: Default::default(),
                 })
                 .collect();
-            let a = engine.propagate_config(&origin, &plain, 200).unwrap();
-            let b = engine.propagate_config(&origin, &prepended, 200).unwrap();
+            let a = engine.propagate_config(&origin, &plain).unwrap();
+            let b = engine.propagate_config(&origin, &prepended).unwrap();
             prop_assert_eq!(a.reachable_count(), b.reachable_count());
         }
 
@@ -207,7 +207,7 @@ mod proptests {
             };
             let engine = BgpEngine::new(&g.topology, &cfg);
             let plain: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-            let base = engine.propagate_config(&origin, &plain, 200).unwrap();
+            let base = engine.propagate_config(&origin, &plain).unwrap();
             for target in origin.link_ids() {
                 let anns: Vec<LinkAnnouncement> = origin
                     .link_ids()
@@ -219,7 +219,7 @@ mod proptests {
                         }
                     })
                     .collect();
-                let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+                let out = engine.propagate_config(&origin, &anns).unwrap();
                 let before = Catchments::from_control_plane(&base);
                 let after = Catchments::from_control_plane(&out);
                 prop_assert!(
@@ -259,7 +259,7 @@ mod proptests {
                     })
                     .collect();
                 let out = engine
-                    .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+                    .propagate_config_detailed(&origin, &anns, SnapshotDetail::Full)
                     .unwrap();
                 let ti = g.topology.index_of(t.1).unwrap();
                 // The poisoned AS's own best route never carries the poison.
@@ -325,7 +325,7 @@ mod proptests {
                     communities: Default::default(),
                 })
                 .collect();
-            let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+            let out = engine.propagate_config(&origin, &anns).unwrap();
             if out.converged {
                 prop_assert_eq!(
                     Catchments::from_data_plane(&out),
@@ -352,7 +352,7 @@ mod proptests {
             };
             let engine = BgpEngine::new(&g.topology, &cfg);
             let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-            let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+            let out = engine.propagate_config(&origin, &anns).unwrap();
             for link in &origin.links {
                 let p = g.topology.index_of(link.provider).unwrap();
                 prop_assert_eq!(out.catchment(p), Some(link.id));

@@ -105,7 +105,7 @@ mod tests {
         let engine = BgpEngine::new(&g.topology, &cfg);
         let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
         let out = engine
-            .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &anns, SnapshotDetail::Full)
             .unwrap();
         config_compliance(&out)
     }

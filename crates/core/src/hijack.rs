@@ -283,7 +283,7 @@ mod tests {
         let origin = OriginAs::peering_style(&g, 4);
         let engine = BgpEngine::new(&g.topology, &EngineConfig::default());
         let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-        let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+        let out = engine.propagate_config(&origin, &anns).unwrap();
         let cat = trackdown_bgp::Catchments::from_control_plane(&out);
         let all: BTreeSet<LinkId> = origin.link_ids().collect();
         let impacts = all_impacts(&cat, &all, None);

@@ -157,7 +157,8 @@ impl SuspectState {
     }
 }
 
-/// `ases` as a bitset over AS index, the form [`Catchments::distinct_among`] reads.
+/// `ases` as a bitset over AS index, which [`nonzero_words`] turns into the
+/// form [`Catchments::distinct_among_words`] reads.
 fn bitset(ases: &[AsIndex]) -> Vec<u64> {
     let mut bits = vec![0u64; ases.iter().map(|a| a.us() / 64 + 1).max().unwrap_or(0)];
     for a in ases {

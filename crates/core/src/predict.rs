@@ -63,11 +63,7 @@ impl<'t> CatchmentPredictor<'t> {
     pub fn predict(&self, origin: &OriginAs, config: &AnnouncementConfig) -> Catchments {
         let outcome = self
             .engine
-            .propagate_config(
-                origin,
-                &config.to_link_announcements(),
-                self.engine.max_events_factor(),
-            )
+            .propagate_config(origin, &config.to_link_announcements())
             .expect("valid configuration");
         Catchments::from_control_plane(&outcome)
     }
@@ -121,7 +117,7 @@ mod tests {
         let cfg = AnnouncementConfig::anycast_all(4);
         let observed = Catchments::from_control_plane(
             &engine
-                .propagate_config(&origin, &cfg.to_link_announcements(), 200)
+                .propagate_config(&origin, &cfg.to_link_announcements())
                 .unwrap(),
         );
         let predicted = predictor.predict(&origin, &cfg);
@@ -154,7 +150,7 @@ mod tests {
         let cfg = AnnouncementConfig::anycast_all(4);
         let observed = Catchments::from_control_plane(
             &engine
-                .propagate_config(&origin, &cfg.to_link_announcements(), 200)
+                .propagate_config(&origin, &cfg.to_link_announcements())
                 .unwrap(),
         );
         let predicted = predictor.predict(&origin, &cfg);
@@ -184,7 +180,7 @@ mod tests {
         let cfg = AnnouncementConfig::anycast_all(4);
         let observed = Catchments::from_control_plane(
             &engine
-                .propagate_config(&origin, &cfg.to_link_announcements(), 200)
+                .propagate_config(&origin, &cfg.to_link_announcements())
                 .unwrap(),
         );
         let predicted = predictor.predict(&origin, &cfg);

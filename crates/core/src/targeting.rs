@@ -91,7 +91,7 @@ pub fn propose_targeted_poisons(
     let topo = engine.topology();
     let baseline = &campaign.configs[0];
     let outcome = engine
-        .propagate_config(origin, &baseline.to_link_announcements(), 200)
+        .propagate_config(origin, &baseline.to_link_announcements())
         .expect("baseline valid");
     let predictor = CatchmentPredictor::new(topo);
 
@@ -151,7 +151,7 @@ pub fn evaluate_proposals(
     let mut clustering: Clustering = campaign.clustering.clone();
     for p in proposals {
         let outcome = engine
-            .propagate_config(origin, &p.config.to_link_announcements(), 200)
+            .propagate_config(origin, &p.config.to_link_announcements())
             .expect("proposal valid");
         clustering.refine(&Catchments::from_control_plane(&outcome));
     }

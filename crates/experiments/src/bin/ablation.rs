@@ -51,7 +51,7 @@ fn run_base(
     let mut with_comm = campaign.clustering.clone();
     for cfg in &communities {
         let out = engine
-            .propagate_config(&scenario.origin, &cfg.to_link_announcements(), 200)
+            .propagate_config(&scenario.origin, &cfg.to_link_announcements())
             .unwrap();
         with_comm.refine(&Catchments::from_control_plane(&out));
     }
@@ -75,7 +75,7 @@ fn run_base(
     let mut both = with_comm.clone();
     for p in &proposals {
         let out = engine
-            .propagate_config(&scenario.origin, &p.config.to_link_announcements(), 200)
+            .propagate_config(&scenario.origin, &p.config.to_link_announcements())
             .unwrap();
         both.refine(&Catchments::from_control_plane(&out));
     }

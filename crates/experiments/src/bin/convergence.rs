@@ -22,21 +22,13 @@ fn main() {
     let mut prev = schedule[0].to_link_announcements();
     for (k, cfg) in schedule.iter().enumerate() {
         let anns = cfg.to_link_announcements();
-        let out = engine
-            .propagate_config(&scenario.origin, &anns, 200)
-            .unwrap();
+        let out = engine.propagate_config(&scenario.origin, &anns).unwrap();
         assert!(out.converged, "configuration failed to converge");
         rounds.push(out.rounds);
         events.push(out.events);
         if k > 0 {
             let warm = engine
-                .transition_config(
-                    &scenario.origin,
-                    &prev,
-                    &anns,
-                    200,
-                    SnapshotDetail::Catchments,
-                )
+                .transition_config(&scenario.origin, &prev, &anns, SnapshotDetail::Catchments)
                 .unwrap();
             transition_changes += warm.changes.len();
             transition_rounds.push(warm.rounds);

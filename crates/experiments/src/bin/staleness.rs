@@ -52,7 +52,7 @@ fn main() {
         let mut churn_acc = 0.0;
         for cfg in &schedule {
             let out = attack_engine
-                .propagate_config(&scenario.origin, &cfg.to_link_announcements(), 200)
+                .propagate_config(&scenario.origin, &cfg.to_link_announcements())
                 .unwrap();
             let cat = Catchments::from_control_plane(&out);
             churn_acc += campaign.catchments[actual.len()].divergence(&cat);

@@ -436,7 +436,6 @@ pub fn fig9(scenario: &Scenario) -> String {
             .propagate_config_detailed(
                 &scenario.origin,
                 &cfg.to_link_announcements(),
-                scenario.engine_cfg.max_events_factor,
                 SnapshotDetail::Full,
             )
             .expect("valid configuration");

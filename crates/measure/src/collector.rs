@@ -102,7 +102,7 @@ mod tests {
         let origin = OriginAs::peering_style(&g, 4);
         let engine = BgpEngine::new(&g.topology, &EngineConfig::default());
         let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-        let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+        let out = engine.propagate_config(&origin, &anns).unwrap();
         (g, out)
     }
 
@@ -155,7 +155,7 @@ mod tests {
             let origin = OriginAs::peering_style(&g, 4);
             let engine = BgpEngine::new(&g.topology, &EngineConfig::default());
             let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-            let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+            let out = engine.propagate_config(&origin, &anns).unwrap();
             let feeders: Vec<AsIndex> = g.topology.indices().collect();
             let stream = UpdateStream::collect(&out, &feeders);
             // Never an unbounded churn storm.

@@ -339,7 +339,7 @@ mod tests {
             let plane = MeasurementPlane::new(&g.topology, &cones, &mcfg);
             for (k, anns) in configs.iter().enumerate() {
                 let out = engine
-                    .propagate_config_detailed(&origin, anns, 200, SnapshotDetail::Paths)
+                    .propagate_config_detailed(&origin, anns, SnapshotDetail::Paths)
                     .unwrap();
                 for salt in [k as u64, 100 + k as u64] {
                     let (bgp, want) =
@@ -371,7 +371,7 @@ mod tests {
         let plane = MeasurementPlane::new(&g.topology, &cones, &MeasurementConfig::default());
         let measure = |detail| {
             let out = engine
-                .propagate_config_detailed(&origin, &anns, 200, detail)
+                .propagate_config_detailed(&origin, &anns, detail)
                 .unwrap();
             plane.measure(&g.topology, &out, origin.asn, 9)
         };
@@ -402,7 +402,7 @@ mod tests {
         let engine = BgpEngine::new(&g.topology, &clean_engine_cfg());
         let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
         let out = engine
-            .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &anns, SnapshotDetail::Full)
             .unwrap();
         let plane = MeasurementPlane::new(&g.topology, &cones, &MeasurementConfig::perfect());
         let m = plane.measure(&g.topology, &out, origin.asn, 0);
@@ -422,7 +422,7 @@ mod tests {
         let engine = BgpEngine::new(&g.topology, &clean_engine_cfg());
         let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
         let out = engine
-            .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &anns, SnapshotDetail::Full)
             .unwrap();
         // Crank up the IP-to-AS dirtiness so the multi-catchment effect is
         // reliably visible at this small scale (default rates can
@@ -467,7 +467,7 @@ mod tests {
         let engine = BgpEngine::new(&g.topology, &clean_engine_cfg());
         let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
         let out = engine
-            .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &anns, SnapshotDetail::Full)
             .unwrap();
         let plane = MeasurementPlane::new(&g.topology, &cones, &MeasurementConfig::default());
         let a = plane.measure(&g.topology, &out, origin.asn, 5);
@@ -491,7 +491,7 @@ mod tests {
         let engine = BgpEngine::new(&g.topology, &clean_engine_cfg());
         let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
         let out = engine
-            .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &anns, SnapshotDetail::Full)
             .unwrap();
         let mut cfg = MeasurementConfig {
             vantage: VantageConfig {

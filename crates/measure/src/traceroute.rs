@@ -323,7 +323,7 @@ mod tests {
         };
         let engine = BgpEngine::new(&g.topology, &cfg);
         let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-        let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+        let out = engine.propagate_config(&origin, &anns).unwrap();
         (g, origin, out)
     }
 
@@ -412,7 +412,7 @@ mod tests {
         let db = clean_db(&g.topology);
         // Propagate with zero announcements: nothing reachable.
         let engine = BgpEngine::new(&g.topology, &EngineConfig::default());
-        let empty = engine.propagate_config(&origin, &[], 200).unwrap();
+        let empty = engine.propagate_config(&origin, &[]).unwrap();
         let tr = run_traceroute(
             &g.topology,
             &db,

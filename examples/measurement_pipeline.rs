@@ -23,7 +23,7 @@ fn main() {
     let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
     // BGP feeds read AS-paths, so the outcome keeps its path store.
     let outcome = engine
-        .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Paths)
+        .propagate_config_detailed(&origin, &anns, SnapshotDetail::Paths)
         .unwrap();
     let truth = Catchments::from_control_plane(&outcome);
     println!(
@@ -114,7 +114,7 @@ fn main() {
         .map(LinkAnnouncement::plain)
         .collect();
     let second_outcome = engine
-        .propagate_config_detailed(&origin, &second_cfg, 200, SnapshotDetail::Paths)
+        .propagate_config_detailed(&origin, &second_cfg, SnapshotDetail::Paths)
         .unwrap();
     let second_campaign = run_campaign(
         &world.topology,

@@ -20,7 +20,7 @@ fn catchments_for(
     config: &AnnouncementConfig,
 ) -> Catchments {
     let out = engine
-        .propagate_config(origin, &config.to_link_announcements(), 200)
+        .propagate_config(origin, &config.to_link_announcements())
         .expect("valid config");
     Catchments::from_control_plane(&out)
 }

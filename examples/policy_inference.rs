@@ -49,12 +49,7 @@ fn main() {
 
     for (k, cfg) in schedule.iter().enumerate() {
         let outcome = engine
-            .propagate_config_detailed(
-                &origin,
-                &cfg.to_link_announcements(),
-                200,
-                SnapshotDetail::Paths,
-            )
+            .propagate_config_detailed(&origin, &cfg.to_link_announcements(), SnapshotDetail::Paths)
             .unwrap();
         for obs in collect_bgp_feeds(&world.topology, &outcome, &feeders, origin.asn) {
             if !corpus.contains(&obs.path) {

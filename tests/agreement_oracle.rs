@@ -191,7 +191,7 @@ fn capped_baselines_campaign_cold() {
         );
         for (k, cfg) in schedule.iter().enumerate() {
             let fresh = engine
-                .propagate_config(&origin, &cfg.to_link_announcements(), 1)
+                .propagate_config(&origin, &cfg.to_link_announcements())
                 .expect("valid configuration");
             assert!(!fresh.converged);
             assert_eq!(

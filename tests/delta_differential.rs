@@ -59,8 +59,9 @@ fn scenario(
 }
 
 /// Deploy `cfg` through `session` with event cap `factor` and check the
-/// full-detail outcome equals a fresh propagation of the same
-/// configuration bit for bit. Returns the session's outcome.
+/// full-detail outcome equals a fresh session's deployment of the same
+/// configuration under the same cap (what `propagate_config` runs)
+/// bit for bit. Returns the session's outcome.
 fn deploy_matches_fresh(
     engine: &BgpEngine<'_>,
     session: &mut CampaignSession<'_, '_>,
@@ -74,7 +75,8 @@ fn deploy_matches_fresh(
         .deploy_config_detailed(origin, &anns, factor, SnapshotDetail::Full)
         .expect("valid configuration");
     let want = engine
-        .propagate_config_detailed(origin, &anns, factor, SnapshotDetail::Full)
+        .session()
+        .deploy_config_detailed(origin, &anns, factor, SnapshotDetail::Full)
         .expect("valid configuration");
     assert_eq!(got.best, want.best, "{what}: best routes");
     assert_eq!(got.candidates(), want.candidates(), "{what}: candidates");
@@ -357,14 +359,13 @@ fn delta_stats_report_disturbance() {
                         &origin,
                         &anycast,
                         &c.to_link_announcements(),
-                        200,
                         SnapshotDetail::Catchments,
                     )
                     .expect("valid configuration")
             })
             .collect();
         let baseline = engine
-            .propagate_config(&origin, &anycast, 200)
+            .propagate_config(&origin, &anycast)
             .expect("valid configuration");
         for threads in [1usize, 2] {
             let recorder = CampaignRecorder::new(true);

@@ -62,7 +62,7 @@ fn full_pipeline_with_measured_catchments_localizes_a_source() {
     let mut link_volumes = Vec::new();
     for cfg in &campaign.configs {
         let outcome = engine
-            .propagate_config(&origin, &cfg.to_link_announcements(), 200)
+            .propagate_config(&origin, &cfg.to_link_announcements())
             .unwrap();
         let truth = Catchments::from_data_plane(&outcome);
         let report = honeypot.observe(&truth, origin.num_links(), &flows);
@@ -97,7 +97,7 @@ fn control_and_data_plane_catchments_agree_for_clean_policies() {
     };
     let engine = BgpEngine::new(&world.topology, &cfg);
     let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-    let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+    let out = engine.propagate_config(&origin, &anns).unwrap();
     let control = Catchments::from_control_plane(&out);
     let data = Catchments::from_data_plane(&out);
     for i in world.topology.indices() {
@@ -138,7 +138,7 @@ fn honeypot_volume_matches_attribution_math() {
     let (world, origin) = world_and_origin(9);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let anns: Vec<_> = origin.link_ids().map(LinkAnnouncement::plain).collect();
-    let out = engine.propagate_config(&origin, &anns, 200).unwrap();
+    let out = engine.propagate_config(&origin, &anns).unwrap();
     let truth = Catchments::from_data_plane(&out);
 
     let all: Vec<AsIndex> = world.topology.indices().collect();

@@ -45,9 +45,9 @@ fn poison_immune_ases_keep_their_routes() {
                 }
             })
             .collect();
-        let base = normal.propagate_config(&origin, &baseline, 200).unwrap();
+        let base = normal.propagate_config(&origin, &baseline).unwrap();
         let poisoned = normal
-            .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &anns, SnapshotDetail::Full)
             .unwrap();
         let ti = world.topology.index_of(t.target).unwrap();
         // In the normal world the poisoned AS must not use a route whose
@@ -68,7 +68,7 @@ fn poison_immune_ases_keep_their_routes() {
             any_moved = true;
         }
         // Immune world: the poisoned AS keeps a route either way.
-        let immune_out = immune.propagate_config(&origin, &anns, 200).unwrap();
+        let immune_out = immune.propagate_config(&origin, &anns).unwrap();
         assert!(
             immune_out.best[ti.us()].is_some(),
             "immune AS lost its route"
@@ -98,7 +98,7 @@ fn tier1_filtering_limits_poison_spread() {
             }
         })
         .collect();
-    let out = filtered.propagate_config(&origin, &anns, 200).unwrap();
+    let out = filtered.propagate_config(&origin, &anns).unwrap();
     assert!(out.converged);
     assert!(
         out.reachable_count() > world.topology.num_ases() / 2,
@@ -198,7 +198,7 @@ fn withdrawing_all_links_from_a_region_leaves_unreachable_sources() {
     let origin = OriginAs::peering_style(&world, 4);
     let engine = BgpEngine::new(&world.topology, &engine_cfg(0.0, 0.0, true));
     let single = vec![LinkAnnouncement::plain(LinkId(2))];
-    let out = engine.propagate_config(&origin, &single, 200).unwrap();
+    let out = engine.propagate_config(&origin, &single).unwrap();
     let cat = Catchments::from_control_plane(&out);
     // Everything assigned is on the single announced link.
     assert_eq!(cat.active_links(), vec![LinkId(2)]);

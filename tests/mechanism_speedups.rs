@@ -1,7 +1,7 @@
 //! The 50k-source [`attribution_fixture`], the online loop's greedy
 //! scoring, and the checks and gates over them. The fixture's shape, the
 //! indexed == scan equality of the attribution plane and the property
-//! that bitset scoring ([`Catchments::distinct_among`]) equals the
+//! that bitset scoring ([`Catchments::distinct_among_words`]) equals the
 //! sort/dedup count it replaced run in every `cargo test`. The three
 //! mechanism-speedup gates are `#[ignore]`d timing tests: the indexed
 //! attribution plane against the scan-based references it replaced
@@ -189,12 +189,12 @@ fn bitset(ases: &[AsIndex], width: usize) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `distinct_among` equals the sort/dedup count over `get`: catchments
-    /// of any width (mostly not a multiple of 64) with unassigned ASes and
-    /// a link row emptied through `set`, member sets from empty to full,
-    /// read from a bitset as wide as the catchment, from one that ends at
-    /// the last member's word, and from its nonzero words
-    /// (`distinct_among_words`, the online loop's form).
+    /// `distinct_among_words` equals the sort/dedup count over `get`:
+    /// catchments of any width (mostly not a multiple of 64) with
+    /// unassigned ASes and a link row emptied through `set`, member sets
+    /// from empty to full, read from the nonzero words of a bitset as
+    /// wide as the catchment and of one that ends at the last member's
+    /// word.
     #[test]
     fn distinct_among_equals_sort_dedup_count(
         dense in vec(option::weighted(0.8, 0u8..7), 0..300),
@@ -215,14 +215,12 @@ proptest! {
             .map(|i| AsIndex(i as u32))
             .collect();
         let want = distinct_reference(&cat, &members);
-        prop_assert_eq!(cat.distinct_among(&bitset(&members, cat.len())), want);
         let end = members.last().map_or(0, |a| a.us() + 1);
-        prop_assert_eq!(cat.distinct_among(&bitset(&members, end)), want);
-        prop_assert_eq!(
-            cat.distinct_among_words(&nonzero_words(&bitset(&members, end))),
-            want
-        );
-        prop_assert_eq!(cat.distinct_among(&[]), 0);
+        for width in [cat.len(), end] {
+            let words = nonzero_words(&bitset(&members, width));
+            prop_assert_eq!(cat.distinct_among_words(&words), want, "width {}", width);
+        }
+        prop_assert_eq!(cat.distinct_among_words(&[]), 0);
     }
 }
 
@@ -251,14 +249,16 @@ fn bitset_scoring_is_10x_faster_than_sort_dedup() {
                 .collect()
         })
         .collect();
+    // As the online loop does: one suspect bitset's nonzero words per
+    // pick, scored against every candidate.
     let score_bitset = || {
         suspect_sets
             .iter()
             .map(|suspects| {
-                let members = bitset(suspects, prior[0].len());
+                let members = nonzero_words(&bitset(suspects, prior[0].len()));
                 prior
                     .iter()
-                    .map(|c| c.distinct_among(&members))
+                    .map(|c| c.distinct_among_words(&members))
                     .collect::<Vec<_>>()
             })
             .collect::<Vec<_>>()

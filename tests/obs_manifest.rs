@@ -103,7 +103,6 @@ fn clean_engine_records_warm_epochs() {
                 &origin,
                 &anycast,
                 &c.to_link_announcements(),
-                200,
                 SnapshotDetail::Catchments,
             )
             .expect("valid configuration");

@@ -68,7 +68,7 @@ fn medium91() -> (
 
 /// Check the memo of `engine` against fresh propagation and the campaign
 /// for every configuration, then against a second origin.
-fn check_memo(engine: &BgpEngine<'_>, factor: usize, origin: &OriginAs, campaign: &Campaign) {
+fn check_memo(engine: &BgpEngine<'_>, origin: &OriginAs, campaign: &Campaign) {
     assert_eq!(
         engine.memoized_configs(),
         0,
@@ -77,7 +77,7 @@ fn check_memo(engine: &BgpEngine<'_>, factor: usize, origin: &OriginAs, campaign
     for (i, cfg) in campaign.configs.iter().enumerate() {
         let anns = cfg.to_link_announcements();
         let memo = engine.deployed_catchments(origin, &anns).unwrap();
-        let fresh = engine.propagate_config(origin, &anns, factor).unwrap();
+        let fresh = engine.propagate_config(origin, &anns).unwrap();
         assert_eq!(
             memo.control_plane,
             Catchments::from_control_plane(&fresh),
@@ -116,7 +116,7 @@ fn check_memo(engine: &BgpEngine<'_>, factor: usize, origin: &OriginAs, campaign
         );
         let mine = engine.deployed_catchments(origin, &anns).unwrap();
         assert!(!Arc::ptr_eq(&memo, &mine), "config {i}");
-        let fresh = engine.propagate_config(&other, &anns, factor).unwrap();
+        let fresh = engine.propagate_config(&other, &anns).unwrap();
         assert_eq!(
             memo.control_plane,
             Catchments::from_control_plane(&fresh),
@@ -134,12 +134,7 @@ fn check_memo(engine: &BgpEngine<'_>, factor: usize, origin: &OriginAs, campaign
 fn small_seed7_memo_matches_fresh_propagation() {
     let (scenario, campaign) = small_seed7();
     let engine = scenario.engine();
-    check_memo(
-        &engine,
-        scenario.engine_cfg.max_events_factor,
-        &scenario.origin,
-        &campaign,
-    );
+    check_memo(&engine, &scenario.origin, &campaign);
 }
 
 #[test]
@@ -148,7 +143,7 @@ fn medium_memo_matches_fresh_propagation() {
     let engine = BgpEngine::new(&g.topology, &cfg);
     let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
         .expect("valid schedule");
-    check_memo(&engine, cfg.max_events_factor, &origin, &campaign);
+    check_memo(&engine, &origin, &campaign);
 }
 
 /// Greedy trials of the seed-7 small scenario with `bin/online.rs`'s

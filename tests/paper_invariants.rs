@@ -80,7 +80,7 @@ proptest! {
         let mut usable: Vec<BTreeSet<LinkId>> = vec![BTreeSet::new(); n];
         for l in origin.link_ids() {
             let out = engine
-                .propagate_config(&origin, &[LinkAnnouncement::plain(l)], 200)
+                .propagate_config(&origin, &[LinkAnnouncement::plain(l)])
                 .unwrap();
             for i in world.topology.indices() {
                 if out.catchment(i).is_some() {
@@ -93,7 +93,7 @@ proptest! {
         let mut observed: Vec<BTreeSet<LinkId>> = vec![BTreeSet::new(); n];
         for cfg in location_phase(origin.num_links(), r) {
             let out = engine
-                .propagate_config(&origin, &cfg.to_link_announcements(), 200)
+                .propagate_config(&origin, &cfg.to_link_announcements())
                 .unwrap();
             for i in world.topology.indices() {
                 if let Some(l) = out.catchment(i) {
@@ -150,7 +150,7 @@ proptest! {
             .map(|l| LinkAnnouncement::poisoned(l, vec![victim]))
             .collect();
         let poisoned = engine
-            .propagate_config(&origin, &poisoned_anns, 200)
+            .propagate_config(&origin, &poisoned_anns)
             .unwrap();
 
         let severed_topo = sever_as(&world.topology, victim);
@@ -160,7 +160,7 @@ proptest! {
         let prepended_anns: Vec<LinkAnnouncement> =
             origin.link_ids().map(LinkAnnouncement::prepended).collect();
         let severed = severed_engine
-            .propagate_config(&origin, &prepended_anns, 200)
+            .propagate_config(&origin, &prepended_anns)
             .unwrap();
 
         // The victim is unreachable both ways; everyone else is routed
@@ -207,9 +207,9 @@ proptest! {
             })
             .collect();
         let base = engine
-            .propagate_config_detailed(&origin, &base_anns, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &base_anns, SnapshotDetail::Full)
             .unwrap();
-        let prep = engine.propagate_config(&origin, &prep_anns, 200).unwrap();
+        let prep = engine.propagate_config(&origin, &prep_anns).unwrap();
 
         let changed: Vec<bool> = world
             .topology
@@ -285,9 +285,7 @@ fn degree_one_poisoning_equals_single_edge_deletion() {
             .link_ids()
             .map(|l| LinkAnnouncement::poisoned(l, vec![victim]))
             .collect();
-        let poisoned = engine
-            .propagate_config(&origin, &poisoned_anns, 200)
-            .unwrap();
+        let poisoned = engine.propagate_config(&origin, &poisoned_anns).unwrap();
 
         // Deleting u's single edge is the same graph edit as severing it.
         let edited = sever_as(&world.topology, victim);
@@ -296,7 +294,7 @@ fn degree_one_poisoning_equals_single_edge_deletion() {
         let prepended_anns: Vec<LinkAnnouncement> =
             origin.link_ids().map(LinkAnnouncement::prepended).collect();
         let deleted = edited_engine
-            .propagate_config(&origin, &prepended_anns, 200)
+            .propagate_config(&origin, &prepended_anns)
             .unwrap();
 
         assert_eq!(poisoned.catchment(u), None);

@@ -307,7 +307,7 @@ fn campaign_over_parsed_provider_cycle_agrees_across_modes() {
     assert_eq!(one.stats.baseline_events, 0);
     for (k, cfg) in schedule.iter().enumerate() {
         let fresh = engine
-            .propagate_config(&origin, &cfg.to_link_announcements(), 200)
+            .propagate_config(&origin, &cfg.to_link_announcements())
             .expect("valid configuration");
         assert_eq!(
             one.catchments[k],

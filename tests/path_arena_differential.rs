@@ -352,7 +352,7 @@ proptest! {
         let inj = origin.build_injections(&g.topology, &anns).unwrap();
 
         let out = engine
-            .propagate_config_detailed(&origin, &anns, 200, SnapshotDetail::Full)
+            .propagate_config_detailed(&origin, &anns, SnapshotDetail::Full)
             .unwrap();
         let reference = ref_propagate(&engine, &inj, 200);
         assert_outcome_matches_reference(&out, &reference);

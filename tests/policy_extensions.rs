@@ -248,8 +248,8 @@ fn only_to_customers_is_inert_under_valley_free_export() {
             1.0,
         )),
     );
-    let out_off = off.propagate_config(&origin, &anns, 200).unwrap();
-    let out_on = on.propagate_config(&origin, &anns, 200).unwrap();
+    let out_off = off.propagate_config(&origin, &anns).unwrap();
+    let out_on = on.propagate_config(&origin, &anns).unwrap();
     assert!(out_on.converged);
     // Same reachability and same catchment partition: OTC marking alone
     // must not change who routes where.

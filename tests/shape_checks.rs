@@ -129,12 +129,7 @@ fn compliance_fractions_are_high_and_ordered() {
     );
     for cfg in schedule.iter().take(10) {
         let out = engine
-            .propagate_config_detailed(
-                &origin,
-                &cfg.to_link_announcements(),
-                200,
-                SnapshotDetail::Full,
-            )
+            .propagate_config_detailed(&origin, &cfg.to_link_announcements(), SnapshotDetail::Full)
             .unwrap();
         let s = trackdown_suite::core::compliance::config_compliance(&out);
         assert!(s.decided > 0);

@@ -224,7 +224,7 @@ fn bare_propagation_traces_as_one_deployment() {
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     start_trace(TraceConfig::default());
     engine
-        .propagate_config(&origin, &schedule[0].to_link_announcements(), 200)
+        .propagate_config(&origin, &schedule[0].to_link_announcements())
         .expect("valid configuration");
     let trace = end_trace().expect("trace collected");
     assert_well_formed(&trace);

@@ -71,7 +71,7 @@ fn fresh_outcomes(
         .iter()
         .map(|c| {
             engine
-                .propagate_config_detailed(origin, &c.to_link_announcements(), 200, detail)
+                .propagate_config_detailed(origin, &c.to_link_announcements(), detail)
                 .expect("valid configuration")
         })
         .collect()
@@ -308,7 +308,7 @@ fn identical_redeploy_is_a_zero_work_epoch() {
     assert_eq!(zero.rounds, 0);
     assert_eq!(zero.events, origin.num_links());
     let cold = engine
-        .propagate_config(&origin, &anycast, 200)
+        .propagate_config(&origin, &anycast)
         .expect("valid configuration");
     assert_eq!(zero.best, cold.best);
     assert_eq!(zero.routes_disturbed, cold.reachable_count());
