@@ -34,14 +34,47 @@ fn word_count(n: usize) -> usize {
     n.div_ceil(WORD)
 }
 
-/// The nonzero words of a bitset as `(word index, word)`, ascending: the
-/// form [`Catchments::distinct_among_words`] reads.
-pub fn nonzero_words(bits: &[u64]) -> Vec<(usize, u64)> {
-    bits.iter()
-        .copied()
-        .enumerate()
-        .filter(|&(_, w)| w != 0)
-        .collect()
+/// A member bitset over AS index (bit `i % 64` of word `i / 64` set = AS
+/// `i` is a member) in the sparse form [`Catchments::distinct_among_words`]
+/// reads: its nonzero words as `(word index, word)`, and one past its
+/// highest member. Skipping the zero words matters once the members are
+/// few; the end, computed once here, lets each catchment check its range
+/// with one comparison.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemberWords {
+    words: Vec<(usize, u64)>,
+    end: usize,
+}
+
+impl MemberWords {
+    /// The nonzero words of `bits`, ascending.
+    pub fn from_bitset(bits: &[u64]) -> MemberWords {
+        MemberWords::from_words(bits.iter().copied().enumerate())
+    }
+
+    /// `(word index, word)` pairs in any order; zero words are dropped.
+    pub fn from_words(words: impl IntoIterator<Item = (usize, u64)>) -> MemberWords {
+        let words: Vec<(usize, u64)> = words.into_iter().filter(|&(_, w)| w != 0).collect();
+        let end = words
+            .iter()
+            .map(|&(k, w)| {
+                k.saturating_mul(WORD)
+                    .saturating_add(WORD - w.leading_zeros() as usize)
+            })
+            .max()
+            .unwrap_or(0);
+        MemberWords { words, end }
+    }
+
+    /// The nonzero words, in the order given.
+    pub fn words(&self) -> &[(usize, u64)] {
+        &self.words
+    }
+
+    /// One past the highest member (0 when there is none).
+    pub fn end(&self) -> usize {
+        self.end
+    }
 }
 
 /// Indices of the set bits in a stream of u64 words, ascending.
@@ -309,27 +342,22 @@ impl Catchments {
         sums
     }
 
-    /// Number of distinct [`Catchments::get`] values over the ASes of a
-    /// member bitset over AS index (bit `i % 64` of word `i / 64` set =
-    /// AS `i` is a member), given as its nonzero words,
-    /// `(word index, word)` ([`nonzero_words`]): the link rows the
-    /// members meet, plus 1 when some member is unassigned. Word ANDs
-    /// only, no per-AS lookup. The online loop scores every greedy
-    /// candidate against one suspect set; passing only that set's
-    /// nonzero words skips the zero ones, which are most of them once the
-    /// suspects are few.
+    /// Number of distinct [`Catchments::get`] values over the members of
+    /// a [`MemberWords`] bitset: the link rows the members meet, plus 1
+    /// when some member is unassigned. Word ANDs only, no per-AS lookup.
+    /// The online loop scores every greedy candidate against one suspect
+    /// set; its nonzero words skip the zero ones, which are most of them
+    /// once the suspects are few.
     ///
     /// Panics when a member lies at or past [`Catchments::len`], as `get`
     /// does for such an AS.
-    pub fn distinct_among_words(&self, words: &[(usize, u64)]) -> usize {
-        let stray = words.iter().any(|&(k, w)| {
-            k >= self.assigned.len() || (k + 1) * WORD > self.n && w >> (self.n - k * WORD) != 0
-        });
+    pub fn distinct_among_words(&self, members: &MemberWords) -> usize {
         assert!(
-            !stray,
+            members.end <= self.n,
             "member bitset reaches past catchment range {}",
             self.n
         );
+        let words = &members.words;
         let meets = |row: &[u64]| words.iter().any(|&(k, m)| row[k] & m != 0);
         let unassigned = words.iter().any(|&(k, m)| m & !self.assigned[k] != 0);
         self.rows.iter().filter(|row| meets(row)).count() + usize::from(unassigned)
@@ -398,10 +426,11 @@ impl Catchments {
         (common - same) as f64 / common as f64
     }
 
-    /// Active `(link, row)` pairs, ascending by link — rows that lost all
-    /// members via [`Catchments::set`] are skipped so equality is
-    /// assignment-semantic, not construction-history-sensitive.
-    fn active_rows(&self) -> impl Iterator<Item = (LinkId, &[u64])> {
+    /// Each link with members and its bitset row over AS index (bit `i %
+    /// 64` of word `i / 64` set = AS `i` ingresses through the link),
+    /// ascending by link. A row emptied through [`Catchments::set`] is
+    /// skipped, so equality is over the assignment, not how it was built.
+    pub fn link_rows(&self) -> impl Iterator<Item = (LinkId, &[u64])> {
         self.links
             .iter()
             .zip(&self.rows)
@@ -413,7 +442,7 @@ impl Catchments {
 
 impl PartialEq for Catchments {
     fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.active_rows().eq(other.active_rows())
+        self.n == other.n && self.link_rows().eq(other.link_rows())
     }
 }
 
@@ -594,24 +623,43 @@ mod tests {
 
     /// `distinct_among_words` counts link rows met plus one for
     /// unassigned members, and a member past the catchment's range panics
-    /// like `get`.
+    /// like `get`, whatever order the words come in.
     #[test]
     fn distinct_among_counts_parts_and_rejects_stray_members() {
         let c = sample();
-        assert_eq!(
-            nonzero_words(&[0, 5, 0, 1 << 63]),
-            vec![(1, 5), (3, 1 << 63)]
-        );
-        assert_eq!(c.distinct_among_words(&[]), 0);
-        assert_eq!(c.distinct_among_words(&nonzero_words(&[0b00110])), 1);
-        assert_eq!(c.distinct_among_words(&nonzero_words(&[0b01011])), 3);
-        assert_eq!(c.distinct_among_words(&nonzero_words(&[0b11111, 0])), 3);
-        let stray = std::panic::catch_unwind(|| c.distinct_among_words(&[(0, 1 << 5)]));
-        assert!(stray.is_err(), "AS 5 is past a 5-AS catchment");
+        let sparse = MemberWords::from_bitset(&[0, 5, 0, 1 << 63]);
+        assert_eq!(sparse.words(), [(1, 5), (3, 1 << 63)]);
+        assert_eq!(sparse.end(), 256);
+        assert_eq!(MemberWords::from_words([(3, 1), (1, 1 << 63)]).end(), 193);
+        assert_eq!(MemberWords::from_bitset(&[0, 0]), MemberWords::default());
+        let distinct =
+            |c: &Catchments, bits: &[u64]| c.distinct_among_words(&MemberWords::from_bitset(bits));
+        assert_eq!(c.distinct_among_words(&MemberWords::default()), 0);
+        assert_eq!(distinct(&c, &[0b00110]), 1);
+        assert_eq!(distinct(&c, &[0b01011]), 3);
+        assert_eq!(distinct(&c, &[0b11111, 0]), 3);
+        let stray = |c: &Catchments, words: &[(usize, u64)]| {
+            let members = MemberWords::from_words(words.iter().copied());
+            std::panic::catch_unwind(|| c.distinct_among_words(&members)).is_err()
+        };
+        assert!(stray(&c, &[(0, 1 << 5)]), "AS 5 is past a 5-AS catchment");
+        assert!(stray(&c, &[(1, 1)]), "AS 64 is past a 5-AS catchment");
         let wide = Catchments::unassigned(70);
-        assert_eq!(wide.distinct_among_words(&[(1, 1 << 5)]), 1);
-        let stray = std::panic::catch_unwind(|| wide.distinct_among_words(&[(1, 1 << 6)]));
-        assert!(stray.is_err(), "AS 70 is past a 70-AS catchment");
+        assert_eq!(
+            wide.distinct_among_words(&MemberWords::from_words([(1, 1 << 5)])),
+            1
+        );
+        assert!(
+            stray(&wide, &[(1, 1 << 6)]),
+            "AS 70 is past a 70-AS catchment"
+        );
+        for order in [[(1, 1 << 6), (0, 1)], [(0, 1), (1, 1 << 6)]] {
+            assert!(stray(&wide, &order), "AS 70 in {order:?}");
+        }
+        assert!(
+            stray(&wide, &[(usize::MAX, 1), (0, 1)]),
+            "a word index past any range"
+        );
     }
 
     #[test]

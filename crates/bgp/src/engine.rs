@@ -457,7 +457,8 @@ impl<'t> BgpEngine<'t> {
     /// records across its 705 deployments ("thousands of route changes",
     /// §VI). `routes_disturbed` counts the ASes whose best route differs
     /// from `prev`'s fixpoint. Both drains run under the engine's event
-    /// cap.
+    /// cap, and each is one deployment to the profiler: a `bgp.deploy`
+    /// span and its work in the `bgp.*` counters.
     pub fn transition_config(
         &self,
         origin: &OriginAs,
@@ -468,12 +469,16 @@ impl<'t> BgpEngine<'t> {
         let prev = origin.build_injections(self.topo, prev)?;
         let next = origin.build_injections(self.topo, next)?;
         let mut sim = Simulation::new(self);
-        sim.apply_injections(&prev);
-        sim.run(self.max_events_factor);
+        {
+            let mut span = trackdown_obs::span("bgp.deploy");
+            sim.apply_injections(&prev);
+            sim.drain(&mut span, self.max_events_factor);
+        }
         let before = sim.best.clone();
+        let mut span = trackdown_obs::span("bgp.deploy");
         sim.begin_epoch();
         sim.replace_injections(&next);
-        sim.run(self.max_events_factor);
+        sim.drain(&mut span, self.max_events_factor);
         let mut outcome = sim.snapshot(detail);
         // Route equality compares `path_id`s, which is sound within one
         // simulation: its arena is canonical and never truncated here.
@@ -500,7 +505,6 @@ impl<'t> BgpEngine<'t> {
 /// Feed one routing outcome's counters into the global metrics registry
 /// (post-hoc reads only: instrumentation can never perturb the outcome).
 fn record_outcome_metrics(outcome: &RoutingOutcome) {
-    trackdown_obs::counter!("bgp.events").add(outcome.events as u64);
     trackdown_obs::counter!("bgp.changes").add(outcome.changes.len() as u64);
     trackdown_obs::histogram!("bgp.rounds").observe(outcome.rounds as u64);
     if !outcome.converged {
@@ -670,15 +674,8 @@ impl<'e, 't> CampaignSession<'e, 't> {
                 self.sim.apply_injections(injections);
             }
         }
-        {
-            let _drain = trackdown_obs::span("bgp.drain");
-            self.sim.run(max_events_factor);
-        }
-        span.set_attr("events", self.sim.events as u64);
+        self.sim.drain(&mut span, max_events_factor);
         self.peak_arena_nodes = self.peak_arena_nodes.max(self.sim.arena.num_nodes());
-        trackdown_obs::counter!("bgp.deployments").inc();
-        trackdown_obs::counter!("bgp.offers").add(self.sim.offers);
-        trackdown_obs::counter!("bgp.full_decides").add(self.sim.full_decides);
         let outcome = self.sim.snapshot(detail);
         record_outcome_metrics(&outcome);
         outcome
@@ -1593,6 +1590,24 @@ impl<'e, 't> Simulation<'e, 't> {
                 node.set_ref(o);
             }
         }
+    }
+
+    /// [`Simulation::run`] as one deployment: the drain under a
+    /// `bgp.drain` span, its events on `deploy`, the caller's `bgp.deploy`
+    /// span, and its work added to `bgp.deployments`, `bgp.events`,
+    /// `bgp.offers` and `bgp.full_decides`. The epoch's event count starts
+    /// at zero; offers and full decisions count from the drain's start.
+    fn drain(&mut self, deploy: &mut trackdown_obs::Span, max_events_factor: usize) {
+        let (offers, full_decides) = (self.offers, self.full_decides);
+        {
+            let _drain = trackdown_obs::span("bgp.drain");
+            self.run(max_events_factor);
+        }
+        deploy.set_attr("events", self.events as u64);
+        trackdown_obs::counter!("bgp.deployments").inc();
+        trackdown_obs::counter!("bgp.events").add(self.events as u64);
+        trackdown_obs::counter!("bgp.offers").add(self.offers - offers);
+        trackdown_obs::counter!("bgp.full_decides").add(self.full_decides - full_decides);
     }
 
     /// Process the activation queue to quiescence (or the event cap).

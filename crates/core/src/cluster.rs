@@ -262,6 +262,10 @@ impl Clustering {
         }
         self.num_clusters = next;
         self.rebuild_csr();
+        // A campaign keeps one delta per configuration in its attribution
+        // index, so give back what the pushes over-allocated.
+        parent_of.shrink_to_fit();
+        link_of.shrink_to_fit();
         // Split log: parents with more than one child.
         let mut children_of: Vec<Vec<u32>> = vec![Vec::new(); old_num];
         for (c, &p) in parent_of.iter().enumerate() {

@@ -26,7 +26,7 @@ use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
 use std::cell::RefCell;
-use trackdown_bgp::catchment::nonzero_words;
+use trackdown_bgp::catchment::MemberWords;
 use trackdown_bgp::{Catchments, LinkId};
 use trackdown_core::localize::{
     estimate_cluster_volumes, estimate_cluster_volumes_rescan, link_volume_matrix, rank_suspects,
@@ -192,9 +192,10 @@ proptest! {
     /// `distinct_among_words` equals the sort/dedup count over `get`:
     /// catchments of any width (mostly not a multiple of 64) with
     /// unassigned ASes and a link row emptied through `set`, member sets
-    /// from empty to full, read from the nonzero words of a bitset as
-    /// wide as the catchment and of one that ends at the last member's
-    /// word.
+    /// from empty to full, read as [`MemberWords`] from a bitset as wide
+    /// as the catchment and from one that ends at the last member's word,
+    /// in ascending and in reversed word order. Both carry one past the
+    /// last member as their end.
     #[test]
     fn distinct_among_equals_sort_dedup_count(
         dense in vec(option::weighted(0.8, 0u8..7), 0..300),
@@ -217,10 +218,13 @@ proptest! {
         let want = distinct_reference(&cat, &members);
         let end = members.last().map_or(0, |a| a.us() + 1);
         for width in [cat.len(), end] {
-            let words = nonzero_words(&bitset(&members, width));
+            let words = MemberWords::from_bitset(&bitset(&members, width));
+            prop_assert_eq!(words.end(), end);
             prop_assert_eq!(cat.distinct_among_words(&words), want, "width {}", width);
+            let reversed = MemberWords::from_words(words.words().iter().rev().copied());
+            prop_assert_eq!(cat.distinct_among_words(&reversed), want, "width {}, reversed", width);
         }
-        prop_assert_eq!(cat.distinct_among_words(&[]), 0);
+        prop_assert_eq!(cat.distinct_among_words(&MemberWords::default()), 0);
     }
 }
 
@@ -255,7 +259,7 @@ fn bitset_scoring_is_10x_faster_than_sort_dedup() {
         suspect_sets
             .iter()
             .map(|suspects| {
-                let members = nonzero_words(&bitset(suspects, prior[0].len()));
+                let members = MemberWords::from_bitset(&bitset(suspects, prior[0].len()));
                 prior
                     .iter()
                     .map(|c| c.distinct_among_words(&members))

@@ -239,3 +239,84 @@ fn bare_propagation_traces_as_one_deployment() {
     assert_eq!(drain.parent, deploy.id, "the drain nests under its deploy");
     assert_eq!(trace.events.len(), 2, "no other span: {:?}", trace.events);
 }
+
+/// `transition_config` drains twice, `prev` from empty RIBs and then
+/// `next` from `prev`'s fixpoint, and each drain is one deployment to the
+/// profiler: a `bgp.deploy` span with its `bgp.drain` nested under it and
+/// the drain's events as an attribute, and its work in `bgp.deployments`,
+/// `bgp.events`, `bgp.offers` and `bgp.full_decides`. From the full
+/// anycast, those two drains are a session converging its baseline and
+/// deploying `next` from it, so the counters grow by what the session
+/// adds, with the baseline counted as a second deployment. The counters
+/// are process-global; every test in this binary holds the lock.
+#[test]
+fn transition_traces_and_counts_two_deployments() {
+    let _guard = lock();
+    let (world, origin, schedule) = scenario(7);
+    let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
+    let anycast: Vec<LinkAnnouncement> = origin.link_ids().map(LinkAnnouncement::plain).collect();
+    let next = schedule[schedule.len() / 2].to_link_announcements();
+    let counters = || {
+        [
+            "bgp.deployments",
+            "bgp.events",
+            "bgp.offers",
+            "bgp.full_decides",
+        ]
+        .map(|name| trackdown_suite::obs::global().counter(name).get())
+    };
+    let since = |before: [u64; 4]| {
+        let after = counters();
+        std::array::from_fn::<u64, 4, _>(|i| after[i] - before[i])
+    };
+
+    let before = counters();
+    let mut session = engine.session();
+    let baseline = session.converge_baseline(&origin).expect("valid origin");
+    assert_eq!(baseline.status, BaselineStatus::Converged);
+    let deployed = session
+        .deploy_config(&origin, &next, engine.max_events_factor())
+        .expect("valid configuration");
+    let session_work = since(before);
+    assert_eq!(session_work[0], 1, "a baseline is not a deployment");
+    assert_eq!(session_work[1], (baseline.events + deployed.events) as u64);
+
+    start_trace(TraceConfig::default());
+    let before = counters();
+    let transition = engine
+        .transition_config(&origin, &anycast, &next, SnapshotDetail::Catchments)
+        .expect("valid configuration");
+    let work = since(before);
+    let trace = end_trace().expect("trace collected");
+    assert_eq!(transition.events, deployed.events);
+    assert_eq!(work, [2, session_work[1], session_work[2], session_work[3]]);
+
+    assert_well_formed(&trace);
+    assert_eq!(count(&trace, "bgp.deploy"), 2);
+    assert_eq!(count(&trace, "bgp.drain"), 2);
+    let deploys: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "bgp.deploy")
+        .collect();
+    for drain in trace.events.iter().filter(|e| e.name == "bgp.drain") {
+        assert!(
+            deploys.iter().any(|d| d.id == drain.parent),
+            "the drain nests under a deploy"
+        );
+    }
+    let mut events: Vec<u64> = deploys
+        .iter()
+        .map(|d| {
+            d.attrs()
+                .iter()
+                .find(|(k, _)| *k == "events")
+                .expect("events")
+                .1
+        })
+        .collect();
+    events.sort_unstable();
+    let mut want = [baseline.events as u64, transition.events as u64];
+    want.sort_unstable();
+    assert_eq!(events, want);
+}
