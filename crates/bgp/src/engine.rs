@@ -142,8 +142,10 @@ impl RoutingOutcome {
         self.best[i.us()].as_ref().map(|r| r.ingress)
     }
 
-    /// Control-plane catchments for all ASes.
-    pub fn control_catchments(&self) -> Vec<Option<LinkId>> {
+    /// Control-plane catchments for all ASes: the dense reference the
+    /// bitset extraction is checked against.
+    #[cfg(test)]
+    pub(crate) fn control_catchments(&self) -> Vec<Option<LinkId>> {
         self.best
             .iter()
             .map(|b| b.as_ref().map(|r| r.ingress))
@@ -160,11 +162,6 @@ impl RoutingOutcome {
         self.candidates
             .as_deref()
             .expect("candidates not captured — snapshot with SnapshotDetail::Full")
-    }
-
-    /// True when candidate RIBs were captured ([`SnapshotDetail::Full`]).
-    pub fn has_candidates(&self) -> bool {
-        self.candidates.is_some()
     }
 
     /// Materialize a route's AS-path from this outcome's [`PathStore`].
@@ -502,16 +499,6 @@ impl<'t> BgpEngine<'t> {
     }
 }
 
-/// Feed one routing outcome's counters into the global metrics registry
-/// (post-hoc reads only: instrumentation can never perturb the outcome).
-fn record_outcome_metrics(outcome: &RoutingOutcome) {
-    trackdown_obs::counter!("bgp.changes").add(outcome.changes.len() as u64);
-    trackdown_obs::histogram!("bgp.rounds").observe(outcome.rounds as u64);
-    if !outcome.converged {
-        trackdown_obs::counter!("bgp.event_cap_hits").inc();
-    }
-}
-
 /// Whether a session deploys from a converged baseline: what
 /// [`CampaignSession::converge_baseline`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -676,9 +663,7 @@ impl<'e, 't> CampaignSession<'e, 't> {
         }
         self.sim.drain(&mut span, max_events_factor);
         self.peak_arena_nodes = self.peak_arena_nodes.max(self.sim.arena.num_nodes());
-        let outcome = self.sim.snapshot(detail);
-        record_outcome_metrics(&outcome);
-        outcome
+        self.sim.snapshot(detail)
     }
 
     /// High-water mark of interned path nodes across all deployments and
@@ -1595,8 +1580,11 @@ impl<'e, 't> Simulation<'e, 't> {
     /// [`Simulation::run`] as one deployment: the drain under a
     /// `bgp.drain` span, its events on `deploy`, the caller's `bgp.deploy`
     /// span, and its work added to `bgp.deployments`, `bgp.events`,
-    /// `bgp.offers` and `bgp.full_decides`. The epoch's event count starts
-    /// at zero; offers and full decisions count from the drain's start.
+    /// `bgp.offers`, `bgp.full_decides`, `bgp.changes`, the `bgp.rounds`
+    /// histogram and, when the cap fired, `bgp.event_cap_hits`. The
+    /// epoch's events, rounds and changes start at zero; offers and full
+    /// decisions count from the drain's start. The counters are read after
+    /// the drain, so instrumentation never perturbs the routing state.
     fn drain(&mut self, deploy: &mut trackdown_obs::Span, max_events_factor: usize) {
         let (offers, full_decides) = (self.offers, self.full_decides);
         {
@@ -1608,6 +1596,11 @@ impl<'e, 't> Simulation<'e, 't> {
         trackdown_obs::counter!("bgp.events").add(self.events as u64);
         trackdown_obs::counter!("bgp.offers").add(self.offers - offers);
         trackdown_obs::counter!("bgp.full_decides").add(self.full_decides - full_decides);
+        trackdown_obs::counter!("bgp.changes").add(self.changes.len() as u64);
+        trackdown_obs::histogram!("bgp.rounds").observe(self.max_depth as u64);
+        if !self.converged {
+            trackdown_obs::counter!("bgp.event_cap_hits").inc();
+        }
     }
 
     /// Process the activation queue to quiescence (or the event cap).
@@ -2565,7 +2558,7 @@ mod tests {
         let engine = BgpEngine::new(&topo, &clean_config());
         let o = origin_xny();
         let out = engine.propagate_config(&o, &all_plain(&o)).unwrap();
-        assert!(!out.has_candidates());
+        assert!(out.candidates.is_none());
         assert!(out.paths.is_empty());
         // Catchments, forwarding walks, and change logs still work.
         assert_eq!(out.reachable_count(), topo.num_ases());
@@ -2575,14 +2568,14 @@ mod tests {
             .propagate_config_detailed(&o, &all_plain(&o), SnapshotDetail::Full)
             .unwrap();
         assert_eq!(out.control_catchments(), full.control_catchments());
-        assert!(full.has_candidates());
+        assert!(full.candidates.is_some());
         assert!(!full.paths.is_empty());
         // The paths-detail snapshot carries the same paths and no
         // candidate copy.
         let paths = engine
             .propagate_config_detailed(&o, &all_plain(&o), SnapshotDetail::Paths)
             .unwrap();
-        assert!(!paths.has_candidates());
+        assert!(paths.candidates.is_none());
         assert_eq!(paths.paths.len(), full.paths.len());
         for (a, b) in paths.best.iter().zip(&full.best) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());

@@ -367,18 +367,6 @@ impl PolicyTable {
         self.flags[i.us()]
     }
 
-    /// True if `i` hashes its LocalPrefs per neighbor (a policy violator).
-    #[inline]
-    pub fn is_violator(&self, i: AsIndex) -> bool {
-        self.flags[i.us()] & FLAG_VIOLATOR != 0
-    }
-
-    /// True if `i` ignores its own ASN in received AS-paths.
-    #[inline]
-    pub fn ignores_loop_prevention(&self, i: AsIndex) -> bool {
-        self.flags[i.us()] & FLAG_NO_LOOP_PREVENTION != 0
-    }
-
     /// True if `i` is a tier-1 AS.
     #[inline]
     pub fn is_tier1(&self, i: AsIndex) -> bool {
@@ -910,7 +898,7 @@ mod tests {
         let (topo, t) = table(1.0);
         let mut spread = std::collections::BTreeSet::new();
         for i in topo.indices() {
-            assert!(t.is_violator(i));
+            assert!(t.flags_of(i) & FLAG_VIOLATOR != 0);
             for n in (0..20).map(AsIndex).chain([AsIndex(u32::MAX - 1)]) {
                 let customer = t.local_pref(i, Some(n), NeighborKind::Customer);
                 let peer = t.local_pref(i, Some(n), NeighborKind::Peer);

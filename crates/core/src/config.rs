@@ -168,11 +168,6 @@ impl AnnouncementConfig {
             .collect()
     }
 
-    /// Number of links withdrawn relative to a full footprint of `n`.
-    pub fn withdrawn_count(&self, n: usize) -> usize {
-        n.saturating_sub(self.announce.len())
-    }
-
     /// Canonical announcement footprint: a key over everything that
     /// affects routing (`A`, `P`, `Q`, communities) and nothing that does
     /// not (`phase`, empty poison lists, empty community sets). Two
@@ -265,7 +260,6 @@ mod tests {
         assert!(c.poison.is_empty());
         assert_eq!(c.phase, Phase::Location);
         assert!(c.validate(&origin()).is_ok());
-        assert_eq!(c.withdrawn_count(4), 0);
     }
 
     #[test]
@@ -314,7 +308,6 @@ mod tests {
             .with_prepend(LinkId(1))
             .with_poison(LinkId(2), vec![Asn(100), Asn(200)]);
         assert_eq!(c.to_string(), "⟨{l1,l2}; {l1}; {l2:[100,200]}⟩");
-        assert_eq!(c.withdrawn_count(4), 2);
     }
 
     #[test]

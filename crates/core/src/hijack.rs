@@ -115,43 +115,6 @@ pub fn hijack_impact(
     }
 }
 
-/// Longest-prefix-matching semantics for *sub-prefix* hijacks (§VI).
-///
-/// "This scenario, however, has a predictable outcome: the hijack is
-/// guaranteed to attract all traffic as Internet routing follows
-/// longest-prefix matching. A partial mitigation to subprefix hijacks is
-/// to announce more specific routes."
-///
-/// Given the legitimate covering announcement's catchments and, when the
-/// defender answers with an equally specific prefix, the competing
-/// same-length catchments, compute the hijacker's capture fraction.
-pub fn subprefix_hijack_impact(
-    covering: &Catchments,
-    defender_more_specific: Option<&Catchments>,
-    scenario: &HijackScenario,
-    tracked: Option<&[AsIndex]>,
-) -> HijackImpact {
-    match defender_more_specific {
-        // Defender did not announce the /24-equivalent: LPM sends every
-        // assigned source to the hijacker, regardless of catchments.
-        None => {
-            let assigned = match tracked {
-                Some(set) => set.iter().filter(|&&s| covering.get(s).is_some()).count(),
-                None => covering.assigned_count(),
-            };
-            HijackImpact {
-                scenario: scenario.clone(),
-                captured: assigned,
-                retained: 0,
-                capture_fraction: if assigned == 0 { 0.0 } else { 1.0 },
-            }
-        }
-        // Defender matched the prefix length: competition reverts to
-        // plain catchment competition on the more-specific prefix.
-        Some(competing) => hijack_impact(competing, scenario, tracked),
-    }
-}
-
 /// Evaluate every scenario of a configuration; returns impacts sorted by
 /// capture fraction descending (worst case first).
 pub fn all_impacts(
@@ -247,32 +210,6 @@ mod tests {
         let impact = hijack_impact(&c, &scenario, None);
         assert_eq!(impact.capture_fraction, 0.0);
         assert_eq!(impact.captured + impact.retained, 0);
-    }
-
-    #[test]
-    fn subprefix_hijack_lpm_semantics() {
-        let covering = catchments(&[0, 0, 1, 1]);
-        let scenario = HijackScenario {
-            legitimate: [LinkId(0)].into_iter().collect(),
-            hijacker: [LinkId(1)].into_iter().collect(),
-        };
-        // Without a defensive more-specific, LPM gives the hijacker 100%.
-        let unmitigated = subprefix_hijack_impact(&covering, None, &scenario, None);
-        assert_eq!(unmitigated.capture_fraction, 1.0);
-        assert_eq!(unmitigated.captured, 4);
-        // With the defender matching the prefix length, the outcome is the
-        // ordinary catchment competition again.
-        let competing = catchments(&[0, 0, 0, 1]);
-        let mitigated = subprefix_hijack_impact(&covering, Some(&competing), &scenario, None);
-        assert!((mitigated.capture_fraction - 0.25).abs() < 1e-9);
-        // Tracked restriction applies to the unmitigated case too.
-        let tracked = [AsIndex(0)];
-        let small = subprefix_hijack_impact(&covering, None, &scenario, Some(&tracked));
-        assert_eq!(small.captured, 1);
-        // Degenerate: nothing assigned.
-        let empty = Catchments::unassigned(4);
-        let none = subprefix_hijack_impact(&empty, None, &scenario, None);
-        assert_eq!(none.capture_fraction, 0.0);
     }
 
     #[test]

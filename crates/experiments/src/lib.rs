@@ -28,9 +28,8 @@
 //! variable is set, and falls back to a deterministic 80 000-AS
 //! power-law graph otherwise.
 
-use std::collections::BTreeSet;
 use trackdown_bgp::{
-    BgpEngine, DeploymentBias, EngineConfig, ExtensionDeployment, LinkId, OriginAs, PolicyConfig,
+    BgpEngine, DeploymentBias, EngineConfig, ExtensionDeployment, OriginAs, PolicyConfig,
     PolicyExtension,
 };
 use trackdown_core::generator::{full_schedule, phase_boundaries, GeneratorParams};
@@ -510,11 +509,6 @@ impl Scenario {
             pops = self.origin.num_links(),
             measured = self.measured
         );
-    }
-
-    /// Footprint link-id set covering all links.
-    pub fn all_links(&self) -> BTreeSet<LinkId> {
-        self.origin.link_ids().collect()
     }
 
     /// Human description for report headers.

@@ -67,17 +67,6 @@ impl UpdateStream {
         self.updates.iter().map(|u| u.round).max().unwrap_or(0)
     }
 
-    /// Updates per round (histogram over `0..=convergence_round`):
-    /// the shape of the convergence burst.
-    pub fn updates_per_round(&self) -> Vec<usize> {
-        let max = self.convergence_round();
-        let mut hist = vec![0usize; max as usize + 1];
-        for u in &self.updates {
-            hist[u.round as usize] += 1;
-        }
-        hist
-    }
-
     /// Number of *path explorations*: feeders that announced more than
     /// once during convergence (transient routes replaced by better ones —
     /// the BGP path-exploration phenomenon).
@@ -139,9 +128,6 @@ mod tests {
         // The full-feeder stream quiets exactly at the engine's measured
         // convergence depth.
         assert_eq!(stream.convergence_round(), out.rounds);
-        let hist = stream.updates_per_round();
-        assert_eq!(hist.iter().sum::<usize>(), stream.len());
-        assert_eq!(hist.len() as u32, out.rounds + 1);
     }
 
     #[test]
@@ -175,7 +161,6 @@ mod tests {
         let s = UpdateStream::default();
         assert!(s.is_empty());
         assert_eq!(s.convergence_round(), 0);
-        assert_eq!(s.updates_per_round(), vec![0]);
         assert_eq!(s.path_explorations(), 0);
     }
 }

@@ -105,11 +105,6 @@ impl IpToAs {
         }
     }
 
-    /// True if `i`'s space is partially mis-attributed.
-    pub fn is_dirty(&self, i: AsIndex) -> bool {
-        self.dirty_target[i.us()].is_some()
-    }
-
     /// Resolve a hop at `true_as`, salted by `salt` (derived from probe,
     /// round, and hop position so repeated measurements of the same router
     /// resolve consistently only when they truly hit the same address).
@@ -187,7 +182,7 @@ mod tests {
             unmapped_prob: 0.0,
         });
         for i in topo.indices().take(20) {
-            assert!(db.is_dirty(i));
+            assert!(db.dirty_target[i.us()].is_some());
             match db.resolve(&topo, i, 7) {
                 HopResolution::Mismapped(a) => {
                     let j = topo.index_of(a).unwrap();

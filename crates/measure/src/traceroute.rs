@@ -86,14 +86,6 @@ impl Traceroute {
         }
         out
     }
-
-    /// Fraction of hops that produced an observation.
-    pub fn responsiveness(&self) -> f64 {
-        if self.hops.is_empty() {
-            return 0.0;
-        }
-        self.hops.iter().filter(|h| h.observed.is_some()).count() as f64 / self.hops.len() as f64
-    }
 }
 
 /// Run one traceroute. `config_salt` distinguishes announcement
@@ -357,7 +349,6 @@ mod tests {
         for (h, w) in tr.hops.iter().zip(&walk.hops) {
             assert_eq!(h.observed, Some(g.topology.asn_of(*w)));
         }
-        assert!((tr.responsiveness() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Structural analysis helpers: hop distances, degree distributions, and
+//! Structural analysis helpers: hop distances, summary statistics and
 //! connectivity checks used both by tests and by the paper's Figure 7
 //! (cluster size as a function of AS-hop distance from the origin).
 
@@ -39,16 +39,6 @@ pub fn is_connected(topo: &Topology) -> bool {
     }
     let d = multi_source_distances(topo, &[AsIndex(0)]);
     d.iter().all(|&x| x != u32::MAX)
-}
-
-/// Histogram of AS degrees: `result[d]` = number of ASes with degree `d`.
-pub fn degree_histogram(topo: &Topology) -> Vec<usize> {
-    let max_deg = topo.indices().map(|i| topo.degree(i)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max_deg + 1];
-    for i in topo.indices() {
-        hist[topo.degree(i)] += 1;
-    }
-    hist
 }
 
 /// Summary statistics over a slice of sizes/counts.
@@ -157,14 +147,6 @@ mod tests {
             let g = generate(&TopologyConfig::small(seed));
             assert!(is_connected(&g.topology), "seed {seed} disconnected");
         }
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_n() {
-        let g = generate(&TopologyConfig::small(8));
-        let hist = degree_histogram(&g.topology);
-        assert_eq!(hist.iter().sum::<usize>(), g.topology.num_ases());
-        assert_eq!(hist[0], 0, "no isolated ASes expected");
     }
 
     #[test]

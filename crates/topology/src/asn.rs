@@ -21,26 +21,10 @@ use std::str::FromStr;
 pub struct Asn(pub u32);
 
 impl Asn {
-    /// ASN 0 is reserved (RFC 7607) and never valid as a real AS.
-    pub const RESERVED_ZERO: Asn = Asn(0);
-
-    /// AS 23456 (AS_TRANS, RFC 6793) — placeholder used by 2-byte speakers.
-    pub const TRANS: Asn = Asn(23456);
-
     /// Returns true if this ASN is reserved for private use
     /// (64512-65534 or 4200000000-4294967294, RFC 6996).
     pub fn is_private(self) -> bool {
         matches!(self.0, 64512..=65534 | 4_200_000_000..=4_294_967_294)
-    }
-
-    /// Returns true if this ASN is reserved and must not appear in the
-    /// public routing system (0, AS_TRANS, 65535, 4294967295, private).
-    pub fn is_reserved(self) -> bool {
-        self == Self::RESERVED_ZERO
-            || self == Self::TRANS
-            || self.0 == 65535
-            || self.0 == u32::MAX
-            || self.is_private()
     }
 }
 
@@ -125,13 +109,10 @@ mod tests {
 
     #[test]
     fn reserved_ranges() {
-        assert!(Asn(0).is_reserved());
-        assert!(Asn(23456).is_reserved());
         assert!(Asn(64512).is_private());
         assert!(Asn(65534).is_private());
         assert!(!Asn(64511).is_private());
         assert!(Asn(4_200_000_000).is_private());
-        assert!(!Asn(3130).is_reserved());
     }
 
     #[test]

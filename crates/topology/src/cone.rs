@@ -103,15 +103,6 @@ impl ConeInfo {
             .filter(|(_, t)| **t == Tier::Tier1)
             .map(|(i, _)| AsIndex(i as u32))
     }
-
-    /// ASes with cone size strictly greater than `threshold`.
-    pub fn large_cone_ases(&self, threshold: usize) -> impl Iterator<Item = AsIndex> + '_ {
-        self.cones
-            .iter()
-            .enumerate()
-            .filter(move |(_, c)| c.len() > threshold)
-            .map(|(i, _)| AsIndex(i as u32))
-    }
 }
 
 /// Tier of every AS, by index, from its own adjacency alone: O(V+E),
@@ -234,14 +225,6 @@ mod tests {
         ])
         .unwrap();
         assert!(!has_provider_cycle(&peered));
-    }
-
-    #[test]
-    fn large_cone_filter() {
-        let t = chain();
-        let c = ConeInfo::compute(&t);
-        let big: Vec<_> = c.large_cone_ases(2).collect();
-        assert_eq!(big.len(), 2); // AS1 (5) and AS2 (3)
     }
 
     #[test]

@@ -52,14 +52,42 @@ impl std::error::Error for TopologyError {}
 ///
 /// Built once via [`TopologyBuilder`] and then shared read-only by the BGP
 /// engine, the measurement plane, and the analysis code.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Topology {
     asns: Vec<Asn>,
+    /// ASN → index, derived from `asns`: serialized without it, rebuilt
+    /// on deserialization.
     #[serde(skip)]
     index: FxHashMap<Asn, AsIndex>,
     /// Per-AS adjacency: `(neighbor, how the neighbor looks from here)`.
     adjacency: Vec<Vec<(AsIndex, NeighborKind)>>,
     links: Vec<Link>,
+}
+
+/// The serde wire format: every field of [`Topology`] but its index.
+#[derive(Deserialize)]
+struct TopologyForm {
+    asns: Vec<Asn>,
+    adjacency: Vec<Vec<(AsIndex, NeighborKind)>>,
+    links: Vec<Link>,
+}
+
+impl Deserialize for Topology {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let f = TopologyForm::from_value(v)?;
+        let index = f
+            .asns
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| (a, AsIndex(i as u32)))
+            .collect();
+        Ok(Topology {
+            asns: f.asns,
+            index,
+            adjacency: f.adjacency,
+            links: f.links,
+        })
+    }
 }
 
 impl Topology {
@@ -165,24 +193,6 @@ impl Topology {
     pub fn stubs(&self) -> impl Iterator<Item = AsIndex> + '_ {
         self.indices()
             .filter(|&i| self.customers(i).next().is_none())
-    }
-
-    /// ASes with no providers (the provider-free core, i.e. tier-1s).
-    pub fn provider_free(&self) -> impl Iterator<Item = AsIndex> + '_ {
-        self.indices()
-            .filter(|&i| self.providers(i).next().is_none())
-    }
-
-    /// Rebuild the ASN→index map. The map is skipped during serde
-    /// serialization (it is derivable), so this must be called on a
-    /// freshly deserialized topology before using [`Topology::index_of`].
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .asns
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| (a, AsIndex(i as u32)))
-            .collect();
     }
 }
 
@@ -412,7 +422,12 @@ mod tests {
         let t = diamond();
         let stubs: Vec<Asn> = t.stubs().map(|i| t.asn_of(i)).collect();
         assert_eq!(stubs, vec![Asn(4)]);
-        let core: Vec<Asn> = t.provider_free().map(|i| t.asn_of(i)).collect();
+        let core: Vec<Asn> = crate::cone::classify_tiers(&t)
+            .iter()
+            .zip(t.asns())
+            .filter(|(tier, _)| **tier == crate::cone::Tier::Tier1)
+            .map(|(_, &a)| a)
+            .collect();
         assert_eq!(core, vec![Asn(1)]);
     }
 
@@ -464,11 +479,14 @@ mod tests {
     fn serde_roundtrip_with_rebuilt_index() {
         let t = diamond();
         let json = serde_json::to_string(&t).unwrap();
-        let mut back: Topology = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.index_of(Asn(1)), None, "index skipped by serde");
-        back.rebuild_index();
-        assert_eq!(back.index_of(Asn(1)), t.index_of(Asn(1)));
+        assert!(!json.contains("index"), "index skipped by serde: {json}");
+        let back: Topology = serde_json::from_str(&json).unwrap();
+        for &a in t.asns() {
+            assert_eq!(back.index_of(a), t.index_of(a));
+        }
+        assert_eq!(back.index_of(Asn(9)), None);
         assert_eq!(back.links(), t.links());
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

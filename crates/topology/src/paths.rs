@@ -101,26 +101,6 @@ impl AsPath {
         seen
     }
 
-    /// Number of distinct ASes (the "AS-hop" length ignoring prepending).
-    pub fn distinct_len(&self) -> usize {
-        self.distinct().len()
-    }
-
-    /// True when the path visits some AS, leaves it, and returns to it
-    /// later — a *non-adjacent* repetition. Adjacent repetitions are
-    /// ordinary prepending; non-adjacent ones indicate poisoning (the
-    /// PEERING `o u o` sandwich) or a malformed path.
-    pub fn has_nonadjacent_repeat(&self) -> bool {
-        for (i, &a) in self.0.iter().enumerate() {
-            for (j, &b) in self.0.iter().enumerate().skip(i + 1) {
-                if a == b && self.0[i..j].iter().any(|&c| c != a) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
     /// Build a poisoned origination path, PEERING-style: the origin
     /// sandwiches each poisoned AS with its own ASN so false link inference
     /// is impossible and attribution is trivial (§IV-e of the paper).
@@ -214,7 +194,7 @@ mod tests {
         let traffic_eng = path.prepended_by_times(Asn(4), 4);
         assert_eq!(traffic_eng.len(), 7);
         assert_eq!(traffic_eng.first_hop(), Some(Asn(4)));
-        assert_eq!(traffic_eng.distinct_len(), 4);
+        assert_eq!(traffic_eng.distinct().len(), 4);
     }
 
     #[test]
@@ -225,21 +205,12 @@ mod tests {
     }
 
     #[test]
-    fn nonadjacent_repeat() {
-        assert!(!p(&[3, 3, 2, 1]).has_nonadjacent_repeat()); // prepending
-        assert!(p(&[3, 2, 3, 1]).has_nonadjacent_repeat()); // poison-shaped
-        assert!(!p(&[1]).has_nonadjacent_repeat());
-        assert!(!p(&[]).has_nonadjacent_repeat());
-    }
-
-    #[test]
     fn poison_sandwich_roundtrip() {
         let o = Asn(47065);
         let path = AsPath::poisoned_origin(o, &[Asn(10), Asn(20)]);
         assert_eq!(path.as_slice(), &[o, Asn(10), o, Asn(20), o],);
         assert_eq!(path.origin(), Some(o));
         assert_eq!(path.poisons_of(o), vec![Asn(10), Asn(20)]);
-        assert!(path.has_nonadjacent_repeat());
     }
 
     #[test]

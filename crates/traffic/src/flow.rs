@@ -122,28 +122,6 @@ pub fn flow_batches(flows: &[Flow], batch: usize) -> impl Iterator<Item = &[Flow
     flows.chunks(batch)
 }
 
-/// Generate honest background flows from a set of ASes (source addresses
-/// inside each AS's own block). Used by the classifier evaluation; an
-/// amplification honeypot proper receives no such traffic.
-pub fn legitimate_flows(
-    sources: &[AsIndex],
-    dst_prefix: Prefix,
-    packets_per_source: u64,
-    bytes_per_packet: u64,
-) -> Vec<Flow> {
-    sources
-        .iter()
-        .map(|&i| Flow {
-            src_as: i,
-            claimed_ip: as_address(i, 1),
-            dst_ip: dst_prefix.addr(2),
-            packets: packets_per_source,
-            bytes: packets_per_source * bytes_per_packet,
-            spoofed: false,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,17 +160,6 @@ mod tests {
             assert_eq!(f.claimed_ip, victim);
             assert!(hp.contains(f.dst_ip));
             assert_eq!(f.bytes, f.packets * 64);
-        }
-    }
-
-    #[test]
-    fn legitimate_flows_claim_their_own_block() {
-        let srcs = vec![AsIndex(5), AsIndex(9)];
-        let flows = legitimate_flows(&srcs, Prefix::new([184, 164, 224, 0], 24), 10, 500);
-        assert_eq!(flows.len(), 2);
-        for (f, &s) in flows.iter().zip(&srcs) {
-            assert!(!f.spoofed);
-            assert_eq!(claimed_as(f.claimed_ip), Some(s));
         }
     }
 

@@ -11,7 +11,7 @@
 use crate::flow::Flow;
 use crate::volume::{attributed_link, with_resolved};
 use serde::{Deserialize, Serialize};
-use trackdown_bgp::{Catchments, LinkId, Prefix};
+use trackdown_bgp::{Catchments, Prefix};
 
 /// Honeypot configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -51,35 +51,6 @@ pub struct HoneypotReport {
     pub unattributed_flows: usize,
     /// Bytes the rate-capped responder would have sent.
     pub response_bytes: u64,
-}
-
-impl HoneypotReport {
-    /// The link receiving the most spoofed traffic — the paper's per-
-    /// configuration signal ("the spoofed traffic is concentrated on the
-    /// link with n").
-    ///
-    /// # Panics
-    /// Panics if `per_link_bytes` outgrows the `LinkId` space (256):
-    /// truncating the index would alias distinct links.
-    pub fn hottest_link(&self) -> Option<LinkId> {
-        self.per_link_bytes
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| **b > 0)
-            .max_by_key(|(i, b)| (**b, usize::MAX - *i)) // ties → lower id
-            .map(|(i, _)| LinkId::from_usize(i))
-    }
-
-    /// Fraction of total volume per link.
-    pub fn link_shares(&self) -> Vec<f64> {
-        if self.total_bytes == 0 {
-            return vec![0.0; self.per_link_bytes.len()];
-        }
-        self.per_link_bytes
-            .iter()
-            .map(|&b| b as f64 / self.total_bytes as f64)
-            .collect()
-    }
 }
 
 /// The honeypot itself.
@@ -150,6 +121,7 @@ impl Honeypot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trackdown_bgp::LinkId;
     use trackdown_topology::AsIndex;
 
     fn catchments3() -> Catchments {
@@ -184,10 +156,7 @@ mod tests {
         let r = hp.observe(&catchments3(), 3, &flows);
         assert_eq!(r.per_link_bytes, vec![1_000, 5_000, 0]);
         assert_eq!(r.total_bytes, 6_000);
-        assert_eq!(r.hottest_link(), Some(LinkId(1)));
         assert_eq!(r.unattributed_flows, 0);
-        let shares = r.link_shares();
-        assert!((shares[1] - 5.0 / 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -196,7 +165,7 @@ mod tests {
         let elsewhere = u32::from_be_bytes([8, 8, 8, 8]);
         let r = hp.observe(&catchments3(), 3, &[flow(0, 1_000, elsewhere)]);
         assert_eq!(r.total_bytes, 0);
-        assert_eq!(r.hottest_link(), None);
+        assert_eq!(r.per_link_bytes, vec![0, 0, 0]);
     }
 
     #[test]
@@ -283,23 +252,6 @@ mod tests {
         let dst = hp.config().prefix.addr(1);
         let flows = vec![flow(0, 500, dst), flow(1, 500, dst)];
         let r = hp.observe(&catchments3(), 3, &flows);
-        assert_eq!(r.hottest_link(), Some(LinkId(0)));
-    }
-
-    /// Regression: `hottest_link` used to truncate the winning index with
-    /// `as u8`, aliasing link 256 onto link 0.
-    #[test]
-    #[should_panic(expected = "truncation would alias")]
-    fn hottest_link_guards_linkid_truncation() {
-        let mut per_link_bytes = vec![0u64; 300];
-        per_link_bytes[256] = 42;
-        let r = HoneypotReport {
-            per_link_bytes,
-            per_link_packets: vec![0; 300],
-            total_bytes: 42,
-            unattributed_flows: 0,
-            response_bytes: 0,
-        };
-        let _ = r.hottest_link();
+        assert_eq!(crate::hottest(&r.per_link_bytes), Some(LinkId(0)));
     }
 }

@@ -10,8 +10,6 @@
 //! * [`flow`] — aggregated flow records with ground-truth labels and a
 //!   consistent synthetic addressing scheme;
 //! * [`honeypot`] — AmpPot-style volume accounting per ingress link;
-//! * [`classify`] — the Lichtblau-style valid-source classifier for
-//!   production prefixes;
 //! * [`reflector`] — the attack triangle (attackers → open reflectors →
 //!   victim) with per-protocol amplification factors, contrasting the
 //!   victim's view (reflector ASes only) with the origin-side vantage;
@@ -26,7 +24,6 @@
 #![forbid(unsafe_code)]
 
 pub mod attribution;
-pub mod classify;
 pub mod flow;
 pub mod honeypot;
 pub mod packet;
@@ -38,11 +35,7 @@ pub use attribution::{
     cumulative_volume_by_cluster_size, cumulative_volume_by_cluster_slices, hottest,
     volume_per_link,
 };
-pub use classify::{ClassifierReport, SpoofClassifier};
-pub use flow::{
-    as_address, as_prefix, claimed_as, flow_batches, legitimate_flows, spoofed_flows, Flow,
-    FlowConfig,
-};
+pub use flow::{as_address, as_prefix, claimed_as, flow_batches, spoofed_flows, Flow, FlowConfig};
 pub use honeypot::{Honeypot, HoneypotConfig, HoneypotReport};
 pub use packet::{amp_ports, PacketError, UdpPacket};
 pub use placement::{pareto_shape_80_20, place_sources, PlacedSources, SourcePlacement};

@@ -8,7 +8,7 @@
 //! The rescans rebuild everything from the raw catchments each call, so
 //! any divergence is a bug in the index maintenance — a stale split-log
 //! entry, a parent chain walked wrong, a CSR offset off by one — not a
-//! modeling difference. This mirrors the role `warm_vs_cold.rs`
+//! modeling difference. This mirrors the role `campaign_invariance.rs`
 //! plays for the executor and `path_arena_differential.rs` for the routing core.
 
 use proptest::prelude::*;

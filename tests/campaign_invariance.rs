@@ -1,64 +1,33 @@
 //! Campaign-level invariance suite. Each campaign worker converges the
 //! origin's full anycast once and deploys every configuration as a FIFO
-//! transition from that baseline ("warm"); a fresh `propagate_config`
-//! drains the same configuration from empty RIBs ("cold"). Every policy
-//! is Gao-Rexford-safe, so on the generator's acyclic provider
-//! hierarchies each configuration has one stable state (DESIGN.md §4b)
-//! and a campaign is a function of the engine and the schedule alone:
+//! transition from that baseline; a fresh `propagate_config` drains the
+//! same configuration from empty RIBs. When the baseline cannot be kept
+//! (its drain hit the event cap), the worker's deployments drain from
+//! empty RIBs too. Every policy is Gao-Rexford-safe, so on the
+//! generator's acyclic provider hierarchies each configuration has one
+//! stable state (DESIGN.md §4b) and a campaign is a function of the
+//! engine and the schedule alone:
 //!
-//! * its catchments are the ones extracted from fresh, cold
-//!   `propagate_config` outcomes — control plane, data plane and
-//!   measured alike;
+//! * its catchments are the ones extracted from fresh `propagate_config`
+//!   outcomes — control plane, data plane and measured alike, with and
+//!   without policy extensions;
 //! * it is identical at 1, 2 and 8 worker threads (one baseline per
-//!   worker), over control-plane, data-plane and measured catchments,
-//!   with and without policy violators, down to suspect ranking;
+//!   worker), over every catchment source, with and without policy
+//!   violators, under tight and default event caps and with extensions
+//!   deployed, down to suspect ranking;
+//! * its counters add up to fresh transitions from the full anycast;
 //! * its default entry points and its manifest are reproducible.
 //!
 //! `tests/agreement_oracle.rs` checks the uniqueness itself: three
 //! different starts of every configuration reach equal catchments.
 
+mod common;
+
+use common::{engine_config, scenario};
 use proptest::prelude::*;
 use trackdown_suite::measure::{analysis_set, impute_visibility};
 use trackdown_suite::obs::{render_manifest, CampaignRecorder, RunInfo};
 use trackdown_suite::prelude::*;
-
-/// Engine config with the violator knob explicit: `clean` engines rank
-/// routes by relationship alone, default engines keep the 8% violator
-/// population, which hashes LocalPref per neighbor within each band.
-fn engine_config(clean: bool) -> EngineConfig {
-    if clean {
-        EngineConfig {
-            policy: PolicyConfig {
-                violator_fraction: 0.0,
-                ..PolicyConfig::default()
-            },
-            ..EngineConfig::default()
-        }
-    } else {
-        EngineConfig::default()
-    }
-}
-
-/// A small synthetic Internet, a multi-PoP origin, and a (possibly
-/// truncated) three-phase schedule.
-fn scenario(
-    seed: u64,
-    pops: usize,
-    max_removals: usize,
-    max_poison: usize,
-) -> (GeneratedTopology, OriginAs, Vec<AnnouncementConfig>) {
-    let world = generate(&TopologyConfig::small(seed));
-    let origin = OriginAs::peering_style(&world, pops);
-    let schedule = full_schedule(
-        &world.topology,
-        &origin,
-        &GeneratorParams {
-            max_removals,
-            max_poison_configs: Some(max_poison),
-        },
-    );
-    (world, origin, schedule)
-}
 
 /// Fresh propagations of every configuration of the schedule.
 fn fresh_outcomes(
@@ -102,7 +71,7 @@ proptest! {
     // ground-truth catchment sources, both policy regimes: catchments,
     // the baseline's tracked set and per-config convergence.
     #[test]
-    fn warm_campaign_equals_cold_oracle(
+    fn campaign_equals_fresh_propagations(
         seed in 0u64..500,
         pops in 3usize..6,
         max_removals in 0usize..3,
@@ -142,9 +111,9 @@ proptest! {
     }
 
     // Any worker-thread count, including ones that leave the last chunk
-    // short, against the sequential campaign.
+    // short, against the one-thread campaign.
     #[test]
-    fn parallel_warm_equals_sequential_cold(
+    fn any_thread_count_equals_one_thread(
         seed in 0u64..500,
         max_poison in 4usize..12,
         threads in 1usize..5,
@@ -163,7 +132,7 @@ proptest! {
     // schedule, must give the campaign's catchments, analysis set and
     // imputation statistics exactly, noise included.
     #[test]
-    fn measured_warm_equals_measured_cold(
+    fn measured_campaign_equals_measured_fresh_propagations(
         seed in 0u64..200,
         max_poison in 4usize..8,
         clean in 0u8..2,
@@ -193,7 +162,7 @@ proptest! {
     // dense reference form. Measured campaigns stay thread-invariant
     // because the observation plane salts its noise by schedule index.
     #[test]
-    fn campaigns_are_mode_source_and_thread_invariant(
+    fn campaigns_are_source_and_thread_invariant(
         seed in 0u64..300,
         max_poison in 4usize..10,
         clean in 0u8..2,
@@ -202,58 +171,132 @@ proptest! {
         let engine = BgpEngine::new(&world.topology, &engine_config(clean == 1));
         let cones = ConeInfo::compute(&world.topology);
         let plane = MeasurementPlane::new(&world.topology, &cones, &MeasurementConfig::default());
-        let volume: Vec<u64> = (0..world.topology.num_ases() as u64)
-            .map(|i| 1 + i % 7)
-            .collect();
         for source in [
             CatchmentSource::ControlPlane,
             CatchmentSource::DataPlane,
             CatchmentSource::Measured(&plane),
         ] {
-            let run = |threads| {
-                let opts = CampaignOpts {
-                    source,
-                    threads,
-                    ..CampaignOpts::default()
-                };
-                run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule")
-            };
-            let base = run(1);
+            let base = thread_invariant_campaign(&engine, &origin, &schedule, source, &world);
             prop_assert_eq!(base.stats.threads, 1);
-            let base_vols = link_volume_matrix(&base, &volume);
-            let base_rank = rank_suspects(&base, &base_vols);
-            for threads in [2usize, 8] {
-                let par = run(threads);
-                assert_campaigns_identical!(par, base);
-                // Bitset rows vs the dense reference representation.
-                for (c, o) in par.catchments.iter().zip(&base.catchments) {
-                    let dense = c.dense();
-                    prop_assert_eq!(&dense, &o.dense());
-                    prop_assert_eq!(&Catchments::from_dense(&dense), c);
-                }
-                let vols = link_volume_matrix(&par, &volume);
-                prop_assert_eq!(rank_suspects(&par, &vols), base_rank.clone());
+            // Bitset rows vs the dense reference representation.
+            for c in &base.catchments {
+                let dense = c.dense();
+                prop_assert_eq!(&Catchments::from_dense(&dense), c);
             }
+        }
+    }
+
+    // Campaigns under a tight, a loose and the default event cap, over a
+    // random catchment source and policy regime, at 1, 2 and 8 worker
+    // threads down to suspect ranking. A capped deployment ends where
+    // its FIFO drain stopped, which depends on the configuration alone,
+    // so capped campaigns are thread-invariant too.
+    #[test]
+    fn capped_campaigns_are_thread_invariant(
+        seed in 0u64..300,
+        max_poison in 4usize..10,
+        source in 0usize..3,
+        clean in 0u8..2,
+        cap in 0usize..3,
+    ) {
+        let factor = [1usize, 3, 200][cap];
+        let (world, origin, schedule) = scenario(seed, 4, 1, max_poison);
+        let engine = BgpEngine::new(
+            &world.topology,
+            &EngineConfig {
+                max_events_factor: factor,
+                ..engine_config(clean == 1)
+            },
+        );
+        let cones = ConeInfo::compute(&world.topology);
+        let plane = MeasurementPlane::new(&world.topology, &cones, &MeasurementConfig::default());
+        let source = [
+            CatchmentSource::ControlPlane,
+            CatchmentSource::DataPlane,
+            CatchmentSource::Measured(&plane),
+        ][source];
+        let base = thread_invariant_campaign(&engine, &origin, &schedule, source, &world);
+        if factor == 1 {
+            prop_assert!(base.records.iter().any(|r| !r.converged));
         }
     }
 }
 
-// Policy extensions make the import filter stricter. With any extension
-// deployed — at 0% (the inert configuration), partial or universal
-// coverage — in both policy regimes, a campaign's catchments must be the
-// ones of fresh propagations.
+/// Runs the campaign at 1, 2 and 8 worker threads and requires the
+/// multi-threaded ones to equal the one-thread campaign, catchments
+/// (also in dense form) through suspect ranking. Returns the one-thread
+/// campaign.
+fn thread_invariant_campaign(
+    engine: &BgpEngine<'_>,
+    origin: &OriginAs,
+    schedule: &[AnnouncementConfig],
+    source: CatchmentSource<'_>,
+    world: &GeneratedTopology,
+) -> Campaign {
+    let volume: Vec<u64> = (0..world.topology.num_ases() as u64)
+        .map(|i| 1 + i % 7)
+        .collect();
+    let run = |threads| {
+        let opts = CampaignOpts {
+            source,
+            threads,
+            ..CampaignOpts::default()
+        };
+        run_campaign(engine, origin, schedule, &opts).expect("valid schedule")
+    };
+    let base = run(1);
+    let base_vols = link_volume_matrix(&base, &volume);
+    let base_rank = rank_suspects(&base, &base_vols);
+    for threads in [2usize, 8] {
+        let par = run(threads);
+        assert_campaigns_identical!(par, base);
+        for (c, o) in par.catchments.iter().zip(&base.catchments) {
+            prop_assert_eq!(c.dense(), o.dense());
+        }
+        let vols = link_volume_matrix(&par, &volume);
+        prop_assert_eq!(rank_suspects(&par, &vols), base_rank.clone());
+    }
+    base
+}
+
+/// Each policy extension at 0% (the inert configuration), partial (30%)
+/// and universal coverage, and all of them at 30% at once.
+fn extension_arms() -> Vec<Vec<ExtensionDeployment>> {
+    let mut arms: Vec<Vec<ExtensionDeployment>> = Vec::new();
+    for ext in PolicyExtension::ALL {
+        for fraction in [0.0, 0.3, 1.0] {
+            arms.push(vec![ExtensionDeployment {
+                extension: ext,
+                fraction,
+                bias: DeploymentBias::Core,
+            }]);
+        }
+    }
+    arms.push(
+        PolicyExtension::ALL
+            .into_iter()
+            .map(|extension| ExtensionDeployment {
+                extension,
+                fraction: 0.3,
+                bias: DeploymentBias::Core,
+            })
+            .collect(),
+    );
+    arms
+}
+
+// Policy extensions make the import filter stricter. With every arm of
+// `extension_arms`, in both policy regimes and on two worlds, a
+// campaign's catchments must be the ones of fresh propagations.
 #[test]
-fn extensions_on_warm_equals_cold() {
-    let (world, origin, schedule) = scenario(31, 4, 1, 8);
-    for clean in [true, false] {
-        for ext in PolicyExtension::ALL {
-            for fraction in [0.0, 0.3, 1.0] {
+fn extensions_match_fresh_propagations() {
+    let arms = extension_arms();
+    for seed in [29, 31] {
+        let (world, origin, schedule) = scenario(seed, 4, 1, 8);
+        for clean in [true, false] {
+            for arm in &arms {
                 let mut cfg = engine_config(clean);
-                cfg.policy.extensions.deployments = vec![ExtensionDeployment {
-                    extension: ext,
-                    fraction,
-                    bias: DeploymentBias::Core,
-                }];
+                cfg.policy.extensions.deployments = arm.clone();
                 let engine = BgpEngine::new(&world.topology, &cfg);
                 let campaign = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())
                     .expect("valid schedule");
@@ -262,8 +305,53 @@ fn extensions_on_warm_equals_cold() {
                     assert_eq!(
                         c,
                         &Catchments::from_control_plane(o),
-                        "clean={clean} {ext} at {fraction}: config {k}"
+                        "seed {seed} clean={clean} {arm:?}: config {k}"
                     );
+                }
+            }
+        }
+    }
+}
+
+// With every arm of `extension_arms`, in both policy regimes and on two
+// worlds, campaigns must stay identical at 1, 2 and 8 worker threads all
+// the way through suspect ranking.
+#[test]
+fn extensions_are_thread_invariant() {
+    let arms = extension_arms();
+    for seed in [29, 31] {
+        let (world, origin, schedule) = scenario(seed, 4, 1, 8);
+        let volume: Vec<u64> = (0..world.topology.num_ases() as u64)
+            .map(|i| 1 + i % 7)
+            .collect();
+        for clean in [true, false] {
+            for arm in &arms {
+                let mut cfg = engine_config(clean);
+                cfg.policy.extensions.deployments = arm.clone();
+                let engine = BgpEngine::new(&world.topology, &cfg);
+                let run = |threads| {
+                    let opts = CampaignOpts {
+                        threads,
+                        ..CampaignOpts::default()
+                    };
+                    run_campaign(&engine, &origin, &schedule, &opts).expect("valid schedule")
+                };
+                let base = run(1);
+                let base_vols = link_volume_matrix(&base, &volume);
+                let base_rank = rank_suspects(&base, &base_vols);
+                for threads in [2usize, 8] {
+                    let par = run(threads);
+                    let what = format!("seed {seed} clean={clean} {threads} threads: {arm:?}");
+                    assert_eq!(&par.catchments, &base.catchments, "{what}");
+                    assert_eq!(&par.tracked, &base.tracked, "{what}");
+                    assert_eq!(
+                        par.clustering.clusters(),
+                        base.clustering.clusters(),
+                        "{what}"
+                    );
+                    assert_eq!(&par.records, &base.records, "{what}");
+                    let vols = link_volume_matrix(&par, &volume);
+                    assert_eq!(rank_suspects(&par, &vols), base_rank, "{what}");
                 }
             }
         }
@@ -307,11 +395,11 @@ fn identical_redeploy_is_a_zero_work_epoch() {
     assert!(zero.changes.is_empty());
     assert_eq!(zero.rounds, 0);
     assert_eq!(zero.events, origin.num_links());
-    let cold = engine
+    let fresh = engine
         .propagate_config(&origin, &anycast)
         .expect("valid configuration");
-    assert_eq!(zero.best, cold.best);
-    assert_eq!(zero.routes_disturbed, cold.reachable_count());
+    assert_eq!(zero.best, fresh.best);
+    assert_eq!(zero.routes_disturbed, fresh.reachable_count());
 
     let mut doubled = schedule.clone();
     doubled.push(schedule[0].clone());
@@ -351,12 +439,79 @@ fn identical_redeploy_is_a_zero_work_epoch() {
     assert_eq!(manifest_of(), manifest_of(), "manifest must be byte-stable");
 }
 
+// Campaign counters add up: each epoch is its configuration's
+// transition from the converged full anycast and reports the ASes it
+// reaches as disturbed, so the campaign's events are the sums over fresh
+// `transition_config`s from the full anycast and its disturbance the sum
+// of reachable counts — per epoch in the recorder, in total in the
+// stats. The baseline's drain is counted once per worker, apart.
+#[test]
+fn campaign_counters_add_up() {
+    let (world, origin, schedule) = scenario(17, 4, 1, 8);
+    for clean in [true, false] {
+        let engine = BgpEngine::new(&world.topology, &engine_config(clean));
+        let anycast: Vec<LinkAnnouncement> =
+            origin.link_ids().map(LinkAnnouncement::plain).collect();
+        let fresh: Vec<RoutingOutcome> = schedule
+            .iter()
+            .map(|c| {
+                engine
+                    .transition_config(
+                        &origin,
+                        &anycast,
+                        &c.to_link_announcements(),
+                        SnapshotDetail::Catchments,
+                    )
+                    .expect("valid configuration")
+            })
+            .collect();
+        let baseline = engine
+            .propagate_config(&origin, &anycast)
+            .expect("valid configuration");
+        for threads in [1usize, 2] {
+            let recorder = CampaignRecorder::new(true);
+            let campaign = run_campaign(
+                &engine,
+                &origin,
+                &schedule,
+                &CampaignOpts {
+                    threads,
+                    recorder: Some(&recorder),
+                    ..CampaignOpts::default()
+                },
+            )
+            .expect("valid schedule");
+            let mut records = recorder.take_records();
+            records.sort_by_key(|r| r.epoch);
+            assert_eq!(records.len(), schedule.len());
+            for (r, o) in records.iter().zip(&fresh) {
+                assert_eq!(r.routes_disturbed, o.reachable_count(), "epoch {}", r.epoch);
+                assert_eq!(r.events, o.events, "epoch {}", r.epoch);
+            }
+            assert_eq!(campaign.stats.propagations, schedule.len());
+            assert_eq!(
+                campaign.stats.events,
+                fresh.iter().map(|o| o.events).sum::<usize>()
+            );
+            assert_eq!(
+                campaign.stats.routes_disturbed,
+                fresh.iter().map(|o| o.reachable_count()).sum::<usize>()
+            );
+            assert!(campaign.stats.routes_disturbed >= campaign.tracked.len());
+            assert_eq!(
+                campaign.stats.baseline_events,
+                campaign.stats.threads * baseline.events
+            );
+        }
+    }
+}
+
 // The default options are a one-thread control-plane campaign, deployed
 // from a converged baseline under the engine's event cap; pin that, and
 // that the two-thread campaign through the same entry point agrees with
 // it.
 #[test]
-fn default_entry_points_run_warm() {
+fn default_entry_points_deploy_from_a_baseline() {
     let (world, origin, schedule) = scenario(11, 4, 1, 6);
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let seq = run_campaign(&engine, &origin, &schedule, &CampaignOpts::default())

@@ -1,17 +1,59 @@
 //! Helpers shared by the integration tests: the 50k-source
 //! [`attribution_fixture`], the [`interleaved_medians`] timer every
-//! `#[ignore]`d timing gate uses, and the [`Fnv1a`] hasher the
-//! exactness pins fold their results into. Each test binary compiles
-//! this module and uses only part of it.
+//! `#[ignore]`d timing gate uses, the [`Fnv1a`] hasher the exactness
+//! pins fold their results into, and the small-scale [`scenario`] and
+//! [`engine_config`] the session and campaign suites build on. Each test
+//! binary compiles this module and uses only part of it.
 #![allow(dead_code)]
 
 use std::hash::Hasher;
 use std::hint::black_box;
 use std::time::Instant;
-use trackdown_bgp::{Catchments, LinkId};
+use trackdown_bgp::{Catchments, EngineConfig, LinkId, OriginAs, PolicyConfig};
+use trackdown_core::generator::{full_schedule, GeneratorParams};
 use trackdown_core::localize::{link_volume_matrix, AttributionIndex, Campaign, CampaignStats};
+use trackdown_core::AnnouncementConfig;
+use trackdown_topology::gen::{generate, GeneratedTopology, TopologyConfig};
 use trackdown_topology::AsIndex;
 use trackdown_traffic::Flow;
+
+/// Engine config with the violator knob explicit: `clean` engines rank
+/// routes by relationship alone, default engines keep the 8% violator
+/// population, which hashes LocalPref per neighbor within each band.
+pub fn engine_config(clean: bool) -> EngineConfig {
+    if clean {
+        EngineConfig {
+            policy: PolicyConfig {
+                violator_fraction: 0.0,
+                ..PolicyConfig::default()
+            },
+            ..EngineConfig::default()
+        }
+    } else {
+        EngineConfig::default()
+    }
+}
+
+/// A small synthetic Internet, a multi-PoP origin, and a (possibly
+/// truncated) three-phase schedule.
+pub fn scenario(
+    seed: u64,
+    pops: usize,
+    max_removals: usize,
+    max_poison: usize,
+) -> (GeneratedTopology, OriginAs, Vec<AnnouncementConfig>) {
+    let world = generate(&TopologyConfig::small(seed));
+    let origin = OriginAs::peering_style(&world, pops);
+    let schedule = full_schedule(
+        &world.topology,
+        &origin,
+        &GeneratorParams {
+            max_removals,
+            max_poison_configs: Some(max_poison),
+        },
+    );
+    (world, origin, schedule)
+}
 
 /// 64-bit FNV-1a over the bytes written.
 pub struct Fnv1a(u64);

@@ -244,11 +244,15 @@ fn bare_propagation_traces_as_one_deployment() {
 /// `next` from `prev`'s fixpoint, and each drain is one deployment to the
 /// profiler: a `bgp.deploy` span with its `bgp.drain` nested under it and
 /// the drain's events as an attribute, and its work in `bgp.deployments`,
-/// `bgp.events`, `bgp.offers` and `bgp.full_decides`. From the full
-/// anycast, those two drains are a session converging its baseline and
-/// deploying `next` from it, so the counters grow by what the session
-/// adds, with the baseline counted as a second deployment. The counters
-/// are process-global; every test in this binary holds the lock.
+/// `bgp.events`, `bgp.offers`, `bgp.full_decides`, `bgp.changes`, the
+/// `bgp.rounds` histogram and `bgp.event_cap_hits`, as a session deploy
+/// counts it. From the full anycast, those two drains are a session
+/// converging its baseline and deploying `next` from it, so the work
+/// counters grow by what the session adds, with the baseline counted as
+/// a second deployment; its changes and rounds are those of a fresh
+/// deployment of the full anycast. Under a zero event cap both drains
+/// stop at once and each counts one cap hit. The counters are
+/// process-global; every test in this binary holds the lock.
 #[test]
 fn transition_traces_and_counts_two_deployments() {
     let _guard = lock();
@@ -256,19 +260,38 @@ fn transition_traces_and_counts_two_deployments() {
     let engine = BgpEngine::new(&world.topology, &EngineConfig::default());
     let anycast: Vec<LinkAnnouncement> = origin.link_ids().map(LinkAnnouncement::plain).collect();
     let next = schedule[schedule.len() / 2].to_link_announcements();
+    // Deployments, events, offers, full decides, changes, cap hits, then
+    // the `bgp.rounds` histogram's count and sum.
     let counters = || {
-        [
+        let registry = trackdown_suite::obs::global();
+        let rounds = registry.histogram("bgp.rounds").snapshot();
+        let [deployments, events, offers, full_decides, changes, cap_hits] = [
             "bgp.deployments",
             "bgp.events",
             "bgp.offers",
             "bgp.full_decides",
+            "bgp.changes",
+            "bgp.event_cap_hits",
         ]
-        .map(|name| trackdown_suite::obs::global().counter(name).get())
+        .map(|name| registry.counter(name).get());
+        [
+            deployments,
+            events,
+            offers,
+            full_decides,
+            changes,
+            cap_hits,
+            rounds.count,
+            rounds.sum,
+        ]
     };
-    let since = |before: [u64; 4]| {
+    let since = |before: [u64; 8]| {
         let after = counters();
-        std::array::from_fn::<u64, 4, _>(|i| after[i] - before[i])
+        std::array::from_fn::<u64, 8, _>(|i| after[i] - before[i])
     };
+    let fresh_anycast = engine
+        .propagate_config(&origin, &anycast)
+        .expect("valid origin");
 
     let before = counters();
     let mut session = engine.session();
@@ -280,6 +303,11 @@ fn transition_traces_and_counts_two_deployments() {
     let session_work = since(before);
     assert_eq!(session_work[0], 1, "a baseline is not a deployment");
     assert_eq!(session_work[1], (baseline.events + deployed.events) as u64);
+    assert_eq!(
+        session_work[4..],
+        [deployed.changes.len() as u64, 0, 1, deployed.rounds as u64],
+        "a baseline adds no changes, rounds or cap hits"
+    );
 
     start_trace(TraceConfig::default());
     let before = counters();
@@ -289,7 +317,21 @@ fn transition_traces_and_counts_two_deployments() {
     let work = since(before);
     let trace = end_trace().expect("trace collected");
     assert_eq!(transition.events, deployed.events);
-    assert_eq!(work, [2, session_work[1], session_work[2], session_work[3]]);
+    assert_eq!(transition.changes, deployed.changes);
+    assert_eq!(transition.rounds, deployed.rounds);
+    assert_eq!(
+        work,
+        [
+            2,
+            session_work[1],
+            session_work[2],
+            session_work[3],
+            (fresh_anycast.changes.len() + transition.changes.len()) as u64,
+            0,
+            2,
+            (fresh_anycast.rounds + transition.rounds) as u64,
+        ]
+    );
 
     assert_well_formed(&trace);
     assert_eq!(count(&trace, "bgp.deploy"), 2);
@@ -319,4 +361,19 @@ fn transition_traces_and_counts_two_deployments() {
     let mut want = [baseline.events as u64, transition.events as u64];
     want.sort_unstable();
     assert_eq!(events, want);
+
+    let capped = BgpEngine::new(
+        &world.topology,
+        &EngineConfig {
+            max_events_factor: 0,
+            ..EngineConfig::default()
+        },
+    );
+    let before = counters();
+    let transition = capped
+        .transition_config(&origin, &anycast, &next, SnapshotDetail::Catchments)
+        .expect("valid configuration");
+    assert!(!transition.converged);
+    let work = since(before);
+    assert_eq!((work[0], work[5], work[6]), (2, 2, 2));
 }
